@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .controls import RelaxedControl
-from .model import NoiseBatch, ProblemSpec, TimeGrid
+from .model import NoiseBatch, ProblemSpec, TimeGrid, ensemble_zeros
 from .optimality import relaxed_hamiltonian_batch
 from .sde import (
     FundamentalPair,
@@ -79,7 +79,8 @@ def fit_conditional(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdjointPair:
-    """Adjoint estimates p (M, N+1, n) and P (M, N+1, n, d).
+    """Adjoint estimates p (M, N+1, n) and P (M, N+1, n, d), stored
+    time-major (model.ensemble_zeros).
 
     P is None on the explicit route (that route produces p only; P can be
     recovered from the martingale integrand, see martingale_route_P).  By
@@ -95,7 +96,8 @@ class AdjointPair:
 @dataclass(frozen=True)
 class AuxiliaryProcesses:
     """Transported sensitivity alpha = Psi z, the terminal functional X, the
-    compensated martingale Y and the martingale integrand estimate Q."""
+    compensated martingale Y and the martingale integrand estimate Q; the
+    ensembles are stored time-major (model.ensemble_zeros)."""
 
     alpha: np.ndarray = field(repr=False)  # (M, N+1, n)
     X: np.ndarray = field(repr=False)      # (M, n)
@@ -113,14 +115,14 @@ def _grad_sums(spec: ProblemSpec, mu: RelaxedControl, traj: TrajectoryEnsemble,
     """Per-step Phi_s^* hbar_x(s) and its prefix sums (left-endpoint rule)."""
     M = traj.num_paths
     knots = grid.knots
-    terms = np.zeros((M, grid.num_steps, spec.n))
+    terms = ensemble_zeros(M, grid.num_steps, spec.n)
     for j in range(grid.num_steps):
         hx = np.broadcast_to(
             _cell_average(spec.h_x, knots[j], traj.states[:, j, :], mu.atoms[j], mu.weights[j]),
             (M, spec.n),
         )
         terms[:, j, :] = _transpose_apply(fund.Phi[:, j], hx)
-    prefix = np.zeros((M, grid.num_steps + 1, spec.n))
+    prefix = ensemble_zeros(M, grid.num_steps + 1, spec.n)
     np.cumsum(terms * grid.dt, axis=1, out=prefix[:, 1:, :])
     return terms, prefix
 
@@ -147,7 +149,7 @@ def adjoint_explicit(
     _, prefix = _grad_sums(spec, mu, traj, fund, grid)
     total = prefix[:, N, :]
     head = _transpose_apply(fund.Phi[:, N], gx_T)
-    p = np.empty((M, N + 1, spec.n))
+    p = ensemble_zeros(M, N + 1, spec.n)
     p[:, N, :] = gx_T
     worst = 0.0
     for j in range(N):
@@ -194,8 +196,8 @@ def adjoint_bsde(
     dt = grid.dt
     dW = traj.noise.increments
     knots = grid.knots
-    p = np.empty((M, N + 1, spec.n))
-    P = np.zeros((M, N + 1, spec.n, spec.d))
+    p = ensemble_zeros(M, N + 1, spec.n)
+    P = ensemble_zeros(M, N + 1, spec.n, spec.d)
     p[:, N, :] = np.broadcast_to(np.asarray(spec.g_x(traj.terminal), dtype=float), (M, spec.n))
     worst = 0.0
     for j in range(N - 1, -1, -1):
@@ -241,7 +243,8 @@ def auxiliary_processes(
     N = grid.num_steps
     dt = grid.dt
     dW = traj.noise.increments
-    alpha = np.einsum("mtpq,mtq->mtp", fund.Psi, variational.z)
+    alpha = ensemble_zeros(M, N + 1, spec.n)
+    np.einsum("mtpq,mtq->mtp", fund.Psi, variational.z, out=alpha)
     gx_T = np.broadcast_to(np.asarray(spec.g_x(traj.terminal), dtype=float), (M, spec.n))
     _, prefix = _grad_sums(spec, mu, traj, fund, grid)
     head = _transpose_apply(fund.Phi[:, N], gx_T)
@@ -249,14 +252,14 @@ def auxiliary_processes(
     # martingale E[X | F_t]: the accumulated part of X is known pathwise at
     # time t; only the remaining tail is a function of the Markov state and
     # goes through the regression.  Exact at the horizon.
-    mart = np.empty((M, N + 1, spec.n))
+    mart = ensemble_zeros(M, N + 1, spec.n)
     mart[:, N, :] = X
     for j in range(N):
         feats = polynomial_features(traj.states[:, j, :], degree)
         tail = head + (prefix[:, N, :] - prefix[:, j, :])
         mart[:, j, :] = prefix[:, j, :] + fit_conditional(feats, tail)
     Y = mart - prefix
-    Q = np.empty((M, N, spec.n, spec.d))
+    Q = ensemble_zeros(M, N, spec.n, spec.d)
     for j in range(N):
         feats = polynomial_features(traj.states[:, j, :], degree)
         incr = np.einsum("mp,mj->mpj", mart[:, j + 1, :] - mart[:, j, :], dW[:, j, :]) / dt
@@ -282,7 +285,7 @@ def martingale_route_P(
     M = traj.num_paths
     N = grid.num_steps
     knots = grid.knots
-    P = np.zeros((M, N + 1, spec.n, spec.d))
+    P = ensemble_zeros(M, N + 1, spec.n, spec.d)
     for j in range(N):
         xj = traj.states[:, j, :]
         sx = np.broadcast_to(
@@ -347,7 +350,7 @@ def variational_inequality_value(
     knots = grid.knots
     P = adjoint.P
     if P is None:
-        P = np.zeros((M, grid.num_steps + 1, spec.n, spec.d))
+        P = ensemble_zeros(M, grid.num_steps + 1, spec.n, spec.d)
     per_path = np.zeros(M)
     dinc = eta.increments - xi.increments
     for j in range(grid.num_steps):

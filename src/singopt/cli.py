@@ -188,9 +188,13 @@ class OutputDir:
         sio.write_json(manifest, self.root / "manifest.json")
 
 
-def _setup(cfg):
+def _problem_and_grid(cfg):
     spec = load_problem(cfg)
-    grid = model.TimeGrid(cfg["grid"]["N"], spec.horizon)
+    return spec, model.TimeGrid(cfg["grid"]["N"], spec.horizon)
+
+
+def _setup(cfg):
+    spec, grid = _problem_and_grid(cfg)
     noise = model.NoiseBatch.generate(cfg["monte_carlo"]["M"], grid, spec.d, cfg["monte_carlo"]["seed"])
     return spec, grid, noise
 
@@ -271,7 +275,8 @@ def cmd_certify(cfg, out: OutputDir) -> int:
 
 
 def cmd_chatter(cfg, out: OutputDir) -> int:
-    spec, grid, _ = _setup(cfg)
+    # chattering_gap draws its own noise on each refined grid
+    spec, grid = _problem_and_grid(cfg)
     control, singular = build_candidate(cfg, spec, grid)
     target = ctl.dirac_embed(control) if isinstance(control, ctl.StrictControl) else control
     n_values = cfg.get("chatter", {}).get("n_values", [4, 8, 16])

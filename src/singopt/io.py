@@ -15,36 +15,55 @@ from pathlib import Path
 
 import numpy as np
 
+_HEADER_BYTES = 32  # four uint64 words
+
 
 def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "x") -> None:
     """Write an (M, K, D) ensemble as CSV rows (path, step, t, components)."""
     values = np.asarray(values, dtype=float)
     M, K, D = values.shape
     header = "path,step,t," + ",".join(f"{prefix}{i}" for i in range(D))
+    times = [repr(float(t)) for t in knots]
     lines = [header]
     for i in range(M):
         for j in range(K):
             comps = ",".join(repr(float(v)) for v in values[i, j])
-            lines.append(f"{i},{j},{knots[j]!r},{comps}")
+            lines.append(f"{i},{j},{times[j]},{comps}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def ensemble_to_binary(values: np.ndarray, seed, path) -> None:
-    """Write an (M, K, D) ensemble in the documented binary layout."""
+    """Write an (M, K, D) ensemble in the documented binary layout, whatever
+    the memory layout of ``values``."""
     values = np.ascontiguousarray(values, dtype="<f8")
     M, K, D = values.shape
     if not isinstance(seed, (int, np.integer)):
         raise TypeError("binary export requires an integer seed in the header")
     header = np.array([M, K - 1, D, int(seed)], dtype="<u8")
-    Path(path).write_bytes(header.tobytes() + values.tobytes())
+    with open(path, "wb") as out:
+        out.write(header.tobytes())
+        out.write(values.data)
 
 
 def ensemble_from_binary(path):
-    """Read a binary ensemble dump back; returns (values, seed)."""
+    """Read a binary ensemble dump back; returns (values, seed).
+
+    Raises ValueError when the file is shorter or longer than its header
+    says.
+    """
     raw = Path(path).read_bytes()
-    header = np.frombuffer(raw[:32], dtype="<u8")
-    M, N, D, seed = (int(v) for v in header)
-    values = np.frombuffer(raw[32:], dtype="<f8").reshape(M, N + 1, D)
+    if len(raw) < _HEADER_BYTES:
+        raise ValueError(
+            f"{path}: expected at least {_HEADER_BYTES} header bytes, got {len(raw)}"
+        )
+    M, N, D, seed = (int(v) for v in np.frombuffer(raw[:_HEADER_BYTES], dtype="<u8"))
+    expected = _HEADER_BYTES + 8 * M * (N + 1) * D
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path}: header ({M} paths, {N} steps, {D} values) needs {expected} bytes, "
+            f"file has {len(raw)}"
+        )
+    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER_BYTES).reshape(M, N + 1, D)
     return values, seed
 
 

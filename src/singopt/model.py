@@ -113,13 +113,32 @@ class TimeGrid:
         return TimeGrid(self.num_steps * factor, self.horizon)
 
 
+def ensemble_zeros(num_paths: int, num_knots: int, *tail: int) -> np.ndarray:
+    """Zero-filled ensemble array of shape (num_paths, num_knots, *tail).
+
+    Every ensemble-sized array of the package (noise, states, sensitivities,
+    fundamental pair, adjoints) is allocated here.  The memory is time-major,
+    (num_knots, num_paths, *tail), and the returned array is the transposed
+    view, so ``values[:, j]`` is one contiguous block: the Euler and
+    regression sweeps read and write one knot of all paths at a time.
+    """
+    return np.zeros((num_knots, num_paths) + tail).swapaxes(0, 1)
+
+
+# Noise is drawn path by path into a scratch block of paths, then copied into
+# the time-major array in tiles of steps that stay in cache.
+_NOISE_BLOCK_PATHS = 256
+_NOISE_TILE_STEPS = 64
+
+
 @dataclass(frozen=True)
 class NoiseBatch:
-    """Brownian increments for a path ensemble.
+    """Brownian increments for a path ensemble, shape (M, N, d).
 
     Increment (i, j, :) is drawn from N(0, dt I_d) using a substream derived
     deterministically from (seed, path index), so path i's noise does not
     depend on how many paths the batch holds and regeneration is bit-exact.
+    The array is stored time-major (see ensemble_zeros).
     """
 
     num_paths: int
@@ -133,12 +152,16 @@ class NoiseBatch:
     def generate(cls, num_paths: int, grid: TimeGrid, noise_dim: int, seed) -> "NoiseBatch":
         """seed may be an int or a tuple of ints (derived experiment streams)."""
         children = np.random.SeedSequence(seed).spawn(num_paths)
-        dW = np.empty((num_paths, grid.num_steps, noise_dim))
+        dW = ensemble_zeros(num_paths, grid.num_steps, noise_dim)
         scale = np.sqrt(grid.dt)
-        for i, child in enumerate(children):
-            dW[i] = scale * np.random.default_rng(child).standard_normal(
-                (grid.num_steps, noise_dim)
-            )
+        block = np.empty((min(num_paths, _NOISE_BLOCK_PATHS), grid.num_steps, noise_dim))
+        for start in range(0, num_paths, len(block)):
+            stop = min(start + len(block), num_paths)
+            for row, child in zip(block, children[start:stop]):
+                np.random.default_rng(child).standard_normal(out=row)
+            for step in range(0, grid.num_steps, _NOISE_TILE_STEPS):
+                tile = slice(step, step + _NOISE_TILE_STEPS)
+                np.multiply(scale, block[: stop - start, tile], out=dW[start:stop, tile])
         return cls(num_paths, grid.num_steps, noise_dim, grid.dt, seed, dW)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import CellMeasure, RelaxedControl, StrictControl, dirac_embed, integrate
-from .model import ProblemSpec, TimeGrid
+from .model import ProblemSpec, TimeGrid, ensemble_zeros
 from .sde import TrajectoryEnsemble, _cell_average
 
 
@@ -184,7 +184,7 @@ def _minimality_scan(spec, mu, adjoint, traj, grid, tol):
     knots = grid.knots
     P = adjoint.P
     if P is None:
-        P = np.zeros((M, N + 1, spec.n, spec.d))
+        P = ensemble_zeros(M, N + 1, spec.n, spec.d)
     worst = 0.0
     violations = 0
     argmin_cells = np.empty((N, spec.k))
@@ -250,7 +250,7 @@ def verify_necessary(
     M = traj.num_paths
     N = grid.num_steps
     knots = grid.knots
-    slack = np.empty((M, N, spec.m))
+    slack = ensemble_zeros(M, N, spec.m)
     for j in range(N):
         slack[:, j, :] = spec.k_cost(knots[j]) + np.einsum(
             "pq,mp->mq", spec.G(knots[j]), adjoint.p[:, j, :]
@@ -383,7 +383,7 @@ def certify_sufficient(
     else:
         P = adjoint.P
         if P is None:
-            P = np.zeros((traj.num_paths, grid.num_steps + 1, spec.n, spec.d))
+            P = ensemble_zeros(traj.num_paths, grid.num_steps + 1, spec.n, spec.d)
         worst_overall, ok = 0.0, True
         knots = grid.knots
         for j in range(grid.num_steps):

@@ -8,6 +8,8 @@ increment of a cell is applied inside the same step as drift and diffusion
 (end-of-cell convention, matching the left-continuity convention of
 singular controls).
 
+Ensembles have shape (M, N+1, ...) and are stored time-major
+(model.ensemble_zeros), so the slice [:, j] of one knot is contiguous.
 Everything is deterministic given (problem, controls, grid, noise); means
 and suprema reduce in fixed path order.
 """
@@ -26,7 +28,12 @@ from .controls import (
     dirac_embed,
     regrid_relaxed,
 )
-from .model import NoiseBatch, ProblemSpec, TimeGrid
+from .model import NoiseBatch, ProblemSpec, TimeGrid, ensemble_zeros
+
+# Knots per block: simulated ensembles are checked for finiteness once per
+# block of steps, and chattering_gap reduces the trajectory gap one block of
+# knots at a time.
+_BLOCK_KNOTS = 64
 
 
 class SimulationError(RuntimeError):
@@ -91,13 +98,31 @@ def _cell_average(fn, t, x, atoms, weights):
     return total
 
 
-def _check_finite(x, step):
-    if np.all(np.isfinite(x)):
+def _check_finite(ensembles, start, stop):
+    """Raise SimulationError if knots start..stop-1 of any (M, K, ...)
+    ensemble hold a non-finite value, naming the first bad step and, at that
+    step, the first bad path (ensembles are scanned in the order given)."""
+    if all(np.isfinite(values[:, start:stop]).all() for values in ensembles):
         return
-    bad_paths = np.where(~np.isfinite(x).all(axis=tuple(range(1, x.ndim))))[0]
-    raise SimulationError(
-        f"state became non-finite at step {step}, first affected path {int(bad_paths[0])}"
-    )
+    for step in range(start, stop):
+        for values in ensembles:
+            knot = values[:, step]
+            bad = ~np.isfinite(knot.reshape(len(knot), -1)).all(axis=1)
+            if bad.any():
+                raise SimulationError(
+                    f"state became non-finite at step {step}, "
+                    f"first affected path {int(np.argmax(bad))}"
+                )
+
+
+def _checked_steps(num_steps, *ensembles):
+    """Yield the steps 0..num_steps-1 of an Euler loop that writes knot j+1
+    at step j; the knots written since the last check are checked for
+    finiteness after every _BLOCK_KNOTS steps and after the last one."""
+    for start in range(0, num_steps, _BLOCK_KNOTS):
+        stop = min(start + _BLOCK_KNOTS, num_steps)
+        yield from range(start, stop)
+        _check_finite(ensembles, start + 1, stop + 1)
 
 
 def _simulate(spec: ProblemSpec, atoms, weights, eta: SingularControl,
@@ -113,9 +138,9 @@ def _simulate(spec: ProblemSpec, atoms, weights, eta: SingularControl,
     gain_inc = (
         [spec.G(knots[j]) @ inc[j] for j in range(grid.num_steps)] if has_singular else None
     )
-    x = np.empty((M, grid.num_steps + 1, spec.n))
+    x = ensemble_zeros(M, grid.num_steps + 1, spec.n)
     x[:, 0, :] = spec.x0
-    for j in range(grid.num_steps):
+    for j in _checked_steps(grid.num_steps, x):
         t = knots[j]
         xj = x[:, j, :]
         drift = _cell_average(spec.b, t, xj, atoms[j], weights[j])
@@ -124,7 +149,6 @@ def _simulate(spec: ProblemSpec, atoms, weights, eta: SingularControl,
         if has_singular:
             step = step + gain_inc[j]
         x[:, j + 1, :] = step
-        _check_finite(x[:, j + 1, :], j + 1)
     return TrajectoryEnsemble(x, grid, noise, tag)
 
 
@@ -179,8 +203,8 @@ def simulate_variational(
     dW = noise.increments
     knots = grid.knots
     dinc = eta.increments - xi.increments
-    z = np.zeros((M, grid.num_steps + 1, spec.n))
-    for j in range(grid.num_steps):
+    z = ensemble_zeros(M, grid.num_steps + 1, spec.n)
+    for j in _checked_steps(grid.num_steps, z):
         t = knots[j]
         xj = base_traj.states[:, j, :]
         zj = z[:, j, :]
@@ -205,7 +229,6 @@ def simulate_variational(
             + np.einsum("mpj,mj->mp", ds, dW[:, j, :])
             + spec.G(t) @ dinc[j]
         )
-        _check_finite(z[:, j + 1, :], j + 1)
     return VariationalEnsemble(z, grid, noise)
 
 
@@ -230,11 +253,11 @@ def fundamental_solutions(
     dW = noise.increments
     knots = grid.knots
     eye = np.eye(spec.n)
-    Phi = np.empty((M, grid.num_steps + 1, spec.n, spec.n))
-    Psi = np.empty_like(Phi)
+    Phi = ensemble_zeros(M, grid.num_steps + 1, spec.n, spec.n)
+    Psi = ensemble_zeros(M, grid.num_steps + 1, spec.n, spec.n)
     Phi[:, 0] = eye
     Psi[:, 0] = eye
-    for j in range(grid.num_steps):
+    for j in _checked_steps(grid.num_steps, Phi, Psi):
         t = knots[j]
         xj = base_traj.states[:, j, :]
         bx = np.broadcast_to(
@@ -252,8 +275,6 @@ def fundamental_solutions(
         drift = np.einsum("mpq,mqr->mpr", Qj, sx_sq - bx)
         stoch = np.einsum("mpq,mjqr,mj->mpr", Qj, sx, dW[:, j, :])
         Psi[:, j + 1] = Qj + drift * dt - stoch
-        _check_finite(Phi[:, j + 1], j + 1)
-        _check_finite(Psi[:, j + 1], j + 1)
     return FundamentalPair(Phi, Psi, grid)
 
 
@@ -369,7 +390,11 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
     noise = NoiseBatch.generate(num_paths, refined, spec.d, (seed, n))
     x_strict = simulate_strict(spec, un, eta_ref, refined, noise)
     x_relax = simulate_relaxed(spec, q_ref, eta_ref, refined, noise)
-    gap = ((x_strict.states - x_relax.states) ** 2).sum(axis=2).mean(axis=0)
+    gap = 0.0
+    for start in range(0, refined.num_steps + 1, _BLOCK_KNOTS):
+        knots = slice(start, start + _BLOCK_KNOTS)
+        sq = ((x_strict.states[:, knots] - x_relax.states[:, knots]) ** 2).sum(axis=2)
+        gap = max(gap, float(sq.mean(axis=0).max()))
     cost_strict = per_path_cost(spec, x_strict, un, eta_ref)
     cost_relax = per_path_cost(spec, x_relax, q_ref, eta_ref)
     diff = cost_strict - cost_relax
@@ -377,7 +402,7 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
     se = float(diff.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
     return {
         "n": n,
-        "traj_gap": float(gap.max()),
+        "traj_gap": gap,
         "cost_gap": abs(float(diff.mean())),
         "cost_gap_se": se,
         "refined_steps": refined.num_steps,

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from singopt import model
 from singopt.cli import main
 from singopt.io import ensemble_from_binary
 
@@ -186,6 +187,22 @@ class TestChatter:
         for row in rows:
             n = int(row[0])
             assert float(row[2]) <= 1.0 / n ** 2 + 1e-6
+
+    def test_draws_only_the_refined_noise(self, tmp_path, monkeypatch):
+        draws = []
+        generate = model.NoiseBatch.generate.__func__
+
+        def counting(cls, num_paths, grid, noise_dim, seed):
+            draws.append((grid.num_steps, seed))
+            return generate(cls, num_paths, grid, noise_dim, seed)
+
+        monkeypatch.setattr(model.NoiseBatch, "generate", classmethod(counting))
+        cfg = write_config(
+            tmp_path, candidate={"name": "relaxed_pm1"},
+            monte_carlo={"M": 8, "seed": 4}, chatter={"n_values": [4, 8]},
+        )
+        assert run("chatter", cfg, tmp_path / "out") == 0
+        assert draws == [(32, (4, 4)), (128, (4, 8))]
 
     def test_dirac_target_gives_zero_gaps(self, tmp_path):
         cfg = write_config(

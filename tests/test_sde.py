@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from singopt.adjoint import adjoint_bsde
 from singopt.controls import (
     SingularControl,
     alternating_strict,
@@ -73,10 +74,39 @@ class TestSimulateStrict:
         )
         noise = make_noise(grid64, paths=4)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SimulationError, match=r"step \d+.*path \d+"):
+            with pytest.raises(
+                SimulationError,
+                match=r"^state became non-finite at step 3, first affected path 0$",
+            ):
                 simulate_strict(
                     exploding, constant_strict(grid64, [1.0]),
                     zero_singular(grid64, 1), grid64, noise,
+                )
+
+    def test_blowup_inside_a_block_reports_first_step_and_path(self, tanh_drift):
+        # Path 2 blows up at step 150, path 1 at step 151 and path 3 at
+        # step 200: the report names the first (step, path) wherever the
+        # finiteness check's block boundaries fall.
+        grid = TimeGrid(256, 1.0)
+        first_bad_knot = {2: 149, 1: 150, 3: 199}
+
+        def b(t, x, a):
+            out = np.tanh(x) + a
+            for path, knot in first_bad_knot.items():
+                if t >= grid.knots[knot]:
+                    out[path] = np.inf
+            return out
+
+        exploding = tanh_drift.with_overrides(b=b)
+        noise = make_noise(grid, paths=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                SimulationError,
+                match=r"^state became non-finite at step 150, first affected path 2$",
+            ):
+                simulate_strict(
+                    exploding, constant_strict(grid, [1.0]),
+                    zero_singular(grid, 1), grid, noise,
                 )
 
     def test_determinism_bit_identical(self, example2_stochastic, grid64):
@@ -256,6 +286,28 @@ class TestFundamentalSolutions:
             stats.append(stat)
         assert all(np.isfinite(s) for s in stats)
         assert max(stats) <= 2.0 * min(stats)
+
+
+def test_ensembles_keep_shape_and_store_knots_contiguously(example2_stochastic, grid64):
+    noise = make_noise(grid64, paths=8)
+    pair = (pm1(grid64), zero_singular(grid64, 1))
+    traj = simulate_relaxed(example2_stochastic, *pair, grid64, noise)
+    direction = (dirac_embed(constant_strict(grid64, [1.0])), zero_singular(grid64, 1))
+    z = simulate_variational(example2_stochastic, pair, direction, traj, grid64, noise)
+    fund = fundamental_solutions(example2_stochastic, pair, traj, grid64, noise)
+    adj = adjoint_bsde(example2_stochastic, pair, traj, grid64)
+    ensembles = {
+        "noise": (noise.increments, (8, 64, 1)),
+        "states": (traj.states, (8, 65, 1)),
+        "z": (z.z, (8, 65, 1)),
+        "Phi": (fund.Phi, (8, 65, 1, 1)),
+        "Psi": (fund.Psi, (8, 65, 1, 1)),
+        "p": (adj.p, (8, 65, 1)),
+        "P": (adj.P, (8, 65, 1, 1)),
+    }
+    for name, (values, shape) in ensembles.items():
+        assert values.shape == shape, name
+        assert values[:, 5].flags.c_contiguous, name
 
 
 class TestCost:
