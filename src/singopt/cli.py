@@ -63,7 +63,12 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     mc["M"] = _positive_int(cfg, "monte_carlo.M", mc.get("M", 1000))
     if "seed" not in mc:
         raise ConfigError("monte_carlo.seed is required (no wall-clock default)")
-    mc["seed"] = int(mc["seed"])
+    try:
+        mc["seed"] = int(mc["seed"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"monte_carlo.seed must be an integer, got {mc['seed']!r}")
+    if mc["seed"] < 0:
+        raise ConfigError(f"monte_carlo.seed must be nonnegative, got {mc['seed']}")
     reg = cfg.setdefault("regression", {})
     reg["degree"] = int(reg.get("degree", 2))
     if reg["degree"] < 0:
@@ -140,7 +145,11 @@ def build_candidate(cfg: dict, spec: model.ProblemSpec, grid: model.TimeGrid):
             blocks = _positive_int(cfg, "candidate blocks", name.split(":", 1)[1])
             control = ctl.alternating_strict(grid, blocks)
         elif name.startswith("constant:"):
-            point = np.array([float(v) for v in name.split(":", 1)[1].split(",")])
+            value = name.split(":", 1)[1]
+            try:
+                point = np.array([float(v) for v in value.split(",")])
+            except ValueError:
+                raise ConfigError(f"candidate 'constant:<v>' needs numbers, got {value!r}")
             if not _point_in_grid(point, spec.u1_grid):
                 raise ConfigError(f"candidate point {point.tolist()} is not in the U1 grid")
             control = ctl.constant_strict(grid, point)

@@ -11,25 +11,34 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import add
 from pathlib import Path
 
 import numpy as np
 
 _HEADER_BYTES = 32  # four uint64 words
+_CSV_BLOCK_PATHS = 256
 
 
 def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "x") -> None:
-    """Write an (M, K, D) ensemble as CSV rows (path, step, t, components)."""
+    """Write an (M, K, D) ensemble as CSV rows (path, step, t, components).
+
+    Rows are formatted and written in blocks of ``_CSV_BLOCK_PATHS`` paths,
+    so memory stays bounded by one block whatever M is.
+    """
     values = np.asarray(values, dtype=float)
     M, K, D = values.shape
-    header = "path,step,t," + ",".join(f"{prefix}{i}" for i in range(D))
-    times = [repr(float(t)) for t in knots]
-    lines = [header]
-    for i in range(M):
-        for j in range(K):
-            comps = ",".join(repr(float(v)) for v in values[i, j])
-            lines.append(f"{i},{j},{times[j]},{comps}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    heads = [f",{j},{t!r}," for j, t in enumerate(np.asarray(knots, dtype=float).tolist())]
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("path,step,t," + ",".join(f"{prefix}{i}" for i in range(D)) + "\n")
+        for lo in range(0, M, _CSV_BLOCK_PATHS):
+            block = values[lo:lo + _CSV_BLOCK_PATHS]
+            cells = map(repr, block.reshape(-1).tolist())
+            rows = list(map(",".join, zip(*[cells] * D)))  # D consecutive cells per row
+            out.write("".join([
+                f"{i}" + f"\n{i}".join(map(add, heads, rows[r * K:(r + 1) * K])) + "\n"
+                for r, i in enumerate(range(lo, lo + len(block)))
+            ]))
 
 
 def ensemble_to_binary(values: np.ndarray, seed, path) -> None:
@@ -39,6 +48,8 @@ def ensemble_to_binary(values: np.ndarray, seed, path) -> None:
     M, K, D = values.shape
     if not isinstance(seed, (int, np.integer)):
         raise TypeError("binary export requires an integer seed in the header")
+    if seed < 0:
+        raise ValueError(f"binary export needs a nonnegative seed (uint64 header), got {seed}")
     header = np.array([M, K - 1, D, int(seed)], dtype="<u8")
     with open(path, "wb") as out:
         out.write(header.tobytes())

@@ -82,7 +82,7 @@ class FundamentalPair:
 
     def inverse_defect(self) -> float:
         """max over paths and knots of || Psi_t Phi_t - I ||_F."""
-        prod = np.einsum("mtpq,mtqr->mtpr", self.Psi, self.Phi)
+        prod = np.matmul(self.Psi, self.Phi)
         eye = np.eye(prod.shape[-1])
         return float(np.sqrt(((prod - eye) ** 2).sum(axis=(-2, -1))).max())
 
@@ -249,32 +249,30 @@ def fundamental_solutions(
     """
     mu, _ = pair
     M = noise.num_paths
+    n = spec.n
     dt = grid.dt
     dW = noise.increments
     knots = grid.knots
-    eye = np.eye(spec.n)
-    Phi = ensemble_zeros(M, grid.num_steps + 1, spec.n, spec.n)
-    Psi = ensemble_zeros(M, grid.num_steps + 1, spec.n, spec.n)
+    eye = np.eye(n)
+    Phi = ensemble_zeros(M, grid.num_steps + 1, n, n)
+    Psi = ensemble_zeros(M, grid.num_steps + 1, n, n)
     Phi[:, 0] = eye
     Psi[:, 0] = eye
     for j in _checked_steps(grid.num_steps, Phi, Psi):
         t = knots[j]
         xj = base_traj.states[:, j, :]
-        bx = np.broadcast_to(
-            _cell_average(spec.b_x, t, xj, mu.atoms[j], mu.weights[j]), (M, spec.n, spec.n)
-        )
-        sx = np.broadcast_to(
-            _cell_average(spec.sigma_x, t, xj, mu.atoms[j], mu.weights[j]),
-            (M, spec.d, spec.n, spec.n),
-        )
+        bx = _cell_average(spec.b_x, t, xj, mu.atoms[j], mu.weights[j])
+        # bx (n, n) and sx (d, n, n) may be shared by all paths or given per path
+        sx = _cell_average(spec.sigma_x, t, xj, mu.atoms[j], mu.weights[j])
+        sx_sq = np.matmul(sx, sx).sum(axis=-3)
+        # S = sum_i sx_i dW_i, one (n, n) noise matrix per path
+        S = np.matmul(dW[:, j, None, :], sx.reshape(*sx.shape[:-2], n * n)).reshape(M, n, n)
         Pj = Phi[:, j]
         Qj = Psi[:, j]
-        stoch = np.einsum("mjpq,mqr,mj->mpr", sx, Pj, dW[:, j, :])
-        Phi[:, j + 1] = Pj + np.einsum("mpq,mqr->mpr", bx, Pj) * dt + stoch
-        sx_sq = np.einsum("mjpq,mjqr->mpr", sx, sx)
-        drift = np.einsum("mpq,mqr->mpr", Qj, sx_sq - bx)
-        stoch = np.einsum("mpq,mjqr,mj->mpr", Qj, sx, dW[:, j, :])
-        Psi[:, j + 1] = Qj + drift * dt - stoch
+        np.matmul(bx * dt + S, Pj, out=Phi[:, j + 1])
+        Phi[:, j + 1] += Pj
+        np.matmul(Qj, (sx_sq - bx) * dt - S, out=Psi[:, j + 1])
+        Psi[:, j + 1] += Qj
     return FundamentalPair(Phi, Psi, grid)
 
 

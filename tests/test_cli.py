@@ -256,6 +256,28 @@ class TestConfigErrors:
         )
         assert run("cost", cfg, tmp_path / "out") == 2
 
+    @pytest.mark.parametrize(
+        "overrides, extra, message",
+        [
+            ({"monte_carlo": {"M": 4, "seed": -1}}, (), "monte_carlo.seed must be nonnegative"),
+            ({}, ("--seed", "-1"), "monte_carlo.seed must be nonnegative"),
+            ({"monte_carlo": {"M": 4, "seed": "abc"}}, (), "monte_carlo.seed must be an integer"),
+            ({"candidate": {"name": "constant:abc"}}, (), "'abc'"),
+            ({"candidate": {"name": "constant:1,x"}}, (), "'1,x'"),
+        ],
+        ids=["config-seed", "override-seed", "seed-not-int", "constant-abc", "constant-pair"],
+    )
+    def test_bad_seed_or_constant_exits_two_without_traceback(
+        self, tmp_path, capsys, overrides, extra, message
+    ):
+        cfg = write_config(tmp_path, **overrides)
+        assert run("simulate", cfg, tmp_path / "out", *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_malformed_json_exits_two(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

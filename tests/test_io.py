@@ -5,9 +5,10 @@ import csv
 import numpy as np
 import pytest
 
+from singopt import io
 from singopt.controls import constant_relaxed, zero_singular
 from singopt.io import ensemble_from_binary, ensemble_to_binary, ensemble_to_csv
-from singopt.model import NoiseBatch, TimeGrid
+from singopt.model import NoiseBatch, TimeGrid, ensemble_zeros
 from singopt.sde import simulate_relaxed
 
 
@@ -32,6 +33,48 @@ def test_csv_round_trip_parses_every_cell(traj, tmp_path):
     assert np.array_equal(cells[:, 1], np.tile(np.arange(K), M))
     assert np.array_equal(cells[:, 2], np.tile(traj.grid.knots, M))
     assert np.array_equal(cells[:, 3], traj.states.reshape(M * K))
+
+
+def reference_csv(values, knots, prefix):
+    """The CSV written cell by cell, one repr per float."""
+    M, K, D = values.shape
+    lines = ["path,step,t," + ",".join(f"{prefix}{c}" for c in range(D))]
+    for i in range(M):
+        for j, t in enumerate(knots):
+            lines.append(
+                f"{i},{j},{float(t)!r}," + ",".join(repr(float(v)) for v in values[i, j])
+            )
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("time_major", [True, False], ids=["time-major", "c-contiguous"])
+@pytest.mark.parametrize("D", [1, 3])
+def test_csv_bytes_match_cell_by_cell_reference(tmp_path, D, time_major):
+    M, K = 600, 4
+    # crosses two block boundaries and ends in a partial block
+    assert M > 2 * io._CSV_BLOCK_PATHS and M % io._CSV_BLOCK_PATHS
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((M, K, D)) * 10.0 ** rng.integers(-20, 20, (M, K, D))
+    special = [-0.0, 5e-324, 1e-300, 1e16, 1e22, -1e22, 0.1, 1.0]
+    data.reshape(-1)[: len(special)] = special
+    data[io._CSV_BLOCK_PATHS, -1] = special[: D]
+    data[-1, -1] = special[-D:]
+    if time_major:
+        values = ensemble_zeros(M, K, D)
+        values[...] = data
+        assert not values.flags.c_contiguous
+    else:
+        values = np.ascontiguousarray(data)
+    knots = TimeGrid(K - 1, 0.3).knots
+    path = tmp_path / "ensemble.csv"
+    ensemble_to_csv(values, knots, path, prefix="p")
+    assert path.read_bytes() == reference_csv(data, knots, "p")
+
+
+def test_binary_rejects_negative_seed(tmp_path):
+    with pytest.raises(ValueError, match=r"nonnegative seed .* got -1$"):
+        ensemble_to_binary(np.zeros((2, 3, 1)), -1, tmp_path / "neg.bin")
+    assert not (tmp_path / "neg.bin").exists()
 
 
 def test_binary_round_trip_from_time_major_states(traj, tmp_path):

@@ -144,6 +144,38 @@ class TestPlanarProblem:
         assert defects[100] < 0.05
         assert defects[400] <= 0.75 * defects[100]
 
+    def test_fundamental_pair_matches_per_path_loop(self, planar):
+        grid = TimeGrid(60, 1.0)
+        M = 5
+        noise = NoiseBatch.generate(M, grid, 2, 31)
+        mu = constant_relaxed(grid, [[1.0, 0.0], [0.0, -1.0]], [0.3, 0.7])
+        xi = zero_singular(grid, 2)
+        traj = simulate_relaxed(planar, mu, xi, grid, noise)
+        fund = fundamental_solutions(planar, (mu, xi), traj, grid, noise)
+        eye = np.eye(2)
+        defect = 0.0
+        for m in range(M):
+            Phi, Psi = [eye], [eye]
+            for j in range(grid.num_steps):
+                t, x = grid.knots[j], traj.states[m, j]
+                cell = list(zip(mu.atoms[j], mu.weights[j]))
+                bx = sum(w * planar.b_x(t, x, a) for a, w in cell)
+                sx = sum(w * planar.sigma_x(t, x, a) for a, w in cell)
+                dW = noise.increments[m, j]
+                # dPhi = bx Phi dt + sum_i sx_i Phi dW_i
+                Phi.append(Phi[j] + bx @ Phi[j] * grid.dt
+                           + sum(sx[i] @ Phi[j] * dW[i] for i in range(2)))
+                # dPsi = Psi (sum_i sx_i^2 - bx) dt - sum_i Psi sx_i dW_i
+                sx_sq = sum(sx[i] @ sx[i] for i in range(2))
+                Psi.append(Psi[j] + Psi[j] @ (sx_sq - bx) * grid.dt
+                           - sum(Psi[j] @ sx[i] * dW[i] for i in range(2)))
+            Phi, Psi = np.array(Phi), np.array(Psi)
+            assert np.abs(fund.Phi[m] - Phi).max() <= 1e-12 * np.abs(Phi).max()
+            assert np.abs(fund.Psi[m] - Psi).max() <= 1e-12 * np.abs(Psi).max()
+            defect = max(defect, np.linalg.norm(Psi @ Phi - eye, axis=(-2, -1)).max())
+        assert defect > 0.0
+        assert fund.inverse_defect() == pytest.approx(defect, rel=1e-12)
+
     def test_adjoint_routes_agree(self, planar, planar_run):
         grid, noise, mu, xi, traj = planar_run
         fund = fundamental_solutions(planar, (mu, xi), traj, grid, noise)
