@@ -12,15 +12,13 @@ from .adjoint import (
     variational_inequality_value,
 )
 from .controls import (
-    CellMeasure,
-    PerturbationSpec,
     RelaxedControl,
     SingularControl,
     StrictControl,
+    as_relaxed,
     chattering,
     convex_combine,
     dirac_embed,
-    integrate,
     regrid_relaxed,
 )
 from .model import (
@@ -37,9 +35,9 @@ from .optimality import (
     Tolerances,
     VerificationReport,
     certify_sufficient,
-    hamiltonian_relaxed,
-    hamiltonian_strict,
     minimize_hamiltonian,
+    relaxed_hamiltonian_batch,
+    strict_hamiltonian_batch,
     verify_necessary,
 )
 from .sde import (

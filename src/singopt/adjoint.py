@@ -25,7 +25,7 @@ import numpy as np
 
 from .controls import RelaxedControl
 from .model import NoiseBatch, ProblemSpec, TimeGrid, ensemble_zeros
-from .optimality import relaxed_hamiltonian_batch
+from .optimality import relaxed_hamiltonian_batch, relaxed_hamiltonian_gradient
 from .sde import (
     FundamentalPair,
     TrajectoryEnsemble,
@@ -162,17 +162,6 @@ def adjoint_explicit(
     return AdjointPair(p=p, P=None, method="explicit", diagnostics=diags)
 
 
-def _relaxed_hamiltonian_gradient(spec, t, x, atoms, weights, p, P):
-    """Measure-averaged H_x = hbar_x + bbar_x^T p + sum_i sbar_x,i^T P_i."""
-    M = x.shape[0]
-    hx = np.broadcast_to(_cell_average(spec.h_x, t, x, atoms, weights), (M, spec.n))
-    bx = np.broadcast_to(_cell_average(spec.b_x, t, x, atoms, weights), (M, spec.n, spec.n))
-    sx = np.broadcast_to(
-        _cell_average(spec.sigma_x, t, x, atoms, weights), (M, spec.d, spec.n, spec.n)
-    )
-    return hx + np.einsum("mqp,mq->mp", bx, p) + np.einsum("mjqp,mqj->mp", sx, P)
-
-
 def adjoint_bsde(
     spec: ProblemSpec,
     pair: tuple,
@@ -207,7 +196,7 @@ def adjoint_bsde(
         p_proj = fit_conditional(feats, p_next)
         mart = np.einsum("mp,mj->mpj", p_next - p_proj, dW[:, j, :]) / dt
         P[:, j] = fit_conditional(feats, mart)
-        hx = _relaxed_hamiltonian_gradient(
+        hx = relaxed_hamiltonian_gradient(
             spec, knots[j], xj, mu.atoms[j], mu.weights[j], p_next, P[:, j]
         )
         target = p_next + hx * dt

@@ -36,13 +36,15 @@ class ConfigError(ValueError):
     """Raised for malformed or incomplete run configurations."""
 
 
-def _positive_int(cfg, path_desc, value):
+def _int_at_least(path_desc, value, minimum):
+    """value as an integer no smaller than minimum (0 or 1)."""
     try:
         out = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path_desc} must be an integer, got {value!r}")
-    if out <= 0:
-        raise ConfigError(f"{path_desc} must be positive, got {out}")
+    if out < minimum:
+        bound = "positive" if minimum else "nonnegative"
+        raise ConfigError(f"{path_desc} must be {bound}, got {out}")
     return out
 
 
@@ -59,26 +61,26 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
         mc["M"] = overrides["paths"]
     if overrides.get("seed") is not None:
         mc["seed"] = overrides["seed"]
-    grid["N"] = _positive_int(cfg, "grid.N", grid.get("N", 100))
-    mc["M"] = _positive_int(cfg, "monte_carlo.M", mc.get("M", 1000))
+    grid["N"] = _int_at_least("grid.N", grid.get("N", 100), 1)
+    mc["M"] = _int_at_least("monte_carlo.M", mc.get("M", 1000), 1)
     if "seed" not in mc:
         raise ConfigError("monte_carlo.seed is required (no wall-clock default)")
-    try:
-        mc["seed"] = int(mc["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"monte_carlo.seed must be an integer, got {mc['seed']!r}")
-    if mc["seed"] < 0:
-        raise ConfigError(f"monte_carlo.seed must be nonnegative, got {mc['seed']}")
+    mc["seed"] = _int_at_least("monte_carlo.seed", mc["seed"], 0)
     reg = cfg.setdefault("regression", {})
-    reg["degree"] = int(reg.get("degree", 2))
-    if reg["degree"] < 0:
-        raise ConfigError("regression.degree must be >= 0")
+    reg["degree"] = _int_at_least("regression.degree", reg.get("degree", 2), 0)
     tol = cfg.setdefault("tolerances", {})
     defaults = optimality.Tolerances().as_dict()
-    for key, val in defaults.items():
-        tol.setdefault(key, val)
-        if float(tol[key]) < 0:
-            raise ConfigError(f"tolerances.{key} must be nonnegative")
+    unknown = sorted(set(tol) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown tolerances {unknown}; known: {', '.join(defaults)}")
+    for key, default in defaults.items():
+        value = tol.get(key, default)
+        try:
+            tol[key] = float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"tolerances.{key} must be a number, got {value!r}")
+        if not 0.0 <= tol[key] < np.inf:
+            raise ConfigError(f"tolerances.{key} must be finite and nonnegative, got {value!r}")
     return cfg
 
 
@@ -96,77 +98,64 @@ def load_problem(cfg: dict) -> model.ProblemSpec:
     return model.problem_from_json(path)
 
 
-def _point_in_grid(point, u1_grid):
-    return any(np.array_equal(point, row) for row in u1_grid)
-
-
-def _check_candidate_atoms(control, spec):
-    """Candidate control values must come from the problem's grid."""
-    if isinstance(control, ctl.StrictControl):
-        ok = control.in_grid(spec.u1_grid)
-    else:
-        ok = all(
-            _point_in_grid(atom, spec.u1_grid)
-            for j in range(control.grid.num_steps)
-            for atom, w in zip(control.atoms[j], control.weights[j])
-            if w > 0
-        )
-    if not ok:
-        raise ConfigError("candidate control uses points outside the problem's U1 grid")
-    return control
+def _check_in_u1_grid(mu, spec):
+    """Every atom the candidate plays must be a point of the problem's U1
+    grid.  Points compare as tuples of floats, so by value: -0.0 matches 0.0."""
+    grid_points = set(map(tuple, spec.u1_grid.tolist()))
+    for point in mu.atoms[mu.weights > 0].tolist():
+        if tuple(point) not in grid_points:
+            raise ConfigError(f"candidate point {point} is outside the problem's U1 grid")
 
 
 def build_candidate(cfg: dict, spec: model.ProblemSpec, grid: model.TimeGrid):
-    """Resolve the candidate (control, singular) pair from the config."""
+    """Resolve the candidate (control, singular) pair from the config.
+
+    The control comes back relaxed (a strict candidate as its point masses)
+    and plays only points of the problem's U1 grid.
+    """
     cand = cfg.get("candidate")
     if cand is None:
         raise ConfigError("config missing 'candidate'")
-    control = None
+    singular = None
     if "path" in cand:
         try:
             obj = json.loads(Path(cand["path"]).read_text())
-            control = _check_candidate_atoms(ctl.control_from_obj(obj["control"], grid), spec)
-            singular = (
-                ctl.control_from_obj(obj["singular"], grid)
-                if "singular" in obj
-                else ctl.zero_singular(grid, spec.m)
-            )
+            control = ctl.control_from_obj(obj["control"], grid)
+            if "singular" in obj:
+                singular = ctl.control_from_obj(obj["singular"], grid)
         except (OSError, json.JSONDecodeError, KeyError) as exc:
             raise ConfigError(f"cannot load candidate file {cand['path']!r}: {exc!r}")
-        return control, singular
-    name = cand.get("name")
-    if name is not None:
-        if name == "relaxed_pm1":
-            for pt in ([-1.0], [1.0]):
-                if not _point_in_grid(np.array(pt), spec.u1_grid):
-                    raise ConfigError(f"candidate 'relaxed_pm1' needs {pt} in the U1 grid")
-            control = ctl.constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
-        elif name.startswith("alternating:"):
-            blocks = _positive_int(cfg, "candidate blocks", name.split(":", 1)[1])
-            control = ctl.alternating_strict(grid, blocks)
-        elif name.startswith("constant:"):
-            value = name.split(":", 1)[1]
-            try:
-                point = np.array([float(v) for v in value.split(",")])
-            except ValueError:
-                raise ConfigError(f"candidate 'constant:<v>' needs numbers, got {value!r}")
-            if not _point_in_grid(point, spec.u1_grid):
-                raise ConfigError(f"candidate point {point.tolist()} is not in the U1 grid")
-            control = ctl.constant_strict(grid, point)
+    else:
+        name = cand.get("name")
+        if name is not None:
+            if name == "relaxed_pm1":
+                control = ctl.constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
+            elif name.startswith("alternating:"):
+                blocks = _int_at_least("candidate blocks", name.split(":", 1)[1], 1)
+                control = ctl.alternating_strict(grid, blocks)
+            elif name.startswith("constant:"):
+                value = name.split(":", 1)[1]
+                try:
+                    point = np.array([float(v) for v in value.split(",")])
+                except ValueError:
+                    raise ConfigError(f"candidate 'constant:<v>' needs numbers, got {value!r}")
+                control = ctl.constant_strict(grid, point)
+            else:
+                raise ConfigError(
+                    f"unknown candidate name {name!r}; use relaxed_pm1, alternating:<n>, "
+                    "constant:<v>, or a candidate JSON path"
+                )
+        elif "control" in cand:
+            control = ctl.control_from_obj(cand["control"], grid)
         else:
-            raise ConfigError(
-                f"unknown candidate name {name!r}; use relaxed_pm1, alternating:<n>, "
-                "constant:<v>, or a candidate JSON path"
-            )
-    elif "control" in cand:
-        control = _check_candidate_atoms(ctl.control_from_obj(cand["control"], grid), spec)
-    else:
-        raise ConfigError("candidate needs 'name', 'path' or an inline 'control'")
-    if "singular" in cand:
-        singular = ctl.control_from_obj(cand["singular"], grid)
-    else:
+            raise ConfigError("candidate needs 'name', 'path' or an inline 'control'")
+        if "singular" in cand:
+            singular = ctl.control_from_obj(cand["singular"], grid)
+    mu = ctl.as_relaxed(control)
+    _check_in_u1_grid(mu, spec)
+    if singular is None:
         singular = ctl.zero_singular(grid, spec.m)
-    return control, singular
+    return mu, singular
 
 
 class OutputDir:
@@ -208,17 +197,11 @@ def _setup(cfg):
     return spec, grid, noise
 
 
-def _simulate_candidate(spec, control, singular, grid, noise):
-    if isinstance(control, ctl.StrictControl):
-        return sde.simulate_strict(spec, control, singular, grid, noise)
-    return sde.simulate_relaxed(spec, control, singular, grid, noise)
-
-
 def cmd_simulate(cfg, out: OutputDir) -> int:
     spec, grid, noise = _setup(cfg)
-    control, singular = build_candidate(cfg, spec, grid)
-    traj = _simulate_candidate(spec, control, singular, grid, noise)
-    cost = sde.estimate_cost(spec, traj, control, singular)
+    mu, singular = build_candidate(cfg, spec, grid)
+    traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
+    cost = sde.estimate_cost(spec, traj, mu, singular)
     sio.ensemble_to_csv(traj.states, grid.knots, out.path("trajectory.csv"))
     sio.ensemble_to_binary(traj.states, noise.seed, out.path("trajectory.bin"))
     terminal = traj.terminal
@@ -236,9 +219,9 @@ def cmd_simulate(cfg, out: OutputDir) -> int:
 
 def cmd_cost(cfg, out: OutputDir) -> int:
     spec, grid, noise = _setup(cfg)
-    control, singular = build_candidate(cfg, spec, grid)
-    traj = _simulate_candidate(spec, control, singular, grid, noise)
-    cost = sde.estimate_cost(spec, traj, control, singular)
+    mu, singular = build_candidate(cfg, spec, grid)
+    traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
+    cost = sde.estimate_cost(spec, traj, mu, singular)
     sio.write_json({"cost": cost.as_dict(), "config": cfg}, out.path("cost.json"))
     print(f"cost = {cost.value!r} (se {cost.std_error!r})")
     return EXIT_OK
@@ -246,9 +229,8 @@ def cmd_cost(cfg, out: OutputDir) -> int:
 
 def _verification_inputs(cfg):
     spec, grid, noise = _setup(cfg)
-    control, singular = build_candidate(cfg, spec, grid)
-    traj = _simulate_candidate(spec, control, singular, grid, noise)
-    mu = ctl.dirac_embed(control) if isinstance(control, ctl.StrictControl) else control
+    mu, singular = build_candidate(cfg, spec, grid)
+    traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
     pair = adj.adjoint_bsde(spec, (mu, singular), traj, grid, degree=cfg["regression"]["degree"])
     tol = optimality.Tolerances(**cfg["tolerances"])
     echo = {
@@ -286,12 +268,11 @@ def cmd_certify(cfg, out: OutputDir) -> int:
 def cmd_chatter(cfg, out: OutputDir) -> int:
     # chattering_gap draws its own noise on each refined grid
     spec, grid = _problem_and_grid(cfg)
-    control, singular = build_candidate(cfg, spec, grid)
-    target = ctl.dirac_embed(control) if isinstance(control, ctl.StrictControl) else control
+    mu, singular = build_candidate(cfg, spec, grid)
     n_values = cfg.get("chatter", {}).get("n_values", [4, 8, 16])
     rows = [
         sde.chattering_gap(
-            spec, target, singular, int(n), cfg["monte_carlo"]["M"], cfg["monte_carlo"]["seed"]
+            spec, mu, singular, int(n), cfg["monte_carlo"]["M"], cfg["monte_carlo"]["seed"]
         )
         for n in n_values
     ]
@@ -312,9 +293,8 @@ def cmd_chatter(cfg, out: OutputDir) -> int:
 
 def cmd_adjoint(cfg, out: OutputDir) -> int:
     spec, grid, noise = _setup(cfg)
-    control, singular = build_candidate(cfg, spec, grid)
-    traj = _simulate_candidate(spec, control, singular, grid, noise)
-    mu = ctl.dirac_embed(control) if isinstance(control, ctl.StrictControl) else control
+    mu, singular = build_candidate(cfg, spec, grid)
+    traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
     degree = cfg["regression"]["degree"]
     fund = sde.fundamental_solutions(spec, (mu, singular), traj, grid, noise)
     explicit = adj.adjoint_explicit(spec, (mu, singular), traj, fund, grid, degree=degree)

@@ -16,7 +16,7 @@ occupation fractions deviate from the weights by at most one refined step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import singledispatch
 
 import numpy as np
 
@@ -31,42 +31,6 @@ class ControlError(ValueError):
 
 class ChatteringError(ControlError):
     """Raised when the refined grid cannot represent all positive weights."""
-
-
-@dataclass(frozen=True)
-class CellMeasure:
-    """A finite discrete probability measure on one grid cell."""
-
-    atoms: np.ndarray   # (A, k)
-    weights: np.ndarray  # (A,)
-
-    def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        if len(atoms) != len(weights):
-            raise ControlError("measure needs one weight per atom")
-        if np.any(weights < 0):
-            raise ControlError("measure weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
-            raise ControlError(f"measure weights sum to {weights.sum()!r}, expected 1")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-
-
-def integrate(measure: CellMeasure, f: Callable):
-    """Integrate f over a single-cell measure: sum_j w_j f(a_j).
-
-    f maps one atom (k,) to a scalar or array; the result has f's output
-    shape.  Exactly linear in f.  A non-finite f value raises ControlError
-    naming the offending atom.
-    """
-    total = None
-    for atom, w in zip(measure.atoms, measure.weights):
-        value = np.asarray(f(atom), dtype=float)
-        if not np.all(np.isfinite(value)):
-            raise ControlError(f"integrand returned non-finite value at atom {atom.tolist()}")
-        total = w * value if total is None else total + w * value
-    return total
 
 
 @dataclass(frozen=True)
@@ -89,11 +53,6 @@ class StrictControl:
     @property
     def control_dim(self) -> int:
         return self.values.shape[1]
-
-    def in_grid(self, u1_grid: np.ndarray) -> bool:
-        """True iff every cell value is a row of u1_grid (exact match)."""
-        pts = {pt.tobytes() for pt in np.asarray(u1_grid, dtype=float)}
-        return all(v.tobytes() in pts for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -128,15 +87,6 @@ class RelaxedControl:
     def control_dim(self) -> int:
         return self.atoms.shape[2]
 
-    def cell(self, j: int) -> CellMeasure:
-        keep = self.weights[j] > 0
-        if not keep.any():
-            raise ControlError(f"cell {j} has no positive weight")
-        return CellMeasure(self.atoms[j][keep], self.weights[j][keep])
-
-    def cells(self):
-        return [self.cell(j) for j in range(self.grid.num_steps)]
-
 
 @dataclass(frozen=True)
 class SingularControl:
@@ -170,19 +120,6 @@ class SingularControl:
         out = np.zeros((self.grid.num_steps + 1, self.singular_dim))
         np.cumsum(self.increments, axis=0, out=out[1:])
         return out
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """A convex perturbation size theta in [0, 1] and its direction pair."""
-
-    theta: float
-    relaxed: RelaxedControl
-    singular: SingularControl
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ControlError(f"theta must lie in [0, 1], got {self.theta!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -231,27 +168,48 @@ def dirac_embed(v: StrictControl) -> RelaxedControl:
     )
 
 
+def as_relaxed(control) -> RelaxedControl:
+    """The relaxed form of a candidate control: a strict control becomes its
+    point masses (dirac_embed), a relaxed control is returned unchanged."""
+    if isinstance(control, StrictControl):
+        return dirac_embed(control)
+    if isinstance(control, RelaxedControl):
+        return control
+    raise ControlError(
+        f"candidate control must be strict or relaxed, got {type(control).__name__}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# per-cell measures as padded arrays
+# ---------------------------------------------------------------------------
+
+def _merge_atoms(atoms, weights):
+    """Union of the atoms (A, k), deduplicated, with the weights of equal
+    atoms summed, in first-seen order: returns (atoms (B, k), weights (B,))."""
+    acc = {}
+    for atom, w in zip(atoms, weights):
+        acc.setdefault(atom.tobytes(), [atom, 0.0])[1] += w
+    return np.array([a for a, _ in acc.values()]), np.array([w for _, w in acc.values()])
+
+
+def _padded(grid: TimeGrid, cells) -> RelaxedControl:
+    """The relaxed control of per-cell (atoms (A_j, k), weights (A_j,))
+    pairs, padded to the widest cell with zero weights on copies of each
+    cell's first atom, so padding rows stay inside the atom set."""
+    width = max(len(wts) for _, wts in cells)
+    atoms = np.zeros((grid.num_steps, width, cells[0][0].shape[1]))
+    weights = np.zeros((grid.num_steps, width))
+    for j, (pts, wts) in enumerate(cells):
+        atoms[j, : len(wts)] = pts
+        atoms[j, len(wts):] = pts[0]
+        weights[j, : len(wts)] = wts
+    return RelaxedControl(grid, atoms, weights)
+
+
 # ---------------------------------------------------------------------------
 # convex perturbation
 # ---------------------------------------------------------------------------
-
-def _merge_cell(atoms_a, w_a, atoms_b, w_b, wa, wb):
-    """Union of two cell measures with weights wa*w_a + wb*w_b, deduplicated."""
-    order = []
-    acc = {}
-    for atoms, weights, factor in ((atoms_a, w_a, wa), (atoms_b, w_b, wb)):
-        for atom, w in zip(atoms, weights):
-            if w == 0.0 and factor == 0.0:
-                continue
-            key = atom.tobytes()
-            if key not in acc:
-                acc[key] = [atom, 0.0]
-                order.append(key)
-            acc[key][1] += factor * w
-    pts = np.array([acc[k][0] for k in order])
-    wts = np.array([acc[k][1] for k in order])
-    return pts, wts
-
 
 def convex_combine(
     base: tuple, direction: tuple, theta: float
@@ -273,24 +231,15 @@ def convex_combine(
     if theta == 1.0:
         return q, eta
 
-    cells_atoms, cells_weights = [], []
-    for j in range(mu.grid.num_steps):
-        pts, wts = _merge_cell(
-            mu.atoms[j], mu.weights[j], q.atoms[j], q.weights[j], 1.0 - theta, theta
+    cells = [
+        _merge_atoms(
+            np.concatenate([mu.atoms[j], q.atoms[j]]),
+            np.concatenate([(1.0 - theta) * mu.weights[j], theta * q.weights[j]]),
         )
-        cells_atoms.append(pts)
-        cells_weights.append(wts)
-    width = max(len(w) for w in cells_weights)
-    k = mu.atoms.shape[2]
-    atoms = np.zeros((mu.grid.num_steps, width, k))
-    weights = np.zeros((mu.grid.num_steps, width))
-    for j, (pts, wts) in enumerate(zip(cells_atoms, cells_weights)):
-        atoms[j, : len(wts)] = pts
-        atoms[j, len(wts):] = pts[0]  # padding rows stay inside the atom set
-        weights[j, : len(wts)] = wts
-    mixed = RelaxedControl(mu.grid, atoms, weights)
+        for j in range(mu.grid.num_steps)
+    ]
     inc = (1.0 - theta) * xi.increments + theta * eta.increments
-    return mixed, SingularControl(xi.grid, inc)
+    return _padded(mu.grid, cells), SingularControl(xi.grid, inc)
 
 
 # ---------------------------------------------------------------------------
@@ -354,62 +303,51 @@ def regrid_relaxed(q: RelaxedControl, num_cells: int) -> RelaxedControl:
     T = q.grid.horizon
     old_dt = q.grid.dt
     new_dt = T / num_cells
-    cells_atoms, cells_weights = [], []
+    cells = []
     for j in range(num_cells):
         start, end = j * new_dt, (j + 1) * new_dt
         lo = int(np.floor(start / old_dt))
         hi = min(int(np.ceil(end / old_dt)), q.grid.num_steps)
-        acc, order = {}, []
+        atoms, weights = [], []
         for i in range(lo, hi):
             overlap = min(end, (i + 1) * old_dt) - max(start, i * old_dt)
             if overlap <= 0:
                 continue
-            frac = overlap / new_dt
-            for atom, w in zip(q.atoms[i], q.weights[i]):
-                if w == 0.0:
-                    continue
-                key = atom.tobytes()
-                if key not in acc:
-                    acc[key] = [atom, 0.0]
-                    order.append(key)
-                acc[key][1] += frac * w
-        pts = np.array([acc[k][0] for k in order])
-        wts = np.array([acc[k][1] for k in order])
-        cells_atoms.append(pts)
-        cells_weights.append(wts / wts.sum())
-    width = max(len(w) for w in cells_weights)
-    grid = TimeGrid(num_cells, T)
-    atoms = np.zeros((num_cells, width, q.control_dim))
-    weights = np.zeros((num_cells, width))
-    for j, (pts, wts) in enumerate(zip(cells_atoms, cells_weights)):
-        atoms[j, : len(wts)] = pts
-        atoms[j, len(wts):] = pts[0]
-        weights[j, : len(wts)] = wts
-    return RelaxedControl(grid, atoms, weights)
+            keep = q.weights[i] != 0.0
+            atoms.append(q.atoms[i][keep])
+            weights.append(overlap / new_dt * q.weights[i][keep])
+        pts, wts = _merge_atoms(np.concatenate(atoms), np.concatenate(weights))
+        cells.append((pts, wts / wts.sum()))
+    return _padded(TimeGrid(num_cells, T), cells)
 
 
 # ---------------------------------------------------------------------------
 # JSON forms
 # ---------------------------------------------------------------------------
 
+@singledispatch
 def control_to_obj(control) -> dict:
     """JSON-ready description of any control type."""
-    if isinstance(control, StrictControl):
-        return {"type": "strict", "values": control.values.tolist()}
-    if isinstance(control, RelaxedControl):
-        cells = []
-        for j in range(control.grid.num_steps):
-            keep = control.weights[j] > 0
-            cells.append(
-                {
-                    "atoms": control.atoms[j][keep].tolist(),
-                    "weights": control.weights[j][keep].tolist(),
-                }
-            )
-        return {"type": "relaxed", "cells": cells}
-    if isinstance(control, SingularControl):
-        return {"type": "singular", "increments": control.increments.tolist()}
     raise ControlError(f"cannot serialize object of type {type(control).__name__}")
+
+
+@control_to_obj.register(StrictControl)
+def _strict_to_obj(control) -> dict:
+    return {"type": "strict", "values": control.values.tolist()}
+
+
+@control_to_obj.register(RelaxedControl)
+def _relaxed_to_obj(control) -> dict:
+    cells = [
+        {"atoms": atoms[weights > 0].tolist(), "weights": weights[weights > 0].tolist()}
+        for atoms, weights in zip(control.atoms, control.weights)
+    ]
+    return {"type": "relaxed", "cells": cells}
+
+
+@control_to_obj.register(SingularControl)
+def _singular_to_obj(control) -> dict:
+    return {"type": "singular", "increments": control.increments.tolist()}
 
 
 def control_from_obj(obj: dict, grid: TimeGrid):
@@ -425,15 +363,9 @@ def control_from_obj(obj: dict, grid: TimeGrid):
             raise ControlError(
                 f"control has {len(cells)} cells but the grid has {grid.num_steps}"
             )
-        width = max(len(c["weights"]) for c in cells)
-        kdim = len(np.atleast_2d(np.asarray(cells[0]["atoms"]))[0])
-        atoms = np.zeros((grid.num_steps, width, kdim))
-        weights = np.zeros((grid.num_steps, width))
-        for j, c in enumerate(cells):
-            pts = np.atleast_2d(np.asarray(c["atoms"], dtype=float))
-            wts = np.asarray(c["weights"], dtype=float)
-            atoms[j, : len(wts)] = pts
-            atoms[j, len(wts):] = pts[0]
-            weights[j, : len(wts)] = wts
-        return RelaxedControl(grid, atoms, weights)
+        return _padded(grid, [
+            (np.atleast_2d(np.asarray(c["atoms"], dtype=float)),
+             np.asarray(c["weights"], dtype=float))
+            for c in cells
+        ])
     raise ControlError(f"unknown control type {kind!r}")

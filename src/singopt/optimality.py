@@ -4,6 +4,7 @@ The strict Hamiltonian is H(t, x, v, p, P) = h + b . p + sigma : P (the
 diffusion pairs with P column by column); the relaxed Hamiltonian is its
 measure average and is therefore linear in the weights, so its infimum over
 all discrete measures on the candidate grid is attained at a point mass.
+Both are evaluated over a batch of paths; a single point is a batch of one.
 
 verify_necessary checks a candidate against the three global first-order
 conditions: pointwise Hamiltonian minimality over the candidate grid,
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controls import CellMeasure, RelaxedControl, StrictControl, dirac_embed, integrate
+from .controls import ControlError, StrictControl, as_relaxed, dirac_embed, zero_singular
 from .model import ProblemSpec, TimeGrid, ensemble_zeros
 from .sde import TrajectoryEnsemble, _cell_average
 
@@ -50,22 +51,6 @@ class Tolerances:
         }
 
 
-def hamiltonian_strict(spec: ProblemSpec, t: float, x, v, p, P) -> float:
-    """H(t, x, v, p, P) for one state/control point."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    P = np.asarray(P, dtype=float).reshape(spec.n, spec.d)
-    h = float(spec.h(t, x, v))
-    b = np.asarray(spec.b(t, x, v), dtype=float)
-    sig = np.asarray(spec.sigma(t, x, v), dtype=float).reshape(spec.n, spec.d)
-    return h + float(b @ p) + float(np.sum(sig * P))
-
-
-def hamiltonian_relaxed(spec: ProblemSpec, t: float, x, measure: CellMeasure, p, P) -> float:
-    """Measure average of the strict Hamiltonian; exactly linear in weights."""
-    return float(integrate(measure, lambda a: hamiltonian_strict(spec, t, x, a, p, P)))
-
-
 def strict_hamiltonian_batch(spec, t, x, v, p, P):
     """H over a path batch: x (M, n), p (M, n), P (M, n, d) -> (M,)."""
     M = x.shape[0]
@@ -81,18 +66,38 @@ def relaxed_hamiltonian_batch(spec, t, x, atoms, weights, p, P):
                          t, x, atoms, weights)
 
 
+def relaxed_hamiltonian_gradient(spec, t, x, atoms, weights, p, P):
+    """Measure-averaged H_x = hbar_x + bbar_x^T p + sum_i sbar_x,i^T P_i over
+    a path batch -> (M, n)."""
+    M = x.shape[0]
+    hx = np.broadcast_to(_cell_average(spec.h_x, t, x, atoms, weights), (M, spec.n))
+    bx = np.broadcast_to(_cell_average(spec.b_x, t, x, atoms, weights), (M, spec.n, spec.n))
+    sx = np.broadcast_to(
+        _cell_average(spec.sigma_x, t, x, atoms, weights), (M, spec.d, spec.n, spec.n)
+    )
+    return hx + np.einsum("mqp,mq->mp", bx, p) + np.einsum("mjqp,mqj->mp", sx, P)
+
+
+def _grid_argmin(u1_grid, values) -> np.ndarray:
+    """The grid point of least value; exact ties resolve to the
+    lexicographically smallest point."""
+    tied = u1_grid[values == values.min()]
+    return np.array(min(map(tuple, tied.tolist())))
+
+
 def minimize_hamiltonian(spec: ProblemSpec, t: float, x, p, P) -> tuple:
-    """Exhaustive Hamiltonian minimum over the candidate grid.
+    """Exhaustive Hamiltonian minimum over the candidate grid at one point:
+    x (n,), p (n,), P (n, d).
 
     By linearity in the measure weights this value is also the infimum over
     all discrete measures on the grid.  Exact ties resolve to the
     lexicographically smallest grid point.
     """
-    values = np.array([hamiltonian_strict(spec, t, x, v, p, P) for v in spec.u1_grid])
-    vmin = values.min()
-    tied = spec.u1_grid[values == vmin]
-    best = min(map(tuple, tied.tolist()))
-    return np.array(best), float(vmin)
+    x = np.asarray(x, dtype=float).reshape(1, spec.n)
+    p = np.asarray(p, dtype=float).reshape(1, spec.n)
+    P = np.asarray(P, dtype=float).reshape(1, spec.n, spec.d)
+    values = np.array([strict_hamiltonian_batch(spec, t, x, v, p, P)[0] for v in spec.u1_grid])
+    return _grid_argmin(spec.u1_grid, values), float(values.min())
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +173,6 @@ class SufficiencyCertificate:
         }
 
 
-def _as_relaxed(candidate) -> RelaxedControl:
-    if isinstance(candidate, StrictControl):
-        return dirac_embed(candidate)
-    if isinstance(candidate, RelaxedControl):
-        return candidate
-    raise TypeError(f"candidate control must be strict or relaxed, got {type(candidate).__name__}")
-
-
 def _minimality_scan(spec, mu, adjoint, traj, grid, tol):
     """Per-(path, knot) Hamiltonian gap of the candidate above the grid
     minimum.  Returns (worst gap, violating fraction, per-cell mean argmin)."""
@@ -202,10 +199,7 @@ def _minimality_scan(spec, mu, adjoint, traj, grid, tol):
         violations += int(np.count_nonzero(gap > thr))
         worst = max(worst, float(gap.max()))
         # deterministic representative direction: argmin of the path-mean values
-        mean_vals = grid_vals.mean(axis=1)
-        vmin = mean_vals.min()
-        tied = spec.u1_grid[mean_vals == vmin]
-        argmin_cells[j] = min(map(tuple, tied.tolist()))
+        argmin_cells[j] = _grid_argmin(spec.u1_grid, grid_vals.mean(axis=1))
     fraction = violations / float(M * N)
     return worst, fraction, argmin_cells
 
@@ -231,7 +225,7 @@ def verify_necessary(
     if adjoint is None:
         raise ValueError("verify_necessary requires the candidate's adjoint pair")
     control, xi = candidate
-    mu = _as_relaxed(control)
+    mu = as_relaxed(control)
     records = []
 
     worst, fraction, argmin_cells = _minimality_scan(spec, mu, adjoint, traj, grid, tolerances)
@@ -283,7 +277,6 @@ def verify_necessary(
     )
 
     all_directions = list(directions or [])
-    from .controls import zero_singular
     argmin_dir = dirac_embed(StrictControl(grid, argmin_cells))
     all_directions.append(("pointwise-argmin", (argmin_dir, zero_singular(grid, spec.m))))
     # imported here: adjoint depends on this module for Hamiltonian evaluation
@@ -346,7 +339,7 @@ def certify_sufficient(
     an error.
     """
     control, xi = candidate
-    mu = _as_relaxed(control)
+    mu = as_relaxed(control)
     rng = np.random.default_rng(probe_seed)
     lo, hi = spec.assumptions_box
     convexity = []
@@ -389,12 +382,18 @@ def certify_sufficient(
         for j in range(grid.num_steps):
             p_bar = adjoint.p[:, j, :].mean(axis=0)
             P_bar = P[:, j].mean(axis=0)
-            measure = mu.cell(j)
 
-            def H_of_x(xs, t=knots[j], meas=measure, pb=p_bar, Pb=P_bar):
-                return np.array(
-                    [hamiltonian_relaxed(spec, t, x, meas, pb, Pb) for x in np.atleast_2d(xs)]
+            def H_of_x(xs, j=j, pb=p_bar, Pb=P_bar):
+                M = len(xs)
+                values = relaxed_hamiltonian_batch(
+                    spec, knots[j], xs, mu.atoms[j], mu.weights[j],
+                    np.broadcast_to(pb, (M, spec.n)), np.broadcast_to(Pb, (M, spec.n, spec.d)),
                 )
+                if not np.all(np.isfinite(values)):
+                    raise ControlError(
+                        f"Hamiltonian is not finite at a convexity probe point in cell {j}"
+                    )
+                return values
 
             worst, ok_j = _midpoint_probe(H_of_x, lo, hi, rng, probe_pairs, 1e-9)
             worst_overall = max(worst_overall, worst)

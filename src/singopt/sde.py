@@ -24,6 +24,7 @@ from .controls import (
     RelaxedControl,
     SingularControl,
     StrictControl,
+    as_relaxed,
     chattering,
     dirac_embed,
     regrid_relaxed,
@@ -302,48 +303,49 @@ class CostEstimate:
         }
 
 
-def per_path_cost(spec: ProblemSpec, traj: TrajectoryEnsemble, control,
-                  eta: SingularControl) -> np.ndarray:
-    """Per-path total cost: terminal + left-endpoint running quadrature +
-    singular quadrature sum_j k(t_j) . delta_eta_j."""
+def _cost_terms(spec: ProblemSpec, traj: TrajectoryEnsemble, control,
+                eta: SingularControl) -> tuple:
+    """Per-path terminal cost g(x_T) and left-endpoint running quadrature,
+    both (M,), and the singular quadrature sum_j k(t_j) . delta_eta_j."""
     grid = traj.grid
-    if isinstance(control, StrictControl):
-        control = dirac_embed(control)
-    _require_grid(grid, control, eta)
+    mu = as_relaxed(control)
+    _require_grid(grid, mu, eta)
     knots = grid.knots
     dt = grid.dt
     M = traj.num_paths
     running = np.zeros(M)
     for j in range(grid.num_steps):
         xj = traj.states[:, j, :]
-        hbar = _cell_average(spec.h, knots[j], xj, control.atoms[j], control.weights[j])
+        hbar = _cell_average(spec.h, knots[j], xj, mu.atoms[j], mu.weights[j])
         running = running + np.broadcast_to(hbar, (M,)) * dt
     singular = float(
         sum(spec.k_cost(knots[j]) @ eta.increments[j] for j in range(grid.num_steps))
     )
     terminal = np.broadcast_to(np.asarray(spec.g(traj.terminal), dtype=float), (M,))
+    return terminal, running, singular
+
+
+def per_path_cost(spec: ProblemSpec, traj: TrajectoryEnsemble, control,
+                  eta: SingularControl) -> np.ndarray:
+    """Per-path total cost: terminal + left-endpoint running quadrature +
+    singular quadrature sum_j k(t_j) . delta_eta_j."""
+    terminal, running, singular = _cost_terms(spec, traj, control, eta)
     return terminal + running + singular
 
 
 def estimate_cost(spec: ProblemSpec, traj: TrajectoryEnsemble, control,
                   eta: SingularControl) -> CostEstimate:
     """Monte Carlo estimate of the expected cost of (control, eta)."""
-    grid = traj.grid
-    if isinstance(control, StrictControl):
-        control = dirac_embed(control)
-    costs = per_path_cost(spec, traj, control, eta)
+    terminal, running, singular = _cost_terms(spec, traj, control, eta)
+    costs = terminal + running + singular
     M = len(costs)
     se = float(costs.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
-    knots = grid.knots
-    singular = float(
-        sum(spec.k_cost(knots[j]) @ eta.increments[j] for j in range(grid.num_steps))
-    )
-    terminal = float(np.mean(np.asarray(spec.g(traj.terminal), dtype=float)))
+    terminal_mean = float(np.mean(terminal))
     return CostEstimate(
         value=float(costs.mean()),
         std_error=se,
-        terminal=terminal,
-        running=float(costs.mean()) - terminal - singular,
+        terminal=terminal_mean,
+        running=float(costs.mean()) - terminal_mean - singular,
         singular=singular,
         num_paths=M,
     )

@@ -1,10 +1,15 @@
 """Command-line harness: exit codes, artifacts, config echo, reproducibility."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singopt import model
 from singopt.cli import main
@@ -264,8 +269,17 @@ class TestConfigErrors:
             ({"monte_carlo": {"M": 4, "seed": "abc"}}, (), "monte_carlo.seed must be an integer"),
             ({"candidate": {"name": "constant:abc"}}, (), "'abc'"),
             ({"candidate": {"name": "constant:1,x"}}, (), "'1,x'"),
+            ({"regression": {"degree": "abc"}}, (), "regression.degree must be an integer"),
+            ({"regression": {"degree": -1}}, (), "regression.degree must be nonnegative"),
+            ({"grid": {"N": float("inf")}}, (), "grid.N must be an integer"),
+            ({"tolerances": {"tol_H": "x"}}, (), "tolerances.tol_H must be a number"),
+            ({"tolerances": {"tol_S": float("nan")}}, (), "tol_S must be finite and nonnegative"),
+            ({"tolerances": {"tol_F": -1e-9}}, (), "tol_F must be finite and nonnegative"),
+            ({"tolerances": {"tol_Q": 0.1}}, (), "unknown tolerances ['tol_Q']"),
         ],
-        ids=["config-seed", "override-seed", "seed-not-int", "constant-abc", "constant-pair"],
+        ids=["config-seed", "override-seed", "seed-not-int", "constant-abc", "constant-pair",
+             "degree-abc", "degree-negative", "steps-inf", "tol-not-number", "tol-nan",
+             "tol-negative", "tol-unknown"],
     )
     def test_bad_seed_or_constant_exits_two_without_traceback(
         self, tmp_path, capsys, overrides, extra, message
@@ -277,6 +291,13 @@ class TestConfigErrors:
         assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_numeric_string_tolerance_is_stored_as_a_number(self, tmp_path):
+        cfg = write_config(tmp_path, tolerances={"tol_H": "0.1"})
+        assert run("verify", cfg, tmp_path / "out") in (0, 1)
+        blob = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        assert blob["config"]["tolerances"]["tol_H"] == 0.1
+        assert blob["report"]["config"]["tolerances"]["tol_H"] == 0.1
 
     def test_malformed_json_exits_two(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -295,6 +316,70 @@ class TestConfigErrors:
         blob = json.loads((tmp_path / "out" / "cost.json").read_text())
         assert blob["config"]["monte_carlo"]["M"] == 2
         assert blob["config"]["grid"]["N"] == 32
+
+
+@pytest.mark.parametrize("form", ["strict", "relaxed"])
+def test_negative_zero_candidate_is_a_grid_point(tmp_path, form):
+    # example2_stochastic's U1 grid holds 0.0; -0.0 is the same point
+    if form == "strict":
+        control = {"type": "strict", "values": [[-0.0]] * 8}
+    else:
+        control = {"type": "relaxed", "cells": [{"atoms": [[-0.0]], "weights": [1.0]}] * 8}
+    cfg = write_config(
+        tmp_path, problem="example2_stochastic", grid={"N": 8}, candidate={"control": control}
+    )
+    assert run("cost", cfg, tmp_path / "out") == 0
+
+
+_MUTABLE_FIELDS = [
+    ("regression", "degree"),
+    ("tolerances", "tol_H"),
+    ("tolerances", "max_violation_fraction"),
+    ("tolerances", "tol_S"),
+    ("tolerances", "tol_F"),
+    ("tolerances", "vi_allowance"),
+    ("tolerances", "tol_Q"),
+    ("monte_carlo", "seed"),
+    ("monte_carlo", "M"),
+    ("grid", "N"),
+]
+# integers and floats stay at or below 64, so no example allocates a large ensemble
+_FIELD_VALUES = st.one_of(
+    st.integers(-3, 64),
+    st.floats(-2.0, 64.0),
+    st.sampled_from(["abc", "", "0.1", "12", None, True, [], float("nan"), float("inf")]),
+)
+_CANDIDATE_NAMES = [
+    "relaxed_pm1", "alternating:4", "alternating:7", "alternating:0", "alternating:x",
+    "constant:1", "constant:-0.0", "constant:0.5", "constant:abc", "wiggle",
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mutations=st.dictionaries(st.sampled_from(_MUTABLE_FIELDS), _FIELD_VALUES, max_size=3),
+    name=st.sampled_from(_CANDIDATE_NAMES),
+)
+def test_mutated_cost_config_exits_cleanly(mutations, name):
+    cfg = {
+        "problem": "example2_stochastic",
+        "grid": {"N": 8},
+        "monte_carlo": {"M": 4, "seed": 3},
+        "regression": {"degree": 2},
+        "tolerances": {},
+        "candidate": {"name": name},
+    }
+    for (section, key), value in mutations.items():
+        cfg[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("cost", path, Path(tmp) / "out")
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("config error: ")
 
 
 def test_blowup_exits_three(tmp_path):

@@ -1,16 +1,19 @@
-"""Control types, measure integration, convex perturbation, chattering."""
+"""Control types, measure averaging, convex perturbation, chattering."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from singopt.cli import ConfigError, build_candidate
 from singopt.controls import (
-    CellMeasure,
     ChatteringError,
     ControlError,
     RelaxedControl,
     SingularControl,
     StrictControl,
-    PerturbationSpec,
     alternating_strict,
     chattering,
     constant_relaxed,
@@ -19,57 +22,61 @@ from singopt.controls import (
     control_to_obj,
     convex_combine,
     dirac_embed,
-    integrate,
     regrid_relaxed,
     zero_singular,
 )
 from singopt.model import TimeGrid
+from singopt.sde import _cell_average, regrid_singular
 
 
 def pm1(grid):
     return constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
 
 
+def average(atoms, weights, f):
+    """Average of f(atom) over one cell's measure, by the library's routine."""
+    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+    return _cell_average(lambda t, x, a: f(a), 0.0, None, atoms, np.asarray(weights, dtype=float))
+
+
+def positive(q, j):
+    """Atoms and weights of cell j of a relaxed control, padding dropped."""
+    keep = q.weights[j] > 0
+    return q.atoms[j][keep], q.weights[j][keep]
+
+
 class TestIntegrate:
     def test_dirac_returns_point_value(self):
-        m = CellMeasure([[2.0]], [1.0])
-        assert integrate(m, lambda a: 3.0 * a[0]) == 6.0
+        assert average([[2.0]], [1.0], lambda a: 3.0 * a[0]) == 6.0
 
     def test_symmetric_measure_kills_odd_integrand(self):
-        m = CellMeasure([[-1.0], [1.0]], [0.5, 0.5])
-        assert integrate(m, lambda a: a[0]) == 0.0
+        assert average([[-1.0], [1.0]], [0.5, 0.5], lambda a: a[0]) == 0.0
 
     def test_double_well_integrand_vanishes_at_atoms(self):
-        m = CellMeasure([[-1.0], [1.0]], [0.5, 0.5])
-        assert integrate(m, lambda a: (1 - a[0] ** 2) ** 2) == 0.0
+        assert average([[-1.0], [1.0]], [0.5, 0.5], lambda a: (1 - a[0] ** 2) ** 2) == 0.0
 
     def test_linearity_to_machine_precision(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             raw = rng.exponential(size=4)
-            m = CellMeasure(rng.normal(size=(4, 1)), raw / raw.sum())
+            atoms, weights = rng.normal(size=(4, 1)), raw / raw.sum()
             alpha, beta = rng.normal(size=2)
             f = lambda a: np.sin(a[0])
             g = lambda a: a[0] ** 3
-            lhs = integrate(m, lambda a: alpha * f(a) + beta * g(a))
-            rhs = alpha * integrate(m, f) + beta * integrate(m, g)
+            lhs = average(atoms, weights, lambda a: alpha * f(a) + beta * g(a))
+            rhs = alpha * average(atoms, weights, f) + beta * average(atoms, weights, g)
             assert abs(lhs - rhs) < 1e-12
 
     def test_vector_valued_integrand(self):
-        m = CellMeasure([[-1.0], [1.0]], [0.25, 0.75])
-        out = integrate(m, lambda a: np.array([a[0], 1.0]))
+        out = average([[-1.0], [1.0]], [0.25, 0.75], lambda a: np.array([a[0], 1.0]))
         assert out.tolist() == [0.5, 1.0]
 
-    def test_nonfinite_integrand_names_atom(self):
-        m = CellMeasure([[-1.0], [1.0]], [0.5, 0.5])
-        with pytest.raises(ControlError, match=r"\[1\.0\]"):
-            integrate(m, lambda a: np.inf if a[0] > 0 else 0.0)
-
     def test_weight_validation(self):
+        grid = TimeGrid(1, 1.0)
         with pytest.raises(ControlError):
-            CellMeasure([[0.0], [1.0]], [0.6, 0.6])
+            RelaxedControl(grid, [[[0.0], [1.0]]], [[0.6, 0.6]])
         with pytest.raises(ControlError):
-            CellMeasure([[0.0], [1.0]], [-0.1, 1.1])
+            RelaxedControl(grid, [[[0.0], [1.0]]], [[-0.1, 1.1]])
 
 
 class TestDiracEmbed:
@@ -89,7 +96,7 @@ class TestDiracEmbed:
         v = alternating_strict(grid64, 4)
         q = dirac_embed(v)
         for j in (0, 17, 63):
-            assert integrate(q.cell(j), lambda a: a[0] ** 2 + a[0]) == (
+            assert average(q.atoms[j], q.weights[j], lambda a: a[0] ** 2 + a[0]) == (
                 v.values[j, 0] ** 2 + v.values[j, 0]
             )
 
@@ -111,9 +118,9 @@ class TestConvexCombine:
         base = (dirac_embed(constant_strict(grid64, [0.0])), zero_singular(grid64, 1))
         direction = (dirac_embed(constant_strict(grid64, [1.0])), zero_singular(grid64, 1))
         mixed, _ = convex_combine(base, direction, 0.5)
-        cell = mixed.cell(0)
-        assert cell.atoms.ravel().tolist() == [0.0, 1.0]
-        assert cell.weights.tolist() == [0.5, 0.5]
+        atoms, weights = positive(mixed, 0)
+        assert atoms.ravel().tolist() == [0.0, 1.0]
+        assert weights.tolist() == [0.5, 0.5]
 
     @pytest.mark.parametrize("theta", [0.1, 0.3, 0.77])
     def test_weights_stay_normalized_and_increments_nonnegative(self, grid64, theta):
@@ -131,16 +138,14 @@ class TestConvexCombine:
         base = (pm1(grid64), zero_singular(grid64, 1))
         direction = (pm1(grid64), zero_singular(grid64, 1))
         mixed, _ = convex_combine(base, direction, 0.25)
-        cell = mixed.cell(0)
-        assert len(cell.weights) == 2
-        assert cell.weights.tolist() == pytest.approx([0.5, 0.5], abs=1e-15)
+        _, weights = positive(mixed, 0)
+        assert len(weights) == 2
+        assert weights.tolist() == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_theta_out_of_range(self, grid64):
         base = (pm1(grid64), zero_singular(grid64, 1))
         with pytest.raises(ControlError):
             convex_combine(base, base, 1.5)
-        with pytest.raises(ControlError):
-            PerturbationSpec(-0.1, *base)
 
 
 class TestSingularControl:
@@ -194,8 +199,8 @@ class TestChattering:
         dt = u.grid.dt
         for f in tests:
             time_avg = sum(f(v) * dt for v in u.values) / grid.horizon
-            target = integrate(q.cell(0), f)
-            fmax = max(abs(f(a)) for a in q.cell(0).atoms)
+            target = average(q.atoms[0], q.weights[0], f)
+            fmax = max(abs(f(a)) for a in positive(q, 0)[0])
             assert abs(time_avg - target) <= 2.0 * fmax / n + 1e-12
 
     def test_cellwise_varying_weights_get_cellwise_occupation(self):
@@ -228,9 +233,9 @@ class TestRegrid:
         q = pm1(grid64)
         out = regrid_relaxed(q, 4)
         for j in range(4):
-            cell = out.cell(j)
-            assert sorted(cell.atoms.ravel().tolist()) == [-1.0, 1.0]
-            assert cell.weights.tolist() == pytest.approx([0.5, 0.5])
+            atoms, weights = positive(out, j)
+            assert sorted(atoms.ravel().tolist()) == [-1.0, 1.0]
+            assert weights.tolist() == pytest.approx([0.5, 0.5])
 
     def test_two_cells_average_to_one(self):
         grid = TimeGrid(2, 1.0)
@@ -238,9 +243,9 @@ class TestRegrid:
         weights = np.ones((2, 1))
         q = RelaxedControl(grid, atoms, weights)
         out = regrid_relaxed(q, 1)
-        cell = out.cell(0)
-        assert cell.atoms.ravel().tolist() == [0.0, 1.0]
-        assert cell.weights.tolist() == pytest.approx([0.5, 0.5])
+        atoms, weights = positive(out, 0)
+        assert atoms.ravel().tolist() == [0.0, 1.0]
+        assert weights.tolist() == pytest.approx([0.5, 0.5])
 
 
 class TestJsonForms:
@@ -268,11 +273,125 @@ class TestJsonForms:
 
 def test_strict_membership_check(grid64, example1):
     v = alternating_strict(grid64, 8)
-    assert v.in_grid(example1.u1_grid)
+    mu, _ = build_candidate({"candidate": {"control": control_to_obj(v)}}, example1, grid64)
+    assert np.array_equal(mu.atoms[:, 0], v.values)
     w = StrictControl(grid64, np.full((64, 1), 0.5))
-    assert not w.in_grid(example1.u1_grid)
+    with pytest.raises(ConfigError, match=r"\[0\.5\]"):
+        build_candidate({"candidate": {"control": control_to_obj(w)}}, example1, grid64)
 
 
 def test_alternating_requires_divisibility(grid64):
     with pytest.raises(ControlError):
         alternating_strict(grid64, 7)
+
+
+# ---------------------------------------------------------------------------
+# properties of the measure operations (hypothesis)
+# ---------------------------------------------------------------------------
+
+_ATOM_POOL = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+@st.composite
+def ragged_relaxed(draw, grid=None, k=None):
+    """A relaxed control whose cells hold 1-3 atoms drawn from a small pool
+    (so cells share atoms and may repeat one), padded the library's way:
+    zero weights on copies of the cell's first atom."""
+    if grid is None:
+        grid = TimeGrid(draw(st.integers(1, 6)), draw(st.sampled_from([0.5, 1.0, 3.0])))
+    if k is None:
+        k = draw(st.integers(1, 2))
+    cells = []
+    for _ in range(grid.num_steps):
+        size = draw(st.integers(1, 3))
+        point = st.lists(st.sampled_from(_ATOM_POOL), min_size=k, max_size=k)
+        pts = draw(st.lists(point, min_size=size, max_size=size))
+        raw = np.array(draw(st.lists(st.integers(1, 9), min_size=size, max_size=size)), float)
+        cells.append((np.array(pts), raw / raw.sum()))
+    width = max(len(w) for _, w in cells)
+    atoms = np.zeros((grid.num_steps, width, k))
+    weights = np.zeros((grid.num_steps, width))
+    for j, (pts, wts) in enumerate(cells):
+        atoms[j] = pts[0]
+        atoms[j, : len(wts)] = pts
+        weights[j, : len(wts)] = wts
+    return RelaxedControl(grid, atoms, weights)
+
+
+def cell_masses(q):
+    """Per cell, the total weight of each distinct atom value."""
+    out = []
+    for atoms, weights in zip(q.atoms, q.weights):
+        mass = {}
+        for atom, w in zip(atoms, weights):
+            key = tuple(atom.tolist())
+            mass[key] = mass.get(key, 0.0) + w
+        out.append(mass)
+    return out
+
+
+def time_integrated_masses(q):
+    total = {}
+    for mass in cell_masses(q):
+        for atom, w in mass.items():
+            total[atom] = total.get(atom, 0.0) + q.grid.dt * w
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=ragged_relaxed(), num_cells=st.integers(1, 12))
+def test_regrid_relaxed_conserves_each_atoms_time_integrated_weight(q, num_cells):
+    out = regrid_relaxed(q, num_cells)
+    assert out.grid == TimeGrid(num_cells, q.grid.horizon)
+    assert np.all(out.weights >= 0)
+    assert np.max(np.abs(out.weights.sum(axis=1) - 1.0)) <= 1e-12
+    before, after = time_integrated_masses(q), time_integrated_masses(out)
+    assert set(after) <= set(before)
+    for atom, mass in before.items():
+        assert after.get(atom, 0.0) == pytest.approx(mass, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    increments=st.integers(1, 8).flatmap(
+        lambda N: st.integers(1, 2).flatmap(
+            lambda m: st.lists(
+                st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m), min_size=N, max_size=N
+            )
+        )
+    ),
+    horizon=st.sampled_from([0.5, 1.0, 3.0]),
+    num_cells=st.integers(1, 12),
+)
+def test_regrid_singular_conserves_total_increment(increments, horizon, num_cells):
+    eta = SingularControl(TimeGrid(len(increments), horizon), increments)
+    out = regrid_singular(eta, num_cells)
+    assert out.grid == TimeGrid(num_cells, horizon)
+    assert np.all(out.increments >= 0)
+    np.testing.assert_allclose(
+        out.increments.sum(axis=0), eta.increments.sum(axis=0), rtol=1e-12, atol=1e-12
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), theta=st.floats(0.0, 1.0))
+def test_convex_combine_mixes_each_atoms_weight(data, theta):
+    base = data.draw(ragged_relaxed())
+    direction = data.draw(ragged_relaxed(grid=base.grid, k=base.control_dim))
+    xi = zero_singular(base.grid, 1)
+    mixed, _ = convex_combine((base, xi), (direction, xi), theta)
+    assert np.max(np.abs(mixed.weights.sum(axis=1) - 1.0)) <= 1e-12
+    for got, w_base, w_dir in zip(cell_masses(mixed), cell_masses(base), cell_masses(direction)):
+        assert set(got) <= set(w_base) | set(w_dir)
+        for atom in set(w_base) | set(w_dir):
+            want = (1.0 - theta) * w_base.get(atom, 0.0) + theta * w_dir.get(atom, 0.0)
+            assert got.get(atom, 0.0) == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=ragged_relaxed())
+def test_ragged_relaxed_json_round_trip(q):
+    again = control_from_obj(json.loads(json.dumps(control_to_obj(q))), q.grid)
+    assert again.atoms.shape == q.atoms.shape
+    assert np.array_equal(again.atoms, q.atoms)
+    assert np.array_equal(again.weights, q.weights)

@@ -6,8 +6,9 @@ import pytest
 import oracles
 from singopt.adjoint import adjoint_bsde
 from singopt.controls import (
-    CellMeasure,
+    ControlError,
     SingularControl,
+    as_relaxed,
     constant_relaxed,
     constant_strict,
     dirac_embed,
@@ -17,9 +18,9 @@ from singopt.model import NoiseBatch, TimeGrid, problem_from_config
 from singopt.optimality import (
     Tolerances,
     certify_sufficient,
-    hamiltonian_relaxed,
-    hamiltonian_strict,
     minimize_hamiltonian,
+    relaxed_hamiltonian_batch,
+    strict_hamiltonian_batch,
     verify_necessary,
 )
 from singopt.sde import estimate_cost, simulate_relaxed
@@ -36,10 +37,23 @@ def zero_h_problem():
     return problem_from_config(cfg)
 
 
+def point_hamiltonian(spec, t, x, v, p, P):
+    """H at one point, as a batch of one."""
+    x, p, P = (np.asarray(a, dtype=float)[None] for a in (x, p, P))
+    return float(strict_hamiltonian_batch(spec, t, x, np.asarray(v, dtype=float), p, P)[0])
+
+
+def point_relaxed_hamiltonian(spec, t, x, atoms, weights, p, P):
+    """Measure-averaged H at one point, as a batch of one."""
+    x, p, P = (np.asarray(a, dtype=float)[None] for a in (x, p, P))
+    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+    return float(relaxed_hamiltonian_batch(spec, t, x, atoms, np.asarray(weights), p, P)[0])
+
+
 def verified(spec, control, singular=None, N=100, M=16, seed=3, degree=1, tol=None):
     grid = TimeGrid(N, spec.horizon)
     noise = NoiseBatch.generate(M, grid, spec.d, seed)
-    mu = dirac_embed(control) if hasattr(control, "values") else control
+    mu = as_relaxed(control)
     xi = singular if singular is not None else zero_singular(grid, spec.m)
     traj = simulate_relaxed(spec, mu, xi, grid, noise)
     pair = adjoint_bsde(spec, (mu, xi), traj, grid, degree=degree)
@@ -52,21 +66,21 @@ class TestHamiltonianStrict:
         spec = zero_h_problem().with_overrides(
             b=lambda t, x, a: np.zeros_like(x), b_x=lambda t, x, a: np.zeros(np.shape(x)[:-1] + (1, 1))
         )
-        assert hamiltonian_strict(spec, 0.1, [0.5], [1.0], [2.0], [[3.0]]) == 0.0
+        assert point_hamiltonian(spec, 0.1, [0.5], [1.0], [2.0], [[3.0]]) == 0.0
 
     def test_pure_drift_pairing(self):
         spec = zero_h_problem()
         # b = a, sigma = 0, h = 0: H = a . p
-        assert hamiltonian_strict(spec, 0.0, [0.0], [2.0], [3.0], [[0.0]]) == 6.0
+        assert point_hamiltonian(spec, 0.0, [0.0], [2.0], [3.0], [[0.0]]) == 6.0
 
     def test_example2_substitution(self, example2_separated):
-        val = hamiltonian_strict(example2_separated, 0.0, [0.0], [0.0], [0.0], [[0.0]])
+        val = point_hamiltonian(example2_separated, 0.0, [0.0], [0.0], [0.0], [[0.0]])
         assert val == pytest.approx(1.0)
 
     def test_diffusion_pairs_frobenius(self, example2_stochastic):
         # sigma = 1 constant: the sigma term contributes P directly
-        v1 = hamiltonian_strict(example2_stochastic, 0.0, [0.0], [1.0], [0.0], [[2.5]])
-        v0 = hamiltonian_strict(example2_stochastic, 0.0, [0.0], [1.0], [0.0], [[0.0]])
+        v1 = point_hamiltonian(example2_stochastic, 0.0, [0.0], [1.0], [0.0], [[2.5]])
+        v0 = point_hamiltonian(example2_stochastic, 0.0, [0.0], [1.0], [0.0], [[0.0]])
         assert v1 - v0 == 2.5
 
 
@@ -76,25 +90,28 @@ class TestHamiltonianRelaxed:
         for _ in range(10):
             x, p, P = rng.normal(size=3)
             v = example2_separated.u1_grid[rng.integers(0, 21)]
-            m = CellMeasure([v], [1.0])
-            assert hamiltonian_relaxed(example2_separated, 0.3, [x], m, [p], [[P]]) == \
-                hamiltonian_strict(example2_separated, 0.3, [x], v, [p], [[P]])
+            spec = example2_separated
+            relaxed = point_relaxed_hamiltonian(spec, 0.3, [x], [v], [1.0], [p], [[P]])
+            assert relaxed == point_hamiltonian(spec, 0.3, [x], v, [p], [[P]])
 
     def test_symmetric_two_point_measure_cancels(self, example2_separated):
-        m = CellMeasure([[-1.0], [1.0]], [0.5, 0.5])
         for p in (-3.0, 0.0, 7.0):
-            assert hamiltonian_relaxed(example2_separated, 0.0, [0.0], m, [p], [[0.0]]) == 0.0
+            assert point_relaxed_hamiltonian(
+                example2_separated, 0.0, [0.0], [[-1.0], [1.0]], [0.5, 0.5], [p], [[0.0]]
+            ) == 0.0
 
     @pytest.mark.parametrize("w", [0.0, 0.25, 0.5, 1.0])
     def test_affine_in_weights(self, example2_separated, w):
         a0, a1 = np.array([-1.0]), np.array([1.0])
         def H(v):
-            return hamiltonian_strict(example2_separated, 0.0, [0.4], v, [1.3], [[0.0]])
+            return point_hamiltonian(example2_separated, 0.0, [0.4], v, [1.3], [[0.0]])
         if w in (0.0, 1.0):
-            m = CellMeasure([a1 if w == 1.0 else a0], [1.0])
+            atoms, weights = [a1 if w == 1.0 else a0], [1.0]
         else:
-            m = CellMeasure([a0, a1], [1.0 - w, w])
-        val = hamiltonian_relaxed(example2_separated, 0.0, [0.4], m, [1.3], [[0.0]])
+            atoms, weights = [a0, a1], [1.0 - w, w]
+        val = point_relaxed_hamiltonian(
+            example2_separated, 0.0, [0.4], atoms, weights, [1.3], [[0.0]]
+        )
         assert val == pytest.approx((1 - w) * H(a0) + w * H(a1), abs=1e-14)
 
 
@@ -116,7 +133,7 @@ class TestMinimizeHamiltonian:
         _, vmin = minimize_hamiltonian(example2_separated, t, x, p, P)
         grid_pts = example2_separated.u1_grid
         strict_vals = np.array(
-            [hamiltonian_strict(example2_separated, t, x, v, p, P) for v in grid_pts]
+            [point_hamiltonian(example2_separated, t, x, v, p, P) for v in grid_pts]
         )
         hit = False
         for w in oracles.random_discrete_measures(grid_pts, rng, 500):
@@ -259,6 +276,21 @@ class TestCertifySufficient:
         # H = x^2 + (a + tanh x) p is not convex in x for negative p regions,
         # so the probe is allowed to fail; it must still produce evidence
         assert "midpoint probe" in evid["hamiltonian_in_state"].evidence
+
+    def test_probe_rejects_nonfinite_hamiltonian(self, tanh_drift):
+        # the running cost is infinite at the atom +1, so the measure-averaged
+        # Hamiltonian that the convexity probe evaluates is not finite
+        spec = tanh_drift.with_overrides(
+            h=lambda t, x, a: np.where(np.asarray(a)[0] > 0, np.inf, 0.0) + 0.0 * x[..., 0]
+        )
+        grid = TimeGrid(10, 1.0)
+        noise = NoiseBatch.generate(8, grid, 1, 9)
+        mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
+        xi = zero_singular(grid, 1)
+        traj = simulate_relaxed(spec, mu, xi, grid, noise)
+        pair = adjoint_bsde(spec, (mu, xi), traj, grid, degree=1)
+        with pytest.raises(ControlError, match="not finite .* cell 0"):
+            certify_sufficient(spec, (mu, xi), pair, traj, grid, probe_pairs=20)
 
     def test_flat_singular_control_optimal_by_enumeration(self, singular_block):
         # brute force over a small grid of nondecreasing singular controls:
