@@ -48,13 +48,21 @@ def _int_at_least(path_desc, value, minimum):
     return out
 
 
+def _section(cfg, key):
+    """cfg[key] as a JSON object, created empty when absent."""
+    value = cfg.setdefault(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
+
+
 def resolve_config(raw: dict, overrides: dict) -> dict:
     """Validate a run configuration and fold in CLI overrides."""
     cfg = json.loads(json.dumps(raw))  # deep copy, JSON-clean
     if "problem" not in cfg:
         raise ConfigError("config missing 'problem' (built-in name or problem JSON path)")
-    grid = cfg.setdefault("grid", {})
-    mc = cfg.setdefault("monte_carlo", {})
+    grid = _section(cfg, "grid")
+    mc = _section(cfg, "monte_carlo")
     if overrides.get("steps") is not None:
         grid["N"] = overrides["steps"]
     if overrides.get("paths") is not None:
@@ -66,9 +74,9 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     if "seed" not in mc:
         raise ConfigError("monte_carlo.seed is required (no wall-clock default)")
     mc["seed"] = _int_at_least("monte_carlo.seed", mc["seed"], 0)
-    reg = cfg.setdefault("regression", {})
+    reg = _section(cfg, "regression")
     reg["degree"] = _int_at_least("regression.degree", reg.get("degree", 2), 0)
-    tol = cfg.setdefault("tolerances", {})
+    tol = _section(cfg, "tolerances")
     defaults = optimality.Tolerances().as_dict()
     unknown = sorted(set(tol) - set(defaults))
     if unknown:
@@ -81,14 +89,29 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
             raise ConfigError(f"tolerances.{key} must be a number, got {value!r}")
         if not 0.0 <= tol[key] < np.inf:
             raise ConfigError(f"tolerances.{key} must be finite and nonnegative, got {value!r}")
+    chatter = _section(cfg, "chatter") if "chatter" in cfg else {}
+    if "n_values" in chatter:
+        values = chatter["n_values"]
+        if not isinstance(values, list) or not values:
+            raise ConfigError(
+                f"chatter.n_values must be a non-empty list of positive integers, got {values!r}"
+            )
+        chatter["n_values"] = [_int_at_least("chatter.n_values entry", v, 1) for v in values]
     return cfg
 
 
 def load_problem(cfg: dict) -> model.ProblemSpec:
     name = cfg["problem"]
-    options = cfg.get("problem_options", {})
     if isinstance(name, str) and name in model.BUILTIN_NAMES:
-        return model.builtin_problem(name, kappa=float(options.get("kappa", 1.0)))
+        options = cfg.get("problem_options", {})
+        if not isinstance(options, dict):
+            raise ConfigError(f"problem_options must be an object, got {options!r}")
+        kappa = options.get("kappa", 1.0)
+        try:
+            kappa = float(kappa)
+        except (TypeError, ValueError):
+            raise ConfigError(f"problem_options.kappa must be a number, got {kappa!r}")
+        return model.builtin_problem(name, kappa=kappa)
     path = Path(str(name))
     if not path.exists():
         raise ConfigError(
@@ -116,6 +139,8 @@ def build_candidate(cfg: dict, spec: model.ProblemSpec, grid: model.TimeGrid):
     cand = cfg.get("candidate")
     if cand is None:
         raise ConfigError("config missing 'candidate'")
+    if not isinstance(cand, dict):
+        raise ConfigError(f"candidate must be an object, got {cand!r}")
     singular = None
     if "path" in cand:
         try:
@@ -123,11 +148,13 @@ def build_candidate(cfg: dict, spec: model.ProblemSpec, grid: model.TimeGrid):
             control = ctl.control_from_obj(obj["control"], grid)
             if "singular" in obj:
                 singular = ctl.control_from_obj(obj["singular"], grid)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load candidate file {cand['path']!r}: {exc!r}")
     else:
         name = cand.get("name")
         if name is not None:
+            if not isinstance(name, str):
+                raise ConfigError(f"candidate name must be a string, got {name!r}")
             if name == "relaxed_pm1":
                 control = ctl.constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
             elif name.startswith("alternating:"):

@@ -351,13 +351,16 @@ def _singular_to_obj(control) -> dict:
 
 
 def control_from_obj(obj: dict, grid: TimeGrid):
-    """Rebuild a control from its JSON description on the given grid."""
-    kind = obj.get("type")
-    if kind == "strict":
-        return StrictControl(grid, np.asarray(obj["values"], dtype=float))
-    if kind == "singular":
-        return SingularControl(grid, np.asarray(obj["increments"], dtype=float))
-    if kind == "relaxed":
+    """Rebuild a control from its JSON description on the given grid; a
+    malformed description raises ControlError."""
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if kind not in ("strict", "singular", "relaxed"):
+        raise ControlError(f"unknown control type {kind!r}")
+    try:
+        if kind == "strict":
+            return StrictControl(grid, np.asarray(obj["values"], dtype=float))
+        if kind == "singular":
+            return SingularControl(grid, np.asarray(obj["increments"], dtype=float))
         cells = obj["cells"]
         if len(cells) != grid.num_steps:
             raise ControlError(
@@ -368,4 +371,9 @@ def control_from_obj(obj: dict, grid: TimeGrid):
              np.asarray(c["weights"], dtype=float))
             for c in cells
         ])
-    raise ControlError(f"unknown control type {kind!r}")
+    except KeyError as exc:
+        raise ControlError(f"{kind} control is missing the field {exc}") from None
+    except ControlError:
+        raise
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ControlError(f"malformed {kind} control: {exc}") from None

@@ -31,9 +31,9 @@ from .controls import (
 )
 from .model import NoiseBatch, ProblemSpec, TimeGrid, ensemble_zeros
 
-# Knots per block: simulated ensembles are checked for finiteness once per
-# block of steps, and chattering_gap reduces the trajectory gap one block of
-# knots at a time.
+# Knots per block: the Euler kernel advances and checks for finiteness one
+# block of steps at a time, the running cost calls h once per atom of a block,
+# and chattering_gap streams both controls through windows of one block.
 _BLOCK_KNOTS = 64
 
 
@@ -99,19 +99,20 @@ def _cell_average(fn, t, x, atoms, weights):
     return total
 
 
-def _check_finite(ensembles, start, stop):
-    """Raise SimulationError if knots start..stop-1 of any (M, K, ...)
-    ensemble hold a non-finite value, naming the first bad step and, at that
-    step, the first bad path (ensembles are scanned in the order given)."""
-    if all(np.isfinite(values[:, start:stop]).all() for values in ensembles):
+def _check_finite(windows, first):
+    """Raise SimulationError if a time-major window (K, M, ...) holds a
+    non-finite value, naming the first bad knot (windows start at knot
+    `first`) and, at that knot, the first bad path (windows are scanned in
+    the order given)."""
+    if all(np.isfinite(values).all() for values in windows):
         return
-    for step in range(start, stop):
-        for values in ensembles:
-            knot = values[:, step]
+    for i in range(len(windows[0])):
+        for values in windows:
+            knot = values[i]
             bad = ~np.isfinite(knot.reshape(len(knot), -1)).all(axis=1)
             if bad.any():
                 raise SimulationError(
-                    f"state became non-finite at step {step}, "
+                    f"state became non-finite at step {first + i}, "
                     f"first affected path {int(np.argmax(bad))}"
                 )
 
@@ -123,33 +124,46 @@ def _checked_steps(num_steps, *ensembles):
     for start in range(0, num_steps, _BLOCK_KNOTS):
         stop = min(start + _BLOCK_KNOTS, num_steps)
         yield from range(start, stop)
-        _check_finite(ensembles, start + 1, stop + 1)
+        _check_finite([e[:, start + 1:stop + 1].swapaxes(0, 1) for e in ensembles], start + 1)
+
+
+def _check_noise(spec: ProblemSpec, grid: TimeGrid, noise: NoiseBatch):
+    if noise.num_steps != grid.num_steps or noise.noise_dim != spec.d:
+        raise SimulationError("noise batch does not match the grid / noise dimension")
+
+
+def _euler_block(spec: ProblemSpec, atoms, weights, eta: SingularControl,
+                 grid: TimeGrid, noise: NoiseBatch, start: int, x: np.ndarray):
+    """Advance the time-major window x, shape (K+1, M, n), by K Euler steps
+    from knot `start`, held in x[0], then check the K knots written for
+    finiteness.  atoms and weights are the measures of the whole grid."""
+    knots = grid.knots
+    dt = grid.dt
+    dW = noise.increments
+    steps = range(start, start + len(x) - 1)
+    inc = eta.increments
+    has_singular = bool(inc.any())
+    for i, j in enumerate(steps):
+        t = knots[j]
+        xj = x[i]
+        drift = _cell_average(spec.b, t, xj, atoms[j], weights[j])
+        diff = _cell_average(spec.sigma, t, xj, atoms[j], weights[j])
+        step = xj + drift * dt + np.einsum("...pj,...j->...p", diff, dW[:, j])
+        if has_singular:
+            step = step + spec.G(t) @ inc[j]
+        x[i + 1] = step
+    _check_finite([x[1:]], start + 1)
 
 
 def _simulate(spec: ProblemSpec, atoms, weights, eta: SingularControl,
               grid: TimeGrid, noise: NoiseBatch, tag: str) -> TrajectoryEnsemble:
-    if noise.num_steps != grid.num_steps or noise.noise_dim != spec.d:
-        raise SimulationError("noise batch does not match the grid / noise dimension")
-    M = noise.num_paths
-    knots = grid.knots
-    dt = grid.dt
-    dW = noise.increments
-    inc = eta.increments
-    has_singular = bool(inc.any())
-    gain_inc = (
-        [spec.G(knots[j]) @ inc[j] for j in range(grid.num_steps)] if has_singular else None
-    )
-    x = ensemble_zeros(M, grid.num_steps + 1, spec.n)
+    _check_noise(spec, grid, noise)
+    x = ensemble_zeros(noise.num_paths, grid.num_steps + 1, spec.n)
     x[:, 0, :] = spec.x0
-    for j in _checked_steps(grid.num_steps, x):
-        t = knots[j]
-        xj = x[:, j, :]
-        drift = _cell_average(spec.b, t, xj, atoms[j], weights[j])
-        diff = _cell_average(spec.sigma, t, xj, atoms[j], weights[j])
-        step = xj + drift * dt + np.matmul(diff, dW[:, j, :, None])[..., 0]
-        if has_singular:
-            step = step + gain_inc[j]
-        x[:, j + 1, :] = step
+    windows = x.swapaxes(0, 1)
+    for start in range(0, grid.num_steps, _BLOCK_KNOTS):
+        _euler_block(spec, atoms, weights, eta, grid, noise, start,
+                     windows[start:start + _BLOCK_KNOTS + 1])
     return TrajectoryEnsemble(x, grid, noise, tag)
 
 
@@ -303,6 +317,22 @@ class CostEstimate:
         }
 
 
+def _running_block(spec: ProblemSpec, t, x, atoms, weights) -> np.ndarray:
+    """Per-path running cost summed over the K knots of a block,
+    sum_j sum_a w_ja h(t_j, x_j, a), shape (M,).
+
+    t has shape (K, 1), x (K, M, n), atoms (K, A, k) and weights (K, A).  h
+    is called once per distinct atom of positive weight, with the whole
+    block, and its values are contracted with that atom's per-knot weight.
+    """
+    K, M = x.shape[:2]
+    total = np.zeros(M)
+    for atom in np.unique(atoms[weights > 0], axis=0):
+        w = np.where((atoms == atom).all(axis=-1), weights, 0.0).sum(axis=1)
+        total += w @ np.broadcast_to(spec.h(t, x, atom), (K, M))
+    return total
+
+
 def _cost_terms(spec: ProblemSpec, traj: TrajectoryEnsemble, control,
                 eta: SingularControl) -> tuple:
     """Per-path terminal cost g(x_T) and left-endpoint running quadrature,
@@ -311,13 +341,15 @@ def _cost_terms(spec: ProblemSpec, traj: TrajectoryEnsemble, control,
     mu = as_relaxed(control)
     _require_grid(grid, mu, eta)
     knots = grid.knots
-    dt = grid.dt
     M = traj.num_paths
+    x = traj.states.swapaxes(0, 1)
     running = np.zeros(M)
-    for j in range(grid.num_steps):
-        xj = traj.states[:, j, :]
-        hbar = _cell_average(spec.h, knots[j], xj, mu.atoms[j], mu.weights[j])
-        running = running + np.broadcast_to(hbar, (M,)) * dt
+    for start in range(0, grid.num_steps, _BLOCK_KNOTS):
+        block = slice(start, min(start + _BLOCK_KNOTS, grid.num_steps))
+        running += _running_block(
+            spec, knots[block, None], x[block], mu.atoms[block], mu.weights[block]
+        )
+    running *= grid.dt
     singular = float(
         sum(spec.k_cost(knots[j]) @ eta.increments[j] for j in range(grid.num_steps))
     )
@@ -381,6 +413,12 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
     simulated on the approximant's refined grid.  Returns the sup-over-knots
     mean-square trajectory gap, |J(u_n) - J(q)| and the standard error of
     the per-path cost difference.
+
+    The two controls are advanced side by side, one block of _BLOCK_KNOTS
+    knots at a time, in two windows of _BLOCK_KNOTS + 1 knots; the gap and
+    the running costs are accumulated per block, so only the noise is held
+    for the whole grid.  The singular quadrature is the same for both
+    controls and cancels from the cost difference.
     """
     qn = regrid_relaxed(q, n)
     un = chattering(qn, n)
@@ -388,15 +426,34 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
     q_ref = regrid_relaxed(q, refined.num_steps)
     eta_ref = regrid_singular(eta, refined.num_steps)
     noise = NoiseBatch.generate(num_paths, refined, spec.d, (seed, n))
-    x_strict = simulate_strict(spec, un, eta_ref, refined, noise)
-    x_relax = simulate_relaxed(spec, q_ref, eta_ref, refined, noise)
+    _require_grid(refined, un, q_ref, eta_ref)
+    _check_noise(spec, refined, noise)
+    strict = dirac_embed(un)
+    measures = ((strict.atoms, strict.weights), (q_ref.atoms, q_ref.weights))
+    windows = (np.empty((_BLOCK_KNOTS + 1, num_paths, spec.n)),
+               np.empty((_BLOCK_KNOTS + 1, num_paths, spec.n)))
+    running = (np.zeros(num_paths), np.zeros(num_paths))
+    knots = refined.knots
+    for x in windows:
+        x[0] = spec.x0
     gap = 0.0
-    for start in range(0, refined.num_steps + 1, _BLOCK_KNOTS):
-        knots = slice(start, start + _BLOCK_KNOTS)
-        sq = ((x_strict.states[:, knots] - x_relax.states[:, knots]) ** 2).sum(axis=2)
-        gap = max(gap, float(sq.mean(axis=0).max()))
-    cost_strict = per_path_cost(spec, x_strict, un, eta_ref)
-    cost_relax = per_path_cost(spec, x_relax, q_ref, eta_ref)
+    for start in range(0, refined.num_steps, _BLOCK_KNOTS):
+        stop = min(start + _BLOCK_KNOTS, refined.num_steps)
+        K = stop - start
+        for (atoms, weights), x, acc in zip(measures, windows, running):
+            _euler_block(spec, atoms, weights, eta_ref, refined, noise, start, x[:K + 1])
+            acc += _running_block(
+                spec, knots[start:stop, None], x[:K], atoms[start:stop], weights[start:stop]
+            )
+        x_strict, x_relax = windows
+        sq = ((x_strict[1:K + 1] - x_relax[1:K + 1]) ** 2).sum(axis=2)
+        gap = max(gap, float(sq.mean(axis=1).max()))
+        for x in windows:
+            x[0] = x[K]
+    cost_strict, cost_relax = (
+        np.broadcast_to(np.asarray(spec.g(x[K]), dtype=float), (num_paths,)) + acc * refined.dt
+        for x, acc in zip(windows, running)
+    )
     diff = cost_strict - cost_relax
     M = len(diff)
     se = float(diff.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0

@@ -55,6 +55,33 @@ def linear_drift_config(sigma_state=0.0, sigma_const=0.0):
     }
 
 
+def planar_config():
+    """Planar state with correlated two-channel noise, nonzero b_x and
+    sigma_x, a matrix singular gain and a two-dimensional U1 grid."""
+    return {
+        "name": "planar",
+        "dims": {"n": 2, "d": 2, "k": 2, "m": 2},
+        "horizon": 1.0,
+        "x0": [0.5, -0.25],
+        "coefficients": {
+            "drift": {"form": "affine", "const": [0.1, 0.0],
+                      "state": [[-0.3, 0.2], [0.0, -0.1]],
+                      "control": [[1.0, 0.0], [0.0, 1.0]]},
+            "diffusion": {"form": "affine",
+                          "const": [[0.15, 0.0], [0.05, 0.2]],
+                          "state": [[[0.1, 0.0], [0.0, 0.05]],
+                                    [[0.0, 0.02], [0.03, 0.0]]]},
+            "singular_gain": {"form": "constant", "value": [[1.0, 0.0], [0.5, 1.0]]},
+            "running_cost": {"form": "quadratic", "state_quad": [[1.0, 0.1], [0.1, 0.5]],
+                             "state_lin": [0.1, 0.0]},
+            "terminal_cost": {"form": "quadratic", "state_quad": [[0.5, 0.0], [0.0, 0.5]]},
+            "singular_cost": {"form": "constant", "value": [0.2, 0.3]},
+        },
+        "u1_grid": [[a, b] for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)],
+        "assumptions_box": {"low": [-2.0, -2.0], "high": [2.0, 2.0]},
+    }
+
+
 @pytest.fixture
 def linear_drift_det():
     return problem_from_config(linear_drift_config())

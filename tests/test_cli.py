@@ -292,6 +292,43 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            ("chatter", {"chatter": {"n_values": ["abc"]}},
+             "chatter.n_values entry must be an integer, got 'abc'"),
+            ("chatter", {"chatter": {"n_values": 4}},
+             "chatter.n_values must be a non-empty list of positive integers, got 4"),
+            ("chatter", {"chatter": {"n_values": []}}, "chatter.n_values must be a non-empty"),
+            ("chatter", {"chatter": {"n_values": [4, 0]}},
+             "chatter.n_values entry must be positive, got 0"),
+            ("cost", {"candidate": {"control": {"type": "relaxed"}}},
+             "relaxed control is missing the field 'cells'"),
+            ("cost", {"candidate": {"name": 5}}, "candidate name must be a string, got 5"),
+            ("cost", {"regression": []}, "regression must be an object, got []"),
+            ("cost", {"candidate": 5}, "candidate must be an object, got 5"),
+            ("cost", {"candidate": {"control": {"type": "strict", "values": [["x"]] * 4}}},
+             "malformed strict control"),
+            ("cost", {"problem_options": {"kappa": "x"}},
+             "problem_options.kappa must be a number, got 'x'"),
+        ],
+        ids=["n-values-abc", "n-values-bare-int", "n-values-empty", "n-values-zero",
+             "relaxed-without-cells", "candidate-name-int", "regression-list",
+             "candidate-int", "strict-values-text", "kappa-text"],
+    )
+    def test_malformed_sections_exit_two_without_traceback(
+        self, tmp_path, capsys, command, overrides, message
+    ):
+        cfg = write_config(
+            tmp_path, **{"grid": {"N": 4}, "candidate": {"name": "relaxed_pm1"}, **overrides}
+        )
+        assert run(command, cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_numeric_string_tolerance_is_stored_as_a_number(self, tmp_path):
         cfg = write_config(tmp_path, tolerances={"tol_H": "0.1"})
         assert run("verify", cfg, tmp_path / "out") in (0, 1)

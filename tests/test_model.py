@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singopt.model import (
     BUILTIN_NAMES,
@@ -139,6 +141,23 @@ class TestNoiseBatch:
         flat = batch.increments.ravel()
         assert abs(flat.mean()) < 3 * math.sqrt(grid.dt / flat.size)
         assert flat.var() == pytest.approx(grid.dt, rel=0.05)
+
+
+# Batches up to 300 paths cross the generator's 256-path scratch block, and
+# up to 200 steps cross its 64-step copy tiles.
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 300), min_size=2, max_size=2, unique=True),
+    num_steps=st.integers(1, 200),
+    noise_dim=st.integers(1, 2),
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.tuples(st.integers(0, 99), st.integers(1, 64))),
+)
+def test_path_noise_does_not_depend_on_batch_size_property(sizes, num_steps, noise_dim, seed):
+    small, large = sorted(sizes)
+    grid = TimeGrid(num_steps, 1.0)
+    a = NoiseBatch.generate(small, grid, noise_dim, seed)
+    b = NoiseBatch.generate(large, grid, noise_dim, seed)
+    assert np.array_equal(a.increments, b.increments[:small])
 
 
 def test_problem_rejects_empty_grid(example1):

@@ -30,30 +30,7 @@ from singopt.sde import (
     simulate_variational,
 )
 
-
-def planar_config():
-    return {
-        "name": "planar",
-        "dims": {"n": 2, "d": 2, "k": 2, "m": 2},
-        "horizon": 1.0,
-        "x0": [0.5, -0.25],
-        "coefficients": {
-            "drift": {"form": "affine", "const": [0.1, 0.0],
-                      "state": [[-0.3, 0.2], [0.0, -0.1]],
-                      "control": [[1.0, 0.0], [0.0, 1.0]]},
-            "diffusion": {"form": "affine",
-                          "const": [[0.15, 0.0], [0.05, 0.2]],
-                          "state": [[[0.1, 0.0], [0.0, 0.05]],
-                                    [[0.0, 0.02], [0.03, 0.0]]]},
-            "singular_gain": {"form": "constant", "value": [[1.0, 0.0], [0.5, 1.0]]},
-            "running_cost": {"form": "quadratic", "state_quad": [[1.0, 0.1], [0.1, 0.5]],
-                             "state_lin": [0.1, 0.0]},
-            "terminal_cost": {"form": "quadratic", "state_quad": [[0.5, 0.0], [0.0, 0.5]]},
-            "singular_cost": {"form": "constant", "value": [0.2, 0.3]},
-        },
-        "u1_grid": [[a, b] for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)],
-        "assumptions_box": {"low": [-2.0, -2.0], "high": [2.0, 2.0]},
-    }
+from conftest import planar_config
 
 
 def controlled_noise_config():

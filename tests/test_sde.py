@@ -1,26 +1,40 @@
 """Forward simulation: strict/relaxed kernels, variational equation,
 fundamental pair, cost quadrature, chattering convergence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import planar_config
 from singopt.adjoint import adjoint_bsde
 from singopt.controls import (
+    RelaxedControl,
     SingularControl,
+    StrictControl,
     alternating_strict,
+    chattering,
     constant_relaxed,
     constant_strict,
     convex_combine,
     dirac_embed,
+    regrid_relaxed,
     zero_singular,
 )
-from singopt.model import NoiseBatch, TimeGrid
+from singopt.model import NoiseBatch, TimeGrid, builtin_problem, problem_from_config
 from singopt.sde import (
+    _BLOCK_KNOTS,
     SimulationError,
+    _cell_average,
+    _cost_terms,
+    _running_block,
     chattering_gap,
     estimate_cost,
     fundamental_solutions,
+    regrid_singular,
     simulate_relaxed,
     simulate_strict,
     simulate_variational,
@@ -364,3 +378,164 @@ def test_chattering_stability_statistic_nonincreasing(example2_stochastic, grid6
             for n in (4, 16, 64)]
     assert gaps[0] >= gaps[1] >= gaps[2]
     assert gaps[2] <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# block kernels against the per-knot loops they replace
+# ---------------------------------------------------------------------------
+
+def reference_path_cost(spec, traj, mu, eta):
+    """Per-path cost with one measure average of h per knot."""
+    grid = traj.grid
+    knots = grid.knots
+    M = traj.num_paths
+    running = np.zeros(M)
+    for j in range(grid.num_steps):
+        hbar = _cell_average(spec.h, knots[j], traj.states[:, j, :], mu.atoms[j], mu.weights[j])
+        running = running + np.broadcast_to(hbar, (M,)) * grid.dt
+    singular = float(sum(spec.k_cost(knots[j]) @ eta.increments[j]
+                         for j in range(grid.num_steps)))
+    terminal = np.broadcast_to(np.asarray(spec.g(traj.terminal), dtype=float), (M,))
+    return terminal + running + singular
+
+
+def reference_chattering_gap(spec, q, eta, n, num_paths, seed):
+    """chattering_gap from two whole simulated ensembles and per-knot costs."""
+    un = chattering(regrid_relaxed(q, n), n)
+    refined = un.grid
+    q_ref = regrid_relaxed(q, refined.num_steps)
+    eta_ref = regrid_singular(eta, refined.num_steps)
+    noise = NoiseBatch.generate(num_paths, refined, spec.d, (seed, n))
+    x_strict = simulate_strict(spec, un, eta_ref, refined, noise)
+    x_relax = simulate_relaxed(spec, q_ref, eta_ref, refined, noise)
+    gap = 0.0
+    for start in range(0, refined.num_steps + 1, _BLOCK_KNOTS):
+        knots = slice(start, start + _BLOCK_KNOTS)
+        sq = ((x_strict.states[:, knots] - x_relax.states[:, knots]) ** 2).sum(axis=2)
+        gap = max(gap, float(sq.mean(axis=0).max()))
+    diff = (reference_path_cost(spec, x_strict, dirac_embed(un), eta_ref)
+            - reference_path_cost(spec, x_relax, q_ref, eta_ref))
+    return gap, abs(float(diff.mean())), float(diff.std(ddof=1) / np.sqrt(len(diff)))
+
+
+def assert_matches_reference(row, spec, q, eta, n, num_paths, seed):
+    gap, cost_gap, cost_gap_se = reference_chattering_gap(spec, q, eta, n, num_paths, seed)
+    assert row["traj_gap"] == gap
+    assert row["cost_gap"] == pytest.approx(cost_gap, rel=1e-12, abs=0.0)
+    assert row["cost_gap_se"] == pytest.approx(cost_gap_se, rel=1e-12, abs=0.0)
+
+
+class TestStreamedChatteringGap:
+    def test_matches_whole_ensembles_on_example2(self, example2_stochastic):
+        # n = 10 cells of 10 x 2 sub-steps: 200 refined steps, three full
+        # blocks and a partial one
+        grid = TimeGrid(25, 1.0)
+        q = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
+        eta = zero_singular(grid, 1)
+        row = chattering_gap(example2_stochastic, q, eta, 10, 40, 3)
+        assert row["refined_steps"] == 200
+        assert row["cost_gap"] > 0.0
+        assert_matches_reference(row, example2_stochastic, q, eta, 10, 40, 3)
+
+    def test_matches_whole_ensembles_on_planar_with_singular_increments(self):
+        spec = problem_from_config(planar_config())
+        grid = TimeGrid(20, 1.0)
+        q = constant_relaxed(grid, [[-1.0, 0.0], [1.0, 1.0]], [0.3, 0.7])
+        inc = np.zeros((20, 2))
+        inc[3] = [0.2, 0.0]
+        inc[11] = [0.1, 0.4]
+        eta = SingularControl(grid, inc)
+        row = chattering_gap(spec, q, eta, 9, 24, 8)
+        assert row["refined_steps"] == 162
+        assert_matches_reference(row, spec, q, eta, 9, 24, 8)
+
+    @pytest.mark.parametrize("bad_knot", [64, 150, 512])
+    def test_blowup_names_the_absolute_step(self, tanh_drift, bad_knot):
+        # n = 16: 16 cells of 16 x 2 sub-steps, 512 refined steps; path 1
+        # leaves the finite range at the last knot of the first block,
+        # inside the third block or at the horizon
+        grid = TimeGrid(8, 1.0)
+        refined = TimeGrid(512, 1.0)
+        q = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
+
+        def b(t, x, a):
+            out = np.tanh(x) + a
+            if t >= refined.knots[bad_knot - 1]:
+                out[1] = np.inf
+            return out
+
+        exploding = tanh_drift.with_overrides(b=b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                SimulationError,
+                match=rf"^state became non-finite at step {bad_knot}, first affected path 1$",
+            ):
+                chattering_gap(exploding, q, zero_singular(grid, 1), 16, 4, 5)
+
+    def test_peak_memory_stays_below_noise_plus_one_ensemble(self, example2_stochastic):
+        # n = 32: 32 cells of 32 x 2 sub-steps, 2 048 refined steps at M = 500
+        M, steps = 500, 2048
+        grid = TimeGrid(32, 1.0)
+        q = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
+        eta = zero_singular(grid, 1)
+        noise_bytes = M * steps * 8
+        state_bytes = M * (steps + 1) * 8
+        tracemalloc.start()
+        try:
+            row = chattering_gap(example2_stochastic, q, eta, 32, M, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert row["refined_steps"] == steps
+        assert peak < noise_bytes + state_bytes
+
+
+def test_running_block_matches_per_knot_averages(example2_stochastic):
+    # The measure changes at cell 100, inside the second block; the first
+    # measure carries a zero-weight atom and the second a repeated atom.
+    # N = 150 leaves a partial last block.
+    spec = example2_stochastic
+    grid = TimeGrid(150, 1.0)
+    atoms = np.empty((150, 3, 1))
+    weights = np.empty((150, 3))
+    atoms[:100] = [[-1.0], [0.0], [1.0]]
+    weights[:100] = [0.25, 0.0, 0.75]
+    atoms[100:] = [[0.5], [-1.0], [0.5]]
+    weights[100:] = [0.2, 0.3, 0.5]
+    mu = RelaxedControl(grid, atoms, weights)
+    eta = zero_singular(grid, 1)
+    traj = simulate_relaxed(spec, mu, eta, grid, make_noise(grid, paths=12, seed=4))
+
+    _, running, _ = _cost_terms(spec, traj, mu, eta)
+    expected = reference_path_cost(spec, traj, mu, eta) - spec.g(traj.terminal)
+    np.testing.assert_allclose(running, expected, rtol=1e-12, atol=0.0)
+
+    block = slice(64, 128)
+    knots = grid.knots[block]
+    direct = _running_block(spec, knots[:, None], traj.states[:, block].swapaxes(0, 1),
+                            atoms[block], weights[block])
+    loop = sum(_cell_average(spec.h, t, traj.states[:, j], atoms[j], weights[j])
+               for t, j in zip(knots, range(64, 128)))
+    np.testing.assert_allclose(direct, loop, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    num_steps=st.integers(1, 200),
+    num_paths=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    with_singular=st.booleans(),
+)
+def test_dirac_embedding_is_bit_identical_to_strict_property(
+    num_steps, num_paths, seed, with_singular
+):
+    spec = builtin_problem("example2_stochastic")
+    grid = TimeGrid(num_steps, 1.0)
+    rng = np.random.default_rng(seed)
+    v = StrictControl(grid, rng.choice(spec.u1_grid[:, 0], size=(num_steps, 1)))
+    inc = rng.exponential(size=(num_steps, 1)) * rng.integers(0, 2, size=(num_steps, 1))
+    eta = SingularControl(grid, inc if with_singular else np.zeros((num_steps, 1)))
+    noise = NoiseBatch.generate(num_paths, grid, spec.d, seed)
+    strict = simulate_strict(spec, v, eta, grid, noise)
+    relaxed = simulate_relaxed(spec, dirac_embed(v), eta, grid, noise)
+    assert np.array_equal(strict.states, relaxed.states)
