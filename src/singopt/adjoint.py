@@ -30,6 +30,7 @@ from .sde import (
     FundamentalPair,
     TrajectoryEnsemble,
     _cell_average,
+    _std_error,
     fundamental_solutions,
     simulate_relaxed,
     simulate_variational,
@@ -313,8 +314,7 @@ def duality_residual(
     alpha_T = np.einsum("mpq,mq->mp", fund.Psi[:, N], z.z[:, N, :])
     Y_T = _transpose_apply(fund.Phi[:, N], gx_T)
     per_path = np.einsum("mp,mp->m", alpha_T, Y_T) - np.einsum("mp,mp->m", gx_T, z.z[:, N, :])
-    se = float(per_path.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
-    return abs(float(per_path.mean())), se
+    return abs(float(per_path.mean())), _std_error(per_path)
 
 
 def variational_inequality_value(
@@ -350,5 +350,4 @@ def variational_inequality_value(
         h_base = relaxed_hamiltonian_batch(spec, knots[j], xj, mu.atoms[j], mu.weights[j], pj, Pj)
         slack = spec.k_cost(knots[j]) + np.einsum("pq,mp->mq", spec.G(knots[j]), pj)
         per_path += (h_dir - h_base) * dt + slack @ dinc[j]
-    se = float(per_path.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
-    return float(per_path.mean()), se
+    return float(per_path.mean()), _std_error(per_path)

@@ -145,18 +145,15 @@ def zero_singular(grid: TimeGrid, singular_dim: int) -> SingularControl:
     return SingularControl(grid, np.zeros((grid.num_steps, singular_dim)))
 
 
-def alternating_strict(grid: TimeGrid, num_blocks: int, high=1.0, low=-1.0) -> StrictControl:
-    """Block-alternating scalar control: high on the first of num_blocks equal
-    blocks, low on the second, and so on.  num_blocks must divide the grid."""
+def alternating_strict(grid: TimeGrid, num_blocks: int) -> StrictControl:
+    """Block-alternating scalar control: +1 on the first of num_blocks equal
+    blocks, -1 on the second, and so on.  num_blocks must divide the grid."""
     if grid.num_steps % num_blocks != 0:
         raise ControlError(
             f"grid with {grid.num_steps} steps cannot hold {num_blocks} equal blocks"
         )
-    per = grid.num_steps // num_blocks
-    vals = np.empty(grid.num_steps)
-    for blk in range(num_blocks):
-        vals[blk * per:(blk + 1) * per] = high if blk % 2 == 0 else low
-    return StrictControl(grid, vals[:, None])
+    block = np.arange(grid.num_steps) // (grid.num_steps // num_blocks)
+    return StrictControl(grid, np.where(block % 2 == 0, 1.0, -1.0)[:, None])
 
 
 def dirac_embed(v: StrictControl) -> RelaxedControl:
@@ -184,13 +181,34 @@ def as_relaxed(control) -> RelaxedControl:
 # per-cell measures as padded arrays
 # ---------------------------------------------------------------------------
 
-def _merge_atoms(atoms, weights):
-    """Union of the atoms (A, k), deduplicated, with the weights of equal
-    atoms summed, in first-seen order: returns (atoms (B, k), weights (B,))."""
-    acc = {}
-    for atom, w in zip(atoms, weights):
-        acc.setdefault(atom.tobytes(), [atom, 0.0])[1] += w
-    return np.array([a for a, _ in acc.values()]), np.array([w for _, w in acc.values()])
+def _mixture(atoms, weights):
+    """Per-cell union of the atoms (C, S, k) with positive weight (C, S):
+    atoms equal byte for byte (so -0.0 and 0.0 stay apart) are merged, in
+    first-seen order, and their weights summed left to right.  Returns the
+    padded (atoms (C, B, k), weights (C, B)); each cell's merged entries come
+    first and its padding holds zero weights on copies of its first atom."""
+    cell, slot = np.nonzero(weights)
+    points = atoms[cell, slot]
+    keys = np.column_stack([cell, points.view(np.int64)])
+    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    rep = np.sort(first)  # the entry where each merged atom is first seen
+    column = np.searchsorted(rep, first)[group.ravel()] - np.searchsorted(cell[rep], cell)
+    first_atom = points[np.searchsorted(cell, np.arange(len(atoms)))]
+    out_atoms = np.repeat(first_atom[:, None], column.max() + 1, axis=1)
+    out_atoms[cell[rep], column[rep]] = points[rep]
+    out_weights = np.zeros(out_atoms.shape[:2])
+    np.add.at(out_weights, (cell, column), weights[cell, slot])
+    return out_atoms, out_weights
+
+
+def _normalized(weights):
+    """Each row over the sum of its positive prefix, summed as an array of
+    that length (so the sum does not depend on the padding's width)."""
+    width = np.count_nonzero(weights, axis=1)
+    sums = np.empty(len(weights))
+    for b in np.unique(width):
+        sums[width == b] = weights[width == b, :b].sum(axis=1)
+    return weights / sums[:, None]
 
 
 def _padded(grid: TimeGrid, cells) -> RelaxedControl:
@@ -211,9 +229,7 @@ def _padded(grid: TimeGrid, cells) -> RelaxedControl:
 # convex perturbation
 # ---------------------------------------------------------------------------
 
-def convex_combine(
-    base: tuple, direction: tuple, theta: float
-) -> tuple:
+def convex_combine(base: tuple, direction: tuple, theta: float) -> tuple:
     """Move a (relaxed, singular) pair a fraction theta toward a direction pair.
 
     The measure part is the atom union with weights (1-theta) w_base +
@@ -231,15 +247,12 @@ def convex_combine(
     if theta == 1.0:
         return q, eta
 
-    cells = [
-        _merge_atoms(
-            np.concatenate([mu.atoms[j], q.atoms[j]]),
-            np.concatenate([(1.0 - theta) * mu.weights[j], theta * q.weights[j]]),
-        )
-        for j in range(mu.grid.num_steps)
-    ]
+    atoms, weights = _mixture(
+        np.concatenate([mu.atoms, q.atoms], axis=1),
+        np.concatenate([(1.0 - theta) * mu.weights, theta * q.weights], axis=1),
+    )
     inc = (1.0 - theta) * xi.increments + theta * eta.increments
-    return _padded(mu.grid, cells), SingularControl(xi.grid, inc)
+    return RelaxedControl(mu.grid, atoms, weights), SingularControl(xi.grid, inc)
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +260,15 @@ def convex_combine(
 # ---------------------------------------------------------------------------
 
 def _apportion(weights: np.ndarray, seats: int) -> np.ndarray:
-    """Largest-remainder apportionment of `seats` slots to the weights."""
+    """Largest-remainder apportionment of `seats` slots to each row of the
+    weights (C, A)."""
     quotas = weights * seats
     alloc = np.floor(quotas).astype(int)
     remainder = quotas - alloc
-    short = seats - int(alloc.sum())
-    if short > 0:
-        # stable: larger remainder first, ties to the lower index
-        order = np.lexsort((np.arange(len(weights)), -remainder))
-        alloc[order[:short]] += 1
-    return alloc
+    short = seats - alloc.sum(axis=1, keepdims=True)
+    # stable: larger remainder first, ties to the lower index
+    rank = np.argsort(np.argsort(-remainder, axis=1, kind="stable"), axis=1)
+    return alloc + (rank < short)
 
 
 def chattering(q: RelaxedControl, n: int) -> StrictControl:
@@ -270,25 +282,39 @@ def chattering(q: RelaxedControl, n: int) -> StrictControl:
     """
     if n <= 0:
         raise ControlError("refinement index n must be positive")
-    num_cells = q.grid.num_steps
     per_cell = n * q.atoms.shape[1]
-    refined = q.grid.refine(per_cell)
-    values = np.empty((refined.num_steps, q.control_dim))
-    for j in range(num_cells):
-        w = q.weights[j]
-        alloc = _apportion(w, per_cell)
-        starved = (w > 0) & (alloc == 0)
-        if starved.any():
-            need = int(np.ceil(1.0 / w[w > 0].min()))
-            raise ChatteringError(
-                f"cell {j}: refined grid too coarse to represent all positive "
-                f"weights; needs at least {need} sub-steps per cell, got {per_cell}"
-            )
-        pos = j * per_cell
-        for atom, count in zip(q.atoms[j], alloc):
-            values[pos:pos + count] = atom
-            pos += count
-    return StrictControl(refined, values)
+    alloc = _apportion(q.weights, per_cell)
+    starved = ((q.weights > 0) & (alloc == 0)).any(axis=1)
+    if starved.any():
+        j = int(np.argmax(starved))
+        need = int(np.ceil(1.0 / q.weights[j][q.weights[j] > 0].min()))
+        raise ChatteringError(
+            f"cell {j}: refined grid too coarse to represent all positive "
+            f"weights; needs at least {need} sub-steps per cell, got {per_cell}"
+        )
+    values = np.repeat(q.atoms.reshape(-1, q.control_dim), alloc.ravel(), axis=0)
+    return StrictControl(q.grid.refine(per_cell), values)
+
+
+# ---------------------------------------------------------------------------
+# resampling onto another uniform grid
+# ---------------------------------------------------------------------------
+
+def _overlap(grid: TimeGrid, num_cells: int) -> tuple:
+    """The cells of grid that each of num_cells equal cells over its horizon
+    touches, and the overlap lengths: both (num_cells, W), length 0 in padding."""
+    if num_cells <= 0:
+        raise ControlError("num_cells must be positive")
+    old_dt = grid.dt
+    new_dt = grid.horizon / num_cells
+    j = np.arange(num_cells)
+    start, end = (j * new_dt)[:, None], ((j + 1) * new_dt)[:, None]
+    lo = np.floor(start / old_dt).astype(int)
+    hi = np.minimum(np.ceil(end / old_dt).astype(int), grid.num_steps)
+    idx = lo + np.arange((hi - lo).max())
+    length = np.minimum(end, (idx + 1) * old_dt) - np.maximum(start, idx * old_dt)
+    length = np.where((idx < hi) & (length > 0), length, 0.0)
+    return np.minimum(idx, grid.num_steps - 1), length
 
 
 def regrid_relaxed(q: RelaxedControl, num_cells: int) -> RelaxedControl:
@@ -298,27 +324,20 @@ def regrid_relaxed(q: RelaxedControl, num_cells: int) -> RelaxedControl:
     of the old cell measures it covers, so weights stay nonnegative and
     normalized.
     """
-    if num_cells <= 0:
-        raise ControlError("num_cells must be positive")
-    T = q.grid.horizon
-    old_dt = q.grid.dt
-    new_dt = T / num_cells
-    cells = []
-    for j in range(num_cells):
-        start, end = j * new_dt, (j + 1) * new_dt
-        lo = int(np.floor(start / old_dt))
-        hi = min(int(np.ceil(end / old_dt)), q.grid.num_steps)
-        atoms, weights = [], []
-        for i in range(lo, hi):
-            overlap = min(end, (i + 1) * old_dt) - max(start, i * old_dt)
-            if overlap <= 0:
-                continue
-            keep = q.weights[i] != 0.0
-            atoms.append(q.atoms[i][keep])
-            weights.append(overlap / new_dt * q.weights[i][keep])
-        pts, wts = _merge_atoms(np.concatenate(atoms), np.concatenate(weights))
-        cells.append((pts, wts / wts.sum()))
-    return _padded(TimeGrid(num_cells, T), cells)
+    idx, length = _overlap(q.grid, num_cells)
+    new_dt = q.grid.horizon / num_cells
+    weights = (length / new_dt)[:, :, None] * q.weights[idx]
+    atoms, weights = _mixture(
+        q.atoms[idx].reshape(num_cells, -1, q.control_dim), weights.reshape(num_cells, -1)
+    )
+    return RelaxedControl(TimeGrid(num_cells, q.grid.horizon), atoms, _normalized(weights))
+
+
+def regrid_singular(eta: SingularControl, num_cells: int) -> SingularControl:
+    """Redistribute increments onto num_cells equal cells by overlap fractions."""
+    idx, length = _overlap(eta.grid, num_cells)
+    out = (eta.increments[idx] * (length / eta.grid.dt)[:, :, None]).sum(axis=1)
+    return SingularControl(TimeGrid(num_cells, eta.grid.horizon), out)
 
 
 # ---------------------------------------------------------------------------

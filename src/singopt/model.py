@@ -70,6 +70,8 @@ class ProblemSpec:
             raise ProblemError("dimensions must be positive integers")
         if not self.horizon > 0:
             raise ProblemError("horizon must be positive")
+        if np.size(self.x0) != self.n:
+            raise ProblemError(f"x0 must hold {self.n} values, got {np.size(self.x0)}")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(self.n))
         grid = np.asarray(self.u1_grid, dtype=float)
         if grid.ndim == 1:
@@ -219,27 +221,33 @@ def _builtin_config(name: str, kappa: float) -> dict:
 
 
 def problem_from_config(config: dict) -> ProblemSpec:
-    """Assemble a ProblemSpec from a JSON-style problem description."""
+    """Assemble a ProblemSpec from a JSON-style problem description; a
+    malformed description raises ProblemError."""
     for key in ("dims", "horizon", "x0", "u1_grid", "assumptions_box"):
         if key not in config:
             raise ProblemError(f"problem config missing '{key}'")
-    coeffs: CoefficientSet = build_coefficients(config)
-    box = config["assumptions_box"]
-    return ProblemSpec(
-        name=str(config.get("name", "unnamed")),
-        n=coeffs.n, d=coeffs.d, k=coeffs.k, m=coeffs.m,
-        horizon=float(config["horizon"]),
-        x0=config["x0"],
-        b=coeffs.b, sigma=coeffs.sigma, G=coeffs.G,
-        h=coeffs.h, g=coeffs.g, k_cost=coeffs.k_cost,
-        b_x=coeffs.b_x, sigma_x=coeffs.sigma_x, h_x=coeffs.h_x, g_x=coeffs.g_x,
-        u1_grid=config["u1_grid"],
-        assumptions_box=(box["low"], box["high"]),
-        config=config,
-        diffusion_is_zero=coeffs.diffusion_is_zero,
-        running_state_quad=coeffs.running_state_quad,
-        terminal_state_quad=coeffs.terminal_state_quad,
-    )
+    try:
+        coeffs: CoefficientSet = build_coefficients(config)
+        box = config["assumptions_box"]
+        return ProblemSpec(
+            name=str(config.get("name", "unnamed")),
+            n=coeffs.n, d=coeffs.d, k=coeffs.k, m=coeffs.m,
+            horizon=float(config["horizon"]),
+            x0=config["x0"],
+            b=coeffs.b, sigma=coeffs.sigma, G=coeffs.G,
+            h=coeffs.h, g=coeffs.g, k_cost=coeffs.k_cost,
+            b_x=coeffs.b_x, sigma_x=coeffs.sigma_x, h_x=coeffs.h_x, g_x=coeffs.g_x,
+            u1_grid=config["u1_grid"],
+            assumptions_box=(box["low"], box["high"]),
+            config=config,
+            diffusion_is_zero=coeffs.diffusion_is_zero,
+            running_state_quad=coeffs.running_state_quad,
+            terminal_state_quad=coeffs.terminal_state_quad,
+        )
+    except ProblemError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ProblemError(f"malformed problem config: {exc}") from None
 
 
 def builtin_problem(name: str, kappa: float = 1.0) -> ProblemSpec:
@@ -325,27 +333,21 @@ def _fd_gradient(fn, x, eps):
     return np.stack(cols, axis=-1), base
 
 
-def validate_problem(
-    spec: ProblemSpec,
-    probe_seed: int = 0,
-    num_probes: int = 64,
-    gradient_rtol: float = 1e-4,
-    growth_bound: float = 1e6,
-) -> ValidationReport:
+def validate_problem(spec: ProblemSpec, probe_seed: int = 0) -> ValidationReport:
     """Probe the standing assumptions of a problem at random sample points.
 
     Checks, in order: componentwise nonnegativity of the singular cost rate,
     agreement of every declared state gradient with central finite
-    differences (relative tolerance ``gradient_rtol``), and a linear-growth
-    probe on b and sigma over the assumptions box.  Deterministic for a fixed
-    ``probe_seed``.  A non-finite coefficient value raises ProblemError
+    differences (relative tolerance 1e-4), and a linear-growth probe on b
+    and sigma over the assumptions box (bound 1e6).  Deterministic for a
+    fixed ``probe_seed``.  A non-finite coefficient value raises ProblemError
     immediately, naming the function and inputs.
     """
     rng = np.random.default_rng(probe_seed)
     lo, hi = spec.assumptions_box
-    ts = rng.uniform(0.0, spec.horizon, size=num_probes)
-    xs = rng.uniform(lo, hi, size=(num_probes, spec.n))
-    atoms = spec.u1_grid[rng.integers(0, len(spec.u1_grid), size=num_probes)]
+    ts = rng.uniform(0.0, spec.horizon, size=64)
+    xs = rng.uniform(lo, hi, size=(64, spec.n))
+    atoms = spec.u1_grid[rng.integers(0, len(spec.u1_grid), size=64)]
     checks = []
 
     # singular cost rate must map into [0, inf)^m
@@ -384,8 +386,8 @@ def validate_problem(
         checks.append(
             CheckResult(
                 f"gradient_consistency_{fn_name}",
-                err <= gradient_rtol,
-                f"worst relative error {err:.3g} (tol {gradient_rtol:g})",
+                err <= 1e-4,
+                f"worst relative error {err:.3g} (tol 1e-4)",
             )
         )
 
@@ -398,7 +400,7 @@ def validate_problem(
     checks.append(
         CheckResult(
             "linear_growth",
-            ratio <= growth_bound,
+            ratio <= 1e6,
             f"max |coefficient| / (1+|x|+|a|) = {ratio:.3g} over the assumptions box",
         )
     )

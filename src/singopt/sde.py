@@ -28,6 +28,7 @@ from .controls import (
     chattering,
     dirac_embed,
     regrid_relaxed,
+    regrid_singular,
 )
 from .model import NoiseBatch, ProblemSpec, TimeGrid, ensemble_zeros
 
@@ -48,7 +49,6 @@ class TrajectoryEnsemble:
     states: np.ndarray = field(repr=False)
     grid: TimeGrid
     noise: NoiseBatch
-    control_tag: str
 
     @property
     def num_paths(self) -> int:
@@ -156,7 +156,7 @@ def _euler_block(spec: ProblemSpec, atoms, weights, eta: SingularControl,
 
 
 def _simulate(spec: ProblemSpec, atoms, weights, eta: SingularControl,
-              grid: TimeGrid, noise: NoiseBatch, tag: str) -> TrajectoryEnsemble:
+              grid: TimeGrid, noise: NoiseBatch) -> TrajectoryEnsemble:
     _check_noise(spec, grid, noise)
     x = ensemble_zeros(noise.num_paths, grid.num_steps + 1, spec.n)
     x[:, 0, :] = spec.x0
@@ -164,7 +164,7 @@ def _simulate(spec: ProblemSpec, atoms, weights, eta: SingularControl,
     for start in range(0, grid.num_steps, _BLOCK_KNOTS):
         _euler_block(spec, atoms, weights, eta, grid, noise, start,
                      windows[start:start + _BLOCK_KNOTS + 1])
-    return TrajectoryEnsemble(x, grid, noise, tag)
+    return TrajectoryEnsemble(x, grid, noise)
 
 
 def _require_grid(grid: TimeGrid, *controls):
@@ -181,7 +181,7 @@ def simulate_strict(spec: ProblemSpec, v: StrictControl, eta: SingularControl,
     """Euler-Maruyama for the strictly controlled state equation."""
     _require_grid(grid, v, eta)
     q = dirac_embed(v)
-    return _simulate(spec, q.atoms, q.weights, eta, grid, noise, "strict")
+    return _simulate(spec, q.atoms, q.weights, eta, grid, noise)
 
 
 def simulate_relaxed(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
@@ -192,7 +192,7 @@ def simulate_relaxed(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
     point-mass control reproduces simulate_strict bit for bit.
     """
     _require_grid(grid, q, eta)
-    return _simulate(spec, q.atoms, q.weights, eta, grid, noise, "relaxed")
+    return _simulate(spec, q.atoms, q.weights, eta, grid, noise)
 
 
 def simulate_variational(
@@ -317,6 +317,12 @@ class CostEstimate:
         }
 
 
+def _std_error(values: np.ndarray) -> float:
+    """Standard error of the mean of per-path values; 0 for a single path."""
+    M = len(values)
+    return float(values.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
+
+
 def _running_block(spec: ProblemSpec, t, x, atoms, weights) -> np.ndarray:
     """Per-path running cost summed over the K knots of a block,
     sum_j sum_a w_ja h(t_j, x_j, a), shape (M,).
@@ -370,39 +376,20 @@ def estimate_cost(spec: ProblemSpec, traj: TrajectoryEnsemble, control,
     """Monte Carlo estimate of the expected cost of (control, eta)."""
     terminal, running, singular = _cost_terms(spec, traj, control, eta)
     costs = terminal + running + singular
-    M = len(costs)
-    se = float(costs.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
     terminal_mean = float(np.mean(terminal))
     return CostEstimate(
         value=float(costs.mean()),
-        std_error=se,
+        std_error=_std_error(costs),
         terminal=terminal_mean,
         running=float(costs.mean()) - terminal_mean - singular,
         singular=singular,
-        num_paths=M,
+        num_paths=len(costs),
     )
 
 
 # ---------------------------------------------------------------------------
 # chattering convergence experiment
 # ---------------------------------------------------------------------------
-
-def regrid_singular(eta: SingularControl, num_cells: int) -> SingularControl:
-    """Redistribute increments onto num_cells equal cells by overlap fractions."""
-    T = eta.grid.horizon
-    old_dt = eta.grid.dt
-    new_dt = T / num_cells
-    out = np.zeros((num_cells, eta.singular_dim))
-    for i in range(eta.grid.num_steps):
-        start, end = i * old_dt, (i + 1) * old_dt
-        lo = int(np.floor(start / new_dt))
-        hi = min(int(np.ceil(end / new_dt)), num_cells)
-        for j in range(lo, hi):
-            overlap = min(end, (j + 1) * new_dt) - max(start, j * new_dt)
-            if overlap > 0:
-                out[j] += eta.increments[i] * (overlap / old_dt)
-    return SingularControl(TimeGrid(num_cells, T), out)
-
 
 def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
                    n: int, num_paths: int, seed) -> dict:
@@ -455,12 +442,10 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
         for x, acc in zip(windows, running)
     )
     diff = cost_strict - cost_relax
-    M = len(diff)
-    se = float(diff.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
     return {
         "n": n,
         "traj_gap": gap,
         "cost_gap": abs(float(diff.mean())),
-        "cost_gap_se": se,
+        "cost_gap_se": _std_error(diff),
         "refined_steps": refined.num_steps,
     }

@@ -329,6 +329,31 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("coefficients", {"drift": {"form": "cubic"}}, "drift: unknown form 'cubic'"),
+            ("horizon", "abc", "'abc'"),
+            ("x0", [0.0, 1.0], "x0 must hold 1 values, got 2"),
+            ("coefficients", {"drift": "affine"}, "'str' object has no attribute 'get'"),
+        ],
+        ids=["drift-cubic", "horizon-text", "x0-too-long", "drift-not-object"],
+    )
+    def test_malformed_problem_file_exits_two_without_traceback(
+        self, tmp_path, capsys, section, value, message
+    ):
+        problem = model._builtin_config("example1", 1.0)
+        problem[section] = value
+        problem_path = tmp_path / "problem.json"
+        problem_path.write_text(json.dumps(problem))
+        cfg = write_config(tmp_path, problem=str(problem_path), grid={"N": 4})
+        assert run("cost", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_numeric_string_tolerance_is_stored_as_a_number(self, tmp_path):
         cfg = write_config(tmp_path, tolerances={"tol_H": "0.1"})
         assert run("verify", cfg, tmp_path / "out") in (0, 1)

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singopt.cli import ConfigError, build_candidate
@@ -23,10 +23,11 @@ from singopt.controls import (
     convex_combine,
     dirac_embed,
     regrid_relaxed,
+    regrid_singular,
     zero_singular,
 )
 from singopt.model import TimeGrid
-from singopt.sde import _cell_average, regrid_singular
+from singopt.sde import _cell_average
 
 
 def pm1(grid):
@@ -293,20 +294,24 @@ _ATOM_POOL = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 
 @st.composite
-def ragged_relaxed(draw, grid=None, k=None):
+def ragged_relaxed(draw, grid=None, k=None, edge_cases=False):
     """A relaxed control whose cells hold 1-3 atoms drawn from a small pool
     (so cells share atoms and may repeat one), padded the library's way:
-    zero weights on copies of the cell's first atom."""
+    zero weights on copies of the cell's first atom.  With edge_cases the
+    pool also holds -0.0 and a cell may give some of its atoms weight 0."""
     if grid is None:
         grid = TimeGrid(draw(st.integers(1, 6)), draw(st.sampled_from([0.5, 1.0, 3.0])))
     if k is None:
         k = draw(st.integers(1, 2))
+    pool = _ATOM_POOL + (-0.0,) if edge_cases else _ATOM_POOL
     cells = []
     for _ in range(grid.num_steps):
         size = draw(st.integers(1, 3))
-        point = st.lists(st.sampled_from(_ATOM_POOL), min_size=k, max_size=k)
+        point = st.lists(st.sampled_from(pool), min_size=k, max_size=k)
         pts = draw(st.lists(point, min_size=size, max_size=size))
-        raw = np.array(draw(st.lists(st.integers(1, 9), min_size=size, max_size=size)), float)
+        raw = draw(st.lists(st.integers(0 if edge_cases else 1, 9), min_size=size,
+                            max_size=size).filter(any))
+        raw = np.array(raw, float)
         cells.append((np.array(pts), raw / raw.sum()))
     width = max(len(w) for _, w in cells)
     atoms = np.zeros((grid.num_steps, width, k))
@@ -338,9 +343,109 @@ def time_integrated_masses(q):
     return total
 
 
-@settings(max_examples=40, deadline=None)
-@given(q=ragged_relaxed(), num_cells=st.integers(1, 12))
-def test_regrid_relaxed_conserves_each_atoms_time_integrated_weight(q, num_cells):
+# The per-cell loops that the whole-grid resampling replaced, kept as
+# references: one dict of atoms per cell, one overlap loop per cell.
+
+def merge_reference(atoms, weights):
+    acc = {}
+    for atom, w in zip(atoms, weights):
+        acc.setdefault(atom.tobytes(), [atom, 0.0])[1] += w
+    return np.array([a for a, _ in acc.values()]), np.array([w for _, w in acc.values()])
+
+
+def padded_reference(grid, cells):
+    width = max(len(wts) for _, wts in cells)
+    atoms = np.zeros((grid.num_steps, width, cells[0][0].shape[1]))
+    weights = np.zeros((grid.num_steps, width))
+    for j, (pts, wts) in enumerate(cells):
+        atoms[j, : len(wts)] = pts
+        atoms[j, len(wts):] = pts[0]
+        weights[j, : len(wts)] = wts
+    return RelaxedControl(grid, atoms, weights)
+
+
+def regrid_relaxed_reference(q, num_cells):
+    T, old_dt = q.grid.horizon, q.grid.dt
+    new_dt = T / num_cells
+    cells = []
+    for j in range(num_cells):
+        start, end = j * new_dt, (j + 1) * new_dt
+        lo = int(np.floor(start / old_dt))
+        hi = min(int(np.ceil(end / old_dt)), q.grid.num_steps)
+        atoms, weights = [], []
+        for i in range(lo, hi):
+            overlap = min(end, (i + 1) * old_dt) - max(start, i * old_dt)
+            if overlap <= 0:
+                continue
+            keep = q.weights[i] != 0.0
+            atoms.append(q.atoms[i][keep])
+            weights.append(overlap / new_dt * q.weights[i][keep])
+        pts, wts = merge_reference(np.concatenate(atoms), np.concatenate(weights))
+        cells.append((pts, wts / wts.sum()))
+    return padded_reference(TimeGrid(num_cells, T), cells)
+
+
+def chattering_reference(q, n):
+    per_cell = n * q.atoms.shape[1]
+    values = np.empty((q.grid.num_steps * per_cell, q.control_dim))
+    for j in range(q.grid.num_steps):
+        w = q.weights[j]
+        quotas = w * per_cell
+        alloc = np.floor(quotas).astype(int)
+        short = per_cell - int(alloc.sum())
+        if short > 0:
+            alloc[np.lexsort((np.arange(len(w)), -(quotas - alloc)))[:short]] += 1
+        if ((w > 0) & (alloc == 0)).any():
+            need = int(np.ceil(1.0 / w[w > 0].min()))
+            raise ChatteringError(
+                f"cell {j}: refined grid too coarse to represent all positive "
+                f"weights; needs at least {need} sub-steps per cell, got {per_cell}"
+            )
+        values[j * per_cell:(j + 1) * per_cell] = np.repeat(q.atoms[j], alloc, axis=0)
+    return values
+
+
+def regrid_singular_reference(eta, num_cells):
+    T, old_dt = eta.grid.horizon, eta.grid.dt
+    new_dt = T / num_cells
+    out = np.zeros((num_cells, eta.singular_dim))
+    for i in range(eta.grid.num_steps):
+        start, end = i * old_dt, (i + 1) * old_dt
+        lo = int(np.floor(start / new_dt))
+        hi = min(int(np.ceil(end / new_dt)), num_cells)
+        for j in range(lo, hi):
+            overlap = min(end, (j + 1) * new_dt) - max(start, j * new_dt)
+            if overlap > 0:
+                out[j] += eta.increments[i] * (overlap / old_dt)
+    return out
+
+
+def outcome(fn, *args):
+    """fn's result, or the text of the ChatteringError it raised."""
+    try:
+        return fn(*args)
+    except ChatteringError as exc:
+        return str(exc)
+
+
+def wide_and_narrow():
+    """Six cells that regrid onto two cells of 8 and 4 merged atoms; a row
+    sum taken over the padded width adds the narrow row in another order."""
+    pts = [[[0.0, -0.5], [1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [1.0, -0.5], [-0.5, 0.0]],
+           [[1.0, -0.5], [-1.0, 1.0], [0.0, 0.5]], [[-1.0, 0.0], [1.0, 1.0]],
+           [[-0.5, 1.0], [1.0, 0.5]], [[-0.5, 1.0], [0.5, 1.0]]]
+    raw = [[8, 2, 1], [2, 2, 7], [6, 7, 8], [8, 5], [4, 9], [7, 2]]
+    atoms, weights = np.zeros((6, 3, 2)), np.zeros((6, 3))
+    for j, (p, r) in enumerate(zip(pts, raw)):
+        atoms[j], atoms[j, : len(p)] = p[0], p
+        weights[j, : len(r)] = np.array(r, float) / sum(r)
+    return RelaxedControl(TimeGrid(6, 1.0), atoms, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=ragged_relaxed(edge_cases=True), num_cells=st.integers(1, 12), n=st.integers(1, 3))
+@example(q=wide_and_narrow(), num_cells=2, n=1)
+def test_regrid_relaxed_conserves_each_atoms_time_integrated_weight(q, num_cells, n):
     out = regrid_relaxed(q, num_cells)
     assert out.grid == TimeGrid(num_cells, q.grid.horizon)
     assert np.all(out.weights >= 0)
@@ -349,6 +454,17 @@ def test_regrid_relaxed_conserves_each_atoms_time_integrated_weight(q, num_cells
     assert set(after) <= set(before)
     for atom, mass in before.items():
         assert after.get(atom, 0.0) == pytest.approx(mass, rel=1e-12, abs=1e-12)
+    # bit for bit the per-cell loops, refining and coarsening, and so is the
+    # chattering approximant of the result or the text of its error
+    ref = regrid_relaxed_reference(q, num_cells)
+    assert out.atoms.shape == ref.atoms.shape
+    assert out.atoms.tobytes() == ref.atoms.tobytes()
+    assert out.weights.tobytes() == ref.weights.tobytes()
+    got, want = outcome(chattering, out, n), outcome(chattering_reference, out, n)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.values.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -371,13 +487,23 @@ def test_regrid_singular_conserves_total_increment(increments, horizon, num_cell
     np.testing.assert_allclose(
         out.increments.sum(axis=0), eta.increments.sum(axis=0), rtol=1e-12, atol=1e-12
     )
+    # overlaps are enumerated from the new cells' side, so an edge pair whose
+    # overlap is of rounding size may land on the other neighbour
+    ref = regrid_singular_reference(eta, num_cells)
+    np.testing.assert_allclose(out.increments, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 
 
-@settings(max_examples=40, deadline=None)
+def positive_masses(atoms, weights):
+    """The atom bytes -> weight map of one cell's positive-weight entries,
+    in the order the atoms are stored."""
+    return {a.tobytes(): w for a, w in zip(atoms, weights) if w > 0}
+
+
+@settings(max_examples=60, deadline=None)
 @given(data=st.data(), theta=st.floats(0.0, 1.0))
 def test_convex_combine_mixes_each_atoms_weight(data, theta):
-    base = data.draw(ragged_relaxed())
-    direction = data.draw(ragged_relaxed(grid=base.grid, k=base.control_dim))
+    base = data.draw(ragged_relaxed(edge_cases=True))
+    direction = data.draw(ragged_relaxed(grid=base.grid, k=base.control_dim, edge_cases=True))
     xi = zero_singular(base.grid, 1)
     mixed, _ = convex_combine((base, xi), (direction, xi), theta)
     assert np.max(np.abs(mixed.weights.sum(axis=1) - 1.0)) <= 1e-12
@@ -386,6 +512,22 @@ def test_convex_combine_mixes_each_atoms_weight(data, theta):
         for atom in set(w_base) | set(w_dir):
             want = (1.0 - theta) * w_base.get(atom, 0.0) + theta * w_dir.get(atom, 0.0)
             assert got.get(atom, 0.0) == pytest.approx(want, abs=1e-12)
+    if theta in (0.0, 1.0):
+        return
+    # per cell, the same atom -> weight masses as the per-cell merge, bit for
+    # bit; that merge kept zero weights, so an atom first seen with weight 0
+    # may change its place, and no other atom may
+    for j in range(base.grid.num_steps):
+        atoms = np.concatenate([base.atoms[j], direction.atoms[j]])
+        weights = np.concatenate([(1.0 - theta) * base.weights[j], theta * direction.weights[j]])
+        got = positive_masses(mixed.atoms[j], mixed.weights[j])
+        want = positive_masses(*merge_reference(atoms, weights))
+        assert got == want
+        first_weight = {}
+        for atom, w in zip(atoms, weights):
+            first_weight.setdefault(atom.tobytes(), w)
+        moved = {atom for atom, w in first_weight.items() if w == 0.0}
+        assert [a for a in got if a not in moved] == [a for a in want if a not in moved]
 
 
 @settings(max_examples=40, deadline=None)
