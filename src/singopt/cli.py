@@ -9,7 +9,8 @@ Seeds are mandatory; nothing falls back to wall-clock entropy, so reruns
 with identical configurations are byte-identical.
 
 Exit codes: 0 success / verification passed, 1 verification or
-certification failed, 2 configuration error, 3 numerical failure.
+certification failed, 2 configuration error, 3 numerical failure, 4 internal
+error (an unexpected exception; its traceback is printed with --debug).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
@@ -367,11 +369,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override monte_carlo.seed")
     parser.add_argument("--paths", type=int, default=None, help="override monte_carlo.M")
     parser.add_argument("--steps", type=int, default=None, help="override grid.N")
+    parser.add_argument("--debug", action="store_true",
+                        help="print the traceback of an internal error (exit 4)")
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  Any exception other than a
+    configuration or numerical error propagates to the caller; the console
+    entry point `run` reports it as an internal error."""
+    return _execute(build_parser().parse_args(argv))
+
+
+def run(argv=None) -> int:
+    """Console entry point: main, with an unexpected exception reported as
+    one `internal error:` line and exit code 4, so that a crash is never read
+    as a verdict.  The traceback is printed only with --debug."""
     args = build_parser().parse_args(argv)
+    try:
+        return _execute(args)
+    except Exception as exc:
+        if args.debug:
+            sys.excepthook(type(exc), exc, exc.__traceback__)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _execute(args) -> int:
     try:
         raw = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -394,4 +418,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -30,7 +30,10 @@ class CoefficientError(ValueError):
 
 
 def _arr(value, shape, name):
-    out = np.asarray(value, dtype=float)
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CoefficientError(f"{name}: {exc}") from None
     if out.shape != shape:
         raise CoefficientError(f"{name}: expected shape {shape}, got {out.shape}")
     return out
@@ -132,13 +135,16 @@ def _quadratic_cost(cfg, n, k, name, with_control):
     """h = x'Qx + r.x + c0 + sum_i poly_i(a_i); gradient is (Q+Q')x + r."""
     Q = _arr(cfg.get("state_quad", np.zeros((n, n))), (n, n), f"{name}.state_quad")
     r = _arr(cfg.get("state_lin", np.zeros(n)), (n,), f"{name}.state_lin")
-    c0 = float(cfg.get("const", 0.0))
+    c0 = float(_arr(cfg.get("const", 0.0), (), f"{name}.const"))
     sym = Q + Q.T
     poly = None
     if with_control:
         raw = cfg.get("control_poly")
         if raw is not None:
-            poly = [np.asarray(p, dtype=float) for p in raw]
+            try:
+                poly = [np.asarray(p, dtype=float) for p in raw]
+            except (TypeError, ValueError) as exc:
+                raise CoefficientError(f"{name}.control_poly: {exc}") from None
             if len(poly) != k:
                 raise CoefficientError(
                     f"{name}.control_poly: expected {k} coefficient lists, got {len(poly)}"
@@ -182,8 +188,15 @@ def _quadratic_cost(cfg, n, k, name, with_control):
     return fn, grad, Q
 
 
+def _object(value, name):
+    if not isinstance(value, dict):
+        raise CoefficientError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 _VECTOR_FORMS = ("zero", "affine")
 _COST_FORMS = ("zero", "quadratic")
+_TIME_FORMS = ("zero", "constant", "time_affine")
 
 
 def build_coefficients(config: dict) -> CoefficientSet:
@@ -197,54 +210,40 @@ def build_coefficients(config: dict) -> CoefficientSet:
         ``singular_gain``, ``running_cost``, ``terminal_cost`` and
         ``singular_cost``.  See the README for the field-by-field schema.
     """
-    dims = config.get("dims")
-    if not dims:
-        raise CoefficientError("config missing 'dims'")
-    n, d, k, m = (int(dims[key]) for key in ("n", "d", "k", "m"))
+    dims = _object(config.get("dims"), "dims")
+    try:
+        n, d, k, m = (int(dims[key]) for key in ("n", "d", "k", "m"))
+    except KeyError as exc:
+        raise CoefficientError(f"dims missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CoefficientError(f"dims: {exc}") from None
     if min(n, d, k, m) <= 0:
         raise CoefficientError(f"dims must be positive, got {dims}")
-    coeffs = config.get("coefficients", {})
+    coeffs = _object(config.get("coefficients", {}), "coefficients")
 
-    def section(name):
-        cfg = coeffs.get(name, {"form": "zero"})
+    def section(name, forms):
+        """The parameters of coefficient `name`: none for the zero form, and
+        the value of a constant form as the const of a time-affine one."""
+        cfg = _object(coeffs.get(name, {"form": "zero"}), f"coefficients.{name}")
         form = cfg.get("form", "zero")
-        return cfg, form
+        if form not in forms:
+            raise CoefficientError(f"{name}: unknown form '{form}'")
+        if form == "constant":
+            if "value" not in cfg:
+                raise CoefficientError(f"{name}: form 'constant' needs a 'value'")
+            return {"const": cfg["value"]}
+        return cfg if form != "zero" else {}
 
-    cfg, form = section("drift")
-    if form not in _VECTOR_FORMS:
-        raise CoefficientError(f"drift: unknown form '{form}'")
-    b, b_x, _ = _vector_affine(cfg if form == "affine" else {}, n, k, "drift")
-
-    cfg, form = section("diffusion")
-    if form not in _VECTOR_FORMS:
-        raise CoefficientError(f"diffusion: unknown form '{form}'")
+    b, b_x, _ = _vector_affine(section("drift", _VECTOR_FORMS), n, k, "drift")
     sigma, sigma_x, sig_zero = _matrix_affine(
-        cfg if form == "affine" else {}, n, d, k, "diffusion"
+        section("diffusion", _VECTOR_FORMS), n, d, k, "diffusion"
     )
-
-    cfg, form = section("singular_gain")
-    if form not in ("zero", "constant", "time_affine"):
-        raise CoefficientError(f"singular_gain: unknown form '{form}'")
-    if form == "constant":
-        cfg = {"const": cfg["value"]}
-    G = _time_affine(cfg if form != "zero" else {}, (n, m), "singular_gain")
-
-    cfg, form = section("running_cost")
-    if form not in _COST_FORMS:
-        raise CoefficientError(f"running_cost: unknown form '{form}'")
-    h, h_x, hQ = _quadratic_cost(cfg if form == "quadratic" else {}, n, k, "running_cost", True)
-
-    cfg, form = section("terminal_cost")
-    if form not in _COST_FORMS:
-        raise CoefficientError(f"terminal_cost: unknown form '{form}'")
-    g, g_x, gQ = _quadratic_cost(cfg if form == "quadratic" else {}, n, k, "terminal_cost", False)
-
-    cfg, form = section("singular_cost")
-    if form not in ("zero", "constant", "time_affine"):
-        raise CoefficientError(f"singular_cost: unknown form '{form}'")
-    if form == "constant":
-        cfg = {"const": cfg["value"]}
-    k_cost = _time_affine(cfg if form != "zero" else {}, (m,), "singular_cost")
+    G = _time_affine(section("singular_gain", _TIME_FORMS), (n, m), "singular_gain")
+    h, h_x, hQ = _quadratic_cost(section("running_cost", _COST_FORMS), n, k, "running_cost", True)
+    g, g_x, gQ = _quadratic_cost(
+        section("terminal_cost", _COST_FORMS), n, k, "terminal_cost", False
+    )
+    k_cost = _time_affine(section("singular_cost", _TIME_FORMS), (m,), "singular_cost")
 
     return CoefficientSet(
         n=n, d=d, k=k, m=m,

@@ -302,19 +302,26 @@ def chattering(q: RelaxedControl, n: int) -> StrictControl:
 
 def _overlap(grid: TimeGrid, num_cells: int) -> tuple:
     """The cells of grid that each of num_cells equal cells over its horizon
-    touches, and the overlap lengths: both (num_cells, W), length 0 in padding."""
+    overlaps, and the overlap lengths: both (num_cells, W), length 0 in padding.
+
+    Which cells overlap is decided in integers: in units of T / (N C), old
+    cell i covers [i C, (i+1) C) and new cell j covers [j N, (j+1) N), so
+    cells that only touch get no rounding-size share.  The lengths of real
+    overlaps are computed in floats."""
     if num_cells <= 0:
         raise ControlError("num_cells must be positive")
+    N = grid.num_steps
     old_dt = grid.dt
     new_dt = grid.horizon / num_cells
-    j = np.arange(num_cells)
-    start, end = (j * new_dt)[:, None], ((j + 1) * new_dt)[:, None]
+    j = np.arange(num_cells)[:, None]
+    start, end = j * new_dt, (j + 1) * new_dt
     lo = np.floor(start / old_dt).astype(int)
-    hi = np.minimum(np.ceil(end / old_dt).astype(int), grid.num_steps)
+    hi = np.minimum(np.ceil(end / old_dt).astype(int), N)
     idx = lo + np.arange((hi - lo).max())
     length = np.minimum(end, (idx + 1) * old_dt) - np.maximum(start, idx * old_dt)
-    length = np.where((idx < hi) & (length > 0), length, 0.0)
-    return np.minimum(idx, grid.num_steps - 1), length
+    units = np.minimum((idx + 1) * num_cells, (j + 1) * N) - np.maximum(idx * num_cells, j * N)
+    length = np.where((idx < hi) & (units > 0), length, 0.0)
+    return np.minimum(idx, N - 1), length
 
 
 def regrid_relaxed(q: RelaxedControl, num_cells: int) -> RelaxedControl:

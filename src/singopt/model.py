@@ -115,32 +115,72 @@ class TimeGrid:
         return TimeGrid(self.num_steps * factor, self.horizon)
 
 
-def ensemble_zeros(num_paths: int, num_knots: int, *tail: int) -> np.ndarray:
-    """Zero-filled ensemble array of shape (num_paths, num_knots, *tail).
+def ensemble_empty(num_paths: int, num_knots: int, *tail: int) -> np.ndarray:
+    """Uninitialised ensemble array of shape (num_paths, num_knots, *tail).
 
     Every ensemble-sized array of the package (noise, states, sensitivities,
-    fundamental pair, adjoints) is allocated here.  The memory is time-major,
-    (num_knots, num_paths, *tail), and the returned array is the transposed
-    view, so ``values[:, j]`` is one contiguous block: the Euler and
-    regression sweeps read and write one knot of all paths at a time.
+    fundamental pair, adjoints) is allocated here or by ensemble_zeros.  The
+    memory is time-major, (num_knots, num_paths, *tail), and the returned
+    array is the transposed view, so ``values[:, j]`` is one contiguous
+    block: the Euler and regression sweeps read and write one knot of all
+    paths at a time.
     """
+    return np.empty((num_knots, num_paths) + tail).swapaxes(0, 1)
+
+
+def ensemble_zeros(num_paths: int, num_knots: int, *tail: int) -> np.ndarray:
+    """Zero-filled ensemble array, laid out as by ensemble_empty."""
     return np.zeros((num_knots, num_paths) + tail).swapaxes(0, 1)
 
 
 # Noise is drawn path by path into a scratch block of paths, then copied into
-# the time-major array in tiles of steps that stay in cache.
+# the time-major window in tiles of steps that stay in cache.
 _NOISE_BLOCK_PATHS = 256
 _NOISE_TILE_STEPS = 64
 
 
+class NoiseStream:
+    """Brownian increments of a path ensemble, produced window by window.
+
+    Path i draws its increments from N(0, dt I_d) with its own generator,
+    seeded by the i-th child of SeedSequence(seed), and keeps that generator
+    between windows.  So path i's noise does not depend on how many paths
+    the ensemble holds, and windows of any widths filled in order hold the
+    same increments, bit for bit, as one draw over the whole grid.  seed may
+    be an int or a tuple of ints (derived experiment streams).
+    """
+
+    def __init__(self, num_paths: int, grid: TimeGrid, noise_dim: int, seed):
+        children = np.random.SeedSequence(seed).spawn(num_paths)
+        self._normals = [np.random.default_rng(child).standard_normal for child in children]
+        self._noise_dim = noise_dim
+        self._scale = np.sqrt(grid.dt)
+
+    def fill(self, window: np.ndarray) -> None:
+        """Write the increments of the next K steps of every path into the
+        time-major window of shape (K, M, d)."""
+        K = len(window)
+        M = len(self._normals)
+        # each row is exactly one path's K steps, so one call draws them
+        block = np.empty((min(M, _NOISE_BLOCK_PATHS), K, self._noise_dim))
+        for start in range(0, M, len(block)):
+            stop = min(start + len(block), M)
+            for row, normal in zip(block, self._normals[start:stop]):
+                normal(out=row)
+            for step in range(0, K, _NOISE_TILE_STEPS):
+                tile = slice(step, step + _NOISE_TILE_STEPS)
+                np.multiply(self._scale, block[: stop - start, tile].swapaxes(0, 1),
+                            out=window[tile, start:stop])
+
+
 @dataclass(frozen=True)
 class NoiseBatch:
-    """Brownian increments for a path ensemble, shape (M, N, d).
+    """Brownian increments for a path ensemble over a whole grid, shape
+    (M, N, d), stored time-major (see ensemble_empty).
 
-    Increment (i, j, :) is drawn from N(0, dt I_d) using a substream derived
-    deterministically from (seed, path index), so path i's noise does not
-    depend on how many paths the batch holds and regeneration is bit-exact.
-    The array is stored time-major (see ensemble_zeros).
+    The increments are those of NoiseStream(M, grid, d, seed), so path i's
+    noise does not depend on how many paths the batch holds and
+    regeneration is bit-exact.
     """
 
     num_paths: int
@@ -153,17 +193,8 @@ class NoiseBatch:
     @classmethod
     def generate(cls, num_paths: int, grid: TimeGrid, noise_dim: int, seed) -> "NoiseBatch":
         """seed may be an int or a tuple of ints (derived experiment streams)."""
-        children = np.random.SeedSequence(seed).spawn(num_paths)
-        dW = ensemble_zeros(num_paths, grid.num_steps, noise_dim)
-        scale = np.sqrt(grid.dt)
-        block = np.empty((min(num_paths, _NOISE_BLOCK_PATHS), grid.num_steps, noise_dim))
-        for start in range(0, num_paths, len(block)):
-            stop = min(start + len(block), num_paths)
-            for row, child in zip(block, children[start:stop]):
-                np.random.default_rng(child).standard_normal(out=row)
-            for step in range(0, grid.num_steps, _NOISE_TILE_STEPS):
-                tile = slice(step, step + _NOISE_TILE_STEPS)
-                np.multiply(scale, block[: stop - start, tile], out=dW[start:stop, tile])
+        dW = ensemble_empty(num_paths, grid.num_steps, noise_dim)
+        NoiseStream(num_paths, grid, noise_dim, seed).fill(dW.swapaxes(0, 1))
         return cls(num_paths, grid.num_steps, noise_dim, grid.dt, seed, dW)
 
 
@@ -220,25 +251,43 @@ def _builtin_config(name: str, kappa: float) -> dict:
     raise ProblemError(f"unknown built-in problem '{name}'; available: {', '.join(BUILTIN_NAMES)}")
 
 
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _numeric(convert, value, key):
+    """convert(value) for the problem-file entry `key`, naming the key if
+    the value is not numeric."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ProblemError(f"{key} must be numeric, got {value!r}") from None
+
+
 def problem_from_config(config: dict) -> ProblemSpec:
     """Assemble a ProblemSpec from a JSON-style problem description; a
     malformed description raises ProblemError."""
+    if not isinstance(config, dict):
+        raise ProblemError(f"problem config must be an object, got {config!r}")
     for key in ("dims", "horizon", "x0", "u1_grid", "assumptions_box"):
         if key not in config:
             raise ProblemError(f"problem config missing '{key}'")
+    box = config["assumptions_box"]
+    if not (isinstance(box, dict) and "low" in box and "high" in box):
+        raise ProblemError(f"assumptions_box must be an object with 'low' and 'high', got {box!r}")
     try:
         coeffs: CoefficientSet = build_coefficients(config)
-        box = config["assumptions_box"]
         return ProblemSpec(
             name=str(config.get("name", "unnamed")),
             n=coeffs.n, d=coeffs.d, k=coeffs.k, m=coeffs.m,
-            horizon=float(config["horizon"]),
-            x0=config["x0"],
+            horizon=_numeric(float, config["horizon"], "horizon"),
+            x0=_numeric(_floats, config["x0"], "x0"),
             b=coeffs.b, sigma=coeffs.sigma, G=coeffs.G,
             h=coeffs.h, g=coeffs.g, k_cost=coeffs.k_cost,
             b_x=coeffs.b_x, sigma_x=coeffs.sigma_x, h_x=coeffs.h_x, g_x=coeffs.g_x,
-            u1_grid=config["u1_grid"],
-            assumptions_box=(box["low"], box["high"]),
+            u1_grid=_numeric(_floats, config["u1_grid"], "u1_grid"),
+            assumptions_box=(_numeric(_floats, box["low"], "assumptions_box.low"),
+                             _numeric(_floats, box["high"], "assumptions_box.high")),
             config=config,
             diffusion_is_zero=coeffs.diffusion_is_zero,
             running_state_quad=coeffs.running_state_quad,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singopt import model
+from singopt import cli, model
 from singopt.cli import main
 from singopt.io import ensemble_from_binary
 
@@ -195,13 +195,13 @@ class TestChatter:
 
     def test_draws_only_the_refined_noise(self, tmp_path, monkeypatch):
         draws = []
-        generate = model.NoiseBatch.generate.__func__
+        init = model.NoiseStream.__init__
 
-        def counting(cls, num_paths, grid, noise_dim, seed):
+        def counting(self, num_paths, grid, noise_dim, seed):
             draws.append((grid.num_steps, seed))
-            return generate(cls, num_paths, grid, noise_dim, seed)
+            init(self, num_paths, grid, noise_dim, seed)
 
-        monkeypatch.setattr(model.NoiseBatch, "generate", classmethod(counting))
+        monkeypatch.setattr(model.NoiseStream, "__init__", counting)
         cfg = write_config(
             tmp_path, candidate={"name": "relaxed_pm1"},
             monte_carlo={"M": 8, "seed": 4}, chatter={"n_values": [4, 8]},
@@ -335,9 +335,23 @@ class TestConfigErrors:
             ("coefficients", {"drift": {"form": "cubic"}}, "drift: unknown form 'cubic'"),
             ("horizon", "abc", "'abc'"),
             ("x0", [0.0, 1.0], "x0 must hold 1 values, got 2"),
-            ("coefficients", {"drift": "affine"}, "'str' object has no attribute 'get'"),
+            ("coefficients", {"drift": "affine"},
+             "coefficients.drift must be an object, got 'affine'"),
+            ("assumptions_box", [0, 1],
+             "assumptions_box must be an object with 'low' and 'high', got [0, 1]"),
+            ("assumptions_box", {"low": ["x"], "high": [2.0]},
+             "assumptions_box.low must be numeric, got ['x']"),
+            ("dims", [1, 1, 1, 1], "dims must be an object, got [1, 1, 1, 1]"),
+            ("dims", {"n": 1, "d": 1, "k": 1}, "dims missing 'm'"),
+            ("coefficients", {"singular_gain": {"form": "constant"}},
+             "singular_gain: form 'constant' needs a 'value'"),
+            ("coefficients", {"running_cost": {"form": "quadratic", "const": "x"}},
+             "running_cost.const: could not convert"),
+            ("u1_grid", [["a"]], "u1_grid must be numeric, got [['a']]"),
         ],
-        ids=["drift-cubic", "horizon-text", "x0-too-long", "drift-not-object"],
+        ids=["drift-cubic", "horizon-text", "x0-too-long", "drift-not-object",
+             "box-list", "box-low-text", "dims-list", "dims-missing-m",
+             "constant-gain-without-value", "running-const-text", "u1-grid-text"],
     )
     def test_malformed_problem_file_exits_two_without_traceback(
         self, tmp_path, capsys, section, value, message
@@ -467,6 +481,32 @@ def test_blowup_exits_three(tmp_path):
                        candidate={"name": "constant:0.0"})
     with np.errstate(over="ignore", invalid="ignore"):
         assert run("simulate", cfg, tmp_path / "out") == 3
+
+
+class TestInternalError:
+    @pytest.fixture
+    def crashing(self, tmp_path, monkeypatch):
+        def crash(cfg, out):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setitem(cli.COMMANDS, "cost", crash)
+        cfg = write_config(tmp_path)
+        return ["cost", "--config", str(cfg), "--out", str(tmp_path / "out")]
+
+    def test_exits_four_with_one_line_and_no_traceback(self, crashing, capsys):
+        assert cli.run(crashing) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: kernel fault\n"
+
+    def test_debug_prints_the_traceback(self, crashing, capsys):
+        assert cli.run(crashing + ["--debug"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("internal error: RuntimeError: kernel fault\n")
+
+    def test_main_lets_the_exception_propagate(self, crashing):
+        with pytest.raises(RuntimeError, match="kernel fault"):
+            main(crashing)
 
 
 class TestReproducibility:

@@ -537,3 +537,52 @@ def test_ragged_relaxed_json_round_trip(q):
     assert again.atoms.shape == q.atoms.shape
     assert np.array_equal(again.atoms, q.atoms)
     assert np.array_equal(again.weights, q.weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(num_steps=st.integers(1, 40), num_cells=st.integers(1, 60),
+       horizon=st.sampled_from([0.3, 0.7, 1.0, 3.0]))
+@example(num_steps=19, num_cells=57, horizon=0.7)
+def test_regrid_moves_mass_only_between_overlapping_cells(num_steps, num_cells, horizon):
+    # in units of T / (N C), old cell i covers [i C, (i+1) C) and new cell j
+    # covers [j N, (j+1) N); cells that only touch overlap by 0
+    grid = TimeGrid(num_steps, horizon)
+    j = np.arange(num_cells)
+    i = np.arange(num_steps)[:, None]
+    overlaps = (np.minimum((i + 1) * num_cells, (j + 1) * num_steps)
+                - np.maximum(i * num_cells, j * num_steps)) > 0
+    # atom i marks old cell i
+    q = regrid_relaxed(RelaxedControl(grid, i[:, :, None].astype(float), np.ones((num_steps, 1))),
+                       num_cells)
+    for cell in j:
+        assert set(q.atoms[cell][q.weights[cell] > 0, 0]) == set(np.flatnonzero(overlaps[:, cell]))
+    for old in range(num_steps):
+        unit = np.zeros((num_steps, 1))
+        unit[old] = 1.0
+        out = regrid_singular(SingularControl(grid, unit), num_cells)
+        assert np.array_equal(out.increments[:, 0] > 0, overlaps[old]), old
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_chattering_occupation_within_one_sub_step_of_the_weights(data, n):
+    # distinct atoms per cell, so each atom's occupation is readable from the
+    # values; zero weights are allowed
+    grid = TimeGrid(data.draw(st.integers(1, 4)), 1.0)
+    size = data.draw(st.integers(1, 3))
+    atoms = np.array([data.draw(st.lists(st.sampled_from(_ATOM_POOL), min_size=size,
+                                         max_size=size, unique=True))
+                      for _ in range(grid.num_steps)])[:, :, None]
+    raw = np.array([data.draw(st.lists(st.integers(0, 9), min_size=size, max_size=size)
+                              .filter(any)) for _ in range(grid.num_steps)], float)
+    q = RelaxedControl(grid, atoms, raw / raw.sum(axis=1, keepdims=True))
+    try:
+        u = chattering(q, n)
+    except ChatteringError:
+        return
+    sub_steps = n * size
+    cells = u.values[:, 0].reshape(grid.num_steps, sub_steps)
+    for values, cell_atoms, weights in zip(cells, q.atoms[:, :, 0], q.weights):
+        for atom, weight in zip(cell_atoms, weights):
+            occupation = np.count_nonzero(values == atom) / sub_steps
+            assert abs(occupation - weight) < 1.0 / sub_steps

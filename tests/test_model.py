@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singopt.model import (
     BUILTIN_NAMES,
     NoiseBatch,
+    NoiseStream,
     ProblemError,
     TimeGrid,
     builtin_problem,
@@ -158,6 +159,31 @@ def test_path_noise_does_not_depend_on_batch_size_property(sizes, num_steps, noi
     a = NoiseBatch.generate(small, grid, noise_dim, seed)
     b = NoiseBatch.generate(large, grid, noise_dim, seed)
     assert np.array_equal(a.increments, b.increments[:small])
+
+
+# Windows of 1-70 steps that do not divide the grid, so the last window is
+# short; batches up to 300 paths cross the 256-path scratch block.
+@settings(max_examples=25, deadline=None)
+@given(
+    num_paths=st.integers(1, 300),
+    window=st.integers(1, 70),
+    num_steps=st.integers(1, 200),
+    noise_dim=st.integers(1, 2),
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.tuples(st.integers(0, 99), st.integers(1, 64))),
+)
+def test_noise_windows_equal_the_whole_grid_draw(num_paths, window, num_steps, noise_dim, seed):
+    assume(num_steps % window != 0)
+    grid = TimeGrid(num_steps, 1.0)
+    whole = NoiseBatch.generate(num_paths, grid, noise_dim, seed).increments.swapaxes(0, 1)
+    stream = NoiseStream(num_paths, grid, noise_dim, seed)
+    for start in range(0, num_steps, window):
+        out = np.empty((min(window, num_steps - start), num_paths, noise_dim))
+        stream.fill(out)
+        assert np.array_equal(out, whole[start:start + window])
+    # the stream itself: path i draws N(0, I_d) from the i-th spawned child
+    last = np.random.SeedSequence(seed).spawn(num_paths)[-1]
+    expected = np.sqrt(grid.dt) * np.random.default_rng(last).standard_normal((num_steps, noise_dim))
+    assert np.array_equal(whole[:, -1], expected)
 
 
 def test_problem_rejects_empty_grid(example1):

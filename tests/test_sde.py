@@ -489,6 +489,25 @@ class TestStreamedChatteringGap:
         assert row["refined_steps"] == steps
         assert peak < noise_bytes + state_bytes
 
+    def test_peak_memory_does_not_grow_with_the_refined_steps(self, example2_stochastic):
+        # n = 32 and n = 64: 2 048 and 8 192 refined steps at M = 500, both
+        # at least one noise window.  Noise held for the whole grid would
+        # alone take 8 and 33 MB.
+        M = 500
+        grid = TimeGrid(32, 1.0)
+        q = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
+        eta = zero_singular(grid, 1)
+        peaks = []
+        for n in (32, 64):
+            tracemalloc.start()
+            try:
+                row = chattering_gap(example2_stochastic, q, eta, n, M, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert row["refined_steps"] == 8192
+        assert peaks[1] < 1.25 * peaks[0]
+
 
 def test_running_block_matches_per_knot_averages(example2_stochastic):
     # The measure changes at cell 100, inside the second block; the first
