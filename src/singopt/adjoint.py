@@ -241,19 +241,18 @@ def auxiliary_processes(
     X = head + prefix[:, N, :]
     # martingale E[X | F_t]: the accumulated part of X is known pathwise at
     # time t; only the remaining tail is a function of the Markov state and
-    # goes through the regression.  Exact at the horizon.
+    # goes through the regression.  Exact at the horizon, so one backward
+    # sweep fits mart[j] and then Q[j] from mart[j + 1] on the same features.
     mart = ensemble_zeros(M, N + 1, spec.n)
     mart[:, N, :] = X
-    for j in range(N):
+    Q = ensemble_zeros(M, N, spec.n, spec.d)
+    for j in range(N - 1, -1, -1):
         feats = polynomial_features(traj.states[:, j, :], degree)
         tail = head + (prefix[:, N, :] - prefix[:, j, :])
         mart[:, j, :] = prefix[:, j, :] + fit_conditional(feats, tail)
-    Y = mart - prefix
-    Q = ensemble_zeros(M, N, spec.n, spec.d)
-    for j in range(N):
-        feats = polynomial_features(traj.states[:, j, :], degree)
         incr = np.einsum("mp,mj->mpj", mart[:, j + 1, :] - mart[:, j, :], dW[:, j, :]) / dt
         Q[:, j] = fit_conditional(feats, incr)
+    Y = mart - prefix
     return AuxiliaryProcesses(alpha=alpha, X=X, Y=Y, Q=Q)
 
 

@@ -132,6 +132,24 @@ def _check_in_u1_grid(mu, spec):
             raise ConfigError(f"candidate point {point} is outside the problem's U1 grid")
 
 
+def _singular_part(obj, spec, grid):
+    """The candidate's singular part: a singular control with spec.m columns."""
+    try:
+        singular = ctl.control_from_obj(obj, grid)
+    except ctl.ControlError as exc:
+        raise ConfigError(f"candidate.singular: {exc}") from None
+    if not isinstance(singular, ctl.SingularControl):
+        raise ConfigError(
+            f"candidate.singular must be a singular control, got {type(singular).__name__}"
+        )
+    if singular.increments.shape[1:] != (spec.m,):
+        raise ConfigError(
+            f"candidate.singular must have {spec.m} columns, "
+            f"got increments of shape {singular.increments.shape}"
+        )
+    return singular
+
+
 def build_candidate(cfg: dict, spec: model.ProblemSpec, grid: model.TimeGrid):
     """Resolve the candidate (control, singular) pair from the config.
 
@@ -149,7 +167,7 @@ def build_candidate(cfg: dict, spec: model.ProblemSpec, grid: model.TimeGrid):
             obj = json.loads(Path(cand["path"]).read_text())
             control = ctl.control_from_obj(obj["control"], grid)
             if "singular" in obj:
-                singular = ctl.control_from_obj(obj["singular"], grid)
+                singular = _singular_part(obj["singular"], spec, grid)
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load candidate file {cand['path']!r}: {exc!r}")
     else:
@@ -179,7 +197,7 @@ def build_candidate(cfg: dict, spec: model.ProblemSpec, grid: model.TimeGrid):
         else:
             raise ConfigError("candidate needs 'name', 'path' or an inline 'control'")
         if "singular" in cand:
-            singular = ctl.control_from_obj(cand["singular"], grid)
+            singular = _singular_part(cand["singular"], spec, grid)
     mu = ctl.as_relaxed(control)
     _check_in_u1_grid(mu, spec)
     if singular is None:

@@ -6,13 +6,14 @@ measure average and is therefore linear in the weights, so its infimum over
 all discrete measures on the candidate grid is attained at a point mass.
 Both are evaluated over a batch of paths; a single point is a batch of one.
 
-verify_necessary checks a candidate against the three global first-order
-conditions: pointwise Hamiltonian minimality over the candidate grid,
-nonnegativity of the singular slack k + G^T p, and the flat-off complement
-(singular increments only where the slack vanishes).  certify_sufficient
-additionally gathers convexity evidence for the terminal cost and for the
-state-to-Hamiltonian map, which upgrades the necessary conditions to a
-sufficiency certificate.
+verify_necessary checks a candidate against the global first-order
+conditions in one pass over the knots: pointwise Hamiltonian minimality over
+the candidate grid, nonnegativity of the singular slack k + G^T p, the
+flat-off complement (singular increments only where the slack vanishes) and
+the integral first-order inequality toward the pointwise Hamiltonian argmin.
+certify_sufficient additionally gathers convexity evidence for the terminal
+cost and for the state-to-Hamiltonian map, which upgrades the necessary
+conditions to a sufficiency certificate.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controls import ControlError, StrictControl, as_relaxed, dirac_embed, zero_singular
+from .controls import ControlError, as_relaxed
 from .model import ProblemSpec, TimeGrid, ensemble_zeros
-from .sde import TrajectoryEnsemble, _cell_average
+from .sde import TrajectoryEnsemble, _cell_average, _std_error
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,11 @@ def relaxed_hamiltonian_gradient(spec, t, x, atoms, weights, p, P):
     return hx + np.einsum("mqp,mq->mp", bx, p) + np.einsum("mjqp,mqj->mp", sx, P)
 
 
-def _grid_argmin(u1_grid, values) -> np.ndarray:
-    """The grid point of least value; exact ties resolve to the
+def _grid_argmin(u1_grid, values) -> int:
+    """Index of the grid point of least value; exact ties resolve to the
     lexicographically smallest point."""
-    tied = u1_grid[values == values.min()]
-    return np.array(min(map(tuple, tied.tolist())))
+    tied = np.flatnonzero(values == values.min())
+    return int(min(tied, key=lambda i: tuple(u1_grid[i].tolist())))
 
 
 def minimize_hamiltonian(spec: ProblemSpec, t: float, x, p, P) -> tuple:
@@ -97,7 +98,7 @@ def minimize_hamiltonian(spec: ProblemSpec, t: float, x, p, P) -> tuple:
     p = np.asarray(p, dtype=float).reshape(1, spec.n)
     P = np.asarray(P, dtype=float).reshape(1, spec.n, spec.d)
     values = np.array([strict_hamiltonian_batch(spec, t, x, v, p, P)[0] for v in spec.u1_grid])
-    return _grid_argmin(spec.u1_grid, values), float(values.min())
+    return spec.u1_grid[_grid_argmin(spec.u1_grid, values)].copy(), float(values.min())
 
 
 # ---------------------------------------------------------------------------
@@ -173,37 +174,6 @@ class SufficiencyCertificate:
         }
 
 
-def _minimality_scan(spec, mu, adjoint, traj, grid, tol):
-    """Per-(path, knot) Hamiltonian gap of the candidate above the grid
-    minimum.  Returns (worst gap, violating fraction, per-cell mean argmin)."""
-    M = traj.num_paths
-    N = grid.num_steps
-    knots = grid.knots
-    P = adjoint.P
-    if P is None:
-        P = ensemble_zeros(M, N + 1, spec.n, spec.d)
-    worst = 0.0
-    violations = 0
-    argmin_cells = np.empty((N, spec.k))
-    for j in range(N):
-        xj = traj.states[:, j, :]
-        pj = adjoint.p[:, j, :]
-        Pj = P[:, j]
-        cand = relaxed_hamiltonian_batch(spec, knots[j], xj, mu.atoms[j], mu.weights[j], pj, Pj)
-        grid_vals = np.stack(
-            [strict_hamiltonian_batch(spec, knots[j], xj, v, pj, Pj) for v in spec.u1_grid]
-        )
-        best = grid_vals.min(axis=0)
-        gap = cand - best
-        thr = tol.tol_H * (1.0 + np.abs(cand))
-        violations += int(np.count_nonzero(gap > thr))
-        worst = max(worst, float(gap.max()))
-        # deterministic representative direction: argmin of the path-mean values
-        argmin_cells[j] = _grid_argmin(spec.u1_grid, grid_vals.mean(axis=1))
-    fraction = violations / float(M * N)
-    return worst, fraction, argmin_cells
-
-
 def verify_necessary(
     spec: ProblemSpec,
     candidate: tuple,
@@ -216,18 +186,49 @@ def verify_necessary(
     """Check the global first-order necessary conditions for a candidate.
 
     candidate is a (control, singular) pair; the adjoint must have been
-    computed for this candidate on the same trajectory ensemble.  The
-    integral first-order inequality is evaluated toward the pointwise
-    Hamiltonian argmin.
+    computed for this candidate on the same trajectory ensemble.  One pass
+    over the knots evaluates, per knot, the candidate's H, H at every grid
+    point and the slack k + G^T p, and updates every condition from them.
+    The integral first-order inequality is evaluated toward the pointwise
+    argmin: per knot, the grid point of least path-mean H (exact ties to
+    the lexicographically smallest), as a point mass with no singular part.  Its per-path value is the sum that
+    adjoint.variational_inequality_value forms for that direction, with the
+    direction's H read off the grid values.
     """
     if adjoint is None:
         raise ValueError("verify_necessary requires the candidate's adjoint pair")
     control, xi = candidate
     mu = as_relaxed(control)
-    records = []
+    M = traj.num_paths
+    N = grid.num_steps
+    P = adjoint.P
+    if P is None:
+        P = ensemble_zeros(M, N + 1, spec.n, spec.d)
+    worst, violations, min_slack = 0.0, 0, np.inf
+    flat_off_mass = np.zeros(M)
+    first_order = np.zeros(M)
+    for j, t in enumerate(grid.knots[:N]):
+        xj = traj.states[:, j, :]
+        pj = adjoint.p[:, j, :]
+        Pj = P[:, j]
+        cand = relaxed_hamiltonian_batch(spec, t, xj, mu.atoms[j], mu.weights[j], pj, Pj)
+        grid_vals = np.stack(
+            [strict_hamiltonian_batch(spec, t, xj, v, pj, Pj) for v in spec.u1_grid]
+        )
+        gap = cand - grid_vals.min(axis=0)
+        violations += int(np.count_nonzero(gap > tolerances.tol_H * (1.0 + np.abs(cand))))
+        worst = max(worst, float(gap.max()))
+        slack = spec.k_cost(t) + np.einsum("pq,mp->mq", spec.G(t), pj)
+        min_slack = float(np.minimum(min_slack, slack.min()))
+        flat_off_mass += (slack > tolerances.tol_S) @ xi.increments[j]
+        best = _grid_argmin(spec.u1_grid, grid_vals.mean(axis=1))
+        first_order += (grid_vals[best] - cand) * grid.dt - slack @ xi.increments[j]
 
-    worst, fraction, argmin_cells = _minimality_scan(spec, mu, adjoint, traj, grid, tolerances)
-    records.append(
+    fraction = violations / float(M * N)
+    worst_mass = float(flat_off_mass.max()) if M else 0.0
+    value, se = float(first_order.mean()), _std_error(first_order)
+    bound = -(3.0 * se + tolerances.vi_allowance)
+    records = (
         ConditionRecord(
             "hamiltonian-minimality",
             fraction <= tolerances.max_violation_fraction,
@@ -236,19 +237,7 @@ def verify_necessary(
             None,
             f"worst gap {worst:.3g}, violating fraction {fraction:.3g} "
             f"(allowed {tolerances.max_violation_fraction:g})",
-        )
-    )
-
-    M = traj.num_paths
-    N = grid.num_steps
-    knots = grid.knots
-    slack = ensemble_zeros(M, N, spec.m)
-    for j in range(N):
-        slack[:, j, :] = spec.k_cost(knots[j]) + np.einsum(
-            "pq,mp->mq", spec.G(knots[j]), adjoint.p[:, j, :]
-        )
-    min_slack = float(slack.min())
-    records.append(
+        ),
         ConditionRecord(
             "nonnegativity",
             min_slack >= -tolerances.tol_S,
@@ -256,13 +245,7 @@ def verify_necessary(
             -tolerances.tol_S,
             None,
             f"min component of k + G^T p = {min_slack:.3g} (tolerance -{tolerances.tol_S:g})",
-        )
-    )
-
-    flagged = slack > tolerances.tol_S
-    per_path = np.einsum("mjq,jq->m", flagged.astype(float), xi.increments)
-    worst_mass = float(per_path.max()) if M else 0.0
-    records.append(
+        ),
         ConditionRecord(
             "flat-off",
             worst_mass <= tolerances.tol_F,
@@ -271,16 +254,7 @@ def verify_necessary(
             None,
             f"max per-path increment mass where slack > {tolerances.tol_S:g} "
             f"is {worst_mass:.3g}",
-        )
-    )
-
-    direction = (dirac_embed(StrictControl(grid, argmin_cells)), zero_singular(grid, spec.m))
-    # imported here: adjoint depends on this module for Hamiltonian evaluation
-    from .adjoint import variational_inequality_value
-
-    value, se = variational_inequality_value(spec, (mu, xi), direction, adjoint, traj, grid)
-    bound = -(3.0 * se + tolerances.vi_allowance)
-    records.append(
+        ),
         ConditionRecord(
             "variational-inequality[pointwise-argmin]",
             value >= bound,
@@ -288,10 +262,9 @@ def verify_necessary(
             bound,
             se,
             f"first-order value {value:.3g} toward 'pointwise-argmin' (>= {bound:.3g})",
-        )
+        ),
     )
-
-    return VerificationReport(tuple(records), dict(config_echo or {}))
+    return VerificationReport(records, dict(config_echo or {}))
 
 
 # ---------------------------------------------------------------------------

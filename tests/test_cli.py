@@ -237,6 +237,13 @@ class TestAdjointCommand:
         assert diag["bsde"]["basis_degree"] == 1
 
 
+# malformed singular parts on a 4-step grid of a problem with m = 1
+_WIDE_SINGULAR = {"type": "singular", "increments": [[0.0, 0.0]] * 4}
+_RELAXED_SINGULAR = {"type": "relaxed", "cells": [{"atoms": [[0.0]], "weights": [1.0]}] * 4}
+_PM1_CONTROL = {"type": "relaxed",
+                "cells": [{"atoms": [[-1.0], [1.0]], "weights": [0.5, 0.5]}] * 4}
+
+
 class TestConfigErrors:
     def test_missing_seed_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, monte_carlo={"M": 4})
@@ -311,14 +318,39 @@ class TestConfigErrors:
              "malformed strict control"),
             ("cost", {"problem_options": {"kappa": "x"}},
              "problem_options.kappa must be a number, got 'x'"),
+            ("verify", {"problem": "example2_stochastic",
+                        "candidate": {"name": "relaxed_pm1", "singular": _WIDE_SINGULAR}},
+             "candidate.singular must have 1 columns, got increments of shape (4, 2)"),
+            ("verify", {"problem": "example2_stochastic",
+                        "candidate": {"name": "relaxed_pm1", "singular": _RELAXED_SINGULAR}},
+             "candidate.singular must be a singular control, got RelaxedControl"),
+            ("certify", {"problem": "example2_stochastic",
+                         "candidate_file": {"control": _PM1_CONTROL,
+                                            "singular": _WIDE_SINGULAR}},
+             "candidate.singular must have 1 columns, got increments of shape (4, 2)"),
+            ("certify", {"problem": "example2_stochastic",
+                         "candidate_file": {"control": _PM1_CONTROL,
+                                            "singular": _RELAXED_SINGULAR}},
+             "candidate.singular must be a singular control, got RelaxedControl"),
+            ("verify", {"candidate": {"name": "relaxed_pm1",
+                                      "singular": {"type": "singular", "increments": "x"}}},
+             "candidate.singular: malformed singular control"),
         ],
         ids=["n-values-abc", "n-values-bare-int", "n-values-empty", "n-values-zero",
              "relaxed-without-cells", "candidate-name-int", "regression-list",
-             "candidate-int", "strict-values-text", "kappa-text"],
+             "candidate-int", "strict-values-text", "kappa-text", "singular-too-wide",
+             "singular-relaxed", "singular-file-too-wide", "singular-file-relaxed",
+             "singular-text"],
     )
     def test_malformed_sections_exit_two_without_traceback(
         self, tmp_path, capsys, command, overrides, message
     ):
+        # "candidate_file" holds a candidate file's content, used by path
+        overrides = dict(overrides)
+        if "candidate_file" in overrides:
+            path = tmp_path / "candidate.json"
+            path.write_text(json.dumps(overrides.pop("candidate_file")))
+            overrides["candidate"] = {"path": str(path)}
         cfg = write_config(
             tmp_path, **{"grid": {"N": 4}, "candidate": {"name": "relaxed_pm1"}, **overrides}
         )
@@ -429,14 +461,27 @@ _CANDIDATE_NAMES = [
     "relaxed_pm1", "alternating:4", "alternating:7", "alternating:0", "alternating:x",
     "constant:1", "constant:-0.0", "constant:0.5", "constant:abc", "wiggle",
 ]
+_SINGULAR_PARTS = ["none", "zeros", "too-wide", "relaxed"]
 
 
-@settings(max_examples=40, deadline=None)
+def _singular_obj(kind, rows):
+    """A candidate's singular part with `rows` cells: valid zeros, too many
+    columns for m = 1, or a control of the wrong type."""
+    if kind == "zeros":
+        return {"type": "singular", "increments": [[0.0]] * rows}
+    if kind == "too-wide":
+        return {"type": "singular", "increments": [[0.0, 0.0]] * rows}
+    return {"type": "relaxed", "cells": [{"atoms": [[0.0]], "weights": [1.0]}] * rows}
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     mutations=st.dictionaries(st.sampled_from(_MUTABLE_FIELDS), _FIELD_VALUES, max_size=3),
     name=st.sampled_from(_CANDIDATE_NAMES),
+    command=st.sampled_from(["cost", "verify", "certify"]),
+    singular=st.sampled_from(_SINGULAR_PARTS),
 )
-def test_mutated_cost_config_exits_cleanly(mutations, name):
+def test_mutated_cost_config_exits_cleanly(mutations, name, command, singular):
     cfg = {
         "problem": "example2_stochastic",
         "grid": {"N": 8},
@@ -447,13 +492,18 @@ def test_mutated_cost_config_exits_cleanly(mutations, name):
     }
     for (section, key), value in mutations.items():
         cfg[section][key] = value
+    if singular != "none":
+        steps = cfg["grid"]["N"]
+        rows = steps if isinstance(steps, int) and steps >= 1 else 8
+        cfg["candidate"]["singular"] = _singular_obj(singular, rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run("cost", path, Path(tmp) / "out")
-    assert code in (0, 2, 3)
+            code = run(command, path, Path(tmp) / "out")
+    assert code in (0, 1, 2, 3)
+    assert code != 1 or command in ("verify", "certify")
     assert "Traceback" not in err.getvalue()
     assert (code == 2) == err.getvalue().startswith("config error: ")
 

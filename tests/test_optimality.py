@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 import oracles
-from singopt.adjoint import adjoint_bsde
+from singopt.adjoint import adjoint_bsde, variational_inequality_value
 from singopt.controls import (
     ControlError,
     SingularControl,
+    StrictControl,
     as_relaxed,
     constant_relaxed,
     constant_strict,
     dirac_embed,
     zero_singular,
 )
-from singopt.model import NoiseBatch, TimeGrid, problem_from_config
+from singopt.model import NoiseBatch, TimeGrid, builtin_problem, problem_from_config
 from singopt.optimality import (
     Tolerances,
     certify_sufficient,
@@ -25,7 +26,7 @@ from singopt.optimality import (
 )
 from singopt.sde import estimate_cost, simulate_relaxed
 
-from conftest import linear_drift_config
+from conftest import linear_drift_config, planar_config
 
 
 def zero_h_problem():
@@ -227,6 +228,76 @@ class TestVerifyNecessary:
         assert {c["id"] for c in blob["conditions"]} >= {
             "hamiltonian-minimality", "nonnegativity", "flat-off",
         }
+
+
+def one_pass_case(name):
+    """(problem, control, singular) on a 40-step grid; singular_block and
+    the planar problem carry nonzero increments where the slack is positive,
+    and example2_separated at relaxed_pm1 has p = 0, so the path-mean H of
+    the grid points -1 and +1 tie exactly at every knot."""
+    grid = TimeGrid(40, 1.0)
+    inc = np.zeros((40, 1))
+    inc[[5, 17, 30], 0] = [0.3, 1.0, 0.2]
+    pm1 = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
+    if name == "example2_stochastic":
+        return builtin_problem(name), pm1, SingularControl(grid, inc)
+    if name == "singular_block":
+        return builtin_problem(name), constant_strict(grid, [0.0]), SingularControl(grid, inc)
+    if name == "planar":
+        xi = SingularControl(grid, np.column_stack([inc[:, 0], inc[::-1, 0]]))
+        return problem_from_config(planar_config()), constant_strict(grid, [1.0, 0.0]), xi
+    return builtin_problem("example2_separated"), pm1, zero_singular(grid, 1)
+
+
+def pointwise_argmin(spec, traj, pair, grid):
+    """Per knot, the index of the grid point of least path-mean H, ties to
+    the lexicographically smallest point; also the number of tied knots."""
+    order = np.lexsort(spec.u1_grid.T[::-1])
+    best, ties = [], 0
+    for j, t in enumerate(grid.knots[:-1]):
+        xj, pj, Pj = traj.states[:, j], pair.p[:, j], pair.P[:, j]
+        means = np.stack(
+            [strict_hamiltonian_batch(spec, t, xj, v, pj, Pj) for v in spec.u1_grid]
+        ).mean(axis=1)[order]
+        best.append(order[np.argmin(means)])
+        ties += int(np.count_nonzero(means == means.min()) > 1)
+    return np.array(best), ties
+
+
+def slack_ensemble_statistics(spec, xi, pair, grid, tol):
+    """Minimum slack and worst flat-off mass from the whole (M, N, m) slack
+    ensemble."""
+    slack = np.stack(
+        [spec.k_cost(t) + np.einsum("pq,mp->mq", spec.G(t), pair.p[:, j, :])
+         for j, t in enumerate(grid.knots[:-1])],
+        axis=1,
+    )
+    per_path = np.einsum("mjq,jq->m", (slack > tol.tol_S).astype(float), xi.increments)
+    return float(slack.min()), float(per_path.max())
+
+
+@pytest.mark.parametrize("name", ["example2_stochastic", "singular_block", "planar",
+                                  "argmin-tie"])
+def test_one_pass_verifier_matches_reference_formulas(name):
+    spec, control, xi = one_pass_case(name)
+    grid, _, traj, pair, report = verified(spec, control, xi, N=40, M=64, seed=5, degree=2)
+    by_id = {c.condition_id: c for c in report.conditions}
+
+    best, ties = pointwise_argmin(spec, traj, pair, grid)
+    assert (ties == grid.num_steps) == (name == "argmin-tie")
+    direction = (dirac_embed(StrictControl(grid, spec.u1_grid[best])),
+                 zero_singular(grid, spec.m))
+    value, se = variational_inequality_value(
+        spec, (as_relaxed(control), xi), direction, pair, traj, grid
+    )
+    vi = by_id["variational-inequality[pointwise-argmin]"]
+    assert (vi.statistic, vi.std_error) == (value, se)
+
+    min_slack, worst_mass = slack_ensemble_statistics(spec, xi, pair, grid, Tolerances())
+    assert by_id["nonnegativity"].statistic == pytest.approx(min_slack, rel=1e-12, abs=0.0)
+    assert by_id["flat-off"].statistic == pytest.approx(worst_mass, rel=1e-12, abs=0.0)
+    if name in ("singular_block", "planar"):
+        assert worst_mass > 0.0
 
 
 class TestCertifySufficient:
