@@ -24,15 +24,15 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .controls import RelaxedControl
-from .model import NoiseBatch, ProblemSpec, TimeGrid, ensemble_zeros
+from .model import ProblemSpec, ensemble_zeros
 from .optimality import relaxed_hamiltonian_batch, relaxed_hamiltonian_gradient
 from .sde import (
     FundamentalPair,
     TrajectoryEnsemble,
     _cell_average,
+    _require_grid,
     _std_error,
     fundamental_solutions,
-    simulate_relaxed,
     simulate_variational,
 )
 
@@ -112,8 +112,9 @@ def _transpose_apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def _grad_sums(spec: ProblemSpec, mu: RelaxedControl, traj: TrajectoryEnsemble,
-               fund: FundamentalPair, grid: TimeGrid):
+               fund: FundamentalPair):
     """Per-step Phi_s^* hbar_x(s) and its prefix sums (left-endpoint rule)."""
+    grid = traj.grid
     M = traj.num_paths
     knots = grid.knots
     terms = ensemble_zeros(M, grid.num_steps, spec.n)
@@ -133,7 +134,6 @@ def adjoint_explicit(
     pair: tuple,
     traj: TrajectoryEnsemble,
     fund: FundamentalPair,
-    grid: TimeGrid,
     degree: int = 2,
 ) -> AdjointPair:
     """Adjoint p from the explicit conditional-expectation representation.
@@ -144,10 +144,11 @@ def adjoint_explicit(
     p equals g_x(x_T) exactly, per path.
     """
     mu, _ = pair
+    _require_grid(traj.grid, *pair)
     M = traj.num_paths
-    N = grid.num_steps
+    N = traj.grid.num_steps
     gx_T = np.broadcast_to(np.asarray(spec.g_x(traj.terminal), dtype=float), (M, spec.n))
-    _, prefix = _grad_sums(spec, mu, traj, fund, grid)
+    _, prefix = _grad_sums(spec, mu, traj, fund)
     total = prefix[:, N, :]
     head = _transpose_apply(fund.Phi[:, N], gx_T)
     p = ensemble_zeros(M, N + 1, spec.n)
@@ -167,7 +168,6 @@ def adjoint_bsde(
     spec: ProblemSpec,
     pair: tuple,
     traj: TrajectoryEnsemble,
-    grid: TimeGrid,
     degree: int = 2,
 ) -> AdjointPair:
     """Adjoint pair (p, P) from a backward regression sweep of the linear
@@ -181,6 +181,8 @@ def adjoint_bsde(
     evaluated at p_{j+1} (explicit backward Euler).
     """
     mu, _ = pair
+    grid = traj.grid
+    _require_grid(grid, *pair)
     M = traj.num_paths
     N = grid.num_steps
     dt = grid.dt
@@ -218,7 +220,6 @@ def auxiliary_processes(
     traj: TrajectoryEnsemble,
     fund: FundamentalPair,
     variational,
-    grid: TimeGrid,
     degree: int = 2,
 ) -> AuxiliaryProcesses:
     """alpha = Psi z, the terminal functional X, the compensated conditional
@@ -229,6 +230,8 @@ def auxiliary_processes(
     discrete martingale increments against the Brownian increments.
     """
     mu, _ = pair
+    grid = traj.grid
+    _require_grid(grid, *pair)
     M = traj.num_paths
     N = grid.num_steps
     dt = grid.dt
@@ -236,7 +239,7 @@ def auxiliary_processes(
     alpha = ensemble_zeros(M, N + 1, spec.n)
     np.einsum("mtpq,mtq->mtp", fund.Psi, variational.z, out=alpha)
     gx_T = np.broadcast_to(np.asarray(spec.g_x(traj.terminal), dtype=float), (M, spec.n))
-    _, prefix = _grad_sums(spec, mu, traj, fund, grid)
+    _, prefix = _grad_sums(spec, mu, traj, fund)
     head = _transpose_apply(fund.Phi[:, N], gx_T)
     X = head + prefix[:, N, :]
     # martingale E[X | F_t]: the accumulated part of X is known pathwise at
@@ -263,7 +266,6 @@ def martingale_route_P(
     fund: FundamentalPair,
     aux: AuxiliaryProcesses,
     p: np.ndarray,
-    grid: TimeGrid,
 ) -> np.ndarray:
     """Reconstruct P from the martingale integrand: P = Psi^* Q - sbar_x^* p.
 
@@ -271,6 +273,8 @@ def martingale_route_P(
     the cross-check route against the backward-sweep estimate.
     """
     mu, _ = pair
+    grid = traj.grid
+    _require_grid(grid, *pair)
     M = traj.num_paths
     N = grid.num_steps
     knots = grid.knots
@@ -291,24 +295,19 @@ def duality_residual(
     spec: ProblemSpec,
     pair: tuple,
     direction: tuple,
-    grid: TimeGrid,
-    noise: NoiseBatch,
-    traj: TrajectoryEnsemble | None = None,
+    traj: TrajectoryEnsemble,
 ) -> tuple:
     """Monte Carlo residual of the duality identity E[alpha_T . Y_T] =
     E[g_x(x_T) . z_T], with the standard error of the per-path difference.
 
-    All ingredients are computed on the common noise batch.  Y_T uses the
-    exact horizon identity, so the residual isolates transport error of the
-    fundamental pair rather than regression noise.
+    All ingredients are computed along the pair's trajectory ensemble, on
+    its noise.  Y_T uses the exact horizon identity, so the residual isolates
+    transport error of the fundamental pair rather than regression noise.
     """
-    mu, xi = pair
-    if traj is None:
-        traj = simulate_relaxed(spec, mu, xi, grid, noise)
-    z = simulate_variational(spec, pair, direction, traj, grid, noise)
-    fund = fundamental_solutions(spec, pair, traj, grid, noise)
+    z = simulate_variational(spec, pair, direction, traj)
+    fund = fundamental_solutions(spec, pair, traj)
     M = traj.num_paths
-    N = grid.num_steps
+    N = traj.grid.num_steps
     gx_T = np.broadcast_to(np.asarray(spec.g_x(traj.terminal), dtype=float), (M, spec.n))
     alpha_T = np.einsum("mpq,mq->mp", fund.Psi[:, N], z.z[:, N, :])
     Y_T = _transpose_apply(fund.Phi[:, N], gx_T)
@@ -322,7 +321,6 @@ def variational_inequality_value(
     direction: tuple,
     adjoint: AdjointPair,
     traj: TrajectoryEnsemble,
-    grid: TimeGrid,
 ) -> tuple:
     """Monte Carlo estimate (value, standard error) of the first-order
     optimality functional: the Hamiltonian difference toward the direction
@@ -333,6 +331,8 @@ def variational_inequality_value(
     """
     mu, xi = base
     q, eta = direction
+    grid = traj.grid
+    _require_grid(grid, mu, xi, q, eta)
     M = traj.num_paths
     dt = grid.dt
     knots = grid.knots

@@ -108,11 +108,13 @@ def load_problem(cfg: dict) -> model.ProblemSpec:
         options = cfg.get("problem_options", {})
         if not isinstance(options, dict):
             raise ConfigError(f"problem_options must be an object, got {options!r}")
-        kappa = options.get("kappa", 1.0)
+        value = options.get("kappa", 1.0)
         try:
-            kappa = float(kappa)
+            kappa = float(value)
         except (TypeError, ValueError):
-            raise ConfigError(f"problem_options.kappa must be a number, got {kappa!r}")
+            raise ConfigError(f"problem_options.kappa must be a number, got {value!r}")
+        if not np.isfinite(kappa):
+            raise ConfigError(f"problem_options.kappa must be finite, got {value!r}")
         return model.builtin_problem(name, kappa=kappa)
     path = Path(str(name))
     if not path.exists():
@@ -278,7 +280,7 @@ def _verification_inputs(cfg):
     spec, grid, noise = _setup(cfg)
     mu, singular = build_candidate(cfg, spec, grid)
     traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
-    pair = adj.adjoint_bsde(spec, (mu, singular), traj, grid, degree=cfg["regression"]["degree"])
+    pair = adj.adjoint_bsde(spec, (mu, singular), traj, degree=cfg["regression"]["degree"])
     tol = optimality.Tolerances(**cfg["tolerances"])
     echo = {
         "grid": cfg["grid"],
@@ -286,24 +288,20 @@ def _verification_inputs(cfg):
         "regression": cfg["regression"],
         "tolerances": cfg["tolerances"],
     }
-    return spec, grid, traj, (mu, singular), pair, tol, echo
+    return spec, traj, (mu, singular), pair, tol, echo
 
 
 def cmd_verify(cfg, out: OutputDir) -> int:
-    spec, grid, traj, candidate, pair, tol, echo = _verification_inputs(cfg)
-    report = optimality.verify_necessary(
-        spec, candidate, pair, traj, grid, tol, config_echo=echo
-    )
+    spec, traj, candidate, pair, tol, echo = _verification_inputs(cfg)
+    report = optimality.verify_necessary(spec, candidate, pair, traj, tol, config_echo=echo)
     sio.write_json({"report": report.as_dict(), "config": cfg}, out.path("verify_report.json"))
     print(report)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
 def cmd_certify(cfg, out: OutputDir) -> int:
-    spec, grid, traj, candidate, pair, tol, echo = _verification_inputs(cfg)
-    cert = optimality.certify_sufficient(
-        spec, candidate, pair, traj, grid, tol, config_echo=echo
-    )
+    spec, traj, candidate, pair, tol, echo = _verification_inputs(cfg)
+    cert = optimality.certify_sufficient(spec, candidate, pair, traj, tol, config_echo=echo)
     sio.write_json({"certificate": cert.as_dict(), "config": cfg}, out.path("certificate.json"))
     for rec in cert.convexity:
         print(f"[{'pass' if rec.passed else 'FAIL'}] convexity {rec.subject}: {rec.evidence}")
@@ -343,9 +341,9 @@ def cmd_adjoint(cfg, out: OutputDir) -> int:
     mu, singular = build_candidate(cfg, spec, grid)
     traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
     degree = cfg["regression"]["degree"]
-    fund = sde.fundamental_solutions(spec, (mu, singular), traj, grid, noise)
-    explicit = adj.adjoint_explicit(spec, (mu, singular), traj, fund, grid, degree=degree)
-    bsde = adj.adjoint_bsde(spec, (mu, singular), traj, grid, degree=degree)
+    fund = sde.fundamental_solutions(spec, (mu, singular), traj)
+    explicit = adj.adjoint_explicit(spec, (mu, singular), traj, fund, degree=degree)
+    bsde = adj.adjoint_bsde(spec, (mu, singular), traj, degree=degree)
     agreement = float(np.sqrt(np.mean((explicit.p - bsde.p) ** 2)))
     sio.ensemble_to_csv(bsde.p, grid.knots, out.path("adjoint_p.csv"), prefix="p")
     sio.ensemble_to_binary(bsde.p, noise.seed, out.path("adjoint_p.bin"))

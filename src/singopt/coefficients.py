@@ -36,6 +36,8 @@ def _arr(value, shape, name):
         raise CoefficientError(f"{name}: {exc}") from None
     if out.shape != shape:
         raise CoefficientError(f"{name}: expected shape {shape}, got {out.shape}")
+    if not np.all(np.isfinite(out)):
+        raise CoefficientError(f"{name}: values must be finite, got {value!r}")
     return out
 
 
@@ -145,6 +147,8 @@ def _quadratic_cost(cfg, n, k, name, with_control):
                 poly = [np.asarray(p, dtype=float) for p in raw]
             except (TypeError, ValueError) as exc:
                 raise CoefficientError(f"{name}.control_poly: {exc}") from None
+            if not all(np.all(np.isfinite(p)) for p in poly):
+                raise CoefficientError(f"{name}.control_poly: values must be finite, got {raw!r}")
             if len(poly) != k:
                 raise CoefficientError(
                     f"{name}.control_poly: expected {k} coefficient lists, got {len(poly)}"

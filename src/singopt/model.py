@@ -183,10 +183,6 @@ class NoiseBatch:
     regeneration is bit-exact.
     """
 
-    num_paths: int
-    num_steps: int
-    noise_dim: int
-    dt: float
     seed: object
     increments: np.ndarray = field(repr=False)
 
@@ -195,7 +191,7 @@ class NoiseBatch:
         """seed may be an int or a tuple of ints (derived experiment streams)."""
         dW = ensemble_empty(num_paths, grid.num_steps, noise_dim)
         NoiseStream(num_paths, grid, noise_dim, seed).fill(dW.swapaxes(0, 1))
-        return cls(num_paths, grid.num_steps, noise_dim, grid.dt, seed, dW)
+        return cls(seed, dW)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +253,14 @@ def _floats(value) -> np.ndarray:
 
 def _numeric(convert, value, key):
     """convert(value) for the problem-file entry `key`, naming the key if
-    the value is not numeric."""
+    the value is not numeric or not finite."""
     try:
-        return convert(value)
+        out = convert(value)
     except (TypeError, ValueError):
         raise ProblemError(f"{key} must be numeric, got {value!r}") from None
+    if not np.all(np.isfinite(out)):
+        raise ProblemError(f"{key} must be finite, got {value!r}")
+    return out
 
 
 def problem_from_config(config: dict) -> ProblemSpec:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import ControlError, as_relaxed
-from .model import ProblemSpec, TimeGrid, ensemble_zeros
-from .sde import TrajectoryEnsemble, _cell_average, _std_error
+from .model import ProblemSpec, ensemble_zeros
+from .sde import TrajectoryEnsemble, _cell_average, _require_grid, _std_error
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,6 @@ def verify_necessary(
     candidate: tuple,
     adjoint,
     traj: TrajectoryEnsemble,
-    grid: TimeGrid,
     tolerances: Tolerances = Tolerances(),
     config_echo: dict | None = None,
 ) -> VerificationReport:
@@ -191,14 +190,16 @@ def verify_necessary(
     point and the slack k + G^T p, and updates every condition from them.
     The integral first-order inequality is evaluated toward the pointwise
     argmin: per knot, the grid point of least path-mean H (exact ties to
-    the lexicographically smallest), as a point mass with no singular part.  Its per-path value is the sum that
-    adjoint.variational_inequality_value forms for that direction, with the
-    direction's H read off the grid values.
+    the lexicographically smallest), as a point mass with no singular part.
+    Its per-path value is the sum of adjoint.variational_inequality_value
+    for that direction, with the direction's H read off the grid values.
     """
     if adjoint is None:
         raise ValueError("verify_necessary requires the candidate's adjoint pair")
     control, xi = candidate
     mu = as_relaxed(control)
+    grid = traj.grid
+    _require_grid(grid, mu, xi)
     M = traj.num_paths
     N = grid.num_steps
     P = adjoint.P
@@ -289,7 +290,6 @@ def certify_sufficient(
     candidate: tuple,
     adjoint,
     traj: TrajectoryEnsemble,
-    grid: TimeGrid,
     tolerances: Tolerances = Tolerances(),
     probe_pairs: int = 1000,
     config_echo: dict | None = None,
@@ -307,6 +307,8 @@ def certify_sufficient(
     """
     control, xi = candidate
     mu = as_relaxed(control)
+    grid = traj.grid
+    _require_grid(grid, mu, xi)
     rng = np.random.default_rng(0)
     lo, hi = spec.assumptions_box
     convexity = []
@@ -373,8 +375,6 @@ def certify_sufficient(
             )
         )
 
-    report = verify_necessary(
-        spec, (mu, xi), adjoint, traj, grid, tolerances, config_echo=config_echo
-    )
+    report = verify_necessary(spec, (mu, xi), adjoint, traj, tolerances, config_echo=config_echo)
     certified = report.passed and all(c.passed for c in convexity)
     return SufficiencyCertificate(tuple(convexity), report, certified)

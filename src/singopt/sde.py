@@ -71,8 +71,6 @@ class VariationalEnsemble:
     """First-order state sensitivities z, shape (M, N+1, n); z_0 = 0."""
 
     z: np.ndarray = field(repr=False)
-    grid: TimeGrid
-    noise: NoiseBatch
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,6 @@ class FundamentalPair:
 
     Phi: np.ndarray = field(repr=False)
     Psi: np.ndarray = field(repr=False)
-    grid: TimeGrid
 
     def inverse_defect(self) -> float:
         """max over paths and knots of || Psi_t Phi_t - I ||_F."""
@@ -159,9 +156,9 @@ def _euler_block(spec: ProblemSpec, atoms, weights, eta: SingularControl,
 
 def _simulate(spec: ProblemSpec, atoms, weights, eta: SingularControl,
               grid: TimeGrid, noise: NoiseBatch) -> TrajectoryEnsemble:
-    if noise.num_steps != grid.num_steps or noise.noise_dim != spec.d:
+    if noise.increments.shape[1:] != (grid.num_steps, spec.d):
         raise SimulationError("noise batch does not match the grid / noise dimension")
-    x = ensemble_zeros(noise.num_paths, grid.num_steps + 1, spec.n)
+    x = ensemble_zeros(len(noise.increments), grid.num_steps + 1, spec.n)
     x[:, 0, :] = spec.x0
     windows = x.swapaxes(0, 1)
     dW = noise.increments.swapaxes(0, 1)
@@ -205,22 +202,22 @@ def simulate_variational(
     base: tuple,
     direction: tuple,
     base_traj: TrajectoryEnsemble,
-    grid: TimeGrid,
-    noise: NoiseBatch,
 ) -> VariationalEnsemble:
     """Simulate the first-order sensitivity z of the state to the perturbation
     moving `base` toward `direction`.
 
-    The linearization runs along the base trajectory; the inhomogeneous terms
-    carry the coefficient differences in the direction (direction - base), so
-    (x_theta - x) / theta converges to z in mean square as theta -> 0.
+    The linearization runs along the base trajectory, on its grid and noise;
+    the inhomogeneous terms carry the coefficient differences in the
+    direction (direction - base), so (x_theta - x) / theta converges to z in
+    mean square as theta -> 0.
     """
     mu, xi = base
     q, eta = direction
+    grid = base_traj.grid
     _require_grid(grid, mu, xi, q, eta)
-    M = noise.num_paths
+    M = base_traj.num_paths
     dt = grid.dt
-    dW = noise.increments
+    dW = base_traj.noise.increments
     knots = grid.knots
     dinc = eta.increments - xi.increments
     z = ensemble_zeros(M, grid.num_steps + 1, spec.n)
@@ -249,29 +246,29 @@ def simulate_variational(
             + np.einsum("mpj,mj->mp", ds, dW[:, j, :])
             + spec.G(t) @ dinc[j]
         )
-    return VariationalEnsemble(z, grid, noise)
+    return VariationalEnsemble(z)
 
 
 def fundamental_solutions(
     spec: ProblemSpec,
     pair: tuple,
     base_traj: TrajectoryEnsemble,
-    grid: TimeGrid,
-    noise: NoiseBatch,
 ) -> FundamentalPair:
     """Euler-Maruyama for the fundamental matrix of the linearized dynamics
     and for its inverse.
 
-    Phi solves dPhi = bx Phi dt + sx Phi dW along the base trajectory; the
-    inverse solves the Ito equation dPsi = Psi (sum_i sx_i^2 - bx) dt
-    - sum_i Psi sx_i dW_i, so Psi_t Phi_t stays within discretization error
-    of the identity.
+    Phi solves dPhi = bx Phi dt + sx Phi dW along the base trajectory, on its
+    grid and noise; the inverse solves the Ito equation
+    dPsi = Psi (sum_i sx_i^2 - bx) dt - sum_i Psi sx_i dW_i, so Psi_t Phi_t
+    stays within discretization error of the identity.
     """
     mu, _ = pair
-    M = noise.num_paths
+    grid = base_traj.grid
+    _require_grid(grid, *pair)
+    M = base_traj.num_paths
     n = spec.n
     dt = grid.dt
-    dW = noise.increments
+    dW = base_traj.noise.increments
     knots = grid.knots
     eye = np.eye(n)
     Phi = ensemble_zeros(M, grid.num_steps + 1, n, n)
@@ -293,7 +290,7 @@ def fundamental_solutions(
         Phi[:, j + 1] += Pj
         np.matmul(Qj, (sx_sq - bx) * dt - S, out=Psi[:, j + 1])
         Psi[:, j + 1] += Qj
-    return FundamentalPair(Phi, Psi, grid)
+    return FundamentalPair(Phi, Psi)
 
 
 # ---------------------------------------------------------------------------

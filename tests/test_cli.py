@@ -318,6 +318,10 @@ class TestConfigErrors:
              "malformed strict control"),
             ("cost", {"problem_options": {"kappa": "x"}},
              "problem_options.kappa must be a number, got 'x'"),
+            ("cost", {"problem": "singular_block", "problem_options": {"kappa": "nan"}},
+             "problem_options.kappa must be finite, got 'nan'"),
+            ("cost", {"problem": "singular_block", "problem_options": {"kappa": "inf"}},
+             "problem_options.kappa must be finite, got 'inf'"),
             ("verify", {"problem": "example2_stochastic",
                         "candidate": {"name": "relaxed_pm1", "singular": _WIDE_SINGULAR}},
              "candidate.singular must have 1 columns, got increments of shape (4, 2)"),
@@ -338,7 +342,8 @@ class TestConfigErrors:
         ],
         ids=["n-values-abc", "n-values-bare-int", "n-values-empty", "n-values-zero",
              "relaxed-without-cells", "candidate-name-int", "regression-list",
-             "candidate-int", "strict-values-text", "kappa-text", "singular-too-wide",
+             "candidate-int", "strict-values-text", "kappa-text", "kappa-nan", "kappa-inf",
+             "singular-too-wide",
              "singular-relaxed", "singular-file-too-wide", "singular-file-relaxed",
              "singular-text"],
     )
@@ -380,10 +385,20 @@ class TestConfigErrors:
             ("coefficients", {"running_cost": {"form": "quadratic", "const": "x"}},
              "running_cost.const: could not convert"),
             ("u1_grid", [["a"]], "u1_grid must be numeric, got [['a']]"),
+            ("coefficients", {"running_cost": {"form": "quadratic", "const": float("nan")}},
+             "running_cost.const: values must be finite, got nan"),
+            ("coefficients", {"running_cost": {"form": "quadratic",
+                                               "control_poly": [[0.0, float("inf")]]}},
+             "running_cost.control_poly: values must be finite, got [[0.0, inf]]"),
+            ("horizon", float("inf"), "horizon must be finite, got inf"),
+            ("x0", [float("nan")], "x0 must be finite, got [nan]"),
+            ("assumptions_box", {"low": [-2.0], "high": [float("inf")]},
+             "assumptions_box.high must be finite, got [inf]"),
         ],
         ids=["drift-cubic", "horizon-text", "x0-too-long", "drift-not-object",
              "box-list", "box-low-text", "dims-list", "dims-missing-m",
-             "constant-gain-without-value", "running-const-text", "u1-grid-text"],
+             "constant-gain-without-value", "running-const-text", "u1-grid-text",
+             "running-const-nan", "control-poly-inf", "horizon-inf", "x0-nan", "box-high-inf"],
     )
     def test_malformed_problem_file_exits_two_without_traceback(
         self, tmp_path, capsys, section, value, message

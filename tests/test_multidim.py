@@ -117,7 +117,7 @@ class TestPlanarProblem:
             mu = dirac_embed(constant_strict(grid, [0.0, 0.0]))
             xi = zero_singular(grid, 2)
             traj = simulate_relaxed(planar, mu, xi, grid, noise)
-            defects[N] = fundamental_solutions(planar, (mu, xi), traj, grid, noise).inverse_defect()
+            defects[N] = fundamental_solutions(planar, (mu, xi), traj).inverse_defect()
         assert defects[100] < 0.05
         assert defects[400] <= 0.75 * defects[100]
 
@@ -128,7 +128,7 @@ class TestPlanarProblem:
         mu = constant_relaxed(grid, [[1.0, 0.0], [0.0, -1.0]], [0.3, 0.7])
         xi = zero_singular(grid, 2)
         traj = simulate_relaxed(planar, mu, xi, grid, noise)
-        fund = fundamental_solutions(planar, (mu, xi), traj, grid, noise)
+        fund = fundamental_solutions(planar, (mu, xi), traj)
         eye = np.eye(2)
         defect = 0.0
         for m in range(M):
@@ -155,9 +155,9 @@ class TestPlanarProblem:
 
     def test_adjoint_routes_agree(self, planar, planar_run):
         grid, noise, mu, xi, traj = planar_run
-        fund = fundamental_solutions(planar, (mu, xi), traj, grid, noise)
-        expl = adjoint_explicit(planar, (mu, xi), traj, fund, grid, degree=2)
-        bsde = adjoint_bsde(planar, (mu, xi), traj, grid, degree=2)
+        fund = fundamental_solutions(planar, (mu, xi), traj)
+        expl = adjoint_explicit(planar, (mu, xi), traj, fund, degree=2)
+        bsde = adjoint_bsde(planar, (mu, xi), traj, degree=2)
         assert np.array_equal(bsde.p[:, -1], expl.p[:, -1])
         agree = float(np.sqrt(np.mean((bsde.p - expl.p) ** 2)))
         assert agree <= 5e-2
@@ -165,7 +165,7 @@ class TestPlanarProblem:
     def test_duality_residual_within_allowance(self, planar, planar_run):
         grid, noise, mu, xi, traj = planar_run
         direction = (dirac_embed(constant_strict(grid, [1.0, -1.0])), xi)
-        res, se = duality_residual(planar, (mu, xi), direction, grid, noise, traj=traj)
+        res, se = duality_residual(planar, (mu, xi), direction, traj)
         assert res <= 3.0 * se + 5.0 * grid.dt
 
     def test_minimizer_returns_grid_point(self, planar):
@@ -185,8 +185,8 @@ class TestPlanarProblem:
 
     def test_verification_report_structure(self, planar, planar_run):
         grid, noise, mu, xi, traj = planar_run
-        pair = adjoint_bsde(planar, (mu, xi), traj, grid, degree=2)
-        report = verify_necessary(planar, (mu, xi), pair, traj, grid)
+        pair = adjoint_bsde(planar, (mu, xi), traj, degree=2)
+        report = verify_necessary(planar, (mu, xi), pair, traj)
         ids = {c.condition_id for c in report.conditions}
         assert {"hamiltonian-minimality", "nonnegativity", "flat-off"} <= ids
 
@@ -217,7 +217,7 @@ class TestControlledDiffusion:
         base = (constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5]), zero_singular(grid, 1))
         direction = (dirac_embed(constant_strict(grid, [1.0])), zero_singular(grid, 1))
         traj = simulate_relaxed(spec, *base, grid, noise)
-        z = simulate_variational(spec, base, direction, traj, grid, noise)
+        z = simulate_variational(spec, base, direction, traj)
         assert float(np.abs(z.z).max()) > 0.5
         for theta in (1e-1, 1e-3):
             mixed = convex_combine(base, direction, theta)

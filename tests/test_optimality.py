@@ -57,8 +57,8 @@ def verified(spec, control, singular=None, N=100, M=16, seed=3, degree=1, tol=No
     mu = as_relaxed(control)
     xi = singular if singular is not None else zero_singular(grid, spec.m)
     traj = simulate_relaxed(spec, mu, xi, grid, noise)
-    pair = adjoint_bsde(spec, (mu, xi), traj, grid, degree=degree)
-    report = verify_necessary(spec, (mu, xi), pair, traj, grid, tol or Tolerances())
+    pair = adjoint_bsde(spec, (mu, xi), traj, degree=degree)
+    report = verify_necessary(spec, (mu, xi), pair, traj, tol or Tolerances())
     return grid, noise, traj, pair, report
 
 
@@ -183,7 +183,7 @@ class TestVerifyNecessary:
         xi = zero_singular(grid, 1)
         traj = simulate_relaxed(example2_separated, mu, xi, grid, noise)
         with pytest.raises(ValueError, match="adjoint"):
-            verify_necessary(example2_separated, (mu, xi), None, traj, grid)
+            verify_necessary(example2_separated, (mu, xi), None, traj)
 
     def test_singular_block_flat_candidate_passes(self, singular_block):
         grid = TimeGrid(100, 1.0)
@@ -217,9 +217,9 @@ class TestVerifyNecessary:
         mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
         xi = zero_singular(grid, 1)
         traj = simulate_relaxed(example2_separated, mu, xi, grid, noise)
-        pair = adjoint_bsde(example2_separated, (mu, xi), traj, grid, degree=1)
+        pair = adjoint_bsde(example2_separated, (mu, xi), traj, degree=1)
         report = verify_necessary(
-            example2_separated, (mu, xi), pair, traj, grid,
+            example2_separated, (mu, xi), pair, traj,
             config_echo={"seed": 5, "N": 20, "M": 8},
         )
         blob = report.as_dict()
@@ -288,7 +288,7 @@ def test_one_pass_verifier_matches_reference_formulas(name):
     direction = (dirac_embed(StrictControl(grid, spec.u1_grid[best])),
                  zero_singular(grid, spec.m))
     value, se = variational_inequality_value(
-        spec, (as_relaxed(control), xi), direction, pair, traj, grid
+        spec, (as_relaxed(control), xi), direction, pair, traj
     )
     vi = by_id["variational-inequality[pointwise-argmin]"]
     assert (vi.statistic, vi.std_error) == (value, se)
@@ -306,7 +306,7 @@ class TestCertifySufficient:
         mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
         grid, noise, traj, pair, _ = verified(example2_separated, mu)
         cert = certify_sufficient(example2_separated, (mu, zero_singular(grid, 1)),
-                                  pair, traj, grid)
+                                  pair, traj)
         assert cert.certified
 
     def test_concave_terminal_cost_blocks_certification(self, example2_separated):
@@ -318,7 +318,7 @@ class TestCertifySufficient:
         grid = TimeGrid(50, 1.0)
         mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
         grid, noise, traj, pair, _ = verified(concave, mu, N=50)
-        cert = certify_sufficient(concave, (mu, zero_singular(grid, 1)), pair, traj, grid)
+        cert = certify_sufficient(concave, (mu, zero_singular(grid, 1)), pair, traj)
         assert not cert.certified
         assert not [c for c in cert.convexity if c.subject == "terminal_cost"][0].passed
 
@@ -327,7 +327,7 @@ class TestCertifySufficient:
         v0 = constant_strict(grid, [0.0])
         grid, noise, traj, pair, _ = verified(example2_separated, v0, N=50)
         cert = certify_sufficient(
-            example2_separated, (dirac_embed(v0), zero_singular(grid, 1)), pair, traj, grid
+            example2_separated, (dirac_embed(v0), zero_singular(grid, 1)), pair, traj
         )
         assert not cert.certified
         assert all(c.passed for c in cert.convexity)  # convexity holds; conditions fail
@@ -339,8 +339,8 @@ class TestCertifySufficient:
         mu = dirac_embed(constant_strict(grid, [1.0]))
         xi = zero_singular(grid, 1)
         traj = simulate_relaxed(tanh_drift, mu, xi, grid, noise)
-        pair = adjoint_bsde(tanh_drift, (mu, xi), traj, grid, degree=1)
-        cert = certify_sufficient(tanh_drift, (mu, xi), pair, traj, grid, probe_pairs=200)
+        pair = adjoint_bsde(tanh_drift, (mu, xi), traj, degree=1)
+        cert = certify_sufficient(tanh_drift, (mu, xi), pair, traj, probe_pairs=200)
         evid = {c.subject: c for c in cert.convexity}
         assert "midpoint probe" in evid["terminal_cost"].evidence
         assert evid["terminal_cost"].passed  # g = 0 is convex
@@ -359,9 +359,9 @@ class TestCertifySufficient:
         mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
         xi = zero_singular(grid, 1)
         traj = simulate_relaxed(spec, mu, xi, grid, noise)
-        pair = adjoint_bsde(spec, (mu, xi), traj, grid, degree=1)
+        pair = adjoint_bsde(spec, (mu, xi), traj, degree=1)
         with pytest.raises(ControlError, match="not finite .* cell 0"):
-            certify_sufficient(spec, (mu, xi), pair, traj, grid, probe_pairs=20)
+            certify_sufficient(spec, (mu, xi), pair, traj, probe_pairs=20)
 
     def test_flat_singular_control_optimal_by_enumeration(self, singular_block):
         # brute force over a small grid of nondecreasing singular controls:
@@ -390,7 +390,7 @@ class TestCertifySufficient:
         grid, noise, traj, pair, _ = verified(singular_block, constant_strict(grid, [0.0]))
         xi = zero_singular(grid, 1)
         cand = (dirac_embed(constant_strict(grid, [0.0])), xi)
-        cert = certify_sufficient(singular_block, cand, pair, traj, grid)
+        cert = certify_sufficient(singular_block, cand, pair, traj)
         assert cert.certified
         base_cost = estimate_cost(singular_block, traj, cand[0], xi)
         rng = np.random.default_rng(12)

@@ -139,6 +139,15 @@ class TestSimulateStrict:
                 zero_singular(grid64, 1), grid64, noise,
             )
 
+    @pytest.mark.parametrize("steps, dim", [(32, 1), (64, 2)], ids=["steps", "noise-dim"])
+    def test_mismatched_noise_batch_is_rejected(self, example2_stochastic, grid64, steps, dim):
+        noise = make_noise(TimeGrid(steps, 1.0), paths=2, d=dim)
+        with pytest.raises(SimulationError, match="noise batch does not match"):
+            simulate_strict(
+                example2_stochastic, constant_strict(grid64, [1.0]),
+                zero_singular(grid64, 1), grid64, noise,
+            )
+
 
 class TestSimulateRelaxed:
     def test_dirac_embedding_is_bit_identical_to_strict(self, example2_stochastic, grid64):
@@ -180,7 +189,7 @@ class TestVariational:
         noise = make_noise(grid64, paths=8)
         base = (pm1(grid64), zero_singular(grid64, 1))
         traj = simulate_relaxed(example2_stochastic, *base, grid64, noise)
-        z = simulate_variational(example2_stochastic, base, base, traj, grid64, noise)
+        z = simulate_variational(example2_stochastic, base, base, traj)
         assert np.all(z.z == 0.0)
 
     def test_example1_matches_ode_oracle(self, example1):
@@ -191,7 +200,7 @@ class TestVariational:
         base = (pm1(grid), zero_singular(grid, 1))
         direction = (dirac_embed(constant_strict(grid, [1.0])), zero_singular(grid, 1))
         traj = simulate_relaxed(example1, *base, grid, noise)
-        z = simulate_variational(example1, base, direction, traj, grid, noise)
+        z = simulate_variational(example1, base, direction, traj)
         oracle = oracles.integrate_ode(lambda t, y: [1.0], [0.0], 1.0, grid.knots)
         assert np.allclose(z.z[0, :, 0], oracle[:, 0], atol=1e-8)
 
@@ -202,7 +211,7 @@ class TestVariational:
         inc[0, 0] = 1.0
         direction = (base[0], SingularControl(grid64, inc))
         traj = simulate_relaxed(singular_block, *base, grid64, noise)
-        z = simulate_variational(singular_block, base, direction, traj, grid64, noise)
+        z = simulate_variational(singular_block, base, direction, traj)
         assert np.all(z.z[:, 1:, 0] == 1.0)
 
     def test_finite_difference_quotient_exact_for_affine_dynamics(
@@ -214,7 +223,7 @@ class TestVariational:
         base = (pm1(grid100), zero_singular(grid100, 1))
         direction = (dirac_embed(constant_strict(grid100, [1.0])), zero_singular(grid100, 1))
         traj = simulate_relaxed(example2_stochastic, *base, grid100, noise)
-        z = simulate_variational(example2_stochastic, base, direction, traj, grid100, noise)
+        z = simulate_variational(example2_stochastic, base, direction, traj)
         for theta in (1e-1, 1e-2, 1e-3):
             mixed = convex_combine(base, direction, theta)
             xt = simulate_relaxed(example2_stochastic, *mixed, grid100, noise)
@@ -228,7 +237,7 @@ class TestVariational:
         base = (dirac_embed(constant_strict(grid100, [1.0])), zero_singular(grid100, 1))
         direction = (dirac_embed(constant_strict(grid100, [-1.0])), zero_singular(grid100, 1))
         traj = simulate_relaxed(tanh_drift, *base, grid100, noise)
-        z = simulate_variational(tanh_drift, base, direction, traj, grid100, noise)
+        z = simulate_variational(tanh_drift, base, direction, traj)
         stats = []
         for theta in (1e-1, 1e-2, 1e-3):
             mixed = convex_combine(base, direction, theta)
@@ -258,7 +267,7 @@ class TestFundamentalSolutions:
         noise = make_noise(grid64, paths=8)
         pair = (pm1(grid64), zero_singular(grid64, 1))
         traj = simulate_relaxed(example2_stochastic, *pair, grid64, noise)
-        fund = fundamental_solutions(example2_stochastic, pair, traj, grid64, noise)
+        fund = fundamental_solutions(example2_stochastic, pair, traj)
         assert np.all(fund.Phi == np.eye(1))
         assert np.all(fund.Psi == np.eye(1))
         assert fund.inverse_defect() == 0.0
@@ -269,7 +278,7 @@ class TestFundamentalSolutions:
         noise = make_noise(grid, paths=2)
         pair = (dirac_embed(constant_strict(grid, [0.0])), zero_singular(grid, 1))
         traj = simulate_relaxed(linear_drift_det, *pair, grid, noise)
-        fund = fundamental_solutions(linear_drift_det, pair, traj, grid, noise)
+        fund = fundamental_solutions(linear_drift_det, pair, traj)
         target = np.exp(0.5)
         assert abs(fund.Phi[0, -1, 0, 0] - target) <= 5 * target * grid.dt
         oracle = oracles.integrate_ode(lambda t, y: 0.5 * y, [1.0], 1.0, grid.knots)
@@ -282,7 +291,7 @@ class TestFundamentalSolutions:
             noise = make_noise(grid, paths=64, seed=31)
             pair = (dirac_embed(constant_strict(grid, [0.0])), zero_singular(grid, 1))
             traj = simulate_relaxed(linear_drift_stoch, *pair, grid, noise)
-            fund = fundamental_solutions(linear_drift_stoch, pair, traj, grid, noise)
+            fund = fundamental_solutions(linear_drift_stoch, pair, traj)
             defects[N] = fund.inverse_defect()
         # defect ~ C sqrt(dt): quadrupling N should at least halve it (with slack)
         assert defects[400] <= 0.75 * defects[100]
@@ -295,11 +304,41 @@ class TestFundamentalSolutions:
             noise = make_noise(grid100, paths=256, seed=seed)
             pair = (dirac_embed(constant_strict(grid100, [0.0])), zero_singular(grid100, 1))
             traj = simulate_relaxed(linear_drift_stoch, *pair, grid100, noise)
-            fund = fundamental_solutions(linear_drift_stoch, pair, traj, grid100, noise)
+            fund = fundamental_solutions(linear_drift_stoch, pair, traj)
             stat = float((fund.Phi ** 2 + fund.Psi ** 2).sum(axis=(2, 3)).max())
             stats.append(stat)
         assert all(np.isfinite(s) for s in stats)
         assert max(stats) <= 2.0 * min(stats)
+
+
+@pytest.mark.parametrize("sweep", ["variational", "fundamental"])
+def test_linearized_blowup_reports_first_step_and_path(tanh_drift, sweep):
+    # b_x turns infinite for path 2 from step 149, path 1 from step 150 and
+    # path 3 from step 199, while the state itself stays finite: the report
+    # names the first knot written non-finite and, there, the first path.
+    grid = TimeGrid(256, 1.0)
+    first_bad_knot = {2: 149, 1: 150, 3: 199}
+
+    def b_x(t, x, a):
+        out = (1.0 - np.tanh(x) ** 2)[..., None]
+        for path, knot in first_bad_knot.items():
+            if t >= grid.knots[knot]:
+                out[path] = np.inf
+        return out
+
+    exploding = tanh_drift.with_overrides(b_x=b_x)
+    base = (dirac_embed(constant_strict(grid, [1.0])), zero_singular(grid, 1))
+    direction = (dirac_embed(constant_strict(grid, [-1.0])), zero_singular(grid, 1))
+    traj = simulate_relaxed(exploding, *base, grid, make_noise(grid, paths=4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(
+            SimulationError,
+            match=r"^state became non-finite at step 150, first affected path 2$",
+        ):
+            if sweep == "variational":
+                simulate_variational(exploding, base, direction, traj)
+            else:
+                fundamental_solutions(exploding, base, traj)
 
 
 def test_ensembles_keep_shape_and_store_knots_contiguously(example2_stochastic, grid64):
@@ -307,9 +346,9 @@ def test_ensembles_keep_shape_and_store_knots_contiguously(example2_stochastic, 
     pair = (pm1(grid64), zero_singular(grid64, 1))
     traj = simulate_relaxed(example2_stochastic, *pair, grid64, noise)
     direction = (dirac_embed(constant_strict(grid64, [1.0])), zero_singular(grid64, 1))
-    z = simulate_variational(example2_stochastic, pair, direction, traj, grid64, noise)
-    fund = fundamental_solutions(example2_stochastic, pair, traj, grid64, noise)
-    adj = adjoint_bsde(example2_stochastic, pair, traj, grid64)
+    z = simulate_variational(example2_stochastic, pair, direction, traj)
+    fund = fundamental_solutions(example2_stochastic, pair, traj)
+    adj = adjoint_bsde(example2_stochastic, pair, traj)
     ensembles = {
         "noise": (noise.increments, (8, 64, 1)),
         "states": (traj.states, (8, 65, 1)),
