@@ -30,6 +30,7 @@ from .sde import (
     FundamentalPair,
     TrajectoryEnsemble,
     _cell_average,
+    _require_along,
     _require_grid,
     _std_error,
     fundamental_solutions,
@@ -145,6 +146,7 @@ def adjoint_explicit(
     """
     mu, _ = pair
     _require_grid(traj.grid, *pair)
+    _require_along(traj, ("fund.Phi", fund.Phi), ("fund.Psi", fund.Psi))
     M = traj.num_paths
     N = traj.grid.num_steps
     gx_T = np.broadcast_to(np.asarray(spec.g_x(traj.terminal), dtype=float), (M, spec.n))
@@ -232,6 +234,8 @@ def auxiliary_processes(
     mu, _ = pair
     grid = traj.grid
     _require_grid(grid, *pair)
+    _require_along(traj, ("fund.Phi", fund.Phi), ("fund.Psi", fund.Psi),
+                   ("variational.z", variational.z))
     M = traj.num_paths
     N = grid.num_steps
     dt = grid.dt
@@ -275,6 +279,7 @@ def martingale_route_P(
     mu, _ = pair
     grid = traj.grid
     _require_grid(grid, *pair)
+    _require_along(traj, ("fund.Psi", fund.Psi), ("aux.Y", aux.Y), ("p", p))
     M = traj.num_paths
     N = grid.num_steps
     knots = grid.knots
@@ -333,6 +338,7 @@ def variational_inequality_value(
     q, eta = direction
     grid = traj.grid
     _require_grid(grid, mu, xi, q, eta)
+    _require_along(traj, ("adjoint.p", adjoint.p), ("adjoint.P", adjoint.P))
     M = traj.num_paths
     dt = grid.dt
     knots = grid.knots

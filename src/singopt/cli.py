@@ -134,6 +134,14 @@ def _check_in_u1_grid(mu, spec):
             raise ConfigError(f"candidate point {point} is outside the problem's U1 grid")
 
 
+def _control_part(obj, grid):
+    """The candidate's control, rebuilt from its JSON description."""
+    try:
+        return ctl.control_from_obj(obj, grid)
+    except ctl.ControlError as exc:
+        raise ConfigError(f"candidate.control: {exc}") from None
+
+
 def _singular_part(obj, spec, grid):
     """The candidate's singular part: a singular control with spec.m columns."""
     try:
@@ -167,7 +175,7 @@ def build_candidate(cfg: dict, spec: model.ProblemSpec, grid: model.TimeGrid):
     if "path" in cand:
         try:
             obj = json.loads(Path(cand["path"]).read_text())
-            control = ctl.control_from_obj(obj["control"], grid)
+            control = _control_part(obj["control"], grid)
             if "singular" in obj:
                 singular = _singular_part(obj["singular"], spec, grid)
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -195,7 +203,7 @@ def build_candidate(cfg: dict, spec: model.ProblemSpec, grid: model.TimeGrid):
                     "constant:<v>, or a candidate JSON path"
                 )
         elif "control" in cand:
-            control = ctl.control_from_obj(cand["control"], grid)
+            control = _control_part(cand["control"], grid)
         else:
             raise ConfigError("candidate needs 'name', 'path' or an inline 'control'")
         if "singular" in cand:

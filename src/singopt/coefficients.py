@@ -14,7 +14,18 @@ Conventions
   leading axes, so a whole path ensemble can be evaluated in one call;
 * the control argument a is always a single point of shape (k,);
 * sigma returns (..., n, d); its state gradient returns (..., d, n, n) with
-  entry [j] the Jacobian of the j-th diffusion column.
+  entry [j] the Jacobian of the j-th diffusion column;
+* forms ignore t.
+
+The drift, diffusion and running-cost forms are a state part plus a control
+part, and expose the split as two attributes of the value function:
+``state_part(x)`` gives the (..., n), (..., n, d) or (...,) state term (None
+when the form has none) and ``control_part(U)`` the stacked control terms
+at the rows u of U, (L, n), (L, n, d) or (L,), with a single row when the
+form does not depend on the control.  Adding row i (or the single row) to
+the state part reproduces fn(t, x, U[i]) bit for bit.  ``control_part``
+remembers the last U it was given, so a sweep that asks for the same points
+at every knot computes them once.
 """
 
 from __future__ import annotations
@@ -71,6 +82,33 @@ class CoefficientSet:
     terminal_state_quad: np.ndarray | None = None
 
 
+def _split(fn, state_part, control_point, uses_control):
+    """Attach the state/control split (see the module docstring) to fn.
+
+    control_part(U) stacks control_point(u) over the rows u of U (over the
+    first row only when uses_control is false) and remembers the last U, by
+    value, with its read-only result.  The (U, result) entry is replaced as
+    one object, so a concurrent caller never pairs a U with another U's
+    result.
+    """
+    last = None
+
+    def control_part(U):
+        nonlocal last
+        U = np.asarray(U, dtype=float)
+        key = (U.shape, U.tobytes())
+        entry = last
+        if entry is None or entry[0] != key:
+            rows = U if uses_control else U[:1]
+            values = np.stack([np.asarray(control_point(u), dtype=float) for u in rows])
+            values.flags.writeable = False
+            entry = last = (key, values)
+        return entry[1]
+
+    fn.state_part = state_part
+    fn.control_part = control_part
+
+
 def _vector_affine(cfg, n, k, name):
     """b = const + state @ x + control @ a, returning ((t,x,a)->(...,n), Jacobian).
 
@@ -90,6 +128,9 @@ def _vector_affine(cfg, n, k, name):
 
     def jac(t, x, a):
         return np.broadcast_to(A, np.shape(x)[:-1] + (n, n))
+
+    _split(fn, lambda x: np.asarray(x, dtype=float) @ A.T if has_A else None,
+           lambda a: c + B @ a if has_B else c, has_B)
 
     return fn, jac, not (c.any() or has_A or has_B)
 
@@ -118,6 +159,9 @@ def _matrix_affine(cfg, n, d, k, name):
 
     def grad(t, x, a):
         return np.broadcast_to(A, np.shape(x)[:-1] + (d, n, n))
+
+    _split(fn, lambda x: _matmul_columns(A, np.asarray(x, dtype=float)) if has_A else None,
+           lambda a: C0 + np.einsum("jpq,q->pj", B, a) if has_B else C0, has_B)
 
     return fn, grad, not (C0.any() or has_A or has_B)
 
@@ -180,6 +224,8 @@ def _quadratic_cost(cfg, n, k, name, with_control):
 
         def grad(t, x, a):
             return np.asarray(x, dtype=float) @ sym.T + r
+
+        _split(fn, state_part, control_part, poly is not None)
 
     else:
 

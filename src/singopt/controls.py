@@ -33,6 +33,17 @@ class ChatteringError(ControlError):
     """Raised when the refined grid cannot represent all positive weights."""
 
 
+def _require_finite(values, what):
+    """Raise ControlError naming the first cell (index along axis 0) of
+    `values` that holds a NaN or an infinity."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        cell = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+        raise ControlError(
+            f"{what} must be finite, got {values[cell].tolist()} in cell {cell}"
+        )
+
+
 @dataclass(frozen=True)
 class StrictControl:
     """Per-cell control values, shape (N, k)."""
@@ -48,6 +59,7 @@ class StrictControl:
             raise ControlError(
                 f"expected {self.grid.num_steps} cell values, got {vals.shape[0]}"
             )
+        _require_finite(vals, "strict control values")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -74,6 +86,8 @@ class RelaxedControl:
             atoms = atoms[:, :, None]
         if atoms.shape[0] != self.grid.num_steps or weights.shape != atoms.shape[:2]:
             raise ControlError("relaxed control arrays do not match the grid")
+        _require_finite(atoms, "relaxed control atoms")
+        _require_finite(weights, "relaxed control weights")
         if np.any(weights < 0):
             raise ControlError("relaxed control weights must be nonnegative")
         sums = weights.sum(axis=1)
@@ -103,6 +117,7 @@ class SingularControl:
             raise ControlError(
                 f"expected {self.grid.num_steps} increment rows, got {inc.shape[0]}"
             )
+        _require_finite(inc, "singular increments")
         if np.any(inc < 0):
             raise ControlError("singular increments must be nonnegative componentwise")
         object.__setattr__(self, "increments", inc)

@@ -24,7 +24,13 @@ import numpy as np
 
 from .controls import ControlError, as_relaxed
 from .model import ProblemSpec, ensemble_zeros
-from .sde import TrajectoryEnsemble, _cell_average, _require_grid, _std_error
+from .sde import (
+    TrajectoryEnsemble,
+    _cell_average,
+    _require_along,
+    _require_grid,
+    _std_error,
+)
 
 
 @dataclass(frozen=True)
@@ -52,13 +58,48 @@ class Tolerances:
         }
 
 
-def strict_hamiltonian_batch(spec, t, x, v, p, P):
-    """H over a path batch: x (M, n), p (M, n), P (M, n, d) -> (M,)."""
+def strict_hamiltonian_batch(spec, t, x, v, p, P, out=None):
+    """H over a path batch: x (M, n), p (M, n), P (M, n, d).
+
+    v is one control point (k,), giving (M,), or a stack of points (L, k),
+    giving (L, M) with row i bit for bit H at v[i].  A stack is evaluated in
+    one pass when h, b and sigma carry their state/control split (the
+    coefficient forms do), and point by point otherwise.  out, an (L, M)
+    array, receives a stacked result; the verifier reuses one across knots.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        return _point_hamiltonian(spec, t, x, v, p, P)
+    if out is None:
+        out = np.empty((len(v), x.shape[0]))
+    if not all(hasattr(f, "control_part") for f in (spec.h, spec.b, spec.sigma)):
+        for i, u in enumerate(v):
+            out[i] = _point_hamiltonian(spec, t, x, u, p, P)
+        return out
+    # ((h_state + h_ctrl) + b . p) + sigma : P, as in _point_hamiltonian; a
+    # term that does not depend on the control is one row, broadcast
+    np.add(spec.h.state_part(x), spec.h.control_part(v)[:, None], out=out)
+    out += np.einsum("lmp,mp->lm", _stacked(spec.b, x, v), p)
+    out += np.einsum("lmpj,mpj->lm", _stacked(spec.sigma, x, v), P)
+    return out
+
+
+def _point_hamiltonian(spec, t, x, v, p, P):
     M = x.shape[0]
     h = np.broadcast_to(np.asarray(spec.h(t, x, v), dtype=float), (M,))
     b = np.broadcast_to(np.asarray(spec.b(t, x, v), dtype=float), (M, spec.n))
     sig = np.broadcast_to(np.asarray(spec.sigma(t, x, v), dtype=float), (M, spec.n, spec.d))
     return h + np.einsum("mp,mp->m", b, p) + np.einsum("mpj,mpj->m", sig, P)
+
+
+def _stacked(fn, x, U):
+    """An affine form at every row of control_part(U) over the batch x:
+    (L, M, ...), or (1, M, ...) when it does not depend on the control."""
+    control = fn.control_part(U)[:, None]
+    state = fn.state_part(x)
+    if state is None:
+        return np.broadcast_to(control, (len(control), len(x)) + control.shape[2:])
+    return control + state
 
 
 def relaxed_hamiltonian_batch(spec, t, x, atoms, weights, p, P):
@@ -97,7 +138,7 @@ def minimize_hamiltonian(spec: ProblemSpec, t: float, x, p, P) -> tuple:
     x = np.asarray(x, dtype=float).reshape(1, spec.n)
     p = np.asarray(p, dtype=float).reshape(1, spec.n)
     P = np.asarray(P, dtype=float).reshape(1, spec.n, spec.d)
-    values = np.array([strict_hamiltonian_batch(spec, t, x, v, p, P)[0] for v in spec.u1_grid])
+    values = strict_hamiltonian_batch(spec, t, x, spec.u1_grid, p, P)[:, 0]
     return spec.u1_grid[_grid_argmin(spec.u1_grid, values)].copy(), float(values.min())
 
 
@@ -185,9 +226,12 @@ def verify_necessary(
     """Check the global first-order necessary conditions for a candidate.
 
     candidate is a (control, singular) pair; the adjoint must have been
-    computed for this candidate on the same trajectory ensemble.  One pass
-    over the knots evaluates, per knot, the candidate's H, H at every grid
-    point and the slack k + G^T p, and updates every condition from them.
+    computed for this candidate on the same trajectory ensemble (its leading
+    axes are checked against traj.states).  One pass over the knots
+    evaluates, per knot, H at every grid point (one stacked
+    strict_hamiltonian_batch call), the candidate's H (the weighted rows of
+    its atoms, or the measure average for atoms off the grid) and the slack
+    k + G^T p, and updates every condition from them.
     The integral first-order inequality is evaluated toward the pointwise
     argmin: per knot, the grid point of least path-mean H (exact ties to
     the lexicographically smallest), as a point mass with no singular part.
@@ -200,6 +244,7 @@ def verify_necessary(
     mu = as_relaxed(control)
     grid = traj.grid
     _require_grid(grid, mu, xi)
+    _require_along(traj, ("adjoint.p", adjoint.p), ("adjoint.P", adjoint.P))
     M = traj.num_paths
     N = grid.num_steps
     P = adjoint.P
@@ -208,14 +253,20 @@ def verify_necessary(
     worst, violations, min_slack = 0.0, 0, np.inf
     flat_off_mass = np.zeros(M)
     first_order = np.zeros(M)
+    grid_vals = np.empty((len(spec.u1_grid), M))
+    row_of = {u.tobytes(): i for i, u in enumerate(spec.u1_grid)}
     for j, t in enumerate(grid.knots[:N]):
         xj = traj.states[:, j, :]
         pj = adjoint.p[:, j, :]
         Pj = P[:, j]
-        cand = relaxed_hamiltonian_batch(spec, t, xj, mu.atoms[j], mu.weights[j], pj, Pj)
-        grid_vals = np.stack(
-            [strict_hamiltonian_batch(spec, t, xj, v, pj, Pj) for v in spec.u1_grid]
-        )
+        strict_hamiltonian_batch(spec, t, xj, spec.u1_grid, pj, Pj, out=grid_vals)
+        atoms, weights = mu.atoms[j], mu.weights[j]
+        if all(a.tobytes() in row_of for a, w in zip(atoms, weights) if w != 0.0):
+            # H is linear in the measure: average the grid rows of the atoms
+            cand = _cell_average(lambda _t, _x, a: grid_vals[row_of[a.tobytes()]],
+                                 t, xj, atoms, weights)
+        else:
+            cand = relaxed_hamiltonian_batch(spec, t, xj, atoms, weights, pj, Pj)
         gap = cand - grid_vals.min(axis=0)
         violations += int(np.count_nonzero(gap > tolerances.tol_H * (1.0 + np.abs(cand))))
         worst = max(worst, float(gap.max()))
@@ -309,6 +360,7 @@ def certify_sufficient(
     mu = as_relaxed(control)
     grid = traj.grid
     _require_grid(grid, mu, xi)
+    _require_along(traj, ("adjoint.p", adjoint.p), ("adjoint.P", adjoint.P))
     rng = np.random.default_rng(0)
     lo, hi = spec.assumptions_box
     convexity = []

@@ -178,6 +178,19 @@ def _require_grid(grid: TimeGrid, *controls):
             )
 
 
+def _require_along(traj: TrajectoryEnsemble, *named):
+    """Raise SimulationError unless each (name, array) pair was computed
+    along traj: its leading axes are the ensemble's (paths, knots).  A None
+    array (an adjoint pair without P) is skipped."""
+    want = traj.states.shape[:2]
+    for name, values in named:
+        if values is not None and values.shape[:2] != want:
+            raise SimulationError(
+                f"{name} was computed along another ensemble: leading shape "
+                f"{values.shape[:2]}, expected (paths, knots) = {want}"
+            )
+
+
 def simulate_strict(spec: ProblemSpec, v: StrictControl, eta: SingularControl,
                     grid: TimeGrid, noise: NoiseBatch) -> TrajectoryEnsemble:
     """Euler-Maruyama for the strictly controlled state equation."""

@@ -244,6 +244,17 @@ _PM1_CONTROL = {"type": "relaxed",
                 "cells": [{"atoms": [[-1.0], [1.0]], "weights": [0.5, 0.5]}] * 4}
 
 
+def _pm1_control(atoms=((-1.0,), (1.0,)), weights=(0.5, 0.5)):
+    """The 4-cell relaxed_pm1 control with the given atoms and weights."""
+    cell = {"atoms": [list(a) for a in atoms], "weights": list(weights)}
+    return {"type": "relaxed", "cells": [cell] * 4}
+
+
+def _singular(increments):
+    """A 1-column singular control with one increment per cell."""
+    return {"type": "singular", "increments": [[v] for v in increments]}
+
+
 class TestConfigErrors:
     def test_missing_seed_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, monte_carlo={"M": 4})
@@ -339,13 +350,33 @@ class TestConfigErrors:
             ("verify", {"candidate": {"name": "relaxed_pm1",
                                       "singular": {"type": "singular", "increments": "x"}}},
              "candidate.singular: malformed singular control"),
+            ("cost", {"candidate": {"control": _pm1_control(weights=[float("nan"), 0.5])}},
+             "candidate.control: relaxed control weights must be finite, got [nan, 0.5] "
+             "in cell 0"),
+            ("cost", {"candidate": {"control": _pm1_control(atoms=[[-1.0], [float("inf")]])}},
+             "candidate.control: relaxed control atoms must be finite"),
+            ("cost", {"candidate": {"control": {"type": "strict",
+                                                "values": [[float("-inf")]] * 4}}},
+             "candidate.control: strict control values must be finite"),
+            ("cost", {"problem": "singular_block",
+                      "candidate": {"name": "constant:0",
+                                    "singular": _singular([float("nan"), 0.0, 0.0, 0.0])}},
+             "candidate.singular: singular increments must be finite, got [nan] in cell 0"),
+            ("verify", {"candidate_file": {"control": _pm1_control(weights=[0.5, float("nan")])}},
+             "candidate.control: relaxed control weights must be finite"),
+            ("certify", {"problem": "singular_block",
+                         "candidate_file": {
+                             "control": {"type": "strict", "values": [[0.0]] * 4},
+                             "singular": _singular([0.0, 0.0, float("inf"), 0.0])}},
+             "candidate.singular: singular increments must be finite, got [inf] in cell 2"),
         ],
         ids=["n-values-abc", "n-values-bare-int", "n-values-empty", "n-values-zero",
              "relaxed-without-cells", "candidate-name-int", "regression-list",
              "candidate-int", "strict-values-text", "kappa-text", "kappa-nan", "kappa-inf",
              "singular-too-wide",
              "singular-relaxed", "singular-file-too-wide", "singular-file-relaxed",
-             "singular-text"],
+             "singular-text", "weights-nan", "atoms-inf", "strict-values-inf",
+             "singular-nan", "weights-file-nan", "singular-file-inf"],
     )
     def test_malformed_sections_exit_two_without_traceback(
         self, tmp_path, capsys, command, overrides, message

@@ -79,6 +79,20 @@ class TestIntegrate:
         with pytest.raises(ControlError):
             RelaxedControl(grid, [[[0.0], [1.0]]], [[-0.1, 1.1]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # a NaN weight would pass the sum-to-one check: NaN comparisons are false
+        grid = TimeGrid(2, 1.0)
+        with pytest.raises(ControlError, match=r"^relaxed control weights must be finite, "
+                                               r"got \[.*\] in cell 1$"):
+            RelaxedControl(grid, [[[0.0], [1.0]]] * 2, [[0.5, 0.5], [bad, 0.5]])
+        with pytest.raises(ControlError, match="relaxed control atoms must be finite"):
+            RelaxedControl(grid, [[[0.0], [bad]]] * 2, [[0.5, 0.5]] * 2)
+        with pytest.raises(ControlError, match="strict control values must be finite"):
+            StrictControl(grid, [[0.0], [bad]])
+        with pytest.raises(ControlError, match="singular increments must be finite"):
+            SingularControl(grid, [[bad], [0.0]])
+
 
 class TestDiracEmbed:
     def test_constant_control(self, grid64):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from singopt.adjoint import adjoint_bsde, variational_inequality_value
@@ -26,7 +28,7 @@ from singopt.optimality import (
 )
 from singopt.sde import estimate_cost, simulate_relaxed
 
-from conftest import linear_drift_config, planar_config
+from conftest import linear_drift_config, planar_config, tanh_drift_problem
 
 
 def zero_h_problem():
@@ -157,6 +159,79 @@ class TestMinimizeHamiltonian:
             a2, v2 = minimize_hamiltonian(shifted, 0.1, [0.2], [p], [[0.0]])
             assert a1.tolist() == a2.tolist()
             assert v2 == pytest.approx(v1 + 17.5)
+
+
+# ---------------------------------------------------------------------------
+# the stacked evaluation over control points (hypothesis)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _arrays(draw, shape):
+    values = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+
+
+@st.composite
+def form_problems(draw):
+    """A form-built problem with n, d, k in {1, 2}, each form term on or off."""
+    n, d, k = (draw(st.integers(1, 2)) for _ in range(3))
+
+    def terms(**shapes):
+        return {key: draw(_arrays(shape)).tolist()
+                for key, shape in shapes.items() if draw(st.booleans())}
+
+    running = terms(state_quad=(n, n), state_lin=(n,), const=())
+    if draw(st.booleans()):
+        running["control_poly"] = [draw(_arrays((draw(st.integers(1, 5)),))).tolist()
+                                   for _ in range(k)]
+    return problem_from_config({
+        "name": "random_forms",
+        "dims": {"n": n, "d": d, "k": k, "m": 1},
+        "horizon": 1.0,
+        "x0": [0.0] * n,
+        "coefficients": {
+            "drift": {"form": "affine", **terms(const=(n,), state=(n, n), control=(n, k))},
+            "diffusion": {"form": "affine",
+                          **terms(const=(n, d), state=(d, n, n), control=(d, n, k))},
+            "running_cost": {"form": "quadratic", **running},
+        },
+        "u1_grid": draw(_arrays((draw(st.integers(1, 6)), k))).tolist(),
+        "assumptions_box": {"low": [-2.0] * n, "high": [2.0] * n},
+    })
+
+
+def _check_stacked_matches_points(spec, draw):
+    M = draw(st.integers(1, 4))
+    t = draw(st.floats(0.0, 1.0))
+    x, p = draw(_arrays((M, spec.n))), draw(_arrays((M, spec.n)))
+    P = draw(_arrays((M, spec.n, spec.d)))
+    # a second, different stack: the remembered control part must not leak
+    for U in (spec.u1_grid, draw(_arrays((draw(st.integers(1, 6)), spec.k)))):
+        stacked = strict_hamiltonian_batch(spec, t, x, U, p, P)
+        points = np.stack([strict_hamiltonian_batch(spec, t, x, u, p, P) for u in U])
+        assert stacked.shape == (len(U), M)
+        assert stacked.tobytes() == points.tobytes()
+    # minimize_hamiltonian agrees with the per-point loop, ties included
+    values = np.array([point_hamiltonian(spec, t, x[0], u, p[0], P[0]) for u in spec.u1_grid])
+    tied = [tuple(u) for u, v in zip(spec.u1_grid.tolist(), values) if v == values.min()]
+    point, value = minimize_hamiltonian(spec, t, x[0], p[0], P[0])
+    assert tuple(point.tolist()) == min(tied)
+    assert value == values.min()
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=form_problems(), data=st.data())
+def test_stacked_hamiltonian_is_the_per_point_stack_on_forms(spec, data):
+    _check_stacked_matches_points(spec, data.draw)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_stacked_hamiltonian_is_the_per_point_stack_on_custom_callables(data):
+    spec = tanh_drift_problem()
+    assert not hasattr(spec.h, "control_part")
+    _check_stacked_matches_points(spec, data.draw)
 
 
 class TestVerifyNecessary:
