@@ -47,7 +47,6 @@ from .sde import (
     estimate_cost,
     fundamental_solutions,
     simulate_relaxed,
-    simulate_strict,
     simulate_variational,
 )
 

@@ -23,12 +23,12 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .controls import RelaxedControl
-from .model import ProblemSpec, ensemble_zeros
+from .model import ensemble_zeros
 from .optimality import relaxed_hamiltonian_batch, relaxed_hamiltonian_gradient
 from .sde import (
     FundamentalPair,
     TrajectoryEnsemble,
+    VariationalEnsemble,
     _cell_average,
     _require_along,
     _require_grid,
@@ -81,8 +81,8 @@ def fit_conditional(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdjointPair:
-    """Adjoint estimates p (M, N+1, n) and P (M, N+1, n, d), stored
-    time-major (model.ensemble_zeros).
+    """Adjoint estimates p (M, N+1, n) and P (M, N+1, n, d) along the
+    ensemble traj, stored time-major (model.ensemble_zeros).
 
     P is None on the explicit route (that route produces p only; P can be
     recovered from the martingale integrand, see martingale_route_P).  By
@@ -93,18 +93,21 @@ class AdjointPair:
     P: np.ndarray | None = field(repr=False)
     method: str
     diagnostics: dict
+    traj: TrajectoryEnsemble = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class AuxiliaryProcesses:
     """Transported sensitivity alpha = Psi z, the terminal functional X, the
-    compensated martingale Y and the martingale integrand estimate Q; the
-    ensembles are stored time-major (model.ensemble_zeros)."""
+    compensated martingale Y and the martingale integrand estimate Q along
+    the ensemble traj; the ensembles are stored time-major
+    (model.ensemble_zeros)."""
 
     alpha: np.ndarray = field(repr=False)  # (M, N+1, n)
     X: np.ndarray = field(repr=False)      # (M, n)
     Y: np.ndarray = field(repr=False)      # (M, N+1, n)
     Q: np.ndarray = field(repr=False)      # (M, N, n, d)
+    traj: TrajectoryEnsemble = field(repr=False, compare=False)
 
 
 def _transpose_apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -112,9 +115,18 @@ def _transpose_apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("mqp,mq->mp", mats, vecs)
 
 
-def _grad_sums(spec: ProblemSpec, mu: RelaxedControl, traj: TrajectoryEnsemble,
-               fund: FundamentalPair):
-    """Per-step Phi_s^* hbar_x(s) and its prefix sums (left-endpoint rule)."""
+def _terminal_gradient(traj: TrajectoryEnsemble) -> np.ndarray:
+    """g_x(x_T) per path, (M, n)."""
+    spec = traj.spec
+    return np.broadcast_to(np.asarray(spec.g_x(traj.terminal), dtype=float),
+                           (traj.num_paths, spec.n))
+
+
+def _grad_sums(fund: FundamentalPair) -> np.ndarray:
+    """Prefix sums of Phi_s^* hbar_x(s) ds along fund's ensemble
+    (left-endpoint rule), (M, N+1, n) with prefix_0 = 0."""
+    traj = fund.traj
+    spec, mu = traj.spec, traj.control
     grid = traj.grid
     M = traj.num_paths
     knots = grid.knots
@@ -127,53 +139,58 @@ def _grad_sums(spec: ProblemSpec, mu: RelaxedControl, traj: TrajectoryEnsemble,
         terms[:, j, :] = _transpose_apply(fund.Phi[:, j], hx)
     prefix = ensemble_zeros(M, grid.num_steps + 1, spec.n)
     np.cumsum(terms * grid.dt, axis=1, out=prefix[:, 1:, :])
-    return terms, prefix
+    return prefix
 
 
-def adjoint_explicit(
-    spec: ProblemSpec,
-    pair: tuple,
-    traj: TrajectoryEnsemble,
-    fund: FundamentalPair,
-    degree: int = 2,
-) -> AdjointPair:
-    """Adjoint p from the explicit conditional-expectation representation.
+def _tail_fits(fund: FundamentalPair, degree: int):
+    """The terminal functional X = head + prefix_N, with
+    head = Phi_N^* g_x(x_T) and prefix the _grad_sums, and its regressions.
+
+    Returns (head, prefix, fits); fits yields, for j = N-1, ..., 0,
+    (j, features, tail, fitted): the part of X not yet accumulated at time
+    j, tail = head + (prefix_N - prefix_j), the polynomial features of x_j
+    and the regression of tail on them.
+    """
+    traj = fund.traj
+    N = traj.grid.num_steps
+    head = _transpose_apply(fund.Phi[:, N], _terminal_gradient(traj))
+    prefix = _grad_sums(fund)
+
+    def fits():
+        for j in range(N - 1, -1, -1):
+            feats = polynomial_features(traj.states[:, j, :], degree)
+            tail = head + (prefix[:, N, :] - prefix[:, j, :])
+            yield j, feats, tail, fit_conditional(feats, tail)
+
+    return head, prefix, fits()
+
+
+def adjoint_explicit(fund: FundamentalPair, degree: int = 2) -> AdjointPair:
+    """Adjoint p from the explicit conditional-expectation representation,
+    along fund's ensemble.
 
     For each knot, the inner random variable Phi_T^* g_x(x_T) plus the
     remaining running-cost gradient integral is regressed on the polynomial
     basis in the time-t state, then transported by Psi_t^*.  At the horizon
     p equals g_x(x_T) exactly, per path.
     """
-    mu, _ = pair
-    _require_grid(traj.grid, *pair)
-    _require_along(traj, ("fund.Phi", fund.Phi), ("fund.Psi", fund.Psi))
+    traj = fund.traj
     M = traj.num_paths
     N = traj.grid.num_steps
-    gx_T = np.broadcast_to(np.asarray(spec.g_x(traj.terminal), dtype=float), (M, spec.n))
-    _, prefix = _grad_sums(spec, mu, traj, fund)
-    total = prefix[:, N, :]
-    head = _transpose_apply(fund.Phi[:, N], gx_T)
-    p = ensemble_zeros(M, N + 1, spec.n)
-    p[:, N, :] = gx_T
+    p = ensemble_zeros(M, N + 1, traj.spec.n)
+    p[:, N, :] = _terminal_gradient(traj)
+    _, _, fits = _tail_fits(fund, degree)
     worst = 0.0
-    for j in range(N):
-        target = head + (total - prefix[:, j, :])
-        feats = polynomial_features(traj.states[:, j, :], degree)
-        fitted = fit_conditional(feats, target)
-        worst = max(worst, float(np.sqrt(np.mean((target - fitted) ** 2))))
+    for j, feats, tail, fitted in fits:
+        worst = max(worst, float(np.sqrt(np.mean((tail - fitted) ** 2))))
         p[:, j, :] = _transpose_apply(fund.Psi[:, j], fitted)
     diags = {"basis_degree": degree, "basis_size": feats.shape[1], "max_residual_rms": worst}
-    return AdjointPair(p=p, P=None, method="explicit", diagnostics=diags)
+    return AdjointPair(p=p, P=None, method="explicit", diagnostics=diags, traj=traj)
 
 
-def adjoint_bsde(
-    spec: ProblemSpec,
-    pair: tuple,
-    traj: TrajectoryEnsemble,
-    degree: int = 2,
-) -> AdjointPair:
+def adjoint_bsde(traj: TrajectoryEnsemble, degree: int = 2) -> AdjointPair:
     """Adjoint pair (p, P) from a backward regression sweep of the linear
-    backward SDE with terminal value g_x(x_T).
+    backward SDE with terminal value g_x(x_T), along the ensemble.
 
     Per backward step, P_j is the regression of the martingale part of
     p_{j+1} against the Brownian increment (the time-j projection of p_{j+1}
@@ -182,9 +199,8 @@ def adjoint_bsde(
     and p_j is the regression of p_{j+1} plus the Hamiltonian-gradient drift
     evaluated at p_{j+1} (explicit backward Euler).
     """
-    mu, _ = pair
+    spec, mu = traj.spec, traj.control
     grid = traj.grid
-    _require_grid(grid, *pair)
     M = traj.num_paths
     N = grid.num_steps
     dt = grid.dt
@@ -192,7 +208,7 @@ def adjoint_bsde(
     knots = grid.knots
     p = ensemble_zeros(M, N + 1, spec.n)
     P = ensemble_zeros(M, N + 1, spec.n, spec.d)
-    p[:, N, :] = np.broadcast_to(np.asarray(spec.g_x(traj.terminal), dtype=float), (M, spec.n))
+    p[:, N, :] = _terminal_gradient(traj)
     worst = 0.0
     for j in range(N - 1, -1, -1):
         xj = traj.states[:, j, :]
@@ -209,7 +225,7 @@ def adjoint_bsde(
         worst = max(worst, float(np.sqrt(np.mean((target - fitted) ** 2))))
         p[:, j, :] = fitted
     diags = {"basis_degree": degree, "basis_size": feats.shape[1], "max_residual_rms": worst}
-    return AdjointPair(p=p, P=P, method="bsde-regression", diagnostics=diags)
+    return AdjointPair(p=p, P=P, method="bsde-regression", diagnostics=diags, traj=traj)
 
 
 # ---------------------------------------------------------------------------
@@ -217,34 +233,28 @@ def adjoint_bsde(
 # ---------------------------------------------------------------------------
 
 def auxiliary_processes(
-    spec: ProblemSpec,
-    pair: tuple,
-    traj: TrajectoryEnsemble,
     fund: FundamentalPair,
-    variational,
+    variational: VariationalEnsemble,
     degree: int = 2,
 ) -> AuxiliaryProcesses:
     """alpha = Psi z, the terminal functional X, the compensated conditional
-    expectation Y, and the martingale integrand Q.
+    expectation Y, and the martingale integrand Q, along the ensemble of
+    fund and variational (one and the same).
 
     Y uses regressions for the interior knots and the exact identity
     Y_T = X - (full gradient integral) at the horizon.  Q regresses the
     discrete martingale increments against the Brownian increments.
     """
-    mu, _ = pair
-    grid = traj.grid
-    _require_grid(grid, *pair)
-    _require_along(traj, ("fund.Phi", fund.Phi), ("fund.Psi", fund.Psi),
-                   ("variational.z", variational.z))
+    traj = fund.traj
+    _require_along(traj, ("variational", variational))
+    spec = traj.spec
     M = traj.num_paths
-    N = grid.num_steps
-    dt = grid.dt
+    N = traj.grid.num_steps
+    dt = traj.grid.dt
     dW = traj.noise.increments
     alpha = ensemble_zeros(M, N + 1, spec.n)
     np.einsum("mtpq,mtq->mtp", fund.Psi, variational.z, out=alpha)
-    gx_T = np.broadcast_to(np.asarray(spec.g_x(traj.terminal), dtype=float), (M, spec.n))
-    _, prefix = _grad_sums(spec, mu, traj, fund)
-    head = _transpose_apply(fund.Phi[:, N], gx_T)
+    head, prefix, fits = _tail_fits(fund, degree)
     X = head + prefix[:, N, :]
     # martingale E[X | F_t]: the accumulated part of X is known pathwise at
     # time t; only the remaining tail is a function of the Markov state and
@@ -253,36 +263,31 @@ def auxiliary_processes(
     mart = ensemble_zeros(M, N + 1, spec.n)
     mart[:, N, :] = X
     Q = ensemble_zeros(M, N, spec.n, spec.d)
-    for j in range(N - 1, -1, -1):
-        feats = polynomial_features(traj.states[:, j, :], degree)
-        tail = head + (prefix[:, N, :] - prefix[:, j, :])
-        mart[:, j, :] = prefix[:, j, :] + fit_conditional(feats, tail)
+    for j, feats, _, fitted in fits:
+        mart[:, j, :] = prefix[:, j, :] + fitted
         incr = np.einsum("mp,mj->mpj", mart[:, j + 1, :] - mart[:, j, :], dW[:, j, :]) / dt
         Q[:, j] = fit_conditional(feats, incr)
     Y = mart - prefix
-    return AuxiliaryProcesses(alpha=alpha, X=X, Y=Y, Q=Q)
+    return AuxiliaryProcesses(alpha=alpha, X=X, Y=Y, Q=Q, traj=traj)
 
 
 def martingale_route_P(
-    spec: ProblemSpec,
-    pair: tuple,
-    traj: TrajectoryEnsemble,
     fund: FundamentalPair,
     aux: AuxiliaryProcesses,
-    p: np.ndarray,
+    adjoint: AdjointPair,
 ) -> np.ndarray:
-    """Reconstruct P from the martingale integrand: P = Psi^* Q - sbar_x^* p.
+    """Reconstruct P from the martingale integrand: P = Psi^* Q - sbar_x^* p,
+    with p of the adjoint pair; all three inputs along one ensemble.
 
     Returns an (M, N+1, n, d) array with the terminal slice zero, providing
     the cross-check route against the backward-sweep estimate.
     """
-    mu, _ = pair
-    grid = traj.grid
-    _require_grid(grid, *pair)
-    _require_along(traj, ("fund.Psi", fund.Psi), ("aux.Y", aux.Y), ("p", p))
+    traj = fund.traj
+    _require_along(traj, ("aux", aux), ("adjoint", adjoint))
+    spec, mu = traj.spec, traj.control
     M = traj.num_paths
-    N = grid.num_steps
-    knots = grid.knots
+    N = traj.grid.num_steps
+    knots = traj.grid.knots
     P = ensemble_zeros(M, N + 1, spec.n, spec.d)
     for j in range(N):
         xj = traj.states[:, j, :]
@@ -291,54 +296,44 @@ def martingale_route_P(
             (M, spec.d, spec.n, spec.n),
         )
         P[:, j] = np.einsum("mqp,mqj->mpj", fund.Psi[:, j], aux.Q[:, j]) - np.einsum(
-            "mjqp,mq->mpj", sx, p[:, j, :]
+            "mjqp,mq->mpj", sx, adjoint.p[:, j, :]
         )
     return P
 
 
-def duality_residual(
-    spec: ProblemSpec,
-    pair: tuple,
-    direction: tuple,
-    traj: TrajectoryEnsemble,
-) -> tuple:
+def duality_residual(traj: TrajectoryEnsemble, direction: tuple) -> tuple:
     """Monte Carlo residual of the duality identity E[alpha_T . Y_T] =
     E[g_x(x_T) . z_T], with the standard error of the per-path difference.
 
-    All ingredients are computed along the pair's trajectory ensemble, on
-    its noise.  Y_T uses the exact horizon identity, so the residual isolates
-    transport error of the fundamental pair rather than regression noise.
+    All ingredients are computed along the ensemble, on its noise, for the
+    perturbation of its controls toward direction.  Y_T uses the exact
+    horizon identity, so the residual isolates transport error of the
+    fundamental pair rather than regression noise.
     """
-    z = simulate_variational(spec, pair, direction, traj)
-    fund = fundamental_solutions(spec, pair, traj)
-    M = traj.num_paths
+    z = simulate_variational(traj, direction)
+    fund = fundamental_solutions(traj)
     N = traj.grid.num_steps
-    gx_T = np.broadcast_to(np.asarray(spec.g_x(traj.terminal), dtype=float), (M, spec.n))
+    gx_T = _terminal_gradient(traj)
     alpha_T = np.einsum("mpq,mq->mp", fund.Psi[:, N], z.z[:, N, :])
     Y_T = _transpose_apply(fund.Phi[:, N], gx_T)
     per_path = np.einsum("mp,mp->m", alpha_T, Y_T) - np.einsum("mp,mp->m", gx_T, z.z[:, N, :])
     return abs(float(per_path.mean())), _std_error(per_path)
 
 
-def variational_inequality_value(
-    spec: ProblemSpec,
-    base: tuple,
-    direction: tuple,
-    adjoint: AdjointPair,
-    traj: TrajectoryEnsemble,
-) -> tuple:
+def variational_inequality_value(adjoint: AdjointPair, direction: tuple) -> tuple:
     """Monte Carlo estimate (value, standard error) of the first-order
-    optimality functional: the Hamiltonian difference toward the direction
-    measure plus the singular slack paired with the increment difference.
+    optimality functional at the controls of the adjoint's ensemble: the
+    Hamiltonian difference toward the direction measure plus the singular
+    slack paired with the increment difference.
 
     At an optimal base the value is nonnegative up to Monte Carlo and
     discretization error, for every direction.
     """
-    mu, xi = base
+    traj = adjoint.traj
+    spec, mu, xi = traj.spec, traj.control, traj.singular
     q, eta = direction
     grid = traj.grid
-    _require_grid(grid, mu, xi, q, eta)
-    _require_along(traj, ("adjoint.p", adjoint.p), ("adjoint.P", adjoint.P))
+    _require_grid(grid, q, eta)
     M = traj.num_paths
     dt = grid.dt
     knots = grid.knots

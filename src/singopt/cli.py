@@ -258,7 +258,7 @@ def cmd_simulate(cfg, out: OutputDir) -> int:
     spec, grid, noise = _setup(cfg)
     mu, singular = build_candidate(cfg, spec, grid)
     traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
-    cost = sde.estimate_cost(spec, traj, mu, singular)
+    cost = sde.estimate_cost(traj)
     sio.ensemble_to_csv(traj.states, grid.knots, out.path("trajectory.csv"))
     sio.ensemble_to_binary(traj.states, noise.seed, out.path("trajectory.bin"))
     terminal = traj.terminal
@@ -278,7 +278,7 @@ def cmd_cost(cfg, out: OutputDir) -> int:
     spec, grid, noise = _setup(cfg)
     mu, singular = build_candidate(cfg, spec, grid)
     traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
-    cost = sde.estimate_cost(spec, traj, mu, singular)
+    cost = sde.estimate_cost(traj)
     sio.write_json({"cost": cost.as_dict(), "config": cfg}, out.path("cost.json"))
     print(f"cost = {cost.value!r} (se {cost.std_error!r})")
     return EXIT_OK
@@ -288,7 +288,7 @@ def _verification_inputs(cfg):
     spec, grid, noise = _setup(cfg)
     mu, singular = build_candidate(cfg, spec, grid)
     traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
-    pair = adj.adjoint_bsde(spec, (mu, singular), traj, degree=cfg["regression"]["degree"])
+    pair = adj.adjoint_bsde(traj, degree=cfg["regression"]["degree"])
     tol = optimality.Tolerances(**cfg["tolerances"])
     echo = {
         "grid": cfg["grid"],
@@ -296,20 +296,20 @@ def _verification_inputs(cfg):
         "regression": cfg["regression"],
         "tolerances": cfg["tolerances"],
     }
-    return spec, traj, (mu, singular), pair, tol, echo
+    return pair, tol, echo
 
 
 def cmd_verify(cfg, out: OutputDir) -> int:
-    spec, traj, candidate, pair, tol, echo = _verification_inputs(cfg)
-    report = optimality.verify_necessary(spec, candidate, pair, traj, tol, config_echo=echo)
+    pair, tol, echo = _verification_inputs(cfg)
+    report = optimality.verify_necessary(pair, tol, config_echo=echo)
     sio.write_json({"report": report.as_dict(), "config": cfg}, out.path("verify_report.json"))
     print(report)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
 def cmd_certify(cfg, out: OutputDir) -> int:
-    spec, traj, candidate, pair, tol, echo = _verification_inputs(cfg)
-    cert = optimality.certify_sufficient(spec, candidate, pair, traj, tol, config_echo=echo)
+    pair, tol, echo = _verification_inputs(cfg)
+    cert = optimality.certify_sufficient(pair, tol, config_echo=echo)
     sio.write_json({"certificate": cert.as_dict(), "config": cfg}, out.path("certificate.json"))
     for rec in cert.convexity:
         print(f"[{'pass' if rec.passed else 'FAIL'}] convexity {rec.subject}: {rec.evidence}")
@@ -349,9 +349,9 @@ def cmd_adjoint(cfg, out: OutputDir) -> int:
     mu, singular = build_candidate(cfg, spec, grid)
     traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
     degree = cfg["regression"]["degree"]
-    fund = sde.fundamental_solutions(spec, (mu, singular), traj)
-    explicit = adj.adjoint_explicit(spec, (mu, singular), traj, fund, degree=degree)
-    bsde = adj.adjoint_bsde(spec, (mu, singular), traj, degree=degree)
+    fund = sde.fundamental_solutions(traj)
+    explicit = adj.adjoint_explicit(fund, degree=degree)
+    bsde = adj.adjoint_bsde(traj, degree=degree)
     agreement = float(np.sqrt(np.mean((explicit.p - bsde.p) ** 2)))
     sio.ensemble_to_csv(bsde.p, grid.knots, out.path("adjoint_p.csv"), prefix="p")
     sio.ensemble_to_binary(bsde.p, noise.seed, out.path("adjoint_p.bin"))

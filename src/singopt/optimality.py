@@ -22,15 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controls import ControlError, as_relaxed
+from .controls import ControlError
 from .model import ProblemSpec, ensemble_zeros
-from .sde import (
-    TrajectoryEnsemble,
-    _cell_average,
-    _require_along,
-    _require_grid,
-    _std_error,
-)
+from .sde import _cell_average, _std_error
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,7 @@ def strict_hamiltonian_batch(spec, t, x, v, p, P, out=None):
         return _point_hamiltonian(spec, t, x, v, p, P)
     if out is None:
         out = np.empty((len(v), x.shape[0]))
-    if not all(hasattr(f, "control_part") for f in (spec.h, spec.b, spec.sigma)):
+    if not _has_split(spec):
         for i, u in enumerate(v):
             out[i] = _point_hamiltonian(spec, t, x, u, p, P)
         return out
@@ -82,6 +76,13 @@ def strict_hamiltonian_batch(spec, t, x, v, p, P, out=None):
     out += np.einsum("lmp,mp->lm", _stacked(spec.b, x, v), p)
     out += np.einsum("lmpj,mpj->lm", _stacked(spec.sigma, x, v), P)
     return out
+
+
+def _has_split(spec) -> bool:
+    """Whether h, b and sigma carry their state/control split, which the
+    coefficient forms attach: then b and sigma are affine in the state and h
+    is a quadratic state term plus a control term."""
+    return all(hasattr(f, "control_part") for f in (spec.h, spec.b, spec.sigma))
 
 
 def _point_hamiltonian(spec, t, x, v, p, P):
@@ -216,18 +217,14 @@ class SufficiencyCertificate:
 
 
 def verify_necessary(
-    spec: ProblemSpec,
-    candidate: tuple,
     adjoint,
-    traj: TrajectoryEnsemble,
     tolerances: Tolerances = Tolerances(),
     config_echo: dict | None = None,
 ) -> VerificationReport:
     """Check the global first-order necessary conditions for a candidate.
 
-    candidate is a (control, singular) pair; the adjoint must have been
-    computed for this candidate on the same trajectory ensemble (its leading
-    axes are checked against traj.states).  One pass over the knots
+    The candidate is the (control, singular) pair of the ensemble that the
+    adjoint pair was computed along, adjoint.traj.  One pass over the knots
     evaluates, per knot, H at every grid point (one stacked
     strict_hamiltonian_batch call), the candidate's H (the weighted rows of
     its atoms, or the measure average for atoms off the grid) and the slack
@@ -240,11 +237,9 @@ def verify_necessary(
     """
     if adjoint is None:
         raise ValueError("verify_necessary requires the candidate's adjoint pair")
-    control, xi = candidate
-    mu = as_relaxed(control)
+    traj = adjoint.traj
+    spec, mu, xi = traj.spec, traj.control, traj.singular
     grid = traj.grid
-    _require_grid(grid, mu, xi)
-    _require_along(traj, ("adjoint.p", adjoint.p), ("adjoint.P", adjoint.P))
     M = traj.num_paths
     N = grid.num_steps
     P = adjoint.P
@@ -337,30 +332,26 @@ def _midpoint_probe(fn, lo, hi, rng, pairs, tol):
 
 
 def certify_sufficient(
-    spec: ProblemSpec,
-    candidate: tuple,
     adjoint,
-    traj: TrajectoryEnsemble,
     tolerances: Tolerances = Tolerances(),
     probe_pairs: int = 1000,
     config_echo: dict | None = None,
 ) -> SufficiencyCertificate:
-    """Assemble a sufficiency certificate for a candidate.
+    """Assemble a sufficiency certificate for the candidate of the adjoint
+    pair's ensemble, adjoint.traj.
 
     Convexity of the terminal cost and of the state-to-Hamiltonian map is
-    established from the declared quadratic forms when available (affine
-    dynamics forms make H convex in x for every (p, P) as soon as the
-    running-cost state block is positive semidefinite), and otherwise by
-    midpoint probes over the assumptions box at the adjoint values realized
-    per time slice.  The certificate holds only if the convexity evidence
-    and all necessary conditions pass; an uncertified outcome is valid, not
-    an error.
+    established from the declared quadratic forms when available (h, b and
+    sigma carrying their state/control split make b and sigma affine in x,
+    so H is convex in x for every (p, P) as soon as the running-cost state
+    block is positive semidefinite), and otherwise by midpoint probes over
+    the assumptions box at the adjoint values realized per time slice.  The
+    certificate holds only if the convexity evidence and all necessary
+    conditions pass; an uncertified outcome is valid, not an error.
     """
-    control, xi = candidate
-    mu = as_relaxed(control)
+    traj = adjoint.traj
+    spec, mu = traj.spec, traj.control
     grid = traj.grid
-    _require_grid(grid, mu, xi)
-    _require_along(traj, ("adjoint.p", adjoint.p), ("adjoint.P", adjoint.P))
     rng = np.random.default_rng(0)
     lo, hi = spec.assumptions_box
     convexity = []
@@ -383,9 +374,9 @@ def certify_sufficient(
             )
         )
 
-    if spec.running_state_quad is not None and spec.config is not None:
-        # form-built problems have state-affine b and sigma, so x -> H is
-        # convex for every (p, P) iff the running-cost state block is PSD
+    if spec.running_state_quad is not None and _has_split(spec):
+        # b and sigma are state-affine, so x -> H is convex for every (p, P)
+        # iff the running-cost state block is PSD
         ok = _psd(spec.running_state_quad)
         convexity.append(
             ConvexityRecord(
@@ -427,6 +418,6 @@ def certify_sufficient(
             )
         )
 
-    report = verify_necessary(spec, (mu, xi), adjoint, traj, tolerances, config_echo=config_echo)
+    report = verify_necessary(adjoint, tolerances, config_echo=config_echo)
     certified = report.passed and all(c.passed for c in convexity)
     return SufficiencyCertificate(tuple(convexity), report, certified)

@@ -12,6 +12,11 @@ Ensembles have shape (M, N+1, ...) and are stored time-major
 (model.ensemble_zeros), so the slice [:, j] of one knot is contiguous.
 Everything is deterministic given (problem, controls, grid, noise); means
 and suprema reduce in fixed path order.
+
+A TrajectoryEnsemble carries the problem, the controls, the grid and the
+noise it was simulated with, and every result computed along it carries the
+ensemble (a reference, its `traj` field), so a sweep reads its context from
+its inputs and never takes it twice.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import numpy as np
 from .controls import (
     RelaxedControl,
     SingularControl,
-    StrictControl,
     as_relaxed,
     chattering,
     dirac_embed,
@@ -51,9 +55,13 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Simulated states, shape (M, N+1, n), plus the noise that produced them."""
+    """Simulated states, shape (M, N+1, n), plus the problem, the relaxed
+    control, the singular control, the grid and the noise that produced them."""
 
     states: np.ndarray = field(repr=False)
+    spec: ProblemSpec = field(repr=False)
+    control: RelaxedControl = field(repr=False)
+    singular: SingularControl = field(repr=False)
     grid: TimeGrid
     noise: NoiseBatch
 
@@ -68,14 +76,17 @@ class TrajectoryEnsemble:
 
 @dataclass(frozen=True)
 class VariationalEnsemble:
-    """First-order state sensitivities z, shape (M, N+1, n); z_0 = 0."""
+    """First-order state sensitivities z, shape (M, N+1, n); z_0 = 0, along
+    the ensemble traj."""
 
     z: np.ndarray = field(repr=False)
+    traj: TrajectoryEnsemble = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class FundamentalPair:
-    """Fundamental solution Phi of the linearized dynamics and its inverse Psi.
+    """Fundamental solution Phi of the linearized dynamics and its inverse Psi
+    along the ensemble traj.
 
     Both have shape (M, N+1, n, n) with identity initial value.  Psi solves
     the Ito inverse equation; the product Psi Phi is monitored, not
@@ -84,6 +95,7 @@ class FundamentalPair:
 
     Phi: np.ndarray = field(repr=False)
     Psi: np.ndarray = field(repr=False)
+    traj: TrajectoryEnsemble = field(repr=False, compare=False)
 
     def inverse_defect(self) -> float:
         """max over paths and knots of || Psi_t Phi_t - I ||_F."""
@@ -154,21 +166,6 @@ def _euler_block(spec: ProblemSpec, atoms, weights, eta: SingularControl,
     _check_finite([x[1:]], start + 1)
 
 
-def _simulate(spec: ProblemSpec, atoms, weights, eta: SingularControl,
-              grid: TimeGrid, noise: NoiseBatch) -> TrajectoryEnsemble:
-    if noise.increments.shape[1:] != (grid.num_steps, spec.d):
-        raise SimulationError("noise batch does not match the grid / noise dimension")
-    x = ensemble_zeros(len(noise.increments), grid.num_steps + 1, spec.n)
-    x[:, 0, :] = spec.x0
-    windows = x.swapaxes(0, 1)
-    dW = noise.increments.swapaxes(0, 1)
-    for start in range(0, grid.num_steps, _BLOCK_KNOTS):
-        stop = start + _BLOCK_KNOTS
-        _euler_block(spec, atoms, weights, eta, grid, dW[start:stop], start,
-                     windows[start:stop + 1])
-    return TrajectoryEnsemble(x, grid, noise)
-
-
 def _require_grid(grid: TimeGrid, *controls):
     for c in controls:
         if c.grid != grid:
@@ -179,64 +176,58 @@ def _require_grid(grid: TimeGrid, *controls):
 
 
 def _require_along(traj: TrajectoryEnsemble, *named):
-    """Raise SimulationError unless each (name, array) pair was computed
-    along traj: its leading axes are the ensemble's (paths, knots).  A None
-    array (an adjoint pair without P) is skipped."""
-    want = traj.states.shape[:2]
-    for name, values in named:
-        if values is not None and values.shape[:2] != want:
-            raise SimulationError(
-                f"{name} was computed along another ensemble: leading shape "
-                f"{values.shape[:2]}, expected (paths, knots) = {want}"
-            )
+    """Raise SimulationError unless each (name, result) pair was computed
+    along traj itself."""
+    for name, result in named:
+        if result.traj is not traj:
+            raise SimulationError(f"{name} was computed along another ensemble")
 
 
-def simulate_strict(spec: ProblemSpec, v: StrictControl, eta: SingularControl,
-                    grid: TimeGrid, noise: NoiseBatch) -> TrajectoryEnsemble:
-    """Euler-Maruyama for the strictly controlled state equation."""
-    _require_grid(grid, v, eta)
-    q = dirac_embed(v)
-    return _simulate(spec, q.atoms, q.weights, eta, grid, noise)
-
-
-def simulate_relaxed(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
+def simulate_relaxed(spec: ProblemSpec, q, eta: SingularControl,
                      grid: TimeGrid, noise: NoiseBatch) -> TrajectoryEnsemble:
     """Euler-Maruyama for the measure-controlled state equation.
 
-    Drift and diffusion are replaced by their per-cell measure averages; a
-    point-mass control reproduces simulate_strict bit for bit.
+    q is a relaxed control or a strict one, which plays its point masses
+    (controls.as_relaxed); the ensemble keeps the relaxed form.  Drift and
+    diffusion are replaced by their per-cell measure averages.
     """
+    q = as_relaxed(q)
     _require_grid(grid, q, eta)
-    return _simulate(spec, q.atoms, q.weights, eta, grid, noise)
+    if noise.increments.shape[1:] != (grid.num_steps, spec.d):
+        raise SimulationError("noise batch does not match the grid / noise dimension")
+    x = ensemble_zeros(len(noise.increments), grid.num_steps + 1, spec.n)
+    x[:, 0, :] = spec.x0
+    windows = x.swapaxes(0, 1)
+    dW = noise.increments.swapaxes(0, 1)
+    for start in range(0, grid.num_steps, _BLOCK_KNOTS):
+        stop = start + _BLOCK_KNOTS
+        _euler_block(spec, q.atoms, q.weights, eta, grid, dW[start:stop], start,
+                     windows[start:stop + 1])
+    return TrajectoryEnsemble(x, spec, q, eta, grid, noise)
 
 
-def simulate_variational(
-    spec: ProblemSpec,
-    base: tuple,
-    direction: tuple,
-    base_traj: TrajectoryEnsemble,
-) -> VariationalEnsemble:
+def simulate_variational(traj: TrajectoryEnsemble, direction: tuple) -> VariationalEnsemble:
     """Simulate the first-order sensitivity z of the state to the perturbation
-    moving `base` toward `direction`.
+    moving the ensemble's controls toward `direction`.
 
-    The linearization runs along the base trajectory, on its grid and noise;
-    the inhomogeneous terms carry the coefficient differences in the
-    direction (direction - base), so (x_theta - x) / theta converges to z in
-    mean square as theta -> 0.
+    The linearization runs along the ensemble, on its grid and noise; the
+    inhomogeneous terms carry the coefficient differences in the direction
+    (direction - base), so (x_theta - x) / theta converges to z in mean
+    square as theta -> 0.
     """
-    mu, xi = base
+    spec, mu, xi = traj.spec, traj.control, traj.singular
     q, eta = direction
-    grid = base_traj.grid
-    _require_grid(grid, mu, xi, q, eta)
-    M = base_traj.num_paths
+    grid = traj.grid
+    _require_grid(grid, q, eta)
+    M = traj.num_paths
     dt = grid.dt
-    dW = base_traj.noise.increments
+    dW = traj.noise.increments
     knots = grid.knots
     dinc = eta.increments - xi.increments
     z = ensemble_zeros(M, grid.num_steps + 1, spec.n)
     for j in _checked_steps(grid.num_steps, z):
         t = knots[j]
-        xj = base_traj.states[:, j, :]
+        xj = traj.states[:, j, :]
         zj = z[:, j, :]
         bx = np.broadcast_to(
             _cell_average(spec.b_x, t, xj, mu.atoms[j], mu.weights[j]), (M, spec.n, spec.n)
@@ -259,29 +250,24 @@ def simulate_variational(
             + np.einsum("mpj,mj->mp", ds, dW[:, j, :])
             + spec.G(t) @ dinc[j]
         )
-    return VariationalEnsemble(z)
+    return VariationalEnsemble(z, traj)
 
 
-def fundamental_solutions(
-    spec: ProblemSpec,
-    pair: tuple,
-    base_traj: TrajectoryEnsemble,
-) -> FundamentalPair:
+def fundamental_solutions(traj: TrajectoryEnsemble) -> FundamentalPair:
     """Euler-Maruyama for the fundamental matrix of the linearized dynamics
     and for its inverse.
 
-    Phi solves dPhi = bx Phi dt + sx Phi dW along the base trajectory, on its
-    grid and noise; the inverse solves the Ito equation
+    Phi solves dPhi = bx Phi dt + sx Phi dW along the ensemble, on its grid
+    and noise; the inverse solves the Ito equation
     dPsi = Psi (sum_i sx_i^2 - bx) dt - sum_i Psi sx_i dW_i, so Psi_t Phi_t
     stays within discretization error of the identity.
     """
-    mu, _ = pair
-    grid = base_traj.grid
-    _require_grid(grid, *pair)
-    M = base_traj.num_paths
+    spec, mu = traj.spec, traj.control
+    grid = traj.grid
+    M = traj.num_paths
     n = spec.n
     dt = grid.dt
-    dW = base_traj.noise.increments
+    dW = traj.noise.increments
     knots = grid.knots
     eye = np.eye(n)
     Phi = ensemble_zeros(M, grid.num_steps + 1, n, n)
@@ -290,7 +276,7 @@ def fundamental_solutions(
     Psi[:, 0] = eye
     for j in _checked_steps(grid.num_steps, Phi, Psi):
         t = knots[j]
-        xj = base_traj.states[:, j, :]
+        xj = traj.states[:, j, :]
         bx = _cell_average(spec.b_x, t, xj, mu.atoms[j], mu.weights[j])
         # bx (n, n) and sx (d, n, n) may be shared by all paths or given per path
         sx = _cell_average(spec.sigma_x, t, xj, mu.atoms[j], mu.weights[j])
@@ -303,7 +289,7 @@ def fundamental_solutions(
         Phi[:, j + 1] += Pj
         np.matmul(Qj, (sx_sq - bx) * dt - S, out=Psi[:, j + 1])
         Psi[:, j + 1] += Qj
-    return FundamentalPair(Phi, Psi)
+    return FundamentalPair(Phi, Psi, traj)
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +340,12 @@ def _running_block(spec: ProblemSpec, t, x, atoms, weights) -> np.ndarray:
     return total
 
 
-def _cost_terms(spec: ProblemSpec, traj: TrajectoryEnsemble, control,
-                eta: SingularControl) -> tuple:
+def _cost_terms(traj: TrajectoryEnsemble) -> tuple:
     """Per-path terminal cost g(x_T) and left-endpoint running quadrature,
-    both (M,), and the singular quadrature sum_j k(t_j) . delta_eta_j."""
+    both (M,), and the singular quadrature sum_j k(t_j) . delta_eta_j, of
+    the ensemble's controls."""
+    spec, mu, eta = traj.spec, traj.control, traj.singular
     grid = traj.grid
-    mu = as_relaxed(control)
-    _require_grid(grid, mu, eta)
     knots = grid.knots
     M = traj.num_paths
     x = traj.states.swapaxes(0, 1)
@@ -378,18 +363,17 @@ def _cost_terms(spec: ProblemSpec, traj: TrajectoryEnsemble, control,
     return terminal, running, singular
 
 
-def per_path_cost(spec: ProblemSpec, traj: TrajectoryEnsemble, control,
-                  eta: SingularControl) -> np.ndarray:
-    """Per-path total cost: terminal + left-endpoint running quadrature +
-    singular quadrature sum_j k(t_j) . delta_eta_j."""
-    terminal, running, singular = _cost_terms(spec, traj, control, eta)
+def per_path_cost(traj: TrajectoryEnsemble) -> np.ndarray:
+    """Per-path total cost of the ensemble's controls: terminal +
+    left-endpoint running quadrature + singular quadrature
+    sum_j k(t_j) . delta_eta_j."""
+    terminal, running, singular = _cost_terms(traj)
     return terminal + running + singular
 
 
-def estimate_cost(spec: ProblemSpec, traj: TrajectoryEnsemble, control,
-                  eta: SingularControl) -> CostEstimate:
-    """Monte Carlo estimate of the expected cost of (control, eta)."""
-    terminal, running, singular = _cost_terms(spec, traj, control, eta)
+def estimate_cost(traj: TrajectoryEnsemble) -> CostEstimate:
+    """Monte Carlo estimate of the expected cost of the ensemble's controls."""
+    terminal, running, singular = _cost_terms(traj)
     costs = terminal + running + singular
     terminal_mean = float(np.mean(terminal))
     return CostEstimate(

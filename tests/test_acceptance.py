@@ -31,7 +31,6 @@ from singopt.sde import (
     estimate_cost,
     fundamental_solutions,
     simulate_relaxed,
-    simulate_strict,
 )
 
 RESULTS = []
@@ -130,7 +129,7 @@ def test_criterion_04_variational_consistency():
     traj = simulate_relaxed(spec, *base, grid, noise)
     from singopt.sde import simulate_variational
 
-    z = simulate_variational(spec, base, direction, traj)
+    z = simulate_variational(traj, direction)
     stats = []
     for theta in (1e-1, 1e-2, 1e-3):
         mixed = convex_combine(base, direction, theta)
@@ -168,7 +167,7 @@ def test_criterion_05_duality_identity():
     base = (constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5]), zero_singular(grid, 1))
     direction = (dirac_embed(constant_strict(grid, [1.0])), zero_singular(grid, 1))
     traj = simulate_relaxed(spec, *base, grid, noise)
-    res, se = duality_residual(spec, base, direction, traj)
+    res, se = duality_residual(traj, direction)
     stoch_ok = res <= 3.0 * se
     # deterministic built-ins against the adaptive-integrator oracle
     det_details, det_ok = [], True
@@ -186,7 +185,7 @@ def test_criterion_05_duality_identity():
             ddir = (dirac_embed(constant_strict(dgrid, [1.0])), zero_singular(dgrid, 1))
         dbase = (mu, zero_singular(dgrid, 1))
         dtraj = simulate_relaxed(dspec, *dbase, dgrid, dnoise)
-        dres, _ = duality_residual(dspec, dbase, ddir, dtraj)
+        dres, _ = duality_residual(dtraj, ddir)
         # all built-ins have zero terminal gradient, so the oracle value of
         # both sides is exactly zero; the residual must sit at grid error
         allowance = 1e-6 + 5.0 * dgrid.dt
@@ -206,9 +205,9 @@ def test_criterion_06_adjoint_closed_form():
     mu = dirac_embed(constant_strict(grid, [0.0]))
     xi = zero_singular(grid, 1)
     traj = simulate_relaxed(spec, mu, xi, grid, noise)
-    fund = fundamental_solutions(spec, (mu, xi), traj)
-    expl = adjoint_explicit(spec, (mu, xi), traj, fund, degree=1)
-    bsde = adjoint_bsde(spec, (mu, xi), traj, degree=1)
+    fund = fundamental_solutions(traj)
+    expl = adjoint_explicit(fund, degree=1)
+    bsde = adjoint_bsde(traj, degree=1)
     p_oracle = 2.0 * traj.states[:, :, 0] * (1.0 - grid.knots)[None, :]
     P_oracle = np.broadcast_to(2.0 * (1.0 - grid.knots), bsde.P[:, :, 0, 0].shape).copy()
     P_oracle[:, -1] = 0.0
@@ -232,14 +231,14 @@ def test_criterion_07_necessary_condition_verdicts():
 
     mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
     traj = simulate_relaxed(spec, mu, xi, grid, noise)
-    pair = adjoint_bsde(spec, (mu, xi), traj, degree=1)
-    good = verify_necessary(spec, (mu, xi), pair, traj)
+    pair = adjoint_bsde(traj, degree=1)
+    good = verify_necessary(pair)
     good_mini = next(c for c in good.conditions if c.condition_id == "hamiltonian-minimality")
 
     v0 = dirac_embed(constant_strict(grid, [0.0]))
     traj0 = simulate_relaxed(spec, v0, xi, grid, noise)
-    pair0 = adjoint_bsde(spec, (v0, xi), traj0, degree=1)
-    bad = verify_necessary(spec, (v0, xi), pair0, traj0)
+    pair0 = adjoint_bsde(traj0, degree=1)
+    bad = verify_necessary(pair0)
     bad_mini = next(c for c in bad.conditions if c.condition_id == "hamiltonian-minimality")
 
     ok = (
@@ -264,8 +263,8 @@ def test_criterion_08_singular_conditions_and_cost_gap():
     v0 = dirac_embed(constant_strict(grid, [0.0]))
     flat = zero_singular(grid, 1)
     traj = simulate_relaxed(spec, v0, flat, grid, noise)
-    pair = adjoint_bsde(spec, (v0, flat), traj, degree=1)
-    clean = verify_necessary(spec, (v0, flat), pair, traj)
+    pair = adjoint_bsde(traj, degree=1)
+    clean = verify_necessary(pair)
     by_id = {c.condition_id: c for c in clean.conditions}
     clean_ok = by_id["nonnegativity"].passed and by_id["flat-off"].passed
 
@@ -273,12 +272,12 @@ def test_criterion_08_singular_conditions_and_cost_gap():
     inc[30, 0] = 1.0
     xi = SingularControl(grid, inc)
     traj_inj = simulate_relaxed(spec, v0, xi, grid, noise)
-    pair_inj = adjoint_bsde(spec, (v0, xi), traj_inj, degree=1)
-    injected = verify_necessary(spec, (v0, xi), pair_inj, traj_inj)
+    pair_inj = adjoint_bsde(traj_inj, degree=1)
+    injected = verify_necessary(pair_inj)
     inj_flat = next(c for c in injected.conditions if c.condition_id == "flat-off")
 
-    base_cost = estimate_cost(spec, traj, v0, flat)
-    inj_cost = estimate_cost(spec, traj_inj, v0, xi)
+    base_cost = estimate_cost(traj)
+    inj_cost = estimate_cost(traj_inj)
     gap = inj_cost.value - base_cost.value
     margin = 3.0 * (base_cost.std_error + inj_cost.std_error)
     ok = clean_ok and not inj_flat.passed and gap >= kappa - margin
@@ -305,16 +304,16 @@ def test_criterion_09_certified_candidates_beat_competitors():
             mu = dirac_embed(constant_strict(grid, [0.0]))
         xi = zero_singular(grid, 1)
         traj = simulate_relaxed(spec, mu, xi, grid, noise)
-        pair = adjoint_bsde(spec, (mu, xi), traj, degree=1)
-        cert = certify_sufficient(spec, (mu, xi), pair, traj)
+        pair = adjoint_bsde(traj, degree=1)
+        cert = certify_sufficient(pair)
         assert cert.certified, f"{name} candidate unexpectedly not certified"
-        base = estimate_cost(spec, traj, mu, xi)
+        base = estimate_cost(traj)
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         beaten = 0
         for _ in range(200):
             v, eta = oracles.random_competitor(spec, grid, rng)
-            ctraj = simulate_strict(spec, v, eta, grid, noise)
-            comp = estimate_cost(spec, ctraj, v, eta)
+            ctraj = simulate_relaxed(spec, v, eta, grid, noise)
+            comp = estimate_cost(ctraj)
             if comp.value < base.value - 3.0 * (base.std_error + comp.std_error):
                 beaten += 1
         cases.append((name, beaten))

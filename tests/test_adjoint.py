@@ -86,27 +86,27 @@ class TestAdjointTrivialCases:
     def test_constant_terminal_gradient(self):
         spec = constant_gradient_problem()
         grid, noise, pair, traj = setup(spec, constant_strict(TimeGrid(50, 1.0), [0.0]), N=50)
-        bsde = adjoint_bsde(spec, pair, traj, degree=1)
+        bsde = adjoint_bsde(traj, degree=1)
         assert np.allclose(bsde.p, 1.0, atol=1e-12)
         assert np.allclose(bsde.P[:, :-1], 0.0, atol=1e-12)
-        fund = fundamental_solutions(spec, pair, traj)
-        expl = adjoint_explicit(spec, pair, traj, fund, degree=1)
+        fund = fundamental_solutions(traj)
+        expl = adjoint_explicit(fund, degree=1)
         assert np.allclose(expl.p, 1.0, atol=1e-12)
 
     def test_zero_cost_gradients_give_zero_adjoint(self):
         spec = zero_gradient_problem()
         grid, noise, pair, traj = setup(spec, constant_strict(TimeGrid(50, 1.0), [0.0]), N=50)
-        bsde = adjoint_bsde(spec, pair, traj, degree=2)
+        bsde = adjoint_bsde(traj, degree=2)
         assert np.abs(bsde.p).max() <= 1e-10
         assert np.abs(bsde.P).max() <= 1e-10
-        fund = fundamental_solutions(spec, pair, traj)
-        expl = adjoint_explicit(spec, pair, traj, fund, degree=2)
+        fund = fundamental_solutions(traj)
+        expl = adjoint_explicit(fund, degree=2)
         assert np.abs(expl.p).max() <= 1e-10
 
     def test_example1_at_relaxed_optimum_gives_zero_adjoint(self, example1, grid100):
         mu = constant_relaxed(grid100, [[-1.0], [1.0]], [0.5, 0.5])
         grid, noise, pair, traj = setup(example1, mu, M=8)
-        bsde = adjoint_bsde(example1, pair, traj, degree=1)
+        bsde = adjoint_bsde(traj, degree=1)
         assert np.abs(bsde.p).max() == 0.0
 
     def test_terminal_slice_exact_both_methods(self, example2_stochastic):
@@ -114,9 +114,9 @@ class TestAdjointTrivialCases:
             example2_stochastic, constant_strict(TimeGrid(40, 1.0), [0.0]), N=40, M=256
         )
         gx = 2.0 * 0.0  # g = 0 here
-        bsde = adjoint_bsde(example2_stochastic, pair, traj, degree=1)
-        fund = fundamental_solutions(example2_stochastic, pair, traj)
-        expl = adjoint_explicit(example2_stochastic, pair, traj, fund, degree=1)
+        bsde = adjoint_bsde(traj, degree=1)
+        fund = fundamental_solutions(traj)
+        expl = adjoint_explicit(fund, degree=1)
         gx_T = example2_stochastic.g_x(traj.terminal)
         assert np.array_equal(bsde.p[:, -1, :], np.broadcast_to(gx_T, (256, 1)))
         assert np.array_equal(expl.p[:, -1, :], np.broadcast_to(gx_T, (256, 1)))
@@ -130,9 +130,9 @@ def brownian_adjoint_setup():
     mu = dirac_embed(constant_strict(grid, [0.0]))
     xi = zero_singular(grid, 1)
     traj = simulate_relaxed(spec, mu, xi, grid, noise)
-    fund = fundamental_solutions(spec, (mu, xi), traj)
-    expl = adjoint_explicit(spec, (mu, xi), traj, fund, degree=1)
-    bsde = adjoint_bsde(spec, (mu, xi), traj, degree=1)
+    fund = fundamental_solutions(traj)
+    expl = adjoint_explicit(fund, degree=1)
+    bsde = adjoint_bsde(traj, degree=1)
     return spec, grid, noise, traj, fund, expl, bsde, (mu, xi)
 
 
@@ -166,9 +166,9 @@ class TestClosedFormAdjoint:
     def test_martingale_route_P_agrees(self, computed):
         spec, grid, noise, traj, fund, _, bsde, pair = computed
         direction = (dirac_embed(constant_strict(grid, [1.0])), pair[1])
-        z = simulate_variational(spec, pair, direction, traj)
-        aux = auxiliary_processes(spec, pair, traj, fund, z, degree=1)
-        P2 = martingale_route_P(spec, pair, traj, fund, aux, bsde.p)
+        z = simulate_variational(traj, direction)
+        aux = auxiliary_processes(fund, z, degree=1)
+        P2 = martingale_route_P(fund, aux, bsde)
         rms = np.sqrt(np.mean((P2[:, :-1] - bsde.P[:, :-1]) ** 2))
         assert rms <= 5e-2
 
@@ -181,10 +181,10 @@ def aux_setup():
     mu = dirac_embed(constant_strict(grid, [0.0]))
     xi = zero_singular(grid, 1)
     traj = simulate_relaxed(spec, mu, xi, grid, noise)
-    fund = fundamental_solutions(spec, (mu, xi), traj)
+    fund = fundamental_solutions(traj)
     direction = (dirac_embed(constant_strict(grid, [1.0])), xi)
-    z = simulate_variational(spec, (mu, xi), direction, traj)
-    aux = auxiliary_processes(spec, (mu, xi), traj, fund, z, degree=2)
+    z = simulate_variational(traj, direction)
+    aux = auxiliary_processes(fund, z, degree=2)
     return spec, grid, traj, fund, z, aux
 
 
@@ -198,8 +198,7 @@ class TestAuxiliaryProcesses:
         spec, grid, traj, fund, _, aux = aux_setup
         # Y_T plus the accumulated gradient integral recovers X per path
         from singopt.adjoint import _grad_sums
-        mu = dirac_embed(constant_strict(grid, [0.0]))
-        _, prefix = _grad_sums(spec, mu, traj, fund)
+        prefix = _grad_sums(fund)
         recon = aux.Y[:, -1, :] + prefix[:, -1, :]
         assert np.allclose(recon, aux.X, atol=1e-12)
 
@@ -210,10 +209,10 @@ class TestAuxiliaryProcesses:
         mu = dirac_embed(constant_strict(grid, [0.0]))
         xi = zero_singular(grid, 1)
         traj = simulate_relaxed(spec, mu, xi, grid, noise)
-        fund = fundamental_solutions(spec, (mu, xi), traj)
+        fund = fundamental_solutions(traj)
         direction = (dirac_embed(constant_strict(grid, [1.0])), xi)
-        z = simulate_variational(spec, (mu, xi), direction, traj)
-        aux = auxiliary_processes(spec, (mu, xi), traj, fund, z, degree=1)
+        z = simulate_variational(traj, direction)
+        aux = auxiliary_processes(fund, z, degree=1)
         # E[X | F_t] has integrand 2 (T - t) here.  The integrand regression
         # carries irreducible dW^2 fluctuation of variance 2 Q^2 per path, a
         # noise floor near 0.075 at 2000 paths; 0.15 gives 2x headroom.
@@ -228,7 +227,7 @@ class TestDuality:
         mu = constant_relaxed(grid100, [[-1.0], [1.0]], [0.5, 0.5])
         xi = zero_singular(grid100, 1)
         traj = simulate_relaxed(example2_stochastic, mu, xi, grid100, noise)
-        res, se = duality_residual(example2_stochastic, (mu, xi), (mu, xi), traj)
+        res, se = duality_residual(traj, (mu, xi))
         assert res == 0.0 and se == 0.0
 
     def test_deterministic_case_against_ode_oracle(self, linear_drift_det):
@@ -239,16 +238,14 @@ class TestDuality:
         xi = zero_singular(grid, 1)
         direction = (dirac_embed(constant_strict(grid, [1.0])), xi)
         traj = simulate_relaxed(linear_drift_det, mu, xi, grid, noise)
-        res, se = duality_residual(linear_drift_det, (mu, xi), direction, traj)
+        res, se = duality_residual(traj, direction)
         assert se == 0.0
         assert res <= 1e-6 + 5.0 * grid.dt
         # compare each side against the adaptive-integrator value
         xbar = oracles.integrate_ode(lambda t, y: 0.5 * y, [0.5], 1.0, grid.knots)[-1, 0]
         zbar = oracles.integrate_ode(lambda t, y: 0.5 * y + 1.0, [0.0], 1.0, grid.knots)[-1, 0]
         oracle_value = 2.0 * xbar * zbar  # g_x(x_T) z_T
-        z = simulate_variational(
-            linear_drift_det, (mu, xi), direction, traj
-        )
+        z = simulate_variational(traj, direction)
         lhs = float(
             np.mean(linear_drift_det.g_x(traj.terminal)[:, 0] * z.z[:, -1, 0])
         )
@@ -261,7 +258,7 @@ class TestDuality:
         xi = zero_singular(grid, 1)
         direction = (dirac_embed(constant_strict(grid, [1.0])), xi)
         traj = simulate_relaxed(linear_drift_stoch, mu, xi, grid, noise)
-        res, se = duality_residual(linear_drift_stoch, (mu, xi), direction, traj)
+        res, se = duality_residual(traj, direction)
         assert res <= 3.0 * se + 5.0 * grid.dt
 
 
@@ -282,17 +279,16 @@ def test_first_order_value_consistent_across_three_routes(linear_drift_stoch):
     direction = (dirac_embed(constant_strict(grid, [1.0])), xi)
 
     traj = simulate_relaxed(spec, mu, xi, grid, noise)
-    pair = adjoint_bsde(spec, base, traj, degree=2)
-    v_adjoint, se_adj = variational_inequality_value(spec, base, direction, pair, traj)
+    pair = adjoint_bsde(traj, degree=2)
+    v_adjoint, se_adj = variational_inequality_value(pair, direction)
 
     theta = 1e-3
     mixed = convex_combine(base, direction, theta)
     xt = simulate_relaxed(spec, *mixed, grid, noise)
-    fd = (per_path_cost(spec, xt, mixed[0], mixed[1])
-          - per_path_cost(spec, traj, mu, xi)) / theta
+    fd = (per_path_cost(xt) - per_path_cost(traj)) / theta
     v_primal, se_primal = float(fd.mean()), float(fd.std(ddof=1) / np.sqrt(M))
 
-    z = simulate_variational(spec, base, direction, traj)
+    z = simulate_variational(traj, direction)
     knots, dt = grid.knots, grid.dt
     value = np.einsum(
         "mp,mp->m", np.broadcast_to(spec.g_x(traj.terminal), (M, 1)), z.z[:, -1, :]
@@ -319,10 +315,8 @@ class TestVariationalInequalityValue:
         mu = constant_relaxed(grid100, [[-1.0], [1.0]], [0.5, 0.5])
         xi = zero_singular(grid100, 1)
         traj = simulate_relaxed(example2_separated, mu, xi, grid100, noise)
-        pair = adjoint_bsde(example2_separated, (mu, xi), traj, degree=1)
-        value, se = variational_inequality_value(
-            example2_separated, (mu, xi), (mu, xi), pair, traj
-        )
+        pair = adjoint_bsde(traj, degree=1)
+        value, se = variational_inequality_value(pair, (mu, xi))
         assert value == 0.0 and se == 0.0
 
     def test_separated_closed_form_horizon_value(self, example2_separated, grid100):
@@ -332,11 +326,9 @@ class TestVariationalInequalityValue:
         mu = constant_relaxed(grid100, [[-1.0], [1.0]], [0.5, 0.5])
         xi = zero_singular(grid100, 1)
         traj = simulate_relaxed(example2_separated, mu, xi, grid100, noise)
-        pair = adjoint_bsde(example2_separated, (mu, xi), traj, degree=1)
+        pair = adjoint_bsde(traj, degree=1)
         direction = (dirac_embed(constant_strict(grid100, [0.0])), xi)
-        value, se = variational_inequality_value(
-            example2_separated, (mu, xi), direction, pair, traj
-        )
+        value, se = variational_inequality_value(pair, direction)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert se == 0.0
 
@@ -345,13 +337,11 @@ class TestVariationalInequalityValue:
         mu = dirac_embed(constant_strict(grid100, [0.0]))
         xi = zero_singular(grid100, 1)
         traj = simulate_relaxed(singular_block, mu, xi, grid100, noise)
-        pair = adjoint_bsde(singular_block, (mu, xi), traj, degree=1)
+        pair = adjoint_bsde(traj, degree=1)
         inc = np.zeros((100, 1))
         inc[30, 0] = 2.0
         direction = (mu, SingularControl(grid100, inc))
-        value, _ = variational_inequality_value(
-            singular_block, (mu, xi), direction, pair, traj
-        )
+        value, _ = variational_inequality_value(pair, direction)
         slack = 1.0 + pair.p[:, 30, 0]  # k + G^T p at the jump cell
         assert value == pytest.approx(float(np.mean(slack * 2.0)), abs=1e-12)
         assert value > 0.0

@@ -59,8 +59,8 @@ def verified(spec, control, singular=None, N=100, M=16, seed=3, degree=1, tol=No
     mu = as_relaxed(control)
     xi = singular if singular is not None else zero_singular(grid, spec.m)
     traj = simulate_relaxed(spec, mu, xi, grid, noise)
-    pair = adjoint_bsde(spec, (mu, xi), traj, degree=degree)
-    report = verify_necessary(spec, (mu, xi), pair, traj, tol or Tolerances())
+    pair = adjoint_bsde(traj, degree=degree)
+    report = verify_necessary(pair, tol or Tolerances())
     return grid, noise, traj, pair, report
 
 
@@ -251,14 +251,9 @@ class TestVerifyNecessary:
         mini = next(c for c in report.conditions if c.condition_id == "hamiltonian-minimality")
         assert mini.statistic == pytest.approx(1.0, abs=1e-9)
 
-    def test_missing_adjoint_is_an_error(self, example2_separated):
-        grid = TimeGrid(10, 1.0)
-        noise = NoiseBatch.generate(4, grid, 1, 1)
-        mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
-        xi = zero_singular(grid, 1)
-        traj = simulate_relaxed(example2_separated, mu, xi, grid, noise)
+    def test_missing_adjoint_is_an_error(self):
         with pytest.raises(ValueError, match="adjoint"):
-            verify_necessary(example2_separated, (mu, xi), None, traj)
+            verify_necessary(None)
 
     def test_singular_block_flat_candidate_passes(self, singular_block):
         grid = TimeGrid(100, 1.0)
@@ -292,11 +287,8 @@ class TestVerifyNecessary:
         mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
         xi = zero_singular(grid, 1)
         traj = simulate_relaxed(example2_separated, mu, xi, grid, noise)
-        pair = adjoint_bsde(example2_separated, (mu, xi), traj, degree=1)
-        report = verify_necessary(
-            example2_separated, (mu, xi), pair, traj,
-            config_echo={"seed": 5, "N": 20, "M": 8},
-        )
+        pair = adjoint_bsde(traj, degree=1)
+        report = verify_necessary(pair, config_echo={"seed": 5, "N": 20, "M": 8})
         blob = report.as_dict()
         assert blob["passed"] is True
         assert blob["config"]["seed"] == 5
@@ -362,9 +354,7 @@ def test_one_pass_verifier_matches_reference_formulas(name):
     assert (ties == grid.num_steps) == (name == "argmin-tie")
     direction = (dirac_embed(StrictControl(grid, spec.u1_grid[best])),
                  zero_singular(grid, spec.m))
-    value, se = variational_inequality_value(
-        spec, (as_relaxed(control), xi), direction, pair, traj
-    )
+    value, se = variational_inequality_value(pair, direction)
     vi = by_id["variational-inequality[pointwise-argmin]"]
     assert (vi.statistic, vi.std_error) == (value, se)
 
@@ -380,8 +370,7 @@ class TestCertifySufficient:
         grid = TimeGrid(100, 1.0)
         mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
         grid, noise, traj, pair, _ = verified(example2_separated, mu)
-        cert = certify_sufficient(example2_separated, (mu, zero_singular(grid, 1)),
-                                  pair, traj)
+        cert = certify_sufficient(pair)
         assert cert.certified
 
     def test_concave_terminal_cost_blocks_certification(self, example2_separated):
@@ -393,7 +382,7 @@ class TestCertifySufficient:
         grid = TimeGrid(50, 1.0)
         mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
         grid, noise, traj, pair, _ = verified(concave, mu, N=50)
-        cert = certify_sufficient(concave, (mu, zero_singular(grid, 1)), pair, traj)
+        cert = certify_sufficient(pair)
         assert not cert.certified
         assert not [c for c in cert.convexity if c.subject == "terminal_cost"][0].passed
 
@@ -401,9 +390,7 @@ class TestCertifySufficient:
         grid = TimeGrid(50, 1.0)
         v0 = constant_strict(grid, [0.0])
         grid, noise, traj, pair, _ = verified(example2_separated, v0, N=50)
-        cert = certify_sufficient(
-            example2_separated, (dirac_embed(v0), zero_singular(grid, 1)), pair, traj
-        )
+        cert = certify_sufficient(pair)
         assert not cert.certified
         assert all(c.passed for c in cert.convexity)  # convexity holds; conditions fail
 
@@ -414,13 +401,27 @@ class TestCertifySufficient:
         mu = dirac_embed(constant_strict(grid, [1.0]))
         xi = zero_singular(grid, 1)
         traj = simulate_relaxed(tanh_drift, mu, xi, grid, noise)
-        pair = adjoint_bsde(tanh_drift, (mu, xi), traj, degree=1)
-        cert = certify_sufficient(tanh_drift, (mu, xi), pair, traj, probe_pairs=200)
+        pair = adjoint_bsde(traj, degree=1)
+        cert = certify_sufficient(pair, probe_pairs=200)
         evid = {c.subject: c for c in cert.convexity}
         assert "midpoint probe" in evid["terminal_cost"].evidence
         assert evid["terminal_cost"].passed  # g = 0 is convex
         # H = x^2 + (a + tanh x) p is not convex in x for negative p regions,
         # so the probe is allowed to fail; it must still produce evidence
+        assert "midpoint probe" in evid["hamiltonian_in_state"].evidence
+
+    def test_overridden_drift_takes_the_probe_route(self, example2_stochastic):
+        # a form-built problem whose drift is swapped for one without the
+        # state/control split may be nonlinear in x, b = a + tanh(x), so the
+        # declared forms are no evidence of convexity
+        spec = example2_stochastic.with_overrides(
+            b=lambda t, x, a: np.asarray(a, dtype=float) + np.tanh(x),
+            b_x=lambda t, x, a: (1.0 - np.tanh(x) ** 2)[..., None],
+        )
+        grid = TimeGrid(20, spec.horizon)
+        mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
+        *_, pair, _ = verified(spec, mu, N=20, M=400, seed=5, degree=2)
+        evid = {c.subject: c for c in certify_sufficient(pair).convexity}
         assert "midpoint probe" in evid["hamiltonian_in_state"].evidence
 
     def test_probe_rejects_nonfinite_hamiltonian(self, tanh_drift):
@@ -434,9 +435,9 @@ class TestCertifySufficient:
         mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
         xi = zero_singular(grid, 1)
         traj = simulate_relaxed(spec, mu, xi, grid, noise)
-        pair = adjoint_bsde(spec, (mu, xi), traj, degree=1)
+        pair = adjoint_bsde(traj, degree=1)
         with pytest.raises(ControlError, match="not finite .* cell 0"):
-            certify_sufficient(spec, (mu, xi), pair, traj, probe_pairs=20)
+            certify_sufficient(pair, probe_pairs=20)
 
     def test_flat_singular_control_optimal_by_enumeration(self, singular_block):
         # brute force over a small grid of nondecreasing singular controls:
@@ -447,15 +448,13 @@ class TestCertifySufficient:
         noise = NoiseBatch.generate(2, grid, 1, 1)
         v = constant_strict(grid, [0.0])
         base = estimate_cost(
-            singular_block,
             simulate_relaxed(singular_block, dirac_embed(v), zero_singular(grid, 1),
                              grid, noise),
-            v, zero_singular(grid, 1),
         )
         for pattern in product((0.0, 0.5, 1.0), repeat=4):
             xi = SingularControl(grid, np.array(pattern)[:, None])
             traj = simulate_relaxed(singular_block, dirac_embed(v), xi, grid, noise)
-            cost = estimate_cost(singular_block, traj, v, xi)
+            cost = estimate_cost(traj)
             assert cost.value >= base.value - 1e-12
             if any(pattern):
                 assert cost.value > base.value
@@ -463,17 +462,15 @@ class TestCertifySufficient:
     def test_certified_candidate_beats_random_competitors(self, singular_block):
         grid = TimeGrid(100, 1.0)
         grid, noise, traj, pair, _ = verified(singular_block, constant_strict(grid, [0.0]))
-        xi = zero_singular(grid, 1)
-        cand = (dirac_embed(constant_strict(grid, [0.0])), xi)
-        cert = certify_sufficient(singular_block, cand, pair, traj)
+        cert = certify_sufficient(pair)
         assert cert.certified
-        base_cost = estimate_cost(singular_block, traj, cand[0], xi)
+        base_cost = estimate_cost(traj)
         rng = np.random.default_rng(12)
         for _ in range(50):
             v, eta = oracles.random_competitor(singular_block, grid, rng)
             comp_traj = simulate_relaxed(
                 singular_block, dirac_embed(v), eta, grid, noise
             )
-            comp = estimate_cost(singular_block, comp_traj, v, eta)
+            comp = estimate_cost(comp_traj)
             margin = 3.0 * (base_cost.std_error + comp.std_error)
             assert comp.value >= base_cost.value - margin

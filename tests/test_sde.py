@@ -36,7 +36,6 @@ from singopt.sde import (
     fundamental_solutions,
     regrid_singular,
     simulate_relaxed,
-    simulate_strict,
     simulate_variational,
 )
 
@@ -53,7 +52,7 @@ class TestSimulateStrict:
     def test_zero_coefficients_freeze_state(self, singular_block, grid64):
         # b = sigma = 0 and no singular increments: x stays at x0
         noise = make_noise(grid64)
-        traj = simulate_strict(
+        traj = simulate_relaxed(
             singular_block, constant_strict(grid64, [0.0]), zero_singular(grid64, 1),
             grid64, noise,
         )
@@ -63,7 +62,7 @@ class TestSimulateStrict:
     def test_alternating_control_stays_within_ramp_bound(self, example1, n):
         grid = TimeGrid(64, 1.0)
         noise = make_noise(grid, paths=3)
-        traj = simulate_strict(
+        traj = simulate_relaxed(
             example1, alternating_strict(grid, n), zero_singular(grid, 1), grid, noise
         )
         assert np.abs(traj.states).max() == pytest.approx(1.0 / n)
@@ -73,7 +72,7 @@ class TestSimulateStrict:
 
     def test_terminal_second_moment_matches_brownian(self, example2_stochastic, grid100):
         noise = make_noise(grid100, paths=10_000, seed=21)
-        traj = simulate_strict(
+        traj = simulate_relaxed(
             example2_stochastic, constant_strict(grid100, [0.0]),
             zero_singular(grid100, 1), grid100, noise,
         )
@@ -92,7 +91,7 @@ class TestSimulateStrict:
                 SimulationError,
                 match=r"^state became non-finite at step 3, first affected path 0$",
             ):
-                simulate_strict(
+                simulate_relaxed(
                     exploding, constant_strict(grid64, [1.0]),
                     zero_singular(grid64, 1), grid64, noise,
                 )
@@ -118,7 +117,7 @@ class TestSimulateStrict:
                 SimulationError,
                 match=r"^state became non-finite at step 150, first affected path 2$",
             ):
-                simulate_strict(
+                simulate_relaxed(
                     exploding, constant_strict(grid, [1.0]),
                     zero_singular(grid, 1), grid, noise,
                 )
@@ -126,15 +125,15 @@ class TestSimulateStrict:
     def test_determinism_bit_identical(self, example2_stochastic, grid64):
         v = constant_strict(grid64, [1.0])
         eta = zero_singular(grid64, 1)
-        a = simulate_strict(example2_stochastic, v, eta, grid64, make_noise(grid64, seed=5))
-        b = simulate_strict(example2_stochastic, v, eta, grid64, make_noise(grid64, seed=5))
+        a = simulate_relaxed(example2_stochastic, v, eta, grid64, make_noise(grid64, seed=5))
+        b = simulate_relaxed(example2_stochastic, v, eta, grid64, make_noise(grid64, seed=5))
         assert np.array_equal(a.states, b.states)
 
     def test_mismatched_control_grid_is_rejected(self, example2_stochastic, grid64):
         other = TimeGrid(32, 1.0)
         noise = make_noise(grid64, paths=2)
         with pytest.raises(SimulationError, match="does not match"):
-            simulate_strict(
+            simulate_relaxed(
                 example2_stochastic, constant_strict(other, [1.0]),
                 zero_singular(grid64, 1), grid64, noise,
             )
@@ -143,7 +142,7 @@ class TestSimulateStrict:
     def test_mismatched_noise_batch_is_rejected(self, example2_stochastic, grid64, steps, dim):
         noise = make_noise(TimeGrid(steps, 1.0), paths=2, d=dim)
         with pytest.raises(SimulationError, match="noise batch does not match"):
-            simulate_strict(
+            simulate_relaxed(
                 example2_stochastic, constant_strict(grid64, [1.0]),
                 zero_singular(grid64, 1), grid64, noise,
             )
@@ -154,7 +153,7 @@ class TestSimulateRelaxed:
         noise = make_noise(grid64, paths=16, seed=9)
         v = alternating_strict(grid64, 4)
         eta = zero_singular(grid64, 1)
-        xs = simulate_strict(example2_stochastic, v, eta, grid64, noise)
+        xs = simulate_relaxed(example2_stochastic, v, eta, grid64, noise)
         xr = simulate_relaxed(example2_stochastic, dirac_embed(v), eta, grid64, noise)
         assert np.array_equal(xs.states, xr.states)
 
@@ -189,7 +188,7 @@ class TestVariational:
         noise = make_noise(grid64, paths=8)
         base = (pm1(grid64), zero_singular(grid64, 1))
         traj = simulate_relaxed(example2_stochastic, *base, grid64, noise)
-        z = simulate_variational(example2_stochastic, base, base, traj)
+        z = simulate_variational(traj, base)
         assert np.all(z.z == 0.0)
 
     def test_example1_matches_ode_oracle(self, example1):
@@ -200,7 +199,7 @@ class TestVariational:
         base = (pm1(grid), zero_singular(grid, 1))
         direction = (dirac_embed(constant_strict(grid, [1.0])), zero_singular(grid, 1))
         traj = simulate_relaxed(example1, *base, grid, noise)
-        z = simulate_variational(example1, base, direction, traj)
+        z = simulate_variational(traj, direction)
         oracle = oracles.integrate_ode(lambda t, y: [1.0], [0.0], 1.0, grid.knots)
         assert np.allclose(z.z[0, :, 0], oracle[:, 0], atol=1e-8)
 
@@ -211,7 +210,7 @@ class TestVariational:
         inc[0, 0] = 1.0
         direction = (base[0], SingularControl(grid64, inc))
         traj = simulate_relaxed(singular_block, *base, grid64, noise)
-        z = simulate_variational(singular_block, base, direction, traj)
+        z = simulate_variational(traj, direction)
         assert np.all(z.z[:, 1:, 0] == 1.0)
 
     def test_finite_difference_quotient_exact_for_affine_dynamics(
@@ -223,7 +222,7 @@ class TestVariational:
         base = (pm1(grid100), zero_singular(grid100, 1))
         direction = (dirac_embed(constant_strict(grid100, [1.0])), zero_singular(grid100, 1))
         traj = simulate_relaxed(example2_stochastic, *base, grid100, noise)
-        z = simulate_variational(example2_stochastic, base, direction, traj)
+        z = simulate_variational(traj, direction)
         for theta in (1e-1, 1e-2, 1e-3):
             mixed = convex_combine(base, direction, theta)
             xt = simulate_relaxed(example2_stochastic, *mixed, grid100, noise)
@@ -237,7 +236,7 @@ class TestVariational:
         base = (dirac_embed(constant_strict(grid100, [1.0])), zero_singular(grid100, 1))
         direction = (dirac_embed(constant_strict(grid100, [-1.0])), zero_singular(grid100, 1))
         traj = simulate_relaxed(tanh_drift, *base, grid100, noise)
-        z = simulate_variational(tanh_drift, base, direction, traj)
+        z = simulate_variational(traj, direction)
         stats = []
         for theta in (1e-1, 1e-2, 1e-3):
             mixed = convex_combine(base, direction, theta)
@@ -267,7 +266,7 @@ class TestFundamentalSolutions:
         noise = make_noise(grid64, paths=8)
         pair = (pm1(grid64), zero_singular(grid64, 1))
         traj = simulate_relaxed(example2_stochastic, *pair, grid64, noise)
-        fund = fundamental_solutions(example2_stochastic, pair, traj)
+        fund = fundamental_solutions(traj)
         assert np.all(fund.Phi == np.eye(1))
         assert np.all(fund.Psi == np.eye(1))
         assert fund.inverse_defect() == 0.0
@@ -278,7 +277,7 @@ class TestFundamentalSolutions:
         noise = make_noise(grid, paths=2)
         pair = (dirac_embed(constant_strict(grid, [0.0])), zero_singular(grid, 1))
         traj = simulate_relaxed(linear_drift_det, *pair, grid, noise)
-        fund = fundamental_solutions(linear_drift_det, pair, traj)
+        fund = fundamental_solutions(traj)
         target = np.exp(0.5)
         assert abs(fund.Phi[0, -1, 0, 0] - target) <= 5 * target * grid.dt
         oracle = oracles.integrate_ode(lambda t, y: 0.5 * y, [1.0], 1.0, grid.knots)
@@ -291,7 +290,7 @@ class TestFundamentalSolutions:
             noise = make_noise(grid, paths=64, seed=31)
             pair = (dirac_embed(constant_strict(grid, [0.0])), zero_singular(grid, 1))
             traj = simulate_relaxed(linear_drift_stoch, *pair, grid, noise)
-            fund = fundamental_solutions(linear_drift_stoch, pair, traj)
+            fund = fundamental_solutions(traj)
             defects[N] = fund.inverse_defect()
         # defect ~ C sqrt(dt): quadrupling N should at least halve it (with slack)
         assert defects[400] <= 0.75 * defects[100]
@@ -304,7 +303,7 @@ class TestFundamentalSolutions:
             noise = make_noise(grid100, paths=256, seed=seed)
             pair = (dirac_embed(constant_strict(grid100, [0.0])), zero_singular(grid100, 1))
             traj = simulate_relaxed(linear_drift_stoch, *pair, grid100, noise)
-            fund = fundamental_solutions(linear_drift_stoch, pair, traj)
+            fund = fundamental_solutions(traj)
             stat = float((fund.Phi ** 2 + fund.Psi ** 2).sum(axis=(2, 3)).max())
             stats.append(stat)
         assert all(np.isfinite(s) for s in stats)
@@ -336,9 +335,9 @@ def test_linearized_blowup_reports_first_step_and_path(tanh_drift, sweep):
             match=r"^state became non-finite at step 150, first affected path 2$",
         ):
             if sweep == "variational":
-                simulate_variational(exploding, base, direction, traj)
+                simulate_variational(traj, direction)
             else:
-                fundamental_solutions(exploding, base, traj)
+                fundamental_solutions(traj)
 
 
 def test_ensembles_keep_shape_and_store_knots_contiguously(example2_stochastic, grid64):
@@ -346,9 +345,9 @@ def test_ensembles_keep_shape_and_store_knots_contiguously(example2_stochastic, 
     pair = (pm1(grid64), zero_singular(grid64, 1))
     traj = simulate_relaxed(example2_stochastic, *pair, grid64, noise)
     direction = (dirac_embed(constant_strict(grid64, [1.0])), zero_singular(grid64, 1))
-    z = simulate_variational(example2_stochastic, pair, direction, traj)
-    fund = fundamental_solutions(example2_stochastic, pair, traj)
-    adj = adjoint_bsde(example2_stochastic, pair, traj)
+    z = simulate_variational(traj, direction)
+    fund = fundamental_solutions(traj)
+    adj = adjoint_bsde(traj)
     ensembles = {
         "noise": (noise.increments, (8, 64, 1)),
         "states": (traj.states, (8, 65, 1)),
@@ -368,8 +367,8 @@ class TestCost:
         noise = make_noise(grid64, paths=8)
         v = alternating_strict(grid64, 8)
         eta = zero_singular(grid64, 1)
-        traj = simulate_strict(example1, v, eta, grid64, noise)
-        est = estimate_cost(example1, traj, v, eta)
+        traj = simulate_relaxed(example1, v, eta, grid64, noise)
+        est = estimate_cost(traj)
         assert est.std_error == 0.0
         assert est.value == pytest.approx(oracles.alternating_cost_on_grid(8, 64), abs=1e-14)
 
@@ -379,8 +378,8 @@ class TestCost:
         inc[20, 0] = 1.0
         xi = SingularControl(grid64, inc)
         v = constant_strict(grid64, [0.0])
-        traj = simulate_strict(singular_block, v, xi, grid64, noise)
-        est = estimate_cost(singular_block, traj, v, xi)
+        traj = simulate_relaxed(singular_block, v, xi, grid64, noise)
+        est = estimate_cost(traj)
         assert est.singular == 1.0  # kappa * unit increment
 
     def test_relaxed_cost_of_optimum_is_exactly_zero(self, example1, grid64):
@@ -388,7 +387,7 @@ class TestCost:
         mu = pm1(grid64)
         eta = zero_singular(grid64, 1)
         traj = simulate_relaxed(example1, mu, eta, grid64, noise)
-        est = estimate_cost(example1, traj, mu, eta)
+        est = estimate_cost(traj)
         assert est.value == 0.0 and est.std_error == 0.0
 
 
@@ -445,7 +444,7 @@ def reference_chattering_gap(spec, q, eta, n, num_paths, seed):
     q_ref = regrid_relaxed(q, refined.num_steps)
     eta_ref = regrid_singular(eta, refined.num_steps)
     noise = NoiseBatch.generate(num_paths, refined, spec.d, (seed, n))
-    x_strict = simulate_strict(spec, un, eta_ref, refined, noise)
+    x_strict = simulate_relaxed(spec, un, eta_ref, refined, noise)
     x_relax = simulate_relaxed(spec, q_ref, eta_ref, refined, noise)
     gap = 0.0
     for start in range(0, refined.num_steps + 1, _BLOCK_KNOTS):
@@ -564,7 +563,7 @@ def test_running_block_matches_per_knot_averages(example2_stochastic):
     eta = zero_singular(grid, 1)
     traj = simulate_relaxed(spec, mu, eta, grid, make_noise(grid, paths=12, seed=4))
 
-    _, running, _ = _cost_terms(spec, traj, mu, eta)
+    _, running, _ = _cost_terms(traj)
     expected = reference_path_cost(spec, traj, mu, eta) - spec.g(traj.terminal)
     np.testing.assert_allclose(running, expected, rtol=1e-12, atol=0.0)
 
@@ -594,6 +593,6 @@ def test_dirac_embedding_is_bit_identical_to_strict_property(
     inc = rng.exponential(size=(num_steps, 1)) * rng.integers(0, 2, size=(num_steps, 1))
     eta = SingularControl(grid, inc if with_singular else np.zeros((num_steps, 1)))
     noise = NoiseBatch.generate(num_paths, grid, spec.d, seed)
-    strict = simulate_strict(spec, v, eta, grid, noise)
+    strict = simulate_relaxed(spec, v, eta, grid, noise)
     relaxed = simulate_relaxed(spec, dirac_embed(v), eta, grid, noise)
     assert np.array_equal(strict.states, relaxed.states)
