@@ -29,7 +29,6 @@ from .sde import (
     FundamentalPair,
     TrajectoryEnsemble,
     VariationalEnsemble,
-    _cell_average,
     _require_along,
     _require_grid,
     _std_error,
@@ -85,7 +84,8 @@ class AdjointPair:
     ensemble traj, stored time-major (model.ensemble_zeros).
 
     P is None on the explicit route (that route produces p only; P can be
-    recovered from the martingale integrand, see martingale_route_P).  By
+    recovered from the martingale integrand, see martingale_route_P), and
+    the optimality checks refuse such a pair.  By
     convention P[:, N] = 0: no Brownian exposure remains at the horizon.
     """
 
@@ -132,10 +132,7 @@ def _grad_sums(fund: FundamentalPair) -> np.ndarray:
     knots = grid.knots
     terms = ensemble_zeros(M, grid.num_steps, spec.n)
     for j in range(grid.num_steps):
-        hx = np.broadcast_to(
-            _cell_average(spec.h_x, knots[j], traj.states[:, j, :], mu.atoms[j], mu.weights[j]),
-            (M, spec.n),
-        )
+        hx = np.broadcast_to(mu.average(spec.h_x, j, knots[j], traj.states[:, j, :]), (M, spec.n))
         terms[:, j, :] = _transpose_apply(fund.Phi[:, j], hx)
     prefix = ensemble_zeros(M, grid.num_steps + 1, spec.n)
     np.cumsum(terms * grid.dt, axis=1, out=prefix[:, 1:, :])
@@ -217,9 +214,7 @@ def adjoint_bsde(traj: TrajectoryEnsemble, degree: int = 2) -> AdjointPair:
         p_proj = fit_conditional(feats, p_next)
         mart = np.einsum("mp,mj->mpj", p_next - p_proj, dW[:, j, :]) / dt
         P[:, j] = fit_conditional(feats, mart)
-        hx = relaxed_hamiltonian_gradient(
-            spec, knots[j], xj, mu.atoms[j], mu.weights[j], p_next, P[:, j]
-        )
+        hx = relaxed_hamiltonian_gradient(spec, knots[j], xj, mu, j, p_next, P[:, j])
         target = p_next + hx * dt
         fitted = fit_conditional(feats, target)
         worst = max(worst, float(np.sqrt(np.mean((target - fitted) ** 2))))
@@ -291,10 +286,7 @@ def martingale_route_P(
     P = ensemble_zeros(M, N + 1, spec.n, spec.d)
     for j in range(N):
         xj = traj.states[:, j, :]
-        sx = np.broadcast_to(
-            _cell_average(spec.sigma_x, knots[j], xj, mu.atoms[j], mu.weights[j]),
-            (M, spec.d, spec.n, spec.n),
-        )
+        sx = np.broadcast_to(mu.average(spec.sigma_x, j, knots[j], xj), (M, spec.d, spec.n, spec.n))
         P[:, j] = np.einsum("mqp,mqj->mpj", fund.Psi[:, j], aux.Q[:, j]) - np.einsum(
             "mjqp,mq->mpj", sx, adjoint.p[:, j, :]
         )
@@ -327,7 +319,9 @@ def variational_inequality_value(adjoint: AdjointPair, direction: tuple) -> tupl
     slack paired with the increment difference.
 
     At an optimal base the value is nonnegative up to Monte Carlo and
-    discretization error, for every direction.
+    discretization error, for every direction.  A pair without P (the
+    explicit route) raises ValueError: P = 0 would misprice a control that
+    enters the diffusion.
     """
     traj = adjoint.traj
     spec, mu, xi = traj.spec, traj.control, traj.singular
@@ -339,15 +333,16 @@ def variational_inequality_value(adjoint: AdjointPair, direction: tuple) -> tupl
     knots = grid.knots
     P = adjoint.P
     if P is None:
-        P = ensemble_zeros(M, grid.num_steps + 1, spec.n, spec.d)
+        raise ValueError("an adjoint pair of the explicit route has no P; use adjoint_bsde, "
+                         "or attach the P of martingale_route_P")
     per_path = np.zeros(M)
     dinc = eta.increments - xi.increments
     for j in range(grid.num_steps):
         xj = traj.states[:, j, :]
         pj = adjoint.p[:, j, :]
         Pj = P[:, j]
-        h_dir = relaxed_hamiltonian_batch(spec, knots[j], xj, q.atoms[j], q.weights[j], pj, Pj)
-        h_base = relaxed_hamiltonian_batch(spec, knots[j], xj, mu.atoms[j], mu.weights[j], pj, Pj)
+        h_dir = relaxed_hamiltonian_batch(spec, knots[j], xj, q, j, pj, Pj)
+        h_base = relaxed_hamiltonian_batch(spec, knots[j], xj, mu, j, pj, Pj)
         slack = spec.k_cost(knots[j]) + np.einsum("pq,mp->mq", spec.G(knots[j]), pj)
         per_path += (h_dir - h_base) * dt + slack @ dinc[j]
     return float(per_path.mean()), _std_error(per_path)

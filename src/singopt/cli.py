@@ -248,26 +248,26 @@ def _problem_and_grid(cfg):
     return spec, model.TimeGrid(cfg["grid"]["N"], spec.horizon)
 
 
-def _setup(cfg):
+def _simulate(cfg) -> sde.TrajectoryEnsemble:
+    """The configured candidate simulated on the configured grid and noise."""
     spec, grid = _problem_and_grid(cfg)
     noise = model.NoiseBatch.generate(cfg["monte_carlo"]["M"], grid, spec.d, cfg["monte_carlo"]["seed"])
-    return spec, grid, noise
+    mu, singular = build_candidate(cfg, spec, grid)
+    return sde.simulate_relaxed(spec, mu, singular, grid, noise)
 
 
 def cmd_simulate(cfg, out: OutputDir) -> int:
-    spec, grid, noise = _setup(cfg)
-    mu, singular = build_candidate(cfg, spec, grid)
-    traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
+    traj = _simulate(cfg)
     cost = sde.estimate_cost(traj)
-    sio.ensemble_to_csv(traj.states, grid.knots, out.path("trajectory.csv"))
-    sio.ensemble_to_binary(traj.states, noise.seed, out.path("trajectory.bin"))
+    sio.ensemble_to_csv(traj.states, traj.grid.knots, out.path("trajectory.csv"))
+    sio.ensemble_to_binary(traj.states, traj.noise.seed, out.path("trajectory.bin"))
     terminal = traj.terminal
     summary = {
         "terminal_mean": terminal.mean(axis=0).tolist(),
         "terminal_variance": terminal.var(axis=0, ddof=1).tolist() if traj.num_paths > 1
-        else [0.0] * spec.n,
+        else [0.0] * traj.spec.n,
         "cost": cost.as_dict(),
-        "deterministic_paths": spec.diffusion_is_zero,
+        "deterministic_paths": traj.spec.diffusion_is_zero,
         "config": cfg,
     }
     sio.write_json(summary, out.path("summary.json"))
@@ -275,20 +275,14 @@ def cmd_simulate(cfg, out: OutputDir) -> int:
 
 
 def cmd_cost(cfg, out: OutputDir) -> int:
-    spec, grid, noise = _setup(cfg)
-    mu, singular = build_candidate(cfg, spec, grid)
-    traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
-    cost = sde.estimate_cost(traj)
+    cost = sde.estimate_cost(_simulate(cfg))
     sio.write_json({"cost": cost.as_dict(), "config": cfg}, out.path("cost.json"))
     print(f"cost = {cost.value!r} (se {cost.std_error!r})")
     return EXIT_OK
 
 
 def _verification_inputs(cfg):
-    spec, grid, noise = _setup(cfg)
-    mu, singular = build_candidate(cfg, spec, grid)
-    traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
-    pair = adj.adjoint_bsde(traj, degree=cfg["regression"]["degree"])
+    pair = adj.adjoint_bsde(_simulate(cfg), degree=cfg["regression"]["degree"])
     tol = optimality.Tolerances(**cfg["tolerances"])
     echo = {
         "grid": cfg["grid"],
@@ -345,19 +339,18 @@ def cmd_chatter(cfg, out: OutputDir) -> int:
 
 
 def cmd_adjoint(cfg, out: OutputDir) -> int:
-    spec, grid, noise = _setup(cfg)
-    mu, singular = build_candidate(cfg, spec, grid)
-    traj = sde.simulate_relaxed(spec, mu, singular, grid, noise)
+    traj = _simulate(cfg)
+    spec, grid, seed = traj.spec, traj.grid, traj.noise.seed
     degree = cfg["regression"]["degree"]
     fund = sde.fundamental_solutions(traj)
     explicit = adj.adjoint_explicit(fund, degree=degree)
     bsde = adj.adjoint_bsde(traj, degree=degree)
     agreement = float(np.sqrt(np.mean((explicit.p - bsde.p) ** 2)))
     sio.ensemble_to_csv(bsde.p, grid.knots, out.path("adjoint_p.csv"), prefix="p")
-    sio.ensemble_to_binary(bsde.p, noise.seed, out.path("adjoint_p.bin"))
+    sio.ensemble_to_binary(bsde.p, seed, out.path("adjoint_p.bin"))
     sio.ensemble_to_binary(
         bsde.P.reshape(traj.num_paths, grid.num_steps + 1, spec.n * spec.d),
-        noise.seed,
+        seed,
         out.path("adjoint_P.bin"),
     )
     diagnostics = {

@@ -25,7 +25,10 @@ at the rows u of U, (L, n), (L, n, d) or (L,), with a single row when the
 form does not depend on the control.  Adding row i (or the single row) to
 the state part reproduces fn(t, x, U[i]) bit for bit.  ``control_part``
 remembers the last U it was given, so a sweep that asks for the same points
-at every knot computes them once.
+at every knot computes them once.  The cost forms h and g carry their
+quadratic state matrix as ``state_quad`` (the declared-convexity evidence of
+the sufficiency certificate), so a cost replaced by another callable
+carries none.
 """
 
 from __future__ import annotations
@@ -57,9 +60,7 @@ class CoefficientSet:
     """The six coefficient functions of a problem plus their state gradients.
 
     ``config`` retains the JSON-serializable description the set was built
-    from; ``diffusion_is_zero`` flags problems whose paths are deterministic;
-    ``running_state_quad`` / ``terminal_state_quad`` expose the quadratic
-    state matrices of the cost forms (used as declared-convexity evidence).
+    from; ``diffusion_is_zero`` flags problems whose paths are deterministic.
     """
 
     n: int
@@ -78,8 +79,6 @@ class CoefficientSet:
     g_x: Callable
     config: dict = field(repr=False)
     diffusion_is_zero: bool = False
-    running_state_quad: np.ndarray | None = None
-    terminal_state_quad: np.ndarray | None = None
 
 
 def _split(fn, state_part, control_point, uses_control):
@@ -178,7 +177,8 @@ def _time_affine(cfg, shape, name):
 
 
 def _quadratic_cost(cfg, n, k, name, with_control):
-    """h = x'Qx + r.x + c0 + sum_i poly_i(a_i); gradient is (Q+Q')x + r."""
+    """h = x'Qx + r.x + c0 + sum_i poly_i(a_i) and its gradient (Q+Q')x + r;
+    Q travels with h as its attribute state_quad."""
     Q = _arr(cfg.get("state_quad", np.zeros((n, n))), (n, n), f"{name}.state_quad")
     r = _arr(cfg.get("state_lin", np.zeros(n)), (n,), f"{name}.state_lin")
     c0 = float(_arr(cfg.get("const", 0.0), (), f"{name}.const"))
@@ -235,7 +235,8 @@ def _quadratic_cost(cfg, n, k, name, with_control):
         def grad(x):
             return np.asarray(x, dtype=float) @ sym.T + r
 
-    return fn, grad, Q
+    fn.state_quad = Q
+    return fn, grad
 
 
 def _object(value, name):
@@ -289,8 +290,8 @@ def build_coefficients(config: dict) -> CoefficientSet:
         section("diffusion", _VECTOR_FORMS), n, d, k, "diffusion"
     )
     G = _time_affine(section("singular_gain", _TIME_FORMS), (n, m), "singular_gain")
-    h, h_x, hQ = _quadratic_cost(section("running_cost", _COST_FORMS), n, k, "running_cost", True)
-    g, g_x, gQ = _quadratic_cost(
+    h, h_x = _quadratic_cost(section("running_cost", _COST_FORMS), n, k, "running_cost", True)
+    g, g_x = _quadratic_cost(
         section("terminal_cost", _COST_FORMS), n, k, "terminal_cost", False
     )
     k_cost = _time_affine(section("singular_cost", _TIME_FORMS), (m,), "singular_cost")
@@ -301,6 +302,4 @@ def build_coefficients(config: dict) -> CoefficientSet:
         b_x=b_x, sigma_x=sigma_x, h_x=h_x, g_x=g_x,
         config=config,
         diffusion_is_zero=sig_zero,
-        running_state_quad=hQ,
-        terminal_state_quad=gQ,
     )

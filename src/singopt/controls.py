@@ -73,6 +73,8 @@ class RelaxedControl:
 
     atoms has shape (N, A, k) and weights (N, A); padding entries carry
     weight 0.  Weights are nonnegative and sum to 1 per cell within 1e-12.
+    Every measure average (drift, diffusion, cost, Hamiltonian) goes through
+    average (one cell) or block_total (a block of cells).
     """
 
     grid: TimeGrid
@@ -100,6 +102,34 @@ class RelaxedControl:
     @property
     def control_dim(self) -> int:
         return self.atoms.shape[2]
+
+    def average(self, fn, j, t, x):
+        """Measure average sum_a w_a fn(t, x, a) over the atoms of cell j,
+        skipping zero weights and summing left to right."""
+        total = None
+        for atom, w in zip(self.atoms[j], self.weights[j]):
+            if w == 0.0:
+                continue
+            value = fn(t, x, atom)
+            total = w * value if total is None else total + w * value
+        return total
+
+    def block_total(self, fn, start, t, x) -> np.ndarray:
+        """Per-path sum of the measure averages of fn over the K cells from
+        cell `start`, sum_j sum_a w_ja fn(t_j, x_j, a), shape (M,).
+
+        t has shape (K, 1) and x (K, M, n).  fn is called once per distinct
+        atom of positive weight, with the whole block, and its values are
+        contracted with that atom's per-cell weight.
+        """
+        K, M = x.shape[:2]
+        atoms = self.atoms[start:start + K]
+        weights = self.weights[start:start + K]
+        total = np.zeros(M)
+        for atom in np.unique(atoms[weights > 0], axis=0):
+            w = np.where((atoms == atom).all(axis=-1), weights, 0.0).sum(axis=1)
+            total += w @ np.broadcast_to(fn(t, x, atom), (K, M))
+        return total
 
 
 @dataclass(frozen=True)

@@ -62,8 +62,6 @@ class ProblemSpec:
     assumptions_box: tuple
     config: dict | None = field(default=None, repr=False)
     diffusion_is_zero: bool = False
-    running_state_quad: np.ndarray | None = None
-    terminal_state_quad: np.ndarray | None = None
 
     def __post_init__(self):
         if min(self.n, self.d, self.k, self.m) <= 0:
@@ -289,8 +287,6 @@ def problem_from_config(config: dict) -> ProblemSpec:
                              _numeric(_floats, box["high"], "assumptions_box.high")),
             config=config,
             diffusion_is_zero=coeffs.diffusion_is_zero,
-            running_state_quad=coeffs.running_state_quad,
-            terminal_state_quad=coeffs.terminal_state_quad,
         )
     except ProblemError:
         raise

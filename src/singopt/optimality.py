@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import ControlError
-from .model import ProblemSpec, ensemble_zeros
-from .sde import _cell_average, _std_error
+from .model import ProblemSpec
+from .sde import _std_error
 
 
 @dataclass(frozen=True)
@@ -103,21 +103,19 @@ def _stacked(fn, x, U):
     return control + state
 
 
-def relaxed_hamiltonian_batch(spec, t, x, atoms, weights, p, P):
-    """Measure-averaged Hamiltonian over a path batch -> (M,)."""
-    return _cell_average(lambda tt, xx, a: strict_hamiltonian_batch(spec, tt, xx, a, p, P),
-                         t, x, atoms, weights)
+def relaxed_hamiltonian_batch(spec, t, x, q, j, p, P):
+    """Hamiltonian averaged over cell j of the relaxed control q, over a
+    path batch -> (M,)."""
+    return q.average(lambda tt, xx, a: strict_hamiltonian_batch(spec, tt, xx, a, p, P), j, t, x)
 
 
-def relaxed_hamiltonian_gradient(spec, t, x, atoms, weights, p, P):
-    """Measure-averaged H_x = hbar_x + bbar_x^T p + sum_i sbar_x,i^T P_i over
-    a path batch -> (M, n)."""
+def relaxed_hamiltonian_gradient(spec, t, x, q, j, p, P):
+    """H_x = hbar_x + bbar_x^T p + sum_i sbar_x,i^T P_i averaged over cell j
+    of the relaxed control q, over a path batch -> (M, n)."""
     M = x.shape[0]
-    hx = np.broadcast_to(_cell_average(spec.h_x, t, x, atoms, weights), (M, spec.n))
-    bx = np.broadcast_to(_cell_average(spec.b_x, t, x, atoms, weights), (M, spec.n, spec.n))
-    sx = np.broadcast_to(
-        _cell_average(spec.sigma_x, t, x, atoms, weights), (M, spec.d, spec.n, spec.n)
-    )
+    hx = np.broadcast_to(q.average(spec.h_x, j, t, x), (M, spec.n))
+    bx = np.broadcast_to(q.average(spec.b_x, j, t, x), (M, spec.n, spec.n))
+    sx = np.broadcast_to(q.average(spec.sigma_x, j, t, x), (M, spec.d, spec.n, spec.n))
     return hx + np.einsum("mqp,mq->mp", bx, p) + np.einsum("mjqp,mqj->mp", sx, P)
 
 
@@ -216,6 +214,15 @@ class SufficiencyCertificate:
         }
 
 
+def _adjoint_P(adjoint):
+    """adjoint.P; a pair without P (the explicit route) raises ValueError,
+    since P = 0 would misprice a control that enters the diffusion."""
+    if adjoint.P is None:
+        raise ValueError("an adjoint pair of the explicit route has no P; use adjoint_bsde, "
+                         "or attach the P of martingale_route_P")
+    return adjoint.P
+
+
 def verify_necessary(
     adjoint,
     tolerances: Tolerances = Tolerances(),
@@ -234,17 +241,16 @@ def verify_necessary(
     the lexicographically smallest), as a point mass with no singular part.
     Its per-path value is the sum of adjoint.variational_inequality_value
     for that direction, with the direction's H read off the grid values.
+    A pair without P (the explicit route) raises ValueError.
     """
     if adjoint is None:
         raise ValueError("verify_necessary requires the candidate's adjoint pair")
+    P = _adjoint_P(adjoint)
     traj = adjoint.traj
     spec, mu, xi = traj.spec, traj.control, traj.singular
     grid = traj.grid
     M = traj.num_paths
     N = grid.num_steps
-    P = adjoint.P
-    if P is None:
-        P = ensemble_zeros(M, N + 1, spec.n, spec.d)
     worst, violations, min_slack = 0.0, 0, np.inf
     flat_off_mass = np.zeros(M)
     first_order = np.zeros(M)
@@ -255,13 +261,11 @@ def verify_necessary(
         pj = adjoint.p[:, j, :]
         Pj = P[:, j]
         strict_hamiltonian_batch(spec, t, xj, spec.u1_grid, pj, Pj, out=grid_vals)
-        atoms, weights = mu.atoms[j], mu.weights[j]
-        if all(a.tobytes() in row_of for a, w in zip(atoms, weights) if w != 0.0):
+        try:
             # H is linear in the measure: average the grid rows of the atoms
-            cand = _cell_average(lambda _t, _x, a: grid_vals[row_of[a.tobytes()]],
-                                 t, xj, atoms, weights)
-        else:
-            cand = relaxed_hamiltonian_batch(spec, t, xj, atoms, weights, pj, Pj)
+            cand = mu.average(lambda _t, _x, a: grid_vals[row_of[a.tobytes()]], j, t, xj)
+        except KeyError:  # an atom off the grid
+            cand = relaxed_hamiltonian_batch(spec, t, xj, mu, j, pj, Pj)
         gap = cand - grid_vals.min(axis=0)
         violations += int(np.count_nonzero(gap > tolerances.tol_H * (1.0 + np.abs(cand))))
         worst = max(worst, float(gap.max()))
@@ -341,28 +345,32 @@ def certify_sufficient(
     pair's ensemble, adjoint.traj.
 
     Convexity of the terminal cost and of the state-to-Hamiltonian map is
-    established from the declared quadratic forms when available (h, b and
-    sigma carrying their state/control split make b and sigma affine in x,
-    so H is convex in x for every (p, P) as soon as the running-cost state
-    block is positive semidefinite), and otherwise by midpoint probes over
-    the assumptions box at the adjoint values realized per time slice.  The
-    certificate holds only if the convexity evidence and all necessary
-    conditions pass; an uncertified outcome is valid, not an error.
+    established from the quadratic forms that the coefficient forms attach
+    to g and h as state_quad when available (h, b and sigma carrying their
+    state/control split make b and sigma affine in x, so H is convex in x
+    for every (p, P) as soon as the running-cost state block is positive
+    semidefinite), and otherwise by midpoint probes over the assumptions
+    box at the adjoint values realized per time slice.  The certificate
+    holds only if the convexity evidence and all necessary conditions pass;
+    an uncertified outcome is valid, not an error.
     """
+    P = _adjoint_P(adjoint)
     traj = adjoint.traj
     spec, mu = traj.spec, traj.control
     grid = traj.grid
     rng = np.random.default_rng(0)
     lo, hi = spec.assumptions_box
     convexity = []
+    terminal_quad = getattr(spec.g, "state_quad", None)
+    running_quad = getattr(spec.h, "state_quad", None) if _has_split(spec) else None
 
-    if spec.terminal_state_quad is not None:
-        ok = _psd(spec.terminal_state_quad)
+    if terminal_quad is not None:
+        ok = _psd(terminal_quad)
         convexity.append(
             ConvexityRecord(
                 "terminal_cost", ok,
                 f"declared quadratic form, min eigenvalue "
-                f"{np.linalg.eigvalsh(spec.terminal_state_quad).min():.3g}",
+                f"{np.linalg.eigvalsh(terminal_quad).min():.3g}",
             )
         )
     else:
@@ -374,21 +382,18 @@ def certify_sufficient(
             )
         )
 
-    if spec.running_state_quad is not None and _has_split(spec):
+    if running_quad is not None:
         # b and sigma are state-affine, so x -> H is convex for every (p, P)
         # iff the running-cost state block is PSD
-        ok = _psd(spec.running_state_quad)
+        ok = _psd(running_quad)
         convexity.append(
             ConvexityRecord(
                 "hamiltonian_in_state", ok,
                 f"declared forms (affine dynamics + quadratic running cost), min "
-                f"eigenvalue {np.linalg.eigvalsh(spec.running_state_quad).min():.3g}",
+                f"eigenvalue {np.linalg.eigvalsh(running_quad).min():.3g}",
             )
         )
     else:
-        P = adjoint.P
-        if P is None:
-            P = ensemble_zeros(traj.num_paths, grid.num_steps + 1, spec.n, spec.d)
         worst_overall, ok = 0.0, True
         knots = grid.knots
         for j in range(grid.num_steps):
@@ -398,7 +403,7 @@ def certify_sufficient(
             def H_of_x(xs, j=j, pb=p_bar, Pb=P_bar):
                 M = len(xs)
                 values = relaxed_hamiltonian_batch(
-                    spec, knots[j], xs, mu.atoms[j], mu.weights[j],
+                    spec, knots[j], xs, mu, j,
                     np.broadcast_to(pb, (M, spec.n)), np.broadcast_to(Pb, (M, spec.n, spec.d)),
                 )
                 if not np.all(np.isfinite(values)):

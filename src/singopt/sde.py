@@ -104,17 +104,6 @@ class FundamentalPair:
         return float(np.sqrt(((prod - eye) ** 2).sum(axis=(-2, -1))).max())
 
 
-def _cell_average(fn, t, x, atoms, weights):
-    """Measure average sum_a w_a fn(t, x, a) over one cell's atoms."""
-    total = None
-    for atom, w in zip(atoms, weights):
-        if w == 0.0:
-            continue
-        value = fn(t, x, atom)
-        total = w * value if total is None else total + w * value
-    return total
-
-
 def _check_finite(windows, first):
     """Raise SimulationError if a time-major window (K, M, ...) holds a
     non-finite value, naming the first bad knot (windows start at knot
@@ -143,22 +132,22 @@ def _checked_steps(num_steps, *ensembles):
         _check_finite([e[:, start + 1:stop + 1].swapaxes(0, 1) for e in ensembles], start + 1)
 
 
-def _euler_block(spec: ProblemSpec, atoms, weights, eta: SingularControl,
-                 grid: TimeGrid, dW: np.ndarray, start: int, x: np.ndarray):
+def _euler_block(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
+                 dW: np.ndarray, start: int, x: np.ndarray):
     """Advance the time-major window x, shape (K+1, M, n), by K Euler steps
-    from knot `start`, held in x[0], driven by the time-major increments dW,
-    shape (K, M, d), of those steps; then check the K knots written for
-    finiteness.  atoms and weights are the measures of the whole grid."""
-    knots = grid.knots
-    dt = grid.dt
+    of q's grid from knot `start`, held in x[0], driven by the time-major
+    increments dW, shape (K, M, d), of those steps; then check the K knots
+    written for finiteness."""
+    knots = q.grid.knots
+    dt = q.grid.dt
     steps = range(start, start + len(dW))
     inc = eta.increments
     has_singular = bool(inc.any())
     for i, j in enumerate(steps):
         t = knots[j]
         xj = x[i]
-        drift = _cell_average(spec.b, t, xj, atoms[j], weights[j])
-        diff = _cell_average(spec.sigma, t, xj, atoms[j], weights[j])
+        drift = q.average(spec.b, j, t, xj)
+        diff = q.average(spec.sigma, j, t, xj)
         step = xj + drift * dt + np.einsum("...pj,...j->...p", diff, dW[i])
         if has_singular:
             step = step + spec.G(t) @ inc[j]
@@ -201,8 +190,7 @@ def simulate_relaxed(spec: ProblemSpec, q, eta: SingularControl,
     dW = noise.increments.swapaxes(0, 1)
     for start in range(0, grid.num_steps, _BLOCK_KNOTS):
         stop = start + _BLOCK_KNOTS
-        _euler_block(spec, q.atoms, q.weights, eta, grid, dW[start:stop], start,
-                     windows[start:stop + 1])
+        _euler_block(spec, q, eta, dW[start:stop], start, windows[start:stop + 1])
     return TrajectoryEnsemble(x, spec, q, eta, grid, noise)
 
 
@@ -229,19 +217,10 @@ def simulate_variational(traj: TrajectoryEnsemble, direction: tuple) -> Variatio
         t = knots[j]
         xj = traj.states[:, j, :]
         zj = z[:, j, :]
-        bx = np.broadcast_to(
-            _cell_average(spec.b_x, t, xj, mu.atoms[j], mu.weights[j]), (M, spec.n, spec.n)
-        )
-        sx = np.broadcast_to(
-            _cell_average(spec.sigma_x, t, xj, mu.atoms[j], mu.weights[j]),
-            (M, spec.d, spec.n, spec.n),
-        )
-        db = _cell_average(spec.b, t, xj, q.atoms[j], q.weights[j]) - _cell_average(
-            spec.b, t, xj, mu.atoms[j], mu.weights[j]
-        )
-        ds = _cell_average(spec.sigma, t, xj, q.atoms[j], q.weights[j]) - _cell_average(
-            spec.sigma, t, xj, mu.atoms[j], mu.weights[j]
-        )
+        bx = np.broadcast_to(mu.average(spec.b_x, j, t, xj), (M, spec.n, spec.n))
+        sx = np.broadcast_to(mu.average(spec.sigma_x, j, t, xj), (M, spec.d, spec.n, spec.n))
+        db = q.average(spec.b, j, t, xj) - mu.average(spec.b, j, t, xj)
+        ds = q.average(spec.sigma, j, t, xj) - mu.average(spec.sigma, j, t, xj)
         ds = np.broadcast_to(ds, (M, spec.n, spec.d))
         z[:, j + 1, :] = (
             zj
@@ -277,9 +256,9 @@ def fundamental_solutions(traj: TrajectoryEnsemble) -> FundamentalPair:
     for j in _checked_steps(grid.num_steps, Phi, Psi):
         t = knots[j]
         xj = traj.states[:, j, :]
-        bx = _cell_average(spec.b_x, t, xj, mu.atoms[j], mu.weights[j])
+        bx = mu.average(spec.b_x, j, t, xj)
         # bx (n, n) and sx (d, n, n) may be shared by all paths or given per path
-        sx = _cell_average(spec.sigma_x, t, xj, mu.atoms[j], mu.weights[j])
+        sx = mu.average(spec.sigma_x, j, t, xj)
         sx_sq = np.matmul(sx, sx).sum(axis=-3)
         # S = sum_i sx_i dW_i, one (n, n) noise matrix per path
         S = np.matmul(dW[:, j, None, :], sx.reshape(*sx.shape[:-2], n * n)).reshape(M, n, n)
@@ -324,22 +303,6 @@ def _std_error(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
 
 
-def _running_block(spec: ProblemSpec, t, x, atoms, weights) -> np.ndarray:
-    """Per-path running cost summed over the K knots of a block,
-    sum_j sum_a w_ja h(t_j, x_j, a), shape (M,).
-
-    t has shape (K, 1), x (K, M, n), atoms (K, A, k) and weights (K, A).  h
-    is called once per distinct atom of positive weight, with the whole
-    block, and its values are contracted with that atom's per-knot weight.
-    """
-    K, M = x.shape[:2]
-    total = np.zeros(M)
-    for atom in np.unique(atoms[weights > 0], axis=0):
-        w = np.where((atoms == atom).all(axis=-1), weights, 0.0).sum(axis=1)
-        total += w @ np.broadcast_to(spec.h(t, x, atom), (K, M))
-    return total
-
-
 def _cost_terms(traj: TrajectoryEnsemble) -> tuple:
     """Per-path terminal cost g(x_T) and left-endpoint running quadrature,
     both (M,), and the singular quadrature sum_j k(t_j) . delta_eta_j, of
@@ -352,9 +315,7 @@ def _cost_terms(traj: TrajectoryEnsemble) -> tuple:
     running = np.zeros(M)
     for start in range(0, grid.num_steps, _BLOCK_KNOTS):
         block = slice(start, min(start + _BLOCK_KNOTS, grid.num_steps))
-        running += _running_block(
-            spec, knots[block, None], x[block], mu.atoms[block], mu.weights[block]
-        )
+        running += mu.block_total(spec.h, start, knots[block, None], x[block])
     running *= grid.dt
     singular = float(
         sum(spec.k_cost(knots[j]) @ eta.increments[j] for j in range(grid.num_steps))
@@ -414,8 +375,7 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
     eta_ref = regrid_singular(eta, refined.num_steps)
     noise = NoiseStream(num_paths, refined, spec.d, (seed, n))
     _require_grid(refined, un, q_ref, eta_ref)
-    strict = dirac_embed(un)
-    measures = ((strict.atoms, strict.weights), (q_ref.atoms, q_ref.weights))
+    measures = (dirac_embed(un), q_ref)
     windows = (np.empty((_BLOCK_KNOTS + 1, num_paths, spec.n)),
                np.empty((_BLOCK_KNOTS + 1, num_paths, spec.n)))
     dW = np.empty((min(_NOISE_WINDOW_KNOTS, refined.num_steps), num_paths, spec.d))
@@ -430,12 +390,9 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
         offset = start % _NOISE_WINDOW_KNOTS
         if offset == 0:
             noise.fill(dW[: refined.num_steps - start])
-        for (atoms, weights), x, acc in zip(measures, windows, running):
-            _euler_block(spec, atoms, weights, eta_ref, refined, dW[offset:offset + K],
-                         start, x[:K + 1])
-            acc += _running_block(
-                spec, knots[start:stop, None], x[:K], atoms[start:stop], weights[start:stop]
-            )
+        for measure, x, acc in zip(measures, windows, running):
+            _euler_block(spec, measure, eta_ref, dW[offset:offset + K], start, x[:K + 1])
+            acc += measure.block_total(spec.h, start, knots[start:stop, None], x[:K])
         x_strict, x_relax = windows
         sq = ((x_strict[1:K + 1] - x_relax[1:K + 1]) ** 2).sum(axis=2)
         gap = max(gap, float(sq.mean(axis=1).max()))

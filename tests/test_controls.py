@@ -27,7 +27,6 @@ from singopt.controls import (
     zero_singular,
 )
 from singopt.model import TimeGrid
-from singopt.sde import _cell_average
 
 
 def pm1(grid):
@@ -36,8 +35,8 @@ def pm1(grid):
 
 def average(atoms, weights, f):
     """Average of f(atom) over one cell's measure, by the library's routine."""
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    return _cell_average(lambda t, x, a: f(a), 0.0, None, atoms, np.asarray(weights, dtype=float))
+    q = constant_relaxed(TimeGrid(1, 1.0), atoms, weights)
+    return q.average(lambda t, x, a: f(a), 0, 0.0, None)
 
 
 def positive(q, j):

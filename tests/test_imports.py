@@ -1,5 +1,7 @@
 """The package's import structure: every import sits at module level, and
-the optimality checks do not depend on the adjoint module."""
+the optimality checks do not depend on the adjoint module.  The sweeps
+read a relaxed control's measure only through RelaxedControl.average and
+block_total, never through its atoms or weights."""
 
 import ast
 from pathlib import Path
@@ -37,3 +39,27 @@ def test_optimality_does_not_import_adjoint():
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports
     assert all("adjoint" not in imported_names(node) for node in imports)
+
+
+SWEEPS = [p for p in SOURCES if p.name in ("sde.py", "adjoint.py", "optimality.py")]
+
+
+@pytest.mark.parametrize("path", SWEEPS, ids=[p.name for p in SWEEPS])
+def test_sweeps_do_not_read_atoms_or_weights(path):
+    tree = ast.parse(path.read_text())
+    reads = [
+        (node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("atoms", "weights")
+    ]
+    assert reads == []
+
+
+def test_no_module_imports_cell_average():
+    importers = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "_cell_average" in imported_names(node)
+    ]
+    assert importers == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from singopt.adjoint import adjoint_bsde, variational_inequality_value
+from singopt.adjoint import adjoint_bsde, adjoint_explicit, variational_inequality_value
 from singopt.controls import (
     ControlError,
     SingularControl,
@@ -26,7 +26,7 @@ from singopt.optimality import (
     strict_hamiltonian_batch,
     verify_necessary,
 )
-from singopt.sde import estimate_cost, simulate_relaxed
+from singopt.sde import estimate_cost, fundamental_solutions, simulate_relaxed
 
 from conftest import linear_drift_config, planar_config, tanh_drift_problem
 
@@ -49,8 +49,8 @@ def point_hamiltonian(spec, t, x, v, p, P):
 def point_relaxed_hamiltonian(spec, t, x, atoms, weights, p, P):
     """Measure-averaged H at one point, as a batch of one."""
     x, p, P = (np.asarray(a, dtype=float)[None] for a in (x, p, P))
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    return float(relaxed_hamiltonian_batch(spec, t, x, atoms, np.asarray(weights), p, P)[0])
+    q = constant_relaxed(TimeGrid(1, 1.0), atoms, weights)
+    return float(relaxed_hamiltonian_batch(spec, t, x, q, 0, p, P)[0])
 
 
 def verified(spec, control, singular=None, N=100, M=16, seed=3, degree=1, tol=None):
@@ -424,6 +424,22 @@ class TestCertifySufficient:
         evid = {c.subject: c for c in certify_sufficient(pair).convexity}
         assert "midpoint probe" in evid["hamiltonian_in_state"].evidence
 
+    def test_overridden_terminal_cost_takes_the_probe_route(self, example2_stochastic):
+        # g swapped for the concave -|x|^2: the quadratic form of the original
+        # g must not vouch for it
+        spec = example2_stochastic.with_overrides(
+            g=lambda x: -(np.asarray(x, dtype=float) ** 2).sum(axis=-1),
+            g_x=lambda x: -2.0 * np.asarray(x, dtype=float),
+        )
+        grid = TimeGrid(20, spec.horizon)
+        mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
+        *_, pair, _ = verified(spec, mu, N=20, M=400, seed=5, degree=2)
+        cert = certify_sufficient(pair)
+        terminal = {c.subject: c for c in cert.convexity}["terminal_cost"]
+        assert "midpoint probe" in terminal.evidence
+        assert not terminal.passed
+        assert not cert.certified
+
     def test_probe_rejects_nonfinite_hamiltonian(self, tanh_drift):
         # the running cost is infinite at the atom +1, so the measure-averaged
         # Hamiltonian that the convexity probe evaluates is not finite
@@ -474,3 +490,39 @@ class TestCertifySufficient:
             comp = estimate_cost(comp_traj)
             margin = 3.0 * (base_cost.std_error + comp.std_error)
             assert comp.value >= base_cost.value - margin
+
+
+class TestPairWithoutP:
+    """dx = (0.2 + a) dW with h = g = x^2: the control enters only the
+    diffusion, so only P prices it, and a pair without P (the explicit
+    route) must not be verified as if P = 0."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        cfg = linear_drift_config()
+        cfg["coefficients"]["drift"] = {"form": "zero"}
+        cfg["coefficients"]["diffusion"] = {
+            "form": "affine", "const": [[0.2]], "control": [[[1.0]]]
+        }
+        spec = problem_from_config(cfg)
+        grid = TimeGrid(50, spec.horizon)
+        noise = NoiseBatch.generate(4000, grid, spec.d, 5)
+        return simulate_relaxed(spec, constant_strict(grid, [1.0]), zero_singular(grid, 1),
+                                grid, noise)
+
+    def test_backward_sweep_pair_rejects_the_candidate(self, traj):
+        by_id = {c.condition_id: c for c in verify_necessary(adjoint_bsde(traj)).conditions}
+        assert not by_id["hamiltonian-minimality"].passed
+        assert not by_id["variational-inequality[pointwise-argmin]"].passed
+
+    @pytest.mark.parametrize("check", ["verify", "certify", "vi"])
+    def test_explicit_pair_is_refused(self, traj, check):
+        pair = adjoint_explicit(fundamental_solutions(traj))
+        direction = (dirac_embed(constant_strict(traj.grid, [0.0])), traj.singular)
+        run = {
+            "verify": lambda: verify_necessary(pair),
+            "certify": lambda: certify_sufficient(pair),
+            "vi": lambda: variational_inequality_value(pair, direction),
+        }[check]
+        with pytest.raises(ValueError, match="explicit route.*adjoint_bsde"):
+            run()

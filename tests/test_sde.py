@@ -28,9 +28,7 @@ from singopt.model import NoiseBatch, TimeGrid, builtin_problem, problem_from_co
 from singopt.sde import (
     _BLOCK_KNOTS,
     SimulationError,
-    _cell_average,
     _cost_terms,
-    _running_block,
     chattering_gap,
     estimate_cost,
     fundamental_solutions,
@@ -429,7 +427,7 @@ def reference_path_cost(spec, traj, mu, eta):
     M = traj.num_paths
     running = np.zeros(M)
     for j in range(grid.num_steps):
-        hbar = _cell_average(spec.h, knots[j], traj.states[:, j, :], mu.atoms[j], mu.weights[j])
+        hbar = mu.average(spec.h, j, knots[j], traj.states[:, j, :])
         running = running + np.broadcast_to(hbar, (M,)) * grid.dt
     singular = float(sum(spec.k_cost(knots[j]) @ eta.increments[j]
                          for j in range(grid.num_steps)))
@@ -569,9 +567,8 @@ def test_running_block_matches_per_knot_averages(example2_stochastic):
 
     block = slice(64, 128)
     knots = grid.knots[block]
-    direct = _running_block(spec, knots[:, None], traj.states[:, block].swapaxes(0, 1),
-                            atoms[block], weights[block])
-    loop = sum(_cell_average(spec.h, t, traj.states[:, j], atoms[j], weights[j])
+    direct = mu.block_total(spec.h, 64, knots[:, None], traj.states[:, block].swapaxes(0, 1))
+    loop = sum(mu.average(spec.h, j, t, traj.states[:, j])
                for t, j in zip(knots, range(64, 128)))
     np.testing.assert_allclose(direct, loop, rtol=1e-12, atol=0.0)
 
