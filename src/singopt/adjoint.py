@@ -95,6 +95,14 @@ class AdjointPair:
     diagnostics: dict
     traj: TrajectoryEnsemble = field(repr=False, compare=False)
 
+    def require_P(self) -> np.ndarray:
+        """P; a pair without P (the explicit route) raises ValueError,
+        since P = 0 would misprice a control that enters the diffusion."""
+        if self.P is None:
+            raise ValueError("an adjoint pair of the explicit route has no P; use adjoint_bsde, "
+                             "or attach the P of martingale_route_P")
+        return self.P
+
 
 @dataclass(frozen=True)
 class AuxiliaryProcesses:
@@ -320,8 +328,7 @@ def variational_inequality_value(adjoint: AdjointPair, direction: tuple) -> tupl
 
     At an optimal base the value is nonnegative up to Monte Carlo and
     discretization error, for every direction.  A pair without P (the
-    explicit route) raises ValueError: P = 0 would misprice a control that
-    enters the diffusion.
+    explicit route) raises ValueError (see AdjointPair.require_P).
     """
     traj = adjoint.traj
     spec, mu, xi = traj.spec, traj.control, traj.singular
@@ -331,10 +338,7 @@ def variational_inequality_value(adjoint: AdjointPair, direction: tuple) -> tupl
     M = traj.num_paths
     dt = grid.dt
     knots = grid.knots
-    P = adjoint.P
-    if P is None:
-        raise ValueError("an adjoint pair of the explicit route has no P; use adjoint_bsde, "
-                         "or attach the P of martingale_route_P")
+    P = adjoint.require_P()
     per_path = np.zeros(M)
     dinc = eta.increments - xi.increments
     for j in range(grid.num_steps):

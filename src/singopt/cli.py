@@ -253,7 +253,7 @@ def _simulate(cfg) -> sde.TrajectoryEnsemble:
     spec, grid = _problem_and_grid(cfg)
     noise = model.NoiseBatch.generate(cfg["monte_carlo"]["M"], grid, spec.d, cfg["monte_carlo"]["seed"])
     mu, singular = build_candidate(cfg, spec, grid)
-    return sde.simulate_relaxed(spec, mu, singular, grid, noise)
+    return sde.simulate_relaxed(spec, mu, singular, noise)
 
 
 def cmd_simulate(cfg, out: OutputDir) -> int:

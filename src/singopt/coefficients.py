@@ -6,7 +6,8 @@ terminal cost g(x) and a singular cost rate k(t).  To keep problem files
 portable and bit-reproducible, coefficients are not arbitrary code: they are
 built from a small set of closed forms (zero, constant, affine, quadratic
 cost) that serialize to plain JSON and whose state gradients are available in
-closed form.
+closed form.  build_coefficients returns them as the coefficient keyword
+arguments of model.ProblemSpec, which holds the only copy.
 
 Conventions
 -----------
@@ -33,9 +34,6 @@ carries none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 
@@ -53,32 +51,6 @@ def _arr(value, shape, name):
     if not np.all(np.isfinite(out)):
         raise CoefficientError(f"{name}: values must be finite, got {value!r}")
     return out
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """The six coefficient functions of a problem plus their state gradients.
-
-    ``config`` retains the JSON-serializable description the set was built
-    from; ``diffusion_is_zero`` flags problems whose paths are deterministic.
-    """
-
-    n: int
-    d: int
-    k: int
-    m: int
-    b: Callable
-    sigma: Callable
-    G: Callable
-    h: Callable
-    g: Callable
-    k_cost: Callable
-    b_x: Callable
-    sigma_x: Callable
-    h_x: Callable
-    g_x: Callable
-    config: dict = field(repr=False)
-    diffusion_is_zero: bool = False
 
 
 def _split(fn, state_part, control_point, uses_control):
@@ -250,8 +222,11 @@ _COST_FORMS = ("zero", "quadratic")
 _TIME_FORMS = ("zero", "constant", "time_affine")
 
 
-def build_coefficients(config: dict) -> CoefficientSet:
-    """Build a CoefficientSet from a JSON-style problem description.
+def build_coefficients(config: dict) -> dict:
+    """The coefficient keyword arguments of ProblemSpec, built from a
+    JSON-style problem description: the dimensions n, d, k and m, the six
+    coefficient functions with their four state gradients, and
+    diffusion_is_zero, which flags problems whose paths are deterministic.
 
     Parameters
     ----------
@@ -296,10 +271,5 @@ def build_coefficients(config: dict) -> CoefficientSet:
     )
     k_cost = _time_affine(section("singular_cost", _TIME_FORMS), (m,), "singular_cost")
 
-    return CoefficientSet(
-        n=n, d=d, k=k, m=m,
-        b=b, sigma=sigma, G=G, h=h, g=g, k_cost=k_cost,
-        b_x=b_x, sigma_x=sigma_x, h_x=h_x, g_x=g_x,
-        config=config,
-        diffusion_is_zero=sig_zero,
-    )
+    return dict(n=n, d=d, k=k, m=m, b=b, sigma=sigma, G=G, h=h, g=g, k_cost=k_cost,
+                b_x=b_x, sigma_x=sigma_x, h_x=h_x, g_x=g_x, diffusion_is_zero=sig_zero)

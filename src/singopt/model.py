@@ -21,13 +21,18 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import CoefficientSet, build_coefficients
+from .coefficients import build_coefficients
 
 BUILTIN_NAMES = ("example1", "example2_separated", "example2_stochastic", "singular_block")
 
 
 class ProblemError(ValueError):
     """Raised for inconsistent problem definitions or non-finite coefficients."""
+
+
+def _check_horizon(horizon):
+    if not 0 < horizon < np.inf:
+        raise ProblemError(f"horizon must be finite and positive, got {horizon!r}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +71,7 @@ class ProblemSpec:
     def __post_init__(self):
         if min(self.n, self.d, self.k, self.m) <= 0:
             raise ProblemError("dimensions must be positive integers")
-        if not self.horizon > 0:
-            raise ProblemError("horizon must be positive")
+        _check_horizon(self.horizon)
         if np.size(self.x0) != self.n:
             raise ProblemError(f"x0 must hold {self.n} values, got {np.size(self.x0)}")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(self.n))
@@ -90,16 +94,15 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid 0 = t_0 < ... < t_N = T."""
+    """Uniform grid 0 = t_0 < ... < t_N = T, N >= 1 an integer, T finite."""
 
     num_steps: int
     horizon: float
 
     def __post_init__(self):
-        if self.num_steps <= 0:
-            raise ProblemError("num_steps must be positive")
-        if not self.horizon > 0:
-            raise ProblemError("horizon must be positive")
+        if not (isinstance(self.num_steps, (int, np.integer)) and self.num_steps >= 1):
+            raise ProblemError(f"num_steps must be an integer >= 1, got {self.num_steps!r}")
+        _check_horizon(self.horizon)
 
     @property
     def dt(self) -> float:
@@ -173,8 +176,8 @@ class NoiseStream:
 
 @dataclass(frozen=True)
 class NoiseBatch:
-    """Brownian increments for a path ensemble over a whole grid, shape
-    (M, N, d), stored time-major (see ensemble_empty).
+    """Brownian increments for a path ensemble over the whole grid they were
+    drawn on, shape (M, N, d), stored time-major (see ensemble_empty).
 
     The increments are those of NoiseStream(M, grid, d, seed), so path i's
     noise does not depend on how many paths the batch holds and
@@ -182,6 +185,7 @@ class NoiseBatch:
     """
 
     seed: object
+    grid: TimeGrid
     increments: np.ndarray = field(repr=False)
 
     @classmethod
@@ -189,7 +193,7 @@ class NoiseBatch:
         """seed may be an int or a tuple of ints (derived experiment streams)."""
         dW = ensemble_empty(num_paths, grid.num_steps, noise_dim)
         NoiseStream(num_paths, grid, noise_dim, seed).fill(dW.swapaxes(0, 1))
-        return cls(seed, dW)
+        return cls(seed, grid, dW)
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +277,15 @@ def problem_from_config(config: dict) -> ProblemSpec:
     if not (isinstance(box, dict) and "low" in box and "high" in box):
         raise ProblemError(f"assumptions_box must be an object with 'low' and 'high', got {box!r}")
     try:
-        coeffs: CoefficientSet = build_coefficients(config)
         return ProblemSpec(
+            **build_coefficients(config),
             name=str(config.get("name", "unnamed")),
-            n=coeffs.n, d=coeffs.d, k=coeffs.k, m=coeffs.m,
             horizon=_numeric(float, config["horizon"], "horizon"),
             x0=_numeric(_floats, config["x0"], "x0"),
-            b=coeffs.b, sigma=coeffs.sigma, G=coeffs.G,
-            h=coeffs.h, g=coeffs.g, k_cost=coeffs.k_cost,
-            b_x=coeffs.b_x, sigma_x=coeffs.sigma_x, h_x=coeffs.h_x, g_x=coeffs.g_x,
             u1_grid=_numeric(_floats, config["u1_grid"], "u1_grid"),
             assumptions_box=(_numeric(_floats, box["low"], "assumptions_box.low"),
                              _numeric(_floats, box["high"], "assumptions_box.high")),
             config=config,
-            diffusion_is_zero=coeffs.diffusion_is_zero,
         )
     except ProblemError:
         raise

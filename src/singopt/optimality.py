@@ -18,7 +18,7 @@ conditions to a sufficiency certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,13 +43,7 @@ class Tolerances:
     vi_allowance: float = 1e-6
 
     def as_dict(self) -> dict:
-        return {
-            "tol_H": self.tol_H,
-            "max_violation_fraction": self.max_violation_fraction,
-            "tol_S": self.tol_S,
-            "tol_F": self.tol_F,
-            "vi_allowance": self.vi_allowance,
-        }
+        return asdict(self)
 
 
 def strict_hamiltonian_batch(spec, t, x, v, p, P, out=None):
@@ -197,7 +191,7 @@ class ConvexityRecord:
     evidence: str
 
     def as_dict(self) -> dict:
-        return {"subject": self.subject, "passed": self.passed, "evidence": self.evidence}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -212,15 +206,6 @@ class SufficiencyCertificate:
             "convexity": [c.as_dict() for c in self.convexity],
             "conditions": self.report.as_dict(),
         }
-
-
-def _adjoint_P(adjoint):
-    """adjoint.P; a pair without P (the explicit route) raises ValueError,
-    since P = 0 would misprice a control that enters the diffusion."""
-    if adjoint.P is None:
-        raise ValueError("an adjoint pair of the explicit route has no P; use adjoint_bsde, "
-                         "or attach the P of martingale_route_P")
-    return adjoint.P
 
 
 def verify_necessary(
@@ -245,7 +230,7 @@ def verify_necessary(
     """
     if adjoint is None:
         raise ValueError("verify_necessary requires the candidate's adjoint pair")
-    P = _adjoint_P(adjoint)
+    P = adjoint.require_P()
     traj = adjoint.traj
     spec, mu, xi = traj.spec, traj.control, traj.singular
     grid = traj.grid
@@ -354,7 +339,7 @@ def certify_sufficient(
     holds only if the convexity evidence and all necessary conditions pass;
     an uncertified outcome is valid, not an error.
     """
-    P = _adjoint_P(adjoint)
+    P = adjoint.require_P()
     traj = adjoint.traj
     spec, mu = traj.spec, traj.control
     grid = traj.grid

@@ -13,15 +13,15 @@ Ensembles have shape (M, N+1, ...) and are stored time-major
 Everything is deterministic given (problem, controls, grid, noise); means
 and suprema reduce in fixed path order.
 
-A TrajectoryEnsemble carries the problem, the controls, the grid and the
-noise it was simulated with, and every result computed along it carries the
-ensemble (a reference, its `traj` field), so a sweep reads its context from
-its inputs and never takes it twice.
+A TrajectoryEnsemble carries the problem, the controls and the noise it was
+simulated with, and its grid is the grid of its control; every result
+computed along it carries the ensemble (a reference, its `traj` field), so a
+sweep reads its context from its inputs and never takes it twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,14 +56,17 @@ class SimulationError(RuntimeError):
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
     """Simulated states, shape (M, N+1, n), plus the problem, the relaxed
-    control, the singular control, the grid and the noise that produced them."""
+    control, the singular control and the noise that produced them."""
 
     states: np.ndarray = field(repr=False)
     spec: ProblemSpec = field(repr=False)
     control: RelaxedControl = field(repr=False)
     singular: SingularControl = field(repr=False)
-    grid: TimeGrid
     noise: NoiseBatch
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.control.grid
 
     @property
     def num_paths(self) -> int:
@@ -164,6 +167,12 @@ def _require_grid(grid: TimeGrid, *controls):
             )
 
 
+def _require_horizon(spec: ProblemSpec, grid: TimeGrid):
+    if grid.horizon != spec.horizon:
+        raise SimulationError(f"control horizon {grid.horizon!r} does not match the "
+                              f"problem horizon {spec.horizon!r}")
+
+
 def _require_along(traj: TrajectoryEnsemble, *named):
     """Raise SimulationError unless each (name, result) pair was computed
     along traj itself."""
@@ -173,17 +182,20 @@ def _require_along(traj: TrajectoryEnsemble, *named):
 
 
 def simulate_relaxed(spec: ProblemSpec, q, eta: SingularControl,
-                     grid: TimeGrid, noise: NoiseBatch) -> TrajectoryEnsemble:
-    """Euler-Maruyama for the measure-controlled state equation.
+                     noise: NoiseBatch) -> TrajectoryEnsemble:
+    """Euler-Maruyama for the measure-controlled state equation on q's grid,
+    which eta and the noise share and which spans the problem's horizon.
 
     q is a relaxed control or a strict one, which plays its point masses
     (controls.as_relaxed); the ensemble keeps the relaxed form.  Drift and
     diffusion are replaced by their per-cell measure averages.
     """
     q = as_relaxed(q)
-    _require_grid(grid, q, eta)
-    if noise.increments.shape[1:] != (grid.num_steps, spec.d):
+    grid = q.grid
+    _require_grid(grid, eta)
+    if noise.grid != grid or noise.increments.shape[2] != spec.d:
         raise SimulationError("noise batch does not match the grid / noise dimension")
+    _require_horizon(spec, grid)
     x = ensemble_zeros(len(noise.increments), grid.num_steps + 1, spec.n)
     x[:, 0, :] = spec.x0
     windows = x.swapaxes(0, 1)
@@ -191,7 +203,7 @@ def simulate_relaxed(spec: ProblemSpec, q, eta: SingularControl,
     for start in range(0, grid.num_steps, _BLOCK_KNOTS):
         stop = start + _BLOCK_KNOTS
         _euler_block(spec, q, eta, dW[start:stop], start, windows[start:stop + 1])
-    return TrajectoryEnsemble(x, spec, q, eta, grid, noise)
+    return TrajectoryEnsemble(x, spec, q, eta, noise)
 
 
 def simulate_variational(traj: TrajectoryEnsemble, direction: tuple) -> VariationalEnsemble:
@@ -287,14 +299,7 @@ class CostEstimate:
     num_paths: int
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "terminal": self.terminal,
-            "running": self.running,
-            "singular": self.singular,
-            "num_paths": self.num_paths,
-        }
+        return asdict(self)
 
 
 def _std_error(values: np.ndarray) -> float:
@@ -367,7 +372,9 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
     window of _NOISE_WINDOW_KNOTS steps at a time, so no array grows with
     the number of paths times the number of steps.  The singular quadrature
     is the same for both controls and cancels from the cost difference.
+    A control whose horizon is not the problem's raises SimulationError.
     """
+    _require_horizon(spec, q.grid)
     qn = regrid_relaxed(q, n)
     un = chattering(qn, n)
     refined = un.grid

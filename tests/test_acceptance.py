@@ -126,14 +126,14 @@ def test_criterion_04_variational_consistency():
     noise = NoiseBatch.generate(2000, grid, 1, 41)
     base = (constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5]), zero_singular(grid, 1))
     direction = (dirac_embed(constant_strict(grid, [1.0])), zero_singular(grid, 1))
-    traj = simulate_relaxed(spec, *base, grid, noise)
+    traj = simulate_relaxed(spec, *base, noise)
     from singopt.sde import simulate_variational
 
     z = simulate_variational(traj, direction)
     stats = []
     for theta in (1e-1, 1e-2, 1e-3):
         mixed = convex_combine(base, direction, theta)
-        xt = simulate_relaxed(spec, *mixed, grid, noise)
+        xt = simulate_relaxed(spec, *mixed, noise)
         stats.append(
             float((((xt.states - traj.states) / theta - z.z) ** 2).sum(axis=2).mean(axis=0).max())
         )
@@ -166,7 +166,7 @@ def test_criterion_05_duality_identity():
     noise = NoiseBatch.generate(10_000, grid, 1, 51)
     base = (constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5]), zero_singular(grid, 1))
     direction = (dirac_embed(constant_strict(grid, [1.0])), zero_singular(grid, 1))
-    traj = simulate_relaxed(spec, *base, grid, noise)
+    traj = simulate_relaxed(spec, *base, noise)
     res, se = duality_residual(traj, direction)
     stoch_ok = res <= 3.0 * se
     # deterministic built-ins against the adaptive-integrator oracle
@@ -184,7 +184,7 @@ def test_criterion_05_duality_identity():
             mu = constant_relaxed(dgrid, [[-1.0], [1.0]], [0.5, 0.5])
             ddir = (dirac_embed(constant_strict(dgrid, [1.0])), zero_singular(dgrid, 1))
         dbase = (mu, zero_singular(dgrid, 1))
-        dtraj = simulate_relaxed(dspec, *dbase, dgrid, dnoise)
+        dtraj = simulate_relaxed(dspec, *dbase, dnoise)
         dres, _ = duality_residual(dtraj, ddir)
         # all built-ins have zero terminal gradient, so the oracle value of
         # both sides is exactly zero; the residual must sit at grid error
@@ -204,7 +204,7 @@ def test_criterion_06_adjoint_closed_form():
     noise = NoiseBatch.generate(10_000, grid, 1, 61)
     mu = dirac_embed(constant_strict(grid, [0.0]))
     xi = zero_singular(grid, 1)
-    traj = simulate_relaxed(spec, mu, xi, grid, noise)
+    traj = simulate_relaxed(spec, mu, xi, noise)
     fund = fundamental_solutions(traj)
     expl = adjoint_explicit(fund, degree=1)
     bsde = adjoint_bsde(traj, degree=1)
@@ -230,13 +230,13 @@ def test_criterion_07_necessary_condition_verdicts():
     xi = zero_singular(grid, 1)
 
     mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
-    traj = simulate_relaxed(spec, mu, xi, grid, noise)
+    traj = simulate_relaxed(spec, mu, xi, noise)
     pair = adjoint_bsde(traj, degree=1)
     good = verify_necessary(pair)
     good_mini = next(c for c in good.conditions if c.condition_id == "hamiltonian-minimality")
 
     v0 = dirac_embed(constant_strict(grid, [0.0]))
-    traj0 = simulate_relaxed(spec, v0, xi, grid, noise)
+    traj0 = simulate_relaxed(spec, v0, xi, noise)
     pair0 = adjoint_bsde(traj0, degree=1)
     bad = verify_necessary(pair0)
     bad_mini = next(c for c in bad.conditions if c.condition_id == "hamiltonian-minimality")
@@ -262,7 +262,7 @@ def test_criterion_08_singular_conditions_and_cost_gap():
     noise = NoiseBatch.generate(8, grid, 1, 81)
     v0 = dirac_embed(constant_strict(grid, [0.0]))
     flat = zero_singular(grid, 1)
-    traj = simulate_relaxed(spec, v0, flat, grid, noise)
+    traj = simulate_relaxed(spec, v0, flat, noise)
     pair = adjoint_bsde(traj, degree=1)
     clean = verify_necessary(pair)
     by_id = {c.condition_id: c for c in clean.conditions}
@@ -271,7 +271,7 @@ def test_criterion_08_singular_conditions_and_cost_gap():
     inc = np.zeros((100, 1))
     inc[30, 0] = 1.0
     xi = SingularControl(grid, inc)
-    traj_inj = simulate_relaxed(spec, v0, xi, grid, noise)
+    traj_inj = simulate_relaxed(spec, v0, xi, noise)
     pair_inj = adjoint_bsde(traj_inj, degree=1)
     injected = verify_necessary(pair_inj)
     inj_flat = next(c for c in injected.conditions if c.condition_id == "flat-off")
@@ -303,7 +303,7 @@ def test_criterion_09_certified_candidates_beat_competitors():
         else:
             mu = dirac_embed(constant_strict(grid, [0.0]))
         xi = zero_singular(grid, 1)
-        traj = simulate_relaxed(spec, mu, xi, grid, noise)
+        traj = simulate_relaxed(spec, mu, xi, noise)
         pair = adjoint_bsde(traj, degree=1)
         cert = certify_sufficient(pair)
         assert cert.certified, f"{name} candidate unexpectedly not certified"
@@ -312,7 +312,7 @@ def test_criterion_09_certified_candidates_beat_competitors():
         beaten = 0
         for _ in range(200):
             v, eta = oracles.random_competitor(spec, grid, rng)
-            ctraj = simulate_relaxed(spec, v, eta, grid, noise)
+            ctraj = simulate_relaxed(spec, v, eta, noise)
             comp = estimate_cost(ctraj)
             if comp.value < base.value - 3.0 * (base.std_error + comp.std_error):
                 beaten += 1

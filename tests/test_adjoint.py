@@ -33,7 +33,7 @@ def setup(spec, control, singular=None, N=100, M=512, seed=11):
     noise = NoiseBatch.generate(M, grid, spec.d, seed)
     mu = dirac_embed(control) if hasattr(control, "values") else control
     xi = singular if singular is not None else zero_singular(grid, spec.m)
-    traj = simulate_relaxed(spec, mu, xi, grid, noise)
+    traj = simulate_relaxed(spec, mu, xi, noise)
     return grid, noise, (mu, xi), traj
 
 
@@ -129,7 +129,7 @@ def brownian_adjoint_setup():
     noise = NoiseBatch.generate(4000, grid, 1, 101)
     mu = dirac_embed(constant_strict(grid, [0.0]))
     xi = zero_singular(grid, 1)
-    traj = simulate_relaxed(spec, mu, xi, grid, noise)
+    traj = simulate_relaxed(spec, mu, xi, noise)
     fund = fundamental_solutions(traj)
     expl = adjoint_explicit(fund, degree=1)
     bsde = adjoint_bsde(traj, degree=1)
@@ -180,7 +180,7 @@ def aux_setup():
     noise = NoiseBatch.generate(600, grid, 1, 7)
     mu = dirac_embed(constant_strict(grid, [0.0]))
     xi = zero_singular(grid, 1)
-    traj = simulate_relaxed(spec, mu, xi, grid, noise)
+    traj = simulate_relaxed(spec, mu, xi, noise)
     fund = fundamental_solutions(traj)
     direction = (dirac_embed(constant_strict(grid, [1.0])), xi)
     z = simulate_variational(traj, direction)
@@ -208,7 +208,7 @@ class TestAuxiliaryProcesses:
         noise = NoiseBatch.generate(2000, grid, 1, 19)
         mu = dirac_embed(constant_strict(grid, [0.0]))
         xi = zero_singular(grid, 1)
-        traj = simulate_relaxed(spec, mu, xi, grid, noise)
+        traj = simulate_relaxed(spec, mu, xi, noise)
         fund = fundamental_solutions(traj)
         direction = (dirac_embed(constant_strict(grid, [1.0])), xi)
         z = simulate_variational(traj, direction)
@@ -226,7 +226,7 @@ class TestDuality:
         noise = NoiseBatch.generate(64, grid100, 1, 3)
         mu = constant_relaxed(grid100, [[-1.0], [1.0]], [0.5, 0.5])
         xi = zero_singular(grid100, 1)
-        traj = simulate_relaxed(example2_stochastic, mu, xi, grid100, noise)
+        traj = simulate_relaxed(example2_stochastic, mu, xi, noise)
         res, se = duality_residual(traj, (mu, xi))
         assert res == 0.0 and se == 0.0
 
@@ -237,7 +237,7 @@ class TestDuality:
         mu = dirac_embed(constant_strict(grid, [0.0]))
         xi = zero_singular(grid, 1)
         direction = (dirac_embed(constant_strict(grid, [1.0])), xi)
-        traj = simulate_relaxed(linear_drift_det, mu, xi, grid, noise)
+        traj = simulate_relaxed(linear_drift_det, mu, xi, noise)
         res, se = duality_residual(traj, direction)
         assert se == 0.0
         assert res <= 1e-6 + 5.0 * grid.dt
@@ -257,7 +257,7 @@ class TestDuality:
         mu = dirac_embed(constant_strict(grid, [0.0]))
         xi = zero_singular(grid, 1)
         direction = (dirac_embed(constant_strict(grid, [1.0])), xi)
-        traj = simulate_relaxed(linear_drift_stoch, mu, xi, grid, noise)
+        traj = simulate_relaxed(linear_drift_stoch, mu, xi, noise)
         res, se = duality_residual(traj, direction)
         assert res <= 3.0 * se + 5.0 * grid.dt
 
@@ -278,13 +278,13 @@ def test_first_order_value_consistent_across_three_routes(linear_drift_stoch):
     base = (mu, xi)
     direction = (dirac_embed(constant_strict(grid, [1.0])), xi)
 
-    traj = simulate_relaxed(spec, mu, xi, grid, noise)
+    traj = simulate_relaxed(spec, mu, xi, noise)
     pair = adjoint_bsde(traj, degree=2)
     v_adjoint, se_adj = variational_inequality_value(pair, direction)
 
     theta = 1e-3
     mixed = convex_combine(base, direction, theta)
-    xt = simulate_relaxed(spec, *mixed, grid, noise)
+    xt = simulate_relaxed(spec, *mixed, noise)
     fd = (per_path_cost(xt) - per_path_cost(traj)) / theta
     v_primal, se_primal = float(fd.mean()), float(fd.std(ddof=1) / np.sqrt(M))
 
@@ -314,7 +314,7 @@ class TestVariationalInequalityValue:
         noise = NoiseBatch.generate(16, grid100, 1, 3)
         mu = constant_relaxed(grid100, [[-1.0], [1.0]], [0.5, 0.5])
         xi = zero_singular(grid100, 1)
-        traj = simulate_relaxed(example2_separated, mu, xi, grid100, noise)
+        traj = simulate_relaxed(example2_separated, mu, xi, noise)
         pair = adjoint_bsde(traj, degree=1)
         value, se = variational_inequality_value(pair, (mu, xi))
         assert value == 0.0 and se == 0.0
@@ -325,7 +325,7 @@ class TestVariationalInequalityValue:
         noise = NoiseBatch.generate(16, grid100, 1, 3)
         mu = constant_relaxed(grid100, [[-1.0], [1.0]], [0.5, 0.5])
         xi = zero_singular(grid100, 1)
-        traj = simulate_relaxed(example2_separated, mu, xi, grid100, noise)
+        traj = simulate_relaxed(example2_separated, mu, xi, noise)
         pair = adjoint_bsde(traj, degree=1)
         direction = (dirac_embed(constant_strict(grid100, [0.0])), xi)
         value, se = variational_inequality_value(pair, direction)
@@ -336,7 +336,7 @@ class TestVariationalInequalityValue:
         noise = NoiseBatch.generate(8, grid100, 1, 3)
         mu = dirac_embed(constant_strict(grid100, [0.0]))
         xi = zero_singular(grid100, 1)
-        traj = simulate_relaxed(singular_block, mu, xi, grid100, noise)
+        traj = simulate_relaxed(singular_block, mu, xi, noise)
         pair = adjoint_bsde(traj, degree=1)
         inc = np.zeros((100, 1))
         inc[30, 0] = 2.0

@@ -17,7 +17,7 @@ def traj(example2_stochastic):
     grid = TimeGrid(20, 1.0)
     noise = NoiseBatch.generate(5, grid, 1, 13)
     control = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
-    return simulate_relaxed(example2_stochastic, control, zero_singular(grid, 1), grid, noise)
+    return simulate_relaxed(example2_stochastic, control, zero_singular(grid, 1), noise)
 
 
 def test_csv_round_trip_parses_every_cell(traj, tmp_path):

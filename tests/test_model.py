@@ -123,6 +123,26 @@ def test_time_grid_basics():
         TimeGrid(0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TimeGrid(10, float("inf")), "horizon must be finite and positive, got inf"),
+        (lambda: TimeGrid(10, float("nan")), "horizon must be finite and positive, got nan"),
+        (lambda: TimeGrid(2.5, 1.0), "num_steps must be an integer >= 1, got 2.5"),
+        (lambda: builtin_problem("example1").with_overrides(horizon=float("inf")),
+         "horizon must be finite and positive, got inf"),
+    ],
+    ids=["grid-horizon-inf", "grid-horizon-nan", "grid-steps-float", "spec-horizon-inf"],
+)
+def test_grid_and_horizon_inputs_are_refused(make, message):
+    with pytest.raises(ProblemError, match=f"^{message}$"):
+        make()
+
+
+def test_time_grid_takes_a_numpy_integer_step_count():
+    assert TimeGrid(np.int64(4), 2.0) == TimeGrid(4, 2.0)
+
+
 class TestNoiseBatch:
     def test_same_seed_bit_identical(self):
         grid = TimeGrid(32, 1.0)

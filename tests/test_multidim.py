@@ -65,7 +65,7 @@ def planar_run(planar):
     inc = np.zeros((100, 2))
     inc[25] = [0.1, 0.05]
     xi = SingularControl(grid, inc)
-    traj = simulate_relaxed(planar, mu, xi, grid, noise)
+    traj = simulate_relaxed(planar, mu, xi, noise)
     return grid, noise, mu, xi, traj
 
 
@@ -96,14 +96,14 @@ class TestPlanarProblem:
     def test_dirac_bit_identity_in_two_dimensions(self, planar, planar_run):
         grid, noise, mu, xi, _ = planar_run
         v = constant_strict(grid, [1.0, -1.0])
-        xs = simulate_relaxed(planar, v, xi, grid, noise)
-        xr = simulate_relaxed(planar, dirac_embed(v), xi, grid, noise)
+        xs = simulate_relaxed(planar, v, xi, noise)
+        xr = simulate_relaxed(planar, dirac_embed(v), xi, noise)
         assert np.array_equal(xs.states, xr.states)
 
     def test_singular_gain_mixes_components(self, planar, planar_run):
         grid, noise, mu, xi, traj = planar_run
         flat = zero_singular(grid, 2)
-        traj0 = simulate_relaxed(planar, mu, flat, grid, noise)
+        traj0 = simulate_relaxed(planar, mu, flat, noise)
         jump = traj.states[:, 26] - traj0.states[:, 26]
         expected = planar.G(grid.knots[25]) @ np.array([0.1, 0.05])
         assert np.allclose(jump, expected, atol=1e-6)
@@ -115,7 +115,7 @@ class TestPlanarProblem:
             noise = NoiseBatch.generate(400, grid, 2, 77)
             mu = dirac_embed(constant_strict(grid, [0.0, 0.0]))
             xi = zero_singular(grid, 2)
-            traj = simulate_relaxed(planar, mu, xi, grid, noise)
+            traj = simulate_relaxed(planar, mu, xi, noise)
             defects[N] = fundamental_solutions(traj).inverse_defect()
         assert defects[100] < 0.05
         assert defects[400] <= 0.75 * defects[100]
@@ -126,7 +126,7 @@ class TestPlanarProblem:
         noise = NoiseBatch.generate(M, grid, 2, 31)
         mu = constant_relaxed(grid, [[1.0, 0.0], [0.0, -1.0]], [0.3, 0.7])
         xi = zero_singular(grid, 2)
-        traj = simulate_relaxed(planar, mu, xi, grid, noise)
+        traj = simulate_relaxed(planar, mu, xi, noise)
         fund = fundamental_solutions(traj)
         eye = np.eye(2)
         defect = 0.0
@@ -215,12 +215,12 @@ class TestControlledDiffusion:
         noise = NoiseBatch.generate(400, grid, 1, 9)
         base = (constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5]), zero_singular(grid, 1))
         direction = (dirac_embed(constant_strict(grid, [1.0])), zero_singular(grid, 1))
-        traj = simulate_relaxed(spec, *base, grid, noise)
+        traj = simulate_relaxed(spec, *base, noise)
         z = simulate_variational(traj, direction)
         assert float(np.abs(z.z).max()) > 0.5
         for theta in (1e-1, 1e-3):
             mixed = convex_combine(base, direction, theta)
-            xt = simulate_relaxed(spec, *mixed, grid, noise)
+            xt = simulate_relaxed(spec, *mixed, noise)
             stat = (((xt.states - traj.states) / theta - z.z) ** 2).sum(axis=2).mean(axis=0).max()
             assert stat <= 1e-18
 

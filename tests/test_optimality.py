@@ -58,7 +58,7 @@ def verified(spec, control, singular=None, N=100, M=16, seed=3, degree=1, tol=No
     noise = NoiseBatch.generate(M, grid, spec.d, seed)
     mu = as_relaxed(control)
     xi = singular if singular is not None else zero_singular(grid, spec.m)
-    traj = simulate_relaxed(spec, mu, xi, grid, noise)
+    traj = simulate_relaxed(spec, mu, xi, noise)
     pair = adjoint_bsde(traj, degree=degree)
     report = verify_necessary(pair, tol or Tolerances())
     return grid, noise, traj, pair, report
@@ -286,7 +286,7 @@ class TestVerifyNecessary:
         noise = NoiseBatch.generate(8, grid, 1, 5)
         mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
         xi = zero_singular(grid, 1)
-        traj = simulate_relaxed(example2_separated, mu, xi, grid, noise)
+        traj = simulate_relaxed(example2_separated, mu, xi, noise)
         pair = adjoint_bsde(traj, degree=1)
         report = verify_necessary(pair, config_echo={"seed": 5, "N": 20, "M": 8})
         blob = report.as_dict()
@@ -400,7 +400,7 @@ class TestCertifySufficient:
         noise = NoiseBatch.generate(32, grid, 1, 9)
         mu = dirac_embed(constant_strict(grid, [1.0]))
         xi = zero_singular(grid, 1)
-        traj = simulate_relaxed(tanh_drift, mu, xi, grid, noise)
+        traj = simulate_relaxed(tanh_drift, mu, xi, noise)
         pair = adjoint_bsde(traj, degree=1)
         cert = certify_sufficient(pair, probe_pairs=200)
         evid = {c.subject: c for c in cert.convexity}
@@ -450,7 +450,7 @@ class TestCertifySufficient:
         noise = NoiseBatch.generate(8, grid, 1, 9)
         mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
         xi = zero_singular(grid, 1)
-        traj = simulate_relaxed(spec, mu, xi, grid, noise)
+        traj = simulate_relaxed(spec, mu, xi, noise)
         pair = adjoint_bsde(traj, degree=1)
         with pytest.raises(ControlError, match="not finite .* cell 0"):
             certify_sufficient(pair, probe_pairs=20)
@@ -465,11 +465,11 @@ class TestCertifySufficient:
         v = constant_strict(grid, [0.0])
         base = estimate_cost(
             simulate_relaxed(singular_block, dirac_embed(v), zero_singular(grid, 1),
-                             grid, noise),
+                             noise),
         )
         for pattern in product((0.0, 0.5, 1.0), repeat=4):
             xi = SingularControl(grid, np.array(pattern)[:, None])
-            traj = simulate_relaxed(singular_block, dirac_embed(v), xi, grid, noise)
+            traj = simulate_relaxed(singular_block, dirac_embed(v), xi, noise)
             cost = estimate_cost(traj)
             assert cost.value >= base.value - 1e-12
             if any(pattern):
@@ -485,7 +485,7 @@ class TestCertifySufficient:
         for _ in range(50):
             v, eta = oracles.random_competitor(singular_block, grid, rng)
             comp_traj = simulate_relaxed(
-                singular_block, dirac_embed(v), eta, grid, noise
+                singular_block, dirac_embed(v), eta, noise
             )
             comp = estimate_cost(comp_traj)
             margin = 3.0 * (base_cost.std_error + comp.std_error)
@@ -508,7 +508,7 @@ class TestPairWithoutP:
         grid = TimeGrid(50, spec.horizon)
         noise = NoiseBatch.generate(4000, grid, spec.d, 5)
         return simulate_relaxed(spec, constant_strict(grid, [1.0]), zero_singular(grid, 1),
-                                grid, noise)
+                                noise)
 
     def test_backward_sweep_pair_rejects_the_candidate(self, traj):
         by_id = {c.condition_id: c for c in verify_necessary(adjoint_bsde(traj)).conditions}

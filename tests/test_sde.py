@@ -52,7 +52,7 @@ class TestSimulateStrict:
         noise = make_noise(grid64)
         traj = simulate_relaxed(
             singular_block, constant_strict(grid64, [0.0]), zero_singular(grid64, 1),
-            grid64, noise,
+            noise,
         )
         assert np.all(traj.states == 1.0)
 
@@ -61,7 +61,7 @@ class TestSimulateStrict:
         grid = TimeGrid(64, 1.0)
         noise = make_noise(grid, paths=3)
         traj = simulate_relaxed(
-            example1, alternating_strict(grid, n), zero_singular(grid, 1), grid, noise
+            example1, alternating_strict(grid, n), zero_singular(grid, 1), noise
         )
         assert np.abs(traj.states).max() == pytest.approx(1.0 / n)
         # knot values agree with the closed-form ramp
@@ -72,7 +72,7 @@ class TestSimulateStrict:
         noise = make_noise(grid100, paths=10_000, seed=21)
         traj = simulate_relaxed(
             example2_stochastic, constant_strict(grid100, [0.0]),
-            zero_singular(grid100, 1), grid100, noise,
+            zero_singular(grid100, 1), noise,
         )
         xT2 = traj.terminal[:, 0] ** 2
         se = xT2.std(ddof=1) / np.sqrt(len(xT2))
@@ -91,7 +91,7 @@ class TestSimulateStrict:
             ):
                 simulate_relaxed(
                     exploding, constant_strict(grid64, [1.0]),
-                    zero_singular(grid64, 1), grid64, noise,
+                    zero_singular(grid64, 1), noise,
                 )
 
     def test_blowup_inside_a_block_reports_first_step_and_path(self, tanh_drift):
@@ -117,14 +117,14 @@ class TestSimulateStrict:
             ):
                 simulate_relaxed(
                     exploding, constant_strict(grid, [1.0]),
-                    zero_singular(grid, 1), grid, noise,
+                    zero_singular(grid, 1), noise,
                 )
 
     def test_determinism_bit_identical(self, example2_stochastic, grid64):
         v = constant_strict(grid64, [1.0])
         eta = zero_singular(grid64, 1)
-        a = simulate_relaxed(example2_stochastic, v, eta, grid64, make_noise(grid64, seed=5))
-        b = simulate_relaxed(example2_stochastic, v, eta, grid64, make_noise(grid64, seed=5))
+        a = simulate_relaxed(example2_stochastic, v, eta, make_noise(grid64, seed=5))
+        b = simulate_relaxed(example2_stochastic, v, eta, make_noise(grid64, seed=5))
         assert np.array_equal(a.states, b.states)
 
     def test_mismatched_control_grid_is_rejected(self, example2_stochastic, grid64):
@@ -133,7 +133,7 @@ class TestSimulateStrict:
         with pytest.raises(SimulationError, match="does not match"):
             simulate_relaxed(
                 example2_stochastic, constant_strict(other, [1.0]),
-                zero_singular(grid64, 1), grid64, noise,
+                zero_singular(grid64, 1), noise,
             )
 
     @pytest.mark.parametrize("steps, dim", [(32, 1), (64, 2)], ids=["steps", "noise-dim"])
@@ -142,8 +142,32 @@ class TestSimulateStrict:
         with pytest.raises(SimulationError, match="noise batch does not match"):
             simulate_relaxed(
                 example2_stochastic, constant_strict(grid64, [1.0]),
-                zero_singular(grid64, 1), grid64, noise,
+                zero_singular(grid64, 1), noise,
             )
+
+
+    def test_noise_of_another_horizon_is_rejected(self, example2_stochastic):
+        spec = example2_stochastic.with_overrides(horizon=4.0)
+        grid = TimeGrid(100, 4.0)
+        noise = make_noise(TimeGrid(100, 1.0), paths=8, seed=3)
+        with pytest.raises(SimulationError, match="noise batch does not match"):
+            simulate_relaxed(spec, pm1(grid), zero_singular(grid, 1), noise)
+
+
+# A problem of horizon 1 with controls (and noise) on a grid of horizon 2.
+HORIZON_MISMATCH = {
+    "simulate_relaxed": lambda spec, grid: simulate_relaxed(
+        spec, pm1(grid), zero_singular(grid, 1), make_noise(grid, paths=8, seed=3)),
+    "chattering_gap": lambda spec, grid: chattering_gap(
+        spec, pm1(grid), zero_singular(grid, 1), 4, 8, 3),
+}
+
+
+@pytest.mark.parametrize("call", HORIZON_MISMATCH.values(), ids=list(HORIZON_MISMATCH))
+def test_control_of_another_horizon_is_rejected(example2_stochastic, call):
+    with pytest.raises(SimulationError,
+                       match=r"^control horizon 2\.0 does not match the problem horizon 1\.0$"):
+        call(example2_stochastic, TimeGrid(16, 2.0))
 
 
 class TestSimulateRelaxed:
@@ -151,19 +175,19 @@ class TestSimulateRelaxed:
         noise = make_noise(grid64, paths=16, seed=9)
         v = alternating_strict(grid64, 4)
         eta = zero_singular(grid64, 1)
-        xs = simulate_relaxed(example2_stochastic, v, eta, grid64, noise)
-        xr = simulate_relaxed(example2_stochastic, dirac_embed(v), eta, grid64, noise)
+        xs = simulate_relaxed(example2_stochastic, v, eta, noise)
+        xr = simulate_relaxed(example2_stochastic, dirac_embed(v), eta, noise)
         assert np.array_equal(xs.states, xr.states)
 
     def test_relaxed_optimum_freezes_example1(self, example1, grid64):
         noise = make_noise(grid64, paths=4)
-        traj = simulate_relaxed(example1, pm1(grid64), zero_singular(grid64, 1), grid64, noise)
+        traj = simulate_relaxed(example1, pm1(grid64), zero_singular(grid64, 1), noise)
         assert np.all(traj.states == 0.0)
 
     def test_relaxed_optimum_is_pure_noise_path(self, example2_stochastic, grid64):
         noise = make_noise(grid64, paths=8, seed=3)
         traj = simulate_relaxed(
-            example2_stochastic, pm1(grid64), zero_singular(grid64, 1), grid64, noise
+            example2_stochastic, pm1(grid64), zero_singular(grid64, 1), noise
         )
         W = np.zeros_like(traj.states)
         W[:, 1:, 0] = np.cumsum(noise.increments[:, :, 0], axis=1)
@@ -175,7 +199,7 @@ class TestSimulateRelaxed:
         inc[10, 0] = 0.5
         xi = SingularControl(grid64, inc)
         traj = simulate_relaxed(
-            singular_block, dirac_embed(constant_strict(grid64, [0.0])), xi, grid64, noise
+            singular_block, dirac_embed(constant_strict(grid64, [0.0])), xi, noise
         )
         assert np.all(traj.states[:, :11, 0] == 1.0)
         assert np.all(traj.states[:, 11:, 0] == 1.5)
@@ -185,7 +209,7 @@ class TestVariational:
     def test_direction_equal_to_base_gives_zero(self, example2_stochastic, grid64):
         noise = make_noise(grid64, paths=8)
         base = (pm1(grid64), zero_singular(grid64, 1))
-        traj = simulate_relaxed(example2_stochastic, *base, grid64, noise)
+        traj = simulate_relaxed(example2_stochastic, *base, noise)
         z = simulate_variational(traj, base)
         assert np.all(z.z == 0.0)
 
@@ -196,7 +220,7 @@ class TestVariational:
         noise = make_noise(grid, paths=2)
         base = (pm1(grid), zero_singular(grid, 1))
         direction = (dirac_embed(constant_strict(grid, [1.0])), zero_singular(grid, 1))
-        traj = simulate_relaxed(example1, *base, grid, noise)
+        traj = simulate_relaxed(example1, *base, noise)
         z = simulate_variational(traj, direction)
         oracle = oracles.integrate_ode(lambda t, y: [1.0], [0.0], 1.0, grid.knots)
         assert np.allclose(z.z[0, :, 0], oracle[:, 0], atol=1e-8)
@@ -207,7 +231,7 @@ class TestVariational:
         inc = np.zeros((64, 1))
         inc[0, 0] = 1.0
         direction = (base[0], SingularControl(grid64, inc))
-        traj = simulate_relaxed(singular_block, *base, grid64, noise)
+        traj = simulate_relaxed(singular_block, *base, noise)
         z = simulate_variational(traj, direction)
         assert np.all(z.z[:, 1:, 0] == 1.0)
 
@@ -219,11 +243,11 @@ class TestVariational:
         noise = make_noise(grid100, paths=200, seed=17)
         base = (pm1(grid100), zero_singular(grid100, 1))
         direction = (dirac_embed(constant_strict(grid100, [1.0])), zero_singular(grid100, 1))
-        traj = simulate_relaxed(example2_stochastic, *base, grid100, noise)
+        traj = simulate_relaxed(example2_stochastic, *base, noise)
         z = simulate_variational(traj, direction)
         for theta in (1e-1, 1e-2, 1e-3):
             mixed = convex_combine(base, direction, theta)
-            xt = simulate_relaxed(example2_stochastic, *mixed, grid100, noise)
+            xt = simulate_relaxed(example2_stochastic, *mixed, noise)
             stat = (((xt.states - traj.states) / theta - z.z) ** 2).sum(axis=2).mean(axis=0).max()
             assert stat <= 1e-18
 
@@ -233,12 +257,12 @@ class TestVariational:
         noise = make_noise(grid100, paths=500, seed=23)
         base = (dirac_embed(constant_strict(grid100, [1.0])), zero_singular(grid100, 1))
         direction = (dirac_embed(constant_strict(grid100, [-1.0])), zero_singular(grid100, 1))
-        traj = simulate_relaxed(tanh_drift, *base, grid100, noise)
+        traj = simulate_relaxed(tanh_drift, *base, noise)
         z = simulate_variational(traj, direction)
         stats = []
         for theta in (1e-1, 1e-2, 1e-3):
             mixed = convex_combine(base, direction, theta)
-            xt = simulate_relaxed(tanh_drift, *mixed, grid100, noise)
+            xt = simulate_relaxed(tanh_drift, *mixed, noise)
             stats.append(
                 (((xt.states - traj.states) / theta - z.z) ** 2).sum(axis=2).mean(axis=0).max()
             )
@@ -249,11 +273,11 @@ class TestVariational:
         noise = make_noise(grid100, paths=500, seed=29)
         base = (pm1(grid100), zero_singular(grid100, 1))
         direction = (dirac_embed(constant_strict(grid100, [1.0])), zero_singular(grid100, 1))
-        traj = simulate_relaxed(example2_stochastic, *base, grid100, noise)
+        traj = simulate_relaxed(example2_stochastic, *base, noise)
         gaps = []
         for theta in (0.5, 0.1, 0.01):
             mixed = convex_combine(base, direction, theta)
-            xt = simulate_relaxed(example2_stochastic, *mixed, grid100, noise)
+            xt = simulate_relaxed(example2_stochastic, *mixed, noise)
             gaps.append(((xt.states - traj.states) ** 2).sum(axis=2).mean(axis=0).max())
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-3
@@ -263,7 +287,7 @@ class TestFundamentalSolutions:
     def test_identity_when_gradients_vanish(self, example2_stochastic, grid64):
         noise = make_noise(grid64, paths=8)
         pair = (pm1(grid64), zero_singular(grid64, 1))
-        traj = simulate_relaxed(example2_stochastic, *pair, grid64, noise)
+        traj = simulate_relaxed(example2_stochastic, *pair, noise)
         fund = fundamental_solutions(traj)
         assert np.all(fund.Phi == np.eye(1))
         assert np.all(fund.Psi == np.eye(1))
@@ -274,7 +298,7 @@ class TestFundamentalSolutions:
         grid = TimeGrid(400, 1.0)
         noise = make_noise(grid, paths=2)
         pair = (dirac_embed(constant_strict(grid, [0.0])), zero_singular(grid, 1))
-        traj = simulate_relaxed(linear_drift_det, *pair, grid, noise)
+        traj = simulate_relaxed(linear_drift_det, *pair, noise)
         fund = fundamental_solutions(traj)
         target = np.exp(0.5)
         assert abs(fund.Phi[0, -1, 0, 0] - target) <= 5 * target * grid.dt
@@ -287,7 +311,7 @@ class TestFundamentalSolutions:
             grid = TimeGrid(N, 1.0)
             noise = make_noise(grid, paths=64, seed=31)
             pair = (dirac_embed(constant_strict(grid, [0.0])), zero_singular(grid, 1))
-            traj = simulate_relaxed(linear_drift_stoch, *pair, grid, noise)
+            traj = simulate_relaxed(linear_drift_stoch, *pair, noise)
             fund = fundamental_solutions(traj)
             defects[N] = fund.inverse_defect()
         # defect ~ C sqrt(dt): quadrupling N should at least halve it (with slack)
@@ -300,7 +324,7 @@ class TestFundamentalSolutions:
         for seed in (1, 2):
             noise = make_noise(grid100, paths=256, seed=seed)
             pair = (dirac_embed(constant_strict(grid100, [0.0])), zero_singular(grid100, 1))
-            traj = simulate_relaxed(linear_drift_stoch, *pair, grid100, noise)
+            traj = simulate_relaxed(linear_drift_stoch, *pair, noise)
             fund = fundamental_solutions(traj)
             stat = float((fund.Phi ** 2 + fund.Psi ** 2).sum(axis=(2, 3)).max())
             stats.append(stat)
@@ -326,7 +350,7 @@ def test_linearized_blowup_reports_first_step_and_path(tanh_drift, sweep):
     exploding = tanh_drift.with_overrides(b_x=b_x)
     base = (dirac_embed(constant_strict(grid, [1.0])), zero_singular(grid, 1))
     direction = (dirac_embed(constant_strict(grid, [-1.0])), zero_singular(grid, 1))
-    traj = simulate_relaxed(exploding, *base, grid, make_noise(grid, paths=4))
+    traj = simulate_relaxed(exploding, *base, make_noise(grid, paths=4))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(
             SimulationError,
@@ -341,7 +365,7 @@ def test_linearized_blowup_reports_first_step_and_path(tanh_drift, sweep):
 def test_ensembles_keep_shape_and_store_knots_contiguously(example2_stochastic, grid64):
     noise = make_noise(grid64, paths=8)
     pair = (pm1(grid64), zero_singular(grid64, 1))
-    traj = simulate_relaxed(example2_stochastic, *pair, grid64, noise)
+    traj = simulate_relaxed(example2_stochastic, *pair, noise)
     direction = (dirac_embed(constant_strict(grid64, [1.0])), zero_singular(grid64, 1))
     z = simulate_variational(traj, direction)
     fund = fundamental_solutions(traj)
@@ -365,7 +389,7 @@ class TestCost:
         noise = make_noise(grid64, paths=8)
         v = alternating_strict(grid64, 8)
         eta = zero_singular(grid64, 1)
-        traj = simulate_relaxed(example1, v, eta, grid64, noise)
+        traj = simulate_relaxed(example1, v, eta, noise)
         est = estimate_cost(traj)
         assert est.std_error == 0.0
         assert est.value == pytest.approx(oracles.alternating_cost_on_grid(8, 64), abs=1e-14)
@@ -376,7 +400,7 @@ class TestCost:
         inc[20, 0] = 1.0
         xi = SingularControl(grid64, inc)
         v = constant_strict(grid64, [0.0])
-        traj = simulate_relaxed(singular_block, v, xi, grid64, noise)
+        traj = simulate_relaxed(singular_block, v, xi, noise)
         est = estimate_cost(traj)
         assert est.singular == 1.0  # kappa * unit increment
 
@@ -384,7 +408,7 @@ class TestCost:
         noise = make_noise(grid64, paths=4)
         mu = pm1(grid64)
         eta = zero_singular(grid64, 1)
-        traj = simulate_relaxed(example1, mu, eta, grid64, noise)
+        traj = simulate_relaxed(example1, mu, eta, noise)
         est = estimate_cost(traj)
         assert est.value == 0.0 and est.std_error == 0.0
 
@@ -442,8 +466,8 @@ def reference_chattering_gap(spec, q, eta, n, num_paths, seed):
     q_ref = regrid_relaxed(q, refined.num_steps)
     eta_ref = regrid_singular(eta, refined.num_steps)
     noise = NoiseBatch.generate(num_paths, refined, spec.d, (seed, n))
-    x_strict = simulate_relaxed(spec, un, eta_ref, refined, noise)
-    x_relax = simulate_relaxed(spec, q_ref, eta_ref, refined, noise)
+    x_strict = simulate_relaxed(spec, un, eta_ref, noise)
+    x_relax = simulate_relaxed(spec, q_ref, eta_ref, noise)
     gap = 0.0
     for start in range(0, refined.num_steps + 1, _BLOCK_KNOTS):
         knots = slice(start, start + _BLOCK_KNOTS)
@@ -559,7 +583,7 @@ def test_running_block_matches_per_knot_averages(example2_stochastic):
     weights[100:] = [0.2, 0.3, 0.5]
     mu = RelaxedControl(grid, atoms, weights)
     eta = zero_singular(grid, 1)
-    traj = simulate_relaxed(spec, mu, eta, grid, make_noise(grid, paths=12, seed=4))
+    traj = simulate_relaxed(spec, mu, eta, make_noise(grid, paths=12, seed=4))
 
     _, running, _ = _cost_terms(traj)
     expected = reference_path_cost(spec, traj, mu, eta) - spec.g(traj.terminal)
@@ -590,6 +614,6 @@ def test_dirac_embedding_is_bit_identical_to_strict_property(
     inc = rng.exponential(size=(num_steps, 1)) * rng.integers(0, 2, size=(num_steps, 1))
     eta = SingularControl(grid, inc if with_singular else np.zeros((num_steps, 1)))
     noise = NoiseBatch.generate(num_paths, grid, spec.d, seed)
-    strict = simulate_relaxed(spec, v, eta, grid, noise)
-    relaxed = simulate_relaxed(spec, dirac_embed(v), eta, grid, noise)
+    strict = simulate_relaxed(spec, v, eta, noise)
+    relaxed = simulate_relaxed(spec, dirac_embed(v), eta, noise)
     assert np.array_equal(strict.states, relaxed.states)

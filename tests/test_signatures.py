@@ -49,7 +49,7 @@ def _run_along(spec, grid, seed):
     """An 8-path ensemble on grid with everything computed along it."""
     good = (constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5]), zero_singular(grid, 1))
     toward = (dirac_embed(constant_strict(grid, [1.0])), zero_singular(grid, 1))
-    traj = simulate_relaxed(spec, *good, grid, NoiseBatch.generate(8, grid, spec.d, seed))
+    traj = simulate_relaxed(spec, *good, NoiseBatch.generate(8, grid, spec.d, seed))
     fund = fundamental_solutions(traj)
     z = simulate_variational(traj, toward)
     aux = auxiliary_processes(fund, z)
@@ -85,6 +85,18 @@ def test_control_on_another_grid_is_rejected(ten_step_run, call):
         match=r"^control defined on 20 steps does not match the simulation grid of 10 steps$",
     ):
         call(ten_step_run)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.__name__ for m in MODULES])
+def test_no_function_takes_a_grid(module):
+    """A run's grid is the grid of its control, so no public function of the
+    simulation, adjoint or verification layers takes one."""
+    takes_grid = [
+        name for name, fn in vars(module).items()
+        if not name.startswith("_") and inspect.isfunction(fn)
+        and fn.__module__ == module.__name__ and "grid" in inspect.signature(fn).parameters
+    ]
+    assert takes_grid == []
 
 
 # Where two results meet, each sweep given one result of another run and the
