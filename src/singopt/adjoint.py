@@ -78,7 +78,7 @@ def fit_conditional(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return (features @ coeff).reshape(targets.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjointPair:
     """Adjoint estimates p (M, N+1, n) and P (M, N+1, n, d) along the
     ensemble traj, stored time-major (model.ensemble_zeros).
@@ -93,7 +93,7 @@ class AdjointPair:
     P: np.ndarray | None = field(repr=False)
     method: str
     diagnostics: dict
-    traj: TrajectoryEnsemble = field(repr=False, compare=False)
+    traj: TrajectoryEnsemble = field(repr=False)
 
     def require_P(self) -> np.ndarray:
         """P; a pair without P (the explicit route) raises ValueError,
@@ -104,7 +104,7 @@ class AdjointPair:
         return self.P
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuxiliaryProcesses:
     """Transported sensitivity alpha = Psi z, the terminal functional X, the
     compensated martingale Y and the martingale integrand estimate Q along
@@ -115,7 +115,7 @@ class AuxiliaryProcesses:
     X: np.ndarray = field(repr=False)      # (M, n)
     Y: np.ndarray = field(repr=False)      # (M, N+1, n)
     Q: np.ndarray = field(repr=False)      # (M, N, n, d)
-    traj: TrajectoryEnsemble = field(repr=False, compare=False)
+    traj: TrajectoryEnsemble = field(repr=False)
 
 
 def _transpose_apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:

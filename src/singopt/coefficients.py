@@ -18,18 +18,21 @@ Conventions
   entry [j] the Jacobian of the j-th diffusion column;
 * forms ignore t.
 
-The drift, diffusion and running-cost forms are a state part plus a control
-part, and expose the split as two attributes of the value function:
-``state_part(x)`` gives the (..., n), (..., n, d) or (...,) state term (None
-when the form has none) and ``control_part(U)`` the stacked control terms
-at the rows u of U, (L, n), (L, n, d) or (L,), with a single row when the
-form does not depend on the control.  Adding row i (or the single row) to
-the state part reproduces fn(t, x, U[i]) bit for bit.  ``control_part``
-remembers the last U it was given, so a sweep that asks for the same points
-at every knot computes them once.  The cost forms h and g carry their
-quadratic state matrix as ``state_quad`` (the declared-convexity evidence of
-the sufficiency certificate), so a cost replaced by another callable
-carries none.
+The drift, diffusion and running-cost forms are each written once, as a
+control part plus a state part, and their value function is built from that
+split, which it exposes as two attributes: ``state_part(x)`` gives the
+(..., n), (..., n, d) or (...,) state term (None when the form has none) and
+``control_part(U)`` the stacked control terms at the rows u of U, (L, n),
+(L, n, d) or (L,), with a single row when the form does not depend on the
+control.  Since fn(t, x, a) is the control term at a plus the state part,
+row i (or the single row) plus the state part is fn(t, x, U[i]) bit for
+bit.  ``control_part`` remembers the last U it was given, so a sweep that
+asks for the same points at every knot computes them once.  The terminal
+cost g is the state part of its quadratic form alone.  The cost forms h and
+g carry their quadratic state matrix as ``state_quad`` (the
+declared-convexity evidence of the sufficiency certificate), and the drift
+and diffusion forms carry ``is_zero``, true when all their terms vanish; a
+coefficient replaced by another callable carries neither.
 """
 
 from __future__ import annotations
@@ -53,8 +56,10 @@ def _arr(value, shape, name):
     return out
 
 
-def _split(fn, state_part, control_point, uses_control):
-    """Attach the state/control split (see the module docstring) to fn.
+def _form(state_part, control_point, uses_control):
+    """The value function fn(t, x, a) = control_point(a), plus state_part(x)
+    when that is not None, with the split attached (see the module
+    docstring).
 
     control_part(U) stacks control_point(u) over the rows u of U (over the
     first row only when uses_control is false) and remembers the last U, by
@@ -63,6 +68,11 @@ def _split(fn, state_part, control_point, uses_control):
     result.
     """
     last = None
+
+    def fn(t, x, a):
+        out = control_point(np.asarray(a, dtype=float))
+        state = state_part(x)
+        return out if state is None else out + state
 
     def control_part(U):
         nonlocal last
@@ -78,63 +88,36 @@ def _split(fn, state_part, control_point, uses_control):
 
     fn.state_part = state_part
     fn.control_part = control_part
+    return fn
 
 
-def _vector_affine(cfg, n, k, name):
-    """b = const + state @ x + control @ a, returning ((t,x,a)->(...,n), Jacobian).
+def _affine(cfg, name, shape, state_shape, control_shape, state_term, control_term):
+    """const + state_term(A, x) + control_term(B, a), with const of the value
+    shape, A of state_shape and B of control_shape; returns the value function
+    (flagged is_zero when all three vanish) and its state gradient, A
+    broadcast over the batch axes of x.
 
-    When the value does not depend on x the function returns an unbatched
-    (n,) vector; callers rely on normal numpy broadcasting.
+    When the value does not depend on x the function returns the unbatched
+    value; callers rely on normal numpy broadcasting.
     """
-    c = _arr(cfg.get("const", np.zeros(n)), (n,), f"{name}.const")
-    A = _arr(cfg.get("state", np.zeros((n, n))), (n, n), f"{name}.state")
-    B = _arr(cfg.get("control", np.zeros((n, k))), (n, k), f"{name}.control")
+    c = _arr(cfg.get("const", np.zeros(shape)), shape, f"{name}.const")
+    A = _arr(cfg.get("state", np.zeros(state_shape)), state_shape, f"{name}.state")
+    B = _arr(cfg.get("control", np.zeros(control_shape)), control_shape, f"{name}.control")
     has_A, has_B = bool(A.any()), bool(B.any())
 
-    def fn(t, x, a):
-        out = c + B @ np.asarray(a, dtype=float) if has_B else c
-        if has_A:
-            out = out + np.asarray(x, dtype=float) @ A.T
-        return out
+    fn = _form(lambda x: state_term(A, np.asarray(x, dtype=float)) if has_A else None,
+               lambda a: c + control_term(B, a) if has_B else c, has_B)
+    fn.is_zero = not (c.any() or has_A or has_B)
 
-    def jac(t, x, a):
-        return np.broadcast_to(A, np.shape(x)[:-1] + (n, n))
+    def grad(t, x, a):
+        return np.broadcast_to(A, np.shape(x)[:-1] + state_shape)
 
-    _split(fn, lambda x: np.asarray(x, dtype=float) @ A.T if has_A else None,
-           lambda a: c + B @ a if has_B else c, has_B)
-
-    return fn, jac, not (c.any() or has_A or has_B)
+    return fn, grad
 
 
 def _matmul_columns(A, x):
     # (d, n, n) acting on (..., n) -> (..., n, d)
     return np.einsum("jpq,...q->...pj", A, x)
-
-
-def _matrix_affine(cfg, n, d, k, name):
-    """sigma columns are affine in (x, a); returns ((t,x,a)->(...,n,d), gradient).
-
-    As with the drift form, an x-independent diffusion comes back unbatched
-    as (n, d).
-    """
-    C0 = _arr(cfg.get("const", np.zeros((n, d))), (n, d), f"{name}.const")
-    A = _arr(cfg.get("state", np.zeros((d, n, n))), (d, n, n), f"{name}.state")
-    B = _arr(cfg.get("control", np.zeros((d, n, k))), (d, n, k), f"{name}.control")
-    has_A, has_B = bool(A.any()), bool(B.any())
-
-    def fn(t, x, a):
-        out = C0 + np.einsum("jpq,q->pj", B, np.asarray(a, dtype=float)) if has_B else C0
-        if has_A:
-            out = out + _matmul_columns(A, np.asarray(x, dtype=float))
-        return out
-
-    def grad(t, x, a):
-        return np.broadcast_to(A, np.shape(x)[:-1] + (d, n, n))
-
-    _split(fn, lambda x: _matmul_columns(A, np.asarray(x, dtype=float)) if has_A else None,
-           lambda a: C0 + np.einsum("jpq,q->pj", B, a) if has_B else C0, has_B)
-
-    return fn, grad, not (C0.any() or has_A or has_B)
 
 
 def _time_affine(cfg, shape, name):
@@ -149,8 +132,9 @@ def _time_affine(cfg, shape, name):
 
 
 def _quadratic_cost(cfg, n, k, name, with_control):
-    """h = x'Qx + r.x + c0 + sum_i poly_i(a_i) and its gradient (Q+Q')x + r;
-    Q travels with h as its attribute state_quad."""
+    """h = sum_i poly_i(a_i) + (x'Qx + r.x + c0) and its gradient (Q+Q')x + r;
+    without the control the cost g is the state part alone.  Q travels with
+    the cost as its attribute state_quad."""
     Q = _arr(cfg.get("state_quad", np.zeros((n, n))), (n, n), f"{name}.state_quad")
     r = _arr(cfg.get("state_lin", np.zeros(n)), (n,), f"{name}.state_lin")
     c0 = float(_arr(cfg.get("const", 0.0), (), f"{name}.const"))
@@ -170,10 +154,9 @@ def _quadratic_cost(cfg, n, k, name, with_control):
                     f"{name}.control_poly: expected {k} coefficient lists, got {len(poly)}"
                 )
 
-    def control_part(a):
+    def control_point(a):
         if poly is None:
             return 0.0
-        a = np.asarray(a, dtype=float)
         total = 0.0
         for i, p in enumerate(poly):
             # p holds coefficients of a_i^0, a_i^1, ...
@@ -189,26 +172,15 @@ def _quadratic_cost(cfg, n, k, name, with_control):
             out = out + x @ r
         return out + c0
 
-    if with_control:
+    def gradient(x):
+        return np.asarray(x, dtype=float) @ sym.T + r
 
-        def fn(t, x, a):
-            return state_part(x) + control_part(a)
-
-        def grad(t, x, a):
-            return np.asarray(x, dtype=float) @ sym.T + r
-
-        _split(fn, state_part, control_part, poly is not None)
-
-    else:
-
-        def fn(x):
-            return state_part(x)
-
-        def grad(x):
-            return np.asarray(x, dtype=float) @ sym.T + r
-
+    if not with_control:
+        state_part.state_quad = Q
+        return state_part, gradient
+    fn = _form(state_part, control_point, poly is not None)
     fn.state_quad = Q
-    return fn, grad
+    return fn, lambda t, x, a: gradient(x)
 
 
 def _object(value, name):
@@ -224,9 +196,9 @@ _TIME_FORMS = ("zero", "constant", "time_affine")
 
 def build_coefficients(config: dict) -> dict:
     """The coefficient keyword arguments of ProblemSpec, built from a
-    JSON-style problem description: the dimensions n, d, k and m, the six
-    coefficient functions with their four state gradients, and
-    diffusion_is_zero, which flags problems whose paths are deterministic.
+    JSON-style problem description: the dimensions n, d, k and m, and the
+    six coefficient functions with their four state gradients.  The drift
+    and diffusion carry their is_zero flag, the costs their state_quad.
 
     Parameters
     ----------
@@ -260,10 +232,11 @@ def build_coefficients(config: dict) -> dict:
             return {"const": cfg["value"]}
         return cfg if form != "zero" else {}
 
-    b, b_x, _ = _vector_affine(section("drift", _VECTOR_FORMS), n, k, "drift")
-    sigma, sigma_x, sig_zero = _matrix_affine(
-        section("diffusion", _VECTOR_FORMS), n, d, k, "diffusion"
-    )
+    b, b_x = _affine(section("drift", _VECTOR_FORMS), "drift", (n,), (n, n), (n, k),
+                     lambda A, x: x @ A.T, lambda B, a: B @ a)
+    sigma, sigma_x = _affine(section("diffusion", _VECTOR_FORMS), "diffusion", (n, d),
+                             (d, n, n), (d, n, k), _matmul_columns,
+                             lambda B, a: np.einsum("jpq,q->pj", B, a))
     G = _time_affine(section("singular_gain", _TIME_FORMS), (n, m), "singular_gain")
     h, h_x = _quadratic_cost(section("running_cost", _COST_FORMS), n, k, "running_cost", True)
     g, g_x = _quadratic_cost(
@@ -272,4 +245,4 @@ def build_coefficients(config: dict) -> dict:
     k_cost = _time_affine(section("singular_cost", _TIME_FORMS), (m,), "singular_cost")
 
     return dict(n=n, d=d, k=k, m=m, b=b, sigma=sigma, G=G, h=h, g=g, k_cost=k_cost,
-                b_x=b_x, sigma_x=sigma_x, h_x=h_x, g_x=g_x, diffusion_is_zero=sig_zero)
+                b_x=b_x, sigma_x=sigma_x, h_x=h_x, g_x=g_x)

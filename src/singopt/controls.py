@@ -44,7 +44,7 @@ def _require_finite(values, what):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrictControl:
     """Per-cell control values, shape (N, k)."""
 
@@ -67,7 +67,7 @@ class StrictControl:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelaxedControl:
     """Per-cell discrete measures stored as padded arrays.
 
@@ -132,7 +132,7 @@ class RelaxedControl:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularControl:
     """Nonnegative increments per cell, shape (N, m); eta_0 = 0."""
 

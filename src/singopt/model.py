@@ -35,7 +35,7 @@ def _check_horizon(horizon):
         raise ProblemError(f"horizon must be finite and positive, got {horizon!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """A fully specified control problem.
 
@@ -66,7 +66,6 @@ class ProblemSpec:
     u1_grid: np.ndarray
     assumptions_box: tuple
     config: dict | None = field(default=None, repr=False)
-    diffusion_is_zero: bool = False
 
     def __post_init__(self):
         if min(self.n, self.d, self.k, self.m) <= 0:
@@ -87,6 +86,12 @@ class ProblemSpec:
             raise ProblemError("assumptions_box must have low < high componentwise")
         object.__setattr__(self, "assumptions_box", (lo, hi))
 
+    @property
+    def diffusion_is_zero(self) -> bool:
+        """Whether the diffusion form vanishes, so the paths are
+        deterministic; a diffusion replaced by a callable carries no flag."""
+        return getattr(self.sigma, "is_zero", False)
+
     def with_overrides(self, **kwargs) -> "ProblemSpec":
         """Copy with selected fields replaced (test fixtures override gradients)."""
         return replace(self, **kwargs)
@@ -100,8 +105,9 @@ class TimeGrid:
     horizon: float
 
     def __post_init__(self):
-        if not (isinstance(self.num_steps, (int, np.integer)) and self.num_steps >= 1):
-            raise ProblemError(f"num_steps must be an integer >= 1, got {self.num_steps!r}")
+        steps = self.num_steps
+        if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer)) and steps >= 1):
+            raise ProblemError(f"num_steps must be an integer >= 1, got {steps!r}")
         _check_horizon(self.horizon)
 
     @property
@@ -174,7 +180,7 @@ class NoiseStream:
                             out=window[tile, start:stop])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseBatch:
     """Brownian increments for a path ensemble over the whole grid they were
     drawn on, shape (M, N, d), stored time-major (see ensemble_empty).

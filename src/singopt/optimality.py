@@ -307,8 +307,12 @@ def verify_necessary(
 # sufficiency
 # ---------------------------------------------------------------------------
 
-def _psd(matrix, tol=1e-12):
-    return bool(np.linalg.eigvalsh(np.asarray(matrix, dtype=float)).min() >= -tol)
+def _declared_convexity(subject, quad, evidence):
+    """The record of a declared quadratic form: convex when its least
+    eigenvalue is >= -1e-12, which the evidence quotes."""
+    lowest = np.linalg.eigvalsh(quad).min()
+    return ConvexityRecord(subject, bool(lowest >= -1e-12),
+                           f"{evidence}, min eigenvalue {lowest:.3g}")
 
 
 def _midpoint_probe(fn, lo, hi, rng, pairs, tol):
@@ -350,13 +354,8 @@ def certify_sufficient(
     running_quad = getattr(spec.h, "state_quad", None) if _has_split(spec) else None
 
     if terminal_quad is not None:
-        ok = _psd(terminal_quad)
         convexity.append(
-            ConvexityRecord(
-                "terminal_cost", ok,
-                f"declared quadratic form, min eigenvalue "
-                f"{np.linalg.eigvalsh(terminal_quad).min():.3g}",
-            )
+            _declared_convexity("terminal_cost", terminal_quad, "declared quadratic form")
         )
     else:
         worst, ok = _midpoint_probe(spec.g, lo, hi, rng, probe_pairs, 1e-9)
@@ -370,14 +369,10 @@ def certify_sufficient(
     if running_quad is not None:
         # b and sigma are state-affine, so x -> H is convex for every (p, P)
         # iff the running-cost state block is PSD
-        ok = _psd(running_quad)
-        convexity.append(
-            ConvexityRecord(
-                "hamiltonian_in_state", ok,
-                f"declared forms (affine dynamics + quadratic running cost), min "
-                f"eigenvalue {np.linalg.eigvalsh(running_quad).min():.3g}",
-            )
-        )
+        convexity.append(_declared_convexity(
+            "hamiltonian_in_state", running_quad,
+            "declared forms (affine dynamics + quadratic running cost)",
+        ))
     else:
         worst_overall, ok = 0.0, True
         knots = grid.knots

@@ -53,7 +53,7 @@ class SimulationError(RuntimeError):
     """Raised when a simulated state stops being finite (blow-up)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryEnsemble:
     """Simulated states, shape (M, N+1, n), plus the problem, the relaxed
     control, the singular control and the noise that produced them."""
@@ -77,16 +77,16 @@ class TrajectoryEnsemble:
         return self.states[:, -1, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariationalEnsemble:
     """First-order state sensitivities z, shape (M, N+1, n); z_0 = 0, along
     the ensemble traj."""
 
     z: np.ndarray = field(repr=False)
-    traj: TrajectoryEnsemble = field(repr=False, compare=False)
+    traj: TrajectoryEnsemble = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FundamentalPair:
     """Fundamental solution Phi of the linearized dynamics and its inverse Psi
     along the ensemble traj.
@@ -98,7 +98,7 @@ class FundamentalPair:
 
     Phi: np.ndarray = field(repr=False)
     Psi: np.ndarray = field(repr=False)
-    traj: TrajectoryEnsemble = field(repr=False, compare=False)
+    traj: TrajectoryEnsemble = field(repr=False)
 
     def inverse_defect(self) -> float:
         """max over paths and knots of || Psi_t Phi_t - I ||_F."""

@@ -20,6 +20,8 @@ from singopt.model import (
     validate_problem,
 )
 
+from conftest import planar_config
+
 
 def test_builtin_names_all_load_and_validate():
     for name in BUILTIN_NAMES:
@@ -110,6 +112,16 @@ def test_json_round_trip_through_file(tmp_path, example2_stochastic):
     assert again.u1_grid.tolist() == example2_stochastic.u1_grid.tolist()
 
 
+def test_diffusion_is_zero_travels_with_the_diffusion(example1, example2_stochastic):
+    assert example1.diffusion_is_zero
+    assert not example2_stochastic.diffusion_is_zero
+    assert not problem_from_config(planar_config()).diffusion_is_zero
+    # a replaced diffusion brings its own flag, or none
+    unit = example1.with_overrides(sigma=lambda t, x, a: np.ones(np.shape(x)[:-1] + (1, 1)))
+    assert not unit.diffusion_is_zero
+    assert example2_stochastic.with_overrides(sigma=example1.sigma).diffusion_is_zero
+
+
 def test_custom_problem_has_no_json_form(tanh_drift):
     with pytest.raises(ProblemError, match="custom callables"):
         problem_to_json(tanh_drift)
@@ -129,10 +141,12 @@ def test_time_grid_basics():
         (lambda: TimeGrid(10, float("inf")), "horizon must be finite and positive, got inf"),
         (lambda: TimeGrid(10, float("nan")), "horizon must be finite and positive, got nan"),
         (lambda: TimeGrid(2.5, 1.0), "num_steps must be an integer >= 1, got 2.5"),
+        (lambda: TimeGrid(True, 1.0), "num_steps must be an integer >= 1, got True"),
         (lambda: builtin_problem("example1").with_overrides(horizon=float("inf")),
          "horizon must be finite and positive, got inf"),
     ],
-    ids=["grid-horizon-inf", "grid-horizon-nan", "grid-steps-float", "spec-horizon-inf"],
+    ids=["grid-horizon-inf", "grid-horizon-nan", "grid-steps-float", "grid-steps-bool",
+         "spec-horizon-inf"],
 )
 def test_grid_and_horizon_inputs_are_refused(make, message):
     with pytest.raises(ProblemError, match=f"^{message}$"):

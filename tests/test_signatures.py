@@ -2,7 +2,8 @@
 noise it was simulated with, and every result carries its ensemble.  No
 public sweep takes any of these a second time; each rejects a direction
 control defined on another grid, and where two results meet, a result
-computed along another ensemble."""
+computed along another ensemble.  Records that hold arrays compare by
+identity."""
 
 import inspect
 from types import SimpleNamespace
@@ -121,3 +122,21 @@ FOREIGN_RESULTS = {
 def test_result_of_another_ensemble_is_rejected(ten_step_run, call, other):
     with pytest.raises(SimulationError, match=r"^\w+ was computed along another ensemble$"):
         call(ten_step_run, getattr(ten_step_run, other))
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    """Two runs from the same inputs hold equal arrays, yet each record
+    equals itself only and hashes, so records can be compared and kept in
+    sets."""
+
+    def records(run):
+        return (run.traj.spec, run.traj.noise, constant_strict(run.traj.grid, [1.0]),
+                *run.good, run.traj, run.z, run.fund, run.aux, run.adj)
+
+    grid = TimeGrid(10, 1.0)
+    first, second = (_run_along(builtin_problem("example2_stochastic"), grid, 3)
+                     for _ in range(2))
+    for one, twin in zip(records(first), records(second)):
+        name = type(one).__name__
+        assert one == one and one != twin, name
+        assert len({one, twin, one}) == 2, name
