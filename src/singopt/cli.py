@@ -39,8 +39,11 @@ class ConfigError(ValueError):
 
 
 def _int_at_least(path_desc, value, minimum):
-    """value as an integer no smaller than minimum (0 or 1)."""
+    """value as an integer no smaller than minimum (0 or 1).  An integral
+    float such as 8.0 is one; a fractional number or a bool is not."""
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         out = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path_desc} must be an integer, got {value!r}")
@@ -76,6 +79,8 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     if "seed" not in mc:
         raise ConfigError("monte_carlo.seed is required (no wall-clock default)")
     mc["seed"] = _int_at_least("monte_carlo.seed", mc["seed"], 0)
+    if mc["seed"] >= 2**64:
+        raise ConfigError(f"monte_carlo.seed must be below 2**64 (uint64 header), got {mc['seed']}")
     reg = _section(cfg, "regression")
     reg["degree"] = _int_at_least("regression.degree", reg.get("degree", 2), 0)
     tol = _section(cfg, "tolerances")

@@ -48,8 +48,10 @@ def ensemble_to_binary(values: np.ndarray, seed, path) -> None:
     M, K, D = values.shape
     if not isinstance(seed, (int, np.integer)):
         raise TypeError("binary export requires an integer seed in the header")
-    if seed < 0:
-        raise ValueError(f"binary export needs a nonnegative seed (uint64 header), got {seed}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(
+            f"binary export needs a nonnegative seed below 2**64 (uint64 header), got {seed}"
+        )
     header = np.array([M, K - 1, D, int(seed)], dtype="<u8")
     with open(path, "wb") as out:
         out.write(header.tobytes())

@@ -14,6 +14,7 @@ file format.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,6 +29,12 @@ BUILTIN_NAMES = ("example1", "example2_separated", "example2_stochastic", "singu
 
 class ProblemError(ValueError):
     """Raised for inconsistent problem definitions or non-finite coefficients."""
+
+
+def _check_count(name, value):
+    """Refuse a count that is not an integer >= 1 (a bool is not a count)."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ProblemError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_horizon(horizon):
@@ -105,9 +112,7 @@ class TimeGrid:
     horizon: float
 
     def __post_init__(self):
-        steps = self.num_steps
-        if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer)) and steps >= 1):
-            raise ProblemError(f"num_steps must be an integer >= 1, got {steps!r}")
+        _check_count("num_steps", self.num_steps)
         _check_horizon(self.horizon)
 
     @property
@@ -145,6 +150,101 @@ def ensemble_zeros(num_paths: int, num_knots: int, *tail: int) -> np.ndarray:
 _NOISE_BLOCK_PATHS = 256
 _NOISE_TILE_STEPS = 64
 
+# The constants of NumPy's SeedSequence, after O'Neill's seed_seq_fe.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _entropy_words(entropy) -> list[int]:
+    """A seed's uint32 words as SeedSequence assembles them: an integer in
+    little-endian 32-bit words (0 is one word), a string element as the
+    integer it spells ("0x..." hexadecimal, else decimal), a sequence the
+    words of its elements in turn."""
+    if isinstance(entropy, str):
+        entropy = int(entropy, 16 if entropy.startswith("0x") else 10)
+    if isinstance(entropy, (int, np.integer)):
+        value = int(entropy)
+        words = [value & _MASK32]
+        while value := value >> 32:
+            words.append(value & _MASK32)
+        return words
+    return [word for item in entropy for word in _entropy_words(item)]
+
+
+class _Hash:
+    """SeedSequence's multiply-xorshift hash on uint32 arrays; its multiplier
+    advances by ``mult`` at every call."""
+
+    def __init__(self, init: int, mult: int):
+        self._const, self._mult = init, mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ self._const
+        self._const = self._const * self._mult & _MASK32
+        value = value * self._const
+        return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ result >> 16
+
+
+def _spawned_seed_words(seed, num_paths: int) -> np.ndarray:
+    """Row i is ``SeedSequence(seed).spawn(num_paths)[i].generate_state(4,
+    np.uint64)``, computed for all children at once, shape (num_paths, 4).
+
+    Child i's entropy is the seed's words, padded with zeros to the pool
+    size, then the spawn index i (one word while num_paths <= 2**32).  Only
+    that last word differs between children, so the pool is hashed as one
+    row until it is mixed with the column of indices.
+    """
+    words = _entropy_words(np.random.SeedSequence(seed).entropy)  # validates the seed
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.array([word], np.uint32) for word in words]
+    entropy.append(np.arange(num_paths, dtype=np.uint32))
+    hashmix = _Hash(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
+    # read as little-endian pairs
+    state_hash = _Hash(_INIT_B, _MULT_B)
+    state = np.stack([state_hash(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence that hands PCG64 one path's spawned state words.
+
+    Built on first use, because naming its base imports numpy.random, which
+    importing singopt otherwise leaves to the first noise draw.
+    """
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        """PCG64 asks its seed sequence for exactly generate_state(4,
+        np.uint64), and seeds itself from the answer."""
+
+        __slots__ = ("_words",)
+
+        def __init__(self, words: np.ndarray):
+            self._words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self._words
+
+    return SeedWords
+
 
 class NoiseStream:
     """Brownian increments of a path ensemble, produced window by window.
@@ -154,12 +254,17 @@ class NoiseStream:
     between windows.  So path i's noise does not depend on how many paths
     the ensemble holds, and windows of any widths filled in order hold the
     same increments, bit for bit, as one draw over the whole grid.  seed may
-    be an int or a tuple of ints (derived experiment streams).
+    be an int or a tuple of ints (derived experiment streams).  The children's
+    PCG64 states are hashed for all paths at once (_spawned_seed_words).
     """
 
     def __init__(self, num_paths: int, grid: TimeGrid, noise_dim: int, seed):
-        children = np.random.SeedSequence(seed).spawn(num_paths)
-        self._normals = [np.random.default_rng(child).standard_normal for child in children]
+        _check_count("num_paths", num_paths)
+        seed_words = _seed_words_type()
+        self._normals = [
+            np.random.Generator(np.random.PCG64(seed_words(words))).standard_normal
+            for words in _spawned_seed_words(seed, num_paths)
+        ]
         self._noise_dim = noise_dim
         self._scale = np.sqrt(grid.dt)
 
@@ -197,8 +302,9 @@ class NoiseBatch:
     @classmethod
     def generate(cls, num_paths: int, grid: TimeGrid, noise_dim: int, seed) -> "NoiseBatch":
         """seed may be an int or a tuple of ints (derived experiment streams)."""
+        stream = NoiseStream(num_paths, grid, noise_dim, seed)
         dW = ensemble_empty(num_paths, grid.num_steps, noise_dim)
-        NoiseStream(num_paths, grid, noise_dim, seed).fill(dW.swapaxes(0, 1))
+        stream.fill(dW.swapaxes(0, 1))
         return cls(seed, grid, dW)
 
 

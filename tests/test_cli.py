@@ -260,6 +260,13 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, monte_carlo={"M": 4})
         assert run("cost", cfg, tmp_path / "out") == 2
 
+    def test_integral_floats_count_as_integers(self, tmp_path):
+        cfg = write_config(tmp_path, grid={"N": 64.0}, monte_carlo={"M": 4.0, "seed": 11.0})
+        assert run("simulate", cfg, tmp_path / "out") == 0
+        echoed = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
+        values = (echoed["grid"]["N"], echoed["monte_carlo"]["M"], echoed["monte_carlo"]["seed"])
+        assert [(v, type(v)) for v in values] == [(64, int), (4, int), (11, int)]
+
     def test_unknown_problem_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, problem="not_a_problem")
         assert run("cost", cfg, tmp_path / "out") == 2
@@ -294,10 +301,20 @@ class TestConfigErrors:
             ({"tolerances": {"tol_S": float("nan")}}, (), "tol_S must be finite and nonnegative"),
             ({"tolerances": {"tol_F": -1e-9}}, (), "tol_F must be finite and nonnegative"),
             ({"tolerances": {"tol_Q": 0.1}}, (), "unknown tolerances ['tol_Q']"),
+            ({"monte_carlo": {"M": 4, "seed": 2**64}}, (),
+             "monte_carlo.seed must be below 2**64 (uint64 header), got 18446744073709551616"),
+            ({}, ("--seed", str(2**64)), "monte_carlo.seed must be below 2**64"),
+            ({"monte_carlo": {"M": 4, "seed": 7.5}}, (), "monte_carlo.seed must be an integer, got 7.5"),
+            ({"monte_carlo": {"M": 8.7, "seed": 7}}, (), "monte_carlo.M must be an integer, got 8.7"),
+            ({"monte_carlo": {"M": True, "seed": 7}}, (), "monte_carlo.M must be an integer, got True"),
+            ({"grid": {"N": 4.9}}, (), "grid.N must be an integer, got 4.9"),
+            ({"regression": {"degree": 2.5}}, (), "regression.degree must be an integer, got 2.5"),
         ],
         ids=["config-seed", "override-seed", "seed-not-int", "constant-abc", "constant-pair",
              "degree-abc", "degree-negative", "steps-inf", "tol-not-number", "tol-nan",
-             "tol-negative", "tol-unknown"],
+             "tol-negative", "tol-unknown", "config-seed-too-large", "override-seed-too-large",
+             "seed-fractional", "paths-fractional", "paths-bool", "steps-fractional",
+             "degree-fractional"],
     )
     def test_bad_seed_or_constant_exits_two_without_traceback(
         self, tmp_path, capsys, overrides, extra, message
@@ -320,6 +337,8 @@ class TestConfigErrors:
             ("chatter", {"chatter": {"n_values": []}}, "chatter.n_values must be a non-empty"),
             ("chatter", {"chatter": {"n_values": [4, 0]}},
              "chatter.n_values entry must be positive, got 0"),
+            ("chatter", {"chatter": {"n_values": [4, 4.5]}},
+             "chatter.n_values entry must be an integer, got 4.5"),
             ("cost", {"candidate": {"control": {"type": "relaxed"}}},
              "relaxed control is missing the field 'cells'"),
             ("cost", {"candidate": {"name": 5}}, "candidate name must be a string, got 5"),
@@ -371,7 +390,7 @@ class TestConfigErrors:
              "candidate.singular: singular increments must be finite, got [inf] in cell 2"),
         ],
         ids=["n-values-abc", "n-values-bare-int", "n-values-empty", "n-values-zero",
-             "relaxed-without-cells", "candidate-name-int", "regression-list",
+             "n-values-fractional", "relaxed-without-cells", "candidate-name-int", "regression-list",
              "candidate-int", "strict-values-text", "kappa-text", "kappa-nan", "kappa-inf",
              "singular-too-wide",
              "singular-relaxed", "singular-file-too-wide", "singular-file-relaxed",

@@ -77,6 +77,12 @@ def test_binary_rejects_negative_seed(tmp_path):
     assert not (tmp_path / "neg.bin").exists()
 
 
+def test_binary_rejects_a_seed_beyond_the_uint64_header(tmp_path):
+    with pytest.raises(ValueError, match=r"seed below 2\*\*64 .* got 18446744073709551616$"):
+        ensemble_to_binary(np.zeros((2, 3, 1)), 2**64, tmp_path / "big.bin")
+    assert not (tmp_path / "big.bin").exists()
+
+
 def test_binary_round_trip_from_time_major_states(traj, tmp_path):
     path = tmp_path / "trajectory.bin"
     assert not traj.states.flags.c_contiguous

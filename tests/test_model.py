@@ -13,6 +13,7 @@ from singopt.model import (
     NoiseStream,
     ProblemError,
     TimeGrid,
+    _spawned_seed_words,
     builtin_problem,
     problem_from_config,
     problem_from_json,
@@ -178,6 +179,13 @@ class TestNoiseBatch:
         assert flat.var() == pytest.approx(grid.dt, rel=0.05)
 
 
+# Seeds of one to four 32-bit words: integers below 2**64 and (seed, n) tuples.
+SEEDS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+)
+
+
 # Batches up to 300 paths cross the generator's 256-path scratch block, and
 # up to 200 steps cross its 64-step copy tiles.
 @settings(max_examples=25, deadline=None)
@@ -185,7 +193,7 @@ class TestNoiseBatch:
     sizes=st.lists(st.integers(1, 300), min_size=2, max_size=2, unique=True),
     num_steps=st.integers(1, 200),
     noise_dim=st.integers(1, 2),
-    seed=st.one_of(st.integers(0, 2**32 - 1), st.tuples(st.integers(0, 99), st.integers(1, 64))),
+    seed=SEEDS,
 )
 def test_path_noise_does_not_depend_on_batch_size_property(sizes, num_steps, noise_dim, seed):
     small, large = sorted(sizes)
@@ -203,7 +211,7 @@ def test_path_noise_does_not_depend_on_batch_size_property(sizes, num_steps, noi
     window=st.integers(1, 70),
     num_steps=st.integers(1, 200),
     noise_dim=st.integers(1, 2),
-    seed=st.one_of(st.integers(0, 2**32 - 1), st.tuples(st.integers(0, 99), st.integers(1, 64))),
+    seed=SEEDS,
 )
 def test_noise_windows_equal_the_whole_grid_draw(num_paths, window, num_steps, noise_dim, seed):
     assume(num_steps % window != 0)
@@ -218,6 +226,42 @@ def test_noise_windows_equal_the_whole_grid_draw(num_paths, window, num_steps, n
     last = np.random.SeedSequence(seed).spawn(num_paths)[-1]
     expected = np.sqrt(grid.dt) * np.random.default_rng(last).standard_normal((num_steps, noise_dim))
     assert np.array_equal(whole[:, -1], expected)
+
+
+# Seeds of one, two, three and six 32-bit words (padded to the pool of four,
+# or longer than it), a numpy integer, an empty tuple, integers spelled as
+# strings, and batches that cross 256 paths.
+@pytest.mark.parametrize(
+    "seed",
+    [0, 5, 7, 2**40 + 3, 2**64 - 1, np.int64(9), (7, 64), (2**33, 7), (2**64 - 1, 2**64 - 1),
+     (1, 2, 3, 4, 5, 6), (), ("0x10", "5")],
+    ids=str,
+)
+@pytest.mark.parametrize("num_paths", [1, 257, 1000])
+def test_spawned_seed_words_are_numpys_spawned_children(seed, num_paths):
+    children = np.random.SeedSequence(seed).spawn(num_paths)
+    words = _spawned_seed_words(seed, num_paths)
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, [child.generate_state(4, np.uint64) for child in children])
+    normals = np.empty((50, num_paths, 1))
+    NoiseStream(num_paths, TimeGrid(50, 1.0), 1, seed).fill(normals)
+    expected = [np.random.default_rng(child).standard_normal(50) for child in children]
+    assert np.array_equal(normals[..., 0], np.sqrt(1.0 / 50) * np.transpose(expected))
+
+
+def test_noise_stream_spawns_no_seed_sequence_children(monkeypatch):
+    class Unspawnable(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError("NoiseStream spawned SeedSequence children")
+
+    monkeypatch.setattr(np.random, "SeedSequence", Unspawnable)
+    NoiseStream(10_000, TimeGrid(4, 1.0), 1, 7)
+
+
+@pytest.mark.parametrize("num_paths", [0, -3, 2.0, True])
+def test_noise_stream_refuses_a_path_count_below_one(num_paths):
+    with pytest.raises(ProblemError, match=rf"^num_paths must be an integer >= 1, got {num_paths!r}$"):
+        NoiseBatch.generate(num_paths, TimeGrid(4, 1.0), 1, 7)
 
 
 def test_problem_rejects_empty_grid(example1):
