@@ -23,14 +23,14 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .controls import as_relaxed
 from .model import ensemble_zeros
 from .optimality import relaxed_hamiltonian_batch, relaxed_hamiltonian_gradient
 from .sde import (
     FundamentalPair,
     TrajectoryEnsemble,
-    VariationalEnsemble,
     _require_along,
-    _require_grid,
+    _require_controls,
     _std_error,
     fundamental_solutions,
     simulate_variational,
@@ -106,12 +106,10 @@ class AdjointPair:
 
 @dataclass(frozen=True, eq=False)
 class AuxiliaryProcesses:
-    """Transported sensitivity alpha = Psi z, the terminal functional X, the
-    compensated martingale Y and the martingale integrand estimate Q along
-    the ensemble traj; the ensembles are stored time-major
-    (model.ensemble_zeros)."""
+    """The terminal functional X, the compensated martingale Y and the
+    martingale integrand estimate Q along the ensemble traj; the ensembles
+    are stored time-major (model.ensemble_zeros)."""
 
-    alpha: np.ndarray = field(repr=False)  # (M, N+1, n)
     X: np.ndarray = field(repr=False)      # (M, n)
     Y: np.ndarray = field(repr=False)      # (M, N+1, n)
     Q: np.ndarray = field(repr=False)      # (M, N, n, d)
@@ -235,28 +233,20 @@ def adjoint_bsde(traj: TrajectoryEnsemble, degree: int = 2) -> AdjointPair:
 # auxiliary processes and the duality identity
 # ---------------------------------------------------------------------------
 
-def auxiliary_processes(
-    fund: FundamentalPair,
-    variational: VariationalEnsemble,
-    degree: int = 2,
-) -> AuxiliaryProcesses:
-    """alpha = Psi z, the terminal functional X, the compensated conditional
-    expectation Y, and the martingale integrand Q, along the ensemble of
-    fund and variational (one and the same).
+def auxiliary_processes(fund: FundamentalPair, degree: int = 2) -> AuxiliaryProcesses:
+    """The terminal functional X, the compensated conditional expectation Y,
+    and the martingale integrand Q, along the ensemble of fund.
 
     Y uses regressions for the interior knots and the exact identity
     Y_T = X - (full gradient integral) at the horizon.  Q regresses the
     discrete martingale increments against the Brownian increments.
     """
     traj = fund.traj
-    _require_along(traj, ("variational", variational))
     spec = traj.spec
     M = traj.num_paths
     N = traj.grid.num_steps
     dt = traj.grid.dt
     dW = traj.noise.increments
-    alpha = ensemble_zeros(M, N + 1, spec.n)
-    np.einsum("mtpq,mtq->mtp", fund.Psi, variational.z, out=alpha)
     head, prefix, fits = _tail_fits(fund, degree)
     X = head + prefix[:, N, :]
     # martingale E[X | F_t]: the accumulated part of X is known pathwise at
@@ -271,7 +261,7 @@ def auxiliary_processes(
         incr = np.einsum("mp,mj->mpj", mart[:, j + 1, :] - mart[:, j, :], dW[:, j, :]) / dt
         Q[:, j] = fit_conditional(feats, incr)
     Y = mart - prefix
-    return AuxiliaryProcesses(alpha=alpha, X=X, Y=Y, Q=Q, traj=traj)
+    return AuxiliaryProcesses(X=X, Y=Y, Q=Q, traj=traj)
 
 
 def martingale_route_P(
@@ -327,14 +317,16 @@ def variational_inequality_value(adjoint: AdjointPair, direction: tuple) -> tupl
     slack paired with the increment difference.
 
     At an optimal base the value is nonnegative up to Monte Carlo and
-    discretization error, for every direction.  A pair without P (the
+    discretization error, for every direction.  A strict direction control
+    plays its point masses (controls.as_relaxed).  A pair without P (the
     explicit route) raises ValueError (see AdjointPair.require_P).
     """
     traj = adjoint.traj
     spec, mu, xi = traj.spec, traj.control, traj.singular
     q, eta = direction
+    q = as_relaxed(q)
     grid = traj.grid
-    _require_grid(grid, q, eta)
+    _require_controls(spec, grid, q, eta)
     M = traj.num_paths
     dt = grid.dt
     knots = grid.knots

@@ -53,6 +53,17 @@ def _int_at_least(path_desc, value, minimum):
     return out
 
 
+def _number(path_desc, value):
+    """value as a float.  A numeric string such as "0.1" is a number; a bool
+    is not."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path_desc} must be a number, got {value!r}")
+
+
 def _section(cfg, key):
     """cfg[key] as a JSON object, created empty when absent."""
     value = cfg.setdefault(key, {})
@@ -90,10 +101,7 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
         raise ConfigError(f"unknown tolerances {unknown}; known: {', '.join(defaults)}")
     for key, default in defaults.items():
         value = tol.get(key, default)
-        try:
-            tol[key] = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"tolerances.{key} must be a number, got {value!r}")
+        tol[key] = _number(f"tolerances.{key}", value)
         if not 0.0 <= tol[key] < np.inf:
             raise ConfigError(f"tolerances.{key} must be finite and nonnegative, got {value!r}")
     chatter = _section(cfg, "chatter") if "chatter" in cfg else {}
@@ -114,10 +122,7 @@ def load_problem(cfg: dict) -> model.ProblemSpec:
         if not isinstance(options, dict):
             raise ConfigError(f"problem_options must be an object, got {options!r}")
         value = options.get("kappa", 1.0)
-        try:
-            kappa = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"problem_options.kappa must be a number, got {value!r}")
+        kappa = _number("problem_options.kappa", value)
         if not np.isfinite(kappa):
             raise ConfigError(f"problem_options.kappa must be finite, got {value!r}")
         return model.builtin_problem(name, kappa=kappa)

@@ -209,12 +209,21 @@ def build_coefficients(config: dict) -> dict:
         ``singular_cost``.  See the README for the field-by-field schema.
     """
     dims = _object(config.get("dims"), "dims")
-    try:
-        n, d, k, m = (int(dims[key]) for key in ("n", "d", "k", "m"))
-    except KeyError as exc:
-        raise CoefficientError(f"dims missing {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise CoefficientError(f"dims: {exc}") from None
+
+    def dim(key):
+        """dims[key] as an integer: an integral float such as 2.0 is one, a
+        fractional number or a bool is not."""
+        if key not in dims:
+            raise CoefficientError(f"dims missing {key!r}")
+        value = dims[key]
+        try:
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ValueError
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise CoefficientError(f"dims.{key} must be an integer, got {value!r}") from None
+
+    n, d, k, m = (dim(key) for key in ("n", "d", "k", "m"))
     if min(n, d, k, m) <= 0:
         raise CoefficientError(f"dims must be positive, got {dims}")
     coeffs = _object(config.get("coefficients", {}), "coefficients")

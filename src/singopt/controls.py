@@ -277,14 +277,16 @@ def _padded(grid: TimeGrid, cells) -> RelaxedControl:
 def convex_combine(base: tuple, direction: tuple, theta: float) -> tuple:
     """Move a (relaxed, singular) pair a fraction theta toward a direction pair.
 
+    A strict control of either pair plays its point masses (as_relaxed).
     The measure part is the atom union with weights (1-theta) w_base +
     theta w_direction; the singular part mixes increments the same way.
-    theta = 0 and theta = 1 return the base and direction unchanged.
+    theta = 0 and theta = 1 return the base and direction, in relaxed form.
     """
     if not 0.0 <= theta <= 1.0:
         raise ControlError(f"theta must lie in [0, 1], got {theta!r}")
     mu, xi = base
     q, eta = direction
+    mu, q = as_relaxed(mu), as_relaxed(q)
     if mu.grid != q.grid or xi.grid != eta.grid:
         raise ControlError("base and direction controls must share the grid")
     if theta == 0.0:

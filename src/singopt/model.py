@@ -199,23 +199,18 @@ def _spawned_seed_words(seed, num_paths: int) -> np.ndarray:
     np.uint64)``, computed for all children at once, shape (num_paths, 4).
 
     Child i's entropy is the seed's words, padded with zeros to the pool
-    size, then the spawn index i (one word while num_paths <= 2**32).  Only
-    that last word differs between children, so the pool is hashed as one
-    row until it is mixed with the column of indices.
+    size, then the spawn index i (one word while num_paths <= 2**32).  The
+    parent's pool is the children's pool before that last word, because
+    NumPy runs the hash out with the zeros a child pads with; so only the
+    round that mixes in the column of indices is computed here.  By then
+    the hash has been called 16 times for the pool, plus 4 times for each
+    seed word beyond the pool size.
     """
-    words = _entropy_words(np.random.SeedSequence(seed).entropy)  # validates the seed
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.array([word], np.uint32) for word in words]
-    entropy.append(np.arange(num_paths, dtype=np.uint32))
-    hashmix = _Hash(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+    parent = np.random.SeedSequence(seed)  # validates the seed
+    calls = _POOL_SIZE**2 + _POOL_SIZE * max(0, len(_entropy_words(parent.entropy)) - _POOL_SIZE)
+    hashmix = _Hash(_INIT_A * pow(_MULT_A, calls, _MASK32 + 1) & _MASK32, _MULT_A)
+    index = np.arange(num_paths, dtype=np.uint32)
+    pool = [_mix(parent.pool[i : i + 1], hashmix(index)) for i in range(_POOL_SIZE)]
     # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
     # read as little-endian pairs
     state_hash = _Hash(_INIT_B, _MULT_B)
@@ -367,8 +362,10 @@ def _floats(value) -> np.ndarray:
 
 def _numeric(convert, value, key):
     """convert(value) for the problem-file entry `key`, naming the key if
-    the value is not numeric or not finite."""
+    the value is not numeric (a bool is not) or not finite."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         out = convert(value)
     except (TypeError, ValueError):
         raise ProblemError(f"{key} must be numeric, got {value!r}") from None
@@ -479,13 +476,12 @@ def _require_finite(value, fn_name, t, x, a=None):
 def _fd_gradient(fn, x, eps):
     """Central finite differences of fn along the state, one component at a time."""
     n = x.shape[-1]
-    base = np.asarray(fn(x), dtype=float)
     cols = []
     for j in range(n):
         dx = np.zeros(n)
         dx[j] = eps
         cols.append((np.asarray(fn(x + dx)) - np.asarray(fn(x - dx))) / (2 * eps))
-    return np.stack(cols, axis=-1), base
+    return np.stack(cols, axis=-1)
 
 
 def validate_problem(spec: ProblemSpec, probe_seed: int = 0) -> ValidationReport:
@@ -496,7 +492,9 @@ def validate_problem(spec: ProblemSpec, probe_seed: int = 0) -> ValidationReport
     differences (relative tolerance 1e-4), and a linear-growth probe on b
     and sigma over the assumptions box (bound 1e6).  Deterministic for a
     fixed ``probe_seed``.  A non-finite coefficient value raises ProblemError
-    immediately, naming the function and inputs.
+    immediately, naming the function and inputs.  Each coefficient is
+    evaluated once per sample point, plus twice per state component for
+    its finite differences.
     """
     rng = np.random.default_rng(probe_seed)
     lo, hi = spec.assumptions_box
@@ -512,31 +510,30 @@ def validate_problem(spec: ProblemSpec, probe_seed: int = 0) -> ValidationReport
         CheckResult("singular_cost_nonnegative", k_min >= 0.0, f"min component {k_min:.3g}")
     )
 
-    # gradient consistency: declared derivatives vs central differences
+    # gradient consistency: declared derivatives vs central differences, whose
+    # axis `first` leads in the declared layout (sigma's differences are
+    # (n, d, n), sigma_x is (d, n, n)); growth: |b|, |sigma| against
+    # C (1 + |x| + |a|)
     eps = 1e-5
-    worst = {"drift": 0.0, "diffusion": 0.0, "running_cost": 0.0, "terminal_cost": 0.0}
+    gradients = (
+        ("drift", spec.b, spec.b_x, 0),
+        ("diffusion", spec.sigma, spec.sigma_x, 1),
+        ("running_cost", spec.h, spec.h_x, 0),
+        ("terminal_cost", lambda t, x, a: spec.g(x), lambda t, x, a: spec.g_x(x), 0),
+    )
+    worst = {name: 0.0 for name, *_ in gradients}
+    ratio = 0.0
     for t, x, a in zip(ts, xs, atoms):
-        _require_finite(spec.b(t, x, a), "drift", t, x, a)
-        _require_finite(spec.sigma(t, x, a), "diffusion", t, x, a)
+        b = _require_finite(spec.b(t, x, a), "drift", t, x, a)
+        sigma = _require_finite(spec.sigma(t, x, a), "diffusion", t, x, a)
         _require_finite(spec.h(t, x, a), "running_cost", t, x, a)
         _require_finite(spec.g(x), "terminal_cost", t, x)
-
-        fd, _ = _fd_gradient(lambda y: spec.b(t, y, a), x, eps)
-        declared = np.asarray(spec.b_x(t, x, a), dtype=float)
-        worst["drift"] = max(worst["drift"], _rel_err(fd, declared))
-
-        fd, _ = _fd_gradient(lambda y: spec.sigma(t, y, a), x, eps)
-        # fd has shape (n, d, n); declared is (d, n, n)
-        declared = np.asarray(spec.sigma_x(t, x, a), dtype=float)
-        worst["diffusion"] = max(worst["diffusion"], _rel_err(np.moveaxis(fd, 1, 0), declared))
-
-        fd, _ = _fd_gradient(lambda y: spec.h(t, y, a), x, eps)
-        declared = np.asarray(spec.h_x(t, x, a), dtype=float)
-        worst["running_cost"] = max(worst["running_cost"], _rel_err(fd, declared))
-
-        fd, _ = _fd_gradient(spec.g, x, eps)
-        declared = np.asarray(spec.g_x(x), dtype=float)
-        worst["terminal_cost"] = max(worst["terminal_cost"], _rel_err(fd, declared))
+        for name, fn, grad, first in gradients:
+            fd = _fd_gradient(lambda y: fn(t, y, a), x, eps)
+            declared = np.asarray(grad(t, x, a), dtype=float)
+            worst[name] = max(worst[name], _rel_err(np.moveaxis(fd, first, 0), declared))
+        scale = 1.0 + np.linalg.norm(x) + np.linalg.norm(a)
+        ratio = max(ratio, np.linalg.norm(b) / scale, np.linalg.norm(sigma) / scale)
     for fn_name, err in worst.items():
         checks.append(
             CheckResult(
@@ -545,13 +542,6 @@ def validate_problem(spec: ProblemSpec, probe_seed: int = 0) -> ValidationReport
                 f"worst relative error {err:.3g} (tol 1e-4)",
             )
         )
-
-    # growth probe: |b|, |sigma| against C (1 + |x| + |a|)
-    ratio = 0.0
-    for t, x, a in zip(ts, xs, atoms):
-        scale = 1.0 + np.linalg.norm(x) + np.linalg.norm(a)
-        ratio = max(ratio, np.linalg.norm(spec.b(t, x, a)) / scale)
-        ratio = max(ratio, np.linalg.norm(spec.sigma(t, x, a)) / scale)
     checks.append(
         CheckResult(
             "linear_growth",

@@ -167,6 +167,19 @@ def _require_grid(grid: TimeGrid, *controls):
             )
 
 
+def _require_controls(spec: ProblemSpec, grid: TimeGrid, q: RelaxedControl,
+                      eta: SingularControl):
+    """Raise SimulationError unless q and eta are defined on grid, q acts in
+    the problem's k control dimensions and eta in its m singular ones."""
+    _require_grid(grid, q, eta)
+    if q.control_dim != spec.k:
+        raise SimulationError(f"control of dimension {q.control_dim} does not match "
+                              f"the problem's k = {spec.k}")
+    if eta.singular_dim != spec.m:
+        raise SimulationError(f"singular control of dimension {eta.singular_dim} does not "
+                              f"match the problem's m = {spec.m}")
+
+
 def _require_horizon(spec: ProblemSpec, grid: TimeGrid):
     if grid.horizon != spec.horizon:
         raise SimulationError(f"control horizon {grid.horizon!r} does not match the "
@@ -192,7 +205,7 @@ def simulate_relaxed(spec: ProblemSpec, q, eta: SingularControl,
     """
     q = as_relaxed(q)
     grid = q.grid
-    _require_grid(grid, eta)
+    _require_controls(spec, grid, q, eta)
     if noise.grid != grid or noise.increments.shape[2] != spec.d:
         raise SimulationError("noise batch does not match the grid / noise dimension")
     _require_horizon(spec, grid)
@@ -213,12 +226,14 @@ def simulate_variational(traj: TrajectoryEnsemble, direction: tuple) -> Variatio
     The linearization runs along the ensemble, on its grid and noise; the
     inhomogeneous terms carry the coefficient differences in the direction
     (direction - base), so (x_theta - x) / theta converges to z in mean
-    square as theta -> 0.
+    square as theta -> 0.  A strict direction control plays its point masses
+    (controls.as_relaxed).
     """
     spec, mu, xi = traj.spec, traj.control, traj.singular
     q, eta = direction
+    q = as_relaxed(q)
     grid = traj.grid
-    _require_grid(grid, q, eta)
+    _require_controls(spec, grid, q, eta)
     M = traj.num_paths
     dt = grid.dt
     dW = traj.noise.increments

@@ -17,8 +17,10 @@ from singopt.adjoint import (
 )
 from singopt.controls import (
     SingularControl,
+    alternating_strict,
     constant_relaxed,
     constant_strict,
+    convex_combine,
     dirac_embed,
     zero_singular,
 )
@@ -164,10 +166,8 @@ class TestClosedFormAdjoint:
         assert rms <= 5e-2
 
     def test_martingale_route_P_agrees(self, computed):
-        spec, grid, noise, traj, fund, _, bsde, pair = computed
-        direction = (dirac_embed(constant_strict(grid, [1.0])), pair[1])
-        z = simulate_variational(traj, direction)
-        aux = auxiliary_processes(fund, z, degree=1)
+        *_, fund, _, bsde, _ = computed
+        aux = auxiliary_processes(fund, degree=1)
         P2 = martingale_route_P(fund, aux, bsde)
         rms = np.sqrt(np.mean((P2[:, :-1] - bsde.P[:, :-1]) ** 2))
         assert rms <= 5e-2
@@ -182,20 +182,14 @@ def aux_setup():
     xi = zero_singular(grid, 1)
     traj = simulate_relaxed(spec, mu, xi, noise)
     fund = fundamental_solutions(traj)
-    direction = (dirac_embed(constant_strict(grid, [1.0])), xi)
-    z = simulate_variational(traj, direction)
-    aux = auxiliary_processes(fund, z, degree=2)
-    return spec, grid, traj, fund, z, aux
+    aux = auxiliary_processes(fund, degree=2)
+    return spec, grid, traj, fund, aux
 
 
 class TestAuxiliaryProcesses:
 
-    def test_alpha_starts_at_zero(self, aux_setup):
-        *_, aux = aux_setup
-        assert np.all(aux.alpha[:, 0, :] == 0.0)
-
     def test_terminal_identity_exact(self, aux_setup):
-        spec, grid, traj, fund, _, aux = aux_setup
+        spec, grid, traj, fund, aux = aux_setup
         # Y_T plus the accumulated gradient integral recovers X per path
         from singopt.adjoint import _grad_sums
         prefix = _grad_sums(fund)
@@ -210,9 +204,7 @@ class TestAuxiliaryProcesses:
         xi = zero_singular(grid, 1)
         traj = simulate_relaxed(spec, mu, xi, noise)
         fund = fundamental_solutions(traj)
-        direction = (dirac_embed(constant_strict(grid, [1.0])), xi)
-        z = simulate_variational(traj, direction)
-        aux = auxiliary_processes(fund, z, degree=1)
+        aux = auxiliary_processes(fund, degree=1)
         # E[X | F_t] has integrand 2 (T - t) here.  The integrand regression
         # carries irreducible dW^2 fluctuation of variance 2 Q^2 per path, a
         # noise floor near 0.075 at 2000 paths; 0.15 gives 2x headroom.
@@ -345,3 +337,40 @@ class TestVariationalInequalityValue:
         slack = 1.0 + pair.p[:, 30, 0]  # k + G^T p at the jump cell
         assert value == pytest.approx(float(np.mean(slack * 2.0)), abs=1e-12)
         assert value > 0.0
+
+
+def _combined_arrays(traj, direction):
+    relaxed, singular = convex_combine((traj.control, traj.singular), direction, 0.3)
+    return relaxed.atoms, relaxed.weights, singular.increments
+
+
+# Each entry point that takes a direction pair, as a tuple of its outputs.
+DIRECTION_TAKERS = {
+    "simulate_variational": lambda traj, d: (simulate_variational(traj, d).z,),
+    "variational_inequality_value":
+        lambda traj, d: variational_inequality_value(adjoint_bsde(traj, degree=1), d),
+    "duality_residual": duality_residual,
+    "convex_combine": _combined_arrays,
+}
+
+
+@pytest.mark.parametrize("call", DIRECTION_TAKERS.values(), ids=list(DIRECTION_TAKERS))
+def test_strict_direction_plays_its_point_masses(example2_stochastic, call):
+    grid, _, _, traj = setup(example2_stochastic,
+                             constant_relaxed(TimeGrid(10, 1.0), [[-1.0], [1.0]], [0.5, 0.5]),
+                             N=10, M=32)
+    strict = alternating_strict(grid, 2)
+    eta = zero_singular(grid, 1)
+    got = call(traj, (strict, eta))
+    expected = call(traj, (dirac_embed(strict), eta))
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+
+
+def test_convex_combine_takes_a_strict_base():
+    grid = TimeGrid(4, 1.0)
+    strict, eta = alternating_strict(grid, 2), zero_singular(grid, 1)
+    direction = (constant_strict(grid, [0.5]), eta)
+    got, _ = convex_combine((strict, eta), direction, 0.25)
+    expected, _ = convex_combine((dirac_embed(strict), eta), direction, 0.25)
+    assert np.array_equal(got.atoms, expected.atoms)
+    assert np.array_equal(got.weights, expected.weights)

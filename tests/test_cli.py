@@ -309,12 +309,13 @@ class TestConfigErrors:
             ({"monte_carlo": {"M": True, "seed": 7}}, (), "monte_carlo.M must be an integer, got True"),
             ({"grid": {"N": 4.9}}, (), "grid.N must be an integer, got 4.9"),
             ({"regression": {"degree": 2.5}}, (), "regression.degree must be an integer, got 2.5"),
+            ({"tolerances": {"tol_H": True}}, (), "tolerances.tol_H must be a number, got True"),
         ],
         ids=["config-seed", "override-seed", "seed-not-int", "constant-abc", "constant-pair",
              "degree-abc", "degree-negative", "steps-inf", "tol-not-number", "tol-nan",
              "tol-negative", "tol-unknown", "config-seed-too-large", "override-seed-too-large",
              "seed-fractional", "paths-fractional", "paths-bool", "steps-fractional",
-             "degree-fractional"],
+             "degree-fractional", "tol-bool"],
     )
     def test_bad_seed_or_constant_exits_two_without_traceback(
         self, tmp_path, capsys, overrides, extra, message
@@ -352,6 +353,8 @@ class TestConfigErrors:
              "problem_options.kappa must be finite, got 'nan'"),
             ("cost", {"problem": "singular_block", "problem_options": {"kappa": "inf"}},
              "problem_options.kappa must be finite, got 'inf'"),
+            ("cost", {"problem": "singular_block", "problem_options": {"kappa": True}},
+             "problem_options.kappa must be a number, got True"),
             ("verify", {"problem": "example2_stochastic",
                         "candidate": {"name": "relaxed_pm1", "singular": _WIDE_SINGULAR}},
              "candidate.singular must have 1 columns, got increments of shape (4, 2)"),
@@ -392,6 +395,7 @@ class TestConfigErrors:
         ids=["n-values-abc", "n-values-bare-int", "n-values-empty", "n-values-zero",
              "n-values-fractional", "relaxed-without-cells", "candidate-name-int", "regression-list",
              "candidate-int", "strict-values-text", "kappa-text", "kappa-nan", "kappa-inf",
+             "kappa-bool",
              "singular-too-wide",
              "singular-relaxed", "singular-file-too-wide", "singular-file-relaxed",
              "singular-text", "weights-nan", "atoms-inf", "strict-values-inf",
@@ -444,11 +448,15 @@ class TestConfigErrors:
             ("x0", [float("nan")], "x0 must be finite, got [nan]"),
             ("assumptions_box", {"low": [-2.0], "high": [float("inf")]},
              "assumptions_box.high must be finite, got [inf]"),
+            ("dims", {"n": 1.5, "d": 1, "k": 1, "m": 1}, "dims.n must be an integer, got 1.5"),
+            ("dims", {"n": 1, "d": True, "k": 1, "m": 1}, "dims.d must be an integer, got True"),
+            ("horizon", True, "horizon must be numeric, got True"),
         ],
         ids=["drift-cubic", "horizon-text", "x0-too-long", "drift-not-object",
              "box-list", "box-low-text", "dims-list", "dims-missing-m",
              "constant-gain-without-value", "running-const-text", "u1-grid-text",
-             "running-const-nan", "control-poly-inf", "horizon-inf", "x0-nan", "box-high-inf"],
+             "running-const-nan", "control-poly-inf", "horizon-inf", "x0-nan", "box-high-inf",
+             "dims-fractional", "dims-bool", "horizon-bool"],
     )
     def test_malformed_problem_file_exits_two_without_traceback(
         self, tmp_path, capsys, section, value, message

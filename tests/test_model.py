@@ -24,6 +24,7 @@ from singopt.model import (
 from conftest import planar_config
 
 
+@pytest.mark.filterwarnings("error")
 def test_builtin_names_all_load_and_validate():
     for name in BUILTIN_NAMES:
         spec = builtin_problem(name)
@@ -78,10 +79,37 @@ def test_mismatched_gradient_is_flagged(example1):
     assert any(c.name == "gradient_consistency_terminal_cost" for c in report.violated())
 
 
+@pytest.mark.filterwarnings("error")
 def test_nonfinite_coefficient_raises_naming_function(example1):
     broken = example1.with_overrides(h=lambda t, x, a: np.full(np.shape(x)[:-1], np.inf))
     with pytest.raises(ProblemError, match="running_cost"):
         validate_problem(broken)
+
+
+@pytest.mark.parametrize("name", ["example2_stochastic", "planar"])
+def test_validation_evaluates_each_coefficient_once_per_probe(name):
+    """Per sample point: one value, plus two finite-difference evaluations
+    per state component."""
+    spec = (builtin_problem(name) if name in BUILTIN_NAMES
+            else problem_from_config(planar_config()))
+    calls = dict.fromkeys(("b", "sigma", "h", "g"), 0)
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    validate_problem(spec.with_overrides(**{key: counted(key, getattr(spec, key))
+                                            for key in calls}))
+    assert calls == dict.fromkeys(calls, 64 * (1 + 2 * spec.n))
+
+
+def test_integral_float_dims_are_integers():
+    cfg = builtin_problem("example1").config
+    spec = problem_from_config({**cfg, "dims": {"n": 1.0, "d": 1, "k": 1.0, "m": 1}})
+    assert (spec.n, spec.k) == (1, 1)
+    assert isinstance(spec.n, int)
 
 
 def test_validation_deterministic_given_probe_seed(example2_stochastic):
@@ -231,12 +259,11 @@ def test_noise_windows_equal_the_whole_grid_draw(num_paths, window, num_steps, n
 # Seeds of one, two, three and six 32-bit words (padded to the pool of four,
 # or longer than it), a numpy integer, an empty tuple, integers spelled as
 # strings, and batches that cross 256 paths.
-@pytest.mark.parametrize(
-    "seed",
-    [0, 5, 7, 2**40 + 3, 2**64 - 1, np.int64(9), (7, 64), (2**33, 7), (2**64 - 1, 2**64 - 1),
-     (1, 2, 3, 4, 5, 6), (), ("0x10", "5")],
-    ids=str,
-)
+SEEDS = [0, 5, 7, 2**40 + 3, 2**64 - 1, np.int64(9), (7, 64), (2**33, 7), (2**64 - 1, 2**64 - 1),
+         (1, 2, 3, 4, 5, 6), (), ("0x10", "5")]
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=str)
 @pytest.mark.parametrize("num_paths", [1, 257, 1000])
 def test_spawned_seed_words_are_numpys_spawned_children(seed, num_paths):
     children = np.random.SeedSequence(seed).spawn(num_paths)
@@ -247,6 +274,14 @@ def test_spawned_seed_words_are_numpys_spawned_children(seed, num_paths):
     NoiseStream(num_paths, TimeGrid(50, 1.0), 1, seed).fill(normals)
     expected = [np.random.default_rng(child).standard_normal(50) for child in children]
     assert np.array_equal(normals[..., 0], np.sqrt(1.0 / 50) * np.transpose(expected))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", SEEDS, ids=str)
+def test_noise_stream_seeding_raises_no_warning(seed):
+    """The seed words wrap around in uint32 array arithmetic, which numpy
+    does silently; scalar arithmetic would warn of the overflow."""
+    NoiseStream(257, TimeGrid(4, 1.0), 1, seed)
 
 
 def test_noise_stream_spawns_no_seed_sequence_children(monkeypatch):

@@ -146,6 +146,22 @@ class TestSimulateStrict:
             )
 
 
+    @pytest.mark.parametrize(
+        "control_dim, singular_dim, message",
+        [(2, 1, r"^control of dimension 2 does not match the problem's k = 1$"),
+         (1, 2, r"^singular control of dimension 2 does not match the problem's m = 1$")],
+        ids=["control", "singular"],
+    )
+    def test_control_of_another_dimension_is_rejected(
+        self, example2_stochastic, grid64, control_dim, singular_dim, message
+    ):
+        noise = make_noise(grid64, paths=2)
+        with pytest.raises(SimulationError, match=message):
+            simulate_relaxed(
+                example2_stochastic, constant_strict(grid64, [1.0] * control_dim),
+                zero_singular(grid64, singular_dim), noise,
+            )
+
     def test_noise_of_another_horizon_is_rejected(self, example2_stochastic):
         spec = example2_stochastic.with_overrides(horizon=4.0)
         grid = TimeGrid(100, 4.0)

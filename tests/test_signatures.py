@@ -53,7 +53,7 @@ def _run_along(spec, grid, seed):
     traj = simulate_relaxed(spec, *good, NoiseBatch.generate(8, grid, spec.d, seed))
     fund = fundamental_solutions(traj)
     z = simulate_variational(traj, toward)
-    aux = auxiliary_processes(fund, z)
+    aux = auxiliary_processes(fund)
     adj = adjoint_bsde(traj)
     return SimpleNamespace(good=good, traj=traj, fund=fund, z=z, aux=aux, adj=adj)
 
@@ -105,8 +105,6 @@ def test_no_function_takes_a_grid(module):
 # `twin` run, which no comparison of shapes can tell apart.  The adjoint pair
 # supplies the p that martingale_route_P reads.
 MEETINGS = {
-    "auxiliary_processes-fund": lambda r, o: auxiliary_processes(o.fund, r.z),
-    "auxiliary_processes-variational": lambda r, o: auxiliary_processes(r.fund, o.z),
     "martingale_route_P-fund": lambda r, o: martingale_route_P(o.fund, r.aux, r.adj),
     "martingale_route_P-aux": lambda r, o: martingale_route_P(r.fund, o.aux, r.adj),
     "martingale_route_P-p": lambda r, o: martingale_route_P(r.fund, r.aux, o.adj),
