@@ -26,6 +26,7 @@ from . import adjoint as adj
 from . import controls as ctl
 from . import io as sio
 from . import model, optimality, sde
+from .coefficients import read_count, read_reals
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -36,32 +37,6 @@ EXIT_INTERNAL = 4
 
 class ConfigError(ValueError):
     """Raised for malformed or incomplete run configurations."""
-
-
-def _int_at_least(path_desc, value, minimum):
-    """value as an integer no smaller than minimum (0 or 1).  An integral
-    float such as 8.0 is one; a fractional number or a bool is not."""
-    try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path_desc} must be an integer, got {value!r}")
-    if out < minimum:
-        bound = "positive" if minimum else "nonnegative"
-        raise ConfigError(f"{path_desc} must be {bound}, got {out}")
-    return out
-
-
-def _number(path_desc, value):
-    """value as a float.  A numeric string such as "0.1" is a number; a bool
-    is not."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path_desc} must be a number, got {value!r}")
 
 
 def _section(cfg, key):
@@ -85,15 +60,15 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
         mc["M"] = overrides["paths"]
     if overrides.get("seed") is not None:
         mc["seed"] = overrides["seed"]
-    grid["N"] = _int_at_least("grid.N", grid.get("N", 100), 1)
-    mc["M"] = _int_at_least("monte_carlo.M", mc.get("M", 1000), 1)
+    grid["N"] = read_count(grid.get("N", 100), "grid.N")
+    mc["M"] = read_count(mc.get("M", 1000), "monte_carlo.M")
     if "seed" not in mc:
         raise ConfigError("monte_carlo.seed is required (no wall-clock default)")
-    mc["seed"] = _int_at_least("monte_carlo.seed", mc["seed"], 0)
+    mc["seed"] = read_count(mc["seed"], "monte_carlo.seed", 0)
     if mc["seed"] >= 2**64:
         raise ConfigError(f"monte_carlo.seed must be below 2**64 (uint64 header), got {mc['seed']}")
     reg = _section(cfg, "regression")
-    reg["degree"] = _int_at_least("regression.degree", reg.get("degree", 2), 0)
+    reg["degree"] = read_count(reg.get("degree", 2), "regression.degree", 0)
     tol = _section(cfg, "tolerances")
     defaults = optimality.Tolerances().as_dict()
     unknown = sorted(set(tol) - set(defaults))
@@ -101,9 +76,9 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
         raise ConfigError(f"unknown tolerances {unknown}; known: {', '.join(defaults)}")
     for key, default in defaults.items():
         value = tol.get(key, default)
-        tol[key] = _number(f"tolerances.{key}", value)
-        if not 0.0 <= tol[key] < np.inf:
-            raise ConfigError(f"tolerances.{key} must be finite and nonnegative, got {value!r}")
+        tol[key] = float(read_reals(value, f"tolerances.{key}", ()))
+        if tol[key] < 0.0:
+            raise ConfigError(f"tolerances.{key} must be nonnegative, got {value!r}")
     chatter = _section(cfg, "chatter") if "chatter" in cfg else {}
     if "n_values" in chatter:
         values = chatter["n_values"]
@@ -111,7 +86,7 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
             raise ConfigError(
                 f"chatter.n_values must be a non-empty list of positive integers, got {values!r}"
             )
-        chatter["n_values"] = [_int_at_least("chatter.n_values entry", v, 1) for v in values]
+        chatter["n_values"] = [read_count(v, "chatter.n_values entry") for v in values]
     return cfg
 
 
@@ -121,10 +96,7 @@ def load_problem(cfg: dict) -> model.ProblemSpec:
         options = cfg.get("problem_options", {})
         if not isinstance(options, dict):
             raise ConfigError(f"problem_options must be an object, got {options!r}")
-        value = options.get("kappa", 1.0)
-        kappa = _number("problem_options.kappa", value)
-        if not np.isfinite(kappa):
-            raise ConfigError(f"problem_options.kappa must be finite, got {value!r}")
+        kappa = float(read_reals(options.get("kappa", 1.0), "problem_options.kappa", ()))
         return model.builtin_problem(name, kappa=kappa)
     path = Path(str(name))
     if not path.exists():
@@ -198,14 +170,11 @@ def build_candidate(cfg: dict, spec: model.ProblemSpec, grid: model.TimeGrid):
             if name == "relaxed_pm1":
                 control = ctl.constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
             elif name.startswith("alternating:"):
-                blocks = _int_at_least("candidate blocks", name.split(":", 1)[1], 1)
+                blocks = read_count(name.split(":", 1)[1], "candidate blocks")
                 control = ctl.alternating_strict(grid, blocks)
             elif name.startswith("constant:"):
                 value = name.split(":", 1)[1]
-                try:
-                    point = np.array([float(v) for v in value.split(",")])
-                except ValueError:
-                    raise ConfigError(f"candidate 'constant:<v>' needs numbers, got {value!r}")
+                point = read_reals(value.split(","), f"candidate constant {value!r}")
                 control = ctl.constant_strict(grid, point)
             else:
                 raise ConfigError(
@@ -326,13 +295,9 @@ def cmd_chatter(cfg, out: OutputDir) -> int:
     # chattering_gap draws its own noise on each refined grid
     spec, grid = _problem_and_grid(cfg)
     mu, singular = build_candidate(cfg, spec, grid)
-    n_values = cfg.get("chatter", {}).get("n_values", [4, 8, 16])
-    rows = [
-        sde.chattering_gap(
-            spec, mu, singular, int(n), cfg["monte_carlo"]["M"], cfg["monte_carlo"]["seed"]
-        )
-        for n in n_values
-    ]
+    n_values = _section(cfg, "chatter").setdefault("n_values", [4, 8, 16])
+    mc = cfg["monte_carlo"]
+    rows = [sde.chattering_gap(spec, mu, singular, n, mc["M"], mc["seed"]) for n in n_values]
     lines = ["n,traj_gap,cost_gap,cost_gap_se,refined_steps"]
     for row in rows:
         lines.append(

@@ -33,6 +33,10 @@ g carry their quadratic state matrix as ``state_quad`` (the
 declared-convexity evidence of the sufficiency certificate), and the drift
 and diffusion forms carry ``is_zero``, true when all their terms vanish; a
 coefficient replaced by another callable carries neither.
+
+Every number read from a problem or run file goes through read_count or
+read_reals (read_numbers when finiteness is checked later), which refuse a
+bool at any depth and raise ProblemError naming the key and the value.
 """
 
 from __future__ import annotations
@@ -40,19 +44,51 @@ from __future__ import annotations
 import numpy as np
 
 
-class CoefficientError(ValueError):
-    """Raised for malformed coefficient configurations."""
+class ProblemError(ValueError):
+    """Raised for inconsistent problem definitions, malformed problem or run
+    data, or non-finite coefficients."""
 
 
-def _arr(value, shape, name):
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
+def read_count(value, name, minimum=1) -> int:
+    """value as an integer no smaller than minimum (0 or 1): an integral
+    number such as 8.0 or a digit string; a fraction or a bool is not one."""
     try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise CoefficientError(f"{name}: {exc}") from None
-    if out.shape != shape:
-        raise CoefficientError(f"{name}: expected shape {shape}, got {out.shape}")
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ProblemError(f"{name} must be an integer, got {value!r}") from None
+    if out < minimum:
+        raise ProblemError(f"{name} must be {'positive' if minimum else 'nonnegative'}, got {out}")
+    return out
+
+
+def read_numbers(value, name) -> np.ndarray:
+    """value as a float array: a number, a numeric string or a nested list of
+    them.  A bool at any depth is refused: numpy would read JSON's true and
+    false as 1.0 and 0.0."""
+    try:
+        if _holds_bool(value):
+            raise TypeError
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ProblemError(f"{name} must be numeric, got {value!r}") from None
+
+
+def read_reals(value, name, shape=None) -> np.ndarray:
+    """read_numbers(value, name), of the given shape if one is given, with
+    every entry finite."""
+    out = read_numbers(value, name)
+    if shape is not None and out.shape != shape:
+        raise ProblemError(f"{name}: expected shape {shape}, got {out.shape}")
     if not np.all(np.isfinite(out)):
-        raise CoefficientError(f"{name}: values must be finite, got {value!r}")
+        raise ProblemError(f"{name} must be finite, got {value!r}")
     return out
 
 
@@ -100,9 +136,9 @@ def _affine(cfg, name, shape, state_shape, control_shape, state_term, control_te
     When the value does not depend on x the function returns the unbatched
     value; callers rely on normal numpy broadcasting.
     """
-    c = _arr(cfg.get("const", np.zeros(shape)), shape, f"{name}.const")
-    A = _arr(cfg.get("state", np.zeros(state_shape)), state_shape, f"{name}.state")
-    B = _arr(cfg.get("control", np.zeros(control_shape)), control_shape, f"{name}.control")
+    c = read_reals(cfg.get("const", np.zeros(shape)), f"{name}.const", shape)
+    A = read_reals(cfg.get("state", np.zeros(state_shape)), f"{name}.state", state_shape)
+    B = read_reals(cfg.get("control", np.zeros(control_shape)), f"{name}.control", control_shape)
     has_A, has_B = bool(A.any()), bool(B.any())
 
     fn = _form(lambda x: state_term(A, np.asarray(x, dtype=float)) if has_A else None,
@@ -122,8 +158,8 @@ def _matmul_columns(A, x):
 
 def _time_affine(cfg, shape, name):
     """G(t) = const + t * slope (slope optional)."""
-    c = _arr(cfg.get("const", np.zeros(shape)), shape, f"{name}.const")
-    s = _arr(cfg.get("slope", np.zeros(shape)), shape, f"{name}.slope")
+    c = read_reals(cfg.get("const", np.zeros(shape)), f"{name}.const", shape)
+    s = read_reals(cfg.get("slope", np.zeros(shape)), f"{name}.slope", shape)
 
     def fn(t):
         return c + t * s
@@ -135,24 +171,18 @@ def _quadratic_cost(cfg, n, k, name, with_control):
     """h = sum_i poly_i(a_i) + (x'Qx + r.x + c0) and its gradient (Q+Q')x + r;
     without the control the cost g is the state part alone.  Q travels with
     the cost as its attribute state_quad."""
-    Q = _arr(cfg.get("state_quad", np.zeros((n, n))), (n, n), f"{name}.state_quad")
-    r = _arr(cfg.get("state_lin", np.zeros(n)), (n,), f"{name}.state_lin")
-    c0 = float(_arr(cfg.get("const", 0.0), (), f"{name}.const"))
+    Q = read_reals(cfg.get("state_quad", np.zeros((n, n))), f"{name}.state_quad", (n, n))
+    r = read_reals(cfg.get("state_lin", np.zeros(n)), f"{name}.state_lin", (n,))
+    c0 = float(read_reals(cfg.get("const", 0.0), f"{name}.const", ()))
     sym = Q + Q.T
     poly = None
     if with_control:
         raw = cfg.get("control_poly")
         if raw is not None:
-            try:
-                poly = [np.asarray(p, dtype=float) for p in raw]
-            except (TypeError, ValueError) as exc:
-                raise CoefficientError(f"{name}.control_poly: {exc}") from None
-            if not all(np.all(np.isfinite(p)) for p in poly):
-                raise CoefficientError(f"{name}.control_poly: values must be finite, got {raw!r}")
-            if len(poly) != k:
-                raise CoefficientError(
-                    f"{name}.control_poly: expected {k} coefficient lists, got {len(poly)}"
-                )
+            poly = [read_reals(p, f"{name}.control_poly[{i}]") for i, p in enumerate(raw)]
+            if len(poly) != k or any(p.ndim != 1 for p in poly):
+                raise ProblemError(
+                    f"{name}.control_poly: expected {k} coefficient lists, got {raw!r}")
 
     def control_point(a):
         if poly is None:
@@ -185,7 +215,7 @@ def _quadratic_cost(cfg, n, k, name, with_control):
 
 def _object(value, name):
     if not isinstance(value, dict):
-        raise CoefficientError(f"{name} must be an object, got {value!r}")
+        raise ProblemError(f"{name} must be an object, got {value!r}")
     return value
 
 
@@ -209,23 +239,10 @@ def build_coefficients(config: dict) -> dict:
         ``singular_cost``.  See the README for the field-by-field schema.
     """
     dims = _object(config.get("dims"), "dims")
-
-    def dim(key):
-        """dims[key] as an integer: an integral float such as 2.0 is one, a
-        fractional number or a bool is not."""
+    for key in ("n", "d", "k", "m"):
         if key not in dims:
-            raise CoefficientError(f"dims missing {key!r}")
-        value = dims[key]
-        try:
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise ValueError
-            return int(value)
-        except (TypeError, ValueError, OverflowError):
-            raise CoefficientError(f"dims.{key} must be an integer, got {value!r}") from None
-
-    n, d, k, m = (dim(key) for key in ("n", "d", "k", "m"))
-    if min(n, d, k, m) <= 0:
-        raise CoefficientError(f"dims must be positive, got {dims}")
+            raise ProblemError(f"dims missing {key!r}")
+    n, d, k, m = (read_count(dims[key], f"dims.{key}") for key in ("n", "d", "k", "m"))
     coeffs = _object(config.get("coefficients", {}), "coefficients")
 
     def section(name, forms):
@@ -234,10 +251,10 @@ def build_coefficients(config: dict) -> dict:
         cfg = _object(coeffs.get(name, {"form": "zero"}), f"coefficients.{name}")
         form = cfg.get("form", "zero")
         if form not in forms:
-            raise CoefficientError(f"{name}: unknown form '{form}'")
+            raise ProblemError(f"{name}: unknown form '{form}'")
         if form == "constant":
             if "value" not in cfg:
-                raise CoefficientError(f"{name}: form 'constant' needs a 'value'")
+                raise ProblemError(f"{name}: form 'constant' needs a 'value'")
             return {"const": cfg["value"]}
         return cfg if form != "zero" else {}
 

@@ -20,6 +20,7 @@ from functools import singledispatch
 
 import numpy as np
 
+from .coefficients import read_numbers
 from .model import TimeGrid
 
 _WEIGHT_TOL = 1e-12
@@ -425,23 +426,24 @@ def _singular_to_obj(control) -> dict:
 
 def control_from_obj(obj: dict, grid: TimeGrid):
     """Rebuild a control from its JSON description on the given grid; a
-    malformed description raises ControlError."""
+    malformed description, a bool among its numbers included, raises
+    ControlError."""
     kind = obj.get("type") if isinstance(obj, dict) else None
     if kind not in ("strict", "singular", "relaxed"):
         raise ControlError(f"unknown control type {kind!r}")
     try:
         if kind == "strict":
-            return StrictControl(grid, np.asarray(obj["values"], dtype=float))
+            return StrictControl(grid, read_numbers(obj["values"], "strict control values"))
         if kind == "singular":
-            return SingularControl(grid, np.asarray(obj["increments"], dtype=float))
+            return SingularControl(grid, read_numbers(obj["increments"], "singular increments"))
         cells = obj["cells"]
         if len(cells) != grid.num_steps:
             raise ControlError(
                 f"control has {len(cells)} cells but the grid has {grid.num_steps}"
             )
         return _padded(grid, [
-            (np.atleast_2d(np.asarray(c["atoms"], dtype=float)),
-             np.asarray(c["weights"], dtype=float))
+            (np.atleast_2d(read_numbers(c["atoms"], "relaxed control atoms")),
+             read_numbers(c["weights"], "relaxed control weights"))
             for c in cells
         ])
     except KeyError as exc:

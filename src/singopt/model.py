@@ -22,13 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import build_coefficients
+from .coefficients import ProblemError, build_coefficients, read_reals
 
 BUILTIN_NAMES = ("example1", "example2_separated", "example2_stochastic", "singular_block")
-
-
-class ProblemError(ValueError):
-    """Raised for inconsistent problem definitions or non-finite coefficients."""
 
 
 def _check_count(name, value):
@@ -38,7 +34,7 @@ def _check_count(name, value):
 
 
 def _check_horizon(horizon):
-    if not 0 < horizon < np.inf:
+    if isinstance(horizon, bool) or not 0 < horizon < np.inf:
         raise ProblemError(f"horizon must be finite and positive, got {horizon!r}")
 
 
@@ -75,8 +71,8 @@ class ProblemSpec:
     config: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if min(self.n, self.d, self.k, self.m) <= 0:
-            raise ProblemError("dimensions must be positive integers")
+        for name in ("n", "d", "k", "m"):
+            _check_count(name, getattr(self, name))
         _check_horizon(self.horizon)
         if np.size(self.x0) != self.n:
             raise ProblemError(f"x0 must hold {self.n} values, got {np.size(self.x0)}")
@@ -356,24 +352,6 @@ def _builtin_config(name: str, kappa: float) -> dict:
     raise ProblemError(f"unknown built-in problem '{name}'; available: {', '.join(BUILTIN_NAMES)}")
 
 
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _numeric(convert, value, key):
-    """convert(value) for the problem-file entry `key`, naming the key if
-    the value is not numeric (a bool is not) or not finite."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        out = convert(value)
-    except (TypeError, ValueError):
-        raise ProblemError(f"{key} must be numeric, got {value!r}") from None
-    if not np.all(np.isfinite(out)):
-        raise ProblemError(f"{key} must be finite, got {value!r}")
-    return out
-
-
 def problem_from_config(config: dict) -> ProblemSpec:
     """Assemble a ProblemSpec from a JSON-style problem description; a
     malformed description raises ProblemError."""
@@ -389,11 +367,11 @@ def problem_from_config(config: dict) -> ProblemSpec:
         return ProblemSpec(
             **build_coefficients(config),
             name=str(config.get("name", "unnamed")),
-            horizon=_numeric(float, config["horizon"], "horizon"),
-            x0=_numeric(_floats, config["x0"], "x0"),
-            u1_grid=_numeric(_floats, config["u1_grid"], "u1_grid"),
-            assumptions_box=(_numeric(_floats, box["low"], "assumptions_box.low"),
-                             _numeric(_floats, box["high"], "assumptions_box.high")),
+            horizon=float(read_reals(config["horizon"], "horizon", ())),
+            x0=read_reals(config["x0"], "x0"),
+            u1_grid=read_reals(config["u1_grid"], "u1_grid"),
+            assumptions_box=(read_reals(box["low"], "assumptions_box.low"),
+                             read_reals(box["high"], "assumptions_box.high")),
             config=config,
         )
     except ProblemError:

