@@ -130,18 +130,20 @@ def _terminal_gradient(traj: TrajectoryEnsemble) -> np.ndarray:
 
 def _grad_sums(fund: FundamentalPair) -> np.ndarray:
     """Prefix sums of Phi_s^* hbar_x(s) ds along fund's ensemble
-    (left-endpoint rule), (M, N+1, n) with prefix_0 = 0."""
+    (left-endpoint rule), (M, N+1, n) with prefix_0 = 0.  The terms are
+    written into the prefix array and summed there in place."""
     traj = fund.traj
     spec, mu = traj.spec, traj.control
     grid = traj.grid
     M = traj.num_paths
     knots = grid.knots
-    terms = ensemble_zeros(M, grid.num_steps, spec.n)
+    prefix = ensemble_zeros(M, grid.num_steps + 1, spec.n)
+    terms = prefix[:, 1:, :]
     for j in range(grid.num_steps):
         hx = np.broadcast_to(mu.average(spec.h_x, j, knots[j], traj.states[:, j, :]), (M, spec.n))
         terms[:, j, :] = _transpose_apply(fund.Phi[:, j], hx)
-    prefix = ensemble_zeros(M, grid.num_steps + 1, spec.n)
-    np.cumsum(terms * grid.dt, axis=1, out=prefix[:, 1:, :])
+    terms *= grid.dt
+    np.cumsum(terms, axis=1, out=terms)
     return prefix
 
 

@@ -71,14 +71,15 @@ def read_count(value, name, minimum=1) -> int:
 
 def read_numbers(value, name) -> np.ndarray:
     """value as a float array: a number, a numeric string or a nested list of
-    them.  A bool at any depth is refused: numpy would read JSON's true and
-    false as 1.0 and 0.0."""
+    them, with lists of one length at each depth.  A bool at any depth is
+    refused: numpy would read JSON's true and false as 1.0 and 0.0."""
     try:
         if _holds_bool(value):
             raise TypeError
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ProblemError(f"{name} must be numeric, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        kind = "a rectangular array" if "inhomogeneous" in str(exc) else "numeric"
+        raise ProblemError(f"{name} must be {kind}, got {value!r}") from None
 
 
 def read_reals(value, name, shape=None) -> np.ndarray:

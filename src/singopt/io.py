@@ -4,7 +4,9 @@ The binary layout is: four little-endian uint64 header words {num_paths,
 num_steps, value_dim, seed}, then the (num_paths, num_steps + 1, value_dim)
 values as little-endian float64 in row-major order.  CSV holds one row per
 (path, grid point) with full-precision floats.  JSON is written with sorted
-keys, so identical inputs produce byte-identical files.
+keys, so identical inputs produce byte-identical files.  Both ensemble
+writers work in blocks of ``_BLOCK_PATHS`` paths and file digests are
+streamed, so no export holds more than a block beyond its input.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from pathlib import Path
 import numpy as np
 
 _HEADER_BYTES = 32  # four uint64 words
-_CSV_BLOCK_PATHS = 256
+_BLOCK_PATHS = 256  # paths per block of an ensemble export
+_DIGEST_CHUNK_BYTES = 1 << 20
 
 
 def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "x") -> None:
     """Write an (M, K, D) ensemble as CSV rows (path, step, t, components).
 
-    Rows are formatted and written in blocks of ``_CSV_BLOCK_PATHS`` paths,
+    Rows are formatted and written in blocks of ``_BLOCK_PATHS`` paths,
     so memory stays bounded by one block whatever M is.
     """
     values = np.asarray(values, dtype=float)
@@ -31,8 +34,8 @@ def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "
     heads = [f",{j},{t!r}," for j, t in enumerate(np.asarray(knots, dtype=float).tolist())]
     with open(path, "w", encoding="utf-8") as out:
         out.write("path,step,t," + ",".join(f"{prefix}{i}" for i in range(D)) + "\n")
-        for lo in range(0, M, _CSV_BLOCK_PATHS):
-            block = values[lo:lo + _CSV_BLOCK_PATHS]
+        for lo in range(0, M, _BLOCK_PATHS):
+            block = values[lo:lo + _BLOCK_PATHS]
             cells = map(repr, block.reshape(-1).tolist())
             rows = list(map(",".join, zip(*[cells] * D)))  # D consecutive cells per row
             out.write("".join([
@@ -43,8 +46,12 @@ def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "
 
 def ensemble_to_binary(values: np.ndarray, seed, path) -> None:
     """Write an (M, K, D) ensemble in the documented binary layout, whatever
-    the memory layout of ``values``."""
-    values = np.ascontiguousarray(values, dtype="<f8")
+    the memory layout of ``values``.
+
+    The values are written in blocks of ``_BLOCK_PATHS`` paths, so a
+    time-major ensemble is reordered one block at a time, never copied whole.
+    """
+    values = np.asarray(values, dtype="<f8")
     M, K, D = values.shape
     if not isinstance(seed, (int, np.integer)):
         raise TypeError("binary export requires an integer seed in the header")
@@ -55,7 +62,8 @@ def ensemble_to_binary(values: np.ndarray, seed, path) -> None:
     header = np.array([M, K - 1, D, int(seed)], dtype="<u8")
     with open(path, "wb") as out:
         out.write(header.tobytes())
-        out.write(values.data)
+        for lo in range(0, M, _BLOCK_PATHS):
+            out.write(np.ascontiguousarray(values[lo:lo + _BLOCK_PATHS]).data)
 
 
 def ensemble_from_binary(path):
@@ -85,4 +93,11 @@ def write_json(obj, path) -> None:
 
 
 def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 hex digest of a file, streamed through one buffer of
+    ``_DIGEST_CHUNK_BYTES``, so memory does not grow with the file."""
+    digest = hashlib.sha256()
+    chunk = memoryview(bytearray(_DIGEST_CHUNK_BYTES))
+    with open(path, "rb", buffering=0) as src:
+        while size := src.readinto(chunk):
+            digest.update(chunk[:size])
+    return digest.hexdigest()

@@ -101,10 +101,13 @@ class FundamentalPair:
     traj: TrajectoryEnsemble = field(repr=False)
 
     def inverse_defect(self) -> float:
-        """max over paths and knots of || Psi_t Phi_t - I ||_F."""
-        prod = np.matmul(self.Psi, self.Phi)
-        eye = np.eye(prod.shape[-1])
-        return float(np.sqrt(((prod - eye) ** 2).sum(axis=(-2, -1))).max())
+        """max over paths and knots of || Psi_t Phi_t - I ||_F, reduced knot
+        by knot, so no product of the whole pair is formed."""
+        eye = np.eye(self.Phi.shape[-1])
+        return max(
+            float(np.sqrt(((self.Psi[:, j] @ self.Phi[:, j] - eye) ** 2).sum(axis=(-2, -1))).max())
+            for j in range(self.Phi.shape[1])
+        )
 
 
 def _check_finite(windows, first):

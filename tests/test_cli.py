@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from singopt import cli, model
 from singopt.cli import main
 from singopt.io import ensemble_from_binary
+
+from conftest import planar_config
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -245,6 +248,30 @@ class TestAdjointCommand:
         assert diag["method_agreement_rms"] <= 5e-2
         assert diag["bsde"]["basis_degree"] == 1
 
+    def test_peak_memory_holds_no_temporary_of_the_whole_ensemble(self, tmp_path):
+        # the planar problem (n = d = 2): at the peak the run holds the
+        # states, the noise, the fundamental pair and the explicit route's
+        # sums; nothing of the size of the pair beyond that
+        M, N, n, d = 2000, 50, 2, 2
+        problem = tmp_path / "planar.json"
+        problem.write_text(json.dumps(planar_config()))
+        cell = {"atoms": [[1.0, 0.0], [0.0, -1.0]], "weights": [0.5, 0.5]}
+        cfg = write_config(
+            tmp_path, problem=str(problem), grid={"N": N}, monte_carlo={"M": M, "seed": 7},
+            regression={"degree": 2},
+            candidate={"control": {"type": "relaxed", "cells": [cell] * N}},
+        )
+        p_bytes = M * (N + 1) * n * 8
+        bound = p_bytes + M * N * d * 8 + 2 * n * p_bytes + 4 * p_bytes
+        tracemalloc.start()
+        try:
+            code = run("adjoint", cfg, tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < bound
+
 
 # malformed singular parts on a 4-step grid of a problem with m = 1
 _WIDE_SINGULAR = {"type": "singular", "increments": [[0.0, 0.0]] * 4}
@@ -406,6 +433,9 @@ class TestConfigErrors:
             ("cost", {"candidate": {"control": _pm1_control(weights=[True, False])}},
              "candidate.control: malformed relaxed control: relaxed control weights must be "
              "numeric, got [True, False]"),
+            ("cost", {"candidate": {"control": _pm1_control(atoms=[[-1.0], [1.0, 2.0]])}},
+             "candidate.control: malformed relaxed control: relaxed control atoms must be "
+             "a rectangular array, got [[-1.0], [1.0, 2.0]]"),
         ],
         ids=["n-values-abc", "n-values-bare-int", "n-values-empty", "n-values-zero",
              "n-values-fractional", "relaxed-without-cells", "candidate-name-int", "regression-list",
@@ -415,7 +445,7 @@ class TestConfigErrors:
              "singular-relaxed", "singular-file-too-wide", "singular-file-relaxed",
              "singular-text", "weights-nan", "atoms-inf", "strict-values-inf",
              "singular-nan", "weights-file-nan", "singular-file-inf", "strict-values-bool",
-             "weights-bool"],
+             "weights-bool", "atoms-ragged"],
     )
     def test_malformed_sections_exit_two_without_traceback(
         self, tmp_path, capsys, command, overrides, message
@@ -478,28 +508,40 @@ class TestConfigErrors:
              "running_cost.control_poly: expected 1 coefficient lists, got [1.0]"),
             ("assumptions_box", {"low": [False], "high": [2.0]},
              "assumptions_box.low must be numeric, got [False]"),
+            ("x0", [[1.0], [1.0, 2.0]], "x0 must be a rectangular array, got [[1.0], [1.0, 2.0]]"),
         ],
         ids=["drift-cubic", "horizon-text", "x0-too-long", "drift-not-object",
              "box-list", "box-low-text", "dims-list", "dims-missing-m",
              "constant-gain-without-value", "running-const-text", "u1-grid-text",
              "running-const-nan", "control-poly-inf", "horizon-inf", "x0-nan", "box-high-inf",
              "dims-fractional", "dims-bool", "horizon-bool", "x0-bool", "u1-grid-bool",
-             "state-quad-bool", "control-poly-bool", "control-poly-scalar", "box-low-bool"],
+             "state-quad-bool", "control-poly-bool", "control-poly-scalar", "box-low-bool",
+             "x0-ragged"],
     )
     def test_malformed_problem_file_exits_two_without_traceback(
         self, tmp_path, capsys, section, value, message
     ):
         problem = model._builtin_config("example1", 1.0)
         problem[section] = value
-        problem_path = tmp_path / "problem.json"
-        problem_path.write_text(json.dumps(problem))
-        cfg = write_config(tmp_path, problem=str(problem_path), grid={"N": 4})
-        assert run("cost", cfg, tmp_path / "out") == 2
+        assert self.run_problem_file(tmp_path, problem) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @staticmethod
+    def run_problem_file(tmp_path, problem):
+        """Exit code of `cost` on the problem written to a file, on a grid
+        that holds the default candidate's 8 blocks."""
+        problem_path = tmp_path / "problem.json"
+        problem_path.write_text(json.dumps(problem))
+        cfg = write_config(tmp_path, problem=str(problem_path), grid={"N": 8})
+        return run("cost", cfg, tmp_path / "out")
+
+    def test_unmodified_problem_file_exits_zero(self, tmp_path):
+        # the control of the malformed-file cases: only their edit refuses them
+        assert self.run_problem_file(tmp_path, model._builtin_config("example1", 1.0)) == 0
 
     def test_numeric_string_tolerance_is_stored_as_a_number(self, tmp_path):
         cfg = write_config(tmp_path, tolerances={"tol_H": "0.1"})

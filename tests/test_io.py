@@ -1,6 +1,8 @@
 """File exports: CSV and binary ensembles read back exactly."""
 
 import csv
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,24 +49,30 @@ def reference_csv(values, knots, prefix):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _laid_out(data, time_major):
+    """A copy of data, time-major (as model.ensemble_zeros lays it out) or
+    C-contiguous."""
+    if not time_major:
+        return np.ascontiguousarray(data)
+    values = ensemble_zeros(*data.shape)
+    values[...] = data
+    assert not values.flags.c_contiguous
+    return values
+
+
 @pytest.mark.parametrize("time_major", [True, False], ids=["time-major", "c-contiguous"])
 @pytest.mark.parametrize("D", [1, 3])
 def test_csv_bytes_match_cell_by_cell_reference(tmp_path, D, time_major):
     M, K = 600, 4
     # crosses two block boundaries and ends in a partial block
-    assert M > 2 * io._CSV_BLOCK_PATHS and M % io._CSV_BLOCK_PATHS
+    assert M > 2 * io._BLOCK_PATHS and M % io._BLOCK_PATHS
     rng = np.random.default_rng(3)
     data = rng.standard_normal((M, K, D)) * 10.0 ** rng.integers(-20, 20, (M, K, D))
     special = [-0.0, 5e-324, 1e-300, 1e16, 1e22, -1e22, 0.1, 1.0]
     data.reshape(-1)[: len(special)] = special
-    data[io._CSV_BLOCK_PATHS, -1] = special[: D]
+    data[io._BLOCK_PATHS, -1] = special[: D]
     data[-1, -1] = special[-D:]
-    if time_major:
-        values = ensemble_zeros(M, K, D)
-        values[...] = data
-        assert not values.flags.c_contiguous
-    else:
-        values = np.ascontiguousarray(data)
+    values = _laid_out(data, time_major)
     knots = TimeGrid(K - 1, 0.3).knots
     path = tmp_path / "ensemble.csv"
     ensemble_to_csv(values, knots, path, prefix="p")
@@ -105,3 +113,47 @@ def test_truncated_binary_names_expected_and_actual_bytes(traj, tmp_path):
     path.write_bytes(full[:20])
     with pytest.raises(ValueError, match=r"expected at least 32 header bytes, got 20$"):
         ensemble_from_binary(path)
+
+
+@pytest.mark.parametrize("time_major", [True, False], ids=["time-major", "c-contiguous"])
+def test_binary_bytes_are_the_header_and_the_row_major_values(tmp_path, time_major):
+    # crosses two block boundaries and ends in a partial block
+    values = _laid_out(np.random.default_rng(5).standard_normal((600, 4, 3)), time_major)
+    path = tmp_path / "ensemble.bin"
+    ensemble_to_binary(values, 9, path)
+    header = np.array([600, 3, 3, 9], dtype="<u8").tobytes()
+    assert path.read_bytes() == header + np.ascontiguousarray(values).tobytes()
+
+
+def test_binary_export_of_a_time_major_ensemble_holds_no_whole_copy(tmp_path):
+    values = _laid_out(np.random.default_rng(5).standard_normal((2000, 51, 2)), time_major=True)
+    tracemalloc.start()
+    try:
+        ensemble_to_binary(values, 1, tmp_path / "ensemble.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 4
+
+
+@pytest.mark.parametrize(
+    "size",
+    [0, 1000, 2 * io._DIGEST_CHUNK_BYTES, 3 * io._DIGEST_CHUNK_BYTES + 17],
+    ids=["empty", "under-one-chunk", "exact-chunks", "several-chunks"],
+)
+def test_file_digest_is_the_sha256_of_the_whole_file(tmp_path, size):
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert io.file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_file_digest_memory_does_not_grow_with_the_file(tmp_path):
+    path = tmp_path / "blob"
+    path.write_bytes(bytes(8 * io._DIGEST_CHUNK_BYTES))
+    tracemalloc.start()
+    try:
+        io.file_digest(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * io._DIGEST_CHUNK_BYTES

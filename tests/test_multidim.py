@@ -7,6 +7,8 @@ problem whose diffusion depends on the control (which drives the
 diffusion-difference term of the variational equation).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -240,3 +242,58 @@ class TestControlledDiffusion:
         assert point.tolist() == [-1.0]
         point, _ = minimize_hamiltonian(spec, 0.0, [0.0], [0.0], [[-3.0]])
         assert point.tolist() == [1.0]
+
+
+def spatial_config():
+    """Three-dimensional state with two noise channels, nonzero b_x and
+    sigma_x: each knot's defect sums 9 squares."""
+    return {
+        "name": "spatial",
+        "dims": {"n": 3, "d": 2, "k": 1, "m": 1},
+        "horizon": 1.0,
+        "x0": [0.5, -0.25, 0.1],
+        "coefficients": {
+            "drift": {"form": "affine",
+                      "state": [[-0.3, 0.2, 0.0], [0.0, -0.1, 0.1], [0.05, 0.0, -0.2]],
+                      "control": [[1.0], [0.0], [0.5]]},
+            "diffusion": {"form": "affine",
+                          "const": [[0.15, 0.0], [0.05, 0.2], [0.0, 0.1]],
+                          "state": [[[0.1, 0.0, 0.02], [0.0, 0.05, 0.0], [0.03, 0.0, 0.1]],
+                                    [[0.0, 0.02, 0.0], [0.03, 0.0, 0.04], [0.0, 0.06, 0.0]]]},
+            "running_cost": {"form": "quadratic",
+                             "state_quad": [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.2]]},
+        },
+        "u1_grid": [[-1.0], [1.0]],
+        "assumptions_box": {"low": [-2.0, -2.0, -2.0], "high": [2.0, 2.0, 2.0]},
+    }
+
+
+class TestInverseDefect:
+    """inverse_defect reduces knot by knot to the float of the whole-array
+    formula, without forming the product of the whole pair."""
+
+    @pytest.fixture(scope="class", params=["planar", "spatial"])
+    def fund(self, request):
+        config = planar_config() if request.param == "planar" else spatial_config()
+        spec = problem_from_config(config)
+        grid = TimeGrid(50, 1.0)
+        noise = NoiseBatch.generate(2000, grid, spec.d, 41)
+        mu = dirac_embed(constant_strict(grid, spec.u1_grid[-1]))
+        traj = simulate_relaxed(spec, mu, zero_singular(grid, spec.m), noise)
+        return fundamental_solutions(traj)
+
+    def test_equals_the_whole_array_formula(self, fund):
+        eye = np.eye(fund.Phi.shape[-1])
+        whole = float(np.sqrt(((fund.Psi @ fund.Phi - eye) ** 2).sum(axis=(-2, -1))).max())
+        assert whole > 0.0
+        assert fund.inverse_defect() == whole
+
+    def test_peak_memory_stays_below_four_knots(self, fund):
+        M, _, n, _ = fund.Phi.shape
+        tracemalloc.start()
+        try:
+            fund.inverse_defect()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * M * n * n * 8
