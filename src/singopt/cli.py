@@ -49,6 +49,8 @@ def _section(cfg, key):
 
 def resolve_config(raw: dict, overrides: dict) -> dict:
     """Validate a run configuration and fold in CLI overrides."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be an object, got {raw!r}")
     cfg = json.loads(json.dumps(raw))  # deep copy, JSON-clean
     if "problem" not in cfg:
         raise ConfigError("config missing 'problem' (built-in name or problem JSON path)")
@@ -90,6 +92,16 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     return cfg
 
 
+def _read_json_file(path, what):
+    """The JSON value of the UTF-8 file at path.  A path that is not a file
+    name, or a file that cannot be opened, decoded or parsed (nested too
+    deeply included), raises ConfigError: what, then the reason."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, TypeError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def load_problem(cfg: dict) -> model.ProblemSpec:
     name = cfg["problem"]
     if isinstance(name, str) and name in model.BUILTIN_NAMES:
@@ -98,13 +110,11 @@ def load_problem(cfg: dict) -> model.ProblemSpec:
             raise ConfigError(f"problem_options must be an object, got {options!r}")
         kappa = float(read_reals(options.get("kappa", 1.0), "problem_options.kappa", ()))
         return model.builtin_problem(name, kappa=kappa)
-    path = Path(str(name))
-    if not path.exists():
-        raise ConfigError(
-            f"problem {name!r} is neither a built-in ({', '.join(model.BUILTIN_NAMES)}) "
-            "nor an existing problem JSON file"
-        )
-    return model.problem_from_json(path)
+    return model.problem_from_config(_read_json_file(
+        name,
+        f"problem {name!r} is neither a built-in ({', '.join(model.BUILTIN_NAMES)}) "
+        "nor a readable problem JSON file",
+    ))
 
 
 def _check_in_u1_grid(mu, spec):
@@ -155,13 +165,14 @@ def build_candidate(cfg: dict, spec: model.ProblemSpec, grid: model.TimeGrid):
         raise ConfigError(f"candidate must be an object, got {cand!r}")
     singular = None
     if "path" in cand:
+        what = f"cannot load candidate file {cand['path']!r}"
+        obj = _read_json_file(cand["path"], what)
         try:
-            obj = json.loads(Path(cand["path"]).read_text())
             control = _control_part(obj["control"], grid)
             if "singular" in obj:
                 singular = _singular_part(obj["singular"], spec, grid)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ConfigError(f"cannot load candidate file {cand['path']!r}: {exc!r}")
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"{what}: {exc!r}") from None
     else:
         name = cand.get("name")
         if name is not None:
@@ -328,6 +339,8 @@ def cmd_adjoint(cfg, out: OutputDir) -> int:
     explicit, defect = _explicit_route(traj, degree)
     bsde = adj.adjoint_bsde(traj, degree=degree)
     agreement = float(np.sqrt(np.mean((explicit.p - bsde.p) ** 2)))
+    explicit_diagnostics = explicit.diagnostics
+    del explicit  # release the explicit p before the exports
     sio.ensemble_to_csv(bsde.p, grid.knots, out.path("adjoint_p.csv"), prefix="p")
     sio.ensemble_to_binary(bsde.p, seed, out.path("adjoint_p.bin"))
     sio.ensemble_to_binary(
@@ -336,7 +349,7 @@ def cmd_adjoint(cfg, out: OutputDir) -> int:
         out.path("adjoint_P.bin"),
     )
     diagnostics = {
-        "explicit": explicit.diagnostics,
+        "explicit": explicit_diagnostics,
         "bsde": bsde.diagnostics,
         "method_agreement_rms": agreement,
         "inverse_defect": defect,
@@ -396,11 +409,7 @@ def run(argv=None) -> int:
 
 def _execute(args) -> int:
     try:
-        raw = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        raw = _read_json_file(args.config, f"cannot read config {args.config!r}")
         cfg = resolve_config(
             raw, {"seed": args.seed, "paths": args.paths, "steps": args.steps}
         )

@@ -15,8 +15,8 @@ occupation fractions deviate from the weights by at most one refined step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import singledispatch
+from dataclasses import dataclass, field
+from functools import cached_property, singledispatch
 
 import numpy as np
 
@@ -75,12 +75,14 @@ class RelaxedControl:
     atoms has shape (N, A, k) and weights (N, A); padding entries carry
     weight 0.  Weights are nonnegative and sum to 1 per cell within 1e-12.
     Every measure average (drift, diffusion, cost, Hamiltonian) goes through
-    average (one cell) or block_total (a block of cells).
+    average (one cell), block_total (a block of cells) or cell_averages (every
+    cell, for a coefficient without a state term).
     """
 
     grid: TimeGrid
     atoms: np.ndarray
     weights: np.ndarray
+    _averages_by_fn: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
@@ -115,21 +117,71 @@ class RelaxedControl:
             total = w * value if total is None else total + w * value
         return total
 
+    @cached_property
+    def _atom_index(self) -> tuple:
+        """The distinct atoms of positive weight, (L, k), as np.unique(axis=0)
+        finds them (sorted, and equal by value, so -0.0 and 0.0 merge), and
+        for each (cell, slot) the row of its atom there, -1 at zero weight."""
+        live = self.weights > 0
+        distinct, rows = np.unique(self.atoms[live], axis=0, return_inverse=True)
+        index = np.full(self.weights.shape, -1)
+        index[live] = rows.ravel()
+        return distinct, index
+
+    def cell_averages(self, fn, x):
+        """Per-cell measure averages of fn, shape (N, ...), when fn is a form
+        whose state_part(x) is None, so that each average is a constant of
+        the control; None for any other coefficient.  Whether a form has a
+        state term does not depend on x.
+
+        fn.control_part is evaluated once on the distinct atoms.  Each cell
+        sums w * value over its atoms left to right and skips zero weights,
+        its first live term starting the sum, so row j is average(fn, j, t,
+        x) bit for bit.  The result is kept per fn, read-only.
+        """
+        state_part = getattr(fn, "state_part", None)
+        if state_part is None:
+            return None
+        cache = self._averages_by_fn
+        if fn not in cache:
+            cache[fn] = None if state_part(x) is not None else self._sum_over_atoms(fn.control_part)
+        return cache[fn]
+
+    def _sum_over_atoms(self, control_part) -> np.ndarray:
+        """Per cell, the sum of w * control_part(atom) in average's order."""
+        distinct, index = self._atom_index
+        values = control_part(distinct)
+        if len(values) == 1:  # a form that does not depend on the control
+            index = np.zeros_like(index)
+        total = np.zeros((len(index),) + values.shape[1:])
+        started = np.zeros((len(index),) + (1,) * (values.ndim - 1), dtype=bool)
+        for w, rows in zip(self.weights.T, index.T):
+            w = w.reshape(started.shape)
+            live = w != 0.0
+            term = w * values[rows]
+            np.add(total, term, out=total, where=started & live)
+            np.copyto(total, term, where=live & ~started)
+            started |= live
+        total.flags.writeable = False
+        return total
+
     def block_total(self, fn, start, t, x) -> np.ndarray:
         """Per-path sum of the measure averages of fn over the K cells from
         cell `start`, sum_j sum_a w_ja fn(t_j, x_j, a), shape (M,).
 
         t has shape (K, 1) and x (K, M, n).  fn is called once per distinct
-        atom of positive weight, with the whole block, and its values are
-        contracted with that atom's per-cell weight.
+        atom of positive weight in the block, in _atom_index order, with the
+        whole block, and its values are contracted with that atom's per-cell
+        weight.
         """
         K, M = x.shape[:2]
-        atoms = self.atoms[start:start + K]
+        distinct, index = self._atom_index
+        index = index[start:start + K]
         weights = self.weights[start:start + K]
         total = np.zeros(M)
-        for atom in np.unique(atoms[weights > 0], axis=0):
-            w = np.where((atoms == atom).all(axis=-1), weights, 0.0).sum(axis=1)
-            total += w @ np.broadcast_to(fn(t, x, atom), (K, M))
+        for row in np.unique(index[index >= 0]):
+            w = np.where(index == row, weights, 0.0).sum(axis=1)
+            total += w @ np.broadcast_to(fn(t, x, distinct[row]), (K, M))
         return total
 
 

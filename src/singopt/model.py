@@ -401,10 +401,20 @@ def problem_to_json(spec: ProblemSpec, path: str | Path | None = None) -> str:
     return text
 
 
+def _names_a_file(text: str) -> bool:
+    """Whether a one-line string is the name of an existing file; a string
+    the OS refuses as a name (longer than its limit, say) is not one."""
+    try:
+        return "\n" not in text and Path(text).is_file()
+    except (OSError, ValueError):
+        return False
+
+
 def problem_from_json(source: str | Path) -> ProblemSpec:
-    """Load a problem from a JSON string or file path."""
+    """Load a problem from a JSON string or file path: a string that names
+    an existing file is read as a path, any other as JSON text."""
     text = source
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and Path(source).exists()):
+    if isinstance(source, Path) or (isinstance(source, str) and _names_a_file(source)):
         text = Path(source).read_text()
     try:
         config = json.loads(text)

@@ -41,11 +41,9 @@ from .model import NoiseBatch, NoiseStream, ProblemSpec, TimeGrid, ensemble_zero
 # and chattering_gap streams both controls through windows of one block.
 _BLOCK_KNOTS = 64
 # Steps per noise window of chattering_gap, a multiple of _BLOCK_KNOTS.  Each
-# window costs one standard_normal call per path.  At M = 4 000 and 8 192
-# steps (one Xeon core, numpy 2.4) the draws took 0.94 s in windows of 128
-# steps, 0.83 s in windows of 512 and 0.71 s in windows of 1 024, and only
-# the last matched the whole-grid draw in end-to-end time; the peak RSS of
-# the run rose from 58 to 70 and 85 MiB.
+# window costs one standard_normal call per path, so a narrower window pays
+# that call more often and a wider one holds more increments (M x window x d
+# floats: 31 MiB at M = 4 000, d = 1 and 1 024 steps).
 _NOISE_WINDOW_KNOTS = 1024
 
 
@@ -143,21 +141,39 @@ def _euler_block(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
     """Advance the time-major window x, shape (K+1, M, n), by K Euler steps
     of q's grid from knot `start`, held in x[0], driven by the time-major
     increments dW, shape (K, M, d), of those steps; then check the K knots
-    written for finiteness."""
+    written for finiteness.
+
+    Step j forms (x_j + drift_j dt) + diffusion_j dW_j, plus G(t_j) times
+    the singular increment.  When neither drift nor diffusion has a state
+    term, their per-cell averages are constants of q (q.cell_averages), and
+    the noise terms of all K steps are written into x[1:] by one einsum per
+    state component, which sums over the noise dimension as the per-step
+    einsum does, bit for bit (one einsum over all of (k, m, p) is several
+    times slower than the per-step loop once n and d are both 2 or more).
+    """
     knots = q.grid.knots
     dt = q.grid.dt
-    steps = range(start, start + len(dW))
+    stop = start + len(dW)
     inc = eta.increments
     has_singular = bool(inc.any())
-    for i, j in enumerate(steps):
+    drift = q.cell_averages(spec.b, x[0])
+    diff = q.cell_averages(spec.sigma, x[0])
+    state_free = drift is not None and diff is not None
+    if state_free:
+        drift_dt = drift[start:stop] * dt
+        for p in range(spec.n):
+            np.einsum("kj,kmj->km", diff[start:stop, p], dW, out=x[1:, :, p])
+    for i, j in enumerate(range(start, stop)):
         t = knots[j]
         xj = x[i]
-        drift = q.average(spec.b, j, t, xj)
-        diff = q.average(spec.sigma, j, t, xj)
-        step = xj + drift * dt + np.einsum("...pj,...j->...p", diff, dW[i])
+        if state_free:
+            x[i + 1] += xj + drift_dt[i]
+        else:
+            drift_j = q.average(spec.b, j, t, xj)
+            diff_j = q.average(spec.sigma, j, t, xj)
+            x[i + 1] = xj + drift_j * dt + np.einsum("...pj,...j->...p", diff_j, dW[i])
         if has_singular:
-            step = step + spec.G(t) @ inc[j]
-        x[i + 1] = step
+            x[i + 1] += spec.G(t) @ inc[j]
     _check_finite([x[1:]], start + 1)
 
 

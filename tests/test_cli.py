@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,30 @@ class TestAdjointCommand:
         assert code == 0
         assert peak < bound
 
+    def test_explicit_p_is_released_before_the_exports(self, tmp_path, monkeypatch):
+        # only the explicit route's diagnostics are read after the agreement
+        explicit_p = []
+        route = cli.adj.adjoint_explicit
+        export = cli.sio.ensemble_to_csv
+
+        def explicit(*args, **kwargs):
+            pair = route(*args, **kwargs)
+            explicit_p.append(weakref.ref(pair.p))
+            return pair
+
+        def csv(*args, **kwargs):
+            assert explicit_p[0]() is None
+            return export(*args, **kwargs)
+
+        monkeypatch.setattr(cli.adj, "adjoint_explicit", explicit)
+        monkeypatch.setattr(cli.sio, "ensemble_to_csv", csv)
+        cfg = write_config(
+            tmp_path, problem="example2_stochastic", grid={"N": 20},
+            monte_carlo={"M": 64, "seed": 6}, candidate={"name": "constant:0.0"},
+        )
+        assert run("adjoint", cfg, tmp_path / "out") == 0
+        assert len(explicit_p) == 1
+
 
 # malformed singular parts on a 4-step grid of a problem with m = 1
 _WIDE_SINGULAR = {"type": "singular", "increments": [[0.0, 0.0]] * 4}
@@ -436,6 +461,19 @@ class TestConfigErrors:
             ("cost", {"candidate": {"control": _pm1_control(atoms=[[-1.0], [1.0, 2.0]])}},
              "candidate.control: malformed relaxed control: relaxed control atoms must be "
              "a rectangular array, got [[-1.0], [1.0, 2.0]]"),
+            ("cost", {"problem": "x" * 300},
+             "nor a readable problem JSON file: [Errno 36] File name too long"),
+            ("cost", {"problem": "."},
+             "nor a readable problem JSON file: [Errno 21] Is a directory"),
+            ("cost", {"problem_file": b'{"name": "\xff"}'},
+             "nor a readable problem JSON file: 'utf-8' codec can't decode byte 0xff"),
+            ("cost", {"candidate_file": b'{"control": "\xff"}'},
+             "cannot load candidate file"),
+            ("cost", {"config_file": b'{"problem": "\xff"}'},
+             "cannot read config"),
+            ("cost", {"config_file": b"5"}, "config must be an object, got 5"),
+            ("cost", {"config_file": b"[" * 100_000},
+             "cannot read config"),
         ],
         ids=["n-values-abc", "n-values-bare-int", "n-values-empty", "n-values-zero",
              "n-values-fractional", "relaxed-without-cells", "candidate-name-int", "regression-list",
@@ -445,18 +483,30 @@ class TestConfigErrors:
              "singular-relaxed", "singular-file-too-wide", "singular-file-relaxed",
              "singular-text", "weights-nan", "atoms-inf", "strict-values-inf",
              "singular-nan", "weights-file-nan", "singular-file-inf", "strict-values-bool",
-             "weights-bool", "atoms-ragged"],
+             "weights-bool", "atoms-ragged", "problem-name-too-long", "problem-directory",
+             "problem-file-not-utf8", "candidate-file-not-utf8", "config-not-utf8",
+             "config-not-object", "config-nested-too-deep"],
     )
     def test_malformed_sections_exit_two_without_traceback(
         self, tmp_path, capsys, command, overrides, message
     ):
-        # "candidate_file" holds a candidate file's content, used by path
+        # "candidate_file", "problem_file" and "config_file" hold the content
+        # of a file, as JSON or as raw bytes; the first two are used by path
         overrides = dict(overrides)
-        if "candidate_file" in overrides:
-            path = tmp_path / "candidate.json"
-            path.write_text(json.dumps(overrides.pop("candidate_file")))
-            overrides["candidate"] = {"path": str(path)}
-        cfg = write_config(
+        files = {}
+        for key in ("candidate_file", "problem_file", "config_file"):
+            if key in overrides:
+                content = overrides.pop(key)
+                files[key] = path = tmp_path / f"{key}.json"
+                if isinstance(content, bytes):
+                    path.write_bytes(content)
+                else:
+                    path.write_text(json.dumps(content))
+        if "candidate_file" in files:
+            overrides["candidate"] = {"path": str(files["candidate_file"])}
+        if "problem_file" in files:
+            overrides["problem"] = str(files["problem_file"])
+        cfg = files.get("config_file") or write_config(
             tmp_path, **{"grid": {"N": 4}, "candidate": {"name": "relaxed_pm1"}, **overrides}
         )
         assert run(command, cfg, tmp_path / "out") == 2

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singopt.cli import ConfigError, build_candidate
+from singopt.coefficients import build_coefficients
 from singopt.controls import (
     ChatteringError,
     ControlError,
@@ -26,7 +27,7 @@ from singopt.controls import (
     regrid_singular,
     zero_singular,
 )
-from singopt.model import TimeGrid
+from singopt.model import TimeGrid, builtin_problem
 
 
 def pm1(grid):
@@ -599,3 +600,42 @@ def test_chattering_occupation_within_one_sub_step_of_the_weights(data, n):
         for atom, weight in zip(cell_atoms, weights):
             occupation = np.count_nonzero(values == atom) / sub_steps
             assert abs(occupation - weight) < 1.0 / sub_steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 2), d=st.integers(1, 2))
+def test_cell_averages_equal_the_per_cell_average_bit_for_bit(data, n, d):
+    # padded zero weights, repeated atoms, -0.0 and 0.0 atoms and constants,
+    # k in {1, 2}, drift values (n,) and diffusion values (n, d)
+    q = data.draw(ragged_relaxed(edge_cases=True))
+    k = q.control_dim
+
+    def reals(*shape):
+        pool = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0])
+        size = int(np.prod(shape))
+        return np.reshape(data.draw(st.lists(pool, min_size=size, max_size=size)), shape).tolist()
+
+    coefficients = build_coefficients({
+        "dims": {"n": n, "d": d, "k": k, "m": 1},
+        "coefficients": {
+            "drift": {"form": "affine", "const": reals(n), "control": reals(n, k)},
+            "diffusion": {"form": "affine", "const": reals(n, d), "control": reals(d, n, k)},
+        },
+    })
+    x = np.zeros((3, n))
+    for fn in (coefficients["b"], coefficients["sigma"]):
+        averages = q.cell_averages(fn, x)
+        expected = np.stack([q.average(fn, j, t, x) for j, t in enumerate(q.grid.knots[:-1])])
+        assert averages.shape == expected.shape
+        assert (averages == expected).all()
+        assert (np.signbit(averages) == np.signbit(expected)).all()
+        assert q.cell_averages(fn, x) is averages
+
+
+def test_cell_averages_refuse_a_state_term_or_a_plain_callable():
+    spec = builtin_problem("example2_stochastic")
+    q = pm1(TimeGrid(4, 1.0))
+    x = np.zeros((3, 1))
+    assert q.cell_averages(spec.h, x) is None
+    assert q.cell_averages(lambda t, x, a: a, x) is None
+    assert q.cell_averages(spec.b, x).tolist() == [[0.0]] * 4

@@ -1,7 +1,7 @@
 """The package's import structure: every import sits at module level, and
 the optimality checks do not depend on the adjoint module.  The sweeps
-read a relaxed control's measure only through RelaxedControl.average and
-block_total, never through its atoms or weights."""
+read a relaxed control's measure only through RelaxedControl.average,
+block_total and cell_averages, never through its atoms or weights."""
 
 import ast
 from pathlib import Path

@@ -1,5 +1,6 @@
 """Problem definitions, assumption validation, noise reproducibility."""
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from singopt.model import (
     NoiseStream,
     ProblemError,
     TimeGrid,
+    _builtin_config,
     _spawned_seed_words,
     builtin_problem,
     problem_from_config,
@@ -130,6 +132,13 @@ def test_json_round_trip_exact(example1):
         assert float(example1.h(t, x, a)) == float(again.h(t, x, a))
         assert float(example1.g(x)) == float(again.g(x))
         assert example1.k_cost(t).tolist() == again.k_cost(t).tolist()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_one_line_json_longer_than_a_file_name_is_parsed(name):
+    text = json.dumps(_builtin_config(name, 1.0))
+    assert "\n" not in text and len(text) > 255
+    assert problem_from_json(text).config == json.loads(text)
 
 
 def test_json_round_trip_through_file(tmp_path, example2_stochastic):

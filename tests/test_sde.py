@@ -16,6 +16,7 @@ from singopt.controls import (
     SingularControl,
     StrictControl,
     alternating_strict,
+    as_relaxed,
     chattering,
     constant_relaxed,
     constant_strict,
@@ -24,10 +25,17 @@ from singopt.controls import (
     regrid_relaxed,
     zero_singular,
 )
-from singopt.model import NoiseBatch, TimeGrid, builtin_problem, problem_from_config
+from singopt.model import (
+    NoiseBatch,
+    TimeGrid,
+    builtin_problem,
+    ensemble_zeros,
+    problem_from_config,
+)
 from singopt.sde import (
     _BLOCK_KNOTS,
     SimulationError,
+    TrajectoryEnsemble,
     _cost_terms,
     chattering_gap,
     estimate_cost,
@@ -475,15 +483,40 @@ def reference_path_cost(spec, traj, mu, eta):
     return terminal + running + singular
 
 
+def reference_simulate(spec, q, eta, noise):
+    """simulate_relaxed with one measure average of b and of sigma per step
+    and one einsum per step for the noise term."""
+    q = as_relaxed(q)
+    grid = q.grid
+    knots = grid.knots
+    dW = noise.increments
+    # stored time-major, as simulate_relaxed stores it, so that reductions
+    # over the paths sum in the same order
+    x = ensemble_zeros(len(dW), grid.num_steps + 1, spec.n)
+    x[:, 0] = spec.x0
+    has_singular = bool(eta.increments.any())
+    for j in range(grid.num_steps):
+        t = knots[j]
+        xj = x[:, j]
+        drift = q.average(spec.b, j, t, xj)
+        diff = q.average(spec.sigma, j, t, xj)
+        step = xj + drift * grid.dt + np.einsum("...pj,...j->...p", diff, dW[:, j])
+        if has_singular:
+            step = step + spec.G(t) @ eta.increments[j]
+        x[:, j + 1] = step
+    return TrajectoryEnsemble(x, spec, q, eta, noise)
+
+
 def reference_chattering_gap(spec, q, eta, n, num_paths, seed):
-    """chattering_gap from two whole simulated ensembles and per-knot costs."""
+    """chattering_gap from two whole ensembles of the per-step loop and
+    per-knot costs."""
     un = chattering(regrid_relaxed(q, n), n)
     refined = un.grid
     q_ref = regrid_relaxed(q, refined.num_steps)
     eta_ref = regrid_singular(eta, refined.num_steps)
     noise = NoiseBatch.generate(num_paths, refined, spec.d, (seed, n))
-    x_strict = simulate_relaxed(spec, un, eta_ref, noise)
-    x_relax = simulate_relaxed(spec, q_ref, eta_ref, noise)
+    x_strict = reference_simulate(spec, un, eta_ref, noise)
+    x_relax = reference_simulate(spec, q_ref, eta_ref, noise)
     gap = 0.0
     for start in range(0, refined.num_steps + 1, _BLOCK_KNOTS):
         knots = slice(start, start + _BLOCK_KNOTS)
@@ -583,6 +616,105 @@ class TestStreamedChatteringGap:
                 tracemalloc.stop()
         assert row["refined_steps"] == 8192
         assert peaks[1] < 1.25 * peaks[0]
+
+
+def noise_dim_problem(d, state_terms):
+    """The planar problem with d noise channels and a control-dependent
+    diffusion; without state_terms its drift and diffusion have no state
+    term, so the Euler kernel takes their per-cell averages."""
+    config = planar_config()
+    config["dims"]["d"] = d
+    rng = np.random.default_rng(d)
+    coefficients = config["coefficients"]
+    coefficients["diffusion"] = {
+        "form": "affine",
+        "const": (0.2 * rng.standard_normal((2, d))).tolist(),
+        "control": (0.1 * rng.standard_normal((d, 2, 2))).tolist(),
+    }
+    if state_terms:
+        coefficients["diffusion"]["state"] = (0.05 * rng.standard_normal((d, 2, 2))).tolist()
+    else:
+        del coefficients["drift"]["state"]
+    return problem_from_config(config)
+
+
+def varied_planar_control(grid):
+    """Cells on the planar U1 grid with a zero weight, an atom repeated
+    exactly and -0.0 beside 0.0 among the live atoms; the measure changes
+    inside the second block."""
+    atoms = np.empty((grid.num_steps, 4, 2))
+    weights = np.empty((grid.num_steps, 4))
+    atoms[:90] = [[-1.0, -0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
+    weights[:90] = [0.3, 0.0, 0.4, 0.3]
+    atoms[90:] = [[0.0, 1.0], [-1.0, -1.0], [-0.0, 1.0], [0.0, 1.0]]
+    weights[90:] = [0.25, 0.5, 0.125, 0.125]
+    return RelaxedControl(grid, atoms, weights)
+
+
+def planar_increments(grid):
+    inc = np.zeros((grid.num_steps, 2))
+    inc[3] = [0.2, 0.0]
+    inc[70] = [0.1, 0.4]
+    return SingularControl(grid, inc)
+
+
+@pytest.mark.parametrize("state_terms", [False, True], ids=["state-free", "planar"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+class TestKernelMatchesThePerStepLoop:
+    def test_simulate_relaxed(self, d, state_terms):
+        # 150 steps: two full blocks and a partial one
+        spec = noise_dim_problem(d, state_terms)
+        grid = TimeGrid(150, 1.0)
+        q, eta = varied_planar_control(grid), planar_increments(grid)
+        noise = make_noise(grid, paths=16, seed=d, d=d)
+        traj = simulate_relaxed(spec, q, eta, noise)
+        expected = reference_simulate(spec, q, eta, noise).states
+        assert traj.states.tobytes() == expected.tobytes()
+
+    def test_chattering_gap(self, d, state_terms):
+        spec = noise_dim_problem(d, state_terms)
+        grid = TimeGrid(20, 1.0)
+        q = constant_relaxed(grid, [[-1.0, 0.0], [1.0, 1.0]], [0.3, 0.7])
+        eta = SingularControl(grid, np.where(np.arange(20)[:, None] % 7 == 3, [0.2, 0.1], 0.0))
+        row = chattering_gap(spec, q, eta, 9, 24, d)
+        assert_matches_reference(row, spec, q, eta, 9, 24, d)
+
+
+def counting(form):
+    """form wrapped in a callable that counts its own calls, with the
+    form's state/control split copied onto it."""
+    calls = []
+
+    def fn(t, x, a):
+        calls.append(t)
+        return form(t, x, a)
+
+    fn.state_part = form.state_part
+    fn.control_part = form.control_part
+    return fn, calls
+
+
+def test_state_free_coefficients_are_averaged_once_per_control(example2_stochastic):
+    # n = 64: 8 192 refined steps; b and sigma are never called per step
+    grid = TimeGrid(100, 1.0)
+    q, eta = pm1(grid), zero_singular(grid, 1)
+    b, b_calls = counting(example2_stochastic.b)
+    sigma, sigma_calls = counting(example2_stochastic.sigma)
+    counted = example2_stochastic.with_overrides(b=b, sigma=sigma)
+    row = chattering_gap(counted, q, eta, 64, 4, 5)
+    assert row["refined_steps"] == 8192
+    assert (len(b_calls), len(sigma_calls)) == (0, 0)
+    assert row == chattering_gap(example2_stochastic, q, eta, 64, 4, 5)
+
+
+def test_a_drift_with_a_state_term_is_still_called_on_every_step():
+    # the strict approximant has one atom per step and the relaxed control two
+    spec = problem_from_config(planar_config())
+    grid = TimeGrid(20, 1.0)
+    q = constant_relaxed(grid, [[-1.0, 0.0], [1.0, 1.0]], [0.3, 0.7])
+    b, calls = counting(spec.b)
+    row = chattering_gap(spec.with_overrides(b=b), q, zero_singular(grid, 2), 64, 4, 5)
+    assert len(calls) == 3 * row["refined_steps"]
 
 
 def test_running_block_matches_per_knot_averages(example2_stochastic):
