@@ -10,16 +10,24 @@ polynomial basis in the current state (Longstaff-Schwartz style).  The two
 routes cross-validate each other; agreement tolerances are part of the
 test-suite.
 
-Conditional expectations given the time-t state are least-squares
-regressions; a regression of an identically-zero target returns exactly
-zero, and a constant state column (deterministic problems) reduces the
-projection to the plain mean.
+Conditional expectations given the time-t state are projections on one
+basis per knot (Gobet, Lemor & Warin 2005): each state component is centred
+and scaled over the paths (a component that takes one value on every path,
+as at knot 0 or in a deterministic problem, is dropped), its monomials are
+built by polynomial_features, and one thin QR factor gives an orthonormal
+basis Q of their span.  Every target fitted at that knot is projected as
+Q (Q^T y), so the fitted values are those of least squares on the raw
+monomials, without refactoring per target and without the loss of digits of
+raw monomials far from the origin.  A zero target fits exactly zero, and
+with every component dropped the basis is the constant alone and the
+projection is the path mean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 
@@ -42,40 +50,97 @@ class RegressionError(RuntimeError):
 
 
 def polynomial_features(x: np.ndarray, degree: int) -> np.ndarray:
-    """Monomial features of total degree <= degree in the state, shape (M, F)."""
-    M, n = x.shape
-    cols = [np.ones(M)]
-    for deg in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(n), deg):
-            col = np.ones(M)
-            for idx in combo:
-                col = col * x[:, idx]
-            cols.append(col)
-    return np.column_stack(cols)
+    """Monomial features of total degree <= degree in the state, shape (M, F).
 
-
-def fit_conditional(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Project targets onto the feature span; returns fitted values.
-
-    targets may be (M,) or (M, ...) (each trailing component is regressed
-    separately).  Raises RegressionError when there are fewer paths than
-    basis functions or the solve produces non-finite coefficients; reduce
-    the basis degree or add paths in that case.
+    Each monomial is the one without its last factor times that factor, so
+    its factors multiply left to right.  The columns are contiguous (the
+    array is Fortran-ordered), as LAPACK reads them.
     """
-    M, F = features.shape
-    if M < F:
+    M, n = x.shape
+    combos = [()] + [combo for deg in range(1, degree + 1)
+                     for combo in combinations_with_replacement(range(n), deg)]
+    rows = {(): 0}
+    out = np.empty((len(combos), M))
+    out[0] = 1.0
+    for k, combo in enumerate(combos[1:], 1):
+        np.multiply(out[rows[combo[:-1]]], x[:, combo[-1]], out=out[k])
+        rows[combo] = k
+    return out.T
+
+
+@dataclass(frozen=True, eq=False)
+class RegressionBasis:
+    """An orthonormal basis q (M, rank) of the polynomial features of the
+    state at one knot; rank_loss counts the features lost to collinear
+    components and cond is the condition number of the retained ones."""
+
+    q: np.ndarray = field(repr=False)
+    rank_loss: int
+    cond: float
+
+
+def regression_basis(x: np.ndarray, degree: int) -> RegressionBasis:
+    """The basis of the monomials of total degree <= degree in the state x
+    (M, n), centred and scaled per component over the paths.
+
+    A component that takes one value on every path is dropped: the constant
+    covers it.  One thin QR factors the features, and the singular values
+    of the small factor R, which are the features' own, give the rank by
+    lstsq's rule (above eps * max(M, F) times the largest) and the
+    condition number of the retained part.  On rank loss (collinear
+    components) Q is rotated onto the retained singular vectors of R, so
+    the projection gives lstsq's minimum-norm fitted values.  Raises
+    RegressionError when there are fewer paths than basis functions or
+    the features are not finite.
+    """
+    M, n = x.shape
+    size = comb(n + degree, degree)
+    if M < size:
         raise RegressionError(
-            f"regression needs at least {F} paths for {F} basis functions, got {M}; "
+            f"regression needs at least {size} paths for {size} basis functions, got {M}; "
             "reduce the basis degree or increase the number of paths"
         )
-    flat = targets.reshape(M, -1)
-    coeff, *_ = np.linalg.lstsq(features, flat, rcond=None)
+    # one contiguous row per component: numpy reduces an (M, n) array along
+    # its paths several times slower than n rows of M
+    rows = np.ascontiguousarray(x.T)
+    centre = rows.mean(axis=1)
+    # exact: a rounded mean leaves a constant component a tiny nonzero deviation;
+    # a NaN compares unequal and an infinite first path is kept, so both are refused below
+    varying = (rows.max(axis=1) != rows.min(axis=1)) | ~np.isfinite(rows[:, 0])
+    if not varying.all():
+        rows, centre = rows[varying], centre[varying]
+    dev = rows - centre[:, None]
+    dev /= np.sqrt(np.mean(dev * dev, axis=1))[:, None]
+    feats = polynomial_features(dev.T, degree)
+    q, r = np.linalg.qr(feats)
+    if not np.all(np.isfinite(r)):
+        raise RegressionError(
+            "regression produced non-finite features from the state; reduce the basis "
+            "degree or check the problem's coefficients for overflow"
+        )
+    u, s, _ = np.linalg.svd(r)
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(feats.shape) * s[0]))
+    if rank == len(s):
+        return RegressionBasis(q, 0, float(s[0] / s[-1]))
+    return RegressionBasis(q @ u[:, :rank], len(s) - rank, float(s[0] / s[rank - 1]))
+
+
+def fit_conditional(basis: RegressionBasis, targets: np.ndarray) -> np.ndarray:
+    """Project targets on the basis of one knot; returns fitted values.
+
+    targets may be (M,) or (M, ...) (each trailing component is projected
+    separately).  Raises RegressionError when the projection is not finite;
+    reduce the basis degree or add paths in that case.
+    """
+    q = basis.q
+    flat = targets.reshape(len(q), -1)
+    coeff = q.T @ flat
     if not np.all(np.isfinite(coeff)):
         raise RegressionError(
             "regression produced non-finite coefficients; reduce the basis degree "
             "or increase the number of paths"
         )
-    return (features @ coeff).reshape(targets.shape)
+    return (q @ coeff).reshape(targets.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +217,9 @@ def _tail_fits(fund: FundamentalPair, degree: int):
     head = Phi_N^* g_x(x_T) and prefix the _grad_sums, and its regressions.
 
     Returns (head, prefix, fits); fits yields, for j = N-1, ..., 0,
-    (j, features, tail, fitted): the part of X not yet accumulated at time
-    j, tail = head + (prefix_N - prefix_j), the polynomial features of x_j
-    and the regression of tail on them.
+    (j, basis, tail, fitted): the part of X not yet accumulated at time j,
+    tail = head + (prefix_N - prefix_j), the regression basis of x_j and the
+    projection of tail on it.
     """
     traj = fund.traj
     N = traj.grid.num_steps
@@ -163,11 +228,24 @@ def _tail_fits(fund: FundamentalPair, degree: int):
 
     def fits():
         for j in range(N - 1, -1, -1):
-            feats = polynomial_features(traj.states[:, j, :], degree)
+            basis = regression_basis(traj.states[:, j, :], degree)
             tail = head + (prefix[:, N, :] - prefix[:, j, :])
-            yield j, feats, tail, fit_conditional(feats, tail)
+            yield j, basis, tail, fit_conditional(basis, tail)
 
     return head, prefix, fits()
+
+
+def _knot_health(basis: RegressionBasis, target: np.ndarray, fitted: np.ndarray) -> tuple:
+    """(residual rms, rank loss, cond) of the fit of p at one knot."""
+    return float(np.sqrt(np.mean((target - fitted) ** 2))), basis.rank_loss, basis.cond
+
+
+def _diagnostics(degree: int, n: int, health: list) -> dict:
+    """A route's diagnostics: its basis and the worst of its knots' health."""
+    residual, loss, cond = zip(*health)
+    return {"basis_degree": degree, "basis_size": comb(n + degree, degree),
+            "max_residual_rms": max(residual), "max_rank_loss": max(loss),
+            "max_basis_cond": max(cond)}
 
 
 def adjoint_explicit(fund: FundamentalPair, degree: int = 2) -> AdjointPair:
@@ -185,11 +263,11 @@ def adjoint_explicit(fund: FundamentalPair, degree: int = 2) -> AdjointPair:
     p = ensemble_zeros(M, N + 1, traj.spec.n)
     p[:, N, :] = _terminal_gradient(traj)
     _, _, fits = _tail_fits(fund, degree)
-    worst = 0.0
-    for j, feats, tail, fitted in fits:
-        worst = max(worst, float(np.sqrt(np.mean((tail - fitted) ** 2))))
+    health = []
+    for j, basis, tail, fitted in fits:
+        health.append(_knot_health(basis, tail, fitted))
         p[:, j, :] = _transpose_apply(fund.Psi[:, j], fitted)
-    diags = {"basis_degree": degree, "basis_size": feats.shape[1], "max_residual_rms": worst}
+    diags = _diagnostics(degree, traj.spec.n, health)
     return AdjointPair(p=p, P=None, method="explicit", diagnostics=diags, traj=traj)
 
 
@@ -214,20 +292,20 @@ def adjoint_bsde(traj: TrajectoryEnsemble, degree: int = 2) -> AdjointPair:
     p = ensemble_zeros(M, N + 1, spec.n)
     P = ensemble_zeros(M, N + 1, spec.n, spec.d)
     p[:, N, :] = _terminal_gradient(traj)
-    worst = 0.0
+    health = []
     for j in range(N - 1, -1, -1):
         xj = traj.states[:, j, :]
-        feats = polynomial_features(xj, degree)
+        basis = regression_basis(xj, degree)
         p_next = p[:, j + 1, :]
-        p_proj = fit_conditional(feats, p_next)
+        p_proj = fit_conditional(basis, p_next)
         mart = np.einsum("mp,mj->mpj", p_next - p_proj, dW[:, j, :]) / dt
-        P[:, j] = fit_conditional(feats, mart)
+        P[:, j] = fit_conditional(basis, mart)
         hx = relaxed_hamiltonian_gradient(spec, knots[j], xj, mu, j, p_next, P[:, j])
         target = p_next + hx * dt
-        fitted = fit_conditional(feats, target)
-        worst = max(worst, float(np.sqrt(np.mean((target - fitted) ** 2))))
+        fitted = fit_conditional(basis, target)
+        health.append(_knot_health(basis, target, fitted))
         p[:, j, :] = fitted
-    diags = {"basis_degree": degree, "basis_size": feats.shape[1], "max_residual_rms": worst}
+    diags = _diagnostics(degree, spec.n, health)
     return AdjointPair(p=p, P=P, method="bsde-regression", diagnostics=diags, traj=traj)
 
 
@@ -258,10 +336,10 @@ def auxiliary_processes(fund: FundamentalPair, degree: int = 2) -> AuxiliaryProc
     mart = ensemble_zeros(M, N + 1, spec.n)
     mart[:, N, :] = X
     Q = ensemble_zeros(M, N, spec.n, spec.d)
-    for j, feats, _, fitted in fits:
+    for j, basis, _, fitted in fits:
         mart[:, j, :] = prefix[:, j, :] + fitted
         incr = np.einsum("mp,mj->mpj", mart[:, j + 1, :] - mart[:, j, :], dW[:, j, :]) / dt
-        Q[:, j] = fit_conditional(feats, incr)
+        Q[:, j] = fit_conditional(basis, incr)
     Y = mart - prefix
     return AuxiliaryProcesses(X=X, Y=Y, Q=Q, traj=traj)
 

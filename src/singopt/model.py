@@ -115,9 +115,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.num_steps
 
-    @property
+    @functools.cached_property
     def knots(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.num_steps + 1)
+        """The N + 1 knots, computed once per grid and read-only."""
+        knots = np.linspace(0.0, self.horizon, self.num_steps + 1)
+        knots.flags.writeable = False
+        return knots
 
     def refine(self, factor: int) -> "TimeGrid":
         return TimeGrid(self.num_steps * factor, self.horizon)

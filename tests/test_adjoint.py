@@ -1,7 +1,12 @@
 """Adjoint pair estimation, auxiliary processes, duality, first-order values."""
 
+import copy
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from singopt.adjoint import (
@@ -13,6 +18,7 @@ from singopt.adjoint import (
     fit_conditional,
     martingale_route_P,
     polynomial_features,
+    regression_basis,
     variational_inequality_value,
 )
 from singopt.controls import (
@@ -24,6 +30,7 @@ from singopt.controls import (
     dirac_embed,
     zero_singular,
 )
+from singopt import model
 from singopt.model import NoiseBatch, TimeGrid, builtin_problem, problem_from_config
 from singopt.sde import fundamental_solutions, simulate_relaxed, simulate_variational
 
@@ -68,20 +75,136 @@ class TestRegressionEngine:
         assert feats.shape == (2, 6)
         assert feats[0].tolist() == [1.0, 1.0, 2.0, 1.0, 2.0, 4.0]
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_features_equal_the_column_loop_bit_for_bit(self, n):
+        x = np.random.default_rng(n).normal(size=(37, n)) * 3.0
+        for degree in range(5):
+            cols = [np.ones(37)]
+            for deg in range(1, degree + 1):
+                for combo in combinations_with_replacement(range(n), deg):
+                    col = np.ones(37)
+                    for idx in combo:
+                        col = col * x[:, idx]
+                    cols.append(col)
+            expected = np.column_stack(cols)
+            feats = polynomial_features(x, degree)
+            assert feats.shape == expected.shape
+            assert np.ascontiguousarray(feats).tobytes() == expected.tobytes()
+
     def test_zero_target_fits_exactly_zero(self):
-        feats = polynomial_features(np.random.default_rng(0).normal(size=(50, 1)), 2)
-        fitted = fit_conditional(feats, np.zeros(50))
+        basis = regression_basis(np.random.default_rng(0).normal(size=(50, 1)), 2)
+        fitted = fit_conditional(basis, np.zeros(50))
         assert np.all(fitted == 0.0)
 
     def test_underdetermined_raises_with_suggestion(self):
-        feats = polynomial_features(np.zeros((2, 1)), 2)
         with pytest.raises(RegressionError, match="paths"):
-            fit_conditional(feats, np.ones(2))
+            regression_basis(np.zeros((2, 1)), 2)
 
     def test_constant_state_reduces_to_mean(self):
-        feats = polynomial_features(np.ones((8, 1)), 1)
-        fitted = fit_conditional(feats, np.arange(8.0))
-        assert np.allclose(fitted, 3.5)
+        basis = regression_basis(np.ones((8, 1)), 1)
+        fitted = fit_conditional(basis, np.arange(8.0))
+        assert np.allclose(fitted, 3.5, rtol=0.0, atol=1e-14)
+        assert basis.q.shape == (8, 1) and basis.rank_loss == 0 and basis.cond == 1.0
+
+    def test_constant_state_off_a_binary_fraction_reduces_to_mean(self):
+        # the rounded mean of three 0.1s is one ulp above 0.1, so a test on
+        # the deviations would keep the component as a column of +-1 ulp
+        x = np.full((3, 1), 0.1)
+        assert x.mean() != 0.1
+        basis = regression_basis(x, 2)
+        assert basis.q.shape == (3, 1) and basis.rank_loss == 0 and basis.cond == 1.0
+        np.testing.assert_allclose(fit_conditional(basis, np.array([1.0, 2.0, 6.0])), 3.0,
+                                   rtol=0.0, atol=1e-14)
+
+    def test_deterministic_problem_loses_no_rank(self):
+        cfg = model._builtin_config("example1", 1.0)
+        cfg["x0"] = [0.1]
+        spec = problem_from_config(cfg)
+        grid, noise, pair, traj = setup(spec, constant_strict(TimeGrid(20, spec.horizon), [0.5]),
+                                        N=20, M=3)
+        fund = fundamental_solutions(traj)
+        routes = adjoint_bsde(traj, degree=2), adjoint_explicit(fund, degree=2)
+        for route in routes:
+            assert route.diagnostics["max_rank_loss"] == 0
+            assert route.diagnostics["max_basis_cond"] == 1.0
+            # every path is the same, so every fit is the path mean
+            assert np.abs(route.p - route.p[:1]).max() <= 1e-14
+
+    def test_basis_cond_is_the_features_condition_number(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(300, 2)) * [1.0, 3.0] + [0.5, -2.0]
+        basis = regression_basis(x, 2)
+        scaled = (x - x.mean(axis=0)) / x.std(axis=0)
+        assert basis.cond == pytest.approx(np.linalg.cond(polynomial_features(scaled, 2)),
+                                           rel=1e-10)
+
+    def test_collinear_components_give_lstsq_fitted_values(self):
+        rng = np.random.default_rng(3)
+        x1 = rng.normal(size=200)
+        x = np.column_stack([x1, 2.0 * x1 + 1.0])
+        y = np.column_stack([np.sin(x1), rng.normal(size=200)])
+        basis = regression_basis(x, 2)
+        feats = polynomial_features(x, 2)
+        coeff, *_ = np.linalg.lstsq(feats, y, rcond=None)
+        # six monomials span only the quadratics in x1
+        assert basis.q.shape == (200, 3) and basis.rank_loss == 3
+        np.testing.assert_allclose(fit_conditional(basis, y), feats @ coeff, rtol=0.0, atol=1e-12)
+
+    def test_non_finite_target_or_state_raises(self):
+        x = np.random.default_rng(0).normal(size=(50, 2))
+        with pytest.raises(RegressionError, match="non-finite"):
+            fit_conditional(regression_basis(x, 1), np.full(50, np.nan))
+        x[7, 1] = np.nan
+        with pytest.raises(RegressionError, match="non-finite"):
+            fit_conditional(regression_basis(x, 1), np.ones(50))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2]), degree=st.integers(0, 3),
+           paths=st.integers(40, 200), seed=st.integers(0, 2**32 - 1))
+    def test_basis_fit_equals_lstsq(self, n, degree, paths, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(paths, n)) + rng.uniform(-1.0, 1.0, size=n)
+        y = rng.normal(size=(paths, 2)) + x[:, :1] ** 2
+        feats = polynomial_features(x, degree)
+        coeff, *_ = np.linalg.lstsq(feats, y, rcond=None)
+        fitted = fit_conditional(regression_basis(x, degree), y)
+        np.testing.assert_allclose(fitted, feats @ coeff, rtol=0.0, atol=1e-10)
+
+    def test_shifted_state_gives_the_unshifted_adjoint(self):
+        """Raw monomials of x near 100 lose p at degree 4; the centred basis
+        does not."""
+        cfg = model._builtin_config("example2_stochastic", 1.0)
+        shifted = copy.deepcopy(cfg)
+        shifted["x0"] = [100.0]
+        # h = (x - 100)^2 + (1 - a^2)^2
+        shifted["coefficients"]["running_cost"].update(state_lin=[-200.0], const=1e4)
+        shifted["assumptions_box"] = {"low": [98.0], "high": [102.0]}
+        grid = TimeGrid(50, 1.0)
+        noise = NoiseBatch.generate(4000, grid, 1, 29)
+        mu = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
+        pairs = []
+        for config in (cfg, shifted):
+            traj = simulate_relaxed(problem_from_config(config), mu, zero_singular(grid, 1), noise)
+            pairs.append(adjoint_bsde(traj, degree=4))
+        base, moved = pairs
+        assert np.abs(moved.p - base.p).max() <= 1e-8
+        assert np.abs(moved.P - base.P).max() <= 1e-8
+
+    def test_one_factorization_per_knot(self, monkeypatch, example2_stochastic):
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            calls.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        grid, noise, pair, traj = setup(example2_stochastic, constant_strict(TimeGrid(30, 1.0), [0.0]),
+                                        N=30, M=256)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        bsde = adjoint_bsde(traj, degree=2)
+        assert len(calls) == 30
+        assert bsde.diagnostics["max_rank_loss"] == 0
+        assert 1.0 <= bsde.diagnostics["max_basis_cond"] < 1e3
 
 
 class TestAdjointTrivialCases:

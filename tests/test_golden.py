@@ -6,6 +6,12 @@ pin the artefacts across versions.  They were recorded with numpy 2.4 on
 x86-64.  A change that is meant to alter the numbers must re-record them,
 and say so; another numpy or BLAS build may also round differently, in
 which case the digests are re-recorded from an unchanged checkout first.
+
+The certify, verify and three adjoint_planar digests were re-recorded when
+the adjoint regressions moved from lstsq on raw monomials to one centred
+orthonormal basis per knot: the adjoint changed in its last bits, every
+verdict stayed the same, and adjoint_diagnostics.json gained the keys
+max_rank_loss and max_basis_cond.
 """
 
 import hashlib
@@ -48,19 +54,19 @@ RUNS = {
 
 GOLDEN = {
     "certify": ("certify", "certificate.json",
-                "8beefa1303668c98b1d2d26db7186ac513a8c15c9e0abeaa701156b545c26e0d"),
+                "bfc4861c337894d46622937dfe3fa1283add393d0fdadd0e3a97fd53fd60fe2e"),
     "verify": ("verify", "verify_report.json",
-               "48d77ed547271a70700844b1d88d014e5723533259e21d349b892524a049bcd3"),
+               "935cfb214c7b442e8576aaa2af9fd0730c36d1b9fd0584e597a4ba3d06b2c2be"),
     "simulate": ("simulate", "trajectory.bin",
                  "fa9993ca973d6a3c9b34ac8d27ca5ca1ee089ac5fe6c481faf46ea05f019da57"),
     "chatter": ("chatter", "chatter.json",
                 "5af260e2ea6e5179afe64b535e61634d30342d149e7701ea2b9634a0ddbf9147"),
     "adjoint_planar-p": ("adjoint_planar", "adjoint_p.bin",
-                         "0ac4f6d1134cfe1662d1e7801c225a60abf17341849787271f310e0ee663bccb"),
+                         "df354148a7a3d45c480f36c553f80b142bbe744dfcb1fe5c49a86e9c71dfdeb1"),
     "adjoint_planar-P": ("adjoint_planar", "adjoint_P.bin",
-                         "b1fe36b486a92077f5507a6cc7b9a40e25006eb6dfa9b40e3d668e39c81402ff"),
+                         "7034c6c4c6ba0527cb48e9bff044a2a096af6bcf61c2ce2bff63c2e427ceb1c2"),
     "adjoint_planar-diagnostics": ("adjoint_planar", "adjoint_diagnostics.json",
-                                   "e895b9c389cc3e20c269d904e5a8e9fe1fbebd67d886f87d47113288c9fff5b8"),
+                                   "54d96f1db679bac5e5aecbee5b9f3c9d1baa3d65a62889c84be9eabc96509f85"),
 }
 
 

@@ -168,6 +168,9 @@ def test_time_grid_basics():
     grid = TimeGrid(4, 2.0)
     assert grid.dt == 0.5
     assert grid.knots.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+    # built once, read-only, and no part of equality or hashing
+    assert grid.knots is grid.knots and not grid.knots.flags.writeable
+    assert grid == TimeGrid(4, 2.0) and hash(grid) == hash(TimeGrid(4, 2.0))
     with pytest.raises(ProblemError):
         TimeGrid(0, 1.0)
 
