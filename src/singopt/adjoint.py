@@ -1,10 +1,11 @@
 """First-order adjoint processes by two independent numerical routes.
 
-The adjoint pair (p, P) prices state perturbations.  Route one evaluates the
-explicit conditional-expectation formula: p_t is the time-t conditional
-expectation of the terminal-gradient term transported by the fundamental
-solution pair plus the accumulated running-cost gradient.  Route two sweeps
-the linear backward SDE with terminal value g_x(x_T), estimating the
+The adjoint pair (p, P) prices state perturbations.  Route one is the
+pathwise discrete adjoint (Giles & Glasserman 2006): per path, the exact
+derivative of the Euler cost with respect to the state at each knot, swept
+back from g_x(x_T) through the transposed one-step Jacobians, then
+projected on the time-t state; it gives p only.  Route two sweeps the
+linear backward SDE with terminal value g_x(x_T), estimating the
 martingale integrand P and the drift by least-squares projection on a
 polynomial basis in the current state (Longstaff-Schwartz style).  The two
 routes cross-validate each other; agreement tolerances are part of the
@@ -212,29 +213,6 @@ def _grad_sums(fund: FundamentalPair) -> np.ndarray:
     return prefix
 
 
-def _tail_fits(fund: FundamentalPair, degree: int):
-    """The terminal functional X = head + prefix_N, with
-    head = Phi_N^* g_x(x_T) and prefix the _grad_sums, and its regressions.
-
-    Returns (head, prefix, fits); fits yields, for j = N-1, ..., 0,
-    (j, basis, tail, fitted): the part of X not yet accumulated at time j,
-    tail = head + (prefix_N - prefix_j), the regression basis of x_j and the
-    projection of tail on it.
-    """
-    traj = fund.traj
-    N = traj.grid.num_steps
-    head = _transpose_apply(fund.Phi[:, N], _terminal_gradient(traj))
-    prefix = _grad_sums(fund)
-
-    def fits():
-        for j in range(N - 1, -1, -1):
-            basis = regression_basis(traj.states[:, j, :], degree)
-            tail = head + (prefix[:, N, :] - prefix[:, j, :])
-            yield j, basis, tail, fit_conditional(basis, tail)
-
-    return head, prefix, fits()
-
-
 def _knot_health(basis: RegressionBasis, target: np.ndarray, fitted: np.ndarray) -> tuple:
     """(residual rms, rank loss, cond) of the fit of p at one knot."""
     return float(np.sqrt(np.mean((target - fitted) ** 2))), basis.rank_loss, basis.cond
@@ -248,26 +226,34 @@ def _diagnostics(degree: int, n: int, health: list) -> dict:
             "max_basis_cond": max(cond)}
 
 
-def adjoint_explicit(fund: FundamentalPair, degree: int = 2) -> AdjointPair:
-    """Adjoint p from the explicit conditional-expectation representation,
-    along fund's ensemble.
+def adjoint_explicit(traj: TrajectoryEnsemble, degree: int = 2) -> AdjointPair:
+    """Adjoint p from the pathwise discrete adjoint along the ensemble.
 
-    For each knot, the inner random variable Phi_T^* g_x(x_T) plus the
-    remaining running-cost gradient integral is regressed on the polynomial
-    basis in the time-t state, then transported by Psi_t^*.  At the horizon
-    p equals g_x(x_T) exactly, per path.
+    Per path, lam_j is the derivative of the Euler cost with respect to x_j:
+    lam_N = g_x(x_N) and, stepping back, lam_j = lam_{j+1} + H_x dt, the
+    Hamiltonian gradient at p = lam_{j+1} and P = lam_{j+1} dW_j^T / dt
+    (the transposed Euler step of the state).  lam_j depends on x_j and the
+    noise after t_j only, so p_j is its regression on the basis in x_j.  At
+    the horizon p equals g_x(x_T) exactly, per path.
     """
-    traj = fund.traj
-    M = traj.num_paths
-    N = traj.grid.num_steps
-    p = ensemble_zeros(M, N + 1, traj.spec.n)
-    p[:, N, :] = _terminal_gradient(traj)
-    _, _, fits = _tail_fits(fund, degree)
+    spec, mu = traj.spec, traj.control
+    grid = traj.grid
+    N = grid.num_steps
+    dt = grid.dt
+    dW = traj.noise.increments
+    knots = grid.knots
+    p = ensemble_zeros(traj.num_paths, N + 1, spec.n)
+    lam = _terminal_gradient(traj)
+    p[:, N, :] = lam
     health = []
-    for j, basis, tail, fitted in fits:
-        health.append(_knot_health(basis, tail, fitted))
-        p[:, j, :] = _transpose_apply(fund.Psi[:, j], fitted)
-    diags = _diagnostics(degree, traj.spec.n, health)
+    for j in range(N - 1, -1, -1):
+        xj = traj.states[:, j, :]
+        P = np.einsum("mp,mj->mpj", lam, dW[:, j, :]) / dt
+        lam = lam + relaxed_hamiltonian_gradient(spec, knots[j], xj, mu, j, lam, P) * dt
+        basis = regression_basis(xj, degree)
+        p[:, j, :] = fit_conditional(basis, lam)
+        health.append(_knot_health(basis, lam, p[:, j, :]))
+    diags = _diagnostics(degree, spec.n, health)
     return AdjointPair(p=p, P=None, method="explicit", diagnostics=diags, traj=traj)
 
 
@@ -327,8 +313,8 @@ def auxiliary_processes(fund: FundamentalPair, degree: int = 2) -> AuxiliaryProc
     N = traj.grid.num_steps
     dt = traj.grid.dt
     dW = traj.noise.increments
-    head, prefix, fits = _tail_fits(fund, degree)
-    X = head + prefix[:, N, :]
+    prefix = _grad_sums(fund)
+    X = _transpose_apply(fund.Phi[:, N], _terminal_gradient(traj)) + prefix[:, N, :]
     # martingale E[X | F_t]: the accumulated part of X is known pathwise at
     # time t; only the remaining tail is a function of the Markov state and
     # goes through the regression.  Exact at the horizon, so one backward
@@ -336,8 +322,9 @@ def auxiliary_processes(fund: FundamentalPair, degree: int = 2) -> AuxiliaryProc
     mart = ensemble_zeros(M, N + 1, spec.n)
     mart[:, N, :] = X
     Q = ensemble_zeros(M, N, spec.n, spec.d)
-    for j, basis, _, fitted in fits:
-        mart[:, j, :] = prefix[:, j, :] + fitted
+    for j in range(N - 1, -1, -1):
+        basis = regression_basis(traj.states[:, j, :], degree)
+        mart[:, j, :] = prefix[:, j, :] + fit_conditional(basis, X - prefix[:, j, :])
         incr = np.einsum("mp,mj->mpj", mart[:, j + 1, :] - mart[:, j, :], dW[:, j, :]) / dt
         Q[:, j] = fit_conditional(basis, incr)
     Y = mart - prefix

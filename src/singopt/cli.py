@@ -324,19 +324,11 @@ def cmd_chatter(cfg, out: OutputDir) -> int:
     return EXIT_OK
 
 
-def _explicit_route(traj, degree):
-    """The explicit adjoint pair along traj and the inverse defect of its
-    fundamental pair.  The fundamental pair is released on return, before the
-    caller's backward sweep."""
-    fund = sde.fundamental_solutions(traj)
-    return adj.adjoint_explicit(fund, degree=degree), fund.inverse_defect()
-
-
 def cmd_adjoint(cfg, out: OutputDir) -> int:
     traj = _simulate(cfg)
     spec, grid, seed = traj.spec, traj.grid, traj.noise.seed
     degree = cfg["regression"]["degree"]
-    explicit, defect = _explicit_route(traj, degree)
+    explicit = adj.adjoint_explicit(traj, degree=degree)
     bsde = adj.adjoint_bsde(traj, degree=degree)
     agreement = float(np.sqrt(np.mean((explicit.p - bsde.p) ** 2)))
     explicit_diagnostics = explicit.diagnostics
@@ -352,7 +344,6 @@ def cmd_adjoint(cfg, out: OutputDir) -> int:
         "explicit": explicit_diagnostics,
         "bsde": bsde.diagnostics,
         "method_agreement_rms": agreement,
-        "inverse_defect": defect,
         "config": cfg,
     }
     sio.write_json(diagnostics, out.path("adjoint_diagnostics.json"))

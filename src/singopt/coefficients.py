@@ -131,11 +131,11 @@ def _form(state_part, control_point, uses_control):
 def _affine(cfg, name, shape, state_shape, control_shape, state_term, control_term):
     """const + state_term(A, x) + control_term(B, a), with const of the value
     shape, A of state_shape and B of control_shape; returns the value function
-    (flagged is_zero when all three vanish) and its state gradient, A
-    broadcast over the batch axes of x.
+    (flagged is_zero when all three vanish) and its state gradient, A itself.
 
     When the value does not depend on x the function returns the unbatched
-    value; callers rely on normal numpy broadcasting.
+    value, and the gradient is always the unbatched A; callers rely on normal
+    numpy broadcasting.
     """
     c = read_reals(cfg.get("const", np.zeros(shape)), f"{name}.const", shape)
     A = read_reals(cfg.get("state", np.zeros(state_shape)), f"{name}.state", state_shape)
@@ -147,7 +147,7 @@ def _affine(cfg, name, shape, state_shape, control_shape, state_term, control_te
     fn.is_zero = not (c.any() or has_A or has_B)
 
     def grad(t, x, a):
-        return np.broadcast_to(A, np.shape(x)[:-1] + state_shape)
+        return A
 
     return fn, grad
 

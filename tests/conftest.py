@@ -55,6 +55,19 @@ def linear_drift_config(sigma_state=0.0, sigma_const=0.0):
     }
 
 
+def state_noise_config(A=-0.5, B=1.0, C=0.4, D=0.6):
+    """dx = (A x + B a) dt + (C x + D a) dW, h = g = x^2, U1 = {-1, 0, 1}.
+
+    With C != 0 the fundamental solution is a stochastic exponential, not a
+    function of the state; oracles.state_noise_adjoint gives its adjoint.
+    """
+    cfg = linear_drift_config()
+    cfg["name"] = "state_noise"
+    cfg["coefficients"]["drift"] = {"form": "affine", "state": [[A]], "control": [[B]]}
+    cfg["coefficients"]["diffusion"] = {"form": "affine", "state": [[[C]]], "control": [[[D]]]}
+    return cfg
+
+
 def planar_config():
     """Planar state with correlated two-channel noise, nonzero b_x and
     sigma_x, a matrix singular gain and a two-dimensional U1 grid."""

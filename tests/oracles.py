@@ -16,6 +16,24 @@ def integrate_ode(rhs, y0, T, knots):
     return sol.y.T
 
 
+def state_noise_adjoint(A, B, C, D, a, T, knots):
+    """Closed-form adjoint of dx = (A x + B a) dt + (C x + D a) dW with
+    h = g = x^2 under the constant control a.
+
+    The cost to go is alpha(t) x^2 / 2 + beta(t) x + const, so
+    p = alpha x + beta and P = alpha (C x + D a), where
+    alpha' = -(2 + (2A + C^2) alpha) with alpha(T) = 2 and
+    beta' = -(A beta + alpha (B + C D) a) with beta(T) = 0.  Returns
+    (alpha, beta) at the knots, integrated backward from T.
+    """
+    def rhs(s, y):  # in reversed time s = T - t
+        alpha, beta = y
+        return [2.0 + (2.0 * A + C * C) * alpha, A * beta + alpha * (B + C * D) * a]
+
+    y = integrate_ode(rhs, [2.0, 0.0], T, T - knots[::-1])[::-1]
+    return y[:, 0], y[:, 1]
+
+
 def alternating_ramp_knots(n, N, T=1.0):
     """Exact knot values of the integral of the n-block alternating +-1 control.
 

@@ -29,7 +29,6 @@ from singopt.optimality import certify_sufficient, verify_necessary
 from singopt.sde import (
     chattering_gap,
     estimate_cost,
-    fundamental_solutions,
     simulate_relaxed,
 )
 
@@ -205,8 +204,7 @@ def test_criterion_06_adjoint_closed_form():
     mu = dirac_embed(constant_strict(grid, [0.0]))
     xi = zero_singular(grid, 1)
     traj = simulate_relaxed(spec, mu, xi, noise)
-    fund = fundamental_solutions(traj)
-    expl = adjoint_explicit(fund, degree=1)
+    expl = adjoint_explicit(traj, degree=1)
     bsde = adjoint_bsde(traj, degree=1)
     p_oracle = 2.0 * traj.states[:, :, 0] * (1.0 - grid.knots)[None, :]
     P_oracle = np.broadcast_to(2.0 * (1.0 - grid.knots), bsde.P[:, :, 0, 0].shape).copy()

@@ -251,8 +251,9 @@ class TestAdjointCommand:
 
     def test_peak_memory_holds_no_temporary_of_the_whole_ensemble(self, tmp_path):
         # the planar problem (n = d = 2): at the peak the run holds the
-        # states, the noise, the fundamental pair and the explicit route's
-        # sums; nothing of the size of the pair beyond that
+        # states, the noise, both routes' p and the backward sweep's P; the
+        # bound dates from when the run also held the fundamental pair
+        # (2 n p_bytes) and still leaves room for it
         M, N, n, d = 2000, 50, 2, 2
         problem = tmp_path / "planar.json"
         problem.write_text(json.dumps(planar_config()))
@@ -272,6 +273,20 @@ class TestAdjointCommand:
             tracemalloc.stop()
         assert code == 0
         assert peak < bound
+
+    def test_computes_no_fundamental_pair(self, tmp_path, monkeypatch):
+        def refuse(traj):
+            raise AssertionError("the adjoint command computed a fundamental pair")
+
+        monkeypatch.setattr(cli.sde, "fundamental_solutions", refuse)
+        monkeypatch.setattr(cli.adj, "fundamental_solutions", refuse)
+        cfg = write_config(
+            tmp_path, problem="example2_stochastic", grid={"N": 20},
+            monte_carlo={"M": 64, "seed": 6}, candidate={"name": "constant:0.0"},
+        )
+        assert run("adjoint", cfg, tmp_path / "out") == 0
+        diag = json.loads((tmp_path / "out" / "adjoint_diagnostics.json").read_text())
+        assert "inverse_defect" not in diag
 
     def test_explicit_p_is_released_before_the_exports(self, tmp_path, monkeypatch):
         # only the explicit route's diagnostics are read after the agreement

@@ -12,6 +12,13 @@ the adjoint regressions moved from lstsq on raw monomials to one centred
 orthonormal basis per knot: the adjoint changed in its last bits, every
 verdict stayed the same, and adjoint_diagnostics.json gained the keys
 max_rank_loss and max_basis_cond.
+
+adjoint_planar-diagnostics alone was re-recorded when the explicit route
+became the pathwise discrete adjoint: its method_agreement_rms moved from
+0.025940900742035006 to 0.024749834677905366, and the inverse_defect key
+went, since no output of the adjoint command depends on the fundamental
+pair any more.  adjoint_p.bin and adjoint_P.bin come from the backward
+sweep and kept their bytes.
 """
 
 import hashlib
@@ -66,7 +73,7 @@ GOLDEN = {
     "adjoint_planar-P": ("adjoint_planar", "adjoint_P.bin",
                          "7034c6c4c6ba0527cb48e9bff044a2a096af6bcf61c2ce2bff63c2e427ceb1c2"),
     "adjoint_planar-diagnostics": ("adjoint_planar", "adjoint_diagnostics.json",
-                                   "54d96f1db679bac5e5aecbee5b9f3c9d1baa3d65a62889c84be9eabc96509f85"),
+                                   "eae0eeefce66898c6a3cfb73ba1b467be2e65c52be44490e5f583cb7fbeb3559"),
 }
 
 

@@ -156,8 +156,7 @@ class TestPlanarProblem:
 
     def test_adjoint_routes_agree(self, planar, planar_run):
         grid, noise, mu, xi, traj = planar_run
-        fund = fundamental_solutions(traj)
-        expl = adjoint_explicit(fund, degree=2)
+        expl = adjoint_explicit(traj, degree=2)
         bsde = adjoint_bsde(traj, degree=2)
         assert np.array_equal(bsde.p[:, -1], expl.p[:, -1])
         agree = float(np.sqrt(np.mean((bsde.p - expl.p) ** 2)))

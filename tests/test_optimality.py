@@ -26,7 +26,7 @@ from singopt.optimality import (
     strict_hamiltonian_batch,
     verify_necessary,
 )
-from singopt.sde import estimate_cost, fundamental_solutions, simulate_relaxed
+from singopt.sde import estimate_cost, simulate_relaxed
 
 from conftest import linear_drift_config, planar_config, tanh_drift_problem
 
@@ -517,7 +517,7 @@ class TestPairWithoutP:
 
     @pytest.mark.parametrize("check", ["verify", "certify", "vi"])
     def test_explicit_pair_is_refused(self, traj, check):
-        pair = adjoint_explicit(fundamental_solutions(traj))
+        pair = adjoint_explicit(traj)
         direction = (dirac_embed(constant_strict(traj.grid, [0.0])), traj.singular)
         run = {
             "verify": lambda: verify_necessary(pair),
