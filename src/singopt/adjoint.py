@@ -3,13 +3,14 @@
 The adjoint pair (p, P) prices state perturbations.  Route one is the
 pathwise discrete adjoint (Giles & Glasserman 2006): per path, the exact
 derivative of the Euler cost with respect to the state at each knot, swept
-back from g_x(x_T) through the transposed one-step Jacobians, then
-projected on the time-t state; it gives p only.  Route two sweeps the
-linear backward SDE with terminal value g_x(x_T), estimating the
-martingale integrand P and the drift by least-squares projection on a
-polynomial basis in the current state (Longstaff-Schwartz style).  The two
-routes cross-validate each other; agreement tolerances are part of the
-test-suite.
+back from g_x(x_T) through the transposes J_j^T of the one-step Jacobians
+of sde._linearization, which also carry the variational equation and the
+fundamental pair forward, then projected on the time-t state; it gives p
+only.  Route two sweeps the linear backward SDE with terminal value
+g_x(x_T), estimating the martingale integrand P and the drift by
+least-squares projection on a polynomial basis in the current state
+(Longstaff-Schwartz style).  The two routes cross-validate each other;
+agreement tolerances are part of the test-suite.
 
 Conditional expectations given the time-t state are projections on one
 basis per knot (Gobet, Lemor & Warin 2005): each state component is centred
@@ -38,6 +39,7 @@ from .optimality import relaxed_hamiltonian_batch, relaxed_hamiltonian_gradient
 from .sde import (
     FundamentalPair,
     TrajectoryEnsemble,
+    _linearization,
     _require_along,
     _require_controls,
     _std_error,
@@ -149,10 +151,11 @@ class AdjointPair:
     """Adjoint estimates p (M, N+1, n) and P (M, N+1, n, d) along the
     ensemble traj, stored time-major (model.ensemble_zeros).
 
-    P is None on the explicit route (that route produces p only; P can be
-    recovered from the martingale integrand, see martingale_route_P), and
-    the optimality checks refuse such a pair.  By
-    convention P[:, N] = 0: no Brownian exposure remains at the horizon.
+    P is None on the explicit route, which produces p only, and the
+    optimality checks refuse such a pair.  (martingale_route_P is no
+    substitute when sigma_x != 0: its auxiliary martingale then misses the
+    stochastic exponential in Phi.)  By convention P[:, N] = 0: no
+    Brownian exposure remains at the horizon.
     """
 
     p: np.ndarray = field(repr=False)
@@ -165,8 +168,7 @@ class AdjointPair:
         """P; a pair without P (the explicit route) raises ValueError,
         since P = 0 would misprice a control that enters the diffusion."""
         if self.P is None:
-            raise ValueError("an adjoint pair of the explicit route has no P; use adjoint_bsde, "
-                             "or attach the P of martingale_route_P")
+            raise ValueError("an adjoint pair of the explicit route has no P; use adjoint_bsde")
         return self.P
 
 
@@ -199,14 +201,11 @@ def _grad_sums(fund: FundamentalPair) -> np.ndarray:
     (left-endpoint rule), (M, N+1, n) with prefix_0 = 0.  The terms are
     written into the prefix array and summed there in place."""
     traj = fund.traj
-    spec, mu = traj.spec, traj.control
     grid = traj.grid
-    M = traj.num_paths
-    knots = grid.knots
-    prefix = ensemble_zeros(M, grid.num_steps + 1, spec.n)
+    prefix = ensemble_zeros(traj.num_paths, grid.num_steps + 1, traj.spec.n)
     terms = prefix[:, 1:, :]
     for j in range(grid.num_steps):
-        hx = np.broadcast_to(mu.average(spec.h_x, j, knots[j], traj.states[:, j, :]), (M, spec.n))
+        hx, _, _ = _linearization(traj, j)
         terms[:, j, :] = _transpose_apply(fund.Phi[:, j], hx)
     terms *= grid.dt
     np.cumsum(terms, axis=1, out=terms)
@@ -230,26 +229,23 @@ def adjoint_explicit(traj: TrajectoryEnsemble, degree: int = 2) -> AdjointPair:
     """Adjoint p from the pathwise discrete adjoint along the ensemble.
 
     Per path, lam_j is the derivative of the Euler cost with respect to x_j:
-    lam_N = g_x(x_N) and, stepping back, lam_j = lam_{j+1} + H_x dt, the
-    Hamiltonian gradient at p = lam_{j+1} and P = lam_{j+1} dW_j^T / dt
-    (the transposed Euler step of the state).  lam_j depends on x_j and the
+    lam_N = g_x(x_N) and, stepping back through the transposed Euler
+    Jacobians of the state (sde._linearization),
+    lam_j = J_j^T lam_{j+1} + hbar_x(t_j) dt.  lam_j depends on x_j and the
     noise after t_j only, so p_j is its regression on the basis in x_j.  At
     the horizon p equals g_x(x_T) exactly, per path.
     """
-    spec, mu = traj.spec, traj.control
+    spec = traj.spec
     grid = traj.grid
     N = grid.num_steps
-    dt = grid.dt
-    dW = traj.noise.increments
-    knots = grid.knots
     p = ensemble_zeros(traj.num_paths, N + 1, spec.n)
     lam = _terminal_gradient(traj)
     p[:, N, :] = lam
     health = []
     for j in range(N - 1, -1, -1):
         xj = traj.states[:, j, :]
-        P = np.einsum("mp,mj->mpj", lam, dW[:, j, :]) / dt
-        lam = lam + relaxed_hamiltonian_gradient(spec, knots[j], xj, mu, j, lam, P) * dt
+        hx, J, _ = _linearization(traj, j)
+        lam = _transpose_apply(J, lam) + hx * grid.dt
         basis = regression_basis(xj, degree)
         p[:, j, :] = fit_conditional(basis, lam)
         health.append(_knot_health(basis, lam, p[:, j, :]))
@@ -344,16 +340,13 @@ def martingale_route_P(
     """
     traj = fund.traj
     _require_along(traj, ("aux", aux), ("adjoint", adjoint))
-    spec, mu = traj.spec, traj.control
-    M = traj.num_paths
+    spec = traj.spec
     N = traj.grid.num_steps
-    knots = traj.grid.knots
-    P = ensemble_zeros(M, N + 1, spec.n, spec.d)
+    P = ensemble_zeros(traj.num_paths, N + 1, spec.n, spec.d)
     for j in range(N):
-        xj = traj.states[:, j, :]
-        sx = np.broadcast_to(mu.average(spec.sigma_x, j, knots[j], xj), (M, spec.d, spec.n, spec.n))
+        _, _, sx = _linearization(traj, j)
         P[:, j] = np.einsum("mqp,mqj->mpj", fund.Psi[:, j], aux.Q[:, j]) - np.einsum(
-            "mjqp,mq->mpj", sx, adjoint.p[:, j, :]
+            "...jqp,...q->...pj", sx, adjoint.p[:, j, :]
         )
     return P
 

@@ -414,11 +414,14 @@ def _names_a_file(text: str) -> bool:
 
 
 def problem_from_json(source: str | Path) -> ProblemSpec:
-    """Load a problem from a JSON string or file path: a string that names
-    an existing file is read as a path, any other as JSON text."""
+    """Load a problem from a JSON string or UTF-8 file path: a string that
+    names an existing file is read as a path, any other as JSON text."""
     text = source
     if isinstance(source, Path) or (isinstance(source, str) and _names_a_file(source)):
-        text = Path(source).read_text()
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProblemError(f"problem file {str(source)!r} is not UTF-8 text: {exc}") from exc
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:

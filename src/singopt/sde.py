@@ -3,10 +3,11 @@
 All schemes are explicit Euler-Maruyama on a uniform grid, vectorized over
 paths: the strict and relaxed state equations, the (first-order) variational
 equation of a convex control perturbation, and the matrix-valued fundamental
-solution of the linearized dynamics together with its inverse.  The singular
-increment of a cell is applied inside the same step as drift and diffusion
-(end-of-cell convention, matching the left-continuity convention of
-singular controls).
+solution of the linearized dynamics together with its inverse; the last
+two, and the pathwise adjoint, step with one Euler Jacobian per knot
+(_linearization).  The singular increment of a cell is applied inside the
+same step as drift and diffusion (end-of-cell convention, matching the
+left-continuity convention of singular controls).
 
 Ensembles have shape (M, N+1, ...) and are stored time-major
 (model.ensemble_zeros), so the slice [:, j] of one knot is contiguous.
@@ -238,41 +239,55 @@ def simulate_relaxed(spec: ProblemSpec, q, eta: SingularControl,
     return TrajectoryEnsemble(x, spec, q, eta, noise)
 
 
+def _linearization(traj: TrajectoryEnsemble, j: int) -> tuple:
+    """The first-order expansion of Euler step j along the ensemble, averaged
+    over cell j's measure: hbar_x (M, n); the step's Jacobian in the state
+    J_j = I + bbar_x dt + sum_i sbar_x,i dW_i (M, n, n), with which the
+    variational equation and the fundamental pair step, and with whose
+    transpose the pathwise adjoint steps; and sbar_x, (d, n, n) when shared
+    by all paths, else (M, d, n, n)."""
+    spec, mu = traj.spec, traj.control
+    M, n = traj.num_paths, spec.n
+    t, xj = traj.grid.knots[j], traj.states[:, j, :]
+    hx = np.broadcast_to(mu.average(spec.h_x, j, t, xj), (M, n))
+    sx = mu.average(spec.sigma_x, j, t, xj)
+    # sum_i sx_i dW_i, one (n, n) noise matrix per path
+    dW = traj.noise.increments[:, j, None, :]
+    J = np.matmul(dW, sx.reshape(*sx.shape[:-2], n * n)).reshape(M, n, n)
+    J += mu.average(spec.b_x, j, t, xj) * traj.grid.dt + np.eye(n)
+    return hx, J, sx
+
+
 def simulate_variational(traj: TrajectoryEnsemble, direction: tuple) -> VariationalEnsemble:
     """Simulate the first-order sensitivity z of the state to the perturbation
     moving the ensemble's controls toward `direction`.
 
-    The linearization runs along the ensemble, on its grid and noise; the
-    inhomogeneous terms carry the coefficient differences in the direction
-    (direction - base), so (x_theta - x) / theta converges to z in mean
-    square as theta -> 0.  A strict direction control plays its point masses
-    (controls.as_relaxed).
+    The linearization runs along the ensemble, on its grid and noise:
+    z_{j+1} = J_j z_j plus the coefficient differences in the direction
+    (direction - base) and the singular increment difference, so
+    (x_theta - x) / theta converges to z in mean square as theta -> 0.  A
+    strict direction control plays its point masses (controls.as_relaxed).
     """
     spec, mu, xi = traj.spec, traj.control, traj.singular
     q, eta = direction
     q = as_relaxed(q)
     grid = traj.grid
     _require_controls(spec, grid, q, eta)
-    M = traj.num_paths
     dt = grid.dt
     dW = traj.noise.increments
     knots = grid.knots
     dinc = eta.increments - xi.increments
-    z = ensemble_zeros(M, grid.num_steps + 1, spec.n)
+    z = ensemble_zeros(traj.num_paths, grid.num_steps + 1, spec.n)
     for j in _checked_steps(grid.num_steps, z):
         t = knots[j]
         xj = traj.states[:, j, :]
-        zj = z[:, j, :]
-        bx = np.broadcast_to(mu.average(spec.b_x, j, t, xj), (M, spec.n, spec.n))
-        sx = np.broadcast_to(mu.average(spec.sigma_x, j, t, xj), (M, spec.d, spec.n, spec.n))
+        _, J, _ = _linearization(traj, j)
         db = q.average(spec.b, j, t, xj) - mu.average(spec.b, j, t, xj)
         ds = q.average(spec.sigma, j, t, xj) - mu.average(spec.sigma, j, t, xj)
-        ds = np.broadcast_to(ds, (M, spec.n, spec.d))
         z[:, j + 1, :] = (
-            zj
-            + (np.einsum("mpq,mq->mp", bx, zj) + db) * dt
-            + np.einsum("mjpq,mq,mj->mp", sx, zj, dW[:, j, :])
-            + np.einsum("mpj,mj->mp", ds, dW[:, j, :])
+            np.einsum("mpq,mq->mp", J, z[:, j, :])
+            + db * dt
+            + np.einsum("...pj,...j->...p", ds, dW[:, j, :])
             + spec.G(t) @ dinc[j]
         )
     return VariationalEnsemble(z, traj)
@@ -283,37 +298,24 @@ def fundamental_solutions(traj: TrajectoryEnsemble) -> FundamentalPair:
     and for its inverse.
 
     Phi solves dPhi = bx Phi dt + sx Phi dW along the ensemble, on its grid
-    and noise; the inverse solves the Ito equation
-    dPsi = Psi (sum_i sx_i^2 - bx) dt - sum_i Psi sx_i dW_i, so Psi_t Phi_t
-    stays within discretization error of the identity.
+    and noise: Phi_{j+1} = J_j Phi_j.  The inverse solves the Ito equation
+    dPsi = Psi (sum_i sx_i^2 - bx) dt - sum_i Psi sx_i dW_i:
+    Psi_{j+1} = Psi_j (2 I - J_j + sum_i sx_i^2 dt), so Psi_t Phi_t stays
+    within discretization error of the identity.
     """
-    spec, mu = traj.spec, traj.control
     grid = traj.grid
     M = traj.num_paths
-    n = spec.n
-    dt = grid.dt
-    dW = traj.noise.increments
-    knots = grid.knots
+    n = traj.spec.n
     eye = np.eye(n)
     Phi = ensemble_zeros(M, grid.num_steps + 1, n, n)
     Psi = ensemble_zeros(M, grid.num_steps + 1, n, n)
     Phi[:, 0] = eye
     Psi[:, 0] = eye
     for j in _checked_steps(grid.num_steps, Phi, Psi):
-        t = knots[j]
-        xj = traj.states[:, j, :]
-        bx = mu.average(spec.b_x, j, t, xj)
-        # bx (n, n) and sx (d, n, n) may be shared by all paths or given per path
-        sx = mu.average(spec.sigma_x, j, t, xj)
-        sx_sq = np.matmul(sx, sx).sum(axis=-3)
-        # S = sum_i sx_i dW_i, one (n, n) noise matrix per path
-        S = np.matmul(dW[:, j, None, :], sx.reshape(*sx.shape[:-2], n * n)).reshape(M, n, n)
-        Pj = Phi[:, j]
-        Qj = Psi[:, j]
-        np.matmul(bx * dt + S, Pj, out=Phi[:, j + 1])
-        Phi[:, j + 1] += Pj
-        np.matmul(Qj, (sx_sq - bx) * dt - S, out=Psi[:, j + 1])
-        Psi[:, j + 1] += Qj
+        _, J, sx = _linearization(traj, j)
+        np.matmul(J, Phi[:, j], out=Phi[:, j + 1])
+        inverse_step = (np.matmul(sx, sx).sum(axis=-3) * grid.dt + 2 * eye) - J
+        np.matmul(Psi[:, j], inverse_step, out=Psi[:, j + 1])
     return FundamentalPair(Phi, Psi, traj)
 
 

@@ -353,23 +353,66 @@ def _x0_quotient(traj, h=1e-3):
     return grad
 
 
-@pytest.mark.parametrize("config", [state_noise_config, planar_config],
-                         ids=["state_noise", "planar"])
-def test_explicit_p0_is_the_cost_gradient_in_x0(config):
-    """The basis at knot 0 is the constant alone, so the explicit route's
-    p_0 is the path mean of the pathwise adjoint: the exact x0-derivative of
-    the mean Euler cost on the same noise.  The dynamics are affine and the
-    costs quadratic, so the central quotient is exact up to rounding."""
+def _affine_run(config):
+    """An ensemble of a problem affine in the state and in the measure with
+    sigma_x != 0, under a two-atom measure and one singular jump."""
     spec = problem_from_config(config())
     grid = TimeGrid(50, spec.horizon)
     noise = NoiseBatch.generate(2000, grid, spec.d, 13)
     mu = constant_relaxed(grid, spec.u1_grid[[0, -1]], [0.3, 0.7])
     increments = np.zeros((grid.num_steps, spec.m))
     increments[15, 0] = 0.5
-    traj = simulate_relaxed(spec, mu, SingularControl(grid, increments), noise)
+    return simulate_relaxed(spec, mu, SingularControl(grid, increments), noise)
+
+
+AFFINE = pytest.mark.parametrize("config", [state_noise_config, planar_config],
+                                 ids=["state_noise", "planar"])
+
+
+@AFFINE
+def test_explicit_p0_is_the_cost_gradient_in_x0(config):
+    """The basis at knot 0 is the constant alone, so the explicit route's
+    p_0 is the path mean of the pathwise adjoint: the exact x0-derivative of
+    the mean Euler cost on the same noise.  The dynamics are affine and the
+    costs quadratic, so the central quotient is exact up to rounding."""
+    traj = _affine_run(config)
     p0 = adjoint_explicit(traj, degree=2).p[:, 0]
     quotient = _x0_quotient(traj)
     assert np.abs(p0 - quotient).max() <= 1e-9 * np.abs(quotient).max()
+
+
+@AFFINE
+def test_variational_quotient_exact_with_state_noise(config):
+    """With sigma_x != 0 the variational step carries the sum_i sx_i dW_i
+    part of the Euler Jacobian.  The dynamics are affine in the state and
+    in the measure, so the common-noise difference quotient equals z up to
+    rounding at every theta."""
+    traj = _affine_run(config)
+    spec, grid = traj.spec, traj.grid
+    increments = np.zeros((grid.num_steps, spec.m))
+    increments[30, -1] = 0.25
+    base = (traj.control, traj.singular)
+    direction = (dirac_embed(constant_strict(grid, spec.u1_grid[1])),
+                 SingularControl(grid, increments))
+    z = simulate_variational(traj, direction)
+    assert float(np.abs(z.z).max()) > 0.1
+    for theta in (1e-1, 1e-3):
+        mixed = convex_combine(base, direction, theta)
+        xt = simulate_relaxed(spec, *mixed, traj.noise)
+        stat = (((xt.states - traj.states) / theta - z.z) ** 2).sum(axis=2).mean(axis=0).max()
+        assert stat <= 1e-18
+
+
+@AFFINE
+def test_explicit_p0_is_the_mean_terminal_functional(config):
+    """The pathwise adjoint steps with the transposed Euler Jacobians that
+    carry the fundamental solution forward, so lam_0 = Phi_N^T g_x(x_N) +
+    sum_j Phi_j^T hbar_x dt = X on every path, and p_0, the path mean of
+    lam_0, is the path mean of X."""
+    traj = _affine_run(config)
+    p0 = adjoint_explicit(traj, degree=2).p[:, 0]
+    X = auxiliary_processes(fundamental_solutions(traj)).X.mean(axis=0)
+    assert np.abs(p0 - X).max() <= 1e-12 * np.abs(X).max()
 
 
 @pytest.fixture(scope="module")

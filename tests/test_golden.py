@@ -19,6 +19,13 @@ became the pathwise discrete adjoint: its method_agreement_rms moved from
 went, since no output of the adjoint command depends on the fundamental
 pair any more.  adjoint_p.bin and adjoint_P.bin come from the backward
 sweep and kept their bytes.
+
+adjoint_planar-diagnostics alone was re-recorded again when the explicit
+route came to step with the transposed Euler Jacobian of
+sde._linearization, lam_j = J_j^T lam_{j+1} + hbar_x dt, instead of the
+Hamiltonian gradient at P = lam_{j+1} dW_j^T / dt: the two agree up to
+rounding, and method_agreement_rms moved from 0.024749834677905366 to
+0.024749834677905362.  The other digests kept their bytes.
 """
 
 import hashlib
@@ -73,7 +80,7 @@ GOLDEN = {
     "adjoint_planar-P": ("adjoint_planar", "adjoint_P.bin",
                          "7034c6c4c6ba0527cb48e9bff044a2a096af6bcf61c2ce2bff63c2e427ceb1c2"),
     "adjoint_planar-diagnostics": ("adjoint_planar", "adjoint_diagnostics.json",
-                                   "eae0eeefce66898c6a3cfb73ba1b467be2e65c52be44490e5f583cb7fbeb3559"),
+                                   "43f61681dc9fbfe72efda01ffbb5528b9b2ecd2f2b1059f7fa3af8294ceb3973"),
 }
 
 

@@ -1,7 +1,9 @@
 """The package's import structure: every import sits at module level, and
 the optimality checks do not depend on the adjoint module.  The sweeps
 read a relaxed control's measure only through RelaxedControl.average,
-block_total and cell_averages, never through its atoms or weights."""
+block_total and cell_averages, never through its atoms or weights, and in
+sde and adjoint only sde._linearization reads the state gradients b_x,
+sigma_x and h_x of the problem."""
 
 import ast
 from pathlib import Path
@@ -53,6 +55,21 @@ def test_sweeps_do_not_read_atoms_or_weights(path):
         if isinstance(node, ast.Attribute) and node.attr in ("atoms", "weights")
     ]
     assert reads == []
+
+
+LINEARIZED = [p for p in SOURCES if p.name in ("sde.py", "adjoint.py")]
+
+
+@pytest.mark.parametrize("path", LINEARIZED, ids=[p.name for p in LINEARIZED])
+def test_only_the_linearization_reads_state_gradients(path):
+    tree = ast.parse(path.read_text())
+    readers = {
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in ("b_x", "sigma_x", "h_x")
+    }
+    assert readers <= {"_linearization"}
 
 
 def test_no_module_imports_cell_average():

@@ -149,6 +149,15 @@ def test_json_round_trip_through_file(tmp_path, example2_stochastic):
     assert again.u1_grid.tolist() == example2_stochastic.u1_grid.tolist()
 
 
+def test_undecodable_problem_file_raises_problem_error(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    with pytest.raises(ProblemError, match="problem.json.*not UTF-8"):
+        problem_from_json(path)
+    with pytest.raises(ProblemError, match="not UTF-8"):
+        problem_from_json(str(path))
+
+
 def test_diffusion_is_zero_travels_with_the_diffusion(example1, example2_stochastic):
     assert example1.diffusion_is_zero
     assert not example2_stochastic.diffusion_is_zero
