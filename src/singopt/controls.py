@@ -169,19 +169,33 @@ class RelaxedControl:
         """Per-path sum of the measure averages of fn over the K cells from
         cell `start`, sum_j sum_a w_ja fn(t_j, x_j, a), shape (M,).
 
-        t has shape (K, 1) and x (K, M, n).  fn is called once per distinct
-        atom of positive weight in the block, in _atom_index order, with the
-        whole block, and its values are contracted with that atom's per-cell
-        weight.
+        t has shape (K, 1) and x (K, M, n).  fn is evaluated once per
+        distinct atom of positive weight in the block, in _atom_index order,
+        on the whole block, and its values are contracted with that atom's
+        per-cell weight.  A form's state part is evaluated once per call and
+        each atom adds its control_part row (the single row of a form that
+        does not use the control), which is fn(t, x, atom) bit for bit; any
+        other fn is called once per atom.
         """
         K, M = x.shape[:2]
         distinct, index = self._atom_index
         index = index[start:start + K]
         weights = self.weights[start:start + K]
+        state_part = getattr(fn, "state_part", None)
+        if state_part is None:
+            def value(row):
+                return fn(t, x, distinct[row])
+        else:
+            state = state_part(x)
+            control = fn.control_part(distinct)
+
+            def value(row):
+                term = control[row if len(control) > 1 else 0]
+                return term if state is None else term + state
         total = np.zeros(M)
         for row in np.unique(index[index >= 0]):
             w = np.where(index == row, weights, 0.0).sum(axis=1)
-            total += w @ np.broadcast_to(fn(t, x, distinct[row]), (K, M))
+            total += w @ np.broadcast_to(value(row), (K, M))
         return total
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -250,6 +251,10 @@ class NoiseStream:
     same increments, bit for bit, as one draw over the whole grid.  seed may
     be an int or a tuple of ints (derived experiment streams).  The children's
     PCG64 states are hashed for all paths at once (_spawned_seed_words).
+
+    fill draws one window on the calling thread; windows hands out
+    successive windows and draws each next one on a second thread while the
+    caller works on the current one.
     """
 
     def __init__(self, num_paths: int, grid: TimeGrid, noise_dim: int, seed):
@@ -261,6 +266,16 @@ class NoiseStream:
         ]
         self._noise_dim = noise_dim
         self._scale = np.sqrt(grid.dt)
+        self._block = None
+
+    def _scratch(self, num_steps: int) -> np.ndarray:
+        """The scratch block of paths, (min(M, _NOISE_BLOCK_PATHS), K, d),
+        for K = num_steps; allocated when the kept block holds fewer steps,
+        and kept.  Each row is one path's K steps, contiguous."""
+        if self._block is None or self._block.shape[1] < num_steps:
+            rows = min(len(self._normals), _NOISE_BLOCK_PATHS)
+            self._block = np.empty((rows, num_steps, self._noise_dim))
+        return self._block[:, :num_steps]
 
     def fill(self, window: np.ndarray) -> None:
         """Write the increments of the next K steps of every path into the
@@ -268,7 +283,7 @@ class NoiseStream:
         K = len(window)
         M = len(self._normals)
         # each row is exactly one path's K steps, so one call draws them
-        block = np.empty((min(M, _NOISE_BLOCK_PATHS), K, self._noise_dim))
+        block = self._scratch(K)
         for start in range(0, M, len(block)):
             stop = min(start + len(block), M)
             for row, normal in zip(block, self._normals[start:stop]):
@@ -277,6 +292,63 @@ class NoiseStream:
                 tile = slice(step, step + _NOISE_TILE_STEPS)
                 np.multiply(self._scale, block[: stop - start, tile].swapaxes(0, 1),
                             out=window[tile, start:stop])
+
+    def windows(self, num_steps: int, width: int):
+        """Yield (first, window) over the next num_steps steps of every path:
+        time-major windows (K, M, d) of width steps (the last may be
+        narrower), first the step each one starts at.
+
+        The first window is drawn here.  Then, while the caller works on
+        window k, one thread fills window k + 1 into the other of two
+        buffers, so a window holds its increments until the next one is
+        asked for.  That thread is joined before the next window is handed
+        out, and an exception raised by its fill is raised there.  Close
+        the generator (contextlib.closing) so the thread is joined also
+        when the caller raises or stops early.  One fill runs at a time and
+        the windows are filled in order, so the increments are those of
+        fill, bit for bit, whenever the thread runs.
+        """
+        width = min(width, num_steps)
+        self._scratch(width)  # here, so the thread allocates no block
+        buffers = [np.empty((width, len(self._normals), self._noise_dim))
+                   for _ in range(1 + (width < num_steps))]
+        firsts = range(0, num_steps, width)
+
+        def window(k):
+            return buffers[k % 2][: num_steps - firsts[k]]
+
+        self.fill(window(0))
+        pending = None
+        try:
+            for k, first in enumerate(firsts):
+                if pending is not None:
+                    pending.wait()
+                pending = _Fill(self, window(k + 1)) if k + 1 < len(firsts) else None
+                yield first, window(k)
+        finally:
+            if pending is not None:
+                pending.join()
+
+
+class _Fill(threading.Thread):
+    """stream.fill(window) on a second thread, started at once; wait()
+    joins it and raises the exception the fill raised, if any."""
+
+    def __init__(self, stream: NoiseStream, window: np.ndarray):
+        super().__init__(name="singopt-noise")
+        self._stream, self._window, self._failure = stream, window, None
+        self.start()
+
+    def run(self):
+        try:
+            self._stream.fill(self._window)
+        except BaseException as exc:  # raised again on the waiting thread
+            self._failure = exc
+
+    def wait(self):
+        self.join()
+        if self._failure is not None:
+            raise self._failure
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,7 @@ sweep reads its context from its inputs and never takes it twice.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -41,11 +42,12 @@ from .model import NoiseBatch, NoiseStream, ProblemSpec, TimeGrid, ensemble_zero
 # block of steps at a time, the running cost calls h once per atom of a block,
 # and chattering_gap streams both controls through windows of one block.
 _BLOCK_KNOTS = 64
-# Steps per noise window of chattering_gap, a multiple of _BLOCK_KNOTS.  Each
-# window costs one standard_normal call per path, so a narrower window pays
-# that call more often and a wider one holds more increments (M x window x d
-# floats: 31 MiB at M = 4 000, d = 1 and 1 024 steps).
-_NOISE_WINDOW_KNOTS = 1024
+# Steps per noise window of chattering_gap, a multiple of _BLOCK_KNOTS.  Two
+# windows are held, the next one drawn on a second thread (NoiseStream.windows).
+# Each window costs one standard_normal call per path, so a narrower window
+# pays that call more often and a wider one holds more increments (M x window
+# x d floats: 7.8 MiB per window at M = 4 000, d = 1 and 256 steps).
+_NOISE_WINDOW_KNOTS = 256
 
 
 class SimulationError(RuntimeError):
@@ -404,9 +406,11 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
 
     The two controls are advanced side by side, one block of _BLOCK_KNOTS
     knots at a time, in two windows of _BLOCK_KNOTS + 1 knots; the gap and
-    the running costs are accumulated per block.  The noise is drawn one
-    window of _NOISE_WINDOW_KNOTS steps at a time, so no array grows with
-    the number of paths times the number of steps.  The singular quadrature
+    the running costs are accumulated per block.  The noise is drawn in
+    windows of _NOISE_WINDOW_KNOTS steps, the next one on a second thread
+    while the blocks of the current one are swept (NoiseStream.windows), so
+    no array grows with the number of paths times the number of steps.  The
+    thread is joined before this returns or raises.  The singular quadrature
     is the same for both controls and cancels from the cost difference.
     A control whose horizon is not the problem's raises SimulationError.
     """
@@ -421,26 +425,24 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
     measures = (dirac_embed(un), q_ref)
     windows = (np.empty((_BLOCK_KNOTS + 1, num_paths, spec.n)),
                np.empty((_BLOCK_KNOTS + 1, num_paths, spec.n)))
-    dW = np.empty((min(_NOISE_WINDOW_KNOTS, refined.num_steps), num_paths, spec.d))
     running = (np.zeros(num_paths), np.zeros(num_paths))
     knots = refined.knots
     for x in windows:
         x[0] = spec.x0
     gap = 0.0
-    for start in range(0, refined.num_steps, _BLOCK_KNOTS):
-        stop = min(start + _BLOCK_KNOTS, refined.num_steps)
-        K = stop - start
-        offset = start % _NOISE_WINDOW_KNOTS
-        if offset == 0:
-            noise.fill(dW[: refined.num_steps - start])
-        for measure, x, acc in zip(measures, windows, running):
-            _euler_block(spec, measure, eta_ref, dW[offset:offset + K], start, x[:K + 1])
-            acc += measure.block_total(spec.h, start, knots[start:stop, None], x[:K])
-        x_strict, x_relax = windows
-        sq = ((x_strict[1:K + 1] - x_relax[1:K + 1]) ** 2).sum(axis=2)
-        gap = max(gap, float(sq.mean(axis=1).max()))
-        for x in windows:
-            x[0] = x[K]
+    with contextlib.closing(noise.windows(refined.num_steps, _NOISE_WINDOW_KNOTS)) as draws:
+        for first, dW in draws:
+            for offset in range(0, len(dW), _BLOCK_KNOTS):
+                block = dW[offset:offset + _BLOCK_KNOTS]
+                start, K = first + offset, len(block)
+                for measure, x, acc in zip(measures, windows, running):
+                    _euler_block(spec, measure, eta_ref, block, start, x[:K + 1])
+                    acc += measure.block_total(spec.h, start, knots[start:start + K, None], x[:K])
+                x_strict, x_relax = windows
+                sq = ((x_strict[1:K + 1] - x_relax[1:K + 1]) ** 2).sum(axis=2)
+                gap = max(gap, float(sq.mean(axis=1).max()))
+                for x in windows:
+                    x[0] = x[K]
     cost_strict, cost_relax = (
         np.broadcast_to(np.asarray(spec.g(x[K]), dtype=float), (num_paths,)) + acc * refined.dt
         for x, acc in zip(windows, running)

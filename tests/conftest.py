@@ -1,10 +1,24 @@
 """Shared fixtures: built-in problems, grids, and two custom fixtures that
-exercise state-dependent linearizations (the built-ins all have b_x = 0)."""
+exercise state-dependent linearizations (the built-ins all have b_x = 0);
+and a check, for every test, that it leaves no thread running."""
+
+import threading
 
 import numpy as np
 import pytest
 
 from singopt.model import ProblemSpec, TimeGrid, builtin_problem, problem_from_config
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves alive a thread that was not alive before it
+    (chattering_gap draws its noise on a second thread, which it joins)."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [thread.name for thread in threading.enumerate() if thread not in before]
+    if leaked:
+        pytest.fail(f"threads left running: {leaked}")
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -716,7 +717,8 @@ def test_mutated_cost_config_exits_cleanly(mutations, name, command, singular):
     assert (code == 2) == err.getvalue().startswith("config error: ")
 
 
-def test_blowup_exits_three(tmp_path):
+def write_exploding_problem(tmp_path):
+    """A problem whose state leaves the finite range at the second step."""
     exploding = {
         "name": "exploding",
         "dims": {"n": 1, "d": 1, "k": 1, "m": 1},
@@ -735,10 +737,25 @@ def test_blowup_exits_three(tmp_path):
     }
     problem_path = tmp_path / "exploding.json"
     problem_path.write_text(json.dumps(exploding))
-    cfg = write_config(tmp_path, problem=str(problem_path),
+    return problem_path
+
+
+def test_blowup_exits_three(tmp_path):
+    cfg = write_config(tmp_path, problem=str(write_exploding_problem(tmp_path)),
                        candidate={"name": "constant:0.0"})
     with np.errstate(over="ignore", invalid="ignore"):
         assert run("simulate", cfg, tmp_path / "out") == 3
+
+
+def test_chatter_blowup_exits_three_and_joins_the_noise_thread(tmp_path):
+    # n = 32: 1 024 refined steps, four noise windows; the sweep stops in the
+    # first while the second is drawn on the noise thread
+    cfg = write_config(tmp_path, problem=str(write_exploding_problem(tmp_path)),
+                       candidate={"name": "constant:0.0"}, chatter={"n_values": [32]})
+    threads = threading.active_count()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("chatter", cfg, tmp_path / "out") == 3
+    assert threading.active_count() == threads
 
 
 class TestInternalError:

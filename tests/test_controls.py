@@ -639,3 +639,32 @@ def test_cell_averages_refuse_a_state_term_or_a_plain_callable():
     assert q.cell_averages(spec.h, x) is None
     assert q.cell_averages(lambda t, x, a: a, x) is None
     assert q.cell_averages(spec.b, x).tolist() == [[0.0]] * 4
+
+
+@pytest.mark.parametrize("control_poly", [[[0.5, -1.0, 2.0]], None], ids=["with-control", "state-only"])
+def test_block_total_evaluates_a_forms_state_part_once(control_poly):
+    # three cells of one two-atom measure; the cost has a quadratic, a
+    # linear and a constant state term
+    cost = {"form": "quadratic", "state_quad": [[1.0, 0.5], [0.5, 2.0]],
+            "state_lin": [0.25, -1.5], "const": 0.75}
+    if control_poly is not None:
+        cost["control_poly"] = control_poly
+    h = build_coefficients({"dims": {"n": 2, "d": 1, "k": 1, "m": 1},
+                            "coefficients": {"running_cost": cost}})["h"]
+    calls = []
+
+    def state_part(x):
+        calls.append(x)
+        return h.state_part(x)
+
+    def split(t, x, a):
+        return h(t, x, a)
+
+    split.state_part = state_part
+    split.control_part = h.control_part
+    q = constant_relaxed(TimeGrid(3, 1.0), [[-1.0], [0.5]], [0.3, 0.7])
+    t = q.grid.knots[:3, None]
+    x = np.random.default_rng(5).standard_normal((3, 7, 2))
+    total = q.block_total(split, 0, t, x)
+    assert len(calls) == 1
+    assert total.tobytes() == q.block_total(lambda t, x, a: h(t, x, a), 0, t, x).tobytes()

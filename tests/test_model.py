@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from singopt.model import (
     problem_to_json,
     validate_problem,
 )
+from singopt.sde import _NOISE_WINDOW_KNOTS
 
 from conftest import planar_config
 
@@ -280,6 +282,25 @@ def test_noise_windows_equal_the_whole_grid_draw(num_paths, window, num_steps, n
     last = np.random.SeedSequence(seed).spawn(num_paths)[-1]
     expected = np.sqrt(grid.dt) * np.random.default_rng(last).standard_normal((num_steps, noise_dim))
     assert np.array_equal(whole[:, -1], expected)
+
+
+@pytest.mark.parametrize("num_steps", [1000, 32], ids=["four-windows", "one-short-window"])
+def test_look_ahead_windows_equal_the_whole_grid_draw(num_steps):
+    # 300 paths cross the 256-path scratch block; 1 000 steps are not a
+    # multiple of the window, and 32 (chatter at n = 4) are less than one
+    grid = TimeGrid(num_steps, 1.0)
+    whole = NoiseBatch.generate(300, grid, 2, 17).increments.swapaxes(0, 1)
+    draws = NoiseStream(300, grid, 2, 17).windows(num_steps, _NOISE_WINDOW_KNOTS)
+    # the interpreter lock changes hands as often as it can, and a window's
+    # buffer is reused two windows on, so each one is copied
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        firsts, windows = zip(*[(first, window.copy()) for first, window in draws])
+    finally:
+        sys.setswitchinterval(interval)
+    assert firsts == tuple(range(0, num_steps, _NOISE_WINDOW_KNOTS))
+    assert np.concatenate(windows).tobytes() == whole.tobytes()
 
 
 # Seeds of one, two, three and six 32-bit words (padded to the pool of four,

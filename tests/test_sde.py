@@ -1,6 +1,7 @@
 """Forward simulation: strict/relaxed kernels, variational equation,
 fundamental pair, cost quadrature, chattering convergence."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from singopt.controls import (
 )
 from singopt.model import (
     NoiseBatch,
+    NoiseStream,
     TimeGrid,
     builtin_problem,
     ensemble_zeros,
@@ -574,12 +576,37 @@ class TestStreamedChatteringGap:
             return out
 
         exploding = tanh_drift.with_overrides(b=b)
+        threads = threading.active_count()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(
                 SimulationError,
                 match=rf"^state became non-finite at step {bad_knot}, first affected path 1$",
             ):
                 chattering_gap(exploding, q, zero_singular(grid, 1), 16, 4, 5)
+        # the noise thread was joined, whichever window the sweep stopped in
+        assert threading.active_count() == threads
+
+    def test_a_failed_background_fill_reaches_the_caller(self, example2_stochastic, monkeypatch):
+        # n = 16: 512 refined steps, so the second window is drawn on the
+        # second thread while the sweep runs through the first
+        fill = NoiseStream.fill
+        fillers = []
+
+        def failing(self, window):
+            fillers.append(threading.current_thread())
+            if len(fillers) == 2:
+                raise RuntimeError("second window")
+            fill(self, window)
+
+        monkeypatch.setattr(NoiseStream, "fill", failing)
+        grid = TimeGrid(8, 1.0)
+        q = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="^second window$"):
+            chattering_gap(example2_stochastic, q, zero_singular(grid, 1), 16, 4, 5)
+        assert threading.active_count() == threads
+        assert fillers[0] is threading.current_thread()
+        assert fillers[1] is not threading.current_thread()
 
     def test_peak_memory_stays_below_noise_plus_one_ensemble(self, example2_stochastic):
         # n = 32: 32 cells of 32 x 2 sub-steps, 2 048 refined steps at M = 500
