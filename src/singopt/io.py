@@ -7,12 +7,23 @@ values as little-endian float64 in row-major order.  CSV holds one row per
 keys, so identical inputs produce byte-identical files.  Both ensemble
 writers work in blocks of ``_BLOCK_PATHS`` paths and file digests are
 streamed, so no export holds more than a block beyond its input.
+
+A large ensemble CSV is formatted by two processes when this process runs
+a single operating-system thread: one forked child formats the second
+half of the paths into an unnamed temporary file while the caller formats
+the first half into the output, then reaps the child and appends its
+bytes.  Each row's bytes depend only on its own values, and the halves are
+joined in path order after the child has exited, so the child's timing
+cannot reach the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
+import tempfile
 from operator import add
 from pathlib import Path
 
@@ -21,27 +32,116 @@ import numpy as np
 _HEADER_BYTES = 32  # four uint64 words
 _BLOCK_PATHS = 256  # paths per block of an ensemble export
 _DIGEST_CHUNK_BYTES = 1 << 20
+_SIGKILL = 9  # fixed by POSIX; the signal module is not otherwise loaded
+# fewest values an export splits between two processes: on two free CPUs
+# the fork, the child's start and the copy cost as much as they save at
+# about 11 000 values (with 64 MB resident), and save a third at 22 000
+_FORK_CELLS = 20_000
+_CAUSE_BYTES = 4096  # most of a failed child's cause that its error quotes
 
 
 def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "x") -> None:
     """Write an (M, K, D) ensemble as CSV rows (path, step, t, components).
 
     Rows are formatted and written in blocks of ``_BLOCK_PATHS`` paths,
-    so memory stays bounded by one block whatever M is.
+    so memory stays bounded by one block whatever M is.  An export of more
+    than one block and at least ``_FORK_CELLS`` values, made while this
+    process runs a single operating-system thread, is split in two: one
+    forked child formats paths [M // 2, M) into an unnamed temporary file
+    in the output's directory while the caller formats [0, M // 2) into
+    the output; the caller then reaps the child and appends its bytes.
+    Any other export, or one whose fork fails, is written by the caller
+    alone.  Both halves go through one row writer, so the bytes are those
+    of a one-process write whatever the child's timing.  The child is
+    always reaped: a child that fails raises ``OSError`` here, naming its
+    cause, and an exception in the caller's half kills the child before
+    it propagates.
     """
     values = np.asarray(values, dtype=float)
     M, K, D = values.shape
     heads = [f",{j},{t!r}," for j, t in enumerate(np.asarray(knots, dtype=float).tolist())]
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("path,step,t," + ",".join(f"{prefix}{i}" for i in range(D)) + "\n")
-        for lo in range(0, M, _BLOCK_PATHS):
-            block = values[lo:lo + _BLOCK_PATHS]
-            cells = map(repr, block.reshape(-1).tolist())
-            rows = list(map(",".join, zip(*[cells] * D)))  # D consecutive cells per row
-            out.write("".join([
-                f"{i}" + f"\n{i}".join(map(add, heads, rows[r * K:(r + 1) * K])) + "\n"
-                for r, i in enumerate(range(lo, lo + len(block)))
-            ]))
+    with open(path, "wb") as out:
+        out.write(("path,step,t," + ",".join(f"{prefix}{i}" for i in range(D)) + "\n").encode())
+        if M > _BLOCK_PATHS and values.size >= _FORK_CELLS and _single_threaded():
+            with tempfile.TemporaryFile(dir=Path(path).parent) as tail:
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: the caller writes alone
+                    pid = None
+                if pid is not None:
+                    _write_halves(values, heads, pid, out, tail, path)
+                    return
+        _write_rows(values, heads, 0, M, out.write)
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one operating-system thread, as the
+    interpreter counts them when it warns about a fork.
+
+    A fork beside any other thread (a live Python thread, or a BLAS
+    library's worker pool) can deadlock the child on a lock that thread
+    held.  Where ``/proc/self/task`` cannot be read (outside Linux, and so
+    wherever ``os.fork`` does not exist) the answer is no.
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _write_halves(values, heads, pid, out, tail, path) -> None:
+    """Both sides of a forked export: the child (``pid == 0``) formats paths
+    [M // 2, M) into ``tail`` and ends its process; the caller formats
+    [0, M // 2) into ``out``, reaps the child and appends ``tail``."""
+    M = len(values)
+    split = M // 2
+    if pid == 0:
+        # the child never returns: os._exit skips the atexit handlers and
+        # the stdio buffers it inherited.  On failure it replaces its rows
+        # by the cause, written past the file's buffer.
+        code = 1
+        try:
+            _write_rows(values, heads, split, M, tail.write)
+            tail.flush()
+            code = 0
+        except BaseException as exc:
+            os.ftruncate(tail.fileno(), 0)
+            os.pwrite(tail.fileno(), f"{type(exc).__name__}: {exc}".encode(errors="replace"), 0)
+        finally:
+            os._exit(code)
+    status = None
+    try:
+        _write_rows(values, heads, 0, split, out.write)
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+    tail.seek(0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        cause = tail.read(_CAUSE_BYTES).decode(errors="replace")
+        ended = f"exit status {code}" if code > 0 else f"signal {-code}"
+        raise OSError(
+            f"{path}: rows of paths {split} to {M - 1} were not written: "
+            f"the process formatting them ended with {ended}" + (f": {cause}" if cause else "")
+        )
+    shutil.copyfileobj(tail, out)
+
+
+def _write_rows(values: np.ndarray, heads: list, lo: int, hi: int, write) -> None:
+    """Format the CSV rows of paths [lo, hi) and pass them to ``write`` as
+    ASCII bytes, one block of ``_BLOCK_PATHS`` paths at a time."""
+    D = values.shape[2]
+    K = len(heads)
+    for start in range(lo, hi, _BLOCK_PATHS):
+        block = values[start:min(start + _BLOCK_PATHS, hi)]
+        cells = map(repr, block.reshape(-1).tolist())
+        rows = list(map(",".join, zip(*[cells] * D)))  # D consecutive cells per row
+        write("".join([
+            f"{i}" + f"\n{i}".join(map(add, heads, rows[r * K:(r + 1) * K])) + "\n"
+            for r, i in enumerate(range(start, start + len(block)))
+        ]).encode())
 
 
 def ensemble_to_binary(values: np.ndarray, seed, path) -> None:

@@ -1,8 +1,16 @@
 """Shared fixtures: built-in problems, grids, and two custom fixtures that
 exercise state-dependent linearizations (the built-ins all have b_x = 0);
-and a check, for every test, that it leaves no thread running."""
+and checks, for every test, that it leaves no thread running and no forked
+child unreaped."""
 
+import os
+import signal
 import threading
+
+# One BLAS thread, as perfbench pins it, set before numpy is first imported
+# (here): a BLAS worker pool is a second operating-system thread, beside
+# which io.ensemble_to_csv writes in one process instead of forking.
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
 import numpy as np
 import pytest
@@ -19,6 +27,36 @@ def no_leaked_threads():
     leaked = [thread.name for thread in threading.enumerate() if thread not in before]
     if leaked:
         pytest.fail(f"threads left running: {leaked}")
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children(monkeypatch):
+    """Fail a test that leaves a child it forked with os.fork unreaped
+    (io.ensemble_to_csv forks one for a large export, and reaps it); such a
+    child is killed and reaped here.  Yields the pids of the test's forks.
+    subprocess does not go through os.fork, so its children are not seen."""
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield forked
+    unreaped = []
+    for pid in forked:
+        try:
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:
+            continue  # reaped by the code under test
+        unreaped.append(pid)
+    if unreaped:
+        pytest.fail(f"forked children left unreaped: {unreaped}")
 
 
 @pytest.fixture

@@ -783,6 +783,32 @@ class TestInternalError:
         with pytest.raises(RuntimeError, match="kernel fault"):
             main(crashing)
 
+    def test_a_failed_export_child_exits_four_without_traceback(
+            self, tmp_path, monkeypatch, capsys, no_unreaped_children):
+        # M = 600 splits adjoint_p.csv between the command and one child
+        # once the gate on the number of values is lifted
+        monkeypatch.setattr(cli.sio, "_FORK_CELLS", 0)
+        write_rows = cli.sio._write_rows
+
+        def failing_in_the_child(values, heads, lo, hi, write):
+            if lo > 0:
+                raise RuntimeError("formatting fault")
+            write_rows(values, heads, lo, hi, write)
+
+        monkeypatch.setattr(cli.sio, "_write_rows", failing_in_the_child)
+        cfg = write_config(
+            tmp_path, problem="example2_stochastic", grid={"N": 10},
+            monte_carlo={"M": 600, "seed": 6}, regression={"degree": 1},
+            candidate={"name": "constant:0.0"},
+        )
+        assert cli.run(["adjoint", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: OSError: ")
+        assert "adjoint_p.csv: rows of paths 300 to 599 were not written" in err
+        assert err.endswith("exit status 1: RuntimeError: formatting fault\n")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert len(no_unreaped_children) == 1
+
 
 class TestReproducibility:
     @pytest.mark.parametrize("command,extra", [

@@ -2,6 +2,11 @@
 
 import csv
 import hashlib
+import os
+import re
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -56,27 +61,186 @@ def _laid_out(data, time_major):
         return np.ascontiguousarray(data)
     values = ensemble_zeros(*data.shape)
     values[...] = data
-    assert not values.flags.c_contiguous
+    assert not values.flags.c_contiguous or len(values) == 1  # one path is both
     return values
+
+
+def _csv_data(M, D):
+    """(M, 4, D) floats over 40 decades, with special values at the start,
+    at the first block boundary, at the two-process split and at the end."""
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((M, 4, D)) * 10.0 ** rng.integers(-20, 20, (M, 4, D))
+    special = [-0.0, 5e-324, 1e-300, 1e16, 1e22, -1e22, 0.1, 1.0]
+    head = min(len(special), data.size)
+    data.reshape(-1)[:head] = special[:head]
+    for row in (io._BLOCK_PATHS, M // 2):
+        if row < M:
+            data[row, -1] = special[:D]
+    data[-1, -1] = special[-D:]
+    return data
+
+
+CSV_KNOTS = TimeGrid(3, 0.3).knots
+
+
+def _refuse_fork():
+    pytest.fail("os.fork was called")
+
+
+@pytest.fixture
+def split_small(monkeypatch):
+    """Split every export of more than one block, however few its values,
+    and check that this process can fork at all."""
+    assert io._single_threaded(), "a second operating-system thread is alive"
+    monkeypatch.setattr(io, "_FORK_CELLS", 0)
 
 
 @pytest.mark.parametrize("time_major", [True, False], ids=["time-major", "c-contiguous"])
 @pytest.mark.parametrize("D", [1, 3])
-def test_csv_bytes_match_cell_by_cell_reference(tmp_path, D, time_major):
-    M, K = 600, 4
-    # crosses two block boundaries and ends in a partial block
-    assert M > 2 * io._BLOCK_PATHS and M % io._BLOCK_PATHS
-    rng = np.random.default_rng(3)
-    data = rng.standard_normal((M, K, D)) * 10.0 ** rng.integers(-20, 20, (M, K, D))
-    special = [-0.0, 5e-324, 1e-300, 1e16, 1e22, -1e22, 0.1, 1.0]
-    data.reshape(-1)[: len(special)] = special
-    data[io._BLOCK_PATHS, -1] = special[: D]
-    data[-1, -1] = special[-D:]
-    values = _laid_out(data, time_major)
-    knots = TimeGrid(K - 1, 0.3).knots
+def test_csv_bytes_match_cell_by_cell_reference(tmp_path, monkeypatch, no_unreaped_children,
+                                               split_small, D, time_major):
+    # M <= one block is written by the caller alone; every larger M forks
+    # one child for paths [M // 2, M): 257 splits inside one block, 513 into
+    # a whole block and a block plus a path, and 600 into halves that each
+    # end in a partial block
+    recording_fork = os.fork
     path = tmp_path / "ensemble.csv"
-    ensemble_to_csv(values, knots, path, prefix="p")
-    assert path.read_bytes() == reference_csv(data, knots, "p")
+    for M in (1, io._BLOCK_PATHS, io._BLOCK_PATHS + 1, 2 * io._BLOCK_PATHS + 1, 600):
+        split = M > io._BLOCK_PATHS
+        monkeypatch.setattr(os, "fork", recording_fork if split else _refuse_fork)
+        forks = len(no_unreaped_children)
+        data = _csv_data(M, D)
+        ensemble_to_csv(_laid_out(data, time_major), CSV_KNOTS, path, prefix="p")
+        assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "p")
+        assert len(no_unreaped_children) == forks + split
+    assert os.listdir(tmp_path) == ["ensemble.csv"]
+
+
+def test_an_export_of_fewer_values_than_the_gate_is_written_alone(tmp_path, monkeypatch,
+                                                                  no_unreaped_children):
+    # one value per path, so M crosses io._FORK_CELLS one path at a time
+    knots = TimeGrid(1, 0.3).knots[:1]
+    path = tmp_path / "ensemble.csv"
+    recording_fork = os.fork
+    for M, forks in ((io._FORK_CELLS - 1, 0), (io._FORK_CELLS, 1)):
+        monkeypatch.setattr(os, "fork", recording_fork if forks else _refuse_fork)
+        data = np.arange(M, dtype=float).reshape(M, 1, 1) / 7.0
+        ensemble_to_csv(data, knots, path)
+        assert path.read_bytes() == reference_csv(data, knots, "x")
+        assert len(no_unreaped_children) == forks
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_csv_bytes_are_the_same_on_one_cpu(tmp_path, no_unreaped_children, split_small):
+    data = _csv_data(600, 3)
+    path = tmp_path / "ensemble.csv"
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        ensemble_to_csv(_laid_out(data, True), CSV_KNOTS, path, prefix="p")
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert len(no_unreaped_children) == 1
+    assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "p")
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_a_failed_child_raises_oserror_naming_its_cause_and_is_reaped(
+        tmp_path, monkeypatch, no_unreaped_children, split_small):
+    write_rows = io._write_rows
+
+    def failing_in_the_child(values, heads, lo, hi, write):
+        if lo > 0:
+            raise RuntimeError("formatting fault")
+        write_rows(values, heads, lo, hi, write)
+
+    monkeypatch.setattr(io, "_write_rows", failing_in_the_child)
+    path = tmp_path / "ensemble.csv"
+    message = (rf"^{re.escape(str(path))}: rows of paths 300 to 599 were not written: "
+               r"the process formatting them ended with exit status 1: RuntimeError: formatting fault$")
+    with pytest.raises(OSError, match=message):
+        ensemble_to_csv(_csv_data(600, 2), CSV_KNOTS, path)
+    [pid] = no_unreaped_children
+    assert _reaped(pid)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_failure_in_the_callers_half_kills_and_reaps_the_child(
+        tmp_path, monkeypatch, no_unreaped_children, split_small, error):
+    def failing_in_the_caller(values, heads, lo, hi, write):
+        if lo == 0:
+            raise error("formatting fault")
+        time.sleep(60)  # the child outlives the call unless it is killed
+
+    statuses = {}
+    waitpid = os.waitpid
+
+    def recording_waitpid(pid, options):
+        reaped, status = waitpid(pid, options)
+        statuses[reaped] = status
+        return reaped, status
+
+    monkeypatch.setattr(io, "_write_rows", failing_in_the_caller)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    start = time.monotonic()
+    with pytest.raises(error, match="formatting fault"):
+        ensemble_to_csv(_csv_data(600, 2), CSV_KNOTS, tmp_path / "ensemble.csv")
+    assert time.monotonic() - start < 30
+    [pid] = no_unreaped_children
+    assert os.WIFSIGNALED(statuses[pid]) and os.WTERMSIG(statuses[pid]) == signal.SIGKILL
+    assert _reaped(pid)
+
+
+def test_a_failed_fork_leaves_the_caller_to_write_alone(tmp_path, monkeypatch, split_small):
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    data = _csv_data(600, 3)
+    path = tmp_path / "ensemble.csv"
+    ensemble_to_csv(_laid_out(data, True), CSV_KNOTS, path, prefix="p")
+    assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "p")
+    assert os.listdir(tmp_path) == ["ensemble.csv"]
+
+
+def test_no_fork_beside_a_live_thread(tmp_path, monkeypatch, split_small):
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    data = _csv_data(600, 3)
+    path = tmp_path / "ensemble.csv"
+    release = threading.Event()
+    blocked = threading.Thread(target=release.wait, name="blocked")
+    blocked.start()
+    try:
+        ensemble_to_csv(_laid_out(data, True), CSV_KNOTS, path, prefix="p")
+    finally:
+        release.set()
+        blocked.join(timeout=10)
+    assert not blocked.is_alive()
+    assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "p")
+
+
+def test_no_fork_where_threads_cannot_be_counted(tmp_path, monkeypatch, split_small):
+    # outside Linux /proc/self/task does not exist
+    listdir = os.listdir
+
+    def without_proc(target):
+        if str(target).startswith("/proc"):
+            raise FileNotFoundError(2, "No such file or directory", target)
+        return listdir(target)
+
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    monkeypatch.setattr(os, "listdir", without_proc)
+    data = _csv_data(600, 1)
+    path = tmp_path / "ensemble.csv"
+    ensemble_to_csv(data, CSV_KNOTS, path)
+    assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "x")
 
 
 def test_binary_rejects_negative_seed(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from singopt import optimality
 from singopt.adjoint import adjoint_bsde, adjoint_explicit, variational_inequality_value
 from singopt.controls import (
     ControlError,
@@ -232,6 +233,27 @@ def test_stacked_hamiltonian_is_the_per_point_stack_on_custom_callables(data):
     spec = tanh_drift_problem()
     assert not hasattr(spec.h, "control_part")
     _check_stacked_matches_points(spec, data.draw)
+
+
+@pytest.mark.parametrize("per_path", [False, True], ids=["shared", "per-path"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_diffusion_gradient_is_the_einsum(n, d, per_path):
+    # the backward sweep's sum_i sbar_x,i^T P_i, for sbar_x shared by the
+    # paths (a form without a state term) or one per path
+    M = 300
+    rng = np.random.default_rng(10 * n + d)
+    shape = (M, d, n, n) if per_path else (d, n, n)
+    sx = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    P = rng.standard_normal((M, n, d)) * 10.0 ** rng.integers(-8, 8, (M, n, d))
+    reference = np.einsum("mjqp,mqj->mp", np.broadcast_to(sx, (M, d, n, n)), P)
+    gradient = optimality._diffusion_gradient(sx, P)
+    if n == 1 and d >= 3:
+        # einsum sums the channels in two lanes here: equal up to rounding
+        scale = np.einsum("mjqp,mqj->mp", np.abs(np.broadcast_to(sx, (M, d, n, n))), np.abs(P))
+        assert np.all(np.abs(gradient - reference) <= 2 * d * np.finfo(float).eps * scale)
+    else:
+        assert gradient.tobytes() == reference.tobytes()
 
 
 class TestVerifyNecessary:
