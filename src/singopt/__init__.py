@@ -5,7 +5,7 @@ from .adjoint import (
     AdjointPair,
     AuxiliaryProcesses,
     adjoint_bsde,
-    adjoint_explicit,
+    adjoint_routes,
     auxiliary_processes,
     duality_residual,
     martingale_route_P,

@@ -3,14 +3,14 @@
 The adjoint pair (p, P) prices state perturbations.  Route one is the
 pathwise discrete adjoint (Giles & Glasserman 2006): per path, the exact
 derivative of the Euler cost with respect to the state at each knot, swept
-back from g_x(x_T) through the transposes J_j^T of the one-step Jacobians
-of sde._linearization, which also carry the variational equation and the
-fundamental pair forward, then projected on the time-t state; it gives p
-only.  Route two sweeps the linear backward SDE with terminal value
-g_x(x_T), estimating the martingale integrand P and the drift by
-least-squares projection on a polynomial basis in the current state
-(Longstaff-Schwartz style).  The two routes cross-validate each other;
-agreement tolerances are part of the test-suite.
+back from g_x(x_T) through the transposed one-step Jacobians J_j^T, then
+projected on the time-t state; it gives p only.  Route two sweeps the
+linear backward SDE with terminal value g_x(x_T), estimating the
+martingale integrand P and the drift by projection on a polynomial basis
+in the current state (Longstaff-Schwartz style).  Both read the state
+gradients' cell averages from sde._Linearization; adjoint_routes sweeps the
+two together, on one basis and one linearization per knot, and their
+agreement cross-validates them (tolerances in the test-suite).
 
 Conditional expectations given the time-t state are projections on one
 basis per knot (Gobet, Lemor & Warin 2005): each state component is centred
@@ -35,11 +35,11 @@ import numpy as np
 
 from .controls import as_relaxed
 from .model import ensemble_zeros
-from .optimality import relaxed_hamiltonian_batch, relaxed_hamiltonian_gradient
+from .optimality import relaxed_hamiltonian_batch
 from .sde import (
     FundamentalPair,
     TrajectoryEnsemble,
-    _linearization,
+    _Linearization,
     _require_along,
     _require_controls,
     _std_error,
@@ -151,11 +151,11 @@ class AdjointPair:
     """Adjoint estimates p (M, N+1, n) and P (M, N+1, n, d) along the
     ensemble traj, stored time-major (model.ensemble_zeros).
 
-    P is None on the explicit route, which produces p only, and the
-    optimality checks refuse such a pair.  (martingale_route_P is no
-    substitute when sigma_x != 0: its auxiliary martingale then misses the
-    stochastic exponential in Phi.)  By convention P[:, N] = 0: no
-    Brownian exposure remains at the horizon.
+    P is None on the explicit route (the first pair of adjoint_routes),
+    which produces p only, and the optimality checks refuse such a pair.
+    (martingale_route_P is no substitute when sigma_x != 0: its auxiliary
+    martingale then misses the stochastic exponential in Phi.)  By
+    convention P[:, N] = 0: no Brownian exposure remains at the horizon.
     """
 
     p: np.ndarray = field(repr=False)
@@ -205,8 +205,7 @@ def _grad_sums(fund: FundamentalPair) -> np.ndarray:
     prefix = ensemble_zeros(traj.num_paths, grid.num_steps + 1, traj.spec.n)
     terms = prefix[:, 1:, :]
     for j in range(grid.num_steps):
-        hx, _, _ = _linearization(traj, j)
-        terms[:, j, :] = _transpose_apply(fund.Phi[:, j], hx)
+        terms[:, j, :] = _transpose_apply(fund.Phi[:, j], _Linearization(traj, j).hx)
     terms *= grid.dt
     np.cumsum(terms, axis=1, out=terms)
     return prefix
@@ -217,78 +216,89 @@ def _knot_health(basis: RegressionBasis, target: np.ndarray, fitted: np.ndarray)
     return float(np.sqrt(np.mean((target - fitted) ** 2))), basis.rank_loss, basis.cond
 
 
-def _diagnostics(degree: int, n: int, health: list) -> dict:
-    """A route's diagnostics: its basis and the worst of its knots' health."""
+def _diffusion_gradient(sx, P):
+    """sum_i sbar_x,i^T P_i over a path batch -> (M, n), for sx (d, n, n) or
+    (M, d, n, n) and P (M, n, d), summed channel by channel and row by row:
+    the order of the einsum "mjqp,mqj->mp" on sx broadcast to (M, d, n, n),
+    bit for bit except with n = 1 and d >= 3, where einsum sums the
+    channels in two interleaved lanes and the last bits differ."""
+    M, n, d = P.shape
+    total = np.zeros((M, n))
+    for i in range(d):
+        for r in range(n):
+            total += P[:, r, i, None] * sx[..., i, r, :]
+    return total
+
+
+def _backward_knots(traj: TrajectoryEnsemble, degree: int):
+    """Knots N-1 down to 0 as (regression basis in x_j, linearization), one of each."""
+    for j in range(traj.grid.num_steps - 1, -1, -1):
+        yield regression_basis(traj.states[:, j, :], degree), _Linearization(traj, j)
+
+
+def _bsde_step(basis: RegressionBasis, lin: _Linearization, p: np.ndarray, P: np.ndarray) -> tuple:
+    """adjoint_bsde's step to knot j = lin.j, with H_x = hbar_x + bbar_x^T
+    p_{j+1} + sum_i sbar_x,i^T P_j,i; returns the knot's health."""
+    j, dt = lin.j, lin.traj.grid.dt
+    p_next = p[:, j + 1, :]
+    p_proj = fit_conditional(basis, p_next)
+    mart = np.einsum("mp,mj->mpj", p_next - p_proj, lin.traj.noise.increments[:, j, :]) / dt
+    P[:, j] = fit_conditional(basis, mart)
+    bx = np.broadcast_to(lin.bx, p_next.shape + p_next.shape[-1:])
+    hx = lin.hx + np.einsum("mqp,mq->mp", bx, p_next) + _diffusion_gradient(lin.sx, P[:, j])
+    target = p_next + hx * dt
+    p[:, j, :] = fit_conditional(basis, target)
+    return _knot_health(basis, target, p[:, j, :])
+
+
+def _pair(traj: TrajectoryEnsemble, degree: int, p, P, method: str, health: list) -> AdjointPair:
+    """A route's pair, diagnosed by its basis and the worst of its knots' health."""
     residual, loss, cond = zip(*health)
-    return {"basis_degree": degree, "basis_size": comb(n + degree, degree),
-            "max_residual_rms": max(residual), "max_rank_loss": max(loss),
-            "max_basis_cond": max(cond)}
+    diags = {"basis_degree": degree, "basis_size": comb(traj.spec.n + degree, degree),
+             "max_residual_rms": max(residual), "max_rank_loss": max(loss),
+             "max_basis_cond": max(cond)}
+    return AdjointPair(p=p, P=P, method=method, diagnostics=diags, traj=traj)
 
 
-def adjoint_explicit(traj: TrajectoryEnsemble, degree: int = 2) -> AdjointPair:
-    """Adjoint p from the pathwise discrete adjoint along the ensemble.
+def adjoint_routes(traj: TrajectoryEnsemble, degree: int = 2) -> tuple:
+    """The adjoint along the ensemble by both routes, (explicit, bsde), from
+    one backward sweep that builds one regression basis in x_j and one
+    linearization per knot; bsde is adjoint_bsde(traj, degree), bit for bit.
 
-    Per path, lam_j is the derivative of the Euler cost with respect to x_j:
-    lam_N = g_x(x_N) and, stepping back through the transposed Euler
-    Jacobians of the state (sde._linearization),
-    lam_j = J_j^T lam_{j+1} + hbar_x(t_j) dt.  lam_j depends on x_j and the
-    noise after t_j only, so p_j is its regression on the basis in x_j.  At
-    the horizon p equals g_x(x_T) exactly, per path.
+    explicit holds p only (P is None): per path, lam_N = g_x(x_N) and
+    lam_j = J_j^T lam_{j+1} + hbar_x dt is the derivative of the Euler cost
+    with respect to x_j.  It depends on x_j and the noise after t_j only, so
+    p_j is its projection on the basis in x_j; p_N = g_x(x_T) exactly.
     """
-    spec = traj.spec
-    grid = traj.grid
-    N = grid.num_steps
-    p = ensemble_zeros(traj.num_paths, N + 1, spec.n)
-    lam = _terminal_gradient(traj)
-    p[:, N, :] = lam
-    health = []
-    for j in range(N - 1, -1, -1):
-        xj = traj.states[:, j, :]
-        hx, J, _ = _linearization(traj, j)
-        lam = _transpose_apply(J, lam) + hx * grid.dt
-        basis = regression_basis(xj, degree)
-        p[:, j, :] = fit_conditional(basis, lam)
-        health.append(_knot_health(basis, lam, p[:, j, :]))
-    diags = _diagnostics(degree, spec.n, health)
-    return AdjointPair(p=p, P=None, method="explicit", diagnostics=diags, traj=traj)
+    spec, M, N = traj.spec, traj.num_paths, traj.grid.num_steps
+    p_lam, p = ensemble_zeros(M, N + 1, spec.n), ensemble_zeros(M, N + 1, spec.n)
+    P = ensemble_zeros(M, N + 1, spec.n, spec.d)
+    lam = p_lam[:, N, :] = p[:, N, :] = _terminal_gradient(traj)
+    explicit_health, bsde_health = [], []
+    for basis, lin in _backward_knots(traj, degree):
+        lam = _transpose_apply(lin.jacobian, lam) + lin.hx * traj.grid.dt
+        p_lam[:, lin.j, :] = fit_conditional(basis, lam)
+        explicit_health.append(_knot_health(basis, lam, p_lam[:, lin.j, :]))
+        bsde_health.append(_bsde_step(basis, lin, p, P))
+    return (_pair(traj, degree, p_lam, None, "explicit", explicit_health),
+            _pair(traj, degree, p, P, "bsde-regression", bsde_health))
 
 
 def adjoint_bsde(traj: TrajectoryEnsemble, degree: int = 2) -> AdjointPair:
     """Adjoint pair (p, P) from a backward regression sweep of the linear
     backward SDE with terminal value g_x(x_T), along the ensemble.
 
-    Per backward step, P_j is the regression of the martingale part of
-    p_{j+1} against the Brownian increment (the time-j projection of p_{j+1}
-    is subtracted first; this leaves the estimand unchanged because the
-    increment has zero conditional mean, and removes most of the variance),
-    and p_j is the regression of p_{j+1} plus the Hamiltonian-gradient drift
-    evaluated at p_{j+1} (explicit backward Euler).
+    Per backward step, P_j projects the martingale part of p_{j+1} (less its
+    time-j projection, which leaves the estimand unchanged, as the increment
+    has zero conditional mean, and removes most of the variance) times the
+    Brownian increment over dt, and p_j projects p_{j+1} plus the
+    Hamiltonian-gradient drift at p_{j+1} (explicit backward Euler).
     """
-    spec, mu = traj.spec, traj.control
-    grid = traj.grid
-    M = traj.num_paths
-    N = grid.num_steps
-    dt = grid.dt
-    dW = traj.noise.increments
-    knots = grid.knots
-    p = ensemble_zeros(M, N + 1, spec.n)
-    P = ensemble_zeros(M, N + 1, spec.n, spec.d)
+    spec, M, N = traj.spec, traj.num_paths, traj.grid.num_steps
+    p, P = ensemble_zeros(M, N + 1, spec.n), ensemble_zeros(M, N + 1, spec.n, spec.d)
     p[:, N, :] = _terminal_gradient(traj)
-    health = []
-    for j in range(N - 1, -1, -1):
-        xj = traj.states[:, j, :]
-        basis = regression_basis(xj, degree)
-        p_next = p[:, j + 1, :]
-        p_proj = fit_conditional(basis, p_next)
-        mart = np.einsum("mp,mj->mpj", p_next - p_proj, dW[:, j, :]) / dt
-        P[:, j] = fit_conditional(basis, mart)
-        hx = relaxed_hamiltonian_gradient(spec, knots[j], xj, mu, j, p_next, P[:, j])
-        target = p_next + hx * dt
-        fitted = fit_conditional(basis, target)
-        health.append(_knot_health(basis, target, fitted))
-        p[:, j, :] = fitted
-    diags = _diagnostics(degree, spec.n, health)
-    return AdjointPair(p=p, P=P, method="bsde-regression", diagnostics=diags, traj=traj)
+    health = [_bsde_step(basis, lin, p, P) for basis, lin in _backward_knots(traj, degree)]
+    return _pair(traj, degree, p, P, "bsde-regression", health)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +354,7 @@ def martingale_route_P(
     N = traj.grid.num_steps
     P = ensemble_zeros(traj.num_paths, N + 1, spec.n, spec.d)
     for j in range(N):
-        _, _, sx = _linearization(traj, j)
+        sx = _Linearization(traj, j).sx
         P[:, j] = np.einsum("mqp,mqj->mpj", fund.Psi[:, j], aux.Q[:, j]) - np.einsum(
             "...jqp,...q->...pj", sx, adjoint.p[:, j, :]
         )

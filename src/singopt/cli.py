@@ -328,8 +328,7 @@ def cmd_adjoint(cfg, out: OutputDir) -> int:
     traj = _simulate(cfg)
     spec, grid, seed = traj.spec, traj.grid, traj.noise.seed
     degree = cfg["regression"]["degree"]
-    explicit = adj.adjoint_explicit(traj, degree=degree)
-    bsde = adj.adjoint_bsde(traj, degree=degree)
+    explicit, bsde = adj.adjoint_routes(traj, degree=degree)
     agreement = float(np.sqrt(np.mean((explicit.p - bsde.p) ** 2)))
     explicit_diagnostics = explicit.diagnostics
     del explicit  # release the explicit p before the exports

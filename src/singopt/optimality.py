@@ -103,34 +103,6 @@ def relaxed_hamiltonian_batch(spec, t, x, q, j, p, P):
     return q.average(lambda tt, xx, a: strict_hamiltonian_batch(spec, tt, xx, a, p, P), j, t, x)
 
 
-def relaxed_hamiltonian_gradient(spec, t, x, q, j, p, P):
-    """H_x = hbar_x + bbar_x^T p + sum_i sbar_x,i^T P_i averaged over cell j
-    of the relaxed control q, over a path batch -> (M, n)."""
-    M = x.shape[0]
-    hx = np.broadcast_to(q.average(spec.h_x, j, t, x), (M, spec.n))
-    bx = np.broadcast_to(q.average(spec.b_x, j, t, x), (M, spec.n, spec.n))
-    sx = q.average(spec.sigma_x, j, t, x)
-    return hx + np.einsum("mqp,mq->mp", bx, p) + _diffusion_gradient(sx, P)
-
-
-def _diffusion_gradient(sx, P):
-    """sum_i sbar_x,i^T P_i over a path batch -> (M, n), for sx of shape
-    (d, n, n) or (M, d, n, n) and P of shape (M, n, d).
-
-    The products are accumulated channel by channel and, within a channel,
-    row by row, which is the order of the einsum "mjqp,mqj->mp" on sx
-    broadcast to (M, d, n, n): the two agree bit for bit except with one
-    state component and three or more channels, where einsum sums the
-    channels in two interleaved lanes and the last bits differ.
-    """
-    M, n, d = P.shape
-    total = np.zeros((M, n))
-    for i in range(d):
-        for r in range(n):
-            total += P[:, r, i, None] * sx[..., i, r, :]
-    return total
-
-
 def _grid_argmin(u1_grid, values) -> int:
     """Index of the grid point of least value; exact ties resolve to the
     lexicographically smallest point."""

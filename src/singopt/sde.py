@@ -5,7 +5,7 @@ paths: the strict and relaxed state equations, the (first-order) variational
 equation of a convex control perturbation, and the matrix-valued fundamental
 solution of the linearized dynamics together with its inverse; the last
 two, and the pathwise adjoint, step with one Euler Jacobian per knot
-(_linearization).  The singular increment of a cell is applied inside the
+(_Linearization).  The singular increment of a cell is applied inside the
 same step as drift and diffusion (end-of-cell convention, matching the
 left-continuity convention of singular controls).
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -241,23 +242,39 @@ def simulate_relaxed(spec: ProblemSpec, q, eta: SingularControl,
     return TrajectoryEnsemble(x, spec, q, eta, noise)
 
 
-def _linearization(traj: TrajectoryEnsemble, j: int) -> tuple:
-    """The first-order expansion of Euler step j along the ensemble, averaged
-    over cell j's measure: hbar_x (M, n); the step's Jacobian in the state
-    J_j = I + bbar_x dt + sum_i sbar_x,i dW_i (M, n, n), with which the
-    variational equation and the fundamental pair step, and with whose
-    transpose the pathwise adjoint steps; and sbar_x, (d, n, n) when shared
-    by all paths, else (M, d, n, n)."""
-    spec, mu = traj.spec, traj.control
-    M, n = traj.num_paths, spec.n
-    t, xj = traj.grid.knots[j], traj.states[:, j, :]
-    hx = np.broadcast_to(mu.average(spec.h_x, j, t, xj), (M, n))
-    sx = mu.average(spec.sigma_x, j, t, xj)
-    # sum_i sx_i dW_i, one (n, n) noise matrix per path
-    dW = traj.noise.increments[:, j, None, :]
-    J = np.matmul(dW, sx.reshape(*sx.shape[:-2], n * n)).reshape(M, n, n)
-    J += mu.average(spec.b_x, j, t, xj) * traj.grid.dt + np.eye(n)
-    return hx, J, sx
+class _Linearization:
+    """The first-order expansion of Euler step j along the ensemble, each part
+    averaged over cell j's measure on its first read: hx (M, n); bx and sx,
+    shared ((n, n), (d, n, n)) or per path ((M, n, n), (M, d, n, n)); and
+    the Jacobian J_j = I + bx dt + sum_i sx_i dW_i (M, n, n), with which the
+    tangent sweeps step, and with whose transpose the pathwise adjoint."""
+
+    def __init__(self, traj: TrajectoryEnsemble, j: int):
+        self.traj, self.j, self.x = traj, j, traj.states[:, j, :]
+
+    def _average(self, gradient) -> np.ndarray:
+        return self.traj.control.average(gradient, self.j, self.traj.grid.knots[self.j], self.x)
+
+    @cached_property
+    def hx(self) -> np.ndarray:
+        return np.broadcast_to(self._average(self.traj.spec.h_x), self.x.shape)
+
+    @cached_property
+    def bx(self) -> np.ndarray:
+        return self._average(self.traj.spec.b_x)
+
+    @cached_property
+    def sx(self) -> np.ndarray:
+        return self._average(self.traj.spec.sigma_x)
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        M, n = self.x.shape
+        # sum_i sx_i dW_i, one (n, n) noise matrix per path
+        dW = self.traj.noise.increments[:, self.j, None, :]
+        J = np.matmul(dW, self.sx.reshape(*self.sx.shape[:-2], n * n)).reshape(M, n, n)
+        J += self.bx * self.traj.grid.dt + np.eye(n)
+        return J
 
 
 def simulate_variational(traj: TrajectoryEnsemble, direction: tuple) -> VariationalEnsemble:
@@ -283,7 +300,7 @@ def simulate_variational(traj: TrajectoryEnsemble, direction: tuple) -> Variatio
     for j in _checked_steps(grid.num_steps, z):
         t = knots[j]
         xj = traj.states[:, j, :]
-        _, J, _ = _linearization(traj, j)
+        J = _Linearization(traj, j).jacobian
         db = q.average(spec.b, j, t, xj) - mu.average(spec.b, j, t, xj)
         ds = q.average(spec.sigma, j, t, xj) - mu.average(spec.sigma, j, t, xj)
         z[:, j + 1, :] = (
@@ -314,9 +331,9 @@ def fundamental_solutions(traj: TrajectoryEnsemble) -> FundamentalPair:
     Phi[:, 0] = eye
     Psi[:, 0] = eye
     for j in _checked_steps(grid.num_steps, Phi, Psi):
-        _, J, sx = _linearization(traj, j)
-        np.matmul(J, Phi[:, j], out=Phi[:, j + 1])
-        inverse_step = (np.matmul(sx, sx).sum(axis=-3) * grid.dt + 2 * eye) - J
+        lin = _Linearization(traj, j)
+        np.matmul(lin.jacobian, Phi[:, j], out=Phi[:, j + 1])
+        inverse_step = (np.matmul(lin.sx, lin.sx).sum(axis=-3) * grid.dt + 2 * eye) - lin.jacobian
         np.matmul(Psi[:, j], inverse_step, out=Psi[:, j + 1])
     return FundamentalPair(Phi, Psi, traj)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from singopt.adjoint import adjoint_bsde, adjoint_explicit, duality_residual
+from singopt.adjoint import adjoint_bsde, adjoint_routes, duality_residual
 from singopt.cli import main as cli_main
 from singopt.controls import (
     SingularControl,
@@ -204,8 +204,7 @@ def test_criterion_06_adjoint_closed_form():
     mu = dirac_embed(constant_strict(grid, [0.0]))
     xi = zero_singular(grid, 1)
     traj = simulate_relaxed(spec, mu, xi, noise)
-    expl = adjoint_explicit(traj, degree=1)
-    bsde = adjoint_bsde(traj, degree=1)
+    expl, bsde = adjoint_routes(traj, degree=1)
     p_oracle = 2.0 * traj.states[:, :, 0] * (1.0 - grid.knots)[None, :]
     P_oracle = np.broadcast_to(2.0 * (1.0 - grid.knots), bsde.P[:, :, 0, 0].shape).copy()
     P_oracle[:, -1] = 0.0

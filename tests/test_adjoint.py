@@ -12,7 +12,7 @@ import oracles
 from singopt.adjoint import (
     RegressionError,
     adjoint_bsde,
-    adjoint_explicit,
+    adjoint_routes,
     auxiliary_processes,
     duality_residual,
     fit_conditional,
@@ -22,6 +22,7 @@ from singopt.adjoint import (
     variational_inequality_value,
 )
 from singopt.controls import (
+    RelaxedControl,
     SingularControl,
     alternating_strict,
     constant_relaxed,
@@ -30,7 +31,7 @@ from singopt.controls import (
     dirac_embed,
     zero_singular,
 )
-from singopt import model
+from singopt import model, sde
 from singopt.model import NoiseBatch, TimeGrid, builtin_problem, problem_from_config
 from singopt.sde import (
     fundamental_solutions,
@@ -127,7 +128,7 @@ class TestRegressionEngine:
         spec = problem_from_config(cfg)
         grid, noise, pair, traj = setup(spec, constant_strict(TimeGrid(20, spec.horizon), [0.5]),
                                         N=20, M=3)
-        routes = adjoint_bsde(traj, degree=2), adjoint_explicit(traj, degree=2)
+        routes = adjoint_routes(traj, degree=2)
         for route in routes:
             assert route.diagnostics["max_rank_loss"] == 0
             assert route.diagnostics["max_basis_cond"] == 1.0
@@ -218,7 +219,7 @@ class TestAdjointTrivialCases:
         bsde = adjoint_bsde(traj, degree=1)
         assert np.allclose(bsde.p, 1.0, atol=1e-12)
         assert np.allclose(bsde.P[:, :-1], 0.0, atol=1e-12)
-        expl = adjoint_explicit(traj, degree=1)
+        expl, _ = adjoint_routes(traj, degree=1)
         assert np.allclose(expl.p, 1.0, atol=1e-12)
 
     def test_zero_cost_gradients_give_zero_adjoint(self):
@@ -227,7 +228,7 @@ class TestAdjointTrivialCases:
         bsde = adjoint_bsde(traj, degree=2)
         assert np.abs(bsde.p).max() <= 1e-10
         assert np.abs(bsde.P).max() <= 1e-10
-        expl = adjoint_explicit(traj, degree=2)
+        expl, _ = adjoint_routes(traj, degree=2)
         assert np.abs(expl.p).max() <= 1e-10
 
     def test_example1_at_relaxed_optimum_gives_zero_adjoint(self, example1, grid100):
@@ -241,8 +242,7 @@ class TestAdjointTrivialCases:
             example2_stochastic, constant_strict(TimeGrid(40, 1.0), [0.0]), N=40, M=256
         )
         gx = 2.0 * 0.0  # g = 0 here
-        bsde = adjoint_bsde(traj, degree=1)
-        expl = adjoint_explicit(traj, degree=1)
+        expl, bsde = adjoint_routes(traj, degree=1)
         gx_T = example2_stochastic.g_x(traj.terminal)
         assert np.array_equal(bsde.p[:, -1, :], np.broadcast_to(gx_T, (256, 1)))
         assert np.array_equal(expl.p[:, -1, :], np.broadcast_to(gx_T, (256, 1)))
@@ -257,8 +257,7 @@ def brownian_adjoint_setup():
     xi = zero_singular(grid, 1)
     traj = simulate_relaxed(spec, mu, xi, noise)
     fund = fundamental_solutions(traj)
-    expl = adjoint_explicit(traj, degree=1)
-    bsde = adjoint_bsde(traj, degree=1)
+    expl, bsde = adjoint_routes(traj, degree=1)
     return spec, grid, noise, traj, fund, expl, bsde, (mu, xi)
 
 
@@ -316,8 +315,7 @@ def state_noise_run():
     x = traj.states[:, :, 0]
     P_oracle = alpha * (STATE_NOISE["C"] * x + STATE_NOISE["D"])
     P_oracle[:, -1] = 0.0  # terminal convention
-    return (adjoint_explicit(traj, degree=1), adjoint_bsde(traj, degree=1),
-            alpha * x + beta, P_oracle)
+    return (*adjoint_routes(traj, degree=1), alpha * x + beta, P_oracle)
 
 
 class TestStateNoiseAdjoint:
@@ -376,7 +374,7 @@ def test_explicit_p0_is_the_cost_gradient_in_x0(config):
     the mean Euler cost on the same noise.  The dynamics are affine and the
     costs quadratic, so the central quotient is exact up to rounding."""
     traj = _affine_run(config)
-    p0 = adjoint_explicit(traj, degree=2).p[:, 0]
+    p0 = adjoint_routes(traj, degree=2)[0].p[:, 0]
     quotient = _x0_quotient(traj)
     assert np.abs(p0 - quotient).max() <= 1e-9 * np.abs(quotient).max()
 
@@ -410,9 +408,43 @@ def test_explicit_p0_is_the_mean_terminal_functional(config):
     sum_j Phi_j^T hbar_x dt = X on every path, and p_0, the path mean of
     lam_0, is the path mean of X."""
     traj = _affine_run(config)
-    p0 = adjoint_explicit(traj, degree=2).p[:, 0]
+    p0 = adjoint_routes(traj, degree=2)[0].p[:, 0]
     X = auxiliary_processes(fundamental_solutions(traj)).X.mean(axis=0)
     assert np.abs(p0 - X).max() <= 1e-12 * np.abs(X).max()
+
+
+@AFFINE
+def test_routes_bsde_is_adjoint_bsde_bit_for_bit(config):
+    _, routed = adjoint_routes(_affine_run(config), degree=2)
+    alone = adjoint_bsde(routed.traj, degree=2)
+    assert routed.p.tobytes() == alone.p.tobytes()
+    assert routed.P.tobytes() == alone.P.tobytes()
+    assert routed.diagnostics == alone.diagnostics
+
+
+def test_each_sweep_reads_only_its_parts_of_the_linearization(monkeypatch):
+    """The tangent sweeps average no h_x, and the sweeps that do not step
+    with the Euler Jacobian (the backward SDE, the gradient sums of the
+    auxiliary processes, martingale_route_P) form none."""
+    traj = _affine_run(planar_config)
+    spec = traj.spec
+    averaged = []
+    average = RelaxedControl.average
+
+    def recording(self, fn, *args):
+        averaged.append(fn)
+        return average(self, fn, *args)
+
+    def refuse(lin):
+        raise AssertionError("a sweep formed the Euler Jacobian")
+
+    monkeypatch.setattr(RelaxedControl, "average", recording)
+    direction = (dirac_embed(constant_strict(traj.grid, spec.u1_grid[1])), traj.singular)
+    simulate_variational(traj, direction)
+    fund = fundamental_solutions(traj)
+    assert averaged and not any(fn is spec.h_x for fn in averaged)
+    monkeypatch.setattr(sde._Linearization, "jacobian", property(refuse))
+    martingale_route_P(fund, auxiliary_processes(fund), adjoint_bsde(traj))
 
 
 @pytest.fixture(scope="module")

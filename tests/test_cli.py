@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singopt import cli, model
+from singopt import controls as ctl
 from singopt.cli import main
 from singopt.io import ensemble_from_binary
 
@@ -292,19 +293,19 @@ class TestAdjointCommand:
     def test_explicit_p_is_released_before_the_exports(self, tmp_path, monkeypatch):
         # only the explicit route's diagnostics are read after the agreement
         explicit_p = []
-        route = cli.adj.adjoint_explicit
+        routes = cli.adj.adjoint_routes
         export = cli.sio.ensemble_to_csv
 
-        def explicit(*args, **kwargs):
-            pair = route(*args, **kwargs)
-            explicit_p.append(weakref.ref(pair.p))
-            return pair
+        def both(*args, **kwargs):
+            explicit, bsde = routes(*args, **kwargs)
+            explicit_p.append(weakref.ref(explicit.p))
+            return explicit, bsde
 
         def csv(*args, **kwargs):
             assert explicit_p[0]() is None
             return export(*args, **kwargs)
 
-        monkeypatch.setattr(cli.adj, "adjoint_explicit", explicit)
+        monkeypatch.setattr(cli.adj, "adjoint_routes", both)
         monkeypatch.setattr(cli.sio, "ensemble_to_csv", csv)
         cfg = write_config(
             tmp_path, problem="example2_stochastic", grid={"N": 20},
@@ -312,6 +313,43 @@ class TestAdjointCommand:
         )
         assert run("adjoint", cfg, tmp_path / "out") == 0
         assert len(explicit_p) == 1
+
+    def test_one_basis_and_one_gradient_average_per_knot(self, tmp_path, monkeypatch):
+        # both routes read one regression basis and one cell average of
+        # each state gradient per knot, on the planar problem (b_x, sigma_x
+        # != 0) under a two-atom measure
+        N = 12
+        specs, bases, averaged = [], [], []
+        load, basis, average = cli.load_problem, cli.adj.regression_basis, ctl.RelaxedControl.average
+
+        def loading(cfg):
+            specs.append(load(cfg))
+            return specs[-1]
+
+        def counting_basis(*args, **kwargs):
+            bases.append(args[0].shape)
+            return basis(*args, **kwargs)
+
+        def counting_average(self, fn, *args):
+            averaged.append(fn)
+            return average(self, fn, *args)
+
+        monkeypatch.setattr(cli, "load_problem", loading)
+        monkeypatch.setattr(cli.adj, "regression_basis", counting_basis)
+        monkeypatch.setattr(ctl.RelaxedControl, "average", counting_average)
+        problem = tmp_path / "planar.json"
+        problem.write_text(json.dumps(planar_config()))
+        cell = {"atoms": [[1.0, 0.0], [0.0, -1.0]], "weights": [0.5, 0.5]}
+        cfg = write_config(
+            tmp_path, problem=str(problem), grid={"N": N}, monte_carlo={"M": 64, "seed": 7},
+            candidate={"control": {"type": "relaxed", "cells": [cell] * N}},
+        )
+        assert run("adjoint", cfg, tmp_path / "out") == 0
+        assert bases == [(64, 2)] * N
+        (spec,) = specs
+        counts = [sum(fn is gradient for fn in averaged)
+                  for gradient in (spec.h_x, spec.b_x, spec.sigma_x)]
+        assert counts == [N, N, N]
 
 
 # malformed singular parts on a 4-step grid of a problem with m = 1

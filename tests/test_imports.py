@@ -2,8 +2,8 @@
 the optimality checks do not depend on the adjoint module.  The sweeps
 read a relaxed control's measure only through RelaxedControl.average,
 block_total and cell_averages, never through its atoms or weights, and in
-sde and adjoint only sde._linearization reads the state gradients b_x,
-sigma_x and h_x of the problem."""
+sde, adjoint and optimality only sde._Linearization reads the state
+gradients b_x, sigma_x and h_x of the problem."""
 
 import ast
 from pathlib import Path
@@ -57,7 +57,7 @@ def test_sweeps_do_not_read_atoms_or_weights(path):
     assert reads == []
 
 
-LINEARIZED = [p for p in SOURCES if p.name in ("sde.py", "adjoint.py")]
+LINEARIZED = [p for p in SOURCES if p.name in ("sde.py", "adjoint.py", "optimality.py")]
 
 
 @pytest.mark.parametrize("path", LINEARIZED, ids=[p.name for p in LINEARIZED])
@@ -69,7 +69,7 @@ def test_only_the_linearization_reads_state_gradients(path):
         for node in ast.walk(top)
         if isinstance(node, ast.Attribute) and node.attr in ("b_x", "sigma_x", "h_x")
     }
-    assert readers <= {"_linearization"}
+    assert readers <= {"_Linearization"}
 
 
 def test_no_module_imports_cell_average():

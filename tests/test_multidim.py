@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from singopt.adjoint import adjoint_bsde, adjoint_explicit, duality_residual
+from singopt.adjoint import adjoint_bsde, adjoint_routes, duality_residual
 from singopt.controls import (
     RelaxedControl,
     SingularControl,
@@ -156,8 +156,7 @@ class TestPlanarProblem:
 
     def test_adjoint_routes_agree(self, planar, planar_run):
         grid, noise, mu, xi, traj = planar_run
-        expl = adjoint_explicit(traj, degree=2)
-        bsde = adjoint_bsde(traj, degree=2)
+        expl, bsde = adjoint_routes(traj, degree=2)
         assert np.array_equal(bsde.p[:, -1], expl.p[:, -1])
         agree = float(np.sqrt(np.mean((bsde.p - expl.p) ** 2)))
         assert agree <= 5e-2

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from singopt import optimality
-from singopt.adjoint import adjoint_bsde, adjoint_explicit, variational_inequality_value
+from singopt import adjoint
+from singopt.adjoint import adjoint_bsde, adjoint_routes, variational_inequality_value
 from singopt.controls import (
     ControlError,
     SingularControl,
@@ -247,7 +247,7 @@ def test_diffusion_gradient_is_the_einsum(n, d, per_path):
     sx = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
     P = rng.standard_normal((M, n, d)) * 10.0 ** rng.integers(-8, 8, (M, n, d))
     reference = np.einsum("mjqp,mqj->mp", np.broadcast_to(sx, (M, d, n, n)), P)
-    gradient = optimality._diffusion_gradient(sx, P)
+    gradient = adjoint._diffusion_gradient(sx, P)
     if n == 1 and d >= 3:
         # einsum sums the channels in two lanes here: equal up to rounding
         scale = np.einsum("mjqp,mqj->mp", np.abs(np.broadcast_to(sx, (M, d, n, n))), np.abs(P))
@@ -539,7 +539,7 @@ class TestPairWithoutP:
 
     @pytest.mark.parametrize("check", ["verify", "certify", "vi"])
     def test_explicit_pair_is_refused(self, traj, check):
-        pair = adjoint_explicit(traj)
+        pair, _ = adjoint_routes(traj)
         direction = (dirac_embed(constant_strict(traj.grid, [0.0])), traj.singular)
         run = {
             "verify": lambda: verify_necessary(pair),
