@@ -14,7 +14,9 @@ half of the paths into an unnamed temporary file while the caller formats
 the first half into the output, then reaps the child and appends its
 bytes.  Each row's bytes depend only on its own values, and the halves are
 joined in path order after the child has exited, so the child's timing
-cannot reach the file.
+cannot reach the file.  The thread-count gate (``_single_threaded``) and
+the fork that reaps its child on any exit (``_fork``, ``_Child``) are
+defined here once and serve ``model.NoiseStream.windows`` too.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "
     Any other export, or one whose fork fails, is written by the caller
     alone.  Both halves go through one row writer, so the bytes are those
     of a one-process write whatever the child's timing.  The child is
-    always reaped: a child that fails raises ``OSError`` here, naming its
-    cause, and an exception in the caller's half kills the child before
-    it propagates.
+    always reaped (see ``_Child``): a child that fails raises ``OSError``
+    here, naming its cause, and an exception in the caller's half kills
+    the child before it propagates.
     """
     values = np.asarray(values, dtype=float)
     M, K, D = values.shape
@@ -63,20 +65,30 @@ def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "
     with open(path, "wb") as out:
         out.write(("path,step,t," + ",".join(f"{prefix}{i}" for i in range(D)) + "\n").encode())
         if M > _BLOCK_PATHS and values.size >= _FORK_CELLS and _single_threaded():
+            split = M // 2
             with tempfile.TemporaryFile(dir=Path(path).parent) as tail:
-                try:
-                    pid = os.fork()
-                except OSError:  # no process to spare: the caller writes alone
-                    pid = None
-                if pid is not None:
-                    _write_halves(values, heads, pid, out, tail, path)
+
+                def write_tail():
+                    _write_rows(values, heads, split, M, tail.write)
+                    tail.flush()
+
+                child = _fork(write_tail)
+                if child is not None:
+                    with child:
+                        _write_rows(values, heads, 0, split, out.write)
+                        child.join(f"{path}: rows of paths {split} to {M - 1} were not written: "
+                                   "the process formatting them")
+                    tail.seek(0)
+                    shutil.copyfileobj(tail, out)
                     return
         _write_rows(values, heads, 0, M, out.write)
 
 
 def _single_threaded() -> bool:
     """Whether this process runs one operating-system thread, as the
-    interpreter counts them when it warns about a fork.
+    interpreter counts them when it warns about a fork.  Every fork of the
+    package (``ensemble_to_csv`` and ``model.NoiseStream.windows``) is
+    made only when this holds.
 
     A fork beside any other thread (a live Python thread, or a BLAS
     library's worker pool) can deadlock the child on a lock that thread
@@ -89,44 +101,69 @@ def _single_threaded() -> bool:
         return False
 
 
-def _write_halves(values, heads, pid, out, tail, path) -> None:
-    """Both sides of a forked export: the child (``pid == 0``) formats paths
-    [M // 2, M) into ``tail`` and ends its process; the caller formats
-    [0, M // 2) into ``out``, reaps the child and appends ``tail``."""
-    M = len(values)
-    split = M // 2
+def _fork(work) -> _Child | None:
+    """Fork a child process that runs ``work()`` and ends; return it to
+    the caller as a ``_Child``, or None when the fork fails.
+
+    The child never returns from this call: it exits with status 0 when
+    ``work`` returns, and otherwise with status 1 after writing the error
+    (its type and message, at most ``_CAUSE_BYTES``) to a pipe that the
+    caller's ``_Child.join`` reads.  ``os._exit`` skips the atexit
+    handlers and the stdio buffers the child inherited.  Call this only
+    when ``_single_threaded()`` holds.
+    """
+    cause_in, cause_out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(cause_in)
+        os.close(cause_out)
+        return None
     if pid == 0:
-        # the child never returns: os._exit skips the atexit handlers and
-        # the stdio buffers it inherited.  On failure it replaces its rows
-        # by the cause, written past the file's buffer.
         code = 1
         try:
-            _write_rows(values, heads, split, M, tail.write)
-            tail.flush()
+            os.close(cause_in)
+            work()
             code = 0
         except BaseException as exc:
-            os.ftruncate(tail.fileno(), 0)
-            os.pwrite(tail.fileno(), f"{type(exc).__name__}: {exc}".encode(errors="replace"), 0)
+            os.write(cause_out, f"{type(exc).__name__}: {exc}".encode(errors="replace")[:_CAUSE_BYTES])
         finally:
             os._exit(code)
-    status = None
-    try:
-        _write_rows(values, heads, 0, split, out.write)
-        status = os.waitpid(pid, 0)[1]
-    finally:
-        if status is None:
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
-    tail.seek(0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        cause = tail.read(_CAUSE_BYTES).decode(errors="replace")
-        ended = f"exit status {code}" if code > 0 else f"signal {-code}"
-        raise OSError(
-            f"{path}: rows of paths {split} to {M - 1} were not written: "
-            f"the process formatting them ended with {ended}" + (f": {cause}" if cause else "")
-        )
-    shutil.copyfileobj(tail, out)
+    os.close(cause_out)
+    return _Child(pid, cause_in)
+
+
+class _Child:
+    """A child forked by ``_fork``, reaped whichever way the ``with`` block
+    that holds it ends: ``join`` waits for it, and a block left before
+    ``join`` returned (an exception, a generator closed early) kills it
+    with SIGKILL and then waits for it."""
+
+    def __init__(self, pid: int, cause: int):
+        self._pid, self._cause, self._status = pid, cause, None
+
+    def __enter__(self) -> _Child:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        try:
+            if self._status is None:
+                os.kill(self._pid, _SIGKILL)
+                os.waitpid(self._pid, 0)
+        finally:
+            os.close(self._cause)
+
+    def join(self, what: str) -> None:
+        """Wait for the child to end; raise ``OSError`` when it did not
+        exit with status 0, ``what`` followed by how it ended and by the
+        error it wrote, if any."""
+        status = os.waitpid(self._pid, 0)[1]
+        self._status = status
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            cause = os.read(self._cause, _CAUSE_BYTES).decode(errors="replace")
+            ended = f"exit status {code}" if code > 0 else f"signal {-code}"
+            raise OSError(f"{what} ended with {ended}" + (f": {cause}" if cause else ""))
 
 
 def _write_rows(values: np.ndarray, heads: list, lo: int, hi: int, write) -> None:

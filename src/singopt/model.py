@@ -14,8 +14,12 @@ file format.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
+import math
+import mmap
+import os
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -23,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import io as sio
 from .coefficients import ProblemError, build_coefficients, read_reals
 
 BUILTIN_NAMES = ("example1", "example2_separated", "example2_stochastic", "singular_block")
@@ -253,8 +258,12 @@ class NoiseStream:
     PCG64 states are hashed for all paths at once (_spawned_seed_words).
 
     fill draws one window on the calling thread; windows hands out
-    successive windows and draws each next one on a second thread while the
-    caller works on the current one.
+    successive windows and draws each next one while the caller works on
+    the current one, in a forked producer process when this process runs
+    one operating-system thread (io._single_threaded), else on a second
+    thread.  A producer's draws advance its own copy of the generators, not
+    this process's, so a stream hands its increments to windows once: after
+    windows, fill and windows raise RuntimeError.
     """
 
     def __init__(self, num_paths: int, grid: TimeGrid, noise_dim: int, seed):
@@ -268,6 +277,13 @@ class NoiseStream:
         self._scale = np.sqrt(grid.dt)
         self._block = None
 
+    def _generators(self) -> list:
+        """The per-path draws; a stream that handed them to windows refuses."""
+        if self._normals is None:
+            raise RuntimeError("this noise stream handed its increments to windows; "
+                               "a further draw would repeat them")
+        return self._normals
+
     def _scratch(self, num_steps: int) -> np.ndarray:
         """The scratch block of paths, (min(M, _NOISE_BLOCK_PATHS), K, d),
         for K = num_steps; allocated when the kept block holds fewer steps,
@@ -280,13 +296,14 @@ class NoiseStream:
     def fill(self, window: np.ndarray) -> None:
         """Write the increments of the next K steps of every path into the
         time-major window of shape (K, M, d)."""
+        normals = self._generators()
         K = len(window)
-        M = len(self._normals)
+        M = len(normals)
         # each row is exactly one path's K steps, so one call draws them
         block = self._scratch(K)
         for start in range(0, M, len(block)):
             stop = min(start + len(block), M)
-            for row, normal in zip(block, self._normals[start:stop]):
+            for row, normal in zip(block, normals[start:stop]):
                 normal(out=row)
             for step in range(0, K, _NOISE_TILE_STEPS):
                 tile = slice(step, step + _NOISE_TILE_STEPS)
@@ -296,35 +313,54 @@ class NoiseStream:
     def windows(self, num_steps: int, width: int):
         """Yield (first, window) over the next num_steps steps of every path:
         time-major windows (K, M, d) of width steps (the last may be
-        narrower), first the step each one starts at.
+        narrower), first the step each one starts at.  From this call on,
+        this stream refuses every further draw.
 
-        The first window is drawn here.  Then, while the caller works on
-        window k, one thread fills window k + 1 into the other of two
-        buffers, so a window holds its increments until the next one is
-        asked for.  That thread is joined before the next window is handed
-        out, and an exception raised by its fill is raised there.  Close
-        the generator (contextlib.closing) so the thread is joined also
-        when the caller raises or stops early.  One fill runs at a time and
-        the windows are filled in order, so the increments are those of
-        fill, bit for bit, whenever the thread runs.
+        Two buffers hold the windows: while the caller works on window k,
+        window k + 1 is filled into the other one, so a window holds its
+        increments until the next one is asked for.  When the draw spans
+        more than one window and this process runs one operating-system
+        thread, one producer process is forked (io._fork) that fills every
+        window in turn into an anonymous shared mapping (_Producer);
+        otherwise, or when the fork fails, the first window is drawn here
+        and each next one on a thread (_Fill).  Either is waited for before
+        its window is handed out, and a failed fill raises there: the
+        thread's exception itself, the producer's as an OSError naming it.
+        Close the generator (contextlib.closing) so the thread is joined, or
+        the producer killed and reaped, also when the caller raises or
+        stops early.  One fill runs at a time and the windows are filled in
+        order, so the increments are those of fill, bit for bit, whichever
+        path draws them and whenever it runs.
         """
+        self._generators()
+        drawer = copy.copy(self)
+        self._normals = None
+        return drawer._look_ahead(num_steps, width)
+
+    def _look_ahead(self, num_steps: int, width: int):
         width = min(width, num_steps)
-        self._scratch(width)  # here, so the thread allocates no block
-        buffers = [np.empty((width, len(self._normals), self._noise_dim))
-                   for _ in range(1 + (width < num_steps))]
         firsts = range(0, num_steps, width)
-
-        def window(k):
-            return buffers[k % 2][: num_steps - firsts[k]]
-
-        self.fill(window(0))
+        self._scratch(width)  # here, so neither the thread nor the producer allocates a block
+        shape = (min(2, len(firsts)), width, len(self._normals), self._noise_dim)
+        forks = len(firsts) > 1 and sio._single_threaded()
+        # a forked producer writes into this process's memory only through
+        # a shared mapping
+        buffers = (np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape) if forks
+                   else np.empty(shape))
+        windows = [buffers[k % 2, : num_steps - first] for k, first in enumerate(firsts)]
+        producer = _Producer.fork(self, firsts, windows) if forks else None
+        if producer is not None:
+            with producer:
+                yield from producer
+            return
+        self.fill(windows[0])
         pending = None
         try:
             for k, first in enumerate(firsts):
                 if pending is not None:
                     pending.wait()
-                pending = _Fill(self, window(k + 1)) if k + 1 < len(firsts) else None
-                yield first, window(k)
+                pending = _Fill(self, windows[k + 1]) if k + 1 < len(windows) else None
+                yield first, windows[k]
         finally:
             if pending is not None:
                 pending.join()
@@ -349,6 +385,69 @@ class _Fill(threading.Thread):
         self.join()
         if self._failure is not None:
             raise self._failure
+
+
+class _Producer:
+    """stream.fill into windows[0], windows[1], ... in turn, in one process
+    forked by io._fork, into buffers the two share; iterating yields
+    (first, window) as each window is filled, then waits for the producer
+    to end.
+
+    Two pipes coordinate it with the caller: the producer writes one byte
+    to ``filled`` when it has filled window k, and fills window k + 2,
+    which reuses window k's buffer, only after reading one byte from
+    ``free``, which the caller writes when it asks for window k + 1.  A
+    with block around it closes the pipes, and kills and reaps the
+    producer if it is still running.
+    """
+
+    @classmethod
+    def fork(cls, stream: NoiseStream, firsts: range, windows: list) -> _Producer | None:
+        """The producer, started; None when the fork fails."""
+        filled, free = os.pipe(), os.pipe()
+
+        def produce():
+            os.close(free[1])  # so that the caller's exit ends a wait for free
+            for k, window in enumerate(windows):
+                if k >= 2 and not os.read(free[0], 1):
+                    return
+                stream.fill(window)
+                os.write(filled[1], b"\0")
+
+        child = None
+        try:
+            child = sio._fork(produce)
+        finally:
+            # the caller keeps free[0] open, so its writes cannot fail when
+            # the producer ends early; that is seen at the next read of filled
+            os.close(filled[1])
+            if child is None:
+                for fd in (filled[0], *free):
+                    os.close(fd)
+        return None if child is None else cls(child, filled[0], free, list(zip(firsts, windows)))
+
+    def __init__(self, child, filled: int, free: tuple, windows: list):
+        self._child, self._filled, self._free, self._windows = child, filled, free, windows
+
+    def __enter__(self) -> _Producer:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        try:
+            self._child.__exit__(*exc)
+        finally:
+            for fd in (self._filled, *self._free):
+                os.close(fd)
+
+    def __iter__(self):
+        for k, (first, window) in enumerate(self._windows):
+            if 0 < k < len(self._windows) - 1:
+                os.write(self._free[1], b"\0")  # window k - 1's buffer may take window k + 1
+            if not os.read(self._filled, 1):
+                self._child.join(f"noise of steps {first} to {first + len(window) - 1} "
+                                 "was not drawn: the process drawing it")
+            yield first, window
+        self._child.join("the process drawing the noise")
 
 
 @dataclass(frozen=True, eq=False)

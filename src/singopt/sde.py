@@ -44,10 +44,12 @@ from .model import NoiseBatch, NoiseStream, ProblemSpec, TimeGrid, ensemble_zero
 # and chattering_gap streams both controls through windows of one block.
 _BLOCK_KNOTS = 64
 # Steps per noise window of chattering_gap, a multiple of _BLOCK_KNOTS.  Two
-# windows are held, the next one drawn on a second thread (NoiseStream.windows).
-# Each window costs one standard_normal call per path, so a narrower window
-# pays that call more often and a wider one holds more increments (M x window
-# x d floats: 7.8 MiB per window at M = 4 000, d = 1 and 256 steps).
+# windows are held, the next one drawn by a forked producer process into a
+# shared mapping, or on a second thread where the process may not fork
+# (NoiseStream.windows).  Each window costs one standard_normal call per path,
+# so a narrower window pays that call more often and a wider one holds more
+# increments (M x window x d floats: 7.8 MiB per window at M = 4 000, d = 1
+# and 256 steps).
 _NOISE_WINDOW_KNOTS = 256
 
 
@@ -424,11 +426,15 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
     The two controls are advanced side by side, one block of _BLOCK_KNOTS
     knots at a time, in two windows of _BLOCK_KNOTS + 1 knots; the gap and
     the running costs are accumulated per block.  The noise is drawn in
-    windows of _NOISE_WINDOW_KNOTS steps, the next one on a second thread
-    while the blocks of the current one are swept (NoiseStream.windows), so
-    no array grows with the number of paths times the number of steps.  The
-    thread is joined before this returns or raises.  The singular quadrature
-    is the same for both controls and cancels from the cost difference.
+    windows of _NOISE_WINDOW_KNOTS steps, the next one while the blocks of
+    the current one are swept (NoiseStream.windows), so no array grows with
+    the number of paths times the number of steps.  The draws run in one
+    forked producer process when this process runs a single operating-system
+    thread, so they do not take the interpreter lock from the sweep, and
+    otherwise on a second thread; the producer is reaped, or the thread
+    joined, before this returns or raises, and the increments are the same
+    either way.  The singular quadrature is the same for both controls and
+    cancels from the cost difference.
     A control whose horizon is not the problem's raises SimulationError.
     """
     _require_horizon(spec, q.grid)

@@ -1,7 +1,8 @@
 """Shared fixtures: built-in problems, grids, and two custom fixtures that
 exercise state-dependent linearizations (the built-ins all have b_x = 0);
-and checks, for every test, that it leaves no thread running and no forked
-child unreaped."""
+checks, for every test, that it leaves no thread running, no forked child
+unreaped and no file descriptor open; and noise_thread, which sends
+NoiseStream.windows down its thread path."""
 
 import os
 import signal
@@ -9,19 +10,55 @@ import threading
 
 # One BLAS thread, as perfbench pins it, set before numpy is first imported
 # (here): a BLAS worker pool is a second operating-system thread, beside
-# which io.ensemble_to_csv writes in one process instead of forking.
+# which io.ensemble_to_csv writes in one process and NoiseStream.windows
+# draws on a thread instead of forking.
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
 import numpy as np
 import pytest
 
+from singopt import io
 from singopt.model import ProblemSpec, TimeGrid, builtin_problem, problem_from_config
+
+_FDS = "/proc/self/fd"
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_fds():
+    """Fail a test that leaves open a file descriptor that was not open
+    before it (NoiseStream.windows coordinates its producer process through
+    two pipes, and every fork reads its child's error from a third; each is
+    closed).  Where /proc/self/fd cannot be read, nothing is checked."""
+    try:
+        before = set(os.listdir(_FDS))
+    except OSError:
+        before = None
+    yield
+    if before is None:
+        return
+    leaked = {}
+    for fd in set(os.listdir(_FDS)) - before:
+        try:
+            leaked[fd] = os.readlink(f"{_FDS}/{fd}")
+        except OSError:
+            continue  # the directory's own descriptor, closed by now
+    if leaked:
+        pytest.fail(f"file descriptors left open: {leaked}")
+
+
+@pytest.fixture
+def noise_thread(monkeypatch):
+    """Send NoiseStream.windows down its thread path, which it takes beside
+    another operating-system thread, outside Linux or when the fork fails;
+    the CSV export then writes in one process too."""
+    monkeypatch.setattr(io, "_single_threaded", lambda: False)
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
     """Fail a test that leaves alive a thread that was not alive before it
-    (chattering_gap draws its noise on a second thread, which it joins)."""
+    (chattering_gap draws its noise on a second thread when it does not
+    fork, and joins it)."""
     before = set(threading.enumerate())
     yield
     leaked = [thread.name for thread in threading.enumerate() if thread not in before]
@@ -32,7 +69,8 @@ def no_leaked_threads():
 @pytest.fixture(autouse=True)
 def no_unreaped_children(monkeypatch):
     """Fail a test that leaves a child it forked with os.fork unreaped
-    (io.ensemble_to_csv forks one for a large export, and reaps it); such a
+    (io.ensemble_to_csv forks one for a large export and
+    NoiseStream.windows one noise producer, and each reaps it); such a
     child is killed and reaped here.  Yields the pids of the test's forks.
     subprocess does not go through os.fork, so its children are not seen."""
     forked = []
@@ -57,6 +95,15 @@ def no_unreaped_children(monkeypatch):
         unreaped.append(pid)
     if unreaped:
         pytest.fail(f"forked children left unreaped: {unreaped}")
+
+
+def reaped(pid):
+    """Whether the child pid has been waited for (os.waitpid finds none)."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 @pytest.fixture

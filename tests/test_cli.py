@@ -19,7 +19,7 @@ from singopt import controls as ctl
 from singopt.cli import main
 from singopt.io import ensemble_from_binary
 
-from conftest import planar_config
+from conftest import planar_config, reaped
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -785,14 +785,17 @@ def test_blowup_exits_three(tmp_path):
         assert run("simulate", cfg, tmp_path / "out") == 3
 
 
-def test_chatter_blowup_exits_three_and_joins_the_noise_thread(tmp_path):
+def test_chatter_blowup_exits_three_and_joins_the_noise_thread(tmp_path, no_unreaped_children):
     # n = 32: 1 024 refined steps, four noise windows; the sweep stops in the
-    # first while the second is drawn on the noise thread
+    # first while the forked noise producer waits to fill the third, and the
+    # producer is killed and reaped
     cfg = write_config(tmp_path, problem=str(write_exploding_problem(tmp_path)),
                        candidate={"name": "constant:0.0"}, chatter={"n_values": [32]})
     threads = threading.active_count()
     with np.errstate(over="ignore", invalid="ignore"):
         assert run("chatter", cfg, tmp_path / "out") == 3
+    [pid] = no_unreaped_children
+    assert reaped(pid)
     assert threading.active_count() == threads
 
 

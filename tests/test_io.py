@@ -12,10 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import reaped
 from singopt import io
 from singopt.controls import constant_relaxed, zero_singular
 from singopt.io import ensemble_from_binary, ensemble_to_binary, ensemble_to_csv
-from singopt.model import NoiseBatch, TimeGrid, ensemble_zeros
+from singopt.model import NoiseBatch, NoiseStream, TimeGrid, ensemble_zeros
 from singopt.sde import simulate_relaxed
 
 
@@ -144,14 +145,6 @@ def test_csv_bytes_are_the_same_on_one_cpu(tmp_path, no_unreaped_children, split
     assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "p")
 
 
-def _reaped(pid):
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 def test_a_failed_child_raises_oserror_naming_its_cause_and_is_reaped(
         tmp_path, monkeypatch, no_unreaped_children, split_small):
     write_rows = io._write_rows
@@ -168,7 +161,7 @@ def test_a_failed_child_raises_oserror_naming_its_cause_and_is_reaped(
     with pytest.raises(OSError, match=message):
         ensemble_to_csv(_csv_data(600, 2), CSV_KNOTS, path)
     [pid] = no_unreaped_children
-    assert _reaped(pid)
+    assert reaped(pid)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -195,7 +188,7 @@ def test_a_failure_in_the_callers_half_kills_and_reaps_the_child(
     assert time.monotonic() - start < 30
     [pid] = no_unreaped_children
     assert os.WIFSIGNALED(statuses[pid]) and os.WTERMSIG(statuses[pid]) == signal.SIGKILL
-    assert _reaped(pid)
+    assert reaped(pid)
 
 
 def test_a_failed_fork_leaves_the_caller_to_write_alone(tmp_path, monkeypatch, split_small):
@@ -210,6 +203,16 @@ def test_a_failed_fork_leaves_the_caller_to_write_alone(tmp_path, monkeypatch, s
     assert os.listdir(tmp_path) == ["ensemble.csv"]
 
 
+def _draw_noise_windows():
+    """Draw three noise windows through NoiseStream.windows, whose forked
+    producer sits behind the same gate as the export, and check them
+    against the whole-grid draw."""
+    grid = TimeGrid(600, 1.0)
+    whole = NoiseBatch.generate(8, grid, 1, 5).increments.swapaxes(0, 1)
+    draws = NoiseStream(8, grid, 1, 5).windows(600, 256)
+    assert np.concatenate([window.copy() for _, window in draws]).tobytes() == whole.tobytes()
+
+
 def test_no_fork_beside_a_live_thread(tmp_path, monkeypatch, split_small):
     monkeypatch.setattr(os, "fork", _refuse_fork)
     data = _csv_data(600, 3)
@@ -219,6 +222,7 @@ def test_no_fork_beside_a_live_thread(tmp_path, monkeypatch, split_small):
     blocked.start()
     try:
         ensemble_to_csv(_laid_out(data, True), CSV_KNOTS, path, prefix="p")
+        _draw_noise_windows()
     finally:
         release.set()
         blocked.join(timeout=10)
@@ -241,6 +245,7 @@ def test_no_fork_where_threads_cannot_be_counted(tmp_path, monkeypatch, split_sm
     path = tmp_path / "ensemble.csv"
     ensemble_to_csv(data, CSV_KNOTS, path)
     assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "x")
+    _draw_noise_windows()
 
 
 def test_binary_rejects_negative_seed(tmp_path):

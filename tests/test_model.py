@@ -1,7 +1,10 @@
 """Problem definitions, assumption validation, noise reproducibility."""
 
+import contextlib
 import json
 import math
+import os
+import signal
 import sys
 
 import numpy as np
@@ -26,7 +29,7 @@ from singopt.model import (
 )
 from singopt.sde import _NOISE_WINDOW_KNOTS
 
-from conftest import planar_config
+from conftest import planar_config, reaped
 
 
 def test_builtin_names_all_load_and_validate():
@@ -284,10 +287,15 @@ def test_noise_windows_equal_the_whole_grid_draw(num_paths, window, num_steps, n
     assert np.array_equal(whole[:, -1], expected)
 
 
+@pytest.mark.parametrize("path", ["producer", "thread"])
 @pytest.mark.parametrize("num_steps", [1000, 32], ids=["four-windows", "one-short-window"])
-def test_look_ahead_windows_equal_the_whole_grid_draw(num_steps):
+def test_look_ahead_windows_equal_the_whole_grid_draw(num_steps, path, request,
+                                                      no_unreaped_children):
     # 300 paths cross the 256-path scratch block; 1 000 steps are not a
-    # multiple of the window, and 32 (chatter at n = 4) are less than one
+    # multiple of the window, and 32 (chatter at n = 4) are less than one,
+    # which is drawn here on either path
+    if path == "thread":
+        request.getfixturevalue("noise_thread")
     grid = TimeGrid(num_steps, 1.0)
     whole = NoiseBatch.generate(300, grid, 2, 17).increments.swapaxes(0, 1)
     draws = NoiseStream(300, grid, 2, 17).windows(num_steps, _NOISE_WINDOW_KNOTS)
@@ -301,6 +309,52 @@ def test_look_ahead_windows_equal_the_whole_grid_draw(num_steps):
         sys.setswitchinterval(interval)
     assert firsts == tuple(range(0, num_steps, _NOISE_WINDOW_KNOTS))
     assert np.concatenate(windows).tobytes() == whole.tobytes()
+    assert len(no_unreaped_children) == (path == "producer" and num_steps > _NOISE_WINDOW_KNOTS)
+
+
+@pytest.mark.parametrize("path", ["producer", "thread"])
+def test_a_stream_refuses_every_draw_after_windows(path, request, no_unreaped_children):
+    # a forked producer advances its own copy of the per-path generators,
+    # so a later draw from this process's copy would repeat its increments
+    if path == "thread":
+        request.getfixturevalue("noise_thread")
+    stream = NoiseStream(8, TimeGrid(600, 1.0), 1, 5)
+    refused = "^this noise stream handed its increments to windows; a further draw would repeat them$"
+
+    def refuses_every_draw():
+        with pytest.raises(RuntimeError, match=refused):
+            stream.fill(np.empty((4, 8, 1)))
+        with pytest.raises(RuntimeError, match=refused):
+            stream.windows(600, 256)
+
+    with contextlib.closing(stream.windows(600, 256)) as draws:
+        refuses_every_draw()  # before the first window is drawn
+        next(draws)
+        refuses_every_draw()
+        assert len(list(draws)) == 2
+    refuses_every_draw()
+    assert len(no_unreaped_children) == (path == "producer")
+
+
+def test_closing_the_windows_early_kills_and_reaps_the_producer(monkeypatch, no_unreaped_children):
+    # four windows: once the first is handed out, the producer has filled
+    # the second and waits to fill the third into the first one's buffer
+    statuses = {}
+    waitpid = os.waitpid
+
+    def recording_waitpid(pid, options):
+        reaped_pid, status = waitpid(pid, options)
+        statuses[reaped_pid] = status
+        return reaped_pid, status
+
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    draws = NoiseStream(300, TimeGrid(1000, 1.0), 2, 17).windows(1000, _NOISE_WINDOW_KNOTS)
+    first, _ = next(draws)
+    draws.close()
+    assert first == 0
+    [pid] = no_unreaped_children
+    assert os.WIFSIGNALED(statuses[pid]) and os.WTERMSIG(statuses[pid]) == signal.SIGKILL
+    assert reaped(pid)
 
 
 # Seeds of one, two, three and six 32-bit words (padded to the pool of four,

@@ -1,6 +1,7 @@
 """Forward simulation: strict/relaxed kernels, variational equation,
 fundamental pair, cost quadrature, chattering convergence."""
 
+import mmap
 import threading
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import planar_config
+from conftest import planar_config, reaped
 from singopt.adjoint import adjoint_bsde
 from singopt.controls import (
     RelaxedControl,
@@ -561,10 +562,12 @@ class TestStreamedChatteringGap:
         assert_matches_reference(row, spec, q, eta, 9, 24, 8)
 
     @pytest.mark.parametrize("bad_knot", [64, 150, 512])
-    def test_blowup_names_the_absolute_step(self, tanh_drift, bad_knot):
+    def test_blowup_names_the_absolute_step(self, tanh_drift, request, no_unreaped_children,
+                                            bad_knot):
         # n = 16: 16 cells of 16 x 2 sub-steps, 512 refined steps; path 1
         # leaves the finite range at the last knot of the first block,
-        # inside the third block or at the horizon
+        # inside the third block or at the horizon.  The noise is drawn by
+        # a forked producer, then, beside another thread, on a thread.
         grid = TimeGrid(8, 1.0)
         refined = TimeGrid(512, 1.0)
         q = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
@@ -577,16 +580,23 @@ class TestStreamedChatteringGap:
 
         exploding = tanh_drift.with_overrides(b=b)
         threads = threading.active_count()
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(
-                SimulationError,
-                match=rf"^state became non-finite at step {bad_knot}, first affected path 1$",
-            ):
-                chattering_gap(exploding, q, zero_singular(grid, 1), 16, 4, 5)
-        # the noise thread was joined, whichever window the sweep stopped in
-        assert threading.active_count() == threads
+        for path in ("producer", "thread"):
+            if path == "thread":
+                request.getfixturevalue("noise_thread")
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(
+                    SimulationError,
+                    match=rf"^state became non-finite at step {bad_knot}, first affected path 1$",
+                ):
+                    chattering_gap(exploding, q, zero_singular(grid, 1), 16, 4, 5)
+            # the producer was reaped, or the noise thread joined, whichever
+            # window the sweep stopped in
+            assert all(reaped(pid) for pid in no_unreaped_children)
+            assert threading.active_count() == threads
+        assert len(no_unreaped_children) == 1
 
-    def test_a_failed_background_fill_reaches_the_caller(self, example2_stochastic, monkeypatch):
+    def test_a_failed_background_fill_reaches_the_caller(self, example2_stochastic, monkeypatch,
+                                                         noise_thread):
         # n = 16: 512 refined steps, so the second window is drawn on the
         # second thread while the sweep runs through the first
         fill = NoiseStream.fill
@@ -608,7 +618,46 @@ class TestStreamedChatteringGap:
         assert fillers[0] is threading.current_thread()
         assert fillers[1] is not threading.current_thread()
 
-    def test_peak_memory_stays_below_noise_plus_one_ensemble(self, example2_stochastic):
+    def test_a_failed_fill_in_the_producer_raises_oserror_naming_its_cause(
+            self, example2_stochastic, monkeypatch, no_unreaped_children):
+        # n = 16: 512 refined steps in two windows, both filled by the
+        # forked producer, whose second fill fails
+        fill = NoiseStream.fill
+        fills = []
+
+        def failing(self, window):
+            fills.append(window)
+            if len(fills) == 2:
+                raise RuntimeError("second window")
+            fill(self, window)
+
+        monkeypatch.setattr(NoiseStream, "fill", failing)
+        grid = TimeGrid(8, 1.0)
+        q = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
+        message = (r"^noise of steps 256 to 511 was not drawn: the process drawing it ended "
+                   r"with exit status 1: RuntimeError: second window$")
+        with pytest.raises(OSError, match=message):
+            chattering_gap(example2_stochastic, q, zero_singular(grid, 1), 16, 4, 5)
+        assert fills == []  # every fill ran in the producer
+        [pid] = no_unreaped_children
+        assert reaped(pid)
+
+    @pytest.fixture
+    def mapped(self, monkeypatch):
+        """The byte sizes of the anonymous mappings made during the test:
+        the noise windows a forked producer shares, which tracemalloc does
+        not see."""
+        sizes = []
+        anonymous = mmap.mmap
+
+        def recording(fileno, length, *args, **kwargs):
+            sizes.append(length)
+            return anonymous(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", recording)
+        return sizes
+
+    def test_peak_memory_stays_below_noise_plus_one_ensemble(self, example2_stochastic, mapped):
         # n = 32: 32 cells of 32 x 2 sub-steps, 2 048 refined steps at M = 500
         M, steps = 500, 2048
         grid = TimeGrid(32, 1.0)
@@ -623,9 +672,10 @@ class TestStreamedChatteringGap:
         finally:
             tracemalloc.stop()
         assert row["refined_steps"] == steps
-        assert peak < noise_bytes + state_bytes
+        assert mapped
+        assert peak + sum(mapped) < noise_bytes + state_bytes
 
-    def test_peak_memory_does_not_grow_with_the_refined_steps(self, example2_stochastic):
+    def test_peak_memory_does_not_grow_with_the_refined_steps(self, example2_stochastic, mapped):
         # n = 32 and n = 64: 2 048 and 8 192 refined steps at M = 500, both
         # at least one noise window.  Noise held for the whole grid would
         # alone take 8 and 33 MB.
@@ -635,12 +685,14 @@ class TestStreamedChatteringGap:
         eta = zero_singular(grid, 1)
         peaks = []
         for n in (32, 64):
+            maps = len(mapped)
             tracemalloc.start()
             try:
                 row = chattering_gap(example2_stochastic, q, eta, n, M, 2)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peaks.append(tracemalloc.get_traced_memory()[1] + sum(mapped[maps:]))
             finally:
                 tracemalloc.stop()
+            assert len(mapped) == maps + 1
         assert row["refined_steps"] == 8192
         assert peaks[1] < 1.25 * peaks[0]
 
