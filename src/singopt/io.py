@@ -86,9 +86,7 @@ def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "
 
 def _single_threaded() -> bool:
     """Whether this process runs one operating-system thread, as the
-    interpreter counts them when it warns about a fork.  Every fork of the
-    package (``ensemble_to_csv`` and ``model.NoiseStream.windows``) is
-    made only when this holds.
+    interpreter counts them when it warns about a fork.
 
     A fork beside any other thread (a live Python thread, or a BLAS
     library's worker pool) can deadlock the child on a lock that thread
