@@ -14,16 +14,16 @@ half of the paths into an unnamed temporary file while the caller formats
 the first half into the output, then reaps the child and appends its
 bytes.  Each row's bytes depend only on its own values, and the halves are
 joined in path order after the child has exited, so the child's timing
-cannot reach the file.  The thread-count gate (``_single_threaded``) and
-the fork that reaps its child on any exit (``_fork``, ``_Child``) are
-defined here once and serve ``model.NoiseStream.windows`` too.
+cannot reach the file.  The fork goes through the package's one
+thread-count gate and one reaper, ``model._single_threaded`` and
+``model._fork``, which the noise producer of ``model.NoiseStream.windows``
+uses too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import shutil
 import tempfile
 from operator import add
@@ -31,15 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import model
+
 _HEADER_BYTES = 32  # four uint64 words
 _BLOCK_PATHS = 256  # paths per block of an ensemble export
 _DIGEST_CHUNK_BYTES = 1 << 20
-_SIGKILL = 9  # fixed by POSIX; the signal module is not otherwise loaded
 # fewest values an export splits between two processes: on two free CPUs
 # the fork, the child's start and the copy cost as much as they save at
 # about 11 000 values (with 64 MB resident), and save a third at 22 000
 _FORK_CELLS = 20_000
-_CAUSE_BYTES = 4096  # most of a failed child's cause that its error quotes
 
 
 def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "x") -> None:
@@ -55,16 +55,16 @@ def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "
     Any other export, or one whose fork fails, is written by the caller
     alone.  Both halves go through one row writer, so the bytes are those
     of a one-process write whatever the child's timing.  The child is
-    always reaped (see ``_Child``): a child that fails raises ``OSError``
-    here, naming its cause, and an exception in the caller's half kills
-    the child before it propagates.
+    always reaped (``model._Child``): a child that fails raises
+    ``OSError`` here, naming its cause, and an exception in the caller's
+    half kills the child before it propagates.
     """
     values = np.asarray(values, dtype=float)
     M, K, D = values.shape
     heads = [f",{j},{t!r}," for j, t in enumerate(np.asarray(knots, dtype=float).tolist())]
     with open(path, "wb") as out:
         out.write(("path,step,t," + ",".join(f"{prefix}{i}" for i in range(D)) + "\n").encode())
-        if M > _BLOCK_PATHS and values.size >= _FORK_CELLS and _single_threaded():
+        if M > _BLOCK_PATHS and values.size >= _FORK_CELLS and model._single_threaded():
             split = M // 2
             with tempfile.TemporaryFile(dir=Path(path).parent) as tail:
 
@@ -72,7 +72,7 @@ def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "
                     _write_rows(values, heads, split, M, tail.write)
                     tail.flush()
 
-                child = _fork(write_tail)
+                child = model._fork(write_tail)
                 if child is not None:
                     with child:
                         _write_rows(values, heads, 0, split, out.write)
@@ -82,86 +82,6 @@ def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "
                     shutil.copyfileobj(tail, out)
                     return
         _write_rows(values, heads, 0, M, out.write)
-
-
-def _single_threaded() -> bool:
-    """Whether this process runs one operating-system thread, as the
-    interpreter counts them when it warns about a fork.
-
-    A fork beside any other thread (a live Python thread, or a BLAS
-    library's worker pool) can deadlock the child on a lock that thread
-    held.  Where ``/proc/self/task`` cannot be read (outside Linux, and so
-    wherever ``os.fork`` does not exist) the answer is no.
-    """
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-def _fork(work) -> _Child | None:
-    """Fork a child process that runs ``work()`` and ends; return it to
-    the caller as a ``_Child``, or None when the fork fails.
-
-    The child never returns from this call: it exits with status 0 when
-    ``work`` returns, and otherwise with status 1 after writing the error
-    (its type and message, at most ``_CAUSE_BYTES``) to a pipe that the
-    caller's ``_Child.join`` reads.  ``os._exit`` skips the atexit
-    handlers and the stdio buffers the child inherited.  Call this only
-    when ``_single_threaded()`` holds.
-    """
-    cause_in, cause_out = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        os.close(cause_in)
-        os.close(cause_out)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(cause_in)
-            work()
-            code = 0
-        except BaseException as exc:
-            os.write(cause_out, f"{type(exc).__name__}: {exc}".encode(errors="replace")[:_CAUSE_BYTES])
-        finally:
-            os._exit(code)
-    os.close(cause_out)
-    return _Child(pid, cause_in)
-
-
-class _Child:
-    """A child forked by ``_fork``, reaped whichever way the ``with`` block
-    that holds it ends: ``join`` waits for it, and a block left before
-    ``join`` returned (an exception, a generator closed early) kills it
-    with SIGKILL and then waits for it."""
-
-    def __init__(self, pid: int, cause: int):
-        self._pid, self._cause, self._status = pid, cause, None
-
-    def __enter__(self) -> _Child:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        try:
-            if self._status is None:
-                os.kill(self._pid, _SIGKILL)
-                os.waitpid(self._pid, 0)
-        finally:
-            os.close(self._cause)
-
-    def join(self, what: str) -> None:
-        """Wait for the child to end; raise ``OSError`` when it did not
-        exit with status 0, ``what`` followed by how it ended and by the
-        error it wrote, if any."""
-        status = os.waitpid(self._pid, 0)[1]
-        self._status = status
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            cause = os.read(self._cause, _CAUSE_BYTES).decode(errors="replace")
-            ended = f"exit status {code}" if code > 0 else f"signal {-code}"
-            raise OSError(f"{what} ended with {ended}" + (f": {cause}" if cause else ""))
 
 
 def _write_rows(values: np.ndarray, heads: list, lo: int, hi: int, write) -> None:

@@ -27,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import io as sio
 from .coefficients import ProblemError, build_coefficients, read_reals
 
 BUILTIN_NAMES = ("example1", "example2_separated", "example2_stochastic", "singular_block")
@@ -246,6 +245,92 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
+_SIGKILL = 9  # fixed by POSIX; the signal module is not otherwise loaded
+_CAUSE_BYTES = 4096  # most of a failed child's cause that its error quotes
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one operating-system thread, as the
+    interpreter counts them when it warns about a fork.  Both forks of the
+    package, io.ensemble_to_csv's and NoiseStream.windows' producer, are
+    made only when this holds.
+
+    A fork beside any other thread (a live Python thread, or a BLAS
+    library's worker pool) can deadlock the child on a lock that thread
+    held.  Where ``/proc/self/task`` cannot be read (outside Linux, and so
+    wherever ``os.fork`` does not exist) the answer is no.
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _fork(work) -> _Child | None:
+    """Fork a child process that runs ``work()`` and ends; return it to
+    the caller as a ``_Child``, or None when the fork fails.
+
+    The child never returns from this call: it exits with status 0 when
+    ``work`` returns, and otherwise with status 1 after writing the error
+    (its type and message, at most ``_CAUSE_BYTES``) to a pipe that the
+    caller's ``_Child.join`` reads.  ``os._exit`` skips the atexit
+    handlers and the stdio buffers the child inherited.  Call this only
+    when ``_single_threaded()`` holds.
+    """
+    cause_in, cause_out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(cause_in)
+        os.close(cause_out)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(cause_in)
+            work()
+            code = 0
+        except BaseException as exc:
+            os.write(cause_out, f"{type(exc).__name__}: {exc}".encode(errors="replace")[:_CAUSE_BYTES])
+        finally:
+            os._exit(code)
+    os.close(cause_out)
+    return _Child(pid, cause_in)
+
+
+class _Child:
+    """A child forked by ``_fork``, reaped whichever way the ``with`` block
+    that holds it ends: ``join`` waits for it, and a block left before
+    ``join`` returned (an exception, a generator closed early) kills it
+    with SIGKILL and then waits for it."""
+
+    def __init__(self, pid: int, cause: int):
+        self._pid, self._cause, self._status = pid, cause, None
+
+    def __enter__(self) -> _Child:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        try:
+            if self._status is None:
+                os.kill(self._pid, _SIGKILL)
+                os.waitpid(self._pid, 0)
+        finally:
+            os.close(self._cause)
+
+    def join(self, what: str) -> None:
+        """Wait for the child to end; raise ``OSError`` when it did not
+        exit with status 0, ``what`` followed by how it ended and by the
+        error it wrote, if any."""
+        status = os.waitpid(self._pid, 0)[1]
+        self._status = status
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            cause = os.read(self._cause, _CAUSE_BYTES).decode(errors="replace")
+            ended = f"exit status {code}" if code > 0 else f"signal {-code}"
+            raise OSError(f"{what} ended with {ended}" + (f": {cause}" if cause else ""))
+
+
 class NoiseStream:
     """Brownian increments of a path ensemble, produced window by window.
 
@@ -260,7 +345,7 @@ class NoiseStream:
     fill draws one window on the calling thread; windows hands out
     successive windows and draws each next one while the caller works on
     the current one, in a forked producer process when this process runs
-    one operating-system thread (io._single_threaded), else on a second
+    one operating-system thread (_single_threaded), else on a second
     thread.  A producer's draws advance its own copy of the generators, not
     this process's, so a stream hands its increments to windows once: after
     windows, fill and windows raise RuntimeError.
@@ -320,7 +405,7 @@ class NoiseStream:
         window k + 1 is filled into the other one, so a window holds its
         increments until the next one is asked for.  When the draw spans
         more than one window and this process runs one operating-system
-        thread, one producer process is forked (io._fork) that fills every
+        thread, one producer process is forked (_fork) that fills every
         window in turn into an anonymous shared mapping (_Producer);
         otherwise, or when the fork fails, the first window is drawn here
         and each next one on a thread (_Fill).  Either is waited for before
@@ -342,7 +427,7 @@ class NoiseStream:
         firsts = range(0, num_steps, width)
         self._scratch(width)  # here, so neither the thread nor the producer allocates a block
         shape = (min(2, len(firsts)), width, len(self._normals), self._noise_dim)
-        forks = len(firsts) > 1 and sio._single_threaded()
+        forks = len(firsts) > 1 and _single_threaded()
         # a forked producer writes into this process's memory only through
         # a shared mapping
         buffers = (np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape) if forks
@@ -389,7 +474,7 @@ class _Fill(threading.Thread):
 
 class _Producer:
     """stream.fill into windows[0], windows[1], ... in turn, in one process
-    forked by io._fork, into buffers the two share; iterating yields
+    forked by _fork, into buffers the two share; iterating yields
     (first, window) as each window is filled, then waits for the producer
     to end.
 
@@ -416,7 +501,7 @@ class _Producer:
 
         child = None
         try:
-            child = sio._fork(produce)
+            child = _fork(produce)
         finally:
             # the caller keeps free[0] open, so its writes cannot fail when
             # the producer ends early; that is seen at the next read of filled

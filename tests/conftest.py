@@ -17,7 +17,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 import numpy as np
 import pytest
 
-from singopt import io
+from singopt import model
 from singopt.model import ProblemSpec, TimeGrid, builtin_problem, problem_from_config
 
 _FDS = "/proc/self/fd"
@@ -51,7 +51,7 @@ def noise_thread(monkeypatch):
     """Send NoiseStream.windows down its thread path, which it takes beside
     another operating-system thread, outside Linux or when the fork fails;
     the CSV export then writes in one process too."""
-    monkeypatch.setattr(io, "_single_threaded", lambda: False)
+    monkeypatch.setattr(model, "_single_threaded", lambda: False)
 
 
 @pytest.fixture(autouse=True)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import reaped
-from singopt import io
+from singopt import io, model
 from singopt.controls import constant_relaxed, zero_singular
 from singopt.io import ensemble_from_binary, ensemble_to_binary, ensemble_to_csv
 from singopt.model import NoiseBatch, NoiseStream, TimeGrid, ensemble_zeros
@@ -92,7 +92,7 @@ def _refuse_fork():
 def split_small(monkeypatch):
     """Split every export of more than one block, however few its values,
     and check that this process can fork at all."""
-    assert io._single_threaded(), "a second operating-system thread is alive"
+    assert model._single_threaded(), "a second operating-system thread is alive"
     monkeypatch.setattr(io, "_FORK_CELLS", 0)
 
 
