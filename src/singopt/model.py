@@ -291,7 +291,8 @@ def _fork(work) -> _Child | None:
             work()
             code = 0
         except BaseException as exc:
-            os.write(cause_out, f"{type(exc).__name__}: {exc}".encode(errors="replace")[:_CAUSE_BYTES])
+            cause = f"{type(exc).__name__}: {exc}".encode(errors="replace")
+            os.write(cause_out, cause[:_CAUSE_BYTES])
         finally:
             os._exit(code)
     os.close(cause_out)

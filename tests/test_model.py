@@ -319,7 +319,8 @@ def test_a_stream_refuses_every_draw_after_windows(path, request, no_unreaped_ch
     if path == "thread":
         request.getfixturevalue("noise_thread")
     stream = NoiseStream(8, TimeGrid(600, 1.0), 1, 5)
-    refused = "^this noise stream handed its increments to windows; a further draw would repeat them$"
+    refused = ("^this noise stream handed its increments to windows; "
+               "a further draw would repeat them$")
 
     def refuses_every_draw():
         with pytest.raises(RuntimeError, match=refused):
