@@ -16,8 +16,8 @@ bytes.  Each row's bytes depend only on its own values, and the halves are
 joined in path order after the child has exited, so the child's timing
 cannot reach the file.  The fork goes through the package's one
 thread-count gate and one reaper, ``model._single_threaded`` and
-``model._fork``, which the noise producer of ``model.NoiseStream.windows``
-uses too.
+``model._fork``, which the noise worker of ``model.noise_windows`` uses
+too.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ file format.
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 import math
@@ -252,8 +251,8 @@ _CAUSE_BYTES = 4096  # most of a failed child's cause that its error quotes
 def _single_threaded() -> bool:
     """Whether this process runs one operating-system thread, as the
     interpreter counts them when it warns about a fork.  Both forks of the
-    package, io.ensemble_to_csv's and NoiseStream.windows' producer, are
-    made only when this holds.
+    package, io.ensemble_to_csv's and noise_windows' worker, are made only
+    when this holds.
 
     A fork beside any other thread (a live Python thread, or a BLAS
     library's worker pool) can deadlock the child on a lock that thread
@@ -268,7 +267,8 @@ def _single_threaded() -> bool:
 
 def _fork(work) -> _Child | None:
     """Fork a child process that runs ``work()`` and ends; return it to
-    the caller as a ``_Child``, or None when the fork fails.
+    the caller as a ``_Child``, or None when the fork or its cause pipe
+    cannot be made.
 
     The child never returns from this call: it exits with status 0 when
     ``work`` returns, and otherwise with status 1 after writing the error
@@ -277,7 +277,10 @@ def _fork(work) -> _Child | None:
     handlers and the stdio buffers the child inherited.  Call this only
     when ``_single_threaded()`` holds.
     """
-    cause_in, cause_out = os.pipe()
+    try:
+        cause_in, cause_out = os.pipe()
+    except OSError:  # no descriptor to spare
+        return None
     try:
         pid = os.fork()
     except OSError:  # no process to spare
@@ -342,14 +345,6 @@ class NoiseStream:
     same increments, bit for bit, as one draw over the whole grid.  seed may
     be an int or a tuple of ints (derived experiment streams).  The children's
     PCG64 states are hashed for all paths at once (_spawned_seed_words).
-
-    fill draws one window on the calling thread; windows hands out
-    successive windows and draws each next one while the caller works on
-    the current one, in a forked producer process when this process runs
-    one operating-system thread (_single_threaded), else on a second
-    thread.  A producer's draws advance its own copy of the generators, not
-    this process's, so a stream hands its increments to windows once: after
-    windows, fill and windows raise RuntimeError.
     """
 
     def __init__(self, num_paths: int, grid: TimeGrid, noise_dim: int, seed):
@@ -363,13 +358,6 @@ class NoiseStream:
         self._scale = np.sqrt(grid.dt)
         self._block = None
 
-    def _generators(self) -> list:
-        """The per-path draws; a stream that handed them to windows refuses."""
-        if self._normals is None:
-            raise RuntimeError("this noise stream handed its increments to windows; "
-                               "a further draw would repeat them")
-        return self._normals
-
     def _scratch(self, num_steps: int) -> np.ndarray:
         """The scratch block of paths, (min(M, _NOISE_BLOCK_PATHS), K, d),
         for K = num_steps; allocated when the kept block holds fewer steps,
@@ -382,7 +370,7 @@ class NoiseStream:
     def fill(self, window: np.ndarray) -> None:
         """Write the increments of the next K steps of every path into the
         time-major window of shape (K, M, d)."""
-        normals = self._generators()
+        normals = self._normals
         K = len(window)
         M = len(normals)
         # each row is exactly one path's K steps, so one call draws them
@@ -396,144 +384,115 @@ class NoiseStream:
                 np.multiply(self._scale, block[: stop - start, tile].swapaxes(0, 1),
                             out=window[tile, start:stop])
 
-    def windows(self, num_steps: int, width: int):
-        """Yield (first, window) over the next num_steps steps of every path:
-        time-major windows (K, M, d) of width steps (the last may be
-        narrower), first the step each one starts at.  From this call on,
-        this stream refuses every further draw.
 
-        Two buffers hold the windows: while the caller works on window k,
-        window k + 1 is filled into the other one, so a window holds its
-        increments until the next one is asked for.  When the draw spans
-        more than one window and this process runs one operating-system
-        thread, one producer process is forked (_fork) that fills every
-        window in turn into an anonymous shared mapping (_Producer);
-        otherwise, or when the fork fails, the first window is drawn here
-        and each next one on a thread (_Fill).  Either is waited for before
-        its window is handed out, and a failed fill raises there: the
-        thread's exception itself, the producer's as an OSError naming it.
-        Close the generator (contextlib.closing) so the thread is joined, or
-        the producer killed and reaped, also when the caller raises or
-        stops early.  One fill runs at a time and the windows are filled in
-        order, so the increments are those of fill, bit for bit, whichever
-        path draws them and whenever it runs.
-        """
-        self._generators()
-        drawer = copy.copy(self)
-        self._normals = None
-        return drawer._look_ahead(num_steps, width)
+def noise_windows(num_paths: int, grid: TimeGrid, noise_dim: int, seed, width: int):
+    """Yield (first, window) over the steps of grid for the ensemble of
+    NoiseStream(num_paths, grid, noise_dim, seed): time-major windows
+    (K, M, d) of width steps (the last may be narrower), first the step
+    each one starts at.
 
-    def _look_ahead(self, num_steps: int, width: int):
-        width = min(width, num_steps)
-        firsts = range(0, num_steps, width)
-        self._scratch(width)  # here, so neither the thread nor the producer allocates a block
-        shape = (min(2, len(firsts)), width, len(self._normals), self._noise_dim)
-        forks = len(firsts) > 1 and _single_threaded()
-        # a forked producer writes into this process's memory only through
-        # a shared mapping
-        buffers = (np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape) if forks
-                   else np.empty(shape))
-        windows = [buffers[k % 2, : num_steps - first] for k, first in enumerate(firsts)]
-        producer = _Producer.fork(self, firsts, windows) if forks else None
-        if producer is not None:
-            with producer:
-                yield from producer
-            return
-        self.fill(windows[0])
-        pending = None
-        try:
-            for k, first in enumerate(firsts):
-                if pending is not None:
-                    pending.wait()
-                pending = _Fill(self, windows[k + 1]) if k + 1 < len(windows) else None
-                yield first, windows[k]
-        finally:
-            if pending is not None:
-                pending.join()
-
-
-class _Fill(threading.Thread):
-    """stream.fill(window) on a second thread, started at once; wait()
-    joins it and raises the exception the fill raised, if any."""
-
-    def __init__(self, stream: NoiseStream, window: np.ndarray):
-        super().__init__(name="singopt-noise")
-        self._stream, self._window, self._failure = stream, window, None
-        self.start()
-
-    def run(self):
-        try:
-            self._stream.fill(self._window)
-        except BaseException as exc:  # raised again on the waiting thread
-            self._failure = exc
-
-    def wait(self):
-        self.join()
-        if self._failure is not None:
-            raise self._failure
-
-
-class _Producer:
-    """stream.fill into windows[0], windows[1], ... in turn, in one process
-    forked by _fork, into buffers the two share; iterating yields
-    (first, window) as each window is filled, then waits for the producer
-    to end.
-
-    Two pipes coordinate it with the caller: the producer writes one byte
-    to ``filled`` when it has filled window k, and fills window k + 2,
-    which reuses window k's buffer, only after reading one byte from
-    ``free``, which the caller writes when it asks for window k + 1.  A
-    with block around it closes the pipes, and kills and reaps the
-    producer if it is still running.
+    Two buffers in one anonymous shared mapping hold the windows: while the
+    caller works on window k, one worker fills window k + 1 into the other
+    buffer, so a window holds its increments until the next one is asked
+    for.  The worker is a process forked by _fork when this process runs
+    one operating-system thread (_single_threaded), and otherwise, or when
+    the fork fails, a thread; a draw of one window is filled here.
+    Two pipes pace it: it writes one byte to ``filled`` when it has filled
+    window k, and fills window k + 2 into window k's buffer only after
+    reading one byte from ``free``, which the caller writes when it asks
+    for window k + 1.  A failed fill raises when its window is asked for:
+    the thread's exception itself, the process's as an OSError naming it.
+    Close the generator (contextlib.closing) so that the process is killed
+    and reaped, or the thread joined, also when the caller raises or stops
+    early.  The stream lives in this process and one fill runs at a time,
+    in order, so the increments are those of fill, bit for bit, whichever
+    worker draws them and whenever it runs.
     """
+    # the stream is built at the call, so the caller's arrays are allocated
+    # after its per-path generators; built at the first window instead, it
+    # raised chatter's peak RSS by 0.4 MB
+    stream = NoiseStream(num_paths, grid, noise_dim, seed)
+    return _windows(stream, num_paths, grid, noise_dim, width)
 
-    @classmethod
-    def fork(cls, stream: NoiseStream, firsts: range, windows: list) -> _Producer | None:
-        """The producer, started; None when the fork fails."""
-        filled, free = os.pipe(), os.pipe()
 
-        def produce():
-            os.close(free[1])  # so that the caller's exit ends a wait for free
-            for k, window in enumerate(windows):
-                if k >= 2 and not os.read(free[0], 1):
-                    return
-                stream.fill(window)
-                os.write(filled[1], b"\0")
+def _windows(stream: NoiseStream, num_paths: int, grid: TimeGrid, noise_dim: int, width: int):
+    num_steps = grid.num_steps
+    width = min(width, num_steps)
+    firsts = range(0, num_steps, width)
+    stream._scratch(width)  # here, so that the worker allocates no block
+    shape = (min(2, len(firsts)), width, num_paths, noise_dim)
+    buffers = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+    windows = [buffers[k % 2, : num_steps - first] for k, first in enumerate(firsts)]
+    if len(firsts) == 1:
+        # no worker: a joined thread stays an operating-system thread for a
+        # few milliseconds, so the next draw or export would not fork
+        stream.fill(windows[0])
+        yield 0, windows[0]
+        return
+    filled_in, filled_out = os.pipe()
+    try:
+        free_in, free_out = os.pipe()
+    except OSError:  # no descriptor to spare
+        os.close(filled_in)
+        os.close(filled_out)
+        raise
+    fds = [filled_in, filled_out, free_in, free_out]
+    failure = []
 
-        child = None
+    def produce():
+        for k, window in enumerate(windows):
+            if k >= 2 and not os.read(free_in, 1):
+                return  # the caller stopped early
+            stream.fill(window)
+            os.write(filled_out, b"\0")
+
+    def forked():
+        os.close(free_out)  # so that the caller's death ends a wait for free
+        produce()
+
+    def threaded():
         try:
-            child = _fork(produce)
+            produce()
+        except BaseException as exc:  # raised again when its window is asked for
+            failure.append(exc)
         finally:
-            # the caller keeps free[0] open, so its writes cannot fail when
-            # the producer ends early; that is seen at the next read of filled
-            os.close(filled[1])
-            if child is None:
-                for fd in (filled[0], *free):
-                    os.close(fd)
-        return None if child is None else cls(child, filled[0], free, list(zip(firsts, windows)))
+            os.close(filled_out)  # so that the caller's read of filled ends
 
-    def __init__(self, child, filled: int, free: tuple, windows: list):
-        self._child, self._filled, self._free, self._windows = child, filled, free, windows
+    def join(what):
+        if child is not None:
+            return child.join(what)
+        thread.join()
+        if failure:
+            raise failure[0]
 
-    def __enter__(self) -> _Producer:
-        return self
-
-    def __exit__(self, *exc) -> None:
+    child = None
+    try:
+        child = _fork(forked) if _single_threaded() else None
+        if child is None:
+            thread = threading.Thread(target=threaded, name="singopt-noise")
+            thread.start()
+        else:
+            os.close(filled_out)
+        fds.remove(filled_out)
+        for k, first in enumerate(firsts):
+            if 0 < k < len(firsts) - 1:
+                os.write(free_out, b"\0")  # window k - 1's buffer may take window k + 1
+            if not os.read(filled_in, 1):
+                join(f"noise of steps {first} to {first + len(windows[k]) - 1} was not drawn: "
+                     "the process drawing it")
+            yield first, windows[k]
+        join("the process drawing the noise")
+    finally:
         try:
-            self._child.__exit__(*exc)
+            if child is not None:
+                child.__exit__()  # kills a child not yet joined, and reaps it
+            elif filled_out not in fds:  # the thread started
+                fds.remove(free_out)
+                os.close(free_out)  # ends the thread's wait for free
+                thread.join()
         finally:
-            for fd in (self._filled, *self._free):
+            for fd in fds:
                 os.close(fd)
-
-    def __iter__(self):
-        for k, (first, window) in enumerate(self._windows):
-            if 0 < k < len(self._windows) - 1:
-                os.write(self._free[1], b"\0")  # window k - 1's buffer may take window k + 1
-            if not os.read(self._filled, 1):
-                self._child.join(f"noise of steps {first} to {first + len(window) - 1} "
-                                 "was not drawn: the process drawing it")
-            yield first, window
-        self._child.join("the process drawing the noise")
 
 
 @dataclass(frozen=True, eq=False)

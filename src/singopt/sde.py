@@ -37,16 +37,16 @@ from .controls import (
     regrid_relaxed,
     regrid_singular,
 )
-from .model import NoiseBatch, NoiseStream, ProblemSpec, TimeGrid, ensemble_zeros
+from .model import NoiseBatch, ProblemSpec, TimeGrid, ensemble_zeros, noise_windows
 
 # Knots per block: the Euler kernel advances and checks for finiteness one
 # block of steps at a time, the running cost calls h once per atom of a block,
 # and chattering_gap streams both controls through windows of one block.
 _BLOCK_KNOTS = 64
 # Steps per noise window of chattering_gap, a multiple of _BLOCK_KNOTS.  Two
-# windows are held, the next one drawn by a forked producer process into a
-# shared mapping, or on a second thread where the process may not fork
-# (NoiseStream.windows).  Each window costs one standard_normal call per path,
+# windows are held in a shared mapping, the next one drawn by one worker, a
+# forked process or, where the process may not fork, a thread
+# (model.noise_windows).  Each window costs one standard_normal call per path,
 # so a narrower window pays that call more often and a wider one holds more
 # increments (M x window x d floats: 7.8 MiB per window at M = 4 000, d = 1
 # and 256 steps).
@@ -427,14 +427,14 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
     knots at a time, in two windows of _BLOCK_KNOTS + 1 knots; the gap and
     the running costs are accumulated per block.  The noise is drawn in
     windows of _NOISE_WINDOW_KNOTS steps, the next one while the blocks of
-    the current one are swept (NoiseStream.windows), so no array grows with
+    the current one are swept (model.noise_windows), so no array grows with
     the number of paths times the number of steps.  The draws run in one
-    forked producer process when this process runs a single operating-system
-    thread, so they do not take the interpreter lock from the sweep, and
-    otherwise on a second thread; the producer is reaped, or the thread
-    joined, before this returns or raises, and the increments are the same
-    either way.  The singular quadrature is the same for both controls and
-    cancels from the cost difference.
+    forked process when this process runs a single operating-system thread,
+    so they do not take the interpreter lock from the sweep, and otherwise
+    on a second thread; the process is reaped, or the thread joined, before
+    this returns or raises, and the increments are the same either way.
+    The singular quadrature is the same for both controls and cancels from
+    the cost difference.
     A control whose horizon is not the problem's raises SimulationError.
     """
     _require_horizon(spec, q.grid)
@@ -443,7 +443,7 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
     refined = un.grid
     q_ref = regrid_relaxed(q, refined.num_steps)
     eta_ref = regrid_singular(eta, refined.num_steps)
-    noise = NoiseStream(num_paths, refined, spec.d, (seed, n))
+    draws = noise_windows(num_paths, refined, spec.d, (seed, n), _NOISE_WINDOW_KNOTS)
     _require_grid(refined, un, q_ref, eta_ref)
     measures = (dirac_embed(un), q_ref)
     windows = (np.empty((_BLOCK_KNOTS + 1, num_paths, spec.n)),
@@ -453,7 +453,7 @@ def chattering_gap(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
     for x in windows:
         x[0] = spec.x0
     gap = 0.0
-    with contextlib.closing(noise.windows(refined.num_steps, _NOISE_WINDOW_KNOTS)) as draws:
+    with contextlib.closing(draws):
         for first, dW in draws:
             for offset in range(0, len(dW), _BLOCK_KNOTS):
                 block = dW[offset:offset + _BLOCK_KNOTS]

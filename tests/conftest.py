@@ -2,7 +2,7 @@
 exercise state-dependent linearizations (the built-ins all have b_x = 0);
 checks, for every test, that it leaves no thread running, no forked child
 unreaped and no file descriptor open; and noise_thread, which sends
-NoiseStream.windows down its thread path."""
+noise_windows down its thread path."""
 
 import os
 import signal
@@ -10,7 +10,7 @@ import threading
 
 # One BLAS thread, as perfbench pins it, set before numpy is first imported
 # (here): a BLAS worker pool is a second operating-system thread, beside
-# which io.ensemble_to_csv writes in one process and NoiseStream.windows
+# which io.ensemble_to_csv writes in one process and model.noise_windows
 # draws on a thread instead of forking.
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
@@ -26,9 +26,9 @@ _FDS = "/proc/self/fd"
 @pytest.fixture(autouse=True)
 def no_leaked_fds():
     """Fail a test that leaves open a file descriptor that was not open
-    before it (NoiseStream.windows coordinates its producer process through
-    two pipes, and every fork reads its child's error from a third; each is
-    closed).  Where /proc/self/fd cannot be read, nothing is checked."""
+    before it (model.noise_windows paces its worker through two pipes, and
+    every fork reads its child's error from a third; each is closed).
+    Where /proc/self/fd cannot be read, nothing is checked."""
     try:
         before = set(os.listdir(_FDS))
     except OSError:
@@ -48,7 +48,7 @@ def no_leaked_fds():
 
 @pytest.fixture
 def noise_thread(monkeypatch):
-    """Send NoiseStream.windows down its thread path, which it takes beside
+    """Send model.noise_windows down its thread path, which it takes beside
     another operating-system thread, outside Linux or when the fork fails;
     the CSV export then writes in one process too."""
     monkeypatch.setattr(model, "_single_threaded", lambda: False)
@@ -57,8 +57,8 @@ def noise_thread(monkeypatch):
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
     """Fail a test that leaves alive a thread that was not alive before it
-    (chattering_gap draws its noise on a second thread when it does not
-    fork, and joins it)."""
+    (model.noise_windows draws on a second thread when it does not fork,
+    and joins it)."""
     before = set(threading.enumerate())
     yield
     leaked = [thread.name for thread in threading.enumerate() if thread not in before]
@@ -70,7 +70,7 @@ def no_leaked_threads():
 def no_unreaped_children(monkeypatch):
     """Fail a test that leaves a child it forked with os.fork unreaped
     (io.ensemble_to_csv forks one for a large export and
-    NoiseStream.windows one noise producer, and each reaps it); such a
+    model.noise_windows one noise worker, and each reaps it); such a
     child is killed and reaped here.  Yields the pids of the test's forks.
     subprocess does not go through os.fork, so its children are not seen."""
     forked = []

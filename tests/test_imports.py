@@ -3,7 +3,9 @@ the optimality checks do not depend on the adjoint module.  The sweeps
 read a relaxed control's measure only through RelaxedControl.average,
 block_total and cell_averages, never through its atoms or weights, and in
 sde, adjoint and optimality only sde._Linearization reads the state
-gradients b_x, sigma_x and h_x of the problem."""
+gradients b_x, sigma_x and h_x of the problem.  Only model forks a
+process, builds a thread or maps shared memory, so every one of them sits
+behind model._single_threaded and model._fork."""
 
 import ast
 from pathlib import Path
@@ -80,3 +82,21 @@ def test_no_module_imports_cell_average():
         if isinstance(node, (ast.Import, ast.ImportFrom)) and "_cell_average" in imported_names(node)
     ]
     assert importers == []
+
+
+SPAWNERS = {("os", "fork"), ("threading", "Thread"), ("mmap", "mmap")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_model_forks_threads_or_maps(path):
+    # os.fork(), threading.Thread(...), a subclass of it, mmap.mmap(...), or
+    # a from-import of any of them; model itself must be found using them
+    uses = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) in SPAWNERS)
+        or (isinstance(node, ast.ImportFrom)
+            and any((node.module, alias.name) in SPAWNERS for alias in node.names))
+    ]
+    assert bool(uses) == (path.name == "model.py"), uses

@@ -1,6 +1,7 @@
 """File exports: CSV and binary ensembles read back exactly."""
 
 import csv
+import errno
 import hashlib
 import os
 import re
@@ -16,7 +17,7 @@ from conftest import reaped
 from singopt import io, model
 from singopt.controls import constant_relaxed, zero_singular
 from singopt.io import ensemble_from_binary, ensemble_to_binary, ensemble_to_csv
-from singopt.model import NoiseBatch, NoiseStream, TimeGrid, ensemble_zeros
+from singopt.model import NoiseBatch, TimeGrid, ensemble_zeros, noise_windows
 from singopt.sde import simulate_relaxed
 
 
@@ -204,12 +205,12 @@ def test_a_failed_fork_leaves_the_caller_to_write_alone(tmp_path, monkeypatch, s
 
 
 def _draw_noise_windows():
-    """Draw three noise windows through NoiseStream.windows, whose forked
-    producer sits behind the same gate as the export, and check them
-    against the whole-grid draw."""
+    """Draw three noise windows through noise_windows, whose forked worker
+    sits behind the same gate as the export, and check them against the
+    whole-grid draw."""
     grid = TimeGrid(600, 1.0)
     whole = NoiseBatch.generate(8, grid, 1, 5).increments.swapaxes(0, 1)
-    draws = NoiseStream(8, grid, 1, 5).windows(600, 256)
+    draws = noise_windows(8, grid, 1, 5, 256)
     assert np.concatenate([window.copy() for _, window in draws]).tobytes() == whole.tobytes()
 
 
@@ -246,6 +247,37 @@ def test_no_fork_where_threads_cannot_be_counted(tmp_path, monkeypatch, split_sm
     ensemble_to_csv(data, CSV_KNOTS, path)
     assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "x")
     _draw_noise_windows()
+
+
+@pytest.mark.parametrize("failing", [1, 2, 3])
+def test_a_failed_pipe_leaves_no_descriptor_open(tmp_path, monkeypatch, no_unreaped_children,
+                                                  split_small, failing):
+    # the export makes one pipe, _fork's cause pipe; noise_windows makes
+    # two to pace its worker, then _fork makes the third.  The autouse
+    # no_leaked_fds fixture fails a descriptor left open.
+    pipe = os.pipe
+    calls = []
+
+    def flaky_pipe():
+        calls.append(None)
+        if len(calls) == failing:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", flaky_pipe)
+    data = _csv_data(600, 3)
+    path = tmp_path / "ensemble.csv"
+    ensemble_to_csv(_laid_out(data, True), CSV_KNOTS, path, prefix="p")
+    assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "p")
+    assert os.listdir(tmp_path) == ["ensemble.csv"]
+    assert len(no_unreaped_children) == (failing != 1)
+    calls.clear()
+    if failing < 3:
+        with pytest.raises(OSError, match=r"^\[Errno 24\] Too many open files$"):
+            _draw_noise_windows()
+    else:
+        _draw_noise_windows()  # on the thread
+    assert len(no_unreaped_children) == (failing != 1)
 
 
 def test_binary_rejects_negative_seed(tmp_path):

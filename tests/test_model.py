@@ -1,11 +1,11 @@
 """Problem definitions, assumption validation, noise reproducibility."""
 
-import contextlib
 import json
 import math
 import os
 import signal
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from singopt.model import (
     _builtin_config,
     _spawned_seed_words,
     builtin_problem,
+    noise_windows,
     problem_from_config,
     problem_from_json,
     problem_to_json,
@@ -298,7 +299,7 @@ def test_look_ahead_windows_equal_the_whole_grid_draw(num_steps, path, request,
         request.getfixturevalue("noise_thread")
     grid = TimeGrid(num_steps, 1.0)
     whole = NoiseBatch.generate(300, grid, 2, 17).increments.swapaxes(0, 1)
-    draws = NoiseStream(300, grid, 2, 17).windows(num_steps, _NOISE_WINDOW_KNOTS)
+    draws = noise_windows(300, grid, 2, 17, _NOISE_WINDOW_KNOTS)
     # the interpreter lock changes hands as often as it can, and a window's
     # buffer is reused two windows on, so each one is copied
     interval = sys.getswitchinterval()
@@ -312,34 +313,17 @@ def test_look_ahead_windows_equal_the_whole_grid_draw(num_steps, path, request,
     assert len(no_unreaped_children) == (path == "producer" and num_steps > _NOISE_WINDOW_KNOTS)
 
 
-@pytest.mark.parametrize("path", ["producer", "thread"])
-def test_a_stream_refuses_every_draw_after_windows(path, request, no_unreaped_children):
-    # a forked producer advances its own copy of the per-path generators,
-    # so a later draw from this process's copy would repeat its increments
-    if path == "thread":
-        request.getfixturevalue("noise_thread")
-    stream = NoiseStream(8, TimeGrid(600, 1.0), 1, 5)
-    refused = ("^this noise stream handed its increments to windows; "
-               "a further draw would repeat them$")
-
-    def refuses_every_draw():
-        with pytest.raises(RuntimeError, match=refused):
-            stream.fill(np.empty((4, 8, 1)))
-        with pytest.raises(RuntimeError, match=refused):
-            stream.windows(600, 256)
-
-    with contextlib.closing(stream.windows(600, 256)) as draws:
-        refuses_every_draw()  # before the first window is drawn
-        next(draws)
-        refuses_every_draw()
-        assert len(list(draws)) == 2
-    refuses_every_draw()
-    assert len(no_unreaped_children) == (path == "producer")
+def _close_after_the_first_window():
+    """Take the first of four windows, then close the draw while the worker
+    fills the second or waits to fill the third into the first one's
+    buffer.  The autouse no_leaked_fds fixture fails a pipe left open."""
+    draws = noise_windows(300, TimeGrid(1000, 1.0), 2, 17, _NOISE_WINDOW_KNOTS)
+    first, _ = next(draws)
+    draws.close()
+    assert first == 0
 
 
 def test_closing_the_windows_early_kills_and_reaps_the_producer(monkeypatch, no_unreaped_children):
-    # four windows: once the first is handed out, the producer has filled
-    # the second and waits to fill the third into the first one's buffer
     statuses = {}
     waitpid = os.waitpid
 
@@ -349,13 +333,17 @@ def test_closing_the_windows_early_kills_and_reaps_the_producer(monkeypatch, no_
         return reaped_pid, status
 
     monkeypatch.setattr(os, "waitpid", recording_waitpid)
-    draws = NoiseStream(300, TimeGrid(1000, 1.0), 2, 17).windows(1000, _NOISE_WINDOW_KNOTS)
-    first, _ = next(draws)
-    draws.close()
-    assert first == 0
+    _close_after_the_first_window()
     [pid] = no_unreaped_children
     assert os.WIFSIGNALED(statuses[pid]) and os.WTERMSIG(statuses[pid]) == signal.SIGKILL
     assert reaped(pid)
+
+
+def test_closing_the_windows_early_joins_the_thread(noise_thread, no_unreaped_children):
+    threads = threading.active_count()
+    _close_after_the_first_window()
+    assert threading.active_count() == threads
+    assert no_unreaped_children == []
 
 
 # Seeds of one, two, three and six 32-bit words (padded to the pool of four,

@@ -597,8 +597,8 @@ class TestStreamedChatteringGap:
 
     def test_a_failed_background_fill_reaches_the_caller(self, example2_stochastic, monkeypatch,
                                                          noise_thread):
-        # n = 16: 512 refined steps, so the second window is drawn on the
-        # second thread while the sweep runs through the first
+        # n = 16: 512 refined steps in two windows, both drawn on the noise
+        # thread, the second while the sweep runs through the first
         fill = NoiseStream.fill
         fillers = []
 
@@ -615,8 +615,7 @@ class TestStreamedChatteringGap:
         with pytest.raises(RuntimeError, match="^second window$"):
             chattering_gap(example2_stochastic, q, zero_singular(grid, 1), 16, 4, 5)
         assert threading.active_count() == threads
-        assert fillers[0] is threading.current_thread()
-        assert fillers[1] is not threading.current_thread()
+        assert fillers[0] is fillers[1] is not threading.current_thread()
 
     def test_a_failed_fill_in_the_producer_raises_oserror_naming_its_cause(
             self, example2_stochastic, monkeypatch, no_unreaped_children):
@@ -645,8 +644,8 @@ class TestStreamedChatteringGap:
     @pytest.fixture
     def mapped(self, monkeypatch):
         """The byte sizes of the anonymous mappings made during the test:
-        the noise windows a forked producer shares, which tracemalloc does
-        not see."""
+        the noise windows, which noise_windows holds in a shared mapping and
+        tracemalloc does not see."""
         sizes = []
         anonymous = mmap.mmap
 
