@@ -6,12 +6,16 @@ import hashlib
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reaped
 from singopt import io, model
@@ -278,6 +282,68 @@ def test_a_failed_pipe_leaves_no_descriptor_open(tmp_path, monkeypatch, no_unrea
     else:
         _draw_noise_windows()  # on the thread
     assert len(no_unreaped_children) == (failing != 1)
+
+
+def _cells(values):
+    """io._format_cells's bytes of each value, without the NUL padding."""
+    return [row.tobytes().replace(b"\0", b"") for row in io._format_cells(values)]
+
+
+def _reprs(values):
+    return [repr(v).encode() for v in values.tolist()]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.binary(min_size=64, max_size=64))
+def test_cells_are_repr_of_any_bit_pattern(words):
+    values = np.frombuffer(words, dtype=np.float64)
+    assert _cells(values) == _reprs(values)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(), st.floats(1e-4, 1e16))
+def test_cells_are_repr_of_any_float(x, y):
+    values = np.array([x, y])
+    assert _cells(values) == _reprs(values)
+
+
+def test_cells_are_repr_at_the_edges():
+    def around(x):
+        return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+    edges = [0.0, 5e-324, np.finfo(float).tiny, np.inf, np.nan]
+    edges += [y for x in (1e-5, 1e-4, 1e16, 1e17) for y in around(x)]
+    edges += [y for j in range(-4, 16) for y in around(float(f"1e{j}"))]
+    edges += [2.0**53 + j for j in range(-4, 5)] + [9007199254740993.0]
+    edges += [0.1, 0.3, 1 / 3, 0.9999999999999999, 9.999999999999998]
+    values = np.array(edges + [-x for x in edges])
+    assert _cells(values) == _reprs(values)
+
+
+def test_cells_in_the_fixed_notation_range_never_call_repr(monkeypatch):
+    # adjoint_planar's p spans 2.1e-4 to 2.65; below 1e-4 repr writes an
+    # exponent, and those cells (about 1 % here) are repr's by design
+    rng = np.random.default_rng(28)
+    shape = (256, 101, 2)
+    values = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 0.5, shape)).reshape(-1)
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(io, "repr", counting_repr, raising=False)
+    cells = _cells(values)
+    assert calls == values[np.abs(values) < 1e-4].tolist()
+    assert cells == _reprs(values)
+
+
+def test_importing_the_cli_builds_no_formatter_table():
+    code = "import singopt.cli, singopt.io; print(singopt.io._cell_tables.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(io.__file__)))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout == "0\n"
 
 
 def test_binary_rejects_negative_seed(tmp_path):
