@@ -19,17 +19,6 @@ rounding of it that reads back to v, decided exactly from that residue.
 Every value it cannot decide (zeros, infinities, nan, values outside the
 range, powers of two and exact ties) goes to ``repr`` itself, so each cell
 holds repr's bytes.
-
-A large ensemble CSV is formatted by two processes when this process runs
-a single operating-system thread: one forked child formats the second
-half of the paths into an unnamed temporary file while the caller formats
-the first half into the output, then reaps the child and appends its
-bytes.  Each row's bytes depend only on its own values, and the halves are
-joined in path order after the child has exited, so the child's timing
-cannot reach the file.  The fork goes through the package's one
-thread-count gate and one reaper, ``model._single_threaded`` and
-``model._fork``, which the noise worker of ``model.noise_windows`` uses
-too.
 """
 
 from __future__ import annotations
@@ -37,96 +26,49 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import shutil
-import tempfile
 from pathlib import Path
 
 import numpy as np
-
-from . import model
 
 _HEADER_BYTES = 32  # four uint64 words
 _BLOCK_PATHS = 256  # paths per block of an ensemble export
 _FORMAT_CELLS = 1 << 13  # values per block of CSV rows, formatted at once
 _DIGEST_CHUNK_BYTES = 1 << 20
-# fewest values an export splits between two processes: on two CPUs, with
-# 64 MB resident, one process still won at 80 000 values, and two won in
-# most runs from 120 000 and saved about 40 % from 160 000
-_FORK_CELLS = 160_000
 
 
 def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "x") -> None:
     """Write an (M, K, D) ensemble as CSV rows (path, step, t, components).
 
-    Rows are formatted and written in blocks of about ``_FORMAT_CELLS``
-    values, so memory stays bounded by one block whatever M is.  An export
-    of more than ``_BLOCK_PATHS`` paths and at least ``_FORK_CELLS``
-    values, made while this process runs a single operating-system thread,
-    is split in two: one forked child formats paths [M // 2, M) into an
-    unnamed temporary file in the output's directory while the caller
-    formats [0, M // 2) into the output; the caller then reaps the child
-    and appends its bytes.
-    Any other export, or one whose fork fails, is written by the caller
-    alone.  Both halves go through one row writer, so the bytes are those
-    of a one-process write whatever the child's timing.  The child is
-    always reaped (``model._Child``): a child that fails raises
-    ``OSError`` here, naming its cause, and an exception in the caller's
-    half kills the child before it propagates.
+    Rows are formatted and written in blocks of whole paths, about
+    ``_FORMAT_CELLS`` values, so memory stays bounded by one block whatever
+    M is.  A block's rows are laid out as one NUL-padded byte matrix (path,
+    the knot's ``,step,t,``, cells each followed by a comma or the
+    newline), and its bytes other than NUL are written.
     """
     values = np.asarray(values, dtype=float)
     M, K, D = values.shape
     knots = np.asarray(knots, dtype=float).tolist()
     heads = np.array([f",{j},{t!r},".encode() for j, t in enumerate(knots)])
     heads = heads.view(np.uint8).reshape(len(knots), -1)
+    head_width = heads.shape[1]
+    step = max(1, _FORMAT_CELLS // (K * D))
     with open(path, "wb") as out:
         out.write(("path,step,t," + ",".join(f"{prefix}{i}" for i in range(D)) + "\n").encode())
-        if M > _BLOCK_PATHS and values.size >= _FORK_CELLS and model._single_threaded():
-            split = M // 2
-            with tempfile.TemporaryFile(dir=Path(path).parent) as tail:
-
-                def write_tail():
-                    _write_rows(values, heads, split, M, tail.write)
-                    tail.flush()
-
-                child = model._fork(write_tail)
-                if child is not None:
-                    with child:
-                        _write_rows(values, heads, 0, split, out.write)
-                        child.join(f"{path}: rows of paths {split} to {M - 1} were not written: "
-                                   "the process formatting them")
-                    tail.seek(0)
-                    shutil.copyfileobj(tail, out)
-                    return
-        _write_rows(values, heads, 0, M, out.write)
-
-
-def _write_rows(values: np.ndarray, heads: np.ndarray, lo: int, hi: int, write) -> None:
-    """Format the CSV rows of paths [lo, hi) and pass them to ``write`` as
-    ASCII bytes, one block of whole paths at a time, about
-    ``_FORMAT_CELLS`` values.
-
-    ``heads`` holds each knot's ``,step,t,`` as a NUL-padded row of bytes.
-    A block's rows are laid out as one NUL-padded byte matrix (path, head,
-    cells each followed by a comma or the newline), and its bytes other
-    than NUL are written."""
-    D = values.shape[2]
-    K, head_width = heads.shape
-    step = max(1, _FORMAT_CELLS // (K * D))
-    for start in range(lo, hi, step):
-        block = values[start:min(start + step, hi)]
-        P = len(block)
-        paths = np.arange(start, start + P).astype("S").view(np.uint8).reshape(P, -1)
-        path_width = paths.shape[1]
-        width = path_width + head_width
-        rows = np.zeros((P, K, width + 25 * D), np.uint8)
-        rows[:, :, :path_width] = paths[:, None]
-        rows[:, :, path_width:width] = heads
-        cells = rows[:, :, width:].reshape(P, K, D, 25)
-        text = _format_cells(np.ascontiguousarray(block).reshape(-1))
-        cells[..., :24] = text.reshape(P, K, D, 24)
-        cells[..., 24] = ord(",")
-        rows[:, :, -1] = ord("\n")
-        write(rows[rows != 0])
+        for start in range(0, M, step):
+            block = values[start:start + step]
+            P = len(block)
+            paths = np.arange(start, start + P).astype("S").view(np.uint8).reshape(P, -1)
+            path_width = paths.shape[1]
+            width = path_width + head_width
+            rows = np.zeros((P, K, width + 25 * D), np.uint8)
+            rows[:, :, :path_width] = paths[:, None]
+            rows[:, :, path_width:width] = heads
+            cells = rows[:, :, width:].reshape(P, K, D, 25)
+            text = _format_cells(np.ascontiguousarray(block).reshape(-1))
+            cells[..., :24] = text.reshape(P, K, D, 24)
+            cells[..., 24] = ord(",")
+            rows[:, :, -1] = ord("\n")
+            out.write(rows[rows != 0])
 
 
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a float64 into two 26-bit halves

@@ -250,9 +250,8 @@ _CAUSE_BYTES = 4096  # most of a failed child's cause that its error quotes
 
 def _single_threaded() -> bool:
     """Whether this process runs one operating-system thread, as the
-    interpreter counts them when it warns about a fork.  Both forks of the
-    package, io.ensemble_to_csv's and noise_windows' worker, are made only
-    when this holds.
+    interpreter counts them when it warns about a fork.  The package's
+    one fork, noise_windows' worker, is made only when this holds.
 
     A fork beside any other thread (a live Python thread, or a BLAS
     library's worker pool) can deadlock the child on a lock that thread
@@ -425,7 +424,7 @@ def _windows(stream: NoiseStream, num_paths: int, grid: TimeGrid, noise_dim: int
     windows = [buffers[k % 2, : num_steps - first] for k, first in enumerate(firsts)]
     if len(firsts) == 1:
         # no worker: a joined thread stays an operating-system thread for a
-        # few milliseconds, so the next draw or export would not fork
+        # few milliseconds, so the next draw would not fork
         stream.fill(windows[0])
         yield 0, windows[0]
         return

@@ -1,17 +1,18 @@
 """Shared fixtures: built-in problems, grids, and two custom fixtures that
 exercise state-dependent linearizations (the built-ins all have b_x = 0);
 checks, for every test, that it leaves no thread running, no forked child
-unreaped and no file descriptor open; and noise_thread, which sends
-noise_windows down its thread path."""
+unreaped and no file descriptor open; noise_thread, which sends
+noise_windows down its thread path; and one_thread, which waits for the
+process to run one thread, so that noise_windows forks its worker."""
 
 import os
 import signal
 import threading
+import time
 
 # One BLAS thread, as perfbench pins it, set before numpy is first imported
 # (here): a BLAS worker pool is a second operating-system thread, beside
-# which io.ensemble_to_csv writes in one process and model.noise_windows
-# draws on a thread instead of forking.
+# which model.noise_windows draws on a thread instead of forking.
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
 import numpy as np
@@ -27,7 +28,7 @@ _FDS = "/proc/self/fd"
 def no_leaked_fds():
     """Fail a test that leaves open a file descriptor that was not open
     before it (model.noise_windows paces its worker through two pipes, and
-    every fork reads its child's error from a third; each is closed).
+    its fork reads the child's error from a third; each is closed).
     Where /proc/self/fd cannot be read, nothing is checked."""
     try:
         before = set(os.listdir(_FDS))
@@ -49,9 +50,21 @@ def no_leaked_fds():
 @pytest.fixture
 def noise_thread(monkeypatch):
     """Send model.noise_windows down its thread path, which it takes beside
-    another operating-system thread, outside Linux or when the fork fails;
-    the CSV export then writes in one process too."""
+    another operating-system thread, outside Linux or when the fork fails."""
     monkeypatch.setattr(model, "_single_threaded", lambda: False)
+
+
+@pytest.fixture
+def one_thread():
+    """Wait up to 1 s for this process to run one operating-system thread,
+    so that model.noise_windows forks its worker, and fail the test if it
+    does not: a joined thread stays listed in /proc/self/task for a few
+    milliseconds, so a test right after one that drew on a thread would
+    otherwise see no fork by timing alone."""
+    deadline = time.monotonic() + 1.0
+    while not model._single_threaded() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert model._single_threaded(), "a second operating-system thread is alive"
 
 
 @pytest.fixture(autouse=True)
@@ -69,8 +82,7 @@ def no_leaked_threads():
 @pytest.fixture(autouse=True)
 def no_unreaped_children(monkeypatch):
     """Fail a test that leaves a child it forked with os.fork unreaped
-    (io.ensemble_to_csv forks one for a large export and
-    model.noise_windows one noise worker, and each reaps it); such a
+    (model.noise_windows forks one noise worker and reaps it); such a
     child is killed and reaped here.  Yields the pids of the test's forks.
     subprocess does not go through os.fork, so its children are not seen."""
     forked = []
@@ -95,6 +107,11 @@ def no_unreaped_children(monkeypatch):
         unreaped.append(pid)
     if unreaped:
         pytest.fail(f"forked children left unreaped: {unreaped}")
+
+
+def refuse_fork():
+    """A stand-in for os.fork that fails the test that calls it."""
+    pytest.fail("os.fork was called")
 
 
 def reaped(pid):

@@ -785,7 +785,8 @@ def test_blowup_exits_three(tmp_path):
         assert run("simulate", cfg, tmp_path / "out") == 3
 
 
-def test_chatter_blowup_exits_three_and_joins_the_noise_thread(tmp_path, no_unreaped_children):
+def test_chatter_blowup_exits_three_and_joins_the_noise_thread(tmp_path, no_unreaped_children,
+                                                            one_thread):
     # n = 32: 1 024 refined steps, four noise windows; the sweep stops in the
     # first while the forked noise producer waits to fill the third, and the
     # producer is killed and reaped
@@ -824,30 +825,28 @@ class TestInternalError:
         with pytest.raises(RuntimeError, match="kernel fault"):
             main(crashing)
 
-    def test_a_failed_export_child_exits_four_without_traceback(
-            self, tmp_path, monkeypatch, capsys, no_unreaped_children):
-        # M = 600 splits adjoint_p.csv between the command and one child
-        # once the gate on the number of values is lifted
-        monkeypatch.setattr(cli.sio, "_FORK_CELLS", 0)
-        write_rows = cli.sio._write_rows
+    def test_a_failed_noise_worker_exits_four_without_traceback(
+            self, tmp_path, monkeypatch, capsys, no_unreaped_children, one_thread):
+        # n = 16: 512 refined steps in two noise windows, both filled by
+        # the forked noise worker, whose second fill fails
+        fill = model.NoiseStream.fill
+        fills = []
 
-        def failing_in_the_child(values, heads, lo, hi, write):
-            if lo > 0:
-                raise RuntimeError("formatting fault")
-            write_rows(values, heads, lo, hi, write)
+        def failing(self, window):
+            fills.append(window)
+            if len(fills) == 2:
+                raise RuntimeError("second window")
+            fill(self, window)
 
-        monkeypatch.setattr(cli.sio, "_write_rows", failing_in_the_child)
-        cfg = write_config(
-            tmp_path, problem="example2_stochastic", grid={"N": 10},
-            monte_carlo={"M": 600, "seed": 6}, regression={"degree": 1},
-            candidate={"name": "constant:0.0"},
-        )
-        assert cli.run(["adjoint", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        monkeypatch.setattr(model.NoiseStream, "fill", failing)
+        cfg = write_config(tmp_path, candidate={"name": "relaxed_pm1"},
+                           monte_carlo={"M": 16, "seed": 4}, chatter={"n_values": [16]})
+        assert cli.run(["chatter", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("internal error: OSError: ")
-        assert "adjoint_p.csv: rows of paths 300 to 599 were not written" in err
-        assert err.endswith("exit status 1: RuntimeError: formatting fault\n")
+        assert err.startswith("internal error: OSError: noise of steps 256 to 511 was not drawn")
+        assert err.endswith("exit status 1: RuntimeError: second window\n")
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert fills == []  # every fill ran in the worker
         assert len(no_unreaped_children) == 1
 
 

@@ -5,7 +5,8 @@ block_total and cell_averages, never through its atoms or weights, and in
 sde, adjoint and optimality only sde._Linearization reads the state
 gradients b_x, sigma_x and h_x of the problem.  Only model forks a
 process, builds a thread or maps shared memory, so every one of them sits
-behind model._single_threaded and model._fork."""
+behind model._single_threaded and model._fork, which no other module
+names."""
 
 import ast
 from pathlib import Path
@@ -85,18 +86,23 @@ def test_no_module_imports_cell_average():
 
 
 SPAWNERS = {("os", "fork"), ("threading", "Thread"), ("mmap", "mmap")}
+FORK_HELPERS = {"_fork", "_single_threaded"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_only_model_forks_threads_or_maps(path):
-    # os.fork(), threading.Thread(...), a subclass of it, mmap.mmap(...), or
-    # a from-import of any of them; model itself must be found using them
+    # os.fork(), threading.Thread(...), a subclass of it, mmap.mmap(...), a
+    # from-import of any of them, or any reference to model's fork helpers
+    # _fork and _single_threaded; model itself must be found using them
     uses = [
         node.lineno
         for node in ast.walk(ast.parse(path.read_text()))
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and (node.value.id, node.attr) in SPAWNERS)
+        if (isinstance(node, ast.Attribute)
+            and (node.attr in FORK_HELPERS
+                 or isinstance(node.value, ast.Name) and (node.value.id, node.attr) in SPAWNERS))
+        or (isinstance(node, ast.Name) and node.id in FORK_HELPERS)
         or (isinstance(node, ast.ImportFrom)
-            and any((node.module, alias.name) in SPAWNERS for alias in node.names))
+            and any((node.module, alias.name) in SPAWNERS or alias.name in FORK_HELPERS
+                    for alias in node.names))
     ]
     assert bool(uses) == (path.name == "model.py"), uses

@@ -1,15 +1,10 @@
 """File exports: CSV and binary ensembles read back exactly."""
 
 import csv
-import errno
 import hashlib
 import os
-import re
-import signal
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -17,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reaped
-from singopt import io, model
+from conftest import refuse_fork
+from singopt import io
 from singopt.controls import constant_relaxed, zero_singular
 from singopt.io import ensemble_from_binary, ensemble_to_binary, ensemble_to_csv
-from singopt.model import NoiseBatch, TimeGrid, ensemble_zeros, noise_windows
+from singopt.model import NoiseBatch, TimeGrid, ensemble_zeros
 from singopt.sde import simulate_relaxed
 
 
@@ -71,17 +66,22 @@ def _laid_out(data, time_major):
     return values
 
 
+def _block_paths(D):
+    """The paths of one block of CSV rows of CSV_KNOTS' four knots and D
+    components."""
+    return io._FORMAT_CELLS // (4 * D)
+
+
 def _csv_data(M, D):
     """(M, 4, D) floats over 40 decades, with special values at the start,
-    at the first block boundary, at the two-process split and at the end."""
+    in the first path of the second block and at the end."""
     rng = np.random.default_rng(3)
     data = rng.standard_normal((M, 4, D)) * 10.0 ** rng.integers(-20, 20, (M, 4, D))
     special = [-0.0, 5e-324, 1e-300, 1e16, 1e22, -1e22, 0.1, 1.0]
     head = min(len(special), data.size)
     data.reshape(-1)[:head] = special[:head]
-    for row in (io._BLOCK_PATHS, M // 2):
-        if row < M:
-            data[row, -1] = special[:D]
+    if _block_paths(D) < M:
+        data[_block_paths(D), -1] = special[:D]
     data[-1, -1] = special[-D:]
     return data
 
@@ -89,199 +89,19 @@ def _csv_data(M, D):
 CSV_KNOTS = TimeGrid(3, 0.3).knots
 
 
-def _refuse_fork():
-    pytest.fail("os.fork was called")
-
-
-@pytest.fixture
-def split_small(monkeypatch):
-    """Split every export of more than one block, however few its values,
-    and check that this process can fork at all."""
-    assert model._single_threaded(), "a second operating-system thread is alive"
-    monkeypatch.setattr(io, "_FORK_CELLS", 0)
-
-
 @pytest.mark.parametrize("time_major", [True, False], ids=["time-major", "c-contiguous"])
 @pytest.mark.parametrize("D", [1, 3])
-def test_csv_bytes_match_cell_by_cell_reference(tmp_path, monkeypatch, no_unreaped_children,
-                                               split_small, D, time_major):
-    # M <= one block is written by the caller alone; every larger M forks
-    # one child for paths [M // 2, M): 257 splits inside one block, 513 into
-    # a whole block and a block plus a path, and 600 into halves that each
-    # end in a partial block
-    recording_fork = os.fork
+def test_csv_bytes_match_cell_by_cell_reference(tmp_path, monkeypatch, D, time_major):
+    # one path, one whole block of B paths, a block and one path, and two
+    # blocks and one path
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    B = _block_paths(D)
     path = tmp_path / "ensemble.csv"
-    for M in (1, io._BLOCK_PATHS, io._BLOCK_PATHS + 1, 2 * io._BLOCK_PATHS + 1, 600):
-        split = M > io._BLOCK_PATHS
-        monkeypatch.setattr(os, "fork", recording_fork if split else _refuse_fork)
-        forks = len(no_unreaped_children)
+    for M in (1, B, B + 1, 2 * B + 1):
         data = _csv_data(M, D)
         ensemble_to_csv(_laid_out(data, time_major), CSV_KNOTS, path, prefix="p")
         assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "p")
-        assert len(no_unreaped_children) == forks + split
     assert os.listdir(tmp_path) == ["ensemble.csv"]
-
-
-def test_an_export_of_fewer_values_than_the_gate_is_written_alone(tmp_path, monkeypatch,
-                                                                  no_unreaped_children):
-    # one value per path, so M crosses io._FORK_CELLS one path at a time
-    knots = TimeGrid(1, 0.3).knots[:1]
-    path = tmp_path / "ensemble.csv"
-    recording_fork = os.fork
-    for M, forks in ((io._FORK_CELLS - 1, 0), (io._FORK_CELLS, 1)):
-        monkeypatch.setattr(os, "fork", recording_fork if forks else _refuse_fork)
-        data = np.arange(M, dtype=float).reshape(M, 1, 1) / 7.0
-        ensemble_to_csv(data, knots, path)
-        assert path.read_bytes() == reference_csv(data, knots, "x")
-        assert len(no_unreaped_children) == forks
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
-def test_csv_bytes_are_the_same_on_one_cpu(tmp_path, no_unreaped_children, split_small):
-    data = _csv_data(600, 3)
-    path = tmp_path / "ensemble.csv"
-    cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
-    try:
-        ensemble_to_csv(_laid_out(data, True), CSV_KNOTS, path, prefix="p")
-    finally:
-        os.sched_setaffinity(0, cpus)
-    assert len(no_unreaped_children) == 1
-    assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "p")
-
-
-def test_a_failed_child_raises_oserror_naming_its_cause_and_is_reaped(
-        tmp_path, monkeypatch, no_unreaped_children, split_small):
-    write_rows = io._write_rows
-
-    def failing_in_the_child(values, heads, lo, hi, write):
-        if lo > 0:
-            raise RuntimeError("formatting fault")
-        write_rows(values, heads, lo, hi, write)
-
-    monkeypatch.setattr(io, "_write_rows", failing_in_the_child)
-    path = tmp_path / "ensemble.csv"
-    message = (rf"^{re.escape(str(path))}: rows of paths 300 to 599 were not written: "
-               r"the process formatting them ended with exit status 1: RuntimeError: formatting fault$")
-    with pytest.raises(OSError, match=message):
-        ensemble_to_csv(_csv_data(600, 2), CSV_KNOTS, path)
-    [pid] = no_unreaped_children
-    assert reaped(pid)
-
-
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_a_failure_in_the_callers_half_kills_and_reaps_the_child(
-        tmp_path, monkeypatch, no_unreaped_children, split_small, error):
-    def failing_in_the_caller(values, heads, lo, hi, write):
-        if lo == 0:
-            raise error("formatting fault")
-        time.sleep(60)  # the child outlives the call unless it is killed
-
-    statuses = {}
-    waitpid = os.waitpid
-
-    def recording_waitpid(pid, options):
-        reaped, status = waitpid(pid, options)
-        statuses[reaped] = status
-        return reaped, status
-
-    monkeypatch.setattr(io, "_write_rows", failing_in_the_caller)
-    monkeypatch.setattr(os, "waitpid", recording_waitpid)
-    start = time.monotonic()
-    with pytest.raises(error, match="formatting fault"):
-        ensemble_to_csv(_csv_data(600, 2), CSV_KNOTS, tmp_path / "ensemble.csv")
-    assert time.monotonic() - start < 30
-    [pid] = no_unreaped_children
-    assert os.WIFSIGNALED(statuses[pid]) and os.WTERMSIG(statuses[pid]) == signal.SIGKILL
-    assert reaped(pid)
-
-
-def test_a_failed_fork_leaves_the_caller_to_write_alone(tmp_path, monkeypatch, split_small):
-    def failing_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", failing_fork)
-    data = _csv_data(600, 3)
-    path = tmp_path / "ensemble.csv"
-    ensemble_to_csv(_laid_out(data, True), CSV_KNOTS, path, prefix="p")
-    assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "p")
-    assert os.listdir(tmp_path) == ["ensemble.csv"]
-
-
-def _draw_noise_windows():
-    """Draw three noise windows through noise_windows, whose forked worker
-    sits behind the same gate as the export, and check them against the
-    whole-grid draw."""
-    grid = TimeGrid(600, 1.0)
-    whole = NoiseBatch.generate(8, grid, 1, 5).increments.swapaxes(0, 1)
-    draws = noise_windows(8, grid, 1, 5, 256)
-    assert np.concatenate([window.copy() for _, window in draws]).tobytes() == whole.tobytes()
-
-
-def test_no_fork_beside_a_live_thread(tmp_path, monkeypatch, split_small):
-    monkeypatch.setattr(os, "fork", _refuse_fork)
-    data = _csv_data(600, 3)
-    path = tmp_path / "ensemble.csv"
-    release = threading.Event()
-    blocked = threading.Thread(target=release.wait, name="blocked")
-    blocked.start()
-    try:
-        ensemble_to_csv(_laid_out(data, True), CSV_KNOTS, path, prefix="p")
-        _draw_noise_windows()
-    finally:
-        release.set()
-        blocked.join(timeout=10)
-    assert not blocked.is_alive()
-    assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "p")
-
-
-def test_no_fork_where_threads_cannot_be_counted(tmp_path, monkeypatch, split_small):
-    # outside Linux /proc/self/task does not exist
-    listdir = os.listdir
-
-    def without_proc(target):
-        if str(target).startswith("/proc"):
-            raise FileNotFoundError(2, "No such file or directory", target)
-        return listdir(target)
-
-    monkeypatch.setattr(os, "fork", _refuse_fork)
-    monkeypatch.setattr(os, "listdir", without_proc)
-    data = _csv_data(600, 1)
-    path = tmp_path / "ensemble.csv"
-    ensemble_to_csv(data, CSV_KNOTS, path)
-    assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "x")
-    _draw_noise_windows()
-
-
-@pytest.mark.parametrize("failing", [1, 2, 3])
-def test_a_failed_pipe_leaves_no_descriptor_open(tmp_path, monkeypatch, no_unreaped_children,
-                                                  split_small, failing):
-    # the export makes one pipe, _fork's cause pipe; noise_windows makes
-    # two to pace its worker, then _fork makes the third.  The autouse
-    # no_leaked_fds fixture fails a descriptor left open.
-    pipe = os.pipe
-    calls = []
-
-    def flaky_pipe():
-        calls.append(None)
-        if len(calls) == failing:
-            raise OSError(errno.EMFILE, "Too many open files")
-        return pipe()
-
-    monkeypatch.setattr(os, "pipe", flaky_pipe)
-    data = _csv_data(600, 3)
-    path = tmp_path / "ensemble.csv"
-    ensemble_to_csv(_laid_out(data, True), CSV_KNOTS, path, prefix="p")
-    assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "p")
-    assert os.listdir(tmp_path) == ["ensemble.csv"]
-    assert len(no_unreaped_children) == (failing != 1)
-    calls.clear()
-    if failing < 3:
-        with pytest.raises(OSError, match=r"^\[Errno 24\] Too many open files$"):
-            _draw_noise_windows()
-    else:
-        _draw_noise_windows()  # on the thread
-    assert len(no_unreaped_children) == (failing != 1)
 
 
 def _cells(values):

@@ -1,5 +1,6 @@
 """Problem definitions, assumption validation, noise reproducibility."""
 
+import errno
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from singopt.model import (
 )
 from singopt.sde import _NOISE_WINDOW_KNOTS
 
-from conftest import planar_config, reaped
+from conftest import planar_config, reaped, refuse_fork
 
 
 def test_builtin_names_all_load_and_validate():
@@ -295,8 +296,7 @@ def test_look_ahead_windows_equal_the_whole_grid_draw(num_steps, path, request,
     # 300 paths cross the 256-path scratch block; 1 000 steps are not a
     # multiple of the window, and 32 (chatter at n = 4) are less than one,
     # which is drawn here on either path
-    if path == "thread":
-        request.getfixturevalue("noise_thread")
+    request.getfixturevalue("one_thread" if path == "producer" else "noise_thread")
     grid = TimeGrid(num_steps, 1.0)
     whole = NoiseBatch.generate(300, grid, 2, 17).increments.swapaxes(0, 1)
     draws = noise_windows(300, grid, 2, 17, _NOISE_WINDOW_KNOTS)
@@ -323,7 +323,8 @@ def _close_after_the_first_window():
     assert first == 0
 
 
-def test_closing_the_windows_early_kills_and_reaps_the_producer(monkeypatch, no_unreaped_children):
+def test_closing_the_windows_early_kills_and_reaps_the_producer(monkeypatch, no_unreaped_children,
+                                                               one_thread):
     statuses = {}
     waitpid = os.waitpid
 
@@ -343,6 +344,67 @@ def test_closing_the_windows_early_joins_the_thread(noise_thread, no_unreaped_ch
     threads = threading.active_count()
     _close_after_the_first_window()
     assert threading.active_count() == threads
+    assert no_unreaped_children == []
+
+
+def _draw_noise_windows():
+    """Draw three noise windows through noise_windows and check them
+    against the whole-grid draw."""
+    grid = TimeGrid(600, 1.0)
+    whole = NoiseBatch.generate(8, grid, 1, 5).increments.swapaxes(0, 1)
+    draws = noise_windows(8, grid, 1, 5, 256)
+    assert np.concatenate([window.copy() for _, window in draws]).tobytes() == whole.tobytes()
+
+
+def test_no_fork_beside_a_live_thread(monkeypatch, one_thread):
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    release = threading.Event()
+    blocked = threading.Thread(target=release.wait, name="blocked")
+    blocked.start()
+    try:
+        _draw_noise_windows()
+    finally:
+        release.set()
+        blocked.join(timeout=10)
+    assert not blocked.is_alive()
+
+
+def test_no_fork_where_threads_cannot_be_counted(monkeypatch, one_thread):
+    # outside Linux /proc/self/task does not exist
+    listdir = os.listdir
+
+    def without_proc(target):
+        if str(target).startswith("/proc"):
+            raise FileNotFoundError(2, "No such file or directory", target)
+        return listdir(target)
+
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    monkeypatch.setattr(os, "listdir", without_proc)
+    _draw_noise_windows()
+
+
+@pytest.mark.parametrize("failing", [1, 2, 3])
+def test_a_failed_pipe_leaves_no_descriptor_open(monkeypatch, no_unreaped_children, one_thread,
+                                                  failing):
+    # noise_windows makes two pipes to pace its worker, then _fork makes
+    # the third, its cause pipe, without which the worker is a thread.  The
+    # autouse no_leaked_fds fixture fails a descriptor left open.
+    pipe = os.pipe
+    calls = []
+
+    def flaky_pipe():
+        calls.append(None)
+        if len(calls) == failing:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", flaky_pipe)
+    if failing < 3:
+        with pytest.raises(OSError, match=r"^\[Errno 24\] Too many open files$"):
+            _draw_noise_windows()
+    else:
+        _draw_noise_windows()  # on the thread
+    assert len(calls) == failing
     assert no_unreaped_children == []
 
 

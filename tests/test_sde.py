@@ -618,7 +618,7 @@ class TestStreamedChatteringGap:
         assert fillers[0] is fillers[1] is not threading.current_thread()
 
     def test_a_failed_fill_in_the_producer_raises_oserror_naming_its_cause(
-            self, example2_stochastic, monkeypatch, no_unreaped_children):
+            self, example2_stochastic, monkeypatch, no_unreaped_children, one_thread):
         # n = 16: 512 refined steps in two windows, both filled by the
         # forked producer, whose second fill fails
         fill = NoiseStream.fill
