@@ -210,7 +210,10 @@ class OutputDir:
 
     def __init__(self, root, command):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {str(root)!r}: {exc}") from None
         self.command = command
         self.files = []
 

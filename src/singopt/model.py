@@ -245,13 +245,17 @@ def _seed_words_type() -> type:
 
 
 _SIGKILL = 9  # fixed by POSIX; the signal module is not otherwise loaded
-_CAUSE_BYTES = 4096  # most of a failed child's cause that its error quotes
+# most of a failed worker's error that it writes to its filled pipe and the
+# caller's OSError quotes: one atomic pipe write at most (PIPE_BUF on
+# Linux), so the whole cause is in the pipe before its first byte is read
+_CAUSE_BYTES = 4096
 
 
 def _single_threaded() -> bool:
     """Whether this process runs one operating-system thread, as the
     interpreter counts them when it warns about a fork.  The package's
-    one fork, noise_windows' worker, is made only when this holds.
+    one fork, noise_windows' worker, is made only when this holds; else
+    the worker is a thread.
 
     A fork beside any other thread (a live Python thread, or a BLAS
     library's worker pool) can deadlock the child on a lock that thread
@@ -262,76 +266,6 @@ def _single_threaded() -> bool:
         return len(os.listdir("/proc/self/task")) == 1
     except OSError:
         return False
-
-
-def _fork(work) -> _Child | None:
-    """Fork a child process that runs ``work()`` and ends; return it to
-    the caller as a ``_Child``, or None when the fork or its cause pipe
-    cannot be made.
-
-    The child never returns from this call: it exits with status 0 when
-    ``work`` returns, and otherwise with status 1 after writing the error
-    (its type and message, at most ``_CAUSE_BYTES``) to a pipe that the
-    caller's ``_Child.join`` reads.  ``os._exit`` skips the atexit
-    handlers and the stdio buffers the child inherited.  Call this only
-    when ``_single_threaded()`` holds.
-    """
-    try:
-        cause_in, cause_out = os.pipe()
-    except OSError:  # no descriptor to spare
-        return None
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        os.close(cause_in)
-        os.close(cause_out)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(cause_in)
-            work()
-            code = 0
-        except BaseException as exc:
-            cause = f"{type(exc).__name__}: {exc}".encode(errors="replace")
-            os.write(cause_out, cause[:_CAUSE_BYTES])
-        finally:
-            os._exit(code)
-    os.close(cause_out)
-    return _Child(pid, cause_in)
-
-
-class _Child:
-    """A child forked by ``_fork``, reaped whichever way the ``with`` block
-    that holds it ends: ``join`` waits for it, and a block left before
-    ``join`` returned (an exception, a generator closed early) kills it
-    with SIGKILL and then waits for it."""
-
-    def __init__(self, pid: int, cause: int):
-        self._pid, self._cause, self._status = pid, cause, None
-
-    def __enter__(self) -> _Child:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        try:
-            if self._status is None:
-                os.kill(self._pid, _SIGKILL)
-                os.waitpid(self._pid, 0)
-        finally:
-            os.close(self._cause)
-
-    def join(self, what: str) -> None:
-        """Wait for the child to end; raise ``OSError`` when it did not
-        exit with status 0, ``what`` followed by how it ended and by the
-        error it wrote, if any."""
-        status = os.waitpid(self._pid, 0)[1]
-        self._status = status
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            cause = os.read(self._cause, _CAUSE_BYTES).decode(errors="replace")
-            ended = f"exit status {code}" if code > 0 else f"signal {-code}"
-            raise OSError(f"{what} ended with {ended}" + (f": {cause}" if cause else ""))
 
 
 class NoiseStream:
@@ -393,14 +327,17 @@ def noise_windows(num_paths: int, grid: TimeGrid, noise_dim: int, seed, width: i
     Two buffers in one anonymous shared mapping hold the windows: while the
     caller works on window k, one worker fills window k + 1 into the other
     buffer, so a window holds its increments until the next one is asked
-    for.  The worker is a process forked by _fork when this process runs
-    one operating-system thread (_single_threaded), and otherwise, or when
-    the fork fails, a thread; a draw of one window is filled here.
-    Two pipes pace it: it writes one byte to ``filled`` when it has filled
+    for.  The worker is a forked process when this process runs one
+    operating-system thread (_single_threaded), and otherwise, or when the
+    fork fails, a thread; a draw of one window is filled here.  Two pipes
+    pace it: it writes one NUL byte to ``filled`` when it has filled
     window k, and fills window k + 2 into window k's buffer only after
     reading one byte from ``free``, which the caller writes when it asks
-    for window k + 1.  A failed fill raises when its window is asked for:
-    the thread's exception itself, the process's as an OSError naming it.
+    for window k + 1.  A failed fill writes its error to ``filled``
+    instead, as "Type: message" (at most _CAUSE_BYTES), and the worker
+    closes its end; the caller, reading anything but a NUL byte for the
+    window it asks for, raises the thread's exception itself, or reaps
+    the process and raises an OSError naming how it ended and that error.
     Close the generator (contextlib.closing) so that the process is killed
     and reaped, or the thread joined, also when the caller raises or stops
     early.  The stream lives in this process and one fill runs at a time,
@@ -439,53 +376,62 @@ def _windows(stream: NoiseStream, num_paths: int, grid: TimeGrid, noise_dim: int
     failure = []
 
     def produce():
-        for k, window in enumerate(windows):
-            if k >= 2 and not os.read(free_in, 1):
-                return  # the caller stopped early
-            stream.fill(window)
-            os.write(filled_out, b"\0")
-
-    def forked():
-        os.close(free_out)  # so that the caller's death ends a wait for free
-        produce()
-
-    def threaded():
         try:
-            produce()
-        except BaseException as exc:  # raised again when its window is asked for
+            for k, window in enumerate(windows):
+                if k >= 2 and not os.read(free_in, 1):
+                    return  # the caller stopped early
+                stream.fill(window)
+                os.write(filled_out, b"\0")
+        except BaseException as exc:  # reported when its window is asked for
             failure.append(exc)
+            cause = f"{type(exc).__name__}: {exc}".encode(errors="replace")
+            os.write(filled_out, cause[:_CAUSE_BYTES])
         finally:
             os.close(filled_out)  # so that the caller's read of filled ends
 
-    def join(what):
-        if child is not None:
-            return child.join(what)
-        thread.join()
-        if failure:
-            raise failure[0]
-
-    child = None
+    pid = thread = None
     try:
-        child = _fork(forked) if _single_threaded() else None
-        if child is None:
-            thread = threading.Thread(target=threaded, name="singopt-noise")
-            thread.start()
+        if _single_threaded():
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the thread draws
+                pass
+        if pid == 0:
+            # os._exit skips the atexit handlers and the inherited stdio buffers
+            try:
+                os.close(free_out)  # so that the caller's death ends a wait for free
+                produce()
+            finally:
+                os._exit(1 if failure else 0)
+        if pid is None:
+            worker = threading.Thread(target=produce, name="singopt-noise")
+            worker.start()
+            thread = worker
         else:
             os.close(filled_out)
         fds.remove(filled_out)
         for k, first in enumerate(firsts):
             if 0 < k < len(firsts) - 1:
                 os.write(free_out, b"\0")  # window k - 1's buffer may take window k + 1
-            if not os.read(filled_in, 1):
-                join(f"noise of steps {first} to {first + len(windows[k]) - 1} was not drawn: "
-                     "the process drawing it")
+            byte = os.read(filled_in, 1)
+            if byte != b"\0":
+                if thread is not None:
+                    thread.join()
+                    raise failure[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pid = None
+                cause = (byte + os.read(filled_in, _CAUSE_BYTES)).decode(errors="replace")
+                ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                raise OSError(f"noise of steps {first} to {first + len(windows[k]) - 1} was not "
+                              f"drawn: the process drawing it ended with {ended}"
+                              + (f": {cause}" if cause else ""))
             yield first, windows[k]
-        join("the process drawing the noise")
     finally:
         try:
-            if child is not None:
-                child.__exit__()  # kills a child not yet joined, and reaps it
-            elif filled_out not in fds:  # the thread started
+            if pid:
+                os.kill(pid, _SIGKILL)
+                os.waitpid(pid, 0)
+            elif thread is not None:
                 fds.remove(free_out)
                 os.close(free_out)  # ends the thread's wait for free
                 thread.join()

@@ -27,8 +27,8 @@ _FDS = "/proc/self/fd"
 @pytest.fixture(autouse=True)
 def no_leaked_fds():
     """Fail a test that leaves open a file descriptor that was not open
-    before it (model.noise_windows paces its worker through two pipes, and
-    its fork reads the child's error from a third; each is closed).
+    before it (model.noise_windows paces its worker through two pipes, one
+    of which also carries a failed fill's error; both are closed).
     Where /proc/self/fd cannot be read, nothing is checked."""
     try:
         before = set(os.listdir(_FDS))

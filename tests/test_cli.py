@@ -570,6 +570,16 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["a-file", "under-a-file"])
+    def test_an_out_that_cannot_be_a_directory_exits_two(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("kept")
+        out = tmp_path / out
+        assert cli.run(["cost", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {str(out)!r}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert (tmp_path / "afile").read_text() == "kept"
+
     @pytest.mark.parametrize(
         "section, value, message",
         [

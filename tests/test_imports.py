@@ -3,10 +3,9 @@ the optimality checks do not depend on the adjoint module.  The sweeps
 read a relaxed control's measure only through RelaxedControl.average,
 block_total and cell_averages, never through its atoms or weights, and in
 sde, adjoint and optimality only sde._Linearization reads the state
-gradients b_x, sigma_x and h_x of the problem.  Only model forks a
-process, builds a thread or maps shared memory, so every one of them sits
-behind model._single_threaded and model._fork, which no other module
-names."""
+gradients b_x, sigma_x and h_x of the problem.  Only model forks, kills,
+reaps or exits a process, builds a thread or maps shared memory, so every
+fork sits behind model._single_threaded, which no other module names."""
 
 import ast
 from pathlib import Path
@@ -85,15 +84,18 @@ def test_no_module_imports_cell_average():
     assert importers == []
 
 
-SPAWNERS = {("os", "fork"), ("threading", "Thread"), ("mmap", "mmap")}
-FORK_HELPERS = {"_fork", "_single_threaded"}
+SPAWNERS = {("os", "fork"), ("os", "kill"), ("os", "waitpid"), ("os", "_exit"),
+            ("threading", "Thread"), ("mmap", "mmap")}
+FORK_HELPERS = {"_single_threaded"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_only_model_forks_threads_or_maps(path):
-    # os.fork(), threading.Thread(...), a subclass of it, mmap.mmap(...), a
-    # from-import of any of them, or any reference to model's fork helpers
-    # _fork and _single_threaded; model itself must be found using them
+    # os.fork(), os.kill(...), os.waitpid(...), os._exit(...) (the noise
+    # worker's whole life), threading.Thread(...), a subclass of it,
+    # mmap.mmap(...), a from-import of any of them, or any reference to
+    # model's fork gate _single_threaded; model itself must be found using
+    # them
     uses = [
         node.lineno
         for node in ast.walk(ast.parse(path.read_text()))

@@ -383,12 +383,11 @@ def test_no_fork_where_threads_cannot_be_counted(monkeypatch, one_thread):
     _draw_noise_windows()
 
 
-@pytest.mark.parametrize("failing", [1, 2, 3])
+@pytest.mark.parametrize("failing", [1, 2])
 def test_a_failed_pipe_leaves_no_descriptor_open(monkeypatch, no_unreaped_children, one_thread,
                                                   failing):
-    # noise_windows makes two pipes to pace its worker, then _fork makes
-    # the third, its cause pipe, without which the worker is a thread.  The
-    # autouse no_leaked_fds fixture fails a descriptor left open.
+    # noise_windows makes two pipes to pace its worker.  The autouse
+    # no_leaked_fds fixture fails a descriptor left open.
     pipe = os.pipe
     calls = []
 
@@ -399,13 +398,79 @@ def test_a_failed_pipe_leaves_no_descriptor_open(monkeypatch, no_unreaped_childr
         return pipe()
 
     monkeypatch.setattr(os, "pipe", flaky_pipe)
-    if failing < 3:
-        with pytest.raises(OSError, match=r"^\[Errno 24\] Too many open files$"):
-            _draw_noise_windows()
-    else:
-        _draw_noise_windows()  # on the thread
+    with pytest.raises(OSError, match=r"^\[Errno 24\] Too many open files$"):
+        _draw_noise_windows()
     assert len(calls) == failing
     assert no_unreaped_children == []
+
+
+def test_a_failed_fork_leaves_the_draw_to_the_thread(monkeypatch, one_thread):
+    # the autouse no_leaked_fds fixture fails a descriptor left open
+    forks = []
+
+    def no_process():
+        forks.append(None)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    fill = NoiseStream.fill
+    fillers = []
+
+    def recording(self, window):
+        fillers.append(threading.current_thread())
+        fill(self, window)
+
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(NoiseStream, "fill", recording)
+    _draw_noise_windows()
+    assert len(forks) == 1
+    # the whole-grid draw here, then three windows on one other thread
+    caller, *workers = fillers
+    assert caller is threading.current_thread()
+    assert len(workers) == 3 and workers[0] is workers[1] is workers[2] is not caller
+
+
+def _fail_in_the_second_fill(monkeypatch, no_unreaped_children, fail):
+    """Draw four noise windows with a fill that calls fail() in the forked
+    worker's second fill; return the OSError the draw raises, after
+    checking that the worker was reaped."""
+    fill = NoiseStream.fill
+    caller = os.getpid()
+    fills = []
+
+    def failing(self, window):
+        fills.append(window)
+        if len(fills) == 2:
+            assert os.getpid() != caller, "the second fill ran in the calling process"
+            fail()
+        fill(self, window)
+
+    monkeypatch.setattr(NoiseStream, "fill", failing)
+    with pytest.raises(OSError) as raised:
+        for _ in noise_windows(300, TimeGrid(1000, 1.0), 2, 17, _NOISE_WINDOW_KNOTS):
+            pass
+    assert fills == []  # every fill ran in the worker
+    [pid] = no_unreaped_children
+    assert reaped(pid)
+    return raised.value
+
+
+def test_a_worker_killed_by_a_signal_raises_oserror_without_a_cause(
+        monkeypatch, no_unreaped_children, one_thread):
+    error = _fail_in_the_second_fill(monkeypatch, no_unreaped_children,
+                                     lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert str(error) == ("noise of steps 256 to 511 was not drawn: the process drawing it "
+                          "ended with signal 9")
+
+
+def test_a_long_worker_error_is_quoted_up_to_its_cause_bytes(
+        monkeypatch, no_unreaped_children, one_thread):
+    def fail():
+        raise RuntimeError("x" * 10000)
+
+    error = _fail_in_the_second_fill(monkeypatch, no_unreaped_children, fail)
+    cause = ("RuntimeError: " + "x" * 10000)[:4096]
+    assert str(error) == ("noise of steps 256 to 511 was not drawn: the process drawing it "
+                          f"ended with exit status 1: {cause}")
 
 
 # Seeds of one, two, three and six 32-bit words (padded to the pool of four,
