@@ -3,12 +3,9 @@ forward simulation, first-order adjoints and maximum-principle verification."""
 
 from .adjoint import (
     AdjointPair,
-    AuxiliaryProcesses,
     adjoint_bsde,
     adjoint_routes,
-    auxiliary_processes,
     duality_residual,
-    martingale_route_P,
     variational_inequality_value,
 )
 from .controls import (

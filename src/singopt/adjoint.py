@@ -37,10 +37,8 @@ from .controls import as_relaxed
 from .model import ensemble_zeros
 from .optimality import relaxed_hamiltonian_batch
 from .sde import (
-    FundamentalPair,
     TrajectoryEnsemble,
     _Linearization,
-    _require_along,
     _require_controls,
     _std_error,
     fundamental_solutions,
@@ -153,9 +151,7 @@ class AdjointPair:
 
     P is None on the explicit route (the first pair of adjoint_routes),
     which produces p only, and the optimality checks refuse such a pair.
-    (martingale_route_P is no substitute when sigma_x != 0: its auxiliary
-    martingale then misses the stochastic exponential in Phi.)  By
-    convention P[:, N] = 0: no Brownian exposure remains at the horizon.
+    By convention P[:, N] = 0: no Brownian exposure remains at the horizon.
     """
 
     p: np.ndarray = field(repr=False)
@@ -172,18 +168,6 @@ class AdjointPair:
         return self.P
 
 
-@dataclass(frozen=True, eq=False)
-class AuxiliaryProcesses:
-    """The terminal functional X, the compensated martingale Y and the
-    martingale integrand estimate Q along the ensemble traj; the ensembles
-    are stored time-major (model.ensemble_zeros)."""
-
-    X: np.ndarray = field(repr=False)      # (M, n)
-    Y: np.ndarray = field(repr=False)      # (M, N+1, n)
-    Q: np.ndarray = field(repr=False)      # (M, N, n, d)
-    traj: TrajectoryEnsemble = field(repr=False)
-
-
 def _transpose_apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """(mats^T vecs) per path: mats (M, n, n), vecs (M, n) -> (M, n)."""
     return np.einsum("mqp,mq->mp", mats, vecs)
@@ -194,21 +178,6 @@ def _terminal_gradient(traj: TrajectoryEnsemble) -> np.ndarray:
     spec = traj.spec
     return np.broadcast_to(np.asarray(spec.g_x(traj.terminal), dtype=float),
                            (traj.num_paths, spec.n))
-
-
-def _grad_sums(fund: FundamentalPair) -> np.ndarray:
-    """Prefix sums of Phi_s^* hbar_x(s) ds along fund's ensemble
-    (left-endpoint rule), (M, N+1, n) with prefix_0 = 0.  The terms are
-    written into the prefix array and summed there in place."""
-    traj = fund.traj
-    grid = traj.grid
-    prefix = ensemble_zeros(traj.num_paths, grid.num_steps + 1, traj.spec.n)
-    terms = prefix[:, 1:, :]
-    for j in range(grid.num_steps):
-        terms[:, j, :] = _transpose_apply(fund.Phi[:, j], _Linearization(traj, j).hx)
-    terms *= grid.dt
-    np.cumsum(terms, axis=1, out=terms)
-    return prefix
 
 
 def _knot_health(basis: RegressionBasis, target: np.ndarray, fitted: np.ndarray) -> tuple:
@@ -302,64 +271,8 @@ def adjoint_bsde(traj: TrajectoryEnsemble, degree: int = 2) -> AdjointPair:
 
 
 # ---------------------------------------------------------------------------
-# auxiliary processes and the duality identity
+# the duality identity
 # ---------------------------------------------------------------------------
-
-def auxiliary_processes(fund: FundamentalPair, degree: int = 2) -> AuxiliaryProcesses:
-    """The terminal functional X, the compensated conditional expectation Y,
-    and the martingale integrand Q, along the ensemble of fund.
-
-    Y uses regressions for the interior knots and the exact identity
-    Y_T = X - (full gradient integral) at the horizon.  Q regresses the
-    discrete martingale increments against the Brownian increments.
-    """
-    traj = fund.traj
-    spec = traj.spec
-    M = traj.num_paths
-    N = traj.grid.num_steps
-    dt = traj.grid.dt
-    dW = traj.noise.increments
-    prefix = _grad_sums(fund)
-    X = _transpose_apply(fund.Phi[:, N], _terminal_gradient(traj)) + prefix[:, N, :]
-    # martingale E[X | F_t]: the accumulated part of X is known pathwise at
-    # time t; only the remaining tail is a function of the Markov state and
-    # goes through the regression.  Exact at the horizon, so one backward
-    # sweep fits mart[j] and then Q[j] from mart[j + 1] on the same features.
-    mart = ensemble_zeros(M, N + 1, spec.n)
-    mart[:, N, :] = X
-    Q = ensemble_zeros(M, N, spec.n, spec.d)
-    for j in range(N - 1, -1, -1):
-        basis = regression_basis(traj.states[:, j, :], degree)
-        mart[:, j, :] = prefix[:, j, :] + fit_conditional(basis, X - prefix[:, j, :])
-        incr = np.einsum("mp,mj->mpj", mart[:, j + 1, :] - mart[:, j, :], dW[:, j, :]) / dt
-        Q[:, j] = fit_conditional(basis, incr)
-    Y = mart - prefix
-    return AuxiliaryProcesses(X=X, Y=Y, Q=Q, traj=traj)
-
-
-def martingale_route_P(
-    fund: FundamentalPair,
-    aux: AuxiliaryProcesses,
-    adjoint: AdjointPair,
-) -> np.ndarray:
-    """Reconstruct P from the martingale integrand: P = Psi^* Q - sbar_x^* p,
-    with p of the adjoint pair; all three inputs along one ensemble.
-
-    Returns an (M, N+1, n, d) array with the terminal slice zero, providing
-    the cross-check route against the backward-sweep estimate.
-    """
-    traj = fund.traj
-    _require_along(traj, ("aux", aux), ("adjoint", adjoint))
-    spec = traj.spec
-    N = traj.grid.num_steps
-    P = ensemble_zeros(traj.num_paths, N + 1, spec.n, spec.d)
-    for j in range(N):
-        sx = _Linearization(traj, j).sx
-        P[:, j] = np.einsum("mqp,mqj->mpj", fund.Psi[:, j], aux.Q[:, j]) - np.einsum(
-            "...jqp,...q->...pj", sx, adjoint.p[:, j, :]
-        )
-    return P
-
 
 def duality_residual(traj: TrajectoryEnsemble, direction: tuple) -> tuple:
     """Monte Carlo residual of the duality identity E[alpha_T . Y_T] =

@@ -211,14 +211,6 @@ def _require_horizon(spec: ProblemSpec, grid: TimeGrid):
                               f"problem horizon {spec.horizon!r}")
 
 
-def _require_along(traj: TrajectoryEnsemble, *named):
-    """Raise SimulationError unless each (name, result) pair was computed
-    along traj itself."""
-    for name, result in named:
-        if result.traj is not traj:
-            raise SimulationError(f"{name} was computed along another ensemble")
-
-
 def simulate_relaxed(spec: ProblemSpec, q, eta: SingularControl,
                      noise: NoiseBatch) -> TrajectoryEnsemble:
     """Euler-Maruyama for the measure-controlled state equation on q's grid,

@@ -1,4 +1,4 @@
-"""Adjoint pair estimation, auxiliary processes, duality, first-order values."""
+"""Adjoint pair estimation, duality, first-order values."""
 
 import copy
 from itertools import combinations_with_replacement
@@ -13,10 +13,8 @@ from singopt.adjoint import (
     RegressionError,
     adjoint_bsde,
     adjoint_routes,
-    auxiliary_processes,
     duality_residual,
     fit_conditional,
-    martingale_route_P,
     polynomial_features,
     regression_basis,
     variational_inequality_value,
@@ -256,9 +254,8 @@ def brownian_adjoint_setup():
     mu = dirac_embed(constant_strict(grid, [0.0]))
     xi = zero_singular(grid, 1)
     traj = simulate_relaxed(spec, mu, xi, noise)
-    fund = fundamental_solutions(traj)
     expl, bsde = adjoint_routes(traj, degree=1)
-    return spec, grid, noise, traj, fund, expl, bsde, (mu, xi)
+    return spec, grid, noise, traj, expl, bsde, (mu, xi)
 
 
 class TestClosedFormAdjoint:
@@ -270,14 +267,14 @@ class TestClosedFormAdjoint:
         return brownian_adjoint_setup
 
     def test_p_matches_closed_form(self, computed):
-        _, grid, _, traj, _, expl, bsde, _ = computed
+        _, grid, _, traj, expl, bsde, _ = computed
         oracle = 2.0 * traj.states[:, :, 0] * (1.0 - grid.knots)[None, :]
         for pair_est in (expl, bsde):
             rmse = np.sqrt(np.mean((pair_est.p[:, :, 0] - oracle) ** 2))
             assert rmse <= 5e-2, pair_est.method
 
     def test_P_matches_closed_form(self, computed):
-        _, grid, _, _, _, _, bsde, _ = computed
+        _, grid, _, _, _, bsde, _ = computed
         oracle = np.broadcast_to(2.0 * (1.0 - grid.knots), bsde.P[:, :, 0, 0].shape).copy()
         oracle[:, -1] = 0.0  # terminal convention
         rmse = np.sqrt(np.mean((bsde.P[:, :, 0, 0] - oracle) ** 2))
@@ -286,13 +283,6 @@ class TestClosedFormAdjoint:
     def test_methods_agree(self, computed):
         *_, expl, bsde, _ = computed
         rms = np.sqrt(np.mean((expl.p - bsde.p) ** 2))
-        assert rms <= 5e-2
-
-    def test_martingale_route_P_agrees(self, computed):
-        *_, fund, _, bsde, _ = computed
-        aux = auxiliary_processes(fund, degree=1)
-        P2 = martingale_route_P(fund, aux, bsde)
-        rms = np.sqrt(np.mean((P2[:, :-1] - bsde.P[:, :-1]) ** 2))
         assert rms <= 5e-2
 
 
@@ -409,7 +399,11 @@ def test_explicit_p0_is_the_mean_terminal_functional(config):
     lam_0, is the path mean of X."""
     traj = _affine_run(config)
     p0 = adjoint_routes(traj, degree=2)[0].p[:, 0]
-    X = auxiliary_processes(fundamental_solutions(traj)).X.mean(axis=0)
+    Phi, N = fundamental_solutions(traj).Phi, traj.grid.num_steps
+    gx = np.broadcast_to(traj.spec.g_x(traj.terminal), traj.terminal.shape)
+    X = np.einsum("mqp,mq->mp", Phi[:, N], gx) + traj.grid.dt * sum(
+        np.einsum("mqp,mq->mp", Phi[:, j], sde._Linearization(traj, j).hx) for j in range(N))
+    X = X.mean(axis=0)
     assert np.abs(p0 - X).max() <= 1e-12 * np.abs(X).max()
 
 
@@ -423,9 +417,8 @@ def test_routes_bsde_is_adjoint_bsde_bit_for_bit(config):
 
 
 def test_each_sweep_reads_only_its_parts_of_the_linearization(monkeypatch):
-    """The tangent sweeps average no h_x, and the sweeps that do not step
-    with the Euler Jacobian (the backward SDE, the gradient sums of the
-    auxiliary processes, martingale_route_P) form none."""
+    """The tangent sweeps average no h_x, and the backward SDE, which does
+    not step with the Euler Jacobian, forms none."""
     traj = _affine_run(planar_config)
     spec = traj.spec
     averaged = []
@@ -441,50 +434,10 @@ def test_each_sweep_reads_only_its_parts_of_the_linearization(monkeypatch):
     monkeypatch.setattr(RelaxedControl, "average", recording)
     direction = (dirac_embed(constant_strict(traj.grid, spec.u1_grid[1])), traj.singular)
     simulate_variational(traj, direction)
-    fund = fundamental_solutions(traj)
+    fundamental_solutions(traj)
     assert averaged and not any(fn is spec.h_x for fn in averaged)
     monkeypatch.setattr(sde._Linearization, "jacobian", property(refuse))
-    martingale_route_P(fund, auxiliary_processes(fund), adjoint_bsde(traj))
-
-
-@pytest.fixture(scope="module")
-def aux_setup():
-    spec = problem_from_config(linear_drift_config(sigma_state=0.3, sigma_const=0.1))
-    grid = TimeGrid(80, 1.0)
-    noise = NoiseBatch.generate(600, grid, 1, 7)
-    mu = dirac_embed(constant_strict(grid, [0.0]))
-    xi = zero_singular(grid, 1)
-    traj = simulate_relaxed(spec, mu, xi, noise)
-    fund = fundamental_solutions(traj)
-    aux = auxiliary_processes(fund, degree=2)
-    return spec, grid, traj, fund, aux
-
-
-class TestAuxiliaryProcesses:
-
-    def test_terminal_identity_exact(self, aux_setup):
-        spec, grid, traj, fund, aux = aux_setup
-        # Y_T plus the accumulated gradient integral recovers X per path
-        from singopt.adjoint import _grad_sums
-        prefix = _grad_sums(fund)
-        recon = aux.Y[:, -1, :] + prefix[:, -1, :]
-        assert np.allclose(recon, aux.X, atol=1e-12)
-
-    def test_martingale_integrand_on_brownian_case(self):
-        spec = builtin_problem("example2_stochastic")
-        grid = TimeGrid(80, 1.0)
-        noise = NoiseBatch.generate(2000, grid, 1, 19)
-        mu = dirac_embed(constant_strict(grid, [0.0]))
-        xi = zero_singular(grid, 1)
-        traj = simulate_relaxed(spec, mu, xi, noise)
-        fund = fundamental_solutions(traj)
-        aux = auxiliary_processes(fund, degree=1)
-        # E[X | F_t] has integrand 2 (T - t) here.  The integrand regression
-        # carries irreducible dW^2 fluctuation of variance 2 Q^2 per path, a
-        # noise floor near 0.075 at 2000 paths; 0.15 gives 2x headroom.
-        oracle = 2.0 * (1.0 - grid.knots[:-1])
-        rmse = np.sqrt(np.mean((aux.Q[:, :, 0, 0] - oracle[None, :]) ** 2))
-        assert rmse <= 0.15
+    adjoint_bsde(traj)
 
 
 class TestDuality:

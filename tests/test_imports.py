@@ -1,11 +1,12 @@
-"""The package's import structure: every import sits at module level, and
-the optimality checks do not depend on the adjoint module.  The sweeps
-read a relaxed control's measure only through RelaxedControl.average,
-block_total and cell_averages, never through its atoms or weights, and in
-sde, adjoint and optimality only sde._Linearization reads the state
-gradients b_x, sigma_x and h_x of the problem.  Only model forks, kills,
-reaps or exits a process, builds a thread or maps shared memory, so every
-fork sits behind model._single_threaded, which no other module names."""
+"""The package's import structure: every import sits at module level, every
+name a module imports is read there, and the optimality checks do not
+depend on the adjoint module.  The sweeps read a relaxed control's measure
+only through RelaxedControl.average, block_total and cell_averages, never
+through its atoms or weights, and in sde, adjoint and optimality only
+sde._Linearization reads the state gradients b_x, sigma_x and h_x of the
+problem.  Only model forks, kills, reaps or exits a process, builds a
+thread or maps shared memory, so every fork sits behind
+model._single_threaded, which no other module names."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,21 @@ def test_only_model_forks_threads_or_maps(path):
                     for alias in node.names))
     ]
     assert bool(uses) == (path.name == "model.py"), uses
+
+
+UNUSED_CHECKED = [p for p in SOURCES if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", UNUSED_CHECKED, ids=[p.name for p in UNUSED_CHECKED])
+def test_every_imported_name_is_read(path):
+    # the name an import binds is its alias, or the first part of a dotted module
+    tree = ast.parse(path.read_text())
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    } - {"annotations"}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(bound - read) == []

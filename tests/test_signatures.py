@@ -1,8 +1,7 @@
 """A trajectory ensemble carries the problem, the controls, the grid and the
 noise it was simulated with, and every result carries its ensemble.  No
-public sweep takes any of these a second time; each rejects a direction
-control defined on another grid, and where two results meet, a result
-computed along another ensemble.  Records that hold arrays compare by
+public sweep takes any of these a second time, and each rejects a direction
+control defined on another grid.  Records that hold arrays compare by
 identity."""
 
 import inspect
@@ -11,13 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from singopt import adjoint, optimality, sde
-from singopt.adjoint import (
-    adjoint_bsde,
-    auxiliary_processes,
-    duality_residual,
-    martingale_route_P,
-    variational_inequality_value,
-)
+from singopt.adjoint import adjoint_bsde, duality_residual, variational_inequality_value
 from singopt.controls import constant_relaxed, constant_strict, dirac_embed, zero_singular
 from singopt.model import NoiseBatch, TimeGrid, builtin_problem
 from singopt.sde import (
@@ -28,7 +21,7 @@ from singopt.sde import (
 )
 
 MODULES = (sde, adjoint, optimality)
-CARRIERS = {"traj", "adjoint", "fund", "variational", "aux"}
+CARRIERS = {"traj", "adjoint", "fund", "variational"}
 CARRIED = {"spec", "grid", "noise", "pair", "base", "candidate", "control", "eta"}
 
 
@@ -53,21 +46,17 @@ def _run_along(spec, grid, seed):
     traj = simulate_relaxed(spec, *good, NoiseBatch.generate(8, grid, spec.d, seed))
     fund = fundamental_solutions(traj)
     z = simulate_variational(traj, toward)
-    aux = auxiliary_processes(fund)
     adj = adjoint_bsde(traj)
-    return SimpleNamespace(good=good, traj=traj, fund=fund, z=z, aux=aux, adj=adj)
+    return SimpleNamespace(good=good, traj=traj, fund=fund, z=z, adj=adj)
 
 
 @pytest.fixture(scope="module")
 def ten_step_run():
     """A 10-step run, plus a control pair on a 20-step grid of the same
-    horizon (`bad`), a 20-step run on the same number of paths (`fine`) and
-    a 10-step run of the same size with another seed (`twin`)."""
+    horizon (`bad`)."""
     spec = builtin_problem("example2_stochastic")
     run = _run_along(spec, TimeGrid(10, spec.horizon), 3)
-    run.fine = _run_along(spec, TimeGrid(20, spec.horizon), 4)
-    run.twin = _run_along(spec, TimeGrid(10, spec.horizon), 4)
-    run.bad = run.fine.good
+    run.bad = _run_along(spec, TimeGrid(20, spec.horizon), 4).good
     return run
 
 
@@ -100,28 +89,6 @@ def test_no_function_takes_a_grid(module):
     assert takes_grid == []
 
 
-# Where two results meet, each sweep given one result of another run and the
-# rest of the 10-step run: of the 20-step `fine` run, or of the same-size
-# `twin` run, which no comparison of shapes can tell apart.  The adjoint pair
-# supplies the p that martingale_route_P reads.
-MEETINGS = {
-    "martingale_route_P-fund": lambda r, o: martingale_route_P(o.fund, r.aux, r.adj),
-    "martingale_route_P-aux": lambda r, o: martingale_route_P(r.fund, o.aux, r.adj),
-    "martingale_route_P-p": lambda r, o: martingale_route_P(r.fund, r.aux, o.adj),
-}
-FOREIGN_RESULTS = {
-    name + suffix: (call, other)
-    for suffix, other in (("", "fine"), ("-same-size", "twin"))
-    for name, call in MEETINGS.items()
-}
-
-
-@pytest.mark.parametrize("call, other", FOREIGN_RESULTS.values(), ids=list(FOREIGN_RESULTS))
-def test_result_of_another_ensemble_is_rejected(ten_step_run, call, other):
-    with pytest.raises(SimulationError, match=r"^\w+ was computed along another ensemble$"):
-        call(ten_step_run, getattr(ten_step_run, other))
-
-
 def test_records_that_hold_arrays_compare_by_identity():
     """Two runs from the same inputs hold equal arrays, yet each record
     equals itself only and hashes, so records can be compared and kept in
@@ -129,7 +96,7 @@ def test_records_that_hold_arrays_compare_by_identity():
 
     def records(run):
         return (run.traj.spec, run.traj.noise, constant_strict(run.traj.grid, [1.0]),
-                *run.good, run.traj, run.z, run.fund, run.aux, run.adj)
+                *run.good, run.traj, run.z, run.fund, run.adj)
 
     grid = TimeGrid(10, 1.0)
     first, second = (_run_along(builtin_problem("example2_stochastic"), grid, 3)
