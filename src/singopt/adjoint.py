@@ -39,9 +39,9 @@ from .optimality import relaxed_hamiltonian_batch
 from .sde import (
     TrajectoryEnsemble,
     _Linearization,
+    _fundamental_steps,
     _require_controls,
     _std_error,
-    fundamental_solutions,
     simulate_variational,
 )
 
@@ -284,11 +284,11 @@ def duality_residual(traj: TrajectoryEnsemble, direction: tuple) -> tuple:
     fundamental pair rather than regression noise.
     """
     z = simulate_variational(traj, direction)
-    fund = fundamental_solutions(traj)
+    Phi, Psi = _fundamental_steps(traj, 1)  # the pair at knot N only
     N = traj.grid.num_steps
     gx_T = _terminal_gradient(traj)
-    alpha_T = np.einsum("mpq,mq->mp", fund.Psi[:, N], z.z[:, N, :])
-    Y_T = _transpose_apply(fund.Phi[:, N], gx_T)
+    alpha_T = np.einsum("mpq,mq->mp", Psi[:, 0], z.z[:, N, :])
+    Y_T = _transpose_apply(Phi[:, 0], gx_T)
     per_path = np.einsum("mp,mp->m", alpha_T, Y_T) - np.einsum("mp,mp->m", gx_T, z.z[:, N, :])
     return abs(float(per_path.mean())), _std_error(per_path)
 

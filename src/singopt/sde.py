@@ -316,20 +316,27 @@ def fundamental_solutions(traj: TrajectoryEnsemble) -> FundamentalPair:
     Psi_{j+1} = Psi_j (2 I - J_j + sum_i sx_i^2 dt), so Psi_t Phi_t stays
     within discretization error of the identity.
     """
-    grid = traj.grid
-    M = traj.num_paths
-    n = traj.spec.n
-    eye = np.eye(n)
-    Phi = ensemble_zeros(M, grid.num_steps + 1, n, n)
-    Psi = ensemble_zeros(M, grid.num_steps + 1, n, n)
-    Phi[:, 0] = eye
-    Psi[:, 0] = eye
-    for j in _checked_steps(grid.num_steps, Phi, Psi):
+    return FundamentalPair(*_fundamental_steps(traj, traj.grid.num_steps + 1), traj)
+
+
+def _fundamental_steps(traj: TrajectoryEnsemble, num_knots: int) -> tuple:
+    """Phi and Psi, (M, num_knots, n, n), stepped from the identity along
+    traj, each knot checked for finiteness as it is written.  Knot j is held
+    at index min(j, num_knots - 1): N + 1 knots keep every knot, and one
+    knot keeps the current one only, stepped in place, so it ends at knot N.
+    """
+    grid, eye = traj.grid, np.eye(traj.spec.n)
+    Phi = ensemble_zeros(traj.num_paths, num_knots, *eye.shape)
+    Psi = ensemble_zeros(traj.num_paths, num_knots, *eye.shape)
+    Phi[:, 0] = Psi[:, 0] = eye
+    for j in range(grid.num_steps):
         lin = _Linearization(traj, j)
-        np.matmul(lin.jacobian, Phi[:, j], out=Phi[:, j + 1])
+        now, new = min(j, num_knots - 1), min(j + 1, num_knots - 1)
+        np.matmul(lin.jacobian, Phi[:, now], out=Phi[:, new])
         inverse_step = (np.matmul(lin.sx, lin.sx).sum(axis=-3) * grid.dt + 2 * eye) - lin.jacobian
-        np.matmul(Psi[:, j], inverse_step, out=Psi[:, j + 1])
-    return FundamentalPair(Phi, Psi, traj)
+        np.matmul(Psi[:, now], inverse_step, out=Psi[:, new])
+        _check_finite([Phi[None, :, new], Psi[None, :, new]], j + 1)
+    return Phi, Psi
 
 
 # ---------------------------------------------------------------------------

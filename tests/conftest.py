@@ -2,13 +2,17 @@
 exercise state-dependent linearizations (the built-ins all have b_x = 0);
 checks, for every test, that it leaves no thread running, no forked child
 unreaped and no file descriptor open; noise_thread, which sends
-noise_windows down its thread path; and one_thread, which waits for the
-process to run one thread, so that noise_windows forks its worker."""
+noise_windows down its thread path; one_thread, which waits for the
+process to run one thread, so that noise_windows forks its worker; and
+traced_peak, the memory tests' tracemalloc context."""
 
+import contextlib
 import os
 import signal
 import threading
 import time
+import tracemalloc
+import types
 
 # One BLAS thread, as perfbench pins it, set before numpy is first imported
 # (here): a BLAS worker pool is a second operating-system thread, beside
@@ -112,6 +116,20 @@ def no_unreaped_children(monkeypatch):
 def refuse_fork():
     """A stand-in for os.fork that fails the test that calls it."""
     pytest.fail("os.fork was called")
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace the allocations of the block with tracemalloc, which is stopped
+    whatever the block raises; the yielded record's `peak` is then the
+    block's traced peak in bytes."""
+    record = types.SimpleNamespace(peak=None)
+    tracemalloc.start()
+    try:
+        yield record
+        record.peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reaped(pid):

@@ -38,7 +38,7 @@ from singopt.sde import (
     simulate_variational,
 )
 
-from conftest import linear_drift_config, planar_config, state_noise_config
+from conftest import linear_drift_config, planar_config, state_noise_config, traced_peak
 
 
 def setup(spec, control, singular=None, N=100, M=512, seed=11):
@@ -479,6 +479,21 @@ class TestDuality:
         traj = simulate_relaxed(linear_drift_stoch, mu, xi, noise)
         res, se = duality_residual(traj, direction)
         assert res <= 3.0 * se + 5.0 * grid.dt
+
+    def test_peak_memory_holds_the_pair_at_one_knot(self, linear_drift_stoch):
+        # criterion 5's size: z (M x (N+1), 8.1 MB) is held whole, the
+        # fundamental pair at the current knot only; Phi and Psi at every
+        # knot would add 16.2 MB
+        M, N = 10_000, 100
+        grid = TimeGrid(N, 1.0)
+        noise = NoiseBatch.generate(M, grid, 1, 51)
+        xi = zero_singular(grid, 1)
+        traj = simulate_relaxed(linear_drift_stoch, dirac_embed(constant_strict(grid, [0.0])),
+                                xi, noise)
+        direction = (dirac_embed(constant_strict(grid, [1.0])), xi)
+        with traced_peak() as traced:
+            duality_residual(traj, direction)
+        assert traced.peak < 12e6
 
 
 def test_first_order_value_consistent_across_three_routes(linear_drift_stoch):

@@ -19,7 +19,7 @@ from singopt import controls as ctl
 from singopt.cli import main
 from singopt.io import ensemble_from_binary
 
-from conftest import planar_config, reaped
+from conftest import planar_config, reaped, traced_peak
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -161,6 +161,22 @@ class TestVerifyAndCertify:
         cert = json.loads((tmp_path / "g" / "certificate.json").read_text())
         assert cert["certificate"]["certified"] is True
 
+    def test_certify_peak_memory_is_the_ensembles_and_two_scan_grids(self, tmp_path):
+        # at the peak certify holds the states, the noise and the backward
+        # sweep's p and P (n = d = 1), the minimality scan's (21, M) grid of
+        # H values and one temporary of its size, a few per-path vectors and
+        # about 0.7 MB that does not grow with M; one more ensemble (3.3 MB)
+        # breaks the bound
+        M, N = 8000, 50
+        cfg = write_config(
+            tmp_path, problem="example2_stochastic", grid={"N": N},
+            monte_carlo={"M": M, "seed": 7}, candidate={"name": "relaxed_pm1"},
+        )
+        ensembles = 3 * M * (N + 1) * 8 + M * N * 8
+        with traced_peak() as traced:
+            assert run("certify", cfg, tmp_path / "out") == 1
+        assert traced.peak < ensembles + 2 * 21 * M * 8 + 8 * M * 8 + 1e6
+
     def test_injected_singular_increment_fails_flat_off(self, tmp_path):
         inc = [[0.0]] * 64
         inc[5] = [1.0]
@@ -236,7 +252,15 @@ class TestChatter:
 
 
 class TestAdjointCommand:
-    def test_artifacts_and_agreement(self, tmp_path):
+    def test_artifacts_and_agreement(self, tmp_path, monkeypatch):
+        ensembles = []
+        routes = cli.adj.adjoint_routes
+
+        def recording(traj, **kwargs):
+            ensembles.append(traj)
+            return routes(traj, **kwargs)
+
+        monkeypatch.setattr(cli.adj, "adjoint_routes", recording)
         cfg = write_config(
             tmp_path, problem="example2_stochastic", grid={"N": 50},
             monte_carlo={"M": 256, "seed": 6}, regression={"degree": 1},
@@ -250,38 +274,69 @@ class TestAdjointCommand:
         diag = json.loads((tmp_path / "out" / "adjoint_diagnostics.json").read_text())
         assert diag["method_agreement_rms"] <= 5e-2
         assert diag["bsde"]["basis_degree"] == 1
+        # the agreement reduced in the explicit p's buffer is the whole-array
+        # formula on the routes of the command's ensemble, bit for bit
+        explicit, bsde = cli.adj.adjoint_routes(ensembles[0], degree=1)
+        agreement = float(np.sqrt(np.mean((explicit.p - bsde.p) ** 2)))
+        assert diag["method_agreement_rms"] == agreement
 
-    def test_peak_memory_holds_no_temporary_of_the_whole_ensemble(self, tmp_path):
-        # the planar problem (n = d = 2): at the peak the run holds the
-        # states, the noise, both routes' p and the backward sweep's P; the
-        # bound dates from when the run also held the fundamental pair
-        # (2 n p_bytes) and still leaves room for it
-        M, N, n, d = 2000, 50, 2, 2
+    @staticmethod
+    def _planar_config(tmp_path, M, N):
+        """The planar problem (n = d = 2) under a two-atom measure, degree 2."""
         problem = tmp_path / "planar.json"
         problem.write_text(json.dumps(planar_config()))
         cell = {"atoms": [[1.0, 0.0], [0.0, -1.0]], "weights": [0.5, 0.5]}
-        cfg = write_config(
+        return write_config(
             tmp_path, problem=str(problem), grid={"N": N}, monte_carlo={"M": M, "seed": 7},
             regression={"degree": 2},
             candidate={"control": {"type": "relaxed", "cells": [cell] * N}},
         )
+
+    def test_nothing_is_held_between_the_routes_and_the_exports(self, tmp_path, monkeypatch):
+        # from the routes' return to the first export the command reduces the
+        # agreement and releases the explicit p: a difference of the two p
+        # ensembles would raise the traced peak by one p ensemble
+        M, N, n = 2000, 50, 2
+        routes, export = cli.adj.adjoint_routes, cli.sio.ensemble_to_csv
+        held, peaks = [], []
+
+        def both(*args, **kwargs):
+            pairs = routes(*args, **kwargs)
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return pairs
+
+        def csv(*args, **kwargs):
+            if not peaks:
+                peaks.append(tracemalloc.get_traced_memory()[1] - held[0])
+            return export(*args, **kwargs)
+
+        monkeypatch.setattr(cli.adj, "adjoint_routes", both)
+        monkeypatch.setattr(cli.sio, "ensemble_to_csv", csv)
+        cfg = self._planar_config(tmp_path, M, N)
+        with traced_peak():
+            assert run("adjoint", cfg, tmp_path / "out") == 0
+        assert peaks[0] < M * (N + 1) * n * 8 / 2
+
+    def test_peak_memory_is_the_backward_sweep(self, tmp_path):
+        # at the workload size of the benchmark's adjoint_planar the run peaks
+        # in the backward sweep, holding the states, the noise, both routes'
+        # p and the sweep's P (n d / n = 2 p ensembles): 5 p ensembles and
+        # the noise, with room for the sweep's per-knot arrays
+        M, N, n, d = 4000, 100, 2, 2
+        cfg = self._planar_config(tmp_path, M, N)
         p_bytes = M * (N + 1) * n * 8
-        bound = p_bytes + M * N * d * 8 + 2 * n * p_bytes + 4 * p_bytes
-        tracemalloc.start()
-        try:
-            code = run("adjoint", cfg, tmp_path / "out")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < bound
+        with traced_peak() as traced:
+            assert run("adjoint", cfg, tmp_path / "out") == 0
+        assert traced.peak < 5 * p_bytes + M * N * d * 8 + p_bytes / 2
 
     def test_computes_no_fundamental_pair(self, tmp_path, monkeypatch):
-        def refuse(traj):
+        def refuse(*args):
             raise AssertionError("the adjoint command computed a fundamental pair")
 
-        monkeypatch.setattr(cli.sde, "fundamental_solutions", refuse)
-        monkeypatch.setattr(cli.adj, "fundamental_solutions", refuse)
+        # every fundamental pair is stepped by sde._fundamental_steps
+        monkeypatch.setattr(cli.sde, "_fundamental_steps", refuse)
+        monkeypatch.setattr(cli.adj, "_fundamental_steps", refuse)
         cfg = write_config(
             tmp_path, problem="example2_stochastic", grid={"N": 20},
             monte_carlo={"M": 64, "seed": 6}, candidate={"name": "constant:0.0"},
@@ -337,13 +392,7 @@ class TestAdjointCommand:
         monkeypatch.setattr(cli, "load_problem", loading)
         monkeypatch.setattr(cli.adj, "regression_basis", counting_basis)
         monkeypatch.setattr(ctl.RelaxedControl, "average", counting_average)
-        problem = tmp_path / "planar.json"
-        problem.write_text(json.dumps(planar_config()))
-        cell = {"atoms": [[1.0, 0.0], [0.0, -1.0]], "weights": [0.5, 0.5]}
-        cfg = write_config(
-            tmp_path, problem=str(problem), grid={"N": N}, monte_carlo={"M": 64, "seed": 7},
-            candidate={"control": {"type": "relaxed", "cells": [cell] * N}},
-        )
+        cfg = self._planar_config(tmp_path, 64, N)
         assert run("adjoint", cfg, tmp_path / "out") == 0
         assert bases == [(64, 2)] * N
         (spec,) = specs

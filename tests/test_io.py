@@ -5,14 +5,13 @@ import hashlib
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import refuse_fork
+from conftest import refuse_fork, traced_peak
 from singopt import io
 from singopt.controls import constant_relaxed, zero_singular
 from singopt.io import ensemble_from_binary, ensemble_to_binary, ensemble_to_csv
@@ -214,13 +213,9 @@ def test_binary_bytes_are_the_header_and_the_row_major_values(tmp_path, time_maj
 
 def test_binary_export_of_a_time_major_ensemble_holds_no_whole_copy(tmp_path):
     values = _laid_out(np.random.default_rng(5).standard_normal((2000, 51, 2)), time_major=True)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         ensemble_to_binary(values, 1, tmp_path / "ensemble.bin")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < values.nbytes / 4
+    assert traced.peak < values.nbytes / 4
 
 
 @pytest.mark.parametrize(
@@ -237,10 +232,6 @@ def test_file_digest_is_the_sha256_of_the_whole_file(tmp_path, size):
 def test_file_digest_memory_does_not_grow_with_the_file(tmp_path):
     path = tmp_path / "blob"
     path.write_bytes(bytes(8 * io._DIGEST_CHUNK_BYTES))
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         io.file_digest(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * io._DIGEST_CHUNK_BYTES
+    assert traced.peak < 2 * io._DIGEST_CHUNK_BYTES

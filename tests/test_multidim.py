@@ -7,7 +7,6 @@ problem whose diffusion depends on the control (which drives the
 diffusion-difference term of the variational equation).
 """
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from singopt.sde import (
     simulate_variational,
 )
 
-from conftest import planar_config
+from conftest import planar_config, traced_peak
 
 
 def controlled_noise_config():
@@ -288,10 +287,6 @@ class TestInverseDefect:
 
     def test_peak_memory_stays_below_four_knots(self, fund):
         M, _, n, _ = fund.Phi.shape
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             fund.inverse_defect()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * M * n * n * 8
+        assert traced.peak < 4 * M * n * n * 8

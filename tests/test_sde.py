@@ -3,7 +3,6 @@ fundamental pair, cost quadrature, chattering convergence."""
 
 import mmap
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import planar_config, reaped
+from conftest import planar_config, reaped, traced_peak
 from singopt.adjoint import adjoint_bsde
 from singopt.controls import (
     RelaxedControl,
@@ -664,15 +663,11 @@ class TestStreamedChatteringGap:
         eta = zero_singular(grid, 1)
         noise_bytes = M * steps * 8
         state_bytes = M * (steps + 1) * 8
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             row = chattering_gap(example2_stochastic, q, eta, 32, M, 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert row["refined_steps"] == steps
         assert mapped
-        assert peak + sum(mapped) < noise_bytes + state_bytes
+        assert traced.peak + sum(mapped) < noise_bytes + state_bytes
 
     def test_peak_memory_does_not_grow_with_the_refined_steps(self, example2_stochastic, mapped):
         # n = 32 and n = 64: 2 048 and 8 192 refined steps at M = 500, both
@@ -685,12 +680,9 @@ class TestStreamedChatteringGap:
         peaks = []
         for n in (32, 64):
             maps = len(mapped)
-            tracemalloc.start()
-            try:
+            with traced_peak() as traced:
                 row = chattering_gap(example2_stochastic, q, eta, n, M, 2)
-                peaks.append(tracemalloc.get_traced_memory()[1] + sum(mapped[maps:]))
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced.peak + sum(mapped[maps:]))
             assert len(mapped) == maps + 1
         assert row["refined_steps"] == 8192
         assert peaks[1] < 1.25 * peaks[0]
