@@ -3,6 +3,7 @@ forward simulation, first-order adjoints and maximum-principle verification."""
 
 from .adjoint import (
     AdjointPair,
+    BackwardSweep,
     adjoint_bsde,
     adjoint_routes,
     duality_residual,

@@ -167,6 +167,29 @@ class AdjointPair:
             raise ValueError("an adjoint pair of the explicit route has no P; use adjoint_bsde")
         return self.P
 
+    def knots(self):
+        """(j, p_j, P_j) from knot N-1 down to 0, as the sweep produced them."""
+        P = self.require_P()
+        for j in range(self.traj.grid.num_steps - 1, -1, -1):
+            yield j, self.p[:, j, :], P[:, j]
+
+
+@dataclass(frozen=True, eq=False)
+class BackwardSweep:
+    """adjoint_bsde's sweep along traj, run anew by each knots() and not
+    stored, for checks that read each knot once (optimality.verify_necessary)."""
+
+    traj: TrajectoryEnsemble = field(repr=False)
+    degree: int = 2
+
+    def knots(self):
+        """(j, p_j, P_j, health) from knot N-1 down to 0, bit for bit those of
+        adjoint_bsde(traj, degree); only p_{j+1} is held between knots."""
+        p = np.array(_terminal_gradient(self.traj))
+        for basis, lin in _backward_knots(self.traj, self.degree):
+            p, P, health = _bsde_step(basis, lin, p)
+            yield lin.j, p, P, health
+
 
 def _transpose_apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """(mats^T vecs) per path: mats (M, n, n), vecs (M, n) -> (M, n)."""
@@ -205,19 +228,18 @@ def _backward_knots(traj: TrajectoryEnsemble, degree: int):
         yield regression_basis(traj.states[:, j, :], degree), _Linearization(traj, j)
 
 
-def _bsde_step(basis: RegressionBasis, lin: _Linearization, p: np.ndarray, P: np.ndarray) -> tuple:
-    """adjoint_bsde's step to knot j = lin.j, with H_x = hbar_x + bbar_x^T
-    p_{j+1} + sum_i sbar_x,i^T P_j,i; returns the knot's health."""
-    j, dt = lin.j, lin.traj.grid.dt
-    p_next = p[:, j + 1, :]
+def _bsde_step(basis: RegressionBasis, lin: _Linearization, p_next: np.ndarray) -> tuple:
+    """adjoint_bsde's step from p_{j+1} to knot j = lin.j, with H_x = hbar_x
+    + bbar_x^T p_{j+1} + sum_i sbar_x,i^T P_j,i; returns (p_j, P_j, health)."""
+    dt = lin.traj.grid.dt
     p_proj = fit_conditional(basis, p_next)
-    mart = np.einsum("mp,mj->mpj", p_next - p_proj, lin.traj.noise.increments[:, j, :]) / dt
-    P[:, j] = fit_conditional(basis, mart)
+    mart = np.einsum("mp,mj->mpj", p_next - p_proj, lin.traj.noise.increments[:, lin.j, :]) / dt
+    P = fit_conditional(basis, mart)
     bx = np.broadcast_to(lin.bx, p_next.shape + p_next.shape[-1:])
-    hx = lin.hx + np.einsum("mqp,mq->mp", bx, p_next) + _diffusion_gradient(lin.sx, P[:, j])
+    hx = lin.hx + np.einsum("mqp,mq->mp", bx, p_next) + _diffusion_gradient(lin.sx, P)
     target = p_next + hx * dt
-    p[:, j, :] = fit_conditional(basis, target)
-    return _knot_health(basis, target, p[:, j, :])
+    p = fit_conditional(basis, target)
+    return p, P, _knot_health(basis, target, p)
 
 
 def _pair(traj: TrajectoryEnsemble, degree: int, p, P, method: str, health: list) -> AdjointPair:
@@ -248,7 +270,8 @@ def adjoint_routes(traj: TrajectoryEnsemble, degree: int = 2) -> tuple:
         lam = _transpose_apply(lin.jacobian, lam) + lin.hx * traj.grid.dt
         p_lam[:, lin.j, :] = fit_conditional(basis, lam)
         explicit_health.append(_knot_health(basis, lam, p_lam[:, lin.j, :]))
-        bsde_health.append(_bsde_step(basis, lin, p, P))
+        p[:, lin.j, :], P[:, lin.j], health = _bsde_step(basis, lin, p[:, lin.j + 1, :])
+        bsde_health.append(health)
     return (_pair(traj, degree, p_lam, None, "explicit", explicit_health),
             _pair(traj, degree, p, P, "bsde-regression", bsde_health))
 
@@ -266,7 +289,10 @@ def adjoint_bsde(traj: TrajectoryEnsemble, degree: int = 2) -> AdjointPair:
     spec, M, N = traj.spec, traj.num_paths, traj.grid.num_steps
     p, P = ensemble_zeros(M, N + 1, spec.n), ensemble_zeros(M, N + 1, spec.n, spec.d)
     p[:, N, :] = _terminal_gradient(traj)
-    health = [_bsde_step(basis, lin, p, P) for basis, lin in _backward_knots(traj, degree)]
+    health = []
+    for j, p_j, P_j, knot in BackwardSweep(traj, degree).knots():
+        p[:, j, :], P[:, j] = p_j, P_j
+        health.append(knot)
     return _pair(traj, degree, p, P, "bsde-regression", health)
 
 
@@ -302,7 +328,8 @@ def variational_inequality_value(adjoint: AdjointPair, direction: tuple) -> tupl
     At an optimal base the value is nonnegative up to Monte Carlo and
     discretization error, for every direction.  A strict direction control
     plays its point masses (controls.as_relaxed).  A pair without P (the
-    explicit route) raises ValueError (see AdjointPair.require_P).
+    explicit route) raises ValueError (see AdjointPair.require_P).  The
+    per-path sum runs from knot N-1 down to 0, as in verify_necessary.
     """
     traj = adjoint.traj
     spec, mu, xi = traj.spec, traj.control, traj.singular
@@ -310,18 +337,12 @@ def variational_inequality_value(adjoint: AdjointPair, direction: tuple) -> tupl
     q = as_relaxed(q)
     grid = traj.grid
     _require_controls(spec, grid, q, eta)
-    M = traj.num_paths
-    dt = grid.dt
-    knots = grid.knots
-    P = adjoint.require_P()
-    per_path = np.zeros(M)
+    per_path = np.zeros(traj.num_paths)
     dinc = eta.increments - xi.increments
-    for j in range(grid.num_steps):
-        xj = traj.states[:, j, :]
-        pj = adjoint.p[:, j, :]
-        Pj = P[:, j]
-        h_dir = relaxed_hamiltonian_batch(spec, knots[j], xj, q, j, pj, Pj)
-        h_base = relaxed_hamiltonian_batch(spec, knots[j], xj, mu, j, pj, Pj)
-        slack = spec.k_cost(knots[j]) + np.einsum("pq,mp->mq", spec.G(knots[j]), pj)
-        per_path += (h_dir - h_base) * dt + slack @ dinc[j]
+    for j, pj, Pj in adjoint.knots():
+        t, xj = grid.knots[j], traj.states[:, j, :]
+        h_dir = relaxed_hamiltonian_batch(spec, t, xj, q, j, pj, Pj)
+        h_base = relaxed_hamiltonian_batch(spec, t, xj, mu, j, pj, Pj)
+        slack = spec.k_cost(t) + np.einsum("pq,mp->mq", spec.G(t), pj)
+        per_path += (h_dir - h_base) * grid.dt + slack @ dinc[j]
     return float(per_path.mean()), _std_error(per_path)

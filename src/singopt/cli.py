@@ -275,7 +275,8 @@ def cmd_cost(cfg, out: OutputDir) -> int:
 
 
 def _verification_inputs(cfg):
-    pair = adj.adjoint_bsde(_simulate(cfg), degree=cfg["regression"]["degree"])
+    # the checks read the sweep knot by knot: no adjoint ensemble is held
+    sweep = adj.BackwardSweep(_simulate(cfg), degree=cfg["regression"]["degree"])
     tol = optimality.Tolerances(**cfg["tolerances"])
     echo = {
         "grid": cfg["grid"],
@@ -283,20 +284,20 @@ def _verification_inputs(cfg):
         "regression": cfg["regression"],
         "tolerances": cfg["tolerances"],
     }
-    return pair, tol, echo
+    return sweep, tol, echo
 
 
 def cmd_verify(cfg, out: OutputDir) -> int:
-    pair, tol, echo = _verification_inputs(cfg)
-    report = optimality.verify_necessary(pair, tol, config_echo=echo)
+    sweep, tol, echo = _verification_inputs(cfg)
+    report = optimality.verify_necessary(sweep, tol, config_echo=echo)
     sio.write_json({"report": report.as_dict(), "config": cfg}, out.path("verify_report.json"))
     print(report)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
 def cmd_certify(cfg, out: OutputDir) -> int:
-    pair, tol, echo = _verification_inputs(cfg)
-    cert = optimality.certify_sufficient(pair, tol, config_echo=echo)
+    sweep, tol, echo = _verification_inputs(cfg)
+    cert = optimality.certify_sufficient(sweep, tol, config_echo=echo)
     sio.write_json({"certificate": cert.as_dict(), "config": cfg}, out.path("certificate.json"))
     for rec in cert.convexity:
         print(f"[{'pass' if rec.passed else 'FAIL'}] convexity {rec.subject}: {rec.evidence}")

@@ -282,35 +282,45 @@ class NoiseStream:
 
     def __init__(self, num_paths: int, grid: TimeGrid, noise_dim: int, seed):
         _check_count("num_paths", num_paths)
-        seed_words = _seed_words_type()
-        self._normals = [
-            np.random.Generator(np.random.PCG64(seed_words(words))).standard_normal
-            for words in _spawned_seed_words(seed, num_paths)
-        ]
+        self._words = _spawned_seed_words(seed, num_paths)
+        self._normals = None  # every path's generator, once a fill keeps them
+        self._steps_left = grid.num_steps
         self._noise_dim = noise_dim
         self._scale = np.sqrt(grid.dt)
         self._block = None
+
+    def _generators(self, start: int, stop: int) -> list:
+        """The standard normal draws of paths start to stop - 1."""
+        seed_words = _seed_words_type()
+        return [np.random.Generator(np.random.PCG64(seed_words(words))).standard_normal
+                for words in self._words[start:stop]]
 
     def _scratch(self, num_steps: int) -> np.ndarray:
         """The scratch block of paths, (min(M, _NOISE_BLOCK_PATHS), K, d),
         for K = num_steps; allocated when the kept block holds fewer steps,
         and kept.  Each row is one path's K steps, contiguous."""
         if self._block is None or self._block.shape[1] < num_steps:
-            rows = min(len(self._normals), _NOISE_BLOCK_PATHS)
+            rows = min(len(self._words), _NOISE_BLOCK_PATHS)
             self._block = np.empty((rows, num_steps, self._noise_dim))
         return self._block[:, :num_steps]
 
     def fill(self, window: np.ndarray) -> None:
         """Write the increments of the next K steps of every path into the
-        time-major window of shape (K, M, d)."""
-        normals = self._normals
-        K = len(window)
-        M = len(normals)
+        time-major window of shape (K, M, d).  A first fill of the whole
+        grid builds each block's generators for that block alone; any other
+        builds every path's generator and keeps it for the next windows."""
+        K, M = len(window), len(self._words)
+        if K > self._steps_left:
+            raise ValueError(f"cannot draw {K} steps: {self._steps_left} of the grid are left")
+        if self._normals is None and K < self._steps_left:
+            self._normals = self._generators(0, M)
+        self._steps_left -= K
         # each row is exactly one path's K steps, so one call draws them
-        block = self._scratch(K)
+        block, kept = self._scratch(K), self._normals
         for start in range(0, M, len(block)):
             stop = min(start + len(block), M)
-            for row, normal in zip(block, normals[start:stop]):
+            normals = kept[start:stop] if kept else self._generators(start, stop)
+            for row, normal in zip(block, normals):
                 normal(out=row)
             for step in range(0, K, _NOISE_TILE_STEPS):
                 tile = slice(step, step + _NOISE_TILE_STEPS)
@@ -344,10 +354,11 @@ def noise_windows(num_paths: int, grid: TimeGrid, noise_dim: int, seed, width: i
     in order, so the increments are those of fill, bit for bit, whichever
     worker draws them and whenever it runs.
     """
-    # the stream is built at the call, so the caller's arrays are allocated
-    # after its per-path generators; built at the first window instead, it
-    # raised chatter's peak RSS by 0.4 MB
+    # the stream and its per-path generators are built at the call, so the
+    # caller's arrays are allocated after them; built at the first window
+    # instead, they raised chatter's peak RSS by 0.4 MB
     stream = NoiseStream(num_paths, grid, noise_dim, seed)
+    stream._normals = stream._generators(0, num_paths)
     return _windows(stream, num_paths, grid, noise_dim, width)
 
 

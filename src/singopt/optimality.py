@@ -7,13 +7,13 @@ all discrete measures on the candidate grid is attained at a point mass.
 Both are evaluated over a batch of paths; a single point is a batch of one.
 
 verify_necessary checks a candidate against the global first-order
-conditions in one pass over the knots: pointwise Hamiltonian minimality over
-the candidate grid, nonnegativity of the singular slack k + G^T p, the
-flat-off complement (singular increments only where the slack vanishes) and
-the integral first-order inequality toward the pointwise Hamiltonian argmin.
-certify_sufficient additionally gathers convexity evidence for the terminal
-cost and for the state-to-Hamiltonian map, which upgrades the necessary
-conditions to a sufficiency certificate.
+conditions knot by knot, in the backward sweep's order N-1, ..., 0:
+pointwise Hamiltonian minimality over the candidate grid, nonnegativity of
+the singular slack k + G^T p, the flat-off complement (increments only where
+the slack vanishes) and the integral first-order inequality toward the
+pointwise argmin; fed by adjoint.BackwardSweep, it holds no adjoint ensemble.
+certify_sufficient adds convexity evidence (terminal cost, x -> H), which
+upgrades the necessary conditions to a sufficiency certificate.
 """
 
 from __future__ import annotations
@@ -198,6 +198,85 @@ class SufficiencyCertificate:
         }
 
 
+class _Conditions:
+    """verify_necessary's statistics along adjoint.traj, fed knot by knot by
+    adjoint.knots(); with keep_means, also means[j], the path means of p_j, P_j."""
+
+    def __init__(self, adjoint, tolerances: Tolerances, keep_means: bool):
+        if adjoint is None:
+            raise ValueError("verify_necessary requires the candidate's adjoint pair")
+        traj = adjoint.traj
+        spec, mu, xi, grid, M = traj.spec, traj.control, traj.singular, traj.grid, traj.num_paths
+        worst, violations, min_slack = 0.0, 0, np.inf
+        flat_off_mass, first_order = np.zeros(M), np.zeros(M)
+        self.means = {}
+        grid_vals = np.empty((len(spec.u1_grid), M))
+        row_of = {u.tobytes(): i for i, u in enumerate(spec.u1_grid)}
+        for j, pj, Pj, *_ in adjoint.knots():  # a sweep also yields each knot's health
+            t, xj = grid.knots[j], traj.states[:, j, :]
+            if keep_means:
+                self.means[j] = pj.mean(axis=0), Pj.mean(axis=0)
+            strict_hamiltonian_batch(spec, t, xj, spec.u1_grid, pj, Pj, out=grid_vals)
+            try:
+                # H is linear in the measure: average the grid rows of the atoms
+                cand = mu.average(lambda _t, _x, a: grid_vals[row_of[a.tobytes()]], j, t, xj)
+            except KeyError:  # an atom off the grid
+                cand = relaxed_hamiltonian_batch(spec, t, xj, mu, j, pj, Pj)
+            gap = cand - grid_vals.min(axis=0)
+            violations += int(np.count_nonzero(gap > tolerances.tol_H * (1.0 + np.abs(cand))))
+            worst = max(worst, float(gap.max()))
+            slack = spec.k_cost(t) + np.einsum("pq,mp->mq", spec.G(t), pj)
+            min_slack = float(np.minimum(min_slack, slack.min()))
+            flat_off_mass += (slack > tolerances.tol_S) @ xi.increments[j]
+            best = _grid_argmin(spec.u1_grid, grid_vals.mean(axis=1))
+            first_order += (grid_vals[best] - cand) * grid.dt - slack @ xi.increments[j]
+        fraction = violations / float(M * grid.num_steps)
+        self._statistics = tolerances, fraction, worst, min_slack, flat_off_mass, first_order
+
+    def records(self) -> tuple:
+        """The four condition records, reduced from the per-path sums."""
+        tolerances, fraction, worst, min_slack, flat_off_mass, first_order = self._statistics
+        worst_mass = float(flat_off_mass.max()) if len(flat_off_mass) else 0.0
+        value, se = float(first_order.mean()), _std_error(first_order)
+        bound = -(3.0 * se + tolerances.vi_allowance)
+        return (
+            ConditionRecord(
+                "hamiltonian-minimality",
+                fraction <= tolerances.max_violation_fraction,
+                worst,
+                tolerances.tol_H,
+                None,
+                f"worst gap {worst:.3g}, violating fraction {fraction:.3g} "
+                f"(allowed {tolerances.max_violation_fraction:g})",
+            ),
+            ConditionRecord(
+                "nonnegativity",
+                min_slack >= -tolerances.tol_S,
+                min_slack,
+                -tolerances.tol_S,
+                None,
+                f"min component of k + G^T p = {min_slack:.3g} (tolerance -{tolerances.tol_S:g})",
+            ),
+            ConditionRecord(
+                "flat-off",
+                worst_mass <= tolerances.tol_F,
+                worst_mass,
+                tolerances.tol_F,
+                None,
+                f"max per-path increment mass where slack > {tolerances.tol_S:g} "
+                f"is {worst_mass:.3g}",
+            ),
+            ConditionRecord(
+                "variational-inequality[pointwise-argmin]",
+                value >= bound,
+                value,
+                bound,
+                se,
+                f"first-order value {value:.3g} toward 'pointwise-argmin' (>= {bound:.3g})",
+            ),
+        )
+
+
 def verify_necessary(
     adjoint,
     tolerances: Tolerances = Tolerances(),
@@ -206,90 +285,22 @@ def verify_necessary(
     """Check the global first-order necessary conditions for a candidate.
 
     The candidate is the (control, singular) pair of the ensemble that the
-    adjoint pair was computed along, adjoint.traj.  One pass over the knots
-    evaluates, per knot, H at every grid point (one stacked
-    strict_hamiltonian_batch call), the candidate's H (the weighted rows of
-    its atoms, or the measure average for atoms off the grid) and the slack
-    k + G^T p, and updates every condition from them.
+    adjoint pair was computed along, adjoint.traj.  The conditions are
+    updated as adjoint.knots() yields (j, p_j, P_j) from knot N-1 down to 0:
+    a stored pair (adjoint.AdjointPair) and the unstored backward sweep
+    (adjoint.BackwardSweep) give the same records, bit for bit.  Per knot,
+    H at every grid point (one stacked strict_hamiltonian_batch call), the
+    candidate's H (the weighted rows of its atoms, or the measure average
+    for atoms off the grid) and the slack k + G^T p update every condition.
     The integral first-order inequality is evaluated toward the pointwise
     argmin: per knot, the grid point of least path-mean H (exact ties to
     the lexicographically smallest), as a point mass with no singular part.
     Its per-path value is the sum of adjoint.variational_inequality_value
-    for that direction, with the direction's H read off the grid values.
-    A pair without P (the explicit route) raises ValueError.
+    for that direction, in the same knot order, with the direction's H read
+    off the grid values.  A pair without P (the explicit route) raises
+    ValueError.
     """
-    if adjoint is None:
-        raise ValueError("verify_necessary requires the candidate's adjoint pair")
-    P = adjoint.require_P()
-    traj = adjoint.traj
-    spec, mu, xi = traj.spec, traj.control, traj.singular
-    grid = traj.grid
-    M = traj.num_paths
-    N = grid.num_steps
-    worst, violations, min_slack = 0.0, 0, np.inf
-    flat_off_mass = np.zeros(M)
-    first_order = np.zeros(M)
-    grid_vals = np.empty((len(spec.u1_grid), M))
-    row_of = {u.tobytes(): i for i, u in enumerate(spec.u1_grid)}
-    for j, t in enumerate(grid.knots[:N]):
-        xj = traj.states[:, j, :]
-        pj = adjoint.p[:, j, :]
-        Pj = P[:, j]
-        strict_hamiltonian_batch(spec, t, xj, spec.u1_grid, pj, Pj, out=grid_vals)
-        try:
-            # H is linear in the measure: average the grid rows of the atoms
-            cand = mu.average(lambda _t, _x, a: grid_vals[row_of[a.tobytes()]], j, t, xj)
-        except KeyError:  # an atom off the grid
-            cand = relaxed_hamiltonian_batch(spec, t, xj, mu, j, pj, Pj)
-        gap = cand - grid_vals.min(axis=0)
-        violations += int(np.count_nonzero(gap > tolerances.tol_H * (1.0 + np.abs(cand))))
-        worst = max(worst, float(gap.max()))
-        slack = spec.k_cost(t) + np.einsum("pq,mp->mq", spec.G(t), pj)
-        min_slack = float(np.minimum(min_slack, slack.min()))
-        flat_off_mass += (slack > tolerances.tol_S) @ xi.increments[j]
-        best = _grid_argmin(spec.u1_grid, grid_vals.mean(axis=1))
-        first_order += (grid_vals[best] - cand) * grid.dt - slack @ xi.increments[j]
-
-    fraction = violations / float(M * N)
-    worst_mass = float(flat_off_mass.max()) if M else 0.0
-    value, se = float(first_order.mean()), _std_error(first_order)
-    bound = -(3.0 * se + tolerances.vi_allowance)
-    records = (
-        ConditionRecord(
-            "hamiltonian-minimality",
-            fraction <= tolerances.max_violation_fraction,
-            worst,
-            tolerances.tol_H,
-            None,
-            f"worst gap {worst:.3g}, violating fraction {fraction:.3g} "
-            f"(allowed {tolerances.max_violation_fraction:g})",
-        ),
-        ConditionRecord(
-            "nonnegativity",
-            min_slack >= -tolerances.tol_S,
-            min_slack,
-            -tolerances.tol_S,
-            None,
-            f"min component of k + G^T p = {min_slack:.3g} (tolerance -{tolerances.tol_S:g})",
-        ),
-        ConditionRecord(
-            "flat-off",
-            worst_mass <= tolerances.tol_F,
-            worst_mass,
-            tolerances.tol_F,
-            None,
-            f"max per-path increment mass where slack > {tolerances.tol_S:g} "
-            f"is {worst_mass:.3g}",
-        ),
-        ConditionRecord(
-            "variational-inequality[pointwise-argmin]",
-            value >= bound,
-            value,
-            bound,
-            se,
-            f"first-order value {value:.3g} toward 'pointwise-argmin' (>= {bound:.3g})",
-        ),
-    )
+    records = _Conditions(adjoint, tolerances, keep_means=False).records()
     return VerificationReport(records, dict(config_echo or {}))
 
 
@@ -320,28 +331,26 @@ def certify_sufficient(
     probe_pairs: int = 1000,
     config_echo: dict | None = None,
 ) -> SufficiencyCertificate:
-    """Assemble a sufficiency certificate for the candidate of the adjoint
-    pair's ensemble, adjoint.traj.
+    """Assemble a sufficiency certificate for the candidate of adjoint.traj,
+    its conditions read from adjoint.knots() as verify_necessary reads them.
 
     Convexity of the terminal cost and of the state-to-Hamiltonian map is
     established from the quadratic forms that the coefficient forms attach
     to g and h as state_quad when available (h, b and sigma carrying their
     state/control split make b and sigma affine in x, so H is convex in x
     for every (p, P) as soon as the running-cost state block is positive
-    semidefinite), and otherwise by midpoint probes over the assumptions
-    box at the adjoint values realized per time slice.  The certificate
+    semidefinite), and otherwise, after the sweep, by midpoint probes over
+    the assumptions box at each slice's path-mean (p, P).  The certificate
     holds only if the convexity evidence and all necessary conditions pass;
     an uncertified outcome is valid, not an error.
     """
-    P = adjoint.require_P()
-    traj = adjoint.traj
-    spec, mu = traj.spec, traj.control
-    grid = traj.grid
+    spec, mu = adjoint.traj.spec, adjoint.traj.control
+    terminal_quad = getattr(spec.g, "state_quad", None)
+    running_quad = getattr(spec.h, "state_quad", None) if _has_split(spec) else None
+    checks = _Conditions(adjoint, tolerances, keep_means=running_quad is None)
     rng = np.random.default_rng(0)
     lo, hi = spec.assumptions_box
     convexity = []
-    terminal_quad = getattr(spec.g, "state_quad", None)
-    running_quad = getattr(spec.h, "state_quad", None) if _has_split(spec) else None
 
     if terminal_quad is not None:
         convexity.append(
@@ -365,15 +374,12 @@ def certify_sufficient(
         ))
     else:
         worst_overall, ok = 0.0, True
-        knots = grid.knots
-        for j in range(grid.num_steps):
-            p_bar = adjoint.p[:, j, :].mean(axis=0)
-            P_bar = P[:, j].mean(axis=0)
+        for j in range(len(checks.means)):  # after the sweep, in knot order
 
-            def H_of_x(xs, j=j, pb=p_bar, Pb=P_bar):
+            def H_of_x(xs, j=j, pb=checks.means[j][0], Pb=checks.means[j][1]):
                 M = len(xs)
                 values = relaxed_hamiltonian_batch(
-                    spec, knots[j], xs, mu, j,
+                    spec, adjoint.traj.grid.knots[j], xs, mu, j,
                     np.broadcast_to(pb, (M, spec.n)), np.broadcast_to(Pb, (M, spec.n, spec.d)),
                 )
                 if not np.all(np.isfinite(values)):
@@ -393,6 +399,6 @@ def certify_sufficient(
             )
         )
 
-    report = verify_necessary(adjoint, tolerances, config_echo=config_echo)
+    report = VerificationReport(checks.records(), dict(config_echo or {}))
     certified = report.passed and all(c.passed for c in convexity)
     return SufficiencyCertificate(tuple(convexity), report, certified)

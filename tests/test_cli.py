@@ -161,21 +161,87 @@ class TestVerifyAndCertify:
         cert = json.loads((tmp_path / "g" / "certificate.json").read_text())
         assert cert["certificate"]["certified"] is True
 
-    def test_certify_peak_memory_is_the_ensembles_and_two_scan_grids(self, tmp_path):
-        # at the peak certify holds the states, the noise and the backward
-        # sweep's p and P (n = d = 1), the minimality scan's (21, M) grid of
-        # H values and one temporary of its size, a few per-path vectors and
-        # about 0.7 MB that does not grow with M; one more ensemble (3.3 MB)
-        # breaks the bound
+    @staticmethod
+    def _traced_peak_and_bound(tmp_path, command):
+        """The traced peak of command on M = 8 000 paths and N = 50 steps,
+        and its bound: the states and the noise (n = d = 1), the minimality
+        scan's (21, M) grid of H values and one temporary of its size, eight
+        per-path vectors and 1 MB that does not grow with M.  The checks
+        read the backward sweep knot by knot, so no adjoint ensemble is
+        held, and the noise is drawn with one block of generators at a
+        time; one p ensemble (3.3 MB) or all M generators break the bound."""
         M, N = 8000, 50
         cfg = write_config(
             tmp_path, problem="example2_stochastic", grid={"N": N},
             monte_carlo={"M": M, "seed": 7}, candidate={"name": "relaxed_pm1"},
         )
-        ensembles = 3 * M * (N + 1) * 8 + M * N * 8
         with traced_peak() as traced:
-            assert run("certify", cfg, tmp_path / "out") == 1
-        assert traced.peak < ensembles + 2 * 21 * M * 8 + 8 * M * 8 + 1e6
+            assert run(command, cfg, tmp_path / "out") == 1
+        ensembles = M * (N + 1) * 8 + M * N * 8
+        return traced.peak, ensembles + 2 * 21 * M * 8 + 8 * M * 8 + 1e6
+
+    def test_certify_peak_memory_is_the_ensembles_and_two_scan_grids(self, tmp_path):
+        peak, bound = self._traced_peak_and_bound(tmp_path, "certify")
+        assert peak < bound
+
+    def test_verify_peak_memory_is_the_ensembles_and_two_scan_grids(self, tmp_path):
+        peak, bound = self._traced_peak_and_bound(tmp_path, "verify")
+        assert peak < bound
+
+    @pytest.mark.parametrize("command", ["verify", "certify"])
+    def test_stores_no_adjoint_pair(self, tmp_path, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{command} stored the adjoint pair")
+
+        monkeypatch.setattr(cli.adj, "adjoint_bsde", refuse)
+        monkeypatch.setattr(cli.adj, "adjoint_routes", refuse)
+        cfg = write_config(
+            tmp_path, problem="example2_stochastic", grid={"N": 20},
+            monte_carlo={"M": 64, "seed": 6}, candidate={"name": "relaxed_pm1"},
+        )
+        assert run(command, cfg, tmp_path / "out") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "certify"])
+    @pytest.mark.parametrize("problem", ["example2_stochastic", "singular_block", "planar"])
+    def test_records_are_those_of_the_stored_pair(self, tmp_path, command, problem):
+        # the command feeds the checks from the backward sweep as it runs;
+        # certify_sufficient and verify_necessary on adjoint_bsde's stored
+        # pair must write the same records, float for float.  singular_block
+        # and the planar problem carry increments where the slack is positive
+        N = 40
+        inc = np.zeros((N, 1))
+        inc[[5, 17, 30], 0] = [0.3, 1.0, 0.2]
+        singular = {"type": "singular", "increments": inc.tolist()}
+        candidate = {"name": "relaxed_pm1"}
+        if problem == "singular_block":
+            candidate = {"name": "constant:0.0", "singular": singular}
+        elif problem == "planar":
+            problem = str(tmp_path / "planar.json")
+            Path(problem).write_text(json.dumps(planar_config()))
+            singular["increments"] = np.column_stack([inc[:, 0], inc[::-1, 0]]).tolist()
+            candidate = {"control": {"type": "strict", "values": [[1.0, 0.0]] * N},
+                         "singular": singular}
+        raw = {"problem": problem, "grid": {"N": N}, "monte_carlo": {"M": 64, "seed": 5},
+               "candidate": candidate}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert run(command, cfg_path, tmp_path / "out") in (0, 1)
+
+        cfg = cli.resolve_config(raw, {})
+        pair = cli.adj.adjoint_bsde(cli._simulate(cfg), degree=cfg["regression"]["degree"])
+        tol = cli.optimality.Tolerances(**cfg["tolerances"])
+        if command == "verify":
+            written = json.loads((tmp_path / "out" / "verify_report.json").read_text())["report"]
+            stored = cli.optimality.verify_necessary(pair, tol).as_dict()
+        else:
+            written = json.loads((tmp_path / "out" / "certificate.json").read_text())["certificate"]
+            stored = cli.optimality.certify_sufficient(pair, tol).as_dict()
+            assert written["convexity"] == stored["convexity"]
+            assert written["certified"] is stored["certified"]
+            written, stored = written["conditions"], stored["conditions"]
+        assert written["conditions"] == stored["conditions"]
+        flat_off = [c for c in written["conditions"] if c["id"] == "flat-off"][0]
+        assert (flat_off["statistic"] > 0.0) == (candidate.get("singular") is not None)
 
     def test_injected_singular_increment_fails_flat_off(self, tmp_path):
         inc = [[0.0]] * 64

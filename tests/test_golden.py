@@ -26,6 +26,14 @@ sde._linearization, lam_j = J_j^T lam_{j+1} + hbar_x dt, instead of the
 Hamiltonian gradient at P = lam_{j+1} dW_j^T / dt: the two agree up to
 rounding, and method_agreement_rms moved from 0.024749834677905366 to
 0.024749834677905362.  The other digests kept their bytes.
+
+When verify and certify came to check the conditions inside the backward
+sweep, their per-path sums (the first-order value and the flat-off mass)
+came to run from knot N-1 down to 0.  At these runs' size that order gives
+the same floats, so no digest was re-recorded: the VI statistic reads
+-0.050588704517044024 with se 0.023422654558221623 in both orders (on the
+certify benchmark workload, seed 7, it moved from -0.0028702124012978674 to
+-0.002870212401297867, se 0.004483455070384974 to 0.004483455070384973).
 """
 
 import hashlib

@@ -31,7 +31,7 @@ from singopt.model import (
 )
 from singopt.sde import _NOISE_WINDOW_KNOTS
 
-from conftest import planar_config, reaped, refuse_fork
+from conftest import planar_config, reaped, refuse_fork, traced_peak
 
 
 def test_builtin_names_all_load_and_validate():
@@ -507,6 +507,24 @@ def test_noise_stream_spawns_no_seed_sequence_children(monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", Unspawnable)
     NoiseStream(10_000, TimeGrid(4, 1.0), 1, 7)
+
+
+def test_a_whole_grid_draw_holds_one_block_of_generators():
+    # NoiseBatch.generate builds each block's generators for that block
+    # alone; the generators of all 8 000 paths (about 6.7 MB) break the bound
+    num_paths, num_steps = 8000, 50
+    NoiseBatch.generate(1, TimeGrid(1, 1.0), 1, 7)  # the first draw's imports and caches
+    with traced_peak() as traced:
+        NoiseBatch.generate(num_paths, TimeGrid(num_steps, 1.0), 1, 7)
+    assert traced.peak < num_paths * num_steps * 8 + 1e6
+
+
+def test_a_stream_draws_no_step_past_its_grid():
+    # a window past the grid would restart the generators of a whole-grid draw
+    stream = NoiseStream(3, TimeGrid(4, 1.0), 1, 7)
+    stream.fill(np.empty((4, 3, 1)))
+    with pytest.raises(ValueError, match=r"^cannot draw 1 steps: 0 of the grid are left$"):
+        stream.fill(np.empty((1, 3, 1)))
 
 
 @pytest.mark.parametrize("num_paths", [0, -3, 2.0, True])

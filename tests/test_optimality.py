@@ -462,6 +462,26 @@ class TestCertifySufficient:
         assert not terminal.passed
         assert not cert.certified
 
+    def test_probe_evidence_is_read_after_the_sweep(self, tanh_drift):
+        # no form split: the state-to-Hamiltonian probe runs after the sweep,
+        # at the path means kept per knot, in knot order and in the probe
+        # generator's order, so its evidence is the one written when the
+        # probes ran before the conditions; a swept and a stored pair agree
+        spec = tanh_drift.with_overrides(
+            g=lambda x: 5.0 * (x ** 2).sum(axis=-1), g_x=lambda x: 10.0 * x
+        )
+        grid = TimeGrid(20, 1.0)
+        mu = dirac_embed(constant_strict(grid, [1.0]))
+        noise = NoiseBatch.generate(64, grid, 1, 5)
+        traj = simulate_relaxed(spec, mu, zero_singular(grid, 1), noise)
+        swept = certify_sufficient(adjoint.BackwardSweep(traj, degree=2), probe_pairs=200)
+        stored = certify_sufficient(adjoint_bsde(traj, degree=2), probe_pairs=200)
+        assert swept.as_dict() == stored.as_dict()
+        assert [c.evidence for c in swept.convexity] == [
+            "midpoint probe over 200 pairs, worst defect -3.96e-05",
+            "midpoint probe at path-mean adjoint values, 200 pairs per slice, worst defect 6.87",
+        ]
+
     def test_probe_rejects_nonfinite_hamiltonian(self, tanh_drift):
         # the running cost is infinite at the atom +1, so the measure-averaged
         # Hamiltonian that the convexity probe evaluates is not finite
