@@ -34,7 +34,7 @@ from math import comb
 import numpy as np
 
 from .controls import as_relaxed
-from .model import ensemble_zeros
+from .model import _ahead, ensemble_zeros
 from .optimality import relaxed_hamiltonian_batch
 from .sde import (
     TrajectoryEnsemble,
@@ -177,18 +177,45 @@ class AdjointPair:
 @dataclass(frozen=True, eq=False)
 class BackwardSweep:
     """adjoint_bsde's sweep along traj, run anew by each knots() and not
-    stored, for checks that read each knot once (optimality.verify_necessary)."""
+    stored, for checks that read each knot once (optimality.verify_necessary).
+
+    The sweep steps on model._ahead's worker (a forked process, or a
+    thread), one knot ahead of the caller, and a knot's p_j, P_j and health
+    cross in a shared slot, bit for bit: its arrays are valid only until
+    the next knot is asked for.  A RegressionError of the worker is raised
+    again here; another failure of a forked worker raises OSError.
+    """
 
     traj: TrajectoryEnsemble = field(repr=False)
     degree: int = 2
 
     def knots(self):
         """(j, p_j, P_j, health) from knot N-1 down to 0, bit for bit those of
-        adjoint_bsde(traj, degree); only p_{j+1} is held between knots."""
-        p = np.array(_terminal_gradient(self.traj))
-        for basis, lin in _backward_knots(self.traj, self.degree):
-            p, P, health = _bsde_step(basis, lin, p)
-            yield lin.j, p, P, health
+        adjoint_bsde(traj, degree)."""
+        spec, M, N = self.traj.spec, self.traj.num_paths, self.traj.grid.num_steps
+
+        def stepped():  # only p_{j+1} is held between knots
+            p = np.array(_terminal_gradient(self.traj))
+            for basis, lin in _backward_knots(self.traj, self.degree):
+                p, P, health = _bsde_step(basis, lin, p)
+                yield p, P, health
+
+        def parts(slot):  # p_j, P_j and the health (residual, rank loss, cond)
+            return (slot[: M * spec.n].reshape(M, spec.n),
+                    slot[M * spec.n : -3].reshape(M, spec.n, spec.d), slot[-3:])
+
+        def fill(k, slot):
+            for part, value in zip(parts(slot), next(sweep)):
+                part[...] = value
+
+        def item(k, slot):
+            p, P, (residual, loss, cond) = parts(slot)
+            return N - 1 - k, p, P, (float(residual), int(loss), float(cond))
+
+        sweep = stepped()
+        return _ahead(N, (M * spec.n * (1 + spec.d) + 3,), fill, item,
+                      lambda k: f"knot {N - 1 - k} of the backward sweep was not computed: "
+                                "the process computing it", (RegressionError,))
 
 
 def _transpose_apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -290,8 +317,8 @@ def adjoint_bsde(traj: TrajectoryEnsemble, degree: int = 2) -> AdjointPair:
     p, P = ensemble_zeros(M, N + 1, spec.n), ensemble_zeros(M, N + 1, spec.n, spec.d)
     p[:, N, :] = _terminal_gradient(traj)
     health = []
-    for j, p_j, P_j, knot in BackwardSweep(traj, degree).knots():
-        p[:, j, :], P[:, j] = p_j, P_j
+    for basis, lin in _backward_knots(traj, degree):
+        p[:, lin.j, :], P[:, lin.j], knot = _bsde_step(basis, lin, p[:, lin.j + 1, :])
         health.append(knot)
     return _pair(traj, degree, p, P, "bsde-regression", health)
 

@@ -14,6 +14,7 @@ file format.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import json
 import math
@@ -254,8 +255,8 @@ _CAUSE_BYTES = 4096
 def _single_threaded() -> bool:
     """Whether this process runs one operating-system thread, as the
     interpreter counts them when it warns about a fork.  The package's
-    one fork, noise_windows' worker, is made only when this holds; else
-    the worker is a thread.
+    one fork, _ahead's worker, is made only when this holds; else the
+    worker is a thread.
 
     A fork beside any other thread (a live Python thread, or a BLAS
     library's worker pool) can deadlock the child on a lock that thread
@@ -334,47 +335,59 @@ def noise_windows(num_paths: int, grid: TimeGrid, noise_dim: int, seed, width: i
     (K, M, d) of width steps (the last may be narrower), first the step
     each one starts at.
 
-    Two buffers in one anonymous shared mapping hold the windows: while the
-    caller works on window k, one worker fills window k + 1 into the other
-    buffer, so a window holds its increments until the next one is asked
-    for.  The worker is a forked process when this process runs one
-    operating-system thread (_single_threaded), and otherwise, or when the
-    fork fails, a thread; a draw of one window is filled here.  Two pipes
-    pace it: it writes one NUL byte to ``filled`` when it has filled
-    window k, and fills window k + 2 into window k's buffer only after
-    reading one byte from ``free``, which the caller writes when it asks
-    for window k + 1.  A failed fill writes its error to ``filled``
-    instead, as "Type: message" (at most _CAUSE_BYTES), and the worker
-    closes its end; the caller, reading anything but a NUL byte for the
-    window it asks for, raises the thread's exception itself, or reaps
-    the process and raises an OSError naming how it ended and that error.
-    Close the generator (contextlib.closing) so that the process is killed
-    and reaped, or the thread joined, also when the caller raises or stops
-    early.  The stream lives in this process and one fill runs at a time,
-    in order, so the increments are those of fill, bit for bit, whichever
-    worker draws them and whenever it runs.
+    The windows are filled on _ahead's worker (a forked process, or a
+    thread), one window ahead of the caller, so a window holds its
+    increments only until the next one is asked for; a failed fill raises
+    the thread's exception, or an OSError naming the steps.  Close the
+    generator (contextlib.closing) to stop the worker early.  One fill runs
+    at a time, in order, so the increments are those of fill, bit for bit,
+    whichever worker draws them and whenever it runs.
     """
     # the stream and its per-path generators are built at the call, so the
     # caller's arrays are allocated after them; built at the first window
     # instead, they raised chatter's peak RSS by 0.4 MB
     stream = NoiseStream(num_paths, grid, noise_dim, seed)
     stream._normals = stream._generators(0, num_paths)
-    return _windows(stream, num_paths, grid, noise_dim, width)
-
-
-def _windows(stream: NoiseStream, num_paths: int, grid: TimeGrid, noise_dim: int, width: int):
     num_steps = grid.num_steps
     width = min(width, num_steps)
     firsts = range(0, num_steps, width)
     stream._scratch(width)  # here, so that the worker allocates no block
-    shape = (min(2, len(firsts)), width, num_paths, noise_dim)
-    buffers = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
-    windows = [buffers[k % 2, : num_steps - first] for k, first in enumerate(firsts)]
-    if len(firsts) == 1:
+    stops = [min(first + width, num_steps) for first in firsts]
+    return _ahead(len(firsts), (width, num_paths, noise_dim),
+                  lambda k, slot: stream.fill(slot[: stops[k] - firsts[k]]),
+                  lambda k, slot: (firsts[k], slot[: stops[k] - firsts[k]]),
+                  lambda k: f"noise of steps {firsts[k]} to {stops[k] - 1} was not drawn: "
+                            "the process drawing it")
+
+
+def _ahead(count: int, shape: tuple, fill, item, lost, numerical=()):
+    """Yield item(k, slot) for k = 0 .. count - 1, after fill(k, slot) has
+    written item k into slot, a float array of the given shape, on one
+    worker that runs an item ahead of the caller: fills run in order, one
+    at a time, and their state (a stream, a sweep) lives in the worker.
+
+    The worker is a forked process when this process runs one
+    operating-system thread (_single_threaded), else (or when the fork
+    fails) a thread in the caller's context, numpy's error state included;
+    a single item is filled here.  The items sit in two slots of one
+    anonymous shared mapping, so each is valid until the next is asked
+    for.  The worker writes a NUL byte to the ``filled`` pipe per item, and
+    fills item k + 2 only after reading the byte that the caller writes to
+    ``free`` when it asks for item k + 1.  A failed fill writes "Type:
+    message" (at most _CAUSE_BYTES) to ``filled`` instead; the caller then
+    raises the thread's exception, or reaps the process and raises the
+    error again if its type is one of numerical, else an OSError: lost(k),
+    how the process ended and its error.  Close the generator
+    (contextlib.closing) to kill and reap the process, or join the thread,
+    also when the caller raises or stops early.
+    """
+    slots = np.frombuffer(mmap.mmap(-1, 8 * min(2, count) * math.prod(shape)))
+    slots = slots.reshape((min(2, count),) + shape)
+    if count == 1:
         # no worker: a joined thread stays an operating-system thread for a
-        # few milliseconds, so the next draw would not fork
-        stream.fill(windows[0])
-        yield 0, windows[0]
+        # few milliseconds, so the next call would not fork
+        fill(0, slots[0])
+        yield item(0, slots[0])
         return
     filled_in, filled_out = os.pipe()
     try:
@@ -388,12 +401,12 @@ def _windows(stream: NoiseStream, num_paths: int, grid: TimeGrid, noise_dim: int
 
     def produce():
         try:
-            for k, window in enumerate(windows):
+            for k in range(count):
                 if k >= 2 and not os.read(free_in, 1):
                     return  # the caller stopped early
-                stream.fill(window)
+                fill(k, slots[k % 2])
                 os.write(filled_out, b"\0")
-        except BaseException as exc:  # reported when its window is asked for
+        except BaseException as exc:  # reported when its item is asked for
             failure.append(exc)
             cause = f"{type(exc).__name__}: {exc}".encode(errors="replace")
             os.write(filled_out, cause[:_CAUSE_BYTES])
@@ -405,7 +418,7 @@ def _windows(stream: NoiseStream, num_paths: int, grid: TimeGrid, noise_dim: int
         if _single_threaded():
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: the thread draws
+            except OSError:  # no process to spare: the thread fills
                 pass
         if pid == 0:
             # os._exit skips the atexit handlers and the inherited stdio buffers
@@ -415,15 +428,16 @@ def _windows(stream: NoiseStream, num_paths: int, grid: TimeGrid, noise_dim: int
             finally:
                 os._exit(1 if failure else 0)
         if pid is None:
-            worker = threading.Thread(target=produce, name="singopt-noise")
+            worker = threading.Thread(target=contextvars.copy_context().run, args=(produce,),
+                                      name="singopt-worker")
             worker.start()
             thread = worker
         else:
             os.close(filled_out)
         fds.remove(filled_out)
-        for k, first in enumerate(firsts):
-            if 0 < k < len(firsts) - 1:
-                os.write(free_out, b"\0")  # window k - 1's buffer may take window k + 1
+        for k in range(count):
+            if 0 < k < count - 1:
+                os.write(free_out, b"\0")  # item k - 1's slot may take item k + 1
             byte = os.read(filled_in, 1)
             if byte != b"\0":
                 if thread is not None:
@@ -432,11 +446,12 @@ def _windows(stream: NoiseStream, num_paths: int, grid: TimeGrid, noise_dim: int
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 pid = None
                 cause = (byte + os.read(filled_in, _CAUSE_BYTES)).decode(errors="replace")
+                for error in numerical:
+                    if code == 1 and cause.startswith(f"{error.__name__}: "):
+                        raise error(cause[len(error.__name__) + 2 :])
                 ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
-                raise OSError(f"noise of steps {first} to {first + len(windows[k]) - 1} was not "
-                              f"drawn: the process drawing it ended with {ended}"
-                              + (f": {cause}" if cause else ""))
-            yield first, windows[k]
+                raise OSError(f"{lost(k)} ended with {ended}" + (f": {cause}" if cause else ""))
+            yield item(k, slots[k % 2])
     finally:
         try:
             if pid:

@@ -18,13 +18,14 @@ upgrades the necessary conditions to a sufficiency certificate.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .controls import ControlError
 from .model import ProblemSpec
-from .sde import _std_error
+from .sde import SimulationError, _std_error
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,9 @@ class SufficiencyCertificate:
 
 class _Conditions:
     """verify_necessary's statistics along adjoint.traj, fed knot by knot by
-    adjoint.knots(); with keep_means, also means[j], the path means of p_j, P_j."""
+    adjoint.knots(); with keep_means, also means[j], the path means of p_j, P_j.
+    After a knot where H is not finite (a grid row's mean, or a per-path
+    first-order sum), knots only keep their means, and records() raises."""
 
     def __init__(self, adjoint, tolerances: Tolerances, keep_means: bool):
         if adjoint is None:
@@ -209,32 +212,43 @@ class _Conditions:
         spec, mu, xi, grid, M = traj.spec, traj.control, traj.singular, traj.grid, traj.num_paths
         worst, violations, min_slack = 0.0, 0, np.inf
         flat_off_mass, first_order = np.zeros(M), np.zeros(M)
-        self.means = {}
+        self.means, self._failure = {}, None
         grid_vals = np.empty((len(spec.u1_grid), M))
         row_of = {u.tobytes(): i for i, u in enumerate(spec.u1_grid)}
-        for j, pj, Pj, *_ in adjoint.knots():  # a sweep also yields each knot's health
-            t, xj = grid.knots[j], traj.states[:, j, :]
-            if keep_means:
-                self.means[j] = pj.mean(axis=0), Pj.mean(axis=0)
-            strict_hamiltonian_batch(spec, t, xj, spec.u1_grid, pj, Pj, out=grid_vals)
-            try:
-                # H is linear in the measure: average the grid rows of the atoms
-                cand = mu.average(lambda _t, _x, a: grid_vals[row_of[a.tobytes()]], j, t, xj)
-            except KeyError:  # an atom off the grid
-                cand = relaxed_hamiltonian_batch(spec, t, xj, mu, j, pj, Pj)
-            gap = cand - grid_vals.min(axis=0)
-            violations += int(np.count_nonzero(gap > tolerances.tol_H * (1.0 + np.abs(cand))))
-            worst = max(worst, float(gap.max()))
-            slack = spec.k_cost(t) + np.einsum("pq,mp->mq", spec.G(t), pj)
-            min_slack = float(np.minimum(min_slack, slack.min()))
-            flat_off_mass += (slack > tolerances.tol_S) @ xi.increments[j]
-            best = _grid_argmin(spec.u1_grid, grid_vals.mean(axis=1))
-            first_order += (grid_vals[best] - cand) * grid.dt - slack @ xi.increments[j]
+        with contextlib.closing(adjoint.knots()) as knots:
+            for j, pj, Pj, *_ in knots:  # a sweep also yields each knot's health
+                t, xj = grid.knots[j], traj.states[:, j, :]
+                if keep_means:
+                    self.means[j] = pj.mean(axis=0), Pj.mean(axis=0)
+                if self._failure:
+                    continue
+                strict_hamiltonian_batch(spec, t, xj, spec.u1_grid, pj, Pj, out=grid_vals)
+                row_means = grid_vals.mean(axis=1)
+                if not np.isfinite(row_means).all():
+                    self._failure = f"Hamiltonian is not finite on the candidate grid at knot {j}"
+                    continue
+                try:
+                    # H is linear in the measure: average the grid rows of the atoms
+                    cand = mu.average(lambda _t, _x, a: grid_vals[row_of[a.tobytes()]], j, t, xj)
+                except KeyError:  # an atom off the grid
+                    cand = relaxed_hamiltonian_batch(spec, t, xj, mu, j, pj, Pj)
+                gap = cand - grid_vals.min(axis=0)
+                violations += int(np.count_nonzero(gap > tolerances.tol_H * (1.0 + np.abs(cand))))
+                worst = max(worst, float(gap.max()))
+                slack = spec.k_cost(t) + np.einsum("pq,mp->mq", spec.G(t), pj)
+                min_slack = float(np.minimum(min_slack, slack.min()))
+                flat_off_mass += (slack > tolerances.tol_S) @ xi.increments[j]
+                best = _grid_argmin(spec.u1_grid, row_means)
+                first_order += (grid_vals[best] - cand) * grid.dt - slack @ xi.increments[j]
+                if not np.isfinite(first_order).all():
+                    self._failure = f"first-order value is not finite at knot {j}"
         fraction = violations / float(M * grid.num_steps)
         self._statistics = tolerances, fraction, worst, min_slack, flat_off_mass, first_order
 
     def records(self) -> tuple:
         """The four condition records, reduced from the per-path sums."""
+        if self._failure:
+            raise SimulationError(self._failure)
         tolerances, fraction, worst, min_slack, flat_off_mass, first_order = self._statistics
         worst_mass = float(flat_off_mass.max()) if len(flat_off_mass) else 0.0
         value, se = float(first_order.mean()), _std_error(first_order)
@@ -297,8 +311,10 @@ def verify_necessary(
     the lexicographically smallest), as a point mass with no singular part.
     Its per-path value is the sum of adjoint.variational_inequality_value
     for that direction, in the same knot order, with the direction's H read
-    off the grid values.  A pair without P (the explicit route) raises
-    ValueError.
+    off the grid values.  BackwardSweep steps on a worker one knot ahead of
+    these checks, so each knot is read before the next is asked for.  A pair
+    without P (the explicit route) raises ValueError, and a non-finite H
+    SimulationError, naming the first knot where it shows.
     """
     records = _Conditions(adjoint, tolerances, keep_means=False).records()
     return VerificationReport(records, dict(config_echo or {}))

@@ -1,10 +1,12 @@
 """Shared fixtures: built-in problems, grids, and two custom fixtures that
 exercise state-dependent linearizations (the built-ins all have b_x = 0);
 checks, for every test, that it leaves no thread running, no forked child
-unreaped and no file descriptor open; noise_thread, which sends
-noise_windows down its thread path; one_thread, which waits for the
-process to run one thread, so that noise_windows forks its worker; and
-traced_peak, the memory tests' tracemalloc context."""
+unreaped and no file descriptor open; noise_thread, which sends the
+worker of model._ahead (chatter's noise, the backward sweep of verify and
+certify) down its thread path; one_thread, which waits for the process to
+run one thread, so that this worker is forked; worker, which runs a test
+on each of the two; and traced_peak, the memory tests' tracemalloc
+context."""
 
 import contextlib
 import os
@@ -16,7 +18,7 @@ import types
 
 # One BLAS thread, as perfbench pins it, set before numpy is first imported
 # (here): a BLAS worker pool is a second operating-system thread, beside
-# which model.noise_windows draws on a thread instead of forking.
+# which model._ahead runs its worker on a thread instead of forking.
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
 import numpy as np
@@ -31,8 +33,8 @@ _FDS = "/proc/self/fd"
 @pytest.fixture(autouse=True)
 def no_leaked_fds():
     """Fail a test that leaves open a file descriptor that was not open
-    before it (model.noise_windows paces its worker through two pipes, one
-    of which also carries a failed fill's error; both are closed).
+    before it (model._ahead paces its worker through two pipes, one of
+    which also carries a failed fill's error; both are closed).
     Where /proc/self/fd cannot be read, nothing is checked."""
     try:
         before = set(os.listdir(_FDS))
@@ -53,15 +55,16 @@ def no_leaked_fds():
 
 @pytest.fixture
 def noise_thread(monkeypatch):
-    """Send model.noise_windows down its thread path, which it takes beside
-    another operating-system thread, outside Linux or when the fork fails."""
+    """Send model._ahead's worker down its thread path, which it takes
+    beside another operating-system thread, outside Linux or when the fork
+    fails."""
     monkeypatch.setattr(model, "_single_threaded", lambda: False)
 
 
 @pytest.fixture
 def one_thread():
     """Wait up to 1 s for this process to run one operating-system thread,
-    so that model.noise_windows forks its worker, and fail the test if it
+    so that model._ahead forks its worker, and fail the test if it
     does not: a joined thread stays listed in /proc/self/task for a few
     milliseconds, so a test right after one that drew on a thread would
     otherwise see no fork by timing alone."""
@@ -71,11 +74,19 @@ def one_thread():
     assert model._single_threaded(), "a second operating-system thread is alive"
 
 
+@pytest.fixture(params=["fork", "thread"])
+def worker(request):
+    """Run the test once with model._ahead's worker forked (one_thread) and
+    once on a thread (noise_thread); yields which."""
+    request.getfixturevalue({"fork": "one_thread", "thread": "noise_thread"}[request.param])
+    return request.param
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
     """Fail a test that leaves alive a thread that was not alive before it
-    (model.noise_windows draws on a second thread when it does not fork,
-    and joins it)."""
+    (model._ahead runs its worker on a second thread when it does not
+    fork, and joins it)."""
     before = set(threading.enumerate())
     yield
     leaked = [thread.name for thread in threading.enumerate() if thread not in before]
@@ -86,7 +97,7 @@ def no_leaked_threads():
 @pytest.fixture(autouse=True)
 def no_unreaped_children(monkeypatch):
     """Fail a test that leaves a child it forked with os.fork unreaped
-    (model.noise_windows forks one noise worker and reaps it); such a
+    (model._ahead forks one worker and reaps it); such a
     child is killed and reaped here.  Yields the pids of the test's forks.
     subprocess does not go through os.fork, so its children are not seen."""
     forked = []

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
 import threading
 import tracemalloc
@@ -10,6 +11,10 @@ import weakref
 from pathlib import Path
 
 import numpy as np
+# imported before any memory test traces a command: the CLI first imports
+# numpy.random at its first noise draw, and that import's 0.65 MB would be
+# traced as the command's when a memory test runs alone
+import numpy.random  # noqa: F401
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,11 +185,13 @@ class TestVerifyAndCertify:
         ensembles = M * (N + 1) * 8 + M * N * 8
         return traced.peak, ensembles + 2 * 21 * M * 8 + 8 * M * 8 + 1e6
 
-    def test_certify_peak_memory_is_the_ensembles_and_two_scan_grids(self, tmp_path):
+    # tracemalloc does not see a forked worker: on the thread, the bound
+    # also holds the backward sweep's temporaries, stepped beside the checks
+    def test_certify_peak_memory_is_the_ensembles_and_two_scan_grids(self, tmp_path, worker):
         peak, bound = self._traced_peak_and_bound(tmp_path, "certify")
         assert peak < bound
 
-    def test_verify_peak_memory_is_the_ensembles_and_two_scan_grids(self, tmp_path):
+    def test_verify_peak_memory_is_the_ensembles_and_two_scan_grids(self, tmp_path, worker):
         peak, bound = self._traced_peak_and_bound(tmp_path, "verify")
         assert peak < bound
 
@@ -973,6 +980,88 @@ class TestInternalError:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert fills == []  # every fill ran in the worker
         assert len(no_unreaped_children) == 1
+
+
+def write_overflowing_problem(tmp_path):
+    """A problem whose states stay finite near 1e306, so that their path sum
+    over 400 paths overflows: the regression basis of the sweep's first knot
+    has non-finite features."""
+    overflowing = {
+        "name": "overflowing",
+        "dims": {"n": 1, "d": 1, "k": 1, "m": 1},
+        "horizon": 1.0,
+        "x0": [1e306],
+        "coefficients": {
+            "drift": {"form": "zero"},
+            "diffusion": {"form": "affine", "state": [[[0.3]]]},
+            "singular_gain": {"form": "zero"},
+            "running_cost": {"form": "zero"},
+            "terminal_cost": {"form": "zero"},
+            "singular_cost": {"form": "zero"},
+        },
+        "u1_grid": [[0.0]],
+        "assumptions_box": {"low": [-2.0], "high": [2.0]},
+    }
+    problem_path = tmp_path / "overflowing.json"
+    problem_path.write_text(json.dumps(overflowing))
+    return problem_path
+
+
+class TestSweepFailures:
+    """verify and certify step the backward sweep on model._ahead's worker
+    (forked when the process runs one thread, else a thread)."""
+
+    @pytest.mark.parametrize("command", ["verify", "certify"])
+    def test_a_regression_error_in_the_worker_exits_three(
+            self, tmp_path, capsys, no_unreaped_children, command, worker):
+        # the RegressionError of the worker is raised again in the caller,
+        # so the CLI prints the line that a sweep stepped in process printed
+        cfg = write_config(tmp_path, problem=str(write_overflowing_problem(tmp_path)),
+                           grid={"N": 20}, monte_carlo={"M": 400, "seed": 3},
+                           candidate={"name": "constant:0.0"})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.run([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: regression produced non-finite features from the state; "
+            "reduce the basis degree or check the problem's coefficients for overflow\n")
+        assert len(no_unreaped_children) == (worker == "fork")
+        assert all(reaped(pid) for pid in no_unreaped_children)
+
+    def test_another_failure_of_the_forked_worker_exits_four(
+            self, tmp_path, monkeypatch, capsys, no_unreaped_children, one_thread):
+        step, caller = cli.adj._bsde_step, os.getpid()
+
+        def failing(basis, lin, p_next):
+            if lin.j == 17:
+                raise RuntimeError("in the caller" if os.getpid() == caller else "knot 17")
+            return step(basis, lin, p_next)
+
+        monkeypatch.setattr(cli.adj, "_bsde_step", failing)
+        cfg = write_config(tmp_path, problem="example2_stochastic", grid={"N": 20},
+                           monte_carlo={"M": 64, "seed": 6}, candidate={"name": "relaxed_pm1"})
+        assert cli.run(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            "internal error: OSError: knot 17 of the backward sweep was not computed: the "
+            "process computing it ended with exit status 1: RuntimeError: knot 17\n")
+        [pid] = no_unreaped_children
+        assert reaped(pid)
+
+    @pytest.mark.parametrize("command", ["verify", "certify"])
+    def test_a_nonfinite_hamiltonian_exits_three(self, tmp_path, monkeypatch, capsys, command):
+        # the running cost is infinite at the grid point 0, which relaxed_pm1
+        # does not play, so certify's probe of x -> H stays finite
+        base = model.builtin_problem("example2_stochastic")
+
+        def h(t, x, a):
+            return base.h(t, x, a) + (np.inf if a[0] == 0.0 else 0.0)
+
+        monkeypatch.setattr(cli, "load_problem", lambda cfg: base.with_overrides(h=h))
+        cfg = write_config(tmp_path, problem="example2_stochastic", grid={"N": 20},
+                           monte_carlo={"M": 64, "seed": 6}, candidate={"name": "relaxed_pm1"})
+        assert cli.run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: Hamiltonian is not finite on the candidate grid at knot 19\n")
 
 
 class TestReproducibility:

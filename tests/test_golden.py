@@ -94,6 +94,20 @@ GOLDEN = {
 
 @pytest.mark.parametrize("run, artefact, digest", GOLDEN.values(), ids=list(GOLDEN))
 def test_artefact_matches_recorded_digest(tmp_path, monkeypatch, run, artefact, digest):
+    _check_digest(tmp_path, monkeypatch, run, artefact, digest)
+
+
+@pytest.mark.parametrize("name", ["certify", "verify"])
+def test_checks_match_the_digest_on_either_worker(tmp_path, monkeypatch, no_unreaped_children,
+                                                  name, worker):
+    # the backward sweep crosses from model._ahead's worker: a forked process
+    # when the process runs one thread (the tier-1 default), of which each
+    # command forks exactly one, else a thread
+    _check_digest(tmp_path, monkeypatch, *GOLDEN[name])
+    assert len(no_unreaped_children) == (worker == "fork")
+
+
+def _check_digest(tmp_path, monkeypatch, run, artefact, digest):
     command, config, exit_code = RUNS[run]
     monkeypatch.chdir(tmp_path)
     (tmp_path / "planar.json").write_text(json.dumps(planar_config()))

@@ -92,11 +92,12 @@ FORK_HELPERS = {"_single_threaded"}
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_only_model_forks_threads_or_maps(path):
-    # os.fork(), os.kill(...), os.waitpid(...), os._exit(...) (the noise
-    # worker's whole life), threading.Thread(...), a subclass of it,
-    # mmap.mmap(...), a from-import of any of them, or any reference to
-    # model's fork gate _single_threaded; model itself must be found using
-    # them
+    # os.fork(), os.kill(...), os.waitpid(...), os._exit(...) (the whole
+    # life of model._ahead's worker, shared by chatter's noise and the
+    # backward sweep of verify and certify), threading.Thread(...), a
+    # subclass of it, mmap.mmap(...), a from-import of any of them, or any
+    # reference to model's fork gate _single_threaded; model itself must
+    # be found using them
     uses = [
         node.lineno
         for node in ast.walk(ast.parse(path.read_text()))

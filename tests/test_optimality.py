@@ -1,12 +1,14 @@
 """Hamiltonians, grid minimization, necessary conditions, sufficiency."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from singopt import adjoint
+from singopt import adjoint, optimality
 from singopt.adjoint import adjoint_bsde, adjoint_routes, variational_inequality_value
 from singopt.controls import (
     ControlError,
@@ -27,9 +29,9 @@ from singopt.optimality import (
     strict_hamiltonian_batch,
     verify_necessary,
 )
-from singopt.sde import estimate_cost, simulate_relaxed
+from singopt.sde import SimulationError, estimate_cost, simulate_relaxed
 
-from conftest import linear_drift_config, planar_config, tanh_drift_problem
+from conftest import linear_drift_config, planar_config, reaped, tanh_drift_problem
 
 
 def zero_h_problem():
@@ -568,3 +570,92 @@ class TestPairWithoutP:
         }[check]
         with pytest.raises(ValueError, match="explicit route.*adjoint_bsde"):
             run()
+
+
+def pm1_run(spec, atoms=((-1.0,), (1.0,)), N=20, M=64, seed=6):
+    """spec's paths under the constant two-atom measure of equal weights."""
+    grid = TimeGrid(N, spec.horizon)
+    noise = NoiseBatch.generate(M, grid, spec.d, seed)
+    mu = constant_relaxed(grid, [list(a) for a in atoms], [0.5, 0.5])
+    return simulate_relaxed(spec, mu, zero_singular(grid, spec.m), noise)
+
+
+class TestNonfiniteHamiltonian:
+    """An infinite running cost is a numerical failure that names the first
+    knot of the sweep (j = N-1) where it shows, not a verdict."""
+
+    @staticmethod
+    def infinite_at(spec, point):
+        def h(t, x, a):
+            return spec.h(t, x, a) + (np.inf if a[0] == point else 0.0)
+
+        return spec.with_overrides(h=h)
+
+    @pytest.mark.parametrize("check", [verify_necessary, certify_sufficient],
+                             ids=["verify", "certify"])
+    @pytest.mark.parametrize("source", ["sweep", "stored"])
+    def test_at_a_grid_point_the_candidate_does_not_play(self, example2_stochastic, check,
+                                                         source):
+        # the probe of certify reads H at the candidate's atoms only, where it is finite
+        traj = pm1_run(self.infinite_at(example2_stochastic, 0.0))
+        pair = adjoint.BackwardSweep(traj, 1) if source == "sweep" else adjoint_bsde(traj, 1)
+        with pytest.raises(SimulationError,
+                           match="^Hamiltonian is not finite on the candidate grid at knot 19$"):
+            check(pair)
+
+    def test_at_a_candidate_atom_off_the_grid(self, example2_stochastic):
+        traj = pm1_run(self.infinite_at(example2_stochastic, 0.05), atoms=((-1.0,), (0.05,)))
+        with pytest.raises(SimulationError, match="^first-order value is not finite at knot 19$"):
+            verify_necessary(adjoint.BackwardSweep(traj, 1))
+
+
+class TestSweepWorker:
+    """The backward sweep steps on model._ahead's worker, one knot ahead of
+    the checks: a forked process when the process runs one thread, else a
+    thread.  The autouse fixtures fail a leaked thread, child or pipe."""
+
+    @pytest.fixture
+    def traj(self, worker, example2_stochastic):
+        return pm1_run(example2_stochastic)
+
+    def test_knots_are_the_stored_pair_bit_for_bit(self, traj):
+        # a knot's slot is reused two knots on, so each one is read at once
+        stored, healths = adjoint_bsde(traj, 2), []
+        for j, p, P, health in adjoint.BackwardSweep(traj, 2).knots():
+            assert p.tobytes() == stored.p[:, j].tobytes()
+            assert P.tobytes() == stored.P[:, j].tobytes()
+            assert [type(value) for value in health] == [float, int, float]
+            healths.append(health)
+        assert len(healths) == 20
+        residual, loss, cond = map(max, zip(*healths))
+        assert {"max_residual_rms": residual, "max_rank_loss": loss, "max_basis_cond": cond} \
+            == {key: stored.diagnostics[key]
+                for key in ("max_residual_rms", "max_rank_loss", "max_basis_cond")}
+
+    def test_closing_the_sweep_early_stops_the_worker(self, traj, worker, no_unreaped_children):
+        threads = threading.active_count()
+        knots = adjoint.BackwardSweep(traj, 2).knots()
+        j, *_ = next(knots)
+        knots.close()
+        assert j == 19
+        assert threading.active_count() == threads
+        assert len(no_unreaped_children) == (worker == "fork")
+        assert all(reaped(pid) for pid in no_unreaped_children)
+
+    def test_a_check_that_raises_mid_sweep_stops_the_worker(self, traj, worker, monkeypatch,
+                                                           no_unreaped_children):
+        argmin, calls = optimality._grid_argmin, []
+
+        def failing(u1_grid, values):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("third knot")
+            return argmin(u1_grid, values)
+
+        monkeypatch.setattr(optimality, "_grid_argmin", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="^third knot$"):
+            verify_necessary(adjoint.BackwardSweep(traj, 2))
+        assert threading.active_count() == threads
+        assert len(no_unreaped_children) == (worker == "fork")
+        assert all(reaped(pid) for pid in no_unreaped_children)
