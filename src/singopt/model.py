@@ -208,8 +208,9 @@ def _spawned_seed_words(seed, num_paths: int) -> np.ndarray:
     NumPy runs the hash out with the zeros a child pads with; so only the
     round that mixes in the column of indices is computed here.  By then
     the hash has been called 16 times for the pool, plus 4 times for each
-    seed word beyond the pool size.
+    seed word beyond the pool size.  A count below one raises ProblemError.
     """
+    _check_count("num_paths", num_paths)
     parent = np.random.SeedSequence(seed)  # validates the seed
     calls = _POOL_SIZE**2 + _POOL_SIZE * max(0, len(_entropy_words(parent.entropy)) - _POOL_SIZE)
     hashmix = _Hash(_INIT_A * pow(_MULT_A, calls, _MASK32 + 1) & _MASK32, _MULT_A)
@@ -269,92 +270,61 @@ def _single_threaded() -> bool:
         return False
 
 
-class NoiseStream:
-    """Brownian increments of a path ensemble, produced window by window.
+def _path_normals(words: np.ndarray) -> list:
+    """The standard normal draws of the paths whose spawned seed words are
+    the rows of words: PCG64 generators seeded with those words."""
+    seed_words = _seed_words_type()
+    return [np.random.Generator(np.random.PCG64(seed_words(row))).standard_normal for row in words]
 
-    Path i draws its increments from N(0, dt I_d) with its own generator,
-    seeded by the i-th child of SeedSequence(seed), and keeps that generator
-    between windows.  So path i's noise does not depend on how many paths
-    the ensemble holds, and windows of any widths filled in order hold the
-    same increments, bit for bit, as one draw over the whole grid.  seed may
-    be an int or a tuple of ints (derived experiment streams).  The children's
-    PCG64 states are hashed for all paths at once (_spawned_seed_words).
-    """
 
-    def __init__(self, num_paths: int, grid: TimeGrid, noise_dim: int, seed):
-        _check_count("num_paths", num_paths)
-        self._words = _spawned_seed_words(seed, num_paths)
-        self._normals = None  # every path's generator, once a fill keeps them
-        self._steps_left = grid.num_steps
-        self._noise_dim = noise_dim
-        self._scale = np.sqrt(grid.dt)
-        self._block = None
-
-    def _generators(self, start: int, stop: int) -> list:
-        """The standard normal draws of paths start to stop - 1."""
-        seed_words = _seed_words_type()
-        return [np.random.Generator(np.random.PCG64(seed_words(words))).standard_normal
-                for words in self._words[start:stop]]
-
-    def _scratch(self, num_steps: int) -> np.ndarray:
-        """The scratch block of paths, (min(M, _NOISE_BLOCK_PATHS), K, d),
-        for K = num_steps; allocated when the kept block holds fewer steps,
-        and kept.  Each row is one path's K steps, contiguous."""
-        if self._block is None or self._block.shape[1] < num_steps:
-            rows = min(len(self._words), _NOISE_BLOCK_PATHS)
-            self._block = np.empty((rows, num_steps, self._noise_dim))
-        return self._block[:, :num_steps]
-
-    def fill(self, window: np.ndarray) -> None:
-        """Write the increments of the next K steps of every path into the
-        time-major window of shape (K, M, d).  A first fill of the whole
-        grid builds each block's generators for that block alone; any other
-        builds every path's generator and keeps it for the next windows."""
-        K, M = len(window), len(self._words)
-        if K > self._steps_left:
-            raise ValueError(f"cannot draw {K} steps: {self._steps_left} of the grid are left")
-        if self._normals is None and K < self._steps_left:
-            self._normals = self._generators(0, M)
-        self._steps_left -= K
-        # each row is exactly one path's K steps, so one call draws them
-        block, kept = self._scratch(K), self._normals
-        for start in range(0, M, len(block)):
-            stop = min(start + len(block), M)
-            normals = kept[start:stop] if kept else self._generators(start, stop)
-            for row, normal in zip(block, normals):
-                normal(out=row)
-            for step in range(0, K, _NOISE_TILE_STEPS):
-                tile = slice(step, step + _NOISE_TILE_STEPS)
-                np.multiply(self._scale, block[: stop - start, tile].swapaxes(0, 1),
-                            out=window[tile, start:stop])
+def _draw(window: np.ndarray, normals, block: np.ndarray, scale) -> None:
+    """Write the increments of the next K steps of every path into the
+    time-major window (K, M, d), times scale: normals(start, stop) draws
+    N(0, I_d) for paths start to stop - 1, one call per path into a row of
+    the scratch block (min(M, _NOISE_BLOCK_PATHS) rows, at least K steps,
+    d).  A generator keeps its state between calls, so windows drawn in
+    order equal one draw over the whole grid, bit for bit."""
+    K, M = window.shape[:2]
+    block = block[:, :K]  # each row is exactly one path's K steps, so one call draws them
+    for start in range(0, M, len(block)):
+        stop = min(start + len(block), M)
+        for row, normal in zip(block, normals(start, stop)):
+            normal(out=row)
+        for step in range(0, K, _NOISE_TILE_STEPS):
+            tile = slice(step, step + _NOISE_TILE_STEPS)
+            np.multiply(scale, block[: stop - start, tile].swapaxes(0, 1),
+                        out=window[tile, start:stop])
 
 
 def noise_windows(num_paths: int, grid: TimeGrid, noise_dim: int, seed, width: int):
     """Yield (first, window) over the steps of grid for the ensemble of
-    NoiseStream(num_paths, grid, noise_dim, seed): time-major windows
-    (K, M, d) of width steps (the last may be narrower), first the step
-    each one starts at.
+    NoiseBatch.generate(num_paths, grid, noise_dim, seed): time-major
+    windows (K, M, d) of width steps (the last may be narrower), first the
+    step each one starts at.
 
-    The windows are filled on _ahead's worker (a forked process, or a
-    thread), one window ahead of the caller, so a window holds its
-    increments only until the next one is asked for; a failed fill raises
+    Every path's generator is built at the call and kept between windows.
+    The windows are drawn by _draw on _ahead's worker (a forked process,
+    or a thread), one window ahead of the caller, so a window holds its
+    increments only until the next one is asked for; a failed draw raises
     the thread's exception, or an OSError naming the steps.  Close the
-    generator (contextlib.closing) to stop the worker early.  One fill runs
-    at a time, in order, so the increments are those of fill, bit for bit,
-    whichever worker draws them and whenever it runs.
+    generator (contextlib.closing) to stop the worker early.  One draw runs
+    at a time, in order, so the increments are the whole-grid draw's, bit
+    for bit, whichever worker draws them and whenever it runs.
     """
-    # the stream and its per-path generators are built at the call, so the
-    # caller's arrays are allocated after them; built at the first window
-    # instead, they raised chatter's peak RSS by 0.4 MB
-    stream = NoiseStream(num_paths, grid, noise_dim, seed)
-    stream._normals = stream._generators(0, num_paths)
+    # the generators and the scratch block are built at the call, so the
+    # caller's arrays are allocated after them and the worker allocates
+    # none; built at the first window instead, they raised chatter's peak
+    # RSS by 0.4 MB
+    normals = _path_normals(_spawned_seed_words(seed, num_paths))
     num_steps = grid.num_steps
     width = min(width, num_steps)
+    block = np.empty((min(num_paths, _NOISE_BLOCK_PATHS), width, noise_dim))
+    scale = np.sqrt(grid.dt)
     firsts = range(0, num_steps, width)
-    stream._scratch(width)  # here, so that the worker allocates no block
     stops = [min(first + width, num_steps) for first in firsts]
     return _ahead(len(firsts), (width, num_paths, noise_dim),
-                  lambda k, slot: stream.fill(slot[: stops[k] - firsts[k]]),
+                  lambda k, slot: _draw(slot[: stops[k] - firsts[k]],
+                                        lambda start, stop: normals[start:stop], block, scale),
                   lambda k, slot: (firsts[k], slot[: stops[k] - firsts[k]]),
                   lambda k: f"noise of steps {firsts[k]} to {stops[k] - 1} was not drawn: "
                             "the process drawing it")
@@ -471,9 +441,11 @@ class NoiseBatch:
     """Brownian increments for a path ensemble over the whole grid they were
     drawn on, shape (M, N, d), stored time-major (see ensemble_empty).
 
-    The increments are those of NoiseStream(M, grid, d, seed), so path i's
-    noise does not depend on how many paths the batch holds and
-    regeneration is bit-exact.
+    Path i draws its increments from N(0, dt I_d) with its own generator,
+    seeded by the i-th child of SeedSequence(seed), so path i's noise does
+    not depend on how many paths the batch holds and regeneration is
+    bit-exact.  The children's PCG64 states are hashed for all paths at
+    once (_spawned_seed_words).
     """
 
     seed: object
@@ -482,10 +454,13 @@ class NoiseBatch:
 
     @classmethod
     def generate(cls, num_paths: int, grid: TimeGrid, noise_dim: int, seed) -> "NoiseBatch":
-        """seed may be an int or a tuple of ints (derived experiment streams)."""
-        stream = NoiseStream(num_paths, grid, noise_dim, seed)
+        """seed may be an int or a tuple of ints (derived experiment streams).
+        Each block of paths builds its generators for that block alone."""
+        words = _spawned_seed_words(seed, num_paths)
         dW = ensemble_empty(num_paths, grid.num_steps, noise_dim)
-        stream.fill(dW.swapaxes(0, 1))
+        block = np.empty((min(num_paths, _NOISE_BLOCK_PATHS), grid.num_steps, noise_dim))
+        _draw(dW.swapaxes(0, 1), lambda start, stop: _path_normals(words[start:stop]), block,
+              np.sqrt(grid.dt))
         return cls(seed, grid, dW)
 
 

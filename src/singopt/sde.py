@@ -132,16 +132,6 @@ def _check_finite(windows, first):
                 )
 
 
-def _checked_steps(num_steps, *ensembles):
-    """Yield the steps 0..num_steps-1 of an Euler loop that writes knot j+1
-    at step j; the knots written since the last check are checked for
-    finiteness after every _BLOCK_KNOTS steps and after the last one."""
-    for start in range(0, num_steps, _BLOCK_KNOTS):
-        stop = min(start + _BLOCK_KNOTS, num_steps)
-        yield from range(start, stop)
-        _check_finite([e[:, start + 1:stop + 1].swapaxes(0, 1) for e in ensembles], start + 1)
-
-
 def _euler_block(spec: ProblemSpec, q: RelaxedControl, eta: SingularControl,
                  dW: np.ndarray, start: int, x: np.ndarray):
     """Advance the time-major window x, shape (K+1, M, n), by K Euler steps
@@ -291,7 +281,7 @@ def simulate_variational(traj: TrajectoryEnsemble, direction: tuple) -> Variatio
     knots = grid.knots
     dinc = eta.increments - xi.increments
     z = ensemble_zeros(traj.num_paths, grid.num_steps + 1, spec.n)
-    for j in _checked_steps(grid.num_steps, z):
+    for j in range(grid.num_steps):
         t = knots[j]
         xj = traj.states[:, j, :]
         J = _Linearization(traj, j).jacobian
@@ -303,6 +293,7 @@ def simulate_variational(traj: TrajectoryEnsemble, direction: tuple) -> Variatio
             + np.einsum("...pj,...j->...p", ds, dW[:, j, :])
             + spec.G(t) @ dinc[j]
         )
+        _check_finite([z[None, :, j + 1]], j + 1)
     return VariationalEnsemble(z, traj)
 
 

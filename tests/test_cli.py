@@ -289,20 +289,28 @@ class TestChatter:
             assert float(row[2]) <= 1.0 / n ** 2 + 1e-6
 
     def test_draws_only_the_refined_noise(self, tmp_path, monkeypatch):
-        draws = []
-        init = model.NoiseStream.__init__
+        # both draws seed their paths through _spawned_seed_words, so a
+        # whole-grid draw would show as a seed without a windowed draw
+        draws, seeds = [], []
+        windows, seed_words = cli.sde.noise_windows, model._spawned_seed_words
 
-        def counting(self, num_paths, grid, noise_dim, seed):
+        def counting(num_paths, grid, noise_dim, seed, width):
             draws.append((grid.num_steps, seed))
-            init(self, num_paths, grid, noise_dim, seed)
+            return windows(num_paths, grid, noise_dim, seed, width)
 
-        monkeypatch.setattr(model.NoiseStream, "__init__", counting)
+        def seeding(seed, num_paths):
+            seeds.append(seed)
+            return seed_words(seed, num_paths)
+
+        monkeypatch.setattr(cli.sde, "noise_windows", counting)
+        monkeypatch.setattr(model, "_spawned_seed_words", seeding)
         cfg = write_config(
             tmp_path, candidate={"name": "relaxed_pm1"},
             monte_carlo={"M": 8, "seed": 4}, chatter={"n_values": [4, 8]},
         )
         assert run("chatter", cfg, tmp_path / "out") == 0
         assert draws == [(32, (4, 4)), (128, (4, 8))]
+        assert seeds == [(4, 4), (4, 8)]
 
     def test_dirac_target_gives_zero_gaps(self, tmp_path):
         cfg = write_config(
@@ -807,15 +815,29 @@ class TestConfigErrors:
 
 @pytest.mark.parametrize("form", ["strict", "relaxed"])
 def test_negative_zero_candidate_is_a_grid_point(tmp_path, form):
-    # example2_stochastic's U1 grid holds 0.0; -0.0 is the same point
-    if form == "strict":
-        control = {"type": "strict", "values": [[-0.0]] * 8}
-    else:
-        control = {"type": "relaxed", "cells": [{"atoms": [[-0.0]], "weights": [1.0]}] * 8}
-    cfg = write_config(
-        tmp_path, problem="example2_stochastic", grid={"N": 8}, candidate={"control": control}
-    )
-    assert run("cost", cfg, tmp_path / "out") == 0
+    # example2_stochastic's U1 grid holds 0.0; -0.0 is the same point, so
+    # verify and certify report on it exactly as on 0.0
+    def write(zero):
+        if form == "strict":
+            control = {"type": "strict", "values": [[zero]] * 8}
+        else:
+            control = {"type": "relaxed", "cells": [{"atoms": [[zero]], "weights": [1.0]}] * 8}
+        return write_config(tmp_path, f"cfg{zero}.json", problem="example2_stochastic",
+                            grid={"N": 8}, monte_carlo={"M": 64, "seed": 5},
+                            candidate={"control": control})
+
+    negative, positive = write(-0.0), write(0.0)
+    assert run("cost", negative, tmp_path / "out") == 0
+    for command, report in (("verify", "verify_report.json"), ("certify", "certificate.json")):
+        codes, blobs = [], []
+        for cfg in (negative, positive):
+            out = tmp_path / f"{command}-{cfg.stem}"
+            codes.append(run(command, cfg, out))
+            blob = json.loads((out / report).read_text())
+            del blob["config"]  # echoes the candidate's zero
+            blobs.append(json.dumps(blob))
+        assert codes[0] == codes[1] in (0, 1)
+        assert blobs[0] == blobs[1]
 
 
 _MUTABLE_FIELDS = [
@@ -961,16 +983,16 @@ class TestInternalError:
             self, tmp_path, monkeypatch, capsys, no_unreaped_children, one_thread):
         # n = 16: 512 refined steps in two noise windows, both filled by
         # the forked noise worker, whose second fill fails
-        fill = model.NoiseStream.fill
+        draw = model._draw
         fills = []
 
-        def failing(self, window):
+        def failing(window, *args):
             fills.append(window)
             if len(fills) == 2:
                 raise RuntimeError("second window")
-            fill(self, window)
+            draw(window, *args)
 
-        monkeypatch.setattr(model.NoiseStream, "fill", failing)
+        monkeypatch.setattr(model, "_draw", failing)
         cfg = write_config(tmp_path, candidate={"name": "relaxed_pm1"},
                            monte_carlo={"M": 16, "seed": 4}, chatter={"n_values": [16]})
         assert cli.run(["chatter", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4

@@ -6,7 +6,9 @@ through its atoms or weights, and in sde, adjoint and optimality only
 sde._Linearization reads the state gradients b_x, sigma_x and h_x of the
 problem.  Only model forks, kills, reaps or exits a process, builds a
 thread or maps shared memory, so every fork sits behind
-model._single_threaded, which no other module names."""
+model._single_threaded, which no other module names.  Only model names
+numpy's PCG64 and Generator, so the path generators of the noise are
+seeded in one place."""
 
 import ast
 from pathlib import Path
@@ -108,6 +110,27 @@ def test_only_model_forks_threads_or_maps(path):
         or (isinstance(node, ast.ImportFrom)
             and any((node.module, alias.name) in SPAWNERS or alias.name in FORK_HELPERS
                     for alias in node.names))
+    ]
+    assert bool(uses) == (path.name == "model.py"), uses
+
+
+PATH_GENERATORS = {"PCG64", "Generator"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_model_names_the_path_generators(path):
+    # np.random.PCG64, np.random.Generator (also through a bare `random`)
+    # or a from-import of either out of numpy.random; a default_rng probe
+    # (certify's midpoint, validate_problem) names neither.  model itself
+    # must be found naming them
+    uses = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in PATH_GENERATORS
+            and (isinstance(node.value, ast.Attribute) and node.value.attr == "random"
+                 or isinstance(node.value, ast.Name) and node.value.id == "random"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "numpy.random"
+            and any(alias.name in PATH_GENERATORS for alias in node.names))
     ]
     assert bool(uses) == (path.name == "model.py"), uses
 

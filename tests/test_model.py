@@ -13,14 +13,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from singopt import model
 from singopt.coefficients import read_reals
 from singopt.model import (
+    _NOISE_BLOCK_PATHS,
     BUILTIN_NAMES,
     NoiseBatch,
-    NoiseStream,
     ProblemError,
     TimeGrid,
     _builtin_config,
+    _draw,
+    _path_normals,
     _spawned_seed_words,
     builtin_problem,
     noise_windows,
@@ -278,12 +281,15 @@ def test_noise_windows_equal_the_whole_grid_draw(num_paths, window, num_steps, n
     assume(num_steps % window != 0)
     grid = TimeGrid(num_steps, 1.0)
     whole = NoiseBatch.generate(num_paths, grid, noise_dim, seed).increments.swapaxes(0, 1)
-    stream = NoiseStream(num_paths, grid, noise_dim, seed)
+    # noise_windows' draws, stepped here without its worker: every path's
+    # generator built once and kept between windows
+    normals = _path_normals(_spawned_seed_words(seed, num_paths))
+    block = np.empty((min(num_paths, _NOISE_BLOCK_PATHS), window, noise_dim))
     for start in range(0, num_steps, window):
         out = np.empty((min(window, num_steps - start), num_paths, noise_dim))
-        stream.fill(out)
+        _draw(out, lambda first, stop: normals[first:stop], block, np.sqrt(grid.dt))
         assert np.array_equal(out, whole[start:start + window])
-    # the stream itself: path i draws N(0, I_d) from the i-th spawned child
+    # the draw itself: path i draws N(0, I_d) from the i-th spawned child
     last = np.random.SeedSequence(seed).spawn(num_paths)[-1]
     expected = np.sqrt(grid.dt) * np.random.default_rng(last).standard_normal((num_steps, noise_dim))
     assert np.array_equal(whole[:, -1], expected)
@@ -412,15 +418,15 @@ def test_a_failed_fork_leaves_the_draw_to_the_thread(monkeypatch, one_thread):
         forks.append(None)
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
-    fill = NoiseStream.fill
+    draw = model._draw
     fillers = []
 
-    def recording(self, window):
+    def recording(window, *args):
         fillers.append(threading.current_thread())
-        fill(self, window)
+        draw(window, *args)
 
     monkeypatch.setattr(os, "fork", no_process)
-    monkeypatch.setattr(NoiseStream, "fill", recording)
+    monkeypatch.setattr(model, "_draw", recording)
     _draw_noise_windows()
     assert len(forks) == 1
     # the whole-grid draw here, then three windows on one other thread
@@ -430,21 +436,21 @@ def test_a_failed_fork_leaves_the_draw_to_the_thread(monkeypatch, one_thread):
 
 
 def _fail_in_the_second_fill(monkeypatch, no_unreaped_children, fail):
-    """Draw four noise windows with a fill that calls fail() in the forked
-    worker's second fill; return the OSError the draw raises, after
+    """Draw four noise windows with a draw that calls fail() in the forked
+    worker's second window; return the OSError the draw raises, after
     checking that the worker was reaped."""
-    fill = NoiseStream.fill
+    draw = model._draw
     caller = os.getpid()
     fills = []
 
-    def failing(self, window):
+    def failing(window, *args):
         fills.append(window)
         if len(fills) == 2:
-            assert os.getpid() != caller, "the second fill ran in the calling process"
+            assert os.getpid() != caller, "the second window was drawn in the calling process"
             fail()
-        fill(self, window)
+        draw(window, *args)
 
-    monkeypatch.setattr(NoiseStream, "fill", failing)
+    monkeypatch.setattr(model, "_draw", failing)
     with pytest.raises(OSError) as raised:
         for _ in noise_windows(300, TimeGrid(1000, 1.0), 2, 17, _NOISE_WINDOW_KNOTS):
             pass
@@ -487,26 +493,25 @@ def test_spawned_seed_words_are_numpys_spawned_children(seed, num_paths):
     words = _spawned_seed_words(seed, num_paths)
     assert words.dtype == np.uint64
     assert np.array_equal(words, [child.generate_state(4, np.uint64) for child in children])
-    normals = np.empty((50, num_paths, 1))
-    NoiseStream(num_paths, TimeGrid(50, 1.0), 1, seed).fill(normals)
+    normals = NoiseBatch.generate(num_paths, TimeGrid(50, 1.0), 1, seed).increments[..., 0]
     expected = [np.random.default_rng(child).standard_normal(50) for child in children]
-    assert np.array_equal(normals[..., 0], np.sqrt(1.0 / 50) * np.transpose(expected))
+    assert np.array_equal(normals, np.sqrt(1.0 / 50) * np.array(expected))
 
 
 @pytest.mark.parametrize("seed", SEEDS, ids=str)
 def test_noise_stream_seeding_raises_no_warning(seed):
     """The seed words wrap around in uint32 array arithmetic, which numpy
     does silently; scalar arithmetic would warn of the overflow."""
-    NoiseStream(257, TimeGrid(4, 1.0), 1, seed)
+    _spawned_seed_words(seed, 257)
 
 
 def test_noise_stream_spawns_no_seed_sequence_children(monkeypatch):
     class Unspawnable(np.random.SeedSequence):
         def spawn(self, n_children):
-            raise AssertionError("NoiseStream spawned SeedSequence children")
+            raise AssertionError("the noise seeding spawned SeedSequence children")
 
     monkeypatch.setattr(np.random, "SeedSequence", Unspawnable)
-    NoiseStream(10_000, TimeGrid(4, 1.0), 1, 7)
+    NoiseBatch.generate(10_000, TimeGrid(4, 1.0), 1, 7)
 
 
 def test_a_whole_grid_draw_holds_one_block_of_generators():
@@ -519,18 +524,22 @@ def test_a_whole_grid_draw_holds_one_block_of_generators():
     assert traced.peak < num_paths * num_steps * 8 + 1e6
 
 
-def test_a_stream_draws_no_step_past_its_grid():
-    # a window past the grid would restart the generators of a whole-grid draw
-    stream = NoiseStream(3, TimeGrid(4, 1.0), 1, 7)
-    stream.fill(np.empty((4, 3, 1)))
-    with pytest.raises(ValueError, match=r"^cannot draw 1 steps: 0 of the grid are left$"):
-        stream.fill(np.empty((1, 3, 1)))
+_BAD_COUNTS = [0, -3, 2.0, True]
 
 
-@pytest.mark.parametrize("num_paths", [0, -3, 2.0, True])
-def test_noise_stream_refuses_a_path_count_below_one(num_paths):
+@pytest.mark.parametrize(
+    "windowed, num_paths",
+    [(False, count) for count in _BAD_COUNTS] + [(True, count) for count in _BAD_COUNTS],
+    ids=[repr(count) for count in _BAD_COUNTS] + [f"windows-{count!r}" for count in _BAD_COUNTS],
+)
+def test_noise_stream_refuses_a_path_count_below_one(monkeypatch, one_thread, windowed, num_paths):
+    # both draws refuse the count before they allocate or fork
+    monkeypatch.setattr(os, "fork", refuse_fork)
     with pytest.raises(ProblemError, match=rf"^num_paths must be an integer >= 1, got {num_paths!r}$"):
-        NoiseBatch.generate(num_paths, TimeGrid(4, 1.0), 1, 7)
+        if windowed:
+            noise_windows(num_paths, TimeGrid(1000, 1.0), 1, 7, _NOISE_WINDOW_KNOTS)
+        else:
+            NoiseBatch.generate(num_paths, TimeGrid(4, 1.0), 1, 7)
 
 
 def test_problem_rejects_empty_grid(example1):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import planar_config, reaped, traced_peak
+from singopt import model
 from singopt.adjoint import adjoint_bsde
 from singopt.controls import (
     RelaxedControl,
@@ -28,7 +29,6 @@ from singopt.controls import (
 )
 from singopt.model import (
     NoiseBatch,
-    NoiseStream,
     TimeGrid,
     builtin_problem,
     ensemble_zeros,
@@ -598,16 +598,16 @@ class TestStreamedChatteringGap:
                                                          noise_thread):
         # n = 16: 512 refined steps in two windows, both drawn on the noise
         # thread, the second while the sweep runs through the first
-        fill = NoiseStream.fill
+        draw = model._draw
         fillers = []
 
-        def failing(self, window):
+        def failing(window, *args):
             fillers.append(threading.current_thread())
             if len(fillers) == 2:
                 raise RuntimeError("second window")
-            fill(self, window)
+            draw(window, *args)
 
-        monkeypatch.setattr(NoiseStream, "fill", failing)
+        monkeypatch.setattr(model, "_draw", failing)
         grid = TimeGrid(8, 1.0)
         q = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
         threads = threading.active_count()
@@ -620,16 +620,16 @@ class TestStreamedChatteringGap:
             self, example2_stochastic, monkeypatch, no_unreaped_children, one_thread):
         # n = 16: 512 refined steps in two windows, both filled by the
         # forked producer, whose second fill fails
-        fill = NoiseStream.fill
+        draw = model._draw
         fills = []
 
-        def failing(self, window):
+        def failing(window, *args):
             fills.append(window)
             if len(fills) == 2:
                 raise RuntimeError("second window")
-            fill(self, window)
+            draw(window, *args)
 
-        monkeypatch.setattr(NoiseStream, "fill", failing)
+        monkeypatch.setattr(model, "_draw", failing)
         grid = TimeGrid(8, 1.0)
         q = constant_relaxed(grid, [[-1.0], [1.0]], [0.5, 0.5])
         message = (r"^noise of steps 256 to 511 was not drawn: the process drawing it ended "
