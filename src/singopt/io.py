@@ -8,7 +8,10 @@ digits that read back to the same float.  JSON is written with sorted keys,
 so identical inputs produce byte-identical files.  The binary writer works
 in blocks of ``_BLOCK_PATHS`` paths, the CSV writer in blocks of whole
 paths holding about ``_FORMAT_CELLS`` values, and file digests are
-streamed, so no export holds more than a block beyond its input.
+streamed, so no export holds more than a few blocks beyond its input.
+Every second block of CSV rows is formatted on model._ahead's worker (a
+forked process, or a thread) and handed back through one of its two shared
+slots; the bytes of the file do not depend on the worker.
 
 CSV cells are formatted by a numpy kernel, ``_format_cells``, that writes
 the bytes of ``repr`` without calling it for values in repr's
@@ -23,12 +26,15 @@ holds repr's bytes.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
+
+from .model import _ahead
 
 _HEADER_BYTES = 32  # four uint64 words
 _BLOCK_PATHS = 256  # paths per block of an ensemble export
@@ -39,11 +45,16 @@ _DIGEST_CHUNK_BYTES = 1 << 20
 def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "x") -> None:
     """Write an (M, K, D) ensemble as CSV rows (path, step, t, components).
 
-    Rows are formatted and written in blocks of whole paths, about
-    ``_FORMAT_CELLS`` values, so memory stays bounded by one block whatever
-    M is.  A block's rows are laid out as one NUL-padded byte matrix (path,
-    the knot's ``,step,t,``, cells each followed by a comma or the
-    newline), and its bytes other than NUL are written.
+    Rows are formatted in blocks of whole paths, about ``_FORMAT_CELLS``
+    values, each laid out as one NUL-padded byte matrix (path, the knot's
+    ``,step,t,``, cells each followed by a comma or the newline) whose
+    bytes other than NUL are written.  Block 2k + 1 is formatted on
+    model._ahead's worker (a forked process, or a thread) into one of its
+    two shared slots, as a byte count and the bytes, while this process
+    formats and writes block 2k; an export of fewer than four blocks is
+    formatted here.  So memory stays bounded by a few blocks whatever M is,
+    and the bytes do not depend on the worker.  A failed worker raises the
+    thread's exception, or an OSError naming the block.
     """
     values = np.asarray(values, dtype=float)
     M, K, D = values.shape
@@ -52,23 +63,42 @@ def ensemble_to_csv(values: np.ndarray, knots: np.ndarray, path, prefix: str = "
     heads = heads.view(np.uint8).reshape(len(knots), -1)
     head_width = heads.shape[1]
     step = max(1, _FORMAT_CELLS // (K * D))
-    with open(path, "wb") as out:
+    starts = range(0, M, step)
+
+    def block_bytes(start):  # the rows of the paths from start on
+        block = values[start:start + step]
+        P = len(block)
+        paths = np.arange(start, start + P).astype("S").view(np.uint8).reshape(P, -1)
+        path_width = paths.shape[1]
+        width = path_width + head_width
+        rows = np.zeros((P, K, width + 25 * D), np.uint8)
+        rows[:, :, :path_width] = paths[:, None]
+        rows[:, :, path_width:width] = heads
+        cells = rows[:, :, width:].reshape(P, K, D, 25)
+        text = _format_cells(np.ascontiguousarray(block).reshape(-1))
+        cells[..., :24] = text.reshape(P, K, D, 24)
+        cells[..., 24] = ord(",")
+        rows[:, :, -1] = ord("\n")
+        return rows[rows != 0]
+
+    def fill(k, slot):  # slot[0] counts the bytes that follow it
+        data = block_bytes(starts[2 * k + 1])
+        slot[0] = len(data)
+        slot[1:].view(np.uint8)[:len(data)] = data
+
+    # the most bytes a block can hold, as floats after the count
+    slot_floats = 1 + -(-step * K * (len(str(M - 1)) + head_width + 25 * D) // 8)
+    odd = _ahead(len(starts) // 2, (slot_floats,), fill,
+                 lambda k, slot: slot[1:].view(np.uint8)[:int(slot[0])],
+                 lambda k: f"CSV block {2 * k + 1} (paths {starts[2 * k + 1]} to "
+                           f"{min(starts[2 * k + 1] + step, M) - 1}) was not formatted: "
+                           "the process formatting it")
+    with open(path, "wb") as out, contextlib.closing(odd):
         out.write(("path,step,t," + ",".join(f"{prefix}{i}" for i in range(D)) + "\n").encode())
-        for start in range(0, M, step):
-            block = values[start:start + step]
-            P = len(block)
-            paths = np.arange(start, start + P).astype("S").view(np.uint8).reshape(P, -1)
-            path_width = paths.shape[1]
-            width = path_width + head_width
-            rows = np.zeros((P, K, width + 25 * D), np.uint8)
-            rows[:, :, :path_width] = paths[:, None]
-            rows[:, :, path_width:width] = heads
-            cells = rows[:, :, width:].reshape(P, K, D, 25)
-            text = _format_cells(np.ascontiguousarray(block).reshape(-1))
-            cells[..., :24] = text.reshape(P, K, D, 24)
-            cells[..., 24] = ord(",")
-            rows[:, :, -1] = ord("\n")
-            out.write(rows[rows != 0])
+        for start in starts[::2]:
+            out.write(block_bytes(start))
+            if start + step < M:
+                out.write(next(odd))
 
 
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a float64 into two 26-bit halves
@@ -99,6 +129,21 @@ def _cell_tables() -> tuple:
     return (decade, tens[decade + 1], five, five_hi, five - five_hi, np.ldexp(1.0, k),
             five * np.ldexp(1.0, k - 1), quads.view("<u4").ravel().astype(np.uint64),
             masks, prefixes)
+
+
+def _rounding(m, n, n_half, rho, h, even) -> tuple:
+    """For N (n) rounded to a multiple of 10**m, ties by the sign of rho
+    (n_half is n less one where rho < 0): its distance d from N, whether it
+    reads back to v, |d - rho| < h or = h for an even significand (exact:
+    h < 11.2, so d +- h is exact for |d| <= 12, and any larger |d| fails
+    whatever its rounding), and whether it is an exact tie (not kept)."""
+    step = 10**m
+    d = (n_half + step // 2) // step * step - n
+    lo = d - h
+    hi = d + h
+    kept = (lo < rho) & (rho < hi) | even & ((rho == lo) | (rho == hi))
+    tie = kept & (d == step // 2) & (rho == 0)
+    return d, kept & ~tie, tie
 
 
 def _format_cells(v: np.ndarray) -> np.ndarray:
@@ -139,25 +184,25 @@ def _format_cells(v: np.ndarray) -> np.ndarray:
     rho = frac - up
     h = ((bits >> 52) - 52 << 52).view(float) * half[i]
     fallback |= frac == 0.5
-    # m = 1, 2, ...: round N to a multiple of 10**m, at distance d from N
-    # and d - rho from X, and keep it while it reads back to v
+    # m = 1, 2, ...: round N to a multiple of 10**m, kept while it reads
+    # back to v; most values need 16 or 17 digits, so only the values kept
+    # at m = 2 are compressed for the rounds after it
     best = nearest.copy()
     digits = np.full(len(v), 17)
-    live = np.flatnonzero(~fallback)
-    n, r, hl, even = nearest[live], rho[live], h[live], bits[live] & 1 == 0
-    n_half = n - (r < 0)  # a residue below zero rounds a half down
-    for m in range(1, 17):
-        step = 10**m
-        d = (n_half + step // 2) // step * step - n
-        lo = d - hl
-        hi = d + hl
-        # |d - rho| < h, or = h for an even significand (ties to even);
-        # exact: h < 11.2, so d +- h is exact for |d| <= 12, and any larger
-        # |d| fails whatever the rounding of d +- h
-        kept = (lo < r) & (r < hi) | even & ((r == lo) | (r == hi))
-        tie = kept & (d == step // 2) & (r == 0)
+    n_half = nearest - (rho < 0)  # a residue below zero rounds a half down
+    even = bits & 1 == 0
+    live = ~fallback
+    for m in (1, 2):
+        d, kept, tie = _rounding(m, nearest, n_half, rho, h, even)
+        fallback |= tie & live
+        live &= kept
+        np.add(nearest, d, out=best, where=live)
+        digits -= live
+    live = np.flatnonzero(live)
+    n, n_half, r, hl, even = (x[live] for x in (nearest, n_half, rho, h, even))
+    for m in range(3, 17):
+        d, kept, tie = _rounding(m, n, n_half, r, hl, even)
         fallback[live[tie]] = True
-        kept &= ~tie
         live, n, n_half, d, r, hl, even = (x[kept] for x in (live, n, n_half, d, r, hl, even))
         if not live.size:
             break

@@ -214,7 +214,11 @@ class _Conditions:
         flat_off_mass, first_order = np.zeros(M), np.zeros(M)
         self.means, self._failure = {}, None
         grid_vals = np.empty((len(spec.u1_grid), M))
-        row_of = {u.tobytes(): i for i, u in enumerate(spec.u1_grid)}
+
+        def key(u):  # by value: + 0.0 turns -0.0 into 0.0, so both find 0.0's row
+            return (u + 0.0).tobytes()
+
+        row_of = {key(u): i for i, u in enumerate(spec.u1_grid)}
         with contextlib.closing(adjoint.knots()) as knots:
             for j, pj, Pj, *_ in knots:  # a sweep also yields each knot's health
                 t, xj = grid.knots[j], traj.states[:, j, :]
@@ -229,7 +233,7 @@ class _Conditions:
                     continue
                 try:
                     # H is linear in the measure: average the grid rows of the atoms
-                    cand = mu.average(lambda _t, _x, a: grid_vals[row_of[a.tobytes()]], j, t, xj)
+                    cand = mu.average(lambda _t, _x, a: grid_vals[row_of[key(a)]], j, t, xj)
                 except KeyError:  # an atom off the grid
                     cand = relaxed_hamiltonian_batch(spec, t, xj, mu, j, pj, Pj)
                 gap = cand - grid_vals.min(axis=0)

@@ -3,10 +3,11 @@ exercise state-dependent linearizations (the built-ins all have b_x = 0);
 checks, for every test, that it leaves no thread running, no forked child
 unreaped and no file descriptor open; noise_thread, which sends the
 worker of model._ahead (chatter's noise, the backward sweep of verify and
-certify) down its thread path; one_thread, which waits for the process to
-run one thread, so that this worker is forked; worker, which runs a test
-on each of the two; and traced_peak, the memory tests' tracemalloc
-context."""
+certify, every second block of an ensemble CSV) down its thread path;
+one_thread, which waits for the process to run one thread, so that this
+worker is forked; worker, which runs a test on each of the two;
+csv_worker_fails, which fails the CSV blocks of that worker; and
+traced_peak, the memory tests' tracemalloc context."""
 
 import contextlib
 import os
@@ -24,7 +25,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 import numpy as np
 import pytest
 
-from singopt import model
+from singopt import io, model
 from singopt.model import ProblemSpec, TimeGrid, builtin_problem, problem_from_config
 
 _FDS = "/proc/self/fd"
@@ -127,6 +128,20 @@ def no_unreaped_children(monkeypatch):
 def refuse_fork():
     """A stand-in for os.fork that fails the test that calls it."""
     pytest.fail("os.fork was called")
+
+
+def csv_worker_fails(monkeypatch):
+    """Make io._format_cells raise RuntimeError("worker fault") in any
+    process or thread but the caller's, so that the first block of CSV rows
+    that model._ahead's worker formats fails."""
+    format_cells, caller = io._format_cells, (os.getpid(), threading.current_thread())
+
+    def failing(v):
+        if (os.getpid(), threading.current_thread()) != caller:
+            raise RuntimeError("worker fault")
+        return format_cells(v)
+
+    monkeypatch.setattr(io, "_format_cells", failing)
 
 
 @contextlib.contextmanager

@@ -19,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singopt import cli, model
+from singopt import cli, model, optimality
 from singopt import controls as ctl
 from singopt.cli import main
 from singopt.io import ensemble_from_binary
 
-from conftest import planar_config, reaped, traced_peak
+from conftest import csv_worker_fails, planar_config, reaped, traced_peak
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -814,9 +814,19 @@ class TestConfigErrors:
 
 
 @pytest.mark.parametrize("form", ["strict", "relaxed"])
-def test_negative_zero_candidate_is_a_grid_point(tmp_path, form):
+def test_negative_zero_candidate_is_a_grid_point(tmp_path, monkeypatch, form):
     # example2_stochastic's U1 grid holds 0.0; -0.0 is the same point, so
-    # verify and certify report on it exactly as on 0.0
+    # verify and certify read its grid row, with no off-grid Hamiltonian,
+    # and report on it exactly as on 0.0
+    fallback = optimality.relaxed_hamiltonian_batch
+    calls = []
+
+    def counting(*args):
+        calls.append(args[4])
+        return fallback(*args)
+
+    monkeypatch.setattr(optimality, "relaxed_hamiltonian_batch", counting)
+
     def write(zero):
         if form == "strict":
             control = {"type": "strict", "values": [[zero]] * 8}
@@ -833,6 +843,7 @@ def test_negative_zero_candidate_is_a_grid_point(tmp_path, form):
         for cfg in (negative, positive):
             out = tmp_path / f"{command}-{cfg.stem}"
             codes.append(run(command, cfg, out))
+            assert calls == []  # checked in this process, beside the sweep's worker
             blob = json.loads((out / report).read_text())
             del blob["config"]  # echoes the candidate's zero
             blobs.append(json.dumps(blob))
@@ -1002,6 +1013,24 @@ class TestInternalError:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert fills == []  # every fill ran in the worker
         assert len(no_unreaped_children) == 1
+
+    def test_a_failed_csv_worker_exits_four_without_traceback(
+            self, tmp_path, monkeypatch, capsys, no_unreaped_children, worker):
+        # p is (400, 101, 1): five CSV blocks of 81 paths, so the worker
+        # formats blocks 1 and 3, and fails on block 1
+        csv_worker_fails(monkeypatch)
+        cfg = write_config(tmp_path, problem="example2_stochastic", grid={"N": 100},
+                           candidate={"name": "relaxed_pm1"}, monte_carlo={"M": 400, "seed": 4})
+        assert cli.run(["adjoint", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        if worker == "fork":
+            assert err.startswith("internal error: OSError: CSV block 1 (paths 81 to 161) was "
+                                  "not formatted: the process formatting it ended with exit ")
+            assert err.endswith("exit status 1: RuntimeError: worker fault\n")
+        else:
+            assert err == "internal error: RuntimeError: worker fault\n"
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert len(no_unreaped_children) == (worker == "fork")
 
 
 def write_overflowing_problem(tmp_path):

@@ -8,9 +8,13 @@ problem.  Only model forks, kills, reaps or exits a process, builds a
 thread or maps shared memory, so every fork sits behind
 model._single_threaded, which no other module names.  Only model names
 numpy's PCG64 and Generator, so the path generators of the noise are
-seeded in one place."""
+seeded in one place.  Importing the CLI loads no module beyond numpy and a
+fixed set of the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,3 +155,27 @@ def test_every_imported_name_is_read(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(bound - read) == []
+
+
+# what `import singopt.cli` adds to sys.modules after `import numpy`, all of
+# it standard library; numpy.random waits for the first noise draw
+CLI_IMPORTS = {"__future__", "_blake2", "_hashlib", "_json", "argparse", "copy", "dataclasses",
+               "gettext", "hashlib", "json", "json.decoder", "json.encoder", "json.scanner",
+               "mmap"}
+
+
+def test_importing_the_cli_adds_no_dependency():
+    # every command pays for these imports before it starts (perfbench's
+    # setup_s); a module that the interpreter or numpy already loaded is
+    # not counted, so only a new import fails
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import singopt.cli\n"
+            "print(sorted(set(sys.modules) - before), 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(singopt.__file__).parent.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    added, random_loaded = result.stdout.rsplit(" ", 1)
+    modules = {name for name in ast.literal_eval(added) if name.split(".")[0] != "singopt"}
+    assert modules <= CLI_IMPORTS, sorted(modules - CLI_IMPORTS)
+    assert random_loaded == "False\n"

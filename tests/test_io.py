@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import refuse_fork, traced_peak
+from conftest import csv_worker_fails, traced_peak
 from singopt import io
 from singopt.controls import constant_relaxed, zero_singular
 from singopt.io import ensemble_from_binary, ensemble_to_binary, ensemble_to_csv
@@ -90,17 +90,36 @@ CSV_KNOTS = TimeGrid(3, 0.3).knots
 
 @pytest.mark.parametrize("time_major", [True, False], ids=["time-major", "c-contiguous"])
 @pytest.mark.parametrize("D", [1, 3])
-def test_csv_bytes_match_cell_by_cell_reference(tmp_path, monkeypatch, D, time_major):
-    # one path, one whole block of B paths, a block and one path, and two
-    # blocks and one path
-    monkeypatch.setattr(os, "fork", refuse_fork)
+def test_csv_bytes_match_cell_by_cell_reference(tmp_path, no_unreaped_children, worker, D,
+                                                time_major):
+    # one path, one whole block of B paths, a block and one path, two blocks
+    # and one path (all formatted here: the one odd block is filled in
+    # process), and four blocks and one path, whose odd blocks the worker
+    # formats
     B = _block_paths(D)
     path = tmp_path / "ensemble.csv"
-    for M in (1, B, B + 1, 2 * B + 1):
+    for M in (1, B, B + 1, 2 * B + 1, 4 * B + 1):
         data = _csv_data(M, D)
         ensemble_to_csv(_laid_out(data, time_major), CSV_KNOTS, path, prefix="p")
         assert path.read_bytes() == reference_csv(data, CSV_KNOTS, "p")
     assert os.listdir(tmp_path) == ["ensemble.csv"]
+    assert len(no_unreaped_children) == (worker == "fork")
+
+
+def test_a_failed_csv_worker_raises_and_leaves_nothing_behind(tmp_path, monkeypatch,
+                                                              no_unreaped_children, worker):
+    # the conftest fixtures fail a child, thread or descriptor left behind
+    B = _block_paths(1)
+    csv_worker_fails(monkeypatch)
+    if worker == "fork":
+        failure = pytest.raises(OSError, match=(
+            rf"^CSV block 1 \(paths {B} to {2 * B - 1}\) was not formatted: the process "
+            r"formatting it ended with exit status 1: RuntimeError: worker fault$"))
+    else:
+        failure = pytest.raises(RuntimeError, match=r"^worker fault$")
+    with failure:
+        ensemble_to_csv(_csv_data(4 * B + 1, 1), CSV_KNOTS, tmp_path / "ensemble.csv")
+    assert len(no_unreaped_children) == (worker == "fork")
 
 
 def _cells(values):
@@ -124,6 +143,32 @@ def test_cells_are_repr_of_any_bit_pattern(words):
 def test_cells_are_repr_of_any_float(x, y):
     values = np.array([x, y])
     assert _cells(values) == _reprs(values)
+
+
+@st.composite
+def _decimal(draw, digits):
+    """A float read from a decimal of the given number of significant
+    digits, the last one nonzero, with either sign, in 1e-4 <= |v| < 1e16."""
+    mantissa = 10 * draw(st.integers(10 ** (digits - 2) if digits > 1 else 0,
+                                     10 ** (digits - 1) - 1)) + draw(st.integers(1, 9))
+    exponent = draw(st.integers(-3 - digits, 16 - digits))
+    return float(f"{draw(st.sampled_from('+-'))}{mantissa}e{exponent}")
+
+
+def _significant_digits(text):
+    return len(text.lstrip(b"-").replace(b".", b"").strip(b"0"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*(_decimal(digits) for digits in range(1, 18))))
+def test_cells_are_repr_of_short_decimals(decimals):
+    # one decimal of each length 1 .. 17: a decimal of up to 15 digits is
+    # its float's shortest repr, so rounds m = 2 .. 16 of the digit search
+    # (m = 3 on, on the compressed values) each end some value's search
+    values = np.array(decimals)
+    cells = _cells(values)
+    assert cells == _reprs(values)
+    assert {_significant_digits(cell) for cell in cells} >= set(range(1, 16))
 
 
 def test_cells_are_repr_at_the_edges():
